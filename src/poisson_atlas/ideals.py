@@ -3,8 +3,13 @@
 A maximal ideal at a point is Poisson iff every generator bracket vanishes
 there; for an exact bracket this is exactly the vanishing gradient of the
 potential, i.e. a singularity of the level surface through the point.  The
-search is a sound, exact grid scan over a rational box plus caller-supplied
-candidates; completeness is scoped to the box.
+search is an exact scan of a rational box plus caller-supplied candidates.
+The box is walked one coordinate at a time: each bracket is split into
+rational component polynomials, the next coordinate's value is substituted
+into them, and a branch is dropped as soon as some component becomes a
+nonzero constant, so the work follows the surviving partial points rather
+than the full grid.  The scan is sound and complete within the box;
+completeness is never claimed beyond it.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from fractions import Fraction
 
 from .brackets import Exact, PoissonPresentation, Scaled
 from .poly import LaurentPoly, PointP
-from .scalars import Scalar
+from .scalars import Scalar, common_domain
 
 
 @dataclass(frozen=True)
@@ -78,21 +83,71 @@ def make_ideal(pres: PoissonPresentation, pt: PointP) -> PoissonMaxIdeal:
     return PoissonMaxIdeal(pt, pres, lam, rel_values)
 
 
+def _rational_components(poly: LaurentPoly) -> list:
+    """Rational polynomials (exponents -> Fraction) whose common rational zeros are poly's.
+
+    A coefficient a + b*sqrt(d) contributes a to the first component and b to
+    the second; at a rational point poly vanishes iff both do.
+    """
+    common_domain(poly.terms.values())
+    parts = ({e: c.a for e, c in poly.terms.items() if c.a},
+             {e: c.b for e, c in poly.terms.items() if c.b})
+    return [part for part in parts if part]
+
+
+def _substitute_first(components, v):
+    """Put v for the first variable of each component; None once one is a nonzero constant."""
+    powers = {}
+    out = []
+    for comp in components:
+        folded = {}
+        for exps, c in comp.items():
+            e, rest = exps[0], exps[1:]
+            if e:
+                p = powers.get(e)
+                if p is None:
+                    p = powers[e] = v if e == 1 else v**e
+                c = c * p
+            s = folded.get(rest)
+            folded[rest] = c if s is None else s + c
+        folded = {rest: c for rest, c in folded.items() if c}
+        if folded:
+            if len(folded) == 1 and not any(next(iter(folded))):
+                return None
+            out.append(folded)
+    return out
+
+
+def _common_zeros(components, axes, prefix=()):
+    """Every completion of prefix over axes at which all components vanish, in grid order."""
+    if not components:
+        yield from (prefix + rest for rest in itertools.product(*axes))
+        return
+    # a component left over once every axis is fixed is a nonzero constant, pruned above
+    for v in axes[0]:
+        folded = _substitute_first(components, v)
+        if folded is not None:
+            yield from _common_zeros(folded, axes[1:], prefix + (v,))
+
+
 def find_poisson_maximal(pres: PoissonPresentation, box: SearchBox = SearchBox()):
     """All box points (plus explicit candidates) that are Poisson maximal.
 
+    The box is searched by nested partial evaluation: coordinates are
+    substituted one at a time into the rational components of every pair
+    bracket, and a branch is pruned once a component is a nonzero constant.
+    Explicit candidates, which may lie over Q(sqrt d), are tested exactly.
     Sound and complete within the box; deterministically ordered by coordinates.
     """
-    table = list(pres.pair_table().values())
+    components = [
+        comp for poly in pres.pair_table().values() for comp in _rational_components(poly)
+    ]
     values = box.coordinate_values()
-    axes = []
-    for flag in pres.varset.laurent:
-        axes.append([v for v in values if v != 0] if flag else values)
+    axes = [[v for v in values if v != 0] if flag else values for flag in pres.varset.laurent]
     found = {}
-    for combo in itertools.product(*axes):
+    for combo in _common_zeros(components, axes):
         pt = PointP(pres.varset, [Scalar(v) for v in combo])
-        if all(poly.evaluate(pt).is_zero for poly in table):
-            found[pt] = make_ideal(pres, pt)
+        found[pt] = make_ideal(pres, pt)
     for pt in box.extra:
         if pt.varset != pres.varset:
             raise ValueError("candidate point over a different variable set")

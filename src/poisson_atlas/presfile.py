@@ -315,11 +315,15 @@ class _Parser:
             self.expect("{")
             mapping = {}
             while not self.at("}"):
-                self.expect("[")
+                tok = self.expect("[")
                 a = self.expect_name().text
                 self.expect(",")
                 b = self.expect_name().text
                 self.expect("]")
+                if (a, b) in mapping or (b, a) in mapping:
+                    raise ParseError(
+                        f"bracket [{a},{b}] given twice", tok.line, tok.col
+                    )
                 self.expect("=")
                 mapping[(a, b)] = self.parse_expr(varset, env)
                 self.expect(";")

@@ -1,6 +1,10 @@
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from poisson_atlas import (
     Exact,
@@ -13,11 +17,15 @@ from poisson_atlas import (
     Table,
     VarSet,
     bracket,
+    catalog_names,
     find_poisson_maximal,
+    get_entry,
     is_poisson_maximal,
     leaf_report,
     relation_in_J_squared,
 )
+from poisson_atlas.errors import ScalarDomainError
+from poisson_atlas.ideals import PoissonMaxIdeal, make_ideal
 from poisson_atlas.lie import apply_automorphism_to_point
 from poisson_atlas.scalars import Scalar
 
@@ -192,3 +200,83 @@ def test_exact_gradient_equivalence(torus_pres):
                 torus_pres, f - f.evaluate(pt), pt
             )
         assert poisson == grad_zero == in_j2
+
+
+def test_mixed_extensions_in_one_bracket_raise():
+    vs = VarSet(["x", "y"])
+    x, y = LaurentPoly.variable(vs, "x"), LaurentPoly.variable(vs, "y")
+    mixed = Scalar(0, 1, 2) * x + Scalar(0, 1, 3) * y
+    pres = PoissonPresentation(vs, Table.from_dict(vs, {("x", "y"): mixed}))
+    with pytest.raises(ScalarDomainError, match=r"sqrt\(2\).*sqrt\(3\)"):
+        find_poisson_maximal(pres, SearchBox(2, 1))
+
+
+# -- the pruned scan against the plain grid scan ---------------------------------
+
+
+def _scan_reference(pres, box):
+    """Build every box point and evaluate every pair bracket there."""
+    table = list(pres.pair_table().values())
+    values = box.coordinate_values()
+    axes = [[v for v in values if v != 0] if flag else values for flag in pres.varset.laurent]
+    found = {}
+    for combo in itertools.product(*axes):
+        pt = PointP(pres.varset, [Scalar(v) for v in combo])
+        if all(poly.evaluate(pt).is_zero for poly in table):
+            found[pt] = make_ideal(pres, pt)
+    for pt in box.extra:
+        if pt not in found and is_poisson_maximal(pres, pt):
+            found[pt] = make_ideal(pres, pt)
+    return sorted(found.values(), key=PoissonMaxIdeal.sort_key)
+
+
+def _assert_same_scan(pres, box):
+    got, want = find_poisson_maximal(pres, box), _scan_reference(pres, box)
+    assert [(i.point, i.lambda_value, i.relation_values) for i in got] == [
+        (i.point, i.lambda_value, i.relation_values) for i in want
+    ]
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_scan_matches_reference_on_catalog(name):
+    entry = get_entry(name)
+    pres = entry.presentation or entry.invariants.ambient
+    for num, den in ((4, 2), (5, 2)):
+        _assert_same_scan(pres, dataclasses.replace(entry.box, num=num, den=den))
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+
+
+@st.composite
+def _small_presentations(draw):
+    """Two-variable tables, or Exact/Scaled brackets on three variables."""
+    nvars = draw(st.integers(2, 3))
+    vs = VarSet(("x", "y", "z")[:nvars], [n for n in "xyz"[:nvars] if draw(st.booleans())])
+    d = draw(st.sampled_from([0, -1]))
+
+    def poly():
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            exps = tuple(draw(st.integers(-2 if flag else 0, 2)) for flag in vs.laurent)
+            b = draw(_RATIONALS) if d else 0
+            terms[exps] = Scalar(draw(_RATIONALS), b, d if b else 0)
+        return LaurentPoly(vs, terms)
+
+    if nvars == 2:
+        return PoissonPresentation(vs, Table(((0, 1, poly()),)))
+    f = poly()
+    spec = Scaled(poly(), f) if draw(st.booleans()) else Exact(f)
+    return PoissonPresentation(vs, spec, relations=(f,))
+
+
+_XY = VarSet(["x", "y"], ["y"])
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_small_presentations(), st.integers(1, 3), st.integers(1, 2))
+@example(PoissonPresentation(_XY, Table(())), 2, 2)  # no bracket: every point, no pruning
+@example(PoissonPresentation(_XY, Table(((0, 1, LaurentPoly.const(_XY, 3)),))), 2, 2)  # all pruned
+def test_scan_matches_reference_on_small_tables(pres, num, den):
+    _assert_same_scan(pres, SearchBox(num, den))

@@ -71,6 +71,18 @@ def test_table_bracket():
     assert str(pair) == "x1*x2"
 
 
+@pytest.mark.parametrize(
+    "entries",
+    ["[x,y] = x;\n  [y,x] = y;", "[x,y] = x;\n  [x,y] = y;"],
+    ids=["reversed", "repeated"],
+)
+def test_table_bracket_pair_given_twice(entries):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(f"vars x, y;\nbracket table {{\n  {entries}\n}};")
+    assert (err.value.line, err.value.column) == (4, 3)
+    assert "given twice" in str(err.value)
+
+
 def test_embed_with_sub_presentation():
     text = (
         "vars x, y, z; bracket exact f = z^2 - x*y; relation f;"
