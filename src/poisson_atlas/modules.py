@@ -33,6 +33,8 @@ from .scalars import Scalar, ZERO, ONE
 
 DEFAULT_SEED = 0x9E3779B9
 DEFAULT_TRIALS = 32
+ISO_TRIALS = 16
+ISO_COEFF = 50
 
 _MASK64 = (1 << 64) - 1
 
@@ -605,7 +607,18 @@ def intertwiner_space(mats1, mats2, dim1: int, dim2: int):
 
 
 def find_isomorphism(mats1, mats2, dim1: int, dim2: int):
-    """An invertible intertwiner, or None; checks basis elements then pair sums."""
+    """An invertible intertwiner from module 1 to module 2, or None.
+
+    Tries the intertwiner basis, then sums of two basis elements, then
+    ISO_TRIALS combinations of the basis with integer coefficients in
+    [-ISO_COEFF, ISO_COEFF] drawn from a fixed-seed SplitMix, so the result is
+    deterministic.  None is certain when the dimensions differ or every
+    intertwiner is singular.  Otherwise an invertible intertwiner exists, the
+    determinant of a combination is a nonzero polynomial of degree dim in its
+    coefficients, and by Schwartz-Zippel each trial misses with probability at
+    most dim / (2 * ISO_COEFF + 1), so a None for isomorphic modules is
+    possible but very unlikely.
+    """
     if dim1 != dim2:
         return None
     space = intertwiner_space(mats1, mats2, dim1, dim2)
@@ -617,6 +630,15 @@ def find_isomorphism(mats1, mats2, dim1: int, dim2: int):
             t = space[i] + space[j]
             if rank([list(r) for r in t.rows]) == dim1:
                 return t
+    if len(space) < 2:  # every intertwiner is a multiple of one singular matrix
+        return None
+    rng = SplitMix(DEFAULT_SEED)
+    for _ in range(ISO_TRIALS):
+        t = Matrix.zeros(dim2, dim1)
+        for basis_t in space:
+            t = t + basis_t.scale(rng.below(2 * ISO_COEFF + 1) - ISO_COEFF)
+        if rank([list(r) for r in t.rows]) == dim1:
+            return t
     return None
 
 

@@ -407,8 +407,9 @@ def express_in_span(target: LaurentPoly, basis) -> tuple | None:
 def divides(divisor: LaurentPoly, p: LaurentPoly):
     """Quotient q with p == q * divisor in the Laurent ring, or None.
 
-    Monomials are units, so divisibility is tested after normalizing both
-    operands to honest polynomials.
+    Monomials in the Laurent variables are units, so divisibility is tested
+    after dividing both operands by their lowest power of each Laurent
+    variable (a positive or a negative power); that leaves honest polynomials.
     """
     if divisor.is_zero:
         return None
@@ -416,11 +417,8 @@ def divides(divisor: LaurentPoly, p: LaurentPoly):
         return LaurentPoly.zero(p.varset)
 
     def monomial_shift(poly):
-        shift = [0] * len(poly.varset)
-        for exps in poly.terms:
-            for i, e in enumerate(exps):
-                shift[i] = min(shift[i], e)
-        return tuple(-s for s in shift)
+        return tuple(-min(exps[i] for exps in poly.terms) if flag else 0
+                     for i, flag in enumerate(poly.varset.laurent))
 
     def shifted(poly, shift):
         return LaurentPoly(
@@ -445,9 +443,5 @@ def divides(divisor: LaurentPoly, p: LaurentPoly):
         rem = rem - mono * d2
     # undo the unit normalizations: p = z^-shp * p2 = z^-shp * q * d2 = (q * z^(shd-shp)) * divisor
     net = tuple(b - a for a, b in zip(sh_p, sh_d))
-    try:
-        _check_exponents(p.varset, net)
-    except LaurentViolationError:
-        return None
     unit = LaurentPoly(p.varset, {net: ONE})
     return quotient * unit

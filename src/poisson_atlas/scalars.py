@@ -1,15 +1,26 @@
 """Exact scalars: rationals and elements of a single quadratic extension Q(sqrt d).
 
-A Scalar is a + b*sqrt(d) with a, b rational and d a square-free integer
-(d = 0 encodes a plain rational, in which case b = 0).  Arithmetic between two
-distinct extensions raises ScalarDomainError; rationals embed into any
-extension.  Values are immutable and hashable, so they can serve as
-polynomial coefficients and dictionary keys.
+A Scalar is (n + m*sqrt(d)) / q with n, m, q plain Python ints and d a
+square-free integer.  Every value is kept in one canonical form:
+
+* q > 0 and gcd(n, m, q) == 1;
+* m == 0 exactly when d == 0, so d = 0 encodes a plain rational n/q (already
+  in lowest terms), and a result whose sqrt part cancels comes back rational.
+
+Equal values therefore have equal ints.  Arithmetic works on the ints
+directly; when both denominators are 1 (almost every matrix entry) no gcd is
+taken, and a gcd is taken only for a denominator other than 1.  Arithmetic
+between two distinct extensions raises ScalarDomainError; rationals embed into
+any extension.  Values are never modified after construction and are hashable
+(a rational hashes like the equal Fraction), so they can serve as polynomial
+coefficients and dictionary keys.  The read-only properties `a` and `b` give
+the value as a + b*sqrt(d) with Fractions a and b.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import ScalarDomainError, ExtensionRequiredError
 
@@ -38,51 +49,100 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s, sign * d
 
 
-_F0 = Fraction(0)
-
-_set = object.__setattr__
+_new = object.__new__
 
 
-def _make(a, b, d):
-    """Internal fast constructor; inputs must already be normalized Fractions."""
-    s = object.__new__(Scalar)
-    _set(s, "a", a)
-    _set(s, "b", b)
-    _set(s, "d", d)
+def _raw(n, m, q, d):
+    """A Scalar from ints already in canonical form."""
+    s = _new(Scalar)
+    s.n = n
+    s.m = m
+    s.q = q
+    s.d = d
     return s
 
 
+def _int(n):
+    """The Scalar n for an int n (inlined in the integer paths of + - *)."""
+    return _SMALL[n] if -_SMALL_MAX <= n <= _SMALL_MAX else _raw(n, 0, 1, 0)
+
+
+def _rational(n, q):
+    """The Scalar n/q for any ints with q != 0."""
+    if q != 1:
+        g = gcd(n, q)
+        if q < 0:
+            g = -g
+        if g != 1:
+            n //= g
+            q //= g
+        if q != 1:
+            return _raw(n, 0, q, 0)
+    return _int(n)
+
+
+def _reduced(n, m, q, d):
+    """The Scalar (n + m*sqrt d)/q for any ints with q != 0 and d != 0."""
+    if m == 0:
+        return _rational(n, q)
+    if q != 1:
+        g = gcd(n, m, q)
+        if q < 0:
+            g = -g
+        if g != 1:
+            n //= g
+            m //= g
+            q //= g
+    return _raw(n, m, q, d)
+
+
+def _mixed(d1, d2):
+    return ScalarDomainError(f"cannot mix sqrt({d1}) with sqrt({d2})")
+
+
 class Scalar:
-    """Immutable exact scalar in Q or one quadratic extension Q(sqrt d)."""
+    """Exact scalar (n + m*sqrt d)/q in Q or one quadratic extension, in canonical form.
 
-    __slots__ = ("a", "b", "d")
+    The slots are written only by this module's constructors and never after,
+    so a Scalar is a value: equal scalars stay equal and hash alike.
+    """
 
-    def __init__(self, a, b=0, d=0):
-        if type(a) is not Fraction:
-            a = Fraction(a)
-        if type(b) is not Fraction:
-            b = Fraction(b)
+    __slots__ = ("n", "m", "q", "d")
+
+    def __new__(cls, a, b=0, d=0):
+        """The scalar a + b*sqrt(d) for rational a and b (ints, Fractions or
+        anything Fraction accepts); d is ignored when b == 0."""
         if b == 0:
-            d = 0
-            b = _F0
-        elif d == 0 or d == 1:
+            return _int(a) if type(a) is int else _rational(*Fraction(a).as_integer_ratio())
+        if d == 0 or d == 1:
             raise ScalarDomainError(f"invalid extension discriminant {d}")
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "d", d)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Scalar is immutable")
+        an, aq = Fraction(a).as_integer_ratio()
+        bn, bq = Fraction(b).as_integer_ratio()
+        # With a and b in lowest terms, gcd(n, m, q) == 1 at q = lcm(aq, bq).
+        q = aq * bq // gcd(aq, bq)
+        return _raw(an * (q // aq), bn * (q // bq), q, d)
 
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
     def coerce(value) -> "Scalar":
-        if isinstance(value, Scalar):
+        if type(value) is Scalar:
             return value
+        if type(value) is int:
+            return _int(value)
         if isinstance(value, _RationalLike):
             return Scalar(value)
         raise TypeError(f"cannot coerce {value!r} to Scalar")
+
+    @property
+    def a(self) -> Fraction:
+        """Rational part."""
+        return Fraction(self.n, self.q)
+
+    @property
+    def b(self) -> Fraction:
+        """Coefficient of sqrt(d)."""
+        return Fraction(self.m, self.q)
 
     @property
     def is_rational(self) -> bool:
@@ -90,26 +150,15 @@ class Scalar:
 
     @property
     def is_zero(self) -> bool:
-        return self.d == 0 and self.a == 0
+        return self.n == 0 and self.d == 0
 
     def as_fraction(self) -> Fraction:
-        if not self.is_rational:
+        if self.d:
             raise ScalarDomainError(f"{self} is not rational")
         return self.a
 
     def conj(self) -> "Scalar":
-        return Scalar(self.a, -self.b, self.d)
-
-    def _common_d(self, other: "Scalar") -> int:
-        if self.b == 0:
-            return other.d
-        if other.b == 0:
-            return self.d
-        if self.d != other.d:
-            raise ScalarDomainError(
-                f"cannot mix sqrt({self.d}) with sqrt({other.d})"
-            )
-        return self.d
+        return _raw(self.n, -self.m, self.q, self.d)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -118,27 +167,47 @@ class Scalar:
             if not isinstance(other, _RationalLike):
                 return NotImplemented
             other = Scalar(other)
-        if self.d == 0 and other.d == 0:
-            return _make(self.a + other.a, _F0, 0)
-        d = self._common_d(other)
-        b = self.b + other.b
-        return _make(self.a + other.a, b, d if b != 0 else 0)
+        q1, q2 = self.q, other.q
+        d1, d2 = self.d, other.d
+        if not (d1 or d2):
+            if q1 == 1 and q2 == 1:
+                n = self.n + other.n
+                return _SMALL[n] if -_SMALL_MAX <= n <= _SMALL_MAX else _raw(n, 0, 1, 0)
+            if q1 == q2:
+                return _rational(self.n + other.n, q1)
+            return _rational(self.n * q2 + other.n * q1, q1 * q2)
+        if d1 and d2 and d1 != d2:
+            raise _mixed(d1, d2)
+        if q1 == q2:
+            return _reduced(self.n + other.n, self.m + other.m, q1, d1 or d2)
+        return _reduced(self.n * q2 + other.n * q1, self.m * q2 + other.m * q1,
+                        q1 * q2, d1 or d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(-self.a, -self.b, self.d)
+        return _raw(-self.n, -self.m, self.q, self.d)
 
     def __sub__(self, other):
         if type(other) is not Scalar:
             if not isinstance(other, _RationalLike):
                 return NotImplemented
             other = Scalar(other)
-        if self.d == 0 and other.d == 0:
-            return _make(self.a - other.a, _F0, 0)
-        d = self._common_d(other)
-        b = self.b - other.b
-        return _make(self.a - other.a, b, d if b != 0 else 0)
+        q1, q2 = self.q, other.q
+        d1, d2 = self.d, other.d
+        if not (d1 or d2):
+            if q1 == 1 and q2 == 1:
+                n = self.n - other.n
+                return _SMALL[n] if -_SMALL_MAX <= n <= _SMALL_MAX else _raw(n, 0, 1, 0)
+            if q1 == q2:
+                return _rational(self.n - other.n, q1)
+            return _rational(self.n * q2 - other.n * q1, q1 * q2)
+        if d1 and d2 and d1 != d2:
+            raise _mixed(d1, d2)
+        if q1 == q2:
+            return _reduced(self.n - other.n, self.m - other.m, q1, d1 or d2)
+        return _reduced(self.n * q2 - other.n * q1, self.m * q2 - other.m * q1,
+                        q1 * q2, d1 or d2)
 
     def __rsub__(self, other):
         if not isinstance(other, _RationalLike):
@@ -150,23 +219,34 @@ class Scalar:
             if not isinstance(other, _RationalLike):
                 return NotImplemented
             other = Scalar(other)
-        if self.d == 0 and other.d == 0:
-            return _make(self.a * other.a, _F0, 0)
-        d = self._common_d(other)
-        a = self.a * other.a + self.b * other.b * d
-        b = self.a * other.b + self.b * other.a
-        return _make(a, b, d if b != 0 else 0)
+        q1, q2 = self.q, other.q
+        d1, d2 = self.d, other.d
+        if not (d1 or d2):
+            if q1 == 1 and q2 == 1:
+                n = self.n * other.n
+                return _SMALL[n] if -_SMALL_MAX <= n <= _SMALL_MAX else _raw(n, 0, 1, 0)
+            return _rational(self.n * other.n, q1 * q2)
+        if d1 and d2 and d1 != d2:
+            raise _mixed(d1, d2)
+        d = d1 or d2
+        n1, m1, n2, m2 = self.n, self.m, other.n, other.m
+        return _reduced(n1 * n2 + m1 * m2 * d, n1 * m2 + m1 * n2, q1 * q2, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if self.is_zero:
+        n, m, q, d = self.n, self.m, self.q, self.d
+        if not d:
+            if n == 0:
+                raise ZeroDivisionError("scalar division by zero")
+            # n/q is in lowest terms, so q/n only needs its sign fixed
+            return _raw(q, 0, n, 0) if n > 0 else _raw(-q, 0, -n, 0)
+        # q/(n + m sqrt d) = q(n - m sqrt d)/(n^2 - m^2 d); the norm is nonzero
+        # since sqrt(d) is irrational
+        norm = n * n - m * m * d
+        if norm == 0:
             raise ZeroDivisionError("scalar division by zero")
-        if self.d == 0:
-            return _make(1 / self.a, _F0, 0)
-        n = self.a * self.a - self.b * self.b * self.d
-        # n != 0 since sqrt(d) is irrational
-        return _make(self.a / n, -self.b / n, self.d)
+        return _reduced(q * n, -q * m, norm, d)
 
     def __truediv__(self, other):
         return self * Scalar.coerce(other).inverse()
@@ -177,31 +257,45 @@ class Scalar:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = Scalar(1)
+        if n == 0:
+            return ONE
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        out = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
         return out
 
     # -- comparison / hashing --------------------------------------------------
 
     def __eq__(self, other):
-        try:
-            other = Scalar.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b and self.d == other.d
+        if type(other) is not Scalar:
+            if type(other) is int:
+                return self.n == other and self.q == 1 and self.d == 0
+            try:
+                other = Scalar.coerce(other)
+            except TypeError:
+                return NotImplemented
+        return (self.n == other.n and self.q == other.q and self.d == other.d
+                and self.m == other.m)
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
+        if self.d == 0:
+            return hash(self.n) if self.q == 1 else hash(Fraction(self.n, self.q))
+        if self.q == 1:
+            return hash((self.n, self.m, self.d))
         return hash((self.a, self.b, self.d))
 
     def sort_key(self):
         """Deterministic total order used for report stability (not algebraic)."""
+        if self.q == 1:
+            return (self.d, self.n, self.m)
         return (self.d, self.a, self.b)
 
     def __repr__(self):
@@ -211,8 +305,14 @@ class Scalar:
         return format_scalar(self)
 
 
-ZERO = Scalar(0)
-ONE = Scalar(1)
+# Most results are small integers (matrix entries, values at integer points),
+# so those are built once: _SMALL[n] is the Scalar n for |n| <= _SMALL_MAX,
+# through Python's negative indexing.
+_SMALL_MAX = 64
+_SMALL = tuple(_raw(i if i <= _SMALL_MAX else i - 2 * _SMALL_MAX - 1, 0, 1, 0)
+               for i in range(2 * _SMALL_MAX + 1))
+ZERO = _SMALL[0]
+ONE = _SMALL[1]
 
 
 def scalar_sqrt(value) -> Scalar:
@@ -241,13 +341,14 @@ def format_scalar(s: Scalar) -> str:
     def frac(q: Fraction) -> str:
         return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
-    if s.b == 0:
+    if s.d == 0:
         return frac(s.a)
-    mag = abs(s.b)
+    b = s.b
+    mag = abs(b)
     root = f"sqrt({s.d})" if mag == 1 else f"{frac(mag)}*sqrt({s.d})"
-    sign = "-" if s.b < 0 else "+"
-    if s.a == 0:
-        return root if s.b > 0 else f"-{root}"
+    sign = "-" if b < 0 else "+"
+    if s.n == 0:
+        return root if b > 0 else f"-{root}"
     return f"{frac(s.a)}{sign}{root}"
 
 
@@ -255,7 +356,7 @@ def common_domain(values) -> int:
     """Discriminant shared by a collection of scalars (0 if all rational)."""
     d = 0
     for v in values:
-        if v.b != 0:
+        if v.d:
             if d == 0:
                 d = v.d
             elif d != v.d:

@@ -30,8 +30,14 @@ from poisson_atlas import (
     verify_poisson_axioms,
 )
 from poisson_atlas.errors import AtlasError, IncompatibleTableError
-from poisson_atlas.linalg import Matrix, eigen_small
-from poisson_atlas.modules import SplitMix, is_simple, lie_rep_restrict, restrict_action
+from poisson_atlas.linalg import Matrix, eigen_small, rank
+from poisson_atlas.modules import (
+    SplitMix,
+    find_isomorphism,
+    is_simple,
+    lie_rep_restrict,
+    restrict_action,
+)
 from poisson_atlas.scalars import Scalar
 
 
@@ -384,6 +390,17 @@ def test_isomorphism_bookkeeping(a1_pres):
     # different dimensions are never isomorphic
     smaller = lift_module(a1_pres, origin, sl2_irrep(lie, 2, triple))
     assert poisson_modules_isomorphic(module, smaller) is None
+
+
+def test_trivial_module_isomorphic_to_itself():
+    # every intertwiner of the 3-dimensional trivial module is a 3x3 matrix;
+    # the basis E_ij and the pair sums all have rank <= 2, so only a
+    # combination of the whole basis finds an invertible witness
+    zero = Matrix.zeros(3, 3)
+    t = find_isomorphism([zero, zero], [zero, zero], 3, 3)
+    assert t is not None
+    assert rank([list(r) for r in t.rows]) == 3
+    assert find_isomorphism([zero, zero], [zero, zero], 3, 3) == t
 
 
 def test_distinct_points_never_isomorphic(torus_pres):

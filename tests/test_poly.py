@@ -154,6 +154,17 @@ def test_divides_laurent(xyz_laurent):
     assert q is not None and q * f == multiple
 
 
+def test_divides_by_laurent_unit():
+    # z is a unit over laurent(z), so it divides everything; x is not a unit
+    vs = VarSet(["x", "z"], laurent=["z"])
+    x, z = (LaurentPoly.variable(vs, n) for n in vs.names)
+    one = LaurentPoly.const(vs, 1)
+    assert divides(z, one) == z**-1
+    assert divides(z, x) == x * z**-1
+    assert divides(z * z, z) == z**-1
+    assert divides(x, z) is None
+
+
 def test_varset_mismatch(xyz, xyz_laurent):
     p = xyz[1]
     q = xyz_laurent[1]

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisson_atlas.errors import ScalarDomainError, ExtensionRequiredError
 from poisson_atlas.scalars import (
@@ -99,3 +102,172 @@ def test_reflected_operators():
     assert 3 + s == Scalar(Fraction(7, 2))
     i = Scalar(0, 1, -1)
     assert 1 / i == -i
+
+
+# -- reference model -------------------------------------------------------------
+#
+# A model scalar is (a, b, d) with Fractions a, b: the value a + b*sqrt(d), with
+# d = 0 exactly when b == 0.  Every Scalar result must equal the model's result
+# and be in canonical form.
+
+_FRACTIONS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+def _model(a, b, d):
+    return (a, b, d) if b else (a, Fraction(0), 0)
+
+
+def _model_of(s):
+    return _model(s.a, s.b, s.d)
+
+
+def _model_add(x, y, sign=1):
+    return _model(x[0] + sign * y[0], x[1] + sign * y[1], x[2] or y[2])
+
+
+def _model_mul(x, y):
+    (a1, b1, d1), (a2, b2, d2) = x, y
+    d = d1 or d2
+    return _model(a1 * a2 + b1 * b2 * d, a1 * b2 + b1 * a2, d)
+
+
+def _model_inverse(x):
+    a, b, d = x
+    norm = a * a - b * b * d
+    return _model(a / norm, -b / norm, d)
+
+
+def _model_pow(x, e):
+    base = _model_inverse(x) if e < 0 else x
+    out = (Fraction(1), Fraction(0), 0)
+    for _ in range(abs(e)):
+        out = _model_mul(out, base)
+    return out
+
+
+def _model_format(x):
+    a, b, d = x
+
+    def frac(q):
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+    if b == 0:
+        return frac(a)
+    root = f"sqrt({d})" if abs(b) == 1 else f"{frac(abs(b))}*sqrt({d})"
+    if a == 0:
+        return root if b > 0 else f"-{root}"
+    return f"{frac(a)}{'-' if b < 0 else '+'}{root}"
+
+
+def _model_hash(x):
+    a, b, d = x
+    return hash(a) if b == 0 else hash((a, b, d))
+
+
+@st.composite
+def _scalar_pairs(draw):
+    """Two scalars over Q, Q(sqrt(-1)) or Q(sqrt(5)); either may be rational."""
+    d = draw(st.sampled_from([0, -1, 5]))
+
+    def one():
+        a = draw(_FRACTIONS)
+        b = draw(_FRACTIONS) if d and draw(st.booleans()) else Fraction(0)
+        return Scalar(a, b, d), _model(a, b, d)
+
+    return one() + one()
+
+
+def _assert_canonical(s):
+    assert type(s.n) is int and type(s.m) is int and type(s.q) is int
+    assert s.q > 0
+    assert gcd(s.n, s.m, s.q) == 1
+    assert (s.m == 0) == (s.d == 0)
+
+
+def _assert_matches(s, model):
+    _assert_canonical(s)
+    assert _model_of(s) == model
+    assert type(s.a) is Fraction and type(s.b) is Fraction
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_scalar_pairs(), st.integers(-7, 7))
+def test_arithmetic_matches_fraction_model(pair, e):
+    x, mx, y, my = pair
+    _assert_matches(x, mx)
+    _assert_matches(y, my)
+    _assert_matches(x + y, _model_add(mx, my))
+    _assert_matches(x - y, _model_add(mx, my, -1))
+    _assert_matches(-x, _model(-mx[0], -mx[1], mx[2]))
+    _assert_matches(x * y, _model_mul(mx, my))
+    _assert_matches(x.conj(), _model(mx[0], -mx[1], mx[2]))
+    if y.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+        with pytest.raises(ZeroDivisionError):
+            y.inverse()
+    else:
+        _assert_matches(y.inverse(), _model_inverse(my))
+        _assert_matches(x / y, _model_mul(mx, _model_inverse(my)))
+    if e >= 0 or not x.is_zero:
+        _assert_matches(x**e, _model_pow(mx, e))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x**e
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_scalar_pairs())
+def test_comparison_hash_format_match_fraction_model(pair):
+    x, mx, y, my = pair
+    assert (x == y) == (mx == my)
+    assert hash(x) == _model_hash(mx)
+    if x.is_rational:
+        assert hash(x) == hash(mx[0]) and x == mx[0] and x.as_fraction() == mx[0]
+    assert str(x) == format_scalar(x) == _model_format(mx)
+    assert (x.sort_key() < y.sort_key()) == ((mx[2], mx[0], mx[1]) < (my[2], my[0], my[1]))
+    assert (x.sort_key() == y.sort_key()) == (mx == my)
+
+
+def test_canonical_forms():
+    r2 = Scalar(0, 1, 2)
+    square = r2 * r2
+    assert (square.n, square.m, square.q, square.d) == (2, 0, 1, 0)
+    half = Scalar(Fraction(1, 2), Fraction(1, 2), -1)
+    assert (half.n, half.m, half.q, half.d) == (1, 1, 2, -1)
+    s = Scalar(Fraction(2, 3), Fraction(1, 6), 5)
+    assert (s.n, s.m, s.q) == (4, 1, 6)
+    # q ends up positive and the common factor of n, m and q is removed
+    t = Scalar(0, 1, 5).inverse()
+    assert (t.n, t.m, t.q, t.d) == (0, 1, 5, 5)
+    u = (Scalar(3, 3, -1) * Scalar(Fraction(1, 6))) / Scalar(1, 1, -1)
+    assert (u.n, u.m, u.q, u.d) == (1, 0, 2, 0)
+
+
+def test_mixed_extensions_rejected_by_every_operator():
+    r2, r3 = Scalar(1, 1, 2), Scalar(1, 1, 3)
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+               lambda x, y: x / y):
+        with pytest.raises(ScalarDomainError, match=r"sqrt\(2\).*sqrt\(3\)"):
+            op(r2, r3)
+
+
+def test_invalid_discriminant_rejected():
+    for d in (0, 1):
+        with pytest.raises(ScalarDomainError):
+            Scalar(1, 1, d)
+        with pytest.raises(ScalarDomainError):
+            Scalar(0, Fraction(1, 2), d)
+    assert Scalar(2, 0, 1) == 2 and Scalar(2, 0, 1).d == 0
+
+
+def test_division_by_zero():
+    for zero in (Scalar(0), Scalar(0, 0, -1)):
+        with pytest.raises(ZeroDivisionError):
+            zero.inverse()
+        with pytest.raises(ZeroDivisionError):
+            Scalar(1, 1, -1) / zero
+        with pytest.raises(ZeroDivisionError):
+            zero**-2
+        with pytest.raises(ZeroDivisionError):
+            1 / zero
