@@ -1,10 +1,24 @@
 """Machine-readable encodings of the worked examples, with self-verifying facts.
 
-Each entry bundles a presentation (or invariant/Lie-level data), candidate
-points, named automorphisms and embeddings, and a list of expected facts;
-running an entry drives locate -> lie -> classify -> modules -> verify and
-compares everything exactly.  Every fact carries its source citation so
-reports double as an audit trail.
+An entry is data plus cited facts.  The data: a presentation and search box
+(or, for a Lie-level entry, only invariants), the invariant presentation of a
+presented ring, named automorphisms and embeddings, and `containing`, a
+polynomial the example's ideals contain when the scan finds others too.  The
+facts: `(key, cite, fn(ctx, cfg))` triples, run in order by `run_entry`.  A
+fact of a shared shape comes from that shape's one function applied to its
+expected values (`_ideal_points`, `_recognition`, `_sl2_everywhere`,
+`_homogeneity`, `_quotient_homogeneity`, `_constants`, `_invariance`,
+`_consistency`, `_leaves`, `_phi_swap`, `_weyl_trio`); a fact found in one
+example only is a closure in that example's builder.
+
+Facts hand nothing to each other: each reads the ideals, g(J) at a point or
+from the invariants, its recognition, sl2-triple and irreducible lifts from
+the run's `Context`, which computes each value on first use and keeps it
+until `run_entry` returns.  A fact run alone therefore reports what it
+reports after the facts before it.  The citations make reports an audit trail.
+
+To add an example, write a builder that returns `_entry(name, cite, pres,
+facts=[...], **data)` and add a row to `_REGISTRY`.
 """
 
 from __future__ import annotations
@@ -59,7 +73,7 @@ from .modules import (
     verify_poisson_axioms,
 )
 from .poly import LaurentPoly, PointP, VarSet
-from .presfile import PresentationFile, lincomb_text
+from .presfile import EmbedClause, PresentationFile, lincomb_text
 from .scalars import Scalar, scalar_sqrt
 
 
@@ -102,12 +116,7 @@ class CatalogEntry:
     grading_name: str | None = None
     checks: list = field(default_factory=list)  # (key, cite, fn(ctx, cfg))
     notes: list = field(default_factory=list)
-    extra_points: dict = field(default_factory=dict)
-
-    def context(self) -> dict:
-        if not hasattr(self, "_ctx"):
-            self._ctx = {"entry": self}
-        return self._ctx
+    containing: LaurentPoly | None = None  # kept ideals contain it
 
     def presentation_file(self) -> PresentationFile | None:
         pres = self.presentation
@@ -118,26 +127,22 @@ class CatalogEntry:
             # Lie-level entries document their ambient ring and group action
             pres = self.invariants.ambient
             autos.update(
-                {
-                    f"w{k + 1}": auto
-                    for k, auto in enumerate(self.invariants.automorphisms)
-                }
+                (f"w{k + 1}", auto) for k, auto in enumerate(self.invariants.automorphisms)
             )
         points = [i.point for i in find_poisson_maximal(pres, self.box)]
         grading = None
         if self.grading_name and self.grading_name in pres.varset.names:
             grading = pres.gen(self.grading_name)
-        from .presfile import EmbedClause
-
-        embeds = {}
-        for name, (emb, sub) in self.embeds.items():
-            embeds[name] = EmbedClause(
+        embeds = {
+            name: EmbedClause(
                 name,
                 sub.varset,
                 dict(zip(emb.source.names, emb.images)),
                 sub.bracket_spec,
                 sub.relations,
             )
+            for name, (emb, sub) in self.embeds.items()
+        }
         return PresentationFile(
             pres.varset,
             pres.bracket_spec,
@@ -150,11 +155,77 @@ class CatalogEntry:
         )
 
 
+class Context:
+    """The derived values of one entry, each computed on first use and kept
+    for one `run_entry` call.
+
+    A point `at` is a coordinate tuple or a `PointP` of the presentation; no
+    point means the algebra of a Lie-level entry, read off its invariants.
+    """
+
+    def __init__(self, entry: CatalogEntry):
+        self.entry = entry
+        self.pres = entry.presentation
+        self._memo = {}
+
+    def memo(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def point(self, at):
+        if at is None or isinstance(at, PointP):
+            return at
+        return _pt(self.pres.varset, at)
+
+    @property
+    def ideals(self):
+        def scan():
+            g = self.entry.containing
+            found = find_poisson_maximal(self.pres, self.entry.box)
+            return [i for i in found if g is None or g.evaluate(i.point).is_zero]
+
+        return self.memo("ideals", scan)
+
+    def lie(self, at=None) -> LieAlgebra:
+        pt = self.point(at)
+        if pt is None:
+            return self.memo("lie", lambda: lie_from_invariants(self.entry.invariants))
+        return self.memo(("lie", pt), lambda: lie_from_point(self.pres, pt))
+
+    def rec(self, at=None):
+        pt = self.point(at)
+        return self.memo(("rec", pt), lambda: recognize(self.lie(pt)))
+
+    def triple(self, at=None):
+        pt = self.point(at)
+        return self.memo(("triple", pt), lambda: find_sl2_triple(self.lie(pt), self.rec(pt)))
+
+    def irrep(self, at, d: int):
+        """The d-dimensional simple g(J)-module, built on the sl2-triple."""
+        pt = self.point(at)
+        return self.memo(("irrep", pt, d), lambda: sl2_irrep(self.lie(pt), d, self.triple(pt)))
+
+    def lift(self, at, d: int):
+        """The d-dimensional simple Poisson module annihilated by J."""
+        pt = self.point(at)
+        return self.memo(("lift", pt, d), lambda: lift_module(self.pres, pt, self.irrep(pt, d)))
+
+    def tags(self, ideals=None) -> dict:
+        """Recognition of g(J) at each ideal (default: all of them), by point."""
+        ideals = self.ideals if ideals is None else ideals
+        return {i.point: self.rec(i.point) for i in ideals}
+
+    def homogeneity(self, relation=None, ideals=None):
+        ideals = self.ideals if ideals is None else ideals
+        return homogeneity_report(self.pres, ideals, relation, self.tags(ideals))
+
+
 def run_entry(entry: CatalogEntry, config: RunConfig | None = None) -> EntryReport:
     """Execute every expected fact; exact comparisons, one result per fact."""
     config = config or RunConfig()
     report = EntryReport(entry.name, notes=list(entry.notes))
-    ctx = entry.context()
+    ctx = Context(entry)
     for key, cite, fn in entry.checks:
         try:
             ok, detail = fn(ctx, config)
@@ -165,6 +236,8 @@ def run_entry(entry: CatalogEntry, config: RunConfig | None = None) -> EntryRepo
 
 
 # -- small helpers ---------------------------------------------------------------
+
+ORIGIN = (0, 0, 0)
 
 
 def _vars(names, laurent=()):
@@ -179,69 +252,253 @@ def _pt(varset, coords):
     return PointP(varset, [Scalar.coerce(c) for c in coords])
 
 
-def _points_equal(ideals, varset, coords_list):
-    got = [i.point for i in ideals]
-    want = sorted((_pt(varset, c) for c in coords_list), key=PointP.sort_key)
-    return got == want, f"found {[str(p) for p in got]}"
-
-
 def _sc_equal(lie: LieAlgebra, table: dict):
     expected = LieAlgebra.from_brackets(lie.labels, table, check=False)
     if lie.sc == expected.sc:
         return True, "all displayed structure constants reproduced"
-    diffs = []
-    for i in range(lie.dim):
-        for j in range(i + 1, lie.dim):
-            if lie.sc[i][j] != expected.sc[i][j]:
-                diffs.append(f"[{lie.labels[i]},{lie.labels[j]}]")
+    diffs = [
+        f"[{lie.labels[i]},{lie.labels[j]}]"
+        for i in range(lie.dim)
+        for j in range(i + 1, lie.dim)
+        if lie.sc[i][j] != expected.sc[i][j]
+    ]
     return False, "mismatch at " + ", ".join(diffs)
 
 
-def _tags(ctx, pres, ideals):
-    if "tags" not in ctx:
-        ctx["tags"] = {
-            i.point: recognize(lie_from_point(pres, i.point)) for i in ideals
-        }
-    return ctx["tags"]
-
-
 def _eig_multiset(matrix):
-    out = []
-    for value, mult, _ in eigen_small(matrix).pairs:
-        out.extend([value] * mult)
-    return sorted(out, key=Scalar.sort_key)
+    return _expect_eigs(v for v, mult, _ in eigen_small(matrix).pairs for _ in range(mult))
 
 
 def _expect_eigs(values):
     return sorted((Scalar.coerce(v) for v in values), key=Scalar.sort_key)
 
 
+def _entry(name, cite, presentation, facts, **data) -> CatalogEntry:
+    """An entry whose facts are `(key, cite, fn)` triples or `(key, fn)` pairs,
+    the latter cited like the entry."""
+    checks = [fact if len(fact) == 3 else (fact[0], cite, fact[1]) for fact in facts]
+    return CatalogEntry(name, cite, presentation, checks=checks, **data)
+
+
+def _verdict_ok(report, verdict) -> bool:
+    """`verdict` None expects "not t-homogeneous"."""
+    return not report.is_homogeneous if verdict is None else report.verdict == verdict
+
+
+# -- fact shapes: one function each, applied to an entry's expected values -------
+
+
+def _ideal_points(want, note=None):
+    """The kept ideals sit exactly at `want`: coordinate tuples, or a function
+    of the search box giving them."""
+
+    def fact(ctx, cfg):
+        coords = want(ctx.entry.box) if callable(want) else want
+        got = [i.point for i in ctx.ideals]
+        expected = sorted((ctx.point(c) for c in coords), key=PointP.sort_key)
+        detail = f"found {[str(p) for p in got]}"
+        return got == expected, detail if note is None else f"{detail} ({note})"
+
+    return fact
+
+
+def _recognition(tag, at=None, radical_dim=0):
+    """g(J) at `at` is recognized as `tag`, with a radical of that dimension."""
+
+    def fact(ctx, cfg):
+        rec = ctx.rec(at)
+        return rec.tag == tag and rec.radical_dim == radical_dim, rec.describe()
+
+    return fact
+
+
+def _sl2_everywhere(verdict=None, detail=None):
+    """g(J) is sl2 at every ideal; with a verdict, the entry is that homogeneous
+    and the verdict is the detail."""
+
+    def fact(ctx, cfg):
+        ok = all(t.tag == "sl2" for t in ctx.tags().values())
+        if verdict is None:
+            return ok, detail
+        rep = ctx.homogeneity()
+        return ok and rep.verdict == verdict, rep.verdict
+
+    return fact
+
+
+def _homogeneity(verdict, first_only=False):
+    """The homogeneity verdict (None: not t-homogeneous); `first_only` judges
+    the first ideal alone, for a family of alike ones."""
+
+    def fact(ctx, cfg):
+        rep = ctx.homogeneity(ideals=ctx.ideals[:1] if first_only else None)
+        return _verdict_ok(rep, verdict), rep.verdict
+
+    return fact
+
+
+def _quotient_homogeneity(*quotients):
+    """Verdicts on quotients A_lam = A / (f - lam) of the potential f: each
+    quotient is (label, lam, verdict), lam None for A itself."""
+
+    def fact(ctx, cfg):
+        potential = ctx.pres.bracket_spec.potential
+        reps = [
+            (label, ctx.homogeneity(None if lam is None else potential - lam), verdict)
+            for label, lam, verdict in quotients
+        ]
+        ok = all(_verdict_ok(rep, verdict) for _, rep, verdict in reps)
+        return ok, "; ".join(f"{label}: {rep.verdict}" for label, rep, _ in reps)
+
+    return fact
+
+
+def _constants(table, at=None):
+    """g(J) at `at` (or of a Lie-level entry) has the displayed brackets."""
+    return lambda ctx, cfg: _sc_equal(ctx.lie(at), table)
+
+
+def _invariance(detail, identity=lambda: True):
+    """The group fixes the invariant generators, the relations hold, and so
+    does the bracket `identity` when one is given."""
+    return lambda ctx, cfg: (verify_invariance(ctx.entry.invariants).ok and identity(), detail)
+
+
+def _consistency(detail):
+    """lie_from_invariants and lie_from_point at the origin agree."""
+    return lambda ctx, cfg: (ctx.lie().sc == ctx.lie(ORIGIN).sc, detail)
+
+
+def _leaves(lambdas, per=None, detail=None):
+    """The singular points lie on the leaves f = lam for exactly `lambdas`."""
+
+    def fact(ctx, cfg):
+        rep = leaf_report(ctx.pres, ctx.entry.box)
+        lam = [str(s) for s in rep.singular_lambdas]
+        counts = {str(k): len(v) for k, v in rep.points_by_lambda.items()}
+        ok = lam == lambdas and (per is None or counts == per)
+        return ok, detail or f"singular lambdas {lam}, points per lambda {counts}"
+
+    return fact
+
+
+def _phi_swap(src, dst, detail):
+    """phi is Poisson and twists the 2-dimensional lift at `src` to `dst`."""
+
+    def fact(ctx, cfg):
+        phi = ctx.entry.automorphisms["phi"]
+        if not verify_poisson_map(phi, ctx.pres, ctx.pres).ok:
+            return False, "phi is not Poisson"
+        return twist(ctx.lift(src, 2), phi).point == ctx.point(dst), detail
+
+    return fact
+
+
+def _weyl_trio(cite, weights, weights_detail):
+    """recognition, radical_weights and homogeneity of a Weyl-group quotient:
+    g = sl2 semidirect an abelian radical with the given h-weights."""
+
+    def radical_weights(ctx, cfg):
+        adh = ctx.lie().ad_matrix(ctx.triple().h)
+        got = _eig_multiset(restrict_action([adh], ctx.rec().radical_basis)[0])
+        return got == _expect_eigs(weights), weights_detail
+
+    def homogeneity(ctx, cfg):
+        # unique Poisson maximal ideal (V <= {V, V}), sl2-type g(J)
+        return (
+            ctx.rec().is_sl2_type,
+            "1-homogeneous (unique Poisson maximal ideal, sl2-type g(J))",
+        )
+
+    return [
+        ("recognition", cite, _recognition("sl2_semidirect", radical_dim=len(weights))),
+        ("radical_weights", cite, radical_weights),
+        ("homogeneity", cite, homogeneity),
+    ]
+
+
+# -- shared data -------------------------------------------------------------------
+
+
+def _exact(name, potential, names="xyz"):
+    """C[names]/(f) with the exact bracket of f = potential(*generators)."""
+    vs = _vars(names)
+    f = potential(*_gens(vs))
+    return PoissonPresentation(vs, Exact(f), relations=(f,), name=name)
+
+
+def _scaled(name, potential):
+    """C[x, y, z^+-1] with 2z times the exact bracket of potential(x, y, z)."""
+    vs = _vars("xyz", laurent=("z",))
+    x, y, z = _gens(vs)
+    return PoissonPresentation(vs, Scaled(2 * z, potential(x, y, z)), name=name)
+
+
+def _table_pres(varset, brackets, name=""):
+    """A presentation given by its generator brackets {(a, b): {a,b}}."""
+    return PoissonPresentation(varset, Table.from_dict(varset, brackets), name=name)
+
+
+def _sign_flip(varset, signs):
+    """The automorphism scaling each generator by its sign (+1 or -1)."""
+    return SubstitutionMap(
+        varset, tuple(g if s > 0 else -g for g, s in zip(_gens(varset), signs))
+    )
+
+
+def _torus_presentation():
+    return _exact("torus-so3", lambda x, y, z: x * y * z - x * x - y * y - z * z + 4)
+
+
+def _c_theta_presentation():
+    return _exact(
+        "c-theta",
+        lambda x, v, w: 2 * x * v * w - x * x * v - 2 * v * v - 2 * w * w + 4 * v,
+        ("x", "v", "w"),
+    )
+
+
+def _rejected(pres, at, betas) -> bool:
+    """solvable_character_module refuses the character `betas` at `at`."""
+    try:
+        solvable_character_module(pres, at, betas)
+    except AtlasError:
+        return True
+    return False
+
+
+def _half_steps(d: int, denom: int):
+    """The weights (2j + 1 - d)/denom, j < d, of a d-dimensional sl2-module."""
+    return _expect_eigs([Fraction(2 * j + 1 - d, denom) for j in range(d)])
+
+
+def _kleinian_invariants(n: int, f) -> InvariantPresentation:
+    """x = x1^n/a, y = x2^n/a, z = x1 x2/n with a^2 = n^n in the Weyl bracket."""
+    avs = _vars(("x1", "x2"))
+    x1, x2 = _gens(avs)
+    amb = _table_pres(avs, {("x1", "x2"): LaurentPoly.const(avs, 1)})
+    inv_a = scalar_sqrt(n**n).inverse()
+    gens = (x1**n * inv_a, x2**n * inv_a, x1 * x2 * Fraction(1, n))
+    autos = ()
+    if n == 2:
+        autos = (_sign_flip(avs, (-1, -1)),)
+    elif n == 4:
+        i = Scalar(0, 1, -1)
+        autos = (SubstitutionMap.from_dict(avs, {"x1": x1 * i, "x2": x2 * (-i)}),)
+    return InvariantPresentation(
+        amb, ("x", "y", "z"), gens, automorphisms=autos, relations=(f,),
+        gradings=((1, 1),),
+    )
+
+
 # -- entry builders ----------------------------------------------------------------
 
 
 def _entry_kleinian_a1() -> CatalogEntry:
-    vs = _vars("xyz")
-    x, y, z = _gens(vs)
-    f = z * z - x * y
-    pres = PoissonPresentation(vs, Exact(f), relations=(f,), name="kleinian-a1")
-    entry = CatalogEntry("kleinian-a1", "section 4.2", pres, grading_name="z")
-
-    # invariant presentation: x = x1^2/2, y = x2^2/2, z = x1 x2 / 2 in the Weyl bracket
-    avs = _vars(("x1", "x2"))
-    x1, x2 = _gens(avs)
-    amb = PoissonPresentation(
-        avs, Table.from_dict(avs, {("x1", "x2"): LaurentPoly.const(avs, 1)})
-    )
-    half = Fraction(1, 2)
-    pi2 = SubstitutionMap.from_dict(avs, {"x1": -x1, "x2": -x2})
-    entry.invariants = InvariantPresentation(
-        amb,
-        ("x", "y", "z"),
-        (x1 * x1 * half, x2 * x2 * half, x1 * x2 * half),
-        automorphisms=(pi2,),
-        relations=(f,),  # z^2 - xy expands to the zero ambient polynomial
-        gradings=((1, 1),),
-    )
+    pres = _exact("kleinian-a1", lambda x, y, z: z * z - x * y)
+    x, y, z = _gens(pres.varset)
+    # z^2 - xy expands to the zero ambient polynomial
+    ip = _kleinian_invariants(2, pres.relations[0])
 
     # B^{pi4} sub-presentation for the restriction scenario: uv = w^4/4
     svs = _vars("uvw")
@@ -250,76 +507,33 @@ def _entry_kleinian_a1() -> CatalogEntry:
     sub = PoissonPresentation(svs, Exact(f4), relations=(f4,), name="b-pi4")
     emb = SubstitutionMap.from_dict(
         svs,
-        {"u": x * x * Fraction(1, 8), "v": y * y * Fraction(1, 8), "w": z * half},
+        {"u": x * x * Fraction(1, 8), "v": y * y * Fraction(1, 8), "w": z * Fraction(1, 2)},
     )
-    entry.embeds["pi4"] = (emb, sub)
-
-    origin = _pt(vs, (0, 0, 0))
-
-    def ideals(ctx, cfg):
-        ctx["ideals"] = find_poisson_maximal(pres, entry.box)
-        return _points_equal(ctx["ideals"], vs, [(0, 0, 0)])
-
-    def tag(ctx, cfg):
-        ctx["lie"] = lie_from_point(pres, origin)
-        ctx["rec"] = recognize(ctx["lie"])
-        return ctx["rec"].tag == "sl2", ctx["rec"].describe()
-
-    def constants(ctx, cfg):
-        return _sc_equal(
-            ctx["lie"],
-            {("x", "y"): {"z": 2}, ("y", "z"): {"y": -1}, ("z", "x"): {"x": -1}},
-        )
 
     def triple(ctx, cfg):
-        tri = find_sl2_triple(ctx["lie"], ctx["rec"])
-        ctx["triple"] = tri
-        expected = (
-            tuple(Scalar.coerce(c) for c in (0, 1, 0)),
-            tuple(Scalar.coerce(c) for c in (0, 0, 2)),
-            tuple(Scalar.coerce(c) for c in (-1, 0, 0)),
+        tri = ctx.triple(ORIGIN)
+        expected = tuple(
+            tuple(Scalar.coerce(c) for c in vec) for vec in ((0, 1, 0), (0, 0, 2), (-1, 0, 0))
         )
-        ok = tri.verify(ctx["lie"]) and (tri.e, tri.h, tri.f) == expected
+        ok = tri.verify(ctx.lie(ORIGIN)) and (tri.e, tri.h, tri.f) == expected
         return ok, "triple (e, h, f) = (y, 2z, -x)"
 
-    def homog(ctx, cfg):
-        rep = homogeneity_report(pres, ctx["ideals"])
-        return rep.verdict == "1-homogeneous", rep.verdict
-
-    def invariance(ctx, cfg):
-        rep = verify_invariance(entry.invariants)
-        return rep.ok, "pi fixes generators; xy = z^2 identically"
-
-    def inv_consistency(ctx, cfg):
-        L2 = lie_from_invariants(entry.invariants)
-        return (
-            L2.sc == ctx["lie"].sc,
-            "lie_from_invariants agrees with lie_from_point",
-        )
-
     def lifts(ctx, cfg):
-        ctx["reps"] = {}
         for d in range(1, 7):
-            rep = sl2_irrep(ctx["lie"], d, ctx["triple"])
-            module = lift_module(pres, origin, rep)
-            ctx["reps"][d] = (rep, module)
+            module = ctx.lift(ORIGIN, d)
             ax = verify_poisson_axioms(module, cfg.trials, cfg.seed)
             if not ax.ok:
                 return False, f"axioms fail at d={d}: {ax.failures[:1]}"
-            got = _eig_multiset(module.mats[2])
-            want = _expect_eigs([Fraction(2 * j + 1 - d, 2) for j in range(d)])
-            if got != want:
+            if _eig_multiset(module.mats[2]) != _half_steps(d, 2):
                 return False, f"{{z,-}} spectrum off at d={d}"
         return True, "d = 1..6 lift axioms and {z,-} spectra (2j+1-d)/2"
 
     def restriction(ctx, cfg):
-        emb_map, sub_pres = entry.embeds["pi4"]
-        if not verify_poisson_map(emb_map, sub_pres, pres).ok:
+        if not verify_poisson_map(emb, sub, pres).ok:
             return False, "embedding is not Poisson"
         for d in range(1, 5):
-            module = ctx["reps"][d][1]
-            restricted = restrict_to_subalgebra(module, emb_map, sub_pres)
-            if restricted.point != _pt(svs, (0, 0, 0)):
+            restricted = restrict_to_subalgebra(ctx.lift(ORIGIN, d), emb, sub)
+            if restricted.point != _pt(svs, ORIGIN):
                 return False, "sub-point is not the origin"
             analysis = analyze_submodules(
                 restricted.mats, d, grading=restricted.mats[2]
@@ -328,303 +542,186 @@ def _entry_kleinian_a1() -> CatalogEntry:
                 len(s) for s in analysis.decomposition
             ] != [1] * d:
                 return False, f"no split into {d} one-dimensional summands"
-            got = _eig_multiset(restricted.mats[2])
-            want = _expect_eigs([Fraction(2 * j + 1 - d, 4) for j in range(d)])
-            if got != want:
+            if _eig_multiset(restricted.mats[2]) != _half_steps(d, 4):
                 return False, f"{{w,-}} spectrum off at d={d}"
         return True, "B^pi2 module splits into d characters, {w,-} = (2j+1-d)/4"
 
-    entry.checks = [
-        ("ideal_points", "section 4.2", ideals),
-        ("recognition", "section 4.2", tag),
-        ("structure_constants", "section 4.2", constants),
-        ("sl2_triple", "section 4.2 (derived)", triple),
-        ("homogeneity", "section 4.2", homog),
-        ("invariant_presentation", "section 4.2", invariance),
-        ("invariant_consistency", "section 4.2", inv_consistency),
-        ("lifted_modules", "example 4.4 display / theorem 3.4", lifts),
-        ("pi4_restriction", "example 4.4", restriction),
-    ]
-    return entry
+    return _entry(
+        "kleinian-a1", "section 4.2", pres, invariants=ip,
+        embeds={"pi4": (emb, sub)}, grading_name="z",
+        facts=[
+            ("ideal_points", _ideal_points([ORIGIN])),
+            ("recognition", _recognition("sl2", ORIGIN)),
+            ("structure_constants", _constants(
+                {("x", "y"): {"z": 2}, ("y", "z"): {"y": -1}, ("z", "x"): {"x": -1}},
+                ORIGIN,
+            )),
+            ("sl2_triple", "section 4.2 (derived)", triple),
+            ("homogeneity", _homogeneity("1-homogeneous")),
+            ("invariant_presentation",
+             _invariance("pi fixes generators; xy = z^2 identically")),
+            ("invariant_consistency",
+             _consistency("lie_from_invariants agrees with lie_from_point")),
+            ("lifted_modules", "example 4.4 display / theorem 3.4", lifts),
+            ("pi4_restriction", "example 4.4", restriction),
+        ],
+    )
 
 
 def _entry_torus() -> CatalogEntry:
-    vs = _vars("xyz")
-    x, y, z = _gens(vs)
-    f = x * y * z - x * x - y * y - z * z + 4
-    pres = PoissonPresentation(vs, Exact(f), relations=(f,), name="torus-so3")
-    entry = CatalogEntry("torus-so3", "section 4.3", pres)
-    five = [(0, 0, 0), (2, 2, 2), (2, -2, -2), (-2, 2, -2), (-2, -2, 2)]
-    for g, images in (
-        ("theta_x", {"x": x, "y": -y, "z": -z}),
-        ("theta_y", {"x": -x, "y": y, "z": -z}),
-        ("theta_z", {"x": -x, "y": -y, "z": z}),
-    ):
-        entry.automorphisms[g] = SubstitutionMap.from_dict(vs, images)
+    pres = _torus_presentation()
+    vs = pres.varset
+    autos = {
+        "theta_x": _sign_flip(vs, (1, -1, -1)),
+        "theta_y": _sign_flip(vs, (-1, 1, -1)),
+        "theta_z": _sign_flip(vs, (-1, -1, 1)),
+    }
+    five = [ORIGIN, (2, 2, 2), (2, -2, -2), (-2, 2, -2), (-2, -2, 2)]
+    j2 = five[1]
 
     # invariants of the 2-torus; z is the pi'-image of the displayed generator
     tvs = _vars(("x1", "x2"), laurent=("x1", "x2"))
     x1, x2 = _gens(tvs)
-    tor = PoissonPresentation(
-        tvs, Table.from_dict(tvs, {("x1", "x2"): x1 * x2}), name="torus-laurent"
-    )
+    tor = _table_pres(tvs, {("x1", "x2"): x1 * x2}, "torus-laurent")
     pi = SubstitutionMap.from_dict(tvs, {"x1": x1**-1, "x2": x2**-1})
     inv_x = x1 + x1**-1
     inv_y = x2 + x2**-1
     inv_z = x1 * x2**-1 + x1**-1 * x2
-    entry.notes.append(
-        "invariant generator z is taken as x1*x2^-1 + x1^-1*x2; with the displayed "
-        "x1*x2 + x1^-1*x2^-1 every bracket identity acquires a global sign flip"
+    ip = InvariantPresentation(
+        tor, ("x", "y", "z"), (inv_x, inv_y, inv_z), automorphisms=(pi,),
+        relations=pres.relations,
     )
-    entry.notes.append("theta twists realize J3 = theta_x(J2), J4 = theta_y(J2), J5 = theta_z(J2)")
-
-    def ideals(ctx, cfg):
-        ctx["ideals"] = find_poisson_maximal(pres, entry.box)
-        return _points_equal(ctx["ideals"], vs, five)
-
-    def leaves(ctx, cfg):
-        rep = leaf_report(pres, entry.box)
-        lam = [str(s) for s in rep.singular_lambdas]
-        per = {str(k): len(v) for k, v in rep.points_by_lambda.items()}
-        ok = lam == ["0", "4"] and per == {"0": 4, "4": 1}
-        return ok, f"singular lambdas {lam}, points per lambda {per}"
-
-    def tags(ctx, cfg):
-        tag_map = _tags(ctx, pres, ctx["ideals"])
-        ok = all(t.tag == "sl2" for t in tag_map.values())
-        return ok, "all five g(J_i) recognized sl2"
-
-    def constants_origin(ctx, cfg):
-        L = lie_from_point(pres, _pt(vs, (0, 0, 0)))
-        return _sc_equal(
-            L, {("y", "x"): {"z": 2}, ("z", "y"): {"x": 2}, ("x", "z"): {"y": 2}}
-        )
-
-    def constants_j2(ctx, cfg):
-        L = lie_from_point(pres, _pt(vs, (2, 2, 2)))
-        return _sc_equal(
-            L,
-            {
-                ("x", "y"): {"x": 2, "y": 2, "z": -2},
-                ("y", "z"): {"x": -2, "y": 2, "z": 2},
-                ("z", "x"): {"x": 2, "y": -2, "z": 2},
-            },
-        )
 
     def triple_disc(ctx, cfg):
-        L = lie_from_point(pres, _pt(vs, (0, 0, 0)))
-        tri = find_sl2_triple(L)
+        tri = ctx.triple(ORIGIN)
         return (
-            tri.verify(L) and tri.discriminant == -1,
+            tri.verify(ctx.lie(ORIGIN)) and tri.discriminant == -1,
             "g(J1) triple lives in Q(sqrt(-1))",
         )
 
-    def homog(ctx, cfg):
-        full = homogeneity_report(pres, ctx["ideals"])
-        rel0 = homogeneity_report(pres, ctx["ideals"], relation=f)
-        rel4 = homogeneity_report(pres, ctx["ideals"], relation=f - 4)
-        ok = (
-            full.verdict == "5-homogeneous"
-            and rel0.verdict == "4-homogeneous"
-            and rel4.verdict == "1-homogeneous"
-        )
-        return ok, f"A: {full.verdict}; A_0: {rel0.verdict}; A_4: {rel4.verdict}"
-
     def autos_permute(ctx, cfg):
-        expected = {
-            "theta_x": (2, -2, -2),
-            "theta_y": (-2, 2, -2),
-            "theta_z": (-2, -2, 2),
-        }
-        j2 = _pt(vs, (2, 2, 2))
-        for name, want in expected.items():
-            auto = entry.automorphisms[name]
+        # theta_x, theta_y, theta_z send J2 to J3, J4, J5
+        for (name, auto), want in zip(autos.items(), five[2:]):
             if not verify_poisson_map(auto, pres, pres).ok:
                 return False, f"{name} is not Poisson"
-            moved = PointP(vs, [img.evaluate(j2) for img in auto.images])
-            if moved != _pt(vs, want):
+            moved = PointP(vs, [img.evaluate(ctx.point(j2)) for img in auto.images])
+            if moved != ctx.point(want):
                 return False, f"{name}(J2) is not as displayed"
         return True, "theta_x, theta_y, theta_z are Poisson and permute the ideals"
 
     def twist_check(ctx, cfg):
-        j2 = _pt(vs, (2, 2, 2))
-        L = lie_from_point(pres, j2)
-        tri = find_sl2_triple(L)
-        module = lift_module(pres, j2, sl2_irrep(L, 2, tri))
-        twisted = twist(module, entry.automorphisms["theta_x"])
-        ok = twisted.point == _pt(vs, (2, -2, -2)) and is_simple_module(
+        module = ctx.lift(j2, 2)
+        twisted = twist(module, autos["theta_x"])
+        ok = twisted.point == ctx.point(five[2]) and is_simple_module(
             twisted
         ) == is_simple_module(module)
         return ok, "theta_x twist annihilated at J3, simplicity preserved"
 
-    def invariants_check(ctx, cfg):
-        ip = InvariantPresentation(
-            tor,
-            ("x", "y", "z"),
-            (inv_x, inv_y, inv_z),
-            automorphisms=(pi,),
-            relations=(f,),
-        )
-        rep = verify_invariance(ip)
-        br = bracket(tor.bracket_spec, inv_x, inv_y)
-        ok = rep.ok and br == inv_x * inv_y - 2 * inv_z
-        return ok, "pi fixes x, y, z; relation f = 0; {x,y} = xy - 2z in invariants"
-
-    entry.checks = [
-        ("ideal_points", "section 4.3", ideals),
-        ("leaf_partition", "section 4.3", leaves),
-        ("recognition", "section 4.3", tags),
-        ("g_J1_constants", "section 4.3", constants_origin),
-        ("g_J2_constants", "section 4.3", constants_j2),
-        ("sl2_triple_extension", "section 4.3 (derived)", triple_disc),
-        ("homogeneity", "section 4.3", homog),
-        ("theta_automorphisms", "section 4.3", autos_permute),
-        ("twist", "remark 2.9 / section 4.3", twist_check),
-        ("invariant_presentation", "section 4.3", invariants_check),
-    ]
-    return entry
+    return _entry(
+        "torus-so3", "section 4.3", pres, invariants=ip, automorphisms=autos,
+        notes=[
+            "invariant generator z is taken as x1*x2^-1 + x1^-1*x2; with the displayed "
+            "x1*x2 + x1^-1*x2^-1 every bracket identity acquires a global sign flip",
+            "theta twists realize J3 = theta_x(J2), J4 = theta_y(J2), J5 = theta_z(J2)",
+        ],
+        facts=[
+            ("ideal_points", _ideal_points(five)),
+            ("leaf_partition", _leaves(["0", "4"], {"0": 4, "4": 1})),
+            ("recognition", _sl2_everywhere(detail="all five g(J_i) recognized sl2")),
+            ("g_J1_constants", _constants(
+                {("y", "x"): {"z": 2}, ("z", "y"): {"x": 2}, ("x", "z"): {"y": 2}},
+                ORIGIN,
+            )),
+            ("g_J2_constants", _constants(
+                {
+                    ("x", "y"): {"x": 2, "y": 2, "z": -2},
+                    ("y", "z"): {"x": -2, "y": 2, "z": 2},
+                    ("z", "x"): {"x": 2, "y": -2, "z": 2},
+                },
+                j2,
+            )),
+            ("sl2_triple_extension", "section 4.3 (derived)", triple_disc),
+            ("homogeneity", _quotient_homogeneity(
+                ("A", None, "5-homogeneous"),
+                ("A_0", 0, "4-homogeneous"),
+                ("A_4", 4, "1-homogeneous"),
+            )),
+            ("theta_automorphisms", autos_permute),
+            ("twist", "remark 2.9 / section 4.3", twist_check),
+            ("invariant_presentation", _invariance(
+                "pi fixes x, y, z; relation f = 0; {x,y} = xy - 2z in invariants",
+                lambda: bracket(tor.bracket_spec, inv_x, inv_y) == inv_x * inv_y - 2 * inv_z,
+            )),
+        ],
+    )
 
 
 def _entry_laurent_inv() -> CatalogEntry:
-    vs = _vars("xyz")
-    x, y, z = _gens(vs)
-    f = x * (4 - z * z) + y * y
-    pres = PoissonPresentation(vs, Exact(f), relations=(f,), name="laurent-inv")
-    entry = CatalogEntry("laurent-inv", "section 4.4", pres)
-    phi = SubstitutionMap.from_dict(vs, {"x": x, "y": -y, "z": -z})
-    entry.automorphisms["phi"] = phi
-
+    pres = _exact("laurent-inv", lambda x, y, z: x * (4 - z * z) + y * y)
     bvs = _vars(("x1", "x2"), laurent=("x1",))
     x1, x2 = _gens(bvs)
-    bpres = PoissonPresentation(
-        bvs, Table.from_dict(bvs, {("x1", "x2"): x1}), name="laurent-ambient"
-    )
+    bpres = _table_pres(bvs, {("x1", "x2"): x1}, "laurent-ambient")
     pi = SubstitutionMap.from_dict(bvs, {"x1": x1**-1, "x2": -x2})
     gens = (x2 * x2, x2 * (x1 - x1**-1), x1 + x1**-1)
+    ip = InvariantPresentation(
+        bpres, ("x", "y", "z"), gens, automorphisms=(pi,), relations=pres.relations
+    )
+    return _entry(
+        "laurent-inv", "section 4.4", pres, invariants=ip,
+        automorphisms={"phi": _sign_flip(pres.varset, (1, -1, -1))},
+        facts=[
+            ("ideal_points", _ideal_points([(0, 0, 2), (0, 0, -2)])),
+            ("g_J1_constants", _constants(
+                {("x", "y"): {"x": -4}, ("y", "z"): {"z": -4}, ("z", "x"): {"y": 2}},
+                (0, 0, 2),
+            )),
+            ("recognition_homogeneity", _sl2_everywhere("2-homogeneous")),
+            ("phi_swap", _phi_swap((0, 0, 2), (0, 0, -2), "phi swaps the J1- and J2-modules")),
+            ("invariant_presentation",
+             _invariance("pi fixes x, y, z; relation x(4 - z^2) + y^2 = 0")),
+        ],
+    )
 
-    def ideals(ctx, cfg):
-        ctx["ideals"] = find_poisson_maximal(pres, entry.box)
-        return _points_equal(ctx["ideals"], vs, [(0, 0, 2), (0, 0, -2)])
 
-    def constants(ctx, cfg):
-        L = lie_from_point(pres, _pt(vs, (0, 0, 2)))
-        ctx["lie"] = L
-        return _sc_equal(
-            L, {("x", "y"): {"x": -4}, ("y", "z"): {"z": -4}, ("z", "x"): {"y": 2}}
-        )
-
-    def tags(ctx, cfg):
-        tag_map = _tags(ctx, pres, ctx["ideals"])
-        ok = all(t.tag == "sl2" for t in tag_map.values())
-        rep = homogeneity_report(pres, ctx["ideals"])
-        return ok and rep.verdict == "2-homogeneous", rep.verdict
-
-    def phi_swaps(ctx, cfg):
-        if not verify_poisson_map(phi, pres, pres).ok:
-            return False, "phi is not Poisson"
-        j1 = _pt(vs, (0, 0, 2))
-        L = lie_from_point(pres, j1)
-        module = lift_module(pres, j1, sl2_irrep(L, 2, find_sl2_triple(L)))
-        moved = twist(module, phi)
-        return moved.point == _pt(vs, (0, 0, -2)), "phi swaps the J1- and J2-modules"
-
-    def invariance(ctx, cfg):
-        ip = InvariantPresentation(
-            bpres, ("x", "y", "z"), gens, automorphisms=(pi,), relations=(f,)
-        )
-        rep = verify_invariance(ip)
-        return rep.ok, "pi fixes x, y, z; relation x(4 - z^2) + y^2 = 0"
-
-    entry.checks = [
-        ("ideal_points", "section 4.4", ideals),
-        ("g_J1_constants", "section 4.4", constants),
-        ("recognition_homogeneity", "section 4.4", tags),
-        ("phi_swap", "section 4.4", phi_swaps),
-        ("invariant_presentation", "section 4.4", invariance),
-    ]
-    return entry
+def _uqsl2_presentation():
+    return _scaled("uqsl2", lambda x, y, z: x * y + z + z**-1)
 
 
 def _entry_uqsl2() -> CatalogEntry:
-    vs = _vars("xyz", laurent=("z",))
-    x, y, z = _gens(vs)
-    f = x * y + z + z**-1
-    pres = PoissonPresentation(vs, Scaled(2 * z, f), name="uqsl2")
-    entry = CatalogEntry("uqsl2", "section 4.5", pres)
-    phi = SubstitutionMap.from_dict(vs, {"x": x, "y": -y, "z": -z})
-    entry.automorphisms["phi"] = phi
-
-    def ideals(ctx, cfg):
-        ctx["ideals"] = find_poisson_maximal(pres, entry.box)
-        return _points_equal(ctx["ideals"], vs, [(0, 0, 1), (0, 0, -1)])
-
-    def tags(ctx, cfg):
-        tag_map = _tags(ctx, pres, ctx["ideals"])
-        ok = all(t.tag == "sl2" for t in tag_map.values())
-        rep = homogeneity_report(pres, ctx["ideals"])
-        return ok and rep.verdict == "2-homogeneous", rep.verdict
-
-    def quotients(ctx, cfg):
-        rel2 = homogeneity_report(pres, ctx["ideals"], relation=f - 2)
-        relm2 = homogeneity_report(pres, ctx["ideals"], relation=f + 2)
-        ok = rel2.verdict == "1-homogeneous" and relm2.verdict == "1-homogeneous"
-        return ok, f"A'_2: {rel2.verdict}; A'_-2: {relm2.verdict}"
+    pres = _uqsl2_presentation()
+    z = _gens(pres.varset)[2]
 
     def lift_spectrum(ctx, cfg):
-        j1 = _pt(vs, (0, 0, 1))
-        L = lie_from_point(pres, j1)
-        tri = find_sl2_triple(L)
-        module = lift_module(pres, j1, sl2_irrep(L, 2, tri))
+        module = ctx.lift((0, 0, 1), 2)
         if not verify_poisson_axioms(module, cfg.trials, cfg.seed).ok:
             return False, "axioms fail"
         got = _eig_multiset(module.action_of(z - 1))
         return got == _expect_eigs([1, -1]), "{z - 1, -} eigenvalues {1, -1} at d = 2"
 
-    def phi_swaps(ctx, cfg):
-        ok = verify_poisson_map(phi, pres, pres).ok
-        j1 = _pt(vs, (0, 0, 1))
-        L = lie_from_point(pres, j1)
-        module = lift_module(pres, j1, sl2_irrep(L, 2, find_sl2_triple(L)))
-        moved = twist(module, phi)
-        return ok and moved.point == _pt(vs, (0, 0, -1)), "phi transposes J1 and J2"
-
-    entry.checks = [
-        ("ideal_points", "section 4.5", ideals),
-        ("recognition_homogeneity", "section 4.5", tags),
-        ("quotient_homogeneity", "section 4.5", quotients),
-        ("lift_spectrum", "section 4.5 (derived)", lift_spectrum),
-        ("phi_swap", "section 4.5", phi_swaps),
-    ]
-    return entry
+    return _entry(
+        "uqsl2", "section 4.5", pres,
+        automorphisms={"phi": _sign_flip(pres.varset, (1, -1, -1))},
+        facts=[
+            ("ideal_points", _ideal_points([(0, 0, 1), (0, 0, -1)])),
+            ("recognition_homogeneity", _sl2_everywhere("2-homogeneous")),
+            ("quotient_homogeneity", _quotient_homogeneity(
+                ("A'_2", 2, "1-homogeneous"), ("A'_-2", -2, "1-homogeneous")
+            )),
+            ("lift_spectrum", "section 4.5 (derived)", lift_spectrum),
+            ("phi_swap", _phi_swap((0, 0, 1), (0, 0, -1), "phi transposes J1 and J2")),
+        ],
+    )
 
 
 def _entry_uqsl2_equitable() -> CatalogEntry:
-    vs = _vars("xyz", laurent=("z",))
+    scaled = _uqsl2_presentation()
+    vs = scaled.varset
     x, y, z = _gens(vs)
-    g = 2 * (x + y + z - x * y * z)
-    pres = PoissonPresentation(vs, Exact(g), name="uqsl2-equitable")
-    entry = CatalogEntry("uqsl2-equitable", "section 4.5", pres)
-    f = x * y + z + z**-1
-    scaled = PoissonPresentation(vs, Scaled(2 * z, f), name="uqsl2")
+    pres = PoissonPresentation(vs, Exact(2 * (x + y + z - x * y * z)), name="uqsl2-equitable")
     eta = SubstitutionMap.from_dict(vs, {"x": 1 - z * y, "y": x - z**-1, "z": z})
     eta_inv = SubstitutionMap.from_dict(
         vs, {"x": y + z**-1, "y": z**-1 * (1 - x), "z": z}
     )
-    entry.notes.append(
-        "eta is Poisson from the scaled presentation to the equitable one (the "
-        "stated direction is the reverse; on the (x, y) generator pair only "
-        "this orientation verifies)"
-    )
-
-    def ideals(ctx, cfg):
-        ctx["ideals"] = find_poisson_maximal(pres, entry.box)
-        return _points_equal(ctx["ideals"], vs, [(1, 1, 1), (-1, -1, -1)])
-
-    def tags(ctx, cfg):
-        tag_map = _tags(ctx, pres, ctx["ideals"])
-        ok = all(t.tag == "sl2" for t in tag_map.values())
-        rep = homogeneity_report(pres, ctx["ideals"])
-        return ok and rep.verdict == "2-homogeneous", rep.verdict
 
     def eta_poisson(ctx, cfg):
         fwd = verify_poisson_map(eta, scaled, pres)
@@ -632,85 +729,48 @@ def _entry_uqsl2_equitable() -> CatalogEntry:
         return fwd.ok and bwd.ok, "eta and eta^-1 verify as Poisson maps"
 
     def eta_inverse(ctx, cfg):
-        comp = eta.compose(eta_inv)
         ok = all(
-            img == LaurentPoly.variable(vs, n)
-            for n, img in zip(vs.names, comp.images)
-        )
-        comp2 = eta_inv.compose(eta)
-        ok = ok and all(
-            img == LaurentPoly.variable(vs, n)
-            for n, img in zip(vs.names, comp2.images)
+            img == gen
+            for comp in (eta.compose(eta_inv), eta_inv.compose(eta))
+            for img, gen in zip(comp.images, (x, y, z))
         )
         return ok, "eta and eta^-1 compose to the identity"
 
-    entry.checks = [
-        ("ideal_points", "section 4.5", ideals),
-        ("recognition_homogeneity", "section 4.5", tags),
-        ("eta_poisson_map", "section 4.5", eta_poisson),
-        ("eta_round_trip", "section 4.5", eta_inverse),
-    ]
-    return entry
+    return _entry(
+        "uqsl2-equitable", "section 4.5", pres,
+        notes=[
+            "eta is Poisson from the scaled presentation to the equitable one (the "
+            "stated direction is the reverse; on the (x, y) generator pair only "
+            "this orientation verifies)"
+        ],
+        facts=[
+            ("ideal_points", _ideal_points([(1, 1, 1), (-1, -1, -1)])),
+            ("recognition_homogeneity", _sl2_everywhere("2-homogeneous")),
+            ("eta_poisson_map", eta_poisson),
+            ("eta_round_trip", eta_inverse),
+        ],
+    )
 
 
 def _entry_uqsl2_4hom() -> CatalogEntry:
-    vs = _vars("xyz", laurent=("z",))
-    x, y, z = _gens(vs)
-    f = x * y + z * z + z**-2
-    pres = PoissonPresentation(vs, Scaled(2 * z, f), name="uqsl2-4hom")
+    pres = _scaled("uqsl2-4hom", lambda x, y, z: x * y + z * z + z**-2)
     i = Scalar(0, 1, -1)
-    extras = (
-        _pt(vs, (0, 0, i)),
-        _pt(vs, (0, 0, -i)),
+    points = [(0, 0, 1), (0, 0, -1), (0, 0, i), (0, 0, -i)]
+    return _entry(
+        "uqsl2-4hom", "section 4.5", pres,
+        box=SearchBox(extra=tuple(_pt(pres.varset, c) for c in points[2:])),
+        facts=[
+            ("ideal_points", "section 4.5 (4-homogeneous variant)", _ideal_points(points)),
+            ("recognition_homogeneity", _sl2_everywhere("4-homogeneous")),
+        ],
     )
-    entry = CatalogEntry(
-        "uqsl2-4hom", "section 4.5", pres, box=SearchBox(extra=extras)
-    )
-
-    def ideals(ctx, cfg):
-        ctx["ideals"] = find_poisson_maximal(pres, entry.box)
-        pts = [str(ideal.point) for ideal in ctx["ideals"]]
-        want = {"(0, 0, 1)", "(0, 0, -1)", "(0, 0, sqrt(-1))", "(0, 0, -sqrt(-1))"}
-        return set(pts) == want and len(pts) == 4, f"found {pts}"
-
-    def tags(ctx, cfg):
-        tag_map = _tags(ctx, pres, ctx["ideals"])
-        ok = all(t.tag == "sl2" for t in tag_map.values())
-        rep = homogeneity_report(
-            pres, ctx["ideals"], recognitions=tag_map
-        )
-        return ok and rep.verdict == "4-homogeneous", rep.verdict
-
-    entry.checks = [
-        ("ideal_points", "section 4.5 (4-homogeneous variant)", ideals),
-        ("recognition_homogeneity", "section 4.5", tags),
-    ]
-    return entry
 
 
 def _entry_whitney() -> CatalogEntry:
-    vs = _vars("xyz")
-    x, y, z = _gens(vs)
-    f = x * y * y - z * z
-    pres = PoissonPresentation(vs, Exact(f), relations=(f,), name="whitney")
-    entry = CatalogEntry("whitney", "example 4.3", pres)
-
-    def ideals(ctx, cfg):
-        ctx["ideals"] = find_poisson_maximal(pres, entry.box)
-        alphas = sorted(entry.box.coordinate_values())
-        want = [(a, 0, 0) for a in alphas]
-        return _points_equal(ctx["ideals"], vs, want)
-
-    def leaves(ctx, cfg):
-        rep = leaf_report(pres, entry.box)
-        return (
-            [str(s) for s in rep.singular_lambdas] == ["0"],
-            "all singular points lie on S_0",
-        )
+    pres = _exact("whitney", lambda x, y, z: x * y * y - z * z)
 
     def tags(ctx, cfg):
-        tag_map = _tags(ctx, pres, ctx["ideals"])
-        for point, rec in tag_map.items():
+        for point, rec in ctx.tags().items():
             alpha = point.values[0]
             want = "heisenberg" if alpha.is_zero else "solvable"
             if rec.tag != want:
@@ -718,223 +778,133 @@ def _entry_whitney() -> CatalogEntry:
         return True, "Heisenberg at alpha = 0, solvable non-nilpotent otherwise"
 
     def characters(ctx, cfg):
-        at1 = _pt(vs, (1, 0, 0))
+        at1 = ctx.point((1, 0, 0))
         module = solvable_character_module(pres, at1, (Scalar(5), 0, 0))
         if not verify_poisson_axioms(module, cfg.trials, cfg.seed).ok:
             return False, "valid character fails axioms"
-        try:
-            solvable_character_module(pres, at1, (0, Scalar(1), 0))
+        if not _rejected(pres, at1, (0, Scalar(1), 0)):
             return False, "rho != 0 accepted at alpha = 1"
-        except AtlasError:
-            pass
-        at0 = _pt(vs, (0, 0, 0))
+        at0 = ctx.point(ORIGIN)
         solvable_character_module(pres, at0, (Scalar(2), Scalar(3), 0))
-        try:
-            solvable_character_module(pres, at0, (0, 0, Scalar(1)))
+        if not _rejected(pres, at0, (0, 0, Scalar(1))):
             return False, "beta_z != 0 accepted at alpha = 0"
-        except AtlasError:
-            pass
         return True, "alpha*rho = 0 constraint enforced on 1-dim characters"
 
     def catalog_dims(ctx, cfg):
-        tag_map = _tags(ctx, pres, ctx["ideals"])
-        for point, rec in tag_map.items():
-            cat = classify_simple_modules(
-                lie_from_point(pres, point), rec
-            )
+        for point, rec in ctx.tags().items():
+            cat = classify_simple_modules(ctx.lie(point), rec)
             want = 2 if point.values[0].is_zero else 1
             if cat.character_space_dim != want:
                 return False, f"character space at {point} is {cat.character_space_dim}"
         return True, "character space dim 2 at alpha = 0, else 1"
 
-    def homog(ctx, cfg):
-        rep = homogeneity_report(pres, ctx["ideals"])
-        return not rep.is_homogeneous, rep.verdict
-
-    entry.checks = [
-        ("ideal_points", "example 4.3", ideals),
-        ("leaf_partition", "example 4.3", leaves),
-        ("recognition", "example 4.3", tags),
-        ("characters", "example 4.3", characters),
-        ("module_catalog", "example 4.3", catalog_dims),
-        ("homogeneity", "example 4.3", homog),
-    ]
-    return entry
+    return _entry(
+        "whitney", "example 4.3", pres,
+        facts=[
+            ("ideal_points", _ideal_points(
+                lambda box: [(a, 0, 0) for a in sorted(box.coordinate_values())]
+            )),
+            ("leaf_partition", _leaves(["0"], detail="all singular points lie on S_0")),
+            ("recognition", tags),
+            ("characters", characters),
+            ("module_catalog", catalog_dims),
+            ("homogeneity", _homogeneity(None)),
+        ],
+    )
 
 
 def _entry_kleinian_an(n: int) -> CatalogEntry:
-    vs = _vars("xyz")
-    x, y, z = _gens(vs)
-    f = z**n - x * y
-    pres = PoissonPresentation(vs, Exact(f), relations=(f,), name=f"kleinian-an({n})")
-    entry = CatalogEntry(f"kleinian-an({n})", "example 4.4", pres, grading_name="z")
-    origin = _pt(vs, (0, 0, 0))
+    pres = _exact(f"kleinian-an({n})", lambda x, y, z: z**n - x * y)
+    notes = []
     if n > 2:
-        entry.notes.append(
+        notes.append(
             "faithful linearization gives [y,z] = -y and [z,x] = -x; the displayed "
             "[y,z] = -ny, [z,x] = -nx is a normalization slip (solvability "
             "unaffected)"
         )
-
-    # invariant presentation x = x1^n/a, y = x2^n/a, z = x1 x2/n with a^2 = n^n
-    avs = _vars(("x1", "x2"))
-    x1, x2 = _gens(avs)
-    amb = PoissonPresentation(
-        avs, Table.from_dict(avs, {("x1", "x2"): LaurentPoly.const(avs, 1)})
-    )
-    inv_a = scalar_sqrt(n**n).inverse()
-    gens = (x1**n * inv_a, x2**n * inv_a, x1 * x2 * Fraction(1, n))
-    autos = ()
-    if n == 2:
-        autos = (SubstitutionMap.from_dict(avs, {"x1": -x1, "x2": -x2}),)
-    elif n == 4:
-        i = Scalar(0, 1, -1)
-        autos = (SubstitutionMap.from_dict(avs, {"x1": x1 * i, "x2": x2 * (-i)}),)
-    else:
-        entry.notes.append(
+    if n not in (2, 4):
+        notes.append(
             f"pi_{n} needs a primitive {n}th root of unity outside Q(sqrt d); "
             "generator fixing is not checkable in the scalar domain"
         )
-    ip = InvariantPresentation(
-        amb, ("x", "y", "z"), gens, automorphisms=autos, relations=(f,),
-        gradings=((1, 1),),
-    )
-    entry.invariants = ip
 
-    def ideals(ctx, cfg):
-        ctx["ideals"] = find_poisson_maximal(pres, entry.box)
-        return _points_equal(ctx["ideals"], vs, [(0, 0, 0)])
-
-    def tags(ctx, cfg):
-        L = lie_from_point(pres, origin)
-        ctx["lie"] = L
-        rec = recognize(L)
-        ctx["rec"] = rec
-        if n == 2:
-            return rec.tag == "sl2", rec.describe()
-        expected = {
-            ("x", "y"): {},
-            ("y", "z"): {"y": -1},
-            ("z", "x"): {"x": -1},
-        }
-        ok = rec.tag == "solvable" and _sc_equal(L, expected)[0]
+    def solvable(ctx, cfg):
+        rec = ctx.rec(ORIGIN)
+        expected = {("x", "y"): {}, ("y", "z"): {"y": -1}, ("z", "x"): {"x": -1}}
+        ok = rec.tag == "solvable" and _sc_equal(ctx.lie(ORIGIN), expected)[0]
         return ok, f"{rec.describe()}; [x,y] = 0, [y,z] = -y, [z,x] = -x"
-
-    def invariance(ctx, cfg):
-        rep = verify_invariance(ip)
-        return rep.ok, "generators fixed (where checkable); xy = z^n identically"
-
-    def consistency(ctx, cfg):
-        L2 = lie_from_invariants(ip)
-        return L2.sc == ctx["lie"].sc, "lie_from_invariants matches lie_from_point"
 
     def characters(ctx, cfg):
         if n == 2:
             return True, "n = 2 is the sl2 case; no character family"
-        tau = Scalar(7)
-        module = solvable_character_module(pres, origin, (0, 0, tau))
+        origin = ctx.point(ORIGIN)
+        module = solvable_character_module(pres, origin, (0, 0, Scalar(7)))
         ok = verify_poisson_axioms(module, cfg.trials, cfg.seed).ok
-        try:
-            solvable_character_module(pres, origin, (Scalar(1), 0, 0))
+        if not _rejected(pres, origin, (Scalar(1), 0, 0)):
             return False, "beta_x != 0 accepted"
-        except AtlasError:
-            pass
         return ok, "{z, v} = tau v family; characters supported on z only"
 
-    def homog(ctx, cfg):
-        rep = homogeneity_report(pres, ctx["ideals"])
-        if n == 2:
-            return rep.verdict == "1-homogeneous", rep.verdict
-        return not rep.is_homogeneous, rep.verdict
+    return _entry(
+        pres.name, "example 4.4", pres,
+        invariants=_kleinian_invariants(n, pres.relations[0]), grading_name="z", notes=notes,
+        facts=[
+            ("ideal_points", _ideal_points([ORIGIN])),
+            ("recognition", _recognition("sl2", ORIGIN) if n == 2 else solvable),
+            ("invariant_presentation",
+             _invariance("generators fixed (where checkable); xy = z^n identically")),
+            ("invariant_consistency",
+             _consistency("lie_from_invariants matches lie_from_point")),
+            ("characters", characters),
+            ("homogeneity", _homogeneity("1-homogeneous" if n == 2 else None)),
+        ],
+    )
 
-    entry.checks = [
-        ("ideal_points", "example 4.4", ideals),
-        ("recognition", "example 4.4", tags),
-        ("invariant_presentation", "example 4.4", invariance),
-        ("invariant_consistency", "example 4.4", consistency),
-        ("characters", "example 4.4", characters),
-        ("homogeneity", "example 4.4", homog),
-    ]
-    return entry
 
-
-def _entry_kleinian_de(name: str, potential_fn, cite="remark 4.5", note=None) -> CatalogEntry:
-    vs = _vars("xyz")
-    x, y, z = _gens(vs)
-    f = potential_fn(x, y, z)
-    pres = PoissonPresentation(vs, Exact(f), relations=(f,), name=name)
-    entry = CatalogEntry(name, cite, pres)
-    if note:
-        entry.notes.append(note)
-
-    def ideals(ctx, cfg):
-        ctx["ideals"] = find_poisson_maximal(pres, entry.box)
-        return _points_equal(ctx["ideals"], vs, [(0, 0, 0)])
+def _entry_kleinian_de(name: str, potential_fn, note=None) -> CatalogEntry:
+    pres = _exact(name, potential_fn)
 
     def solvable(ctx, cfg):
-        rec = recognize(lie_from_point(pres, _pt(vs, (0, 0, 0))))
-        ok = rec.tag in ("solvable", "heisenberg", "abelian")
-        return ok, f"g(J) is {rec.describe()} (solvable)"
+        rec = ctx.rec(ORIGIN)
+        return rec.is_solvable_type, f"g(J) is {rec.describe()} (solvable)"
 
-    entry.checks = [
-        ("ideal_points", cite, ideals),
-        ("solvability", cite, solvable),
-    ]
-    return entry
+    return _entry(
+        name, "remark 4.5", pres, notes=[note] if note else [],
+        facts=[
+            ("ideal_points", _ideal_points([ORIGIN])),
+            ("solvability", solvable),
+        ],
+    )
 
 
 def _entry_c_theta() -> CatalogEntry:
-    cvs = _vars(("x", "v", "w"))
-    cx, cv, cw = _gens(cvs)
-    g = 2 * cx * cv * cw - cx * cx * cv - 2 * cv * cv - 2 * cw * cw + 4 * cv
-    pres = PoissonPresentation(cvs, Exact(g), relations=(g,), name="c-theta")
-    entry = CatalogEntry("c-theta", "section 4.7", pres)
-    entry.notes.append(
-        'the displayed claim reads "g^2 in J"; the verified fact is g in J^2 '
-        "(value and gradient vanish at all four points)"
-    )
+    pres = _c_theta_presentation()
+    cvs = pres.varset
+    (g,) = pres.relations
 
     # ambient C = B^pi as the torus exact presentation
-    vs = _vars("xyz")
+    cpres = _torus_presentation()
+    vs = cpres.varset
     x, y, z = _gens(vs)
-    f = x * y * z - x * x - y * y - z * z + 4
-    cpres = PoissonPresentation(vs, Exact(f), relations=(f,), name="torus-so3")
     emb = SubstitutionMap.from_dict(
         cvs, {"x": x, "v": y * y * Fraction(1, 2), "w": y * z * Fraction(1, 2)}
     )
-    entry.embeds["theta"] = (emb, pres)
-    four = [(2, 2, 2), (-2, 2, -2), (2, 0, 0), (-2, 0, 0)]
-
-    def ideals(ctx, cfg):
-        all_ideals = find_poisson_maximal(pres, entry.box)
-        ctx["ideals"] = [i for i in all_ideals if g.evaluate(i.point).is_zero]
-        ok, detail = _points_equal(ctx["ideals"], cvs, four)
-        return ok, detail + " (ideals containing g)"
 
     def g_in_j2(ctx, cfg):
-        for ideal in ctx["ideals"]:
+        for ideal in ctx.ideals:
             value, grad = g.linear_part(ideal.point)
             if not (value.is_zero and all(c.is_zero for c in grad)):
                 return False, f"g not in J^2 at {ideal.point}"
         return True, "g in J^2 at I1, I2, L1, L2"
 
-    def tags(ctx, cfg):
-        tag_map = _tags(ctx, pres, ctx["ideals"])
-        ok = all(t.tag == "sl2" for t in tag_map.values())
-        rep = homogeneity_report(pres, ctx["ideals"], recognitions=tag_map)
-        return ok and rep.verdict == "4-homogeneous", rep.verdict
-
     def restriction(ctx, cfg):
         if not verify_poisson_map(emb, pres, cpres).ok:
             return False, "embedding C^theta -> C is not Poisson"
         i1 = _pt(cvs, (2, 2, 2))
+        torus = Context(CatalogEntry("torus-so3", "section 4.3", cpres))
         for d in range(1, 5):
             restricted = []
-            for coords in ((2, 2, 2), (2, -2, -2)):
-                pt = _pt(vs, coords)
-                L = lie_from_point(cpres, pt)
-                module = lift_module(cpres, pt, sl2_irrep(L, d, find_sl2_triple(L)))
-                r = restrict_to_subalgebra(module, emb, pres)
+            for pt in ((2, 2, 2), (2, -2, -2)):
+                r = restrict_to_subalgebra(torus.lift(pt, d), emb, pres)
                 if r.point != i1 or not is_simple_module(r):
                     return False, f"restriction at {pt}, d={d} not simple at I1"
                 restricted.append(r)
@@ -949,14 +919,22 @@ def _entry_c_theta() -> CatalogEntry:
         witness = bracket(cpres.bracket_spec, y, z).evaluate(pt)
         return witness == Scalar(-4), "{y,z}(2,0,0) = -4, so the ideal is not Poisson"
 
-    entry.checks = [
-        ("ideal_points", "section 4.7", ideals),
-        ("g_in_J_squared", "section 4.7 (flagged)", g_in_j2),
-        ("recognition_homogeneity", "section 4.7", tags),
-        ("restriction_scenario", "section 4.7", restriction),
-        ("L_overpoint_not_poisson", "section 4.7 (derived)", l_points_not_poisson),
-    ]
-    return entry
+    return _entry(
+        "c-theta", "section 4.7", pres, embeds={"theta": (emb, pres)}, containing=g,
+        notes=[
+            'the displayed claim reads "g^2 in J"; the verified fact is g in J^2 '
+            "(value and gradient vanish at all four points)"
+        ],
+        facts=[
+            ("ideal_points", _ideal_points(
+                [(2, 2, 2), (-2, 2, -2), (2, 0, 0), (-2, 0, 0)], "ideals containing g"
+            )),
+            ("g_in_J_squared", "section 4.7 (flagged)", g_in_j2),
+            ("recognition_homogeneity", _sl2_everywhere("4-homogeneous")),
+            ("restriction_scenario", restriction),
+            ("L_overpoint_not_poisson", "section 4.7 (derived)", l_points_not_poisson),
+        ],
+    )
 
 
 def _entry_d_phi() -> CatalogEntry:
@@ -970,65 +948,56 @@ def _entry_d_phi() -> CatalogEntry:
         + 2 * du * dv
     )
     pres = PoissonPresentation(dvs, Exact(2 * h), relations=(h,), name="d-phi")
-    entry = CatalogEntry("d-phi", "section 4.7", pres)
 
-    cvs = _vars(("x", "v", "w"))
+    ctheta = _c_theta_presentation()
+    cvs = ctheta.varset
     cx, cv, cw = _gens(cvs)
-    g = 2 * cx * cv * cw - cx * cx * cv - 2 * cv * cv - 2 * cw * cw + 4 * cv
-    ctheta = PoissonPresentation(cvs, Exact(g), relations=(g,), name="c-theta")
     emb = SubstitutionMap.from_dict(
         dvs,
         {"a": cx * cw * Fraction(1, 2), "u": cx * cx * Fraction(1, 2), "v": cv},
     )
-    entry.embeds["phi"] = (emb, pres)
-    entry.notes.append(
-        "computed projections send the L1-point (2,0,0) to the L3-point (0,2,0) "
-        "and the I1-point (2,2,2) to the L4-point (2,2,2): the reverse of the "
-        "stated correspondence; recorded as an apparent label swap"
-    )
-    four = [(0, 0, 0), (0, 0, 2), (0, 2, 0), (2, 2, 2)]
-
-    def ideals(ctx, cfg):
-        all_ideals = find_poisson_maximal(pres, entry.box)
-        ctx["ideals"] = [i for i in all_ideals if h.evaluate(i.point).is_zero]
-        ok, detail = _points_equal(ctx["ideals"], dvs, four)
-        return ok, detail + " (ideals containing 2h)"
-
-    def tags(ctx, cfg):
-        tag_map = _tags(ctx, pres, ctx["ideals"])
-        ok = all(t.tag == "sl2" for t in tag_map.values())
-        rep = homogeneity_report(pres, ctx["ideals"], recognitions=tag_map)
-        return ok and rep.verdict == "4-homogeneous", rep.verdict
 
     def emb_poisson(ctx, cfg):
         rep = verify_poisson_map(emb, pres, ctheta)
         return rep.ok, "u = x^2/2, a = xw/2, v = v is a Poisson map into C^theta"
 
     def projections(ctx, cfg):
-        computed = {}
-        for label, coords in (
-            ("I1", (2, 2, 2)),
-            ("I2", (-2, 2, -2)),
-            ("L1", (2, 0, 0)),
-            ("L2", (-2, 0, 0)),
-        ):
-            cpt = _pt(cvs, coords)
-            computed[label] = PointP(dvs, [img.evaluate(cpt) for img in emb.images])
-        ok = (
-            computed["I1"] == _pt(dvs, (2, 2, 2))
-            and computed["I2"] == _pt(dvs, (2, 2, 2))
-            and computed["L1"] == _pt(dvs, (0, 2, 0))
-            and computed["L2"] == _pt(dvs, (0, 2, 0))
+        # C^theta point -> its image: I1, I2 -> L4-point, L1, L2 -> L3-point
+        images = {
+            (2, 2, 2): (2, 2, 2),
+            (-2, 2, -2): (2, 2, 2),
+            (2, 0, 0): (0, 2, 0),
+            (-2, 0, 0): (0, 2, 0),
+        }
+        ok = all(
+            PointP(dvs, [img.evaluate(_pt(cvs, c)) for img in emb.images]) == _pt(dvs, want)
+            for c, want in images.items()
         )
         return ok, "I-points project to the L4-point, L-points to the L3-point"
 
-    entry.checks = [
-        ("ideal_points", "section 4.7", ideals),
-        ("recognition_homogeneity", "section 4.7", tags),
-        ("embedding", "section 4.7", emb_poisson),
-        ("projections", "section 4.7 (flagged)", projections),
-    ]
-    return entry
+    return _entry(
+        "d-phi", "section 4.7", pres, embeds={"phi": (emb, pres)}, containing=h,
+        notes=[
+            "computed projections send the L1-point (2,0,0) to the L3-point (0,2,0) "
+            "and the I1-point (2,2,2) to the L4-point (2,2,2): the reverse of the "
+            "stated correspondence; recorded as an apparent label swap"
+        ],
+        facts=[
+            ("ideal_points", _ideal_points(
+                [ORIGIN, (0, 0, 2), (0, 2, 0), (2, 2, 2)], "ideals containing 2h"
+            )),
+            ("recognition_homogeneity", _sl2_everywhere("4-homogeneous")),
+            ("embedding", emb_poisson),
+            ("projections", "section 4.7 (flagged)", projections),
+        ],
+    )
+
+
+def _weyl_invariants(amb, names, gens, autos):
+    """Invariants of a Weyl group acting on a 4-variable ambient, bigraded."""
+    return InvariantPresentation(
+        amb, names, gens, automorphisms=autos, gradings=((1, 1, 0, 0), (0, 0, 1, 1))
+    )
 
 
 def _weyl_ambient():
@@ -1036,11 +1005,11 @@ def _weyl_ambient():
     a1, a2, b1, b2 = _gens(vs)
     six = LaurentPoly.const(vs, 6)
     m3 = LaurentPoly.const(vs, -3)
-    table = Table.from_dict(
+    amb = _table_pres(
         vs,
         {("a1", "b1"): six, ("a2", "b2"): six, ("a1", "b2"): m3, ("a2", "b1"): m3},
+        "weyl-a2-ambient",
     )
-    amb = PoissonPresentation(vs, table, name="weyl-a2-ambient")
     ninth = Fraction(1, 9)
     g1 = (a1 * a1 + a2 * a2 + a1 * a2) * ninth
     g2 = (b1 * b1 + b2 * b2 + b1 * b2) * ninth
@@ -1103,52 +1072,13 @@ def _prop52_table():
 
 def _entry_weyl_a2() -> CatalogEntry:
     amb, gens, autos = _weyl_ambient()
-    names = ("g1", "g2", "g3", "m1", "m2", "m3", "m4")
-    ip = InvariantPresentation(
-        amb, names, gens, automorphisms=autos, gradings=((1, 1, 0, 0), (0, 0, 1, 1))
-    )
-    entry = CatalogEntry(
-        "weyl-a2", "example 5.1 / proposition 5.2", None, invariants=ip,
-        grading_name="g3",
-    )
-    entry.notes.append(
-        "the displayed g1 reads a1*a3; the S3-invariant reading a1*a2 is used "
-        "(the a1*a3 form breaks the displayed constants)"
-    )
+    ip = _weyl_invariants(amb, ("g1", "g2", "g3", "m1", "m2", "m3", "m4"), gens, autos)
 
-    def invariance(ctx, cfg):
-        return verify_invariance(ip).ok, "W = S3 fixes all seven generators"
-
-    def constants(ctx, cfg):
-        L = lie_from_invariants(ip)
-        ctx["lie"] = L
-        return _sc_equal(L, _P7_TABLE)
-
-    def tag(ctx, cfg):
-        rec = recognize(ctx["lie"])
-        ctx["rec"] = rec
-        return (
-            rec.tag == "sl2_semidirect" and rec.radical_dim == 4,
-            rec.describe(),
-        )
-
-    def weights(ctx, cfg):
-        tri = find_sl2_triple(ctx["lie"], ctx["rec"])
-        ctx["triple"] = tri
-        adh = ctx["lie"].ad_matrix(tri.h)
-        got = _eig_multiset(restrict_action([adh], ctx["rec"].radical_basis)[0])
-        return got == _expect_eigs([3, 1, -1, -3]), "radical h-weights {3,1,-1,-3}"
-
-    def homog(ctx, cfg):
-        # unique Poisson maximal ideal (V <= {V, V}), sl2-type g(J)
-        return (
-            ctx["rec"].is_sl2_type,
-            "1-homogeneous (unique Poisson maximal ideal, sl2-type g(J))",
-        )
+    def m5(ctx):
+        return ctx.memo("m5", lambda: module_from_table(ctx.lie(), _prop52_table()))
 
     def prop52(ctx, cfg):
-        rep = module_from_table(ctx["lie"], _prop52_table())
-        ctx["m5"] = rep
+        rep = m5(ctx)
         g3_mat = rep.mats[2]
         if _eig_multiset(g3_mat) != _expect_eigs([-2, -1, 0, 1, 2]):
             return False, "g3 grading spectrum is not {-2..2}"
@@ -1165,7 +1095,7 @@ def _entry_weyl_a2() -> CatalogEntry:
         return ok, "unique proper submodule dim 3; series (3,2); not semisimple"
 
     def remark53(ctx, cfg):
-        rep = ctx["m5"]
+        rep = m5(ctx)
         sub = lie_rep_restrict(
             rep,
             [rep.lie.basis_vector(i) for i in range(3)],
@@ -1178,27 +1108,28 @@ def _entry_weyl_a2() -> CatalogEntry:
             "sl2-restriction splits as N + N' (dims 3 and 2)",
         )
 
-    entry.checks = [
-        ("invariance", "example 5.1", invariance),
-        ("structure_constants", "example 5.1", constants),
-        ("recognition", "example 5.1", tag),
-        ("radical_weights", "example 5.1", weights),
-        ("homogeneity", "example 5.1", homog),
-        ("prop52_module", "proposition 5.2", prop52),
-        ("sl2_restriction", "remark 5.3", remark53),
-    ]
-    return entry
+    return _entry(
+        "weyl-a2", "example 5.1 / proposition 5.2", None, invariants=ip,
+        grading_name="g3",
+        notes=[
+            "the displayed g1 reads a1*a3; the S3-invariant reading a1*a2 is used "
+            "(the a1*a3 form breaks the displayed constants)"
+        ],
+        facts=[
+            ("invariance", "example 5.1", _invariance("W = S3 fixes all seven generators")),
+            ("structure_constants", "example 5.1", _constants(_P7_TABLE)),
+            *_weyl_trio("example 5.1", [3, 1, -1, -3], "radical h-weights {3,1,-1,-3}"),
+            ("prop52_module", "proposition 5.2", prop52),
+            ("sl2_restriction", "remark 5.3", remark53),
+        ],
+    )
 
 
 def _entry_weyl_b2() -> CatalogEntry:
     vs = _vars(("x1", "x2", "y1", "y2"))
     x1, x2, y1, y2 = _gens(vs)
     one = LaurentPoly.const(vs, 1)
-    amb = PoissonPresentation(
-        vs,
-        Table.from_dict(vs, {("x1", "y1"): one, ("x2", "y2"): one}),
-        name="weyl-b2-ambient",
-    )
+    amb = _table_pres(vs, {("x1", "y1"): one, ("x2", "y2"): one}, "weyl-b2-ambient")
     g1 = x1 * x1 + x2 * x2
     g2 = y1 * y1 + y2 * y2
     g3 = x1 * y1 + x2 * y2
@@ -1207,22 +1138,10 @@ def _entry_weyl_b2() -> CatalogEntry:
     m3 = x1 * x2 * y1 * y2  # derived; the displayed m3 duplicates g3
     m4 = x1 * y1**3 + x2 * y2**3
     m5 = x1**3 * y1 + x2**3 * y2
-    s1 = SubstitutionMap.from_dict(vs, {"x1": -x1, "y1": -y1, "x2": x2, "y2": y2})
+    s1 = _sign_flip(vs, (-1, 1, -1, 1))
     s2 = SubstitutionMap.from_dict(vs, {"x1": x2, "y1": y2, "x2": x1, "y2": y1})
     names = ("g1", "g2", "g3", "m1", "m2", "m3", "m4", "m5")
-    ip = InvariantPresentation(
-        amb, names, (g1, g2, g3, m1, m2, m3, m4, m5), automorphisms=(s1, s2),
-        gradings=((1, 1, 0, 0), (0, 0, 1, 1)),
-    )
-    entry = CatalogEntry(
-        "weyl-b2", "example 5.5", None, invariants=ip, grading_name="g3"
-    )
-    entry.notes.append(
-        "m3 derived by brute force over weight-0 bidegree-(2,2) W-invariants "
-        "span{A = x1^2 y1^2 + x2^2 y2^2, B = x1^2 y2^2 + x2^2 y1^2, C = x1 x2 y1 y2}: "
-        "[g2, m3] = 2 m4 and [g1, m3] = -2 m5 force the class -A/2 = C mod J^2; "
-        "representative m3 = x1 x2 y1 y2"
-    )
+    ip = _weyl_invariants(amb, names, (g1, g2, g3, m1, m2, m3, m4, m5), (s1, s2))
 
     table = {
         ("g1", "g2"): {"g3": 4},
@@ -1242,14 +1161,11 @@ def _entry_weyl_b2() -> CatalogEntry:
         ("g3", "m5"): {"m5": -2},
     }
 
-    def invariance(ctx, cfg):
-        return verify_invariance(ip).ok, "W (dihedral of order 8) fixes the generators"
-
     def m3_derivation(ctx, cfg):
         # the three invariants of weight 0 and bidegree (2, 2)
         A = x1 * x1 * y1 * y1 + x2 * x2 * y2 * y2
         B = x1 * x1 * y2 * y2 + x2 * x2 * y1 * y1
-        C = x1 * x2 * y1 * y2
+        C = m3
         for inv in (A, B, C):
             if any(auto.apply(inv) != inv for auto in (s1, s2)):
                 return False, "candidate space is not W-invariant"
@@ -1262,108 +1178,55 @@ def _entry_weyl_b2() -> CatalogEntry:
         ok = ok and bracket(spec, g1, C) == 2 * g1 * g3 - 2 * m5
         return ok, "{g2,m3} = 2m4 - 2 g2 g3 and {g1,m3} = -2m5 + 2 g1 g3 exactly"
 
-    def constants(ctx, cfg):
-        L = lie_from_invariants(ip)
-        ctx["lie"] = L
-        return _sc_equal(L, table)
-
-    def tag(ctx, cfg):
-        rec = recognize(ctx["lie"])
-        ctx["rec"] = rec
-        return (
-            rec.tag == "sl2_semidirect" and rec.radical_dim == 5,
-            rec.describe(),
-        )
-
-    def weights(ctx, cfg):
-        tri = find_sl2_triple(ctx["lie"], ctx["rec"])
-        adh = ctx["lie"].ad_matrix(tri.h)
-        got = _eig_multiset(restrict_action([adh], ctx["rec"].radical_basis)[0])
-        return got == _expect_eigs([4, 2, 0, -2, -4]), "radical weights {4,2,0,-2,-4}"
-
-    def homog(ctx, cfg):
-        return (
-            ctx["rec"].is_sl2_type,
-            "1-homogeneous (unique Poisson maximal ideal, sl2-type g(J))",
-        )
-
-    entry.checks = [
-        ("invariance", "example 5.5", invariance),
-        ("m3_derivation", "example 5.5 (derived)", m3_derivation),
-        ("structure_constants", "example 5.5", constants),
-        ("recognition", "example 5.5", tag),
-        ("radical_weights", "example 5.5", weights),
-        ("homogeneity", "example 5.5", homog),
-    ]
-    return entry
+    return _entry(
+        "weyl-b2", "example 5.5", None, invariants=ip, grading_name="g3",
+        notes=[
+            "m3 derived by brute force over weight-0 bidegree-(2,2) W-invariants "
+            "span{A = x1^2 y1^2 + x2^2 y2^2, B = x1^2 y2^2 + x2^2 y1^2, C = x1 x2 y1 y2}: "
+            "[g2, m3] = 2 m4 and [g1, m3] = -2 m5 force the class -A/2 = C mod J^2; "
+            "representative m3 = x1 x2 y1 y2"
+        ],
+        facts=[
+            ("invariance", _invariance("W (dihedral of order 8) fixes the generators")),
+            ("m3_derivation", "example 5.5 (derived)", m3_derivation),
+            ("structure_constants", _constants(table)),
+            *_weyl_trio("example 5.5", [4, 2, 0, -2, -4], "radical weights {4,2,0,-2,-4}"),
+        ],
+    )
 
 
 def _entry_weyl_g2() -> CatalogEntry:
     amb, a2_gens, autos = _weyl_ambient()
     g1, g2, g3, m1, m2, m3, m4 = a2_gens
     vs = amb.varset
-    neg = SubstitutionMap.from_dict(
-        vs, {n: -LaurentPoly.variable(vs, n) for n in vs.names}
-    )
+    neg = _sign_flip(vs, (-1,) * 4)
     names = ("g1", "g2", "g3", "n1", "n2", "n3", "n4", "n5", "n6", "n7")
     gens = (g1, g2, g3, m1 * m1, m2 * m2, m1 * m2, m1 * m3, m1 * m4, m2 * m3, m2 * m4)
-    ip = InvariantPresentation(
-        amb, names, gens, automorphisms=autos + (neg,),
-        gradings=((1, 1, 0, 0), (0, 0, 1, 1)),
-    )
-    entry = CatalogEntry(
-        "weyl-g2", "example 5.4", None, invariants=ip, grading_name="g3"
-    )
-    entry.notes.append(
-        "n_j built programmatically as the stated products of the A2 m's; the "
-        "sixteen relations are not displayed at the source, so derived "
-        "constants are recorded without display comparison"
-    )
-
-    def invariance(ctx, cfg):
-        return verify_invariance(ip).ok, "W' = W x <pi> fixes all ten generators"
+    ip = _weyl_invariants(amb, names, gens, autos + (neg,))
 
     def constants(ctx, cfg):
-        L = lie_from_invariants(ip)
-        ctx["lie"] = L
-        rows = []
-        for (i, j), row in L.structure_table().items():
-            rows.append(
-                f"[{L.labels[i]},{L.labels[j]}] = {lincomb_text(L.labels, row)}"
-            )
-        return True, "; ".join(rows)
-
-    def tag(ctx, cfg):
-        rec = recognize(ctx["lie"])
-        ctx["rec"] = rec
-        return (
-            rec.tag == "sl2_semidirect" and rec.radical_dim == 7,
-            rec.describe(),
+        L = ctx.lie()
+        return True, "; ".join(
+            f"[{L.labels[i]},{L.labels[j]}] = {lincomb_text(L.labels, row)}"
+            for (i, j), row in L.structure_table().items()
         )
 
-    def weights(ctx, cfg):
-        tri = find_sl2_triple(ctx["lie"], ctx["rec"])
-        adh = ctx["lie"].ad_matrix(tri.h)
-        got = _eig_multiset(restrict_action([adh], ctx["rec"].radical_basis)[0])
-        return (
-            got == _expect_eigs([6, 4, 2, 0, -2, -4, -6]),
-            "radical is the 7-dimensional simple sl2-module",
-        )
-
-    def homog(ctx, cfg):
-        return (
-            ctx["rec"].is_sl2_type,
-            "1-homogeneous (unique Poisson maximal ideal, sl2-type g(J))",
-        )
-
-    entry.checks = [
-        ("invariance", "example 5.4", invariance),
-        ("derived_constants", "example 5.4 (recorded)", constants),
-        ("recognition", "example 5.4", tag),
-        ("radical_weights", "example 5.4", weights),
-        ("homogeneity", "example 5.4", homog),
-    ]
-    return entry
+    return _entry(
+        "weyl-g2", "example 5.4", None, invariants=ip, grading_name="g3",
+        notes=[
+            "n_j built programmatically as the stated products of the A2 m's; the "
+            "sixteen relations are not displayed at the source, so derived "
+            "constants are recorded without display comparison"
+        ],
+        facts=[
+            ("invariance", _invariance("W' = W x <pi> fixes all ten generators")),
+            ("derived_constants", "example 5.4 (recorded)", constants),
+            *_weyl_trio(
+                "example 5.4", [6, 4, 2, 0, -2, -4, -6],
+                "radical is the 7-dimensional simple sl2-module",
+            ),
+        ],
+    )
 
 
 def _entry_kirillov_kostant_sl2() -> CatalogEntry:
@@ -1372,33 +1235,15 @@ def _entry_kirillov_kostant_sl2() -> CatalogEntry:
         ("e", "h", "f"),
         {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1}},
     )
-    spec = KirillovKostant(sl2.sc)
-    pres = PoissonPresentation(vs, spec, name="kirillov-kostant-sl2")
-    entry = CatalogEntry("kirillov-kostant-sl2", "example 3.5", pres)
-
-    def ideals(ctx, cfg):
-        ctx["ideals"] = find_poisson_maximal(pres, entry.box)
-        return _points_equal(ctx["ideals"], vs, [(0, 0, 0)])
+    pres = PoissonPresentation(vs, KirillovKostant(sl2.sc), name="kirillov-kostant-sl2")
 
     def lie_matches(ctx, cfg):
-        L = lie_from_point(pres, _pt(vs, (0, 0, 0)))
-        ctx["lie"] = L
-        return L.sc == sl2.sc, "g(J) carries the input structure constants"
-
-    def tag(ctx, cfg):
-        rec = recognize(ctx["lie"])
-        rep = homogeneity_report(pres, ctx["ideals"])
-        return (
-            rec.tag == "sl2" and rep.verdict == "1-homogeneous",
-            rep.verdict,
-        )
+        return ctx.lie(ORIGIN).sc == sl2.sc, "g(J) carries the input structure constants"
 
     def round_trips(ctx, cfg):
-        origin = _pt(vs, (0, 0, 0))
-        tri = find_sl2_triple(ctx["lie"])
+        origin = ctx.point(ORIGIN)
         for d in range(1, 5):
-            rep = sl2_irrep(ctx["lie"], d, tri)
-            module = lift_module(pres, origin, rep)
+            rep, module = ctx.irrep(origin, d), ctx.lift(origin, d)
             if restrict_to_lie(module).mats != rep.mats:
                 return False, f"restrict(lift) differs at d={d}"
             again = lift_module(pres, origin, restrict_to_lie(module))
@@ -1406,32 +1251,30 @@ def _entry_kirillov_kostant_sl2() -> CatalogEntry:
                 return False, f"lift(restrict) differs at d={d}"
         return True, "M*dagger = M and N dagger* = N matrix-exactly, d <= 4"
 
-    entry.checks = [
-        ("ideal_points", "example 3.5", ideals),
-        ("lie_identification", "example 3.5", lie_matches),
-        ("recognition_homogeneity", "example 3.5", tag),
-        ("round_trips", "theorem 3.4(iii)", round_trips),
-    ]
-    return entry
+    return _entry(
+        "kirillov-kostant-sl2", "example 3.5", pres,
+        facts=[
+            ("ideal_points", _ideal_points([ORIGIN])),
+            ("lie_identification", lie_matches),
+            ("recognition_homogeneity", _sl2_everywhere("1-homogeneous")),
+            ("round_trips", "theorem 3.4(iii)", round_trips),
+        ],
+    )
 
 
 def _entry_abelian(n: int) -> CatalogEntry:
     names = tuple(f"x{i+1}" for i in range(n))
     vs = _vars(names)
-    table = Table(())
-    pres = PoissonPresentation(vs, table, name=f"abelian({n})")
-    box = SearchBox(1, 1)
-    entry = CatalogEntry(f"abelian({n})", "example 3.5", pres, box=box)
+    pres = PoissonPresentation(vs, Table(()), name=f"abelian({n})")
 
     def ideals(ctx, cfg):
-        ctx["ideals"] = find_poisson_maximal(pres, box)
-        want = len(box.coordinate_values()) ** n
-        return len(ctx["ideals"]) == want, f"every box point is Poisson ({want})"
+        want = len(ctx.entry.box.coordinate_values()) ** n
+        return len(ctx.ideals) == want, f"every box point is Poisson ({want})"
 
     def abelian_tag(ctx, cfg):
-        pt = ctx["ideals"][0].point
-        rec = recognize(lie_from_point(pres, pt))
-        cat = classify_simple_modules(lie_from_point(pres, pt), rec)
+        pt = ctx.ideals[0].point
+        rec = ctx.rec(pt)
+        cat = classify_simple_modules(ctx.lie(pt), rec)
         ok = rec.tag == "abelian" and cat.character_space_dim == n
         return ok, f"abelian; {n}-parameter family of characters"
 
@@ -1451,98 +1294,84 @@ def _entry_abelian(n: int) -> CatalogEntry:
         )
         return action == expected, "{f, m} = sum beta_i df/dx_i(alpha) m"
 
-    def homog(ctx, cfg):
-        pt = ctx["ideals"][0].point
-        rec = recognize(lie_from_point(pres, pt))
-        rep = homogeneity_report(
-            pres, ctx["ideals"][:1], recognitions={pt: rec}
-        )
-        return not rep.is_homogeneous, rep.verdict
-
-    entry.checks = [
-        ("ideal_points", "example 3.5", ideals),
-        ("recognition", "example 3.5", abelian_tag),
-        ("character_formula", "example 3.5", character_formula),
-        ("homogeneity", "example 3.5", homog),
-    ]
-    return entry
+    return _entry(
+        f"abelian({n})", "example 3.5", pres, box=SearchBox(1, 1),
+        facts=[
+            ("ideal_points", ideals),
+            ("recognition", abelian_tag),
+            ("character_formula", character_formula),
+            ("homogeneity", _homogeneity(None, first_only=True)),
+        ],
+    )
 
 
 # -- registry -----------------------------------------------------------------------
 
-
-def _builders():
-    out = {
-        "kleinian-a1": _entry_kleinian_a1,
-        "torus-so3": _entry_torus,
-        "laurent-inv": _entry_laurent_inv,
-        "uqsl2": _entry_uqsl2,
-        "uqsl2-equitable": _entry_uqsl2_equitable,
-        "uqsl2-4hom": _entry_uqsl2_4hom,
-        "whitney": _entry_whitney,
-        "c-theta": _entry_c_theta,
-        "d-phi": _entry_d_phi,
-        "weyl-a2": _entry_weyl_a2,
-        "weyl-b2": _entry_weyl_b2,
-        "weyl-g2": _entry_weyl_g2,
-        "kirillov-kostant-sl2": _entry_kirillov_kostant_sl2,
-        "kleinian-e6": lambda: _entry_kleinian_de(
-            "kleinian-e6", lambda x, y, z: x * x + y**3 + z**4
-        ),
-        "kleinian-e7": lambda: _entry_kleinian_de(
-            "kleinian-e7",
-            lambda x, y, z: x * x + y * y + y * z**3,
-            note="potential taken literally from the source display (x^2 + y^2 + "
-            "y*z^3); likely a typo for x^2 + y^3 + y*z^3, solvability unaffected",
-        ),
-        "kleinian-e8": lambda: _entry_kleinian_de(
-            "kleinian-e8", lambda x, y, z: x * x + y**3 + z**5
-        ),
-    }
-    return out
-
-
-_PARAMETRIC = {
-    "kleinian-an": (_entry_kleinian_an, (2, 3, 4, 5)),
+# name -> builder of a single entry, or family -> (builder(n), the parameters
+# `catalog run-all` samples, the least valid parameter)
+_REGISTRY = {
+    "kleinian-a1": _entry_kleinian_a1,
+    "torus-so3": _entry_torus,
+    "laurent-inv": _entry_laurent_inv,
+    "uqsl2": _entry_uqsl2,
+    "uqsl2-equitable": _entry_uqsl2_equitable,
+    "uqsl2-4hom": _entry_uqsl2_4hom,
+    "whitney": _entry_whitney,
+    "c-theta": _entry_c_theta,
+    "d-phi": _entry_d_phi,
+    "weyl-a2": _entry_weyl_a2,
+    "weyl-b2": _entry_weyl_b2,
+    "weyl-g2": _entry_weyl_g2,
+    "kirillov-kostant-sl2": _entry_kirillov_kostant_sl2,
+    "kleinian-e6": lambda: _entry_kleinian_de(
+        "kleinian-e6", lambda x, y, z: x * x + y**3 + z**4
+    ),
+    "kleinian-e7": lambda: _entry_kleinian_de(
+        "kleinian-e7",
+        lambda x, y, z: x * x + y * y + y * z**3,
+        note="potential taken literally from the source display (x^2 + y^2 + "
+        "y*z^3); likely a typo for x^2 + y^3 + y*z^3, solvability unaffected",
+    ),
+    "kleinian-e8": lambda: _entry_kleinian_de(
+        "kleinian-e8", lambda x, y, z: x * x + y**3 + z**5
+    ),
+    "kleinian-an": (_entry_kleinian_an, (2, 3, 4, 5), 2),
     "kleinian-d": (
         lambda n: _entry_kleinian_de(
-            f"kleinian-d({n})",
-            lambda x, y, z: x * x + y * y * z + z ** (n - 1),
+            f"kleinian-d({n})", lambda x, y, z: x * x + y * y * z + z ** (n - 1)
         ),
         (4, 5),
+        4,
     ),
-    "abelian": (_entry_abelian, (3,)),
+    "abelian": (_entry_abelian, (3,), 1),
 }
 
 
 def catalog_names():
     """Entry names run by `catalog run-all` (parametrized samples expanded)."""
-    names = list(_builders())
-    for base, (_, samples) in sorted(_PARAMETRIC.items()):
-        names.extend(f"{base}({n})" for n in samples)
+    names = []
+    for base, row in _REGISTRY.items():
+        names.extend([f"{base}({n})" for n in row[1]] if isinstance(row, tuple) else [base])
     return sorted(names)
 
 
 def get_entry(name: str) -> CatalogEntry:
-    builders = _builders()
-    if name in builders:
-        return builders[name]()
+    base, arg = name, None
     if name.endswith(")") and "(" in name:
         base, arg = name[:-1].split("(", 1)
-        if base in _PARAMETRIC:
-            try:
-                n = int(arg)
-            except ValueError:
-                raise AtlasError(f"bad parameter in {name!r}") from None
-            builder, samples = _PARAMETRIC[base]
-            if base == "kleinian-an" and n < 2:
-                raise AtlasError("kleinian-an needs n >= 2")
-            if base == "kleinian-d" and n < 4:
-                raise AtlasError("kleinian-d needs n >= 4")
-            if base == "abelian" and n < 1:
-                raise AtlasError("abelian needs n >= 1")
-            return builder(n)
-    raise AtlasError(f"unknown catalog entry {name!r}")
+    row = _REGISTRY.get(base)
+    if row is None or (arg is None) == isinstance(row, tuple):
+        raise AtlasError(f"unknown catalog entry {name!r}")
+    if arg is None:
+        return row()
+    builder, _, least = row
+    try:
+        n = int(arg)
+    except ValueError:
+        raise AtlasError(f"bad parameter in {name!r}") from None
+    if n < least:
+        raise AtlasError(f"{base} needs n >= {least}")
+    return builder(n)
 
 
 def run_all(config: RunConfig | None = None):

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from .errors import ExtensionRequiredError, AtlasError
 from .lie import LieAlgebra, lie_from_point
 from .linalg import (
+    IncrementalSpan,
     Matrix,
     associative_hull_is_full,
     eigen_small,
-    in_span,
     kernel_basis,
     row_space_basis,
     solve_linear,
@@ -148,7 +148,7 @@ def recognize(lie: LieAlgebra) -> LieRecognition:
         if (
             is_nilpotent(lie)
             and len(derived) == 1
-            and in_span(cent, derived[0])
+            and IncrementalSpan(cent).contains(derived[0])
         ):
             return LieRecognition("heisenberg", dims, center_dim=len(cent))
     if dims[-1] == 0:
@@ -181,15 +181,15 @@ def _basis_levi_section(lie: LieAlgebra, radical):
     Catalog algebras always expose their Levi subalgebra on basis vectors; a
     conjugated basis may not, in which case the triple search is unavailable
     (the recognition tag itself never depends on this)."""
-    levi = tuple(
-        i for i in range(lie.dim) if not in_span(radical, lie.basis_vector(i))
-    )
+    rad = IncrementalSpan(radical)
+    levi = tuple(i for i in range(lie.dim) if not rad.contains(lie.basis_vector(i)))
     if len(levi) != 3:
         return ()
     vecs = [lie.basis_vector(i) for i in levi]
+    section = IncrementalSpan(vecs)
     for u in vecs:
         for v in vecs:
-            if not in_span(vecs, lie.bracket(u, v)):
+            if not section.contains(lie.bracket(u, v)):
                 return ()
     return levi
 

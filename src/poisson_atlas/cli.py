@@ -86,10 +86,6 @@ def _parse_expr(pf, text: str):
     return parser.parse_expr(pf.varset, pf.bound)
 
 
-def _box(args) -> SearchBox:
-    return SearchBox(args.box_num, args.box_den)
-
-
 def _matrix_text(m) -> str:
     return "[" + "; ".join(
         "(" + ", ".join(str(x) for x in row) + ")" for row in m.rows

@@ -167,62 +167,40 @@ def rank(rows) -> int:
     return len(rref(rows)[1])
 
 
-def solve_linear(matrix, rhs):
-    """One exact solution of M x = b, or None if inconsistent."""
+def solve_and_kernel(matrix, rhs):
+    """(one exact solution of M x = b or None, kernel basis of M) from one rref."""
     if not matrix:
-        return () if all(Scalar.coerce(v).is_zero for v in rhs) else None
+        return (() if all(Scalar.coerce(v).is_zero for v in rhs) else None), []
     ncols = len(matrix[0])
-    augmented = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    reduced, pivots = rref(augmented)
-    if ncols in pivots:
-        return None
+    reduced, pivots = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if pivots and pivots[-1] == ncols:  # a pivot in b: inconsistent
+        return None, _kernel(reduced, pivots[:-1], ncols)
     solution = [ZERO] * ncols
     for row, c in zip(reduced, pivots):
         solution[c] = row[-1]
-    return tuple(solution)
+    return tuple(solution), _kernel(reduced, pivots, ncols)
 
 
-def solve_and_kernel(matrix, rhs):
-    """(one solution or None, kernel basis) from a single elimination pass."""
-    if not matrix:
-        ok = all(Scalar.coerce(v).is_zero for v in rhs)
-        return (() if ok else None), []
-    ncols = len(matrix[0])
-    augmented = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    reduced, pivots = rref(augmented)
-    solution = None
-    if ncols not in pivots:
-        solution = [ZERO] * ncols
-        for row, c in zip(reduced, pivots):
-            solution[c] = row[-1]
-        solution = tuple(solution)
-    col_pivots = [p for p in pivots if p < ncols]
-    free = [c for c in range(ncols) if c not in col_pivots]
-    kernel = []
-    for f in free:
-        vec = [ZERO] * ncols
-        vec[f] = ONE
-        for row, c in zip(reduced, col_pivots):
-            vec[c] = -row[f]
-        kernel.append(tuple(vec))
-    return solution, kernel
+def solve_linear(matrix, rhs):
+    """One exact solution of M x = b, or None if inconsistent."""
+    return solve_and_kernel(matrix, rhs)[0]
 
 
 def kernel_basis(matrix):
     """Basis of the null space, one vector per free column, pivot-normalized."""
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    reduced, pivots = rref(matrix)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
+    return _kernel(*rref(matrix), len(matrix[0])) if matrix else []
+
+
+def _kernel(reduced, pivots, ncols):
+    """The null space read off an rref: one vector per free column, with 1 there."""
+    kernel = []
+    for f in (c for c in range(ncols) if c not in pivots):
         vec = [ZERO] * ncols
         vec[f] = ONE
         for row, c in zip(reduced, pivots):
             vec[c] = -row[f]
-        basis.append(tuple(vec))
-    return basis
+        kernel.append(tuple(vec))
+    return kernel
 
 
 def row_space_basis(vectors):
@@ -239,7 +217,8 @@ class IncrementalSpan:
         for v in vectors:
             self.add(v)
 
-    def _reduce(self, vec):
+    def reduce(self, vec):
+        """`vec` minus its components along the stored rows (zero at each pivot)."""
         v = list(vec)
         for p in sorted(self.rows):
             if not v[p].is_zero:
@@ -250,7 +229,7 @@ class IncrementalSpan:
 
     def add(self, vec) -> bool:
         """Insert if independent; returns True when the rank grew."""
-        v = self._reduce(vec)
+        v = self.reduce(vec)
         pivot = next((i for i, c in enumerate(v) if not c.is_zero), None)
         if pivot is None:
             return False
@@ -259,7 +238,7 @@ class IncrementalSpan:
         return True
 
     def contains(self, vec) -> bool:
-        return all(c.is_zero for c in self._reduce(vec))
+        return all(c.is_zero for c in self.reduce(vec))
 
     @property
     def rank(self) -> int:
@@ -267,11 +246,6 @@ class IncrementalSpan:
 
     def basis(self):
         return row_space_basis([self.rows[p] for p in sorted(self.rows)])
-
-
-def in_span(vectors, target) -> bool:
-    span = IncrementalSpan(vectors)
-    return span.contains(tuple(target))
 
 
 def associative_hull_is_full(mats, dim: int) -> bool:

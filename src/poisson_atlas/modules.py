@@ -22,7 +22,6 @@ from .linalg import (
     Matrix,
     associative_hull_is_full,
     eigen_small,
-    in_span,
     kernel_basis,
     rank,
     row_space_basis,
@@ -314,10 +313,6 @@ def is_simple(mats, dim: int) -> bool:
     return associative_hull_is_full(list(mats), dim)
 
 
-def is_simple_rep(rep: LieRep) -> bool:
-    return is_simple(rep.mats, rep.dim)
-
-
 def is_simple_module(module: PoissonModule) -> bool:
     return is_simple(module.mats, module.dim)
 
@@ -380,8 +375,9 @@ def analyze_submodules(mats, dim: int, grading: Matrix | None = None) -> Submodu
     for space in all_spaces:
         if not space:
             continue
+        span = IncrementalSpan(space)
         if any(
-            other and len(other) < len(space) and all(in_span(space, v) for v in other)
+            other and len(other) < len(space) and all(span.contains(v) for v in other)
             for other in all_spaces
         ):
             continue
@@ -441,18 +437,11 @@ def restrict_action(mats, basis):
 
 def quotient_action(mats, sub_basis, dim):
     """Action on the quotient by an invariant subspace, with the quotient grading."""
-    reduced = list(row_space_basis(sub_basis))
-    pivots = []
-    for row in reduced:
-        pivots.append(next(i for i, c in enumerate(row) if not c.is_zero))
-    free = [i for i in range(dim) if i not in pivots]
+    sub = IncrementalSpan(sub_basis)
+    free = [i for i in range(dim) if i not in sub.rows]
 
     def reduce_vec(v):
-        v = list(v)
-        for row, p in zip(reduced, pivots):
-            if not v[p].is_zero:
-                factor = v[p]
-                v = [a - factor * b for a, b in zip(v, row)]
+        v = sub.reduce(v)
         return tuple(v[i] for i in free)
 
     out = []

@@ -1,8 +1,12 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from poisson_atlas import catalog_names, get_entry, run_entry
 from poisson_atlas.catalog import RunConfig
 from poisson_atlas.errors import AtlasError
+from poisson_atlas.lie import LieAlgebra
 
 FAST = RunConfig(trials=4)
 
@@ -86,3 +90,43 @@ def test_flagged_notes_present():
     assert any(
         "normalization slip" in n for n in get_entry("kleinian-an(3)").notes
     )
+
+
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "golden.json").read_text()
+)["catalog"]["facts"]
+
+
+def _fact_line(name, result):
+    mark = "pass" if result.ok else "FAIL"
+    detail = f" -- {result.detail}" if result.detail else ""
+    return f"{name}.{result.key} = {mark} [{result.cite}]{detail}"
+
+
+def test_every_fact_line_matches_the_recorded_report():
+    lines = {}
+    for name in catalog_names():
+        for result in run_entry(get_entry(name)).results:
+            lines[f"{name}.{result.key}"] = _fact_line(name, result)
+    assert lines == GOLDEN
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_each_fact_alone_reports_as_in_the_full_run(name):
+    # e.g. torus-so3.homogeneity needs the ideals that ideal_points also uses
+    for fact in get_entry(name).checks:
+        entry = get_entry(name)
+        entry.checks = [c for c in entry.checks if c[0] == fact[0]]
+        (result,) = run_entry(entry, FAST).results
+        assert _fact_line(name, result) == GOLDEN[f"{name}.{fact[0]}"]
+
+
+def test_invariant_consistency_compares_two_routes(monkeypatch):
+    import poisson_atlas.catalog as catalog
+
+    wrong = LieAlgebra.from_brackets(("x", "y", "z"), {("x", "y"): {"x": 1}})
+    monkeypatch.setattr(catalog, "lie_from_invariants", lambda ip: wrong)
+    for name in ("kleinian-a1", "kleinian-an(3)"):
+        report = run_entry(get_entry(name), FAST)
+        failed = [r.key for r in report.results if not r.ok]
+        assert failed == ["invariant_consistency"], name

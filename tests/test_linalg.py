@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisson_atlas.errors import ExtensionRequiredError
 from poisson_atlas.lie import LieAlgebra
@@ -10,7 +12,6 @@ from poisson_atlas.linalg import (
     associative_hull_is_full,
     charpoly,
     eigen_small,
-    in_span,
     kernel_basis,
     rank,
     solve_and_kernel,
@@ -62,6 +63,45 @@ def test_back_substitution_random():
         assert Matrix(rows).apply(sol) == b
         for vec in kern:
             assert all(c.is_zero for c in Matrix(rows).apply(vec))
+
+
+@st.composite
+def _systems(draw):
+    """(M, b) with small integer entries over Q or Q(sqrt(-1)); b is M x0 for a
+    drawn x0 or an independent draw, so both consistent and inconsistent
+    systems occur."""
+    d = draw(st.sampled_from([0, -1]))
+    entry = st.builds(
+        lambda a, b: Scalar(a, b if d else 0, d), st.integers(-3, 3), st.integers(-2, 2)
+    )
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):
+        x0 = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+        b = list(Matrix(rows).apply(x0))
+    else:
+        b = draw(st.lists(entry, min_size=nrows, max_size=nrows))
+    return rows, b
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_systems())
+def test_solution_and_kernel_readouts_agree(system):
+    rows, b = system
+    ncols = len(rows[0])
+    sol, kern = solve_and_kernel(rows, b)
+    assert len(kern) == ncols - rank(rows)
+    assert rank(kern) == len(kern)
+    for vec in kern:
+        assert all(c.is_zero for c in Matrix(rows).apply(vec))
+    assert kernel_basis(rows) == solve_and_kernel(rows, [Scalar(0)] * len(rows))[1]
+    assert solve_linear(rows, b) == sol
+    augmented = [row + [c] for row, c in zip(rows, b)]
+    if sol is None:
+        assert rank(augmented) == rank(rows) + 1
+    else:
+        assert list(Matrix(rows).apply(sol)) == b
 
 
 def test_eigen_diagonal():
@@ -132,7 +172,7 @@ def test_incremental_span():
     assert span.add((Scalar(0), Scalar(1)))
     assert span.rank == 2
     assert span.contains((Scalar(5), Scalar(-7)))
-    assert in_span([(Scalar(1), Scalar(0))], (Scalar(3), Scalar(0)))
+    assert IncrementalSpan([(Scalar(1), Scalar(0))]).contains((Scalar(3), Scalar(0)))
 
 
 def test_hull_density():
