@@ -225,9 +225,6 @@ class SubstitutionMap:
     def target(self) -> VarSet:
         return self.images[0].varset
 
-    def image_of(self, name: str) -> LaurentPoly:
-        return self.images[self.source.index(name)]
-
     def apply(self, p: LaurentPoly) -> LaurentPoly:
         if p.varset != self.source:
             raise VarSetMismatchError("map applied to a foreign polynomial")

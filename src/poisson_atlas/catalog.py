@@ -169,9 +169,17 @@ class Context:
         self._memo = {}
 
     def memo(self, key, compute):
+        """compute() on the first use of key; a value it returns or an
+        exception it raises is kept, and returned or raised again later."""
         if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
+            try:
+                self._memo[key] = (compute(), None)
+            except Exception as exc:
+                self._memo[key] = (None, exc)
+        value, exc = self._memo[key]
+        if exc is not None:
+            raise exc
+        return value
 
     def point(self, at):
         if at is None or isinstance(at, PointP):

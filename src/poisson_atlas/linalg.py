@@ -35,6 +35,13 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @staticmethod
+    def _raw(rows: tuple) -> "Matrix":
+        """Internal: skip validation for a tuple of equal-length tuples of Scalars."""
+        m = object.__new__(Matrix)
+        object.__setattr__(m, "rows", rows)
+        return m
+
+    @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
@@ -55,32 +62,38 @@ class Matrix:
         return self.rows[i][j]
 
     def __add__(self, other):
-        return Matrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
+        return Matrix._raw(tuple(
+            tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)
+        ))
 
     def __sub__(self, other):
-        return Matrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)]
-        )
+        return Matrix._raw(tuple(
+            tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)
+        ))
 
     def __neg__(self):
-        return Matrix([[-a for a in r] for r in self.rows])
+        return Matrix._raw(tuple(tuple(-a for a in r) for r in self.rows))
 
     def scale(self, s) -> "Matrix":
         s = Scalar.coerce(s)
-        return Matrix([[a * s for a in r] for r in self.rows])
+        return Matrix._raw(tuple(tuple(a * s for a in r) for r in self.rows))
 
     def __mul__(self, other):
+        """Matrix product, row by row: row i is sum_l self[i, l] * other.rows[l],
+        with every product that has a zero factor skipped."""
         if isinstance(other, (int, Fraction, Scalar)):
             return self.scale(other)
-        cols = list(zip(*other.rows))
-        return Matrix(
-            [
-                [_dot(row, col) for col in cols]
-                for row in self.rows
-            ]
-        )
+        rows = []
+        for row in self.rows:
+            acc = [ZERO] * other.ncols
+            for a, other_row in zip(row, other.rows):
+                if a.is_zero:
+                    continue
+                for j, b in enumerate(other_row):
+                    if not b.is_zero:
+                        acc[j] = acc[j] + a * b
+            rows.append(tuple(acc))
+        return Matrix._raw(tuple(rows))
 
     def __rmul__(self, s):
         return self.scale(s)
@@ -88,9 +101,6 @@ class Matrix:
     def apply(self, vec):
         """Matrix-vector product on a tuple of Scalars."""
         return tuple(_dot(row, vec) for row in self.rows)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.rows)))
 
     def trace(self) -> Scalar:
         return sum((self.rows[i][i] for i in range(self.nrows)), ZERO)
@@ -114,6 +124,24 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(", ".join(str(a) for a in r) for r in self.rows)
         return f"Matrix[{body}]"
+
+
+def linear_combination(coeffs, mats, nrows: int, ncols: int) -> Matrix:
+    """sum_k coeffs[k] * mats[k] as an nrows x ncols Matrix, built entrywise.
+
+    Equal to summing `m.scale(c)` from the zero matrix; zero coefficients and
+    zero entries are skipped, and the result is constructed once.
+    """
+    acc = [[ZERO] * ncols for _ in range(nrows)]
+    for c, m in zip(coeffs, mats):
+        c = Scalar.coerce(c)
+        if c.is_zero:
+            continue
+        for out, row in zip(acc, m.rows):
+            for j, x in enumerate(row):
+                if not x.is_zero:
+                    out[j] = out[j] + c * x
+    return Matrix._raw(tuple(map(tuple, acc)))
 
 
 def _dot(u, v):

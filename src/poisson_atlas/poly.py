@@ -255,11 +255,58 @@ class LaurentPoly:
         """Constant-and-linear Taylor data at the point.
 
         Returns (value, gradient); the class of p - p(pt) modulo the square of
-        the maximal ideal at pt is sum_k grad[k] * (x_k - pt_k).
+        the maximal ideal at pt is sum_k grad[k] * (x_k - pt_k).  The result
+        equals (p.evaluate(pt), (p.partial(x_k).evaluate(pt) for each k)), but
+        comes from one pass over the terms: a term c * prod_k x_k^e_k adds
+        c * prod_k pt_k^e_k to the value and c * e_k * pt_k^(e_k - 1) *
+        prod_{j != k} pt_j^e_j to grad[k].  Each factor pt_k^e and its
+        derivative e * pt_k^(e - 1) are computed once per call, no derivative
+        polynomial is built, and a term with a zero coordinate to a positive
+        power adds to the gradient only.
         """
-        value = self.evaluate(point)
-        grad = tuple(self.partial(n).evaluate(point) for n in self.varset.names)
-        return value, grad
+        if point.varset != self.varset:
+            raise VarSetMismatchError("point over a different variable set")
+        values = point.values
+        at_zero = [x.is_zero for x in values]
+        cache = {}  # (k, e) -> (k, pt_k^e, e * pt_k^(e - 1)), for pt_k != 0
+        value = ZERO
+        grad = [ZERO] * len(values)
+        for exps, coeff in self.terms.items():
+            factors = []  # cache entries of the nonzero coordinates in the term
+            vanishing = []  # (k, e_k) for a zero coordinate in the term
+            for k, e in enumerate(exps):
+                if not e:
+                    continue
+                if at_zero[k]:
+                    vanishing.append((k, e))
+                    continue
+                factor = cache.get((k, e))
+                if factor is None:
+                    below = values[k] ** (e - 1)
+                    factor = cache[k, e] = (k, below * values[k], below * e)
+                factors.append(factor)
+            if vanishing:
+                # the term is 0 at pt, and so is every partial derivative but
+                # the one along a single zero coordinate of exponent 1
+                if len(vanishing) == 1 and vanishing[0][1] == 1:
+                    d = coeff
+                    for _, pw, _ in factors:
+                        d = d * pw
+                    k = vanishing[0][0]
+                    grad[k] = grad[k] + d
+                continue
+            # prefix[i] = coeff * (the powers of factors[:i]); rest is the
+            # product of the powers of factors[i + 1:]
+            prefix = [coeff]
+            for _, pw, _ in factors:
+                prefix.append(prefix[-1] * pw)
+            value = value + prefix[-1]
+            rest = ONE
+            for i in range(len(factors) - 1, -1, -1):
+                k, pw, slope = factors[i]
+                grad[k] = grad[k] + prefix[i] * rest * slope
+                rest = rest * pw
+        return value, tuple(grad)
 
     def substitute(self, images: dict) -> "LaurentPoly":
         """Substitute each variable by a polynomial (all over one target varset).

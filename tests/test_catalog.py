@@ -130,3 +130,23 @@ def test_invariant_consistency_compares_two_routes(monkeypatch):
         report = run_entry(get_entry(name), FAST)
         failed = [r.key for r in report.results if not r.ok]
         assert failed == ["invariant_consistency"], name
+
+
+def test_a_failing_derived_value_is_computed_once(monkeypatch):
+    import poisson_atlas.catalog as catalog
+
+    calls = []
+
+    def scan(pres, box):
+        calls.append(pres.name)
+        raise RuntimeError("scan unavailable")
+
+    monkeypatch.setattr(catalog, "find_poisson_maximal", scan)
+    report = run_entry(get_entry("torus-so3"), FAST)
+    assert len(calls) == 1
+    error = "error: RuntimeError: scan unavailable"
+    for result in report.results:
+        if result.key in ("ideal_points", "recognition", "homogeneity"):
+            assert (result.ok, result.detail) == (False, error), result.key
+        else:
+            assert _fact_line("torus-so3", result) == GOLDEN[f"torus-so3.{result.key}"]

@@ -13,6 +13,7 @@ from poisson_atlas.linalg import (
     charpoly,
     eigen_small,
     kernel_basis,
+    linear_combination,
     rank,
     solve_and_kernel,
     solve_linear,
@@ -188,3 +189,69 @@ def test_hull_density():
 def test_rank():
     rows = [[Scalar(1), Scalar(2)], [Scalar(2), Scalar(4)], [Scalar(0), Scalar(1)]]
     assert rank(rows) == 2
+
+
+def _entries(d):
+    """Small entries over Q (d = 0) or Q(sqrt(-1)) (d = -1), zero included."""
+    return st.builds(
+        lambda a, b: Scalar(a, b if d else 0, d), st.integers(-3, 3), st.integers(-2, 2)
+    )
+
+
+def _matrices(draw, entry, nrows, ncols):
+    return Matrix(draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                                min_size=nrows, max_size=nrows)))
+
+
+@st.composite
+def _combinations(draw):
+    """(coefficients, matrices, nrows, ncols); coefficients may be ints or 0."""
+    entry = _entries(draw(st.sampled_from([0, -1])))
+    nrows, ncols, k = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    mats = [_matrices(draw, entry, nrows, ncols) for _ in range(k)]
+    coeffs = draw(st.lists(st.one_of(entry, st.integers(-2, 2)), min_size=k, max_size=k))
+    return coeffs, mats, nrows, ncols
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_combinations())
+def test_linear_combination_matches_the_scale_chain(case):
+    coeffs, mats, nrows, ncols = case
+    want = Matrix.zeros(nrows, ncols)
+    for c, m in zip(coeffs, mats):
+        want = want + m.scale(c)
+    got = linear_combination(coeffs, mats, nrows, ncols)
+    assert got == want
+    assert got == Matrix(got.rows)
+
+
+@st.composite
+def _operands(draw):
+    """a, b of one shape, c composable with a, and a scalar s."""
+    entry = _entries(draw(st.sampled_from([0, -1])))
+    r, n, m = (draw(st.integers(1, 4)) for _ in range(3))
+    a, b = _matrices(draw, entry, r, n), _matrices(draw, entry, r, n)
+    return a, b, _matrices(draw, entry, n, m), draw(st.one_of(entry, st.integers(-2, 2)))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_operands())
+def test_matrix_arithmetic_results_are_checked_matrices(case):
+    a, b, c, s = case
+    product = a * c
+    for result in (a + b, a - b, -a, a.scale(s), a * s, s * a, product):
+        assert result == Matrix(result.rows)
+        with pytest.raises(AttributeError):
+            result.rows = ()
+    k = Scalar.coerce(s)
+    for i in range(a.nrows):
+        for j in range(a.ncols):
+            assert (a + b)[i, j] == a[i, j] + b[i, j]
+            assert (a - b)[i, j] == a[i, j] - b[i, j]
+            assert (-a)[i, j] == -a[i, j]
+            assert a.scale(s)[i, j] == (a * s)[i, j] == (s * a)[i, j] == a[i, j] * k
+        for j in range(c.ncols):
+            want = Scalar(0)
+            for l in range(a.ncols):
+                want = want + a[i, l] * c[l, j]
+            assert product[i, j] == want

@@ -411,3 +411,59 @@ def test_distinct_points_never_isomorphic(torus_pres):
         lie = lie_from_point(torus_pres, pt)
         mods.append(lift_module(torus_pres, pt, sl2_irrep(lie, 2, find_sl2_triple(lie))))
     assert poisson_modules_isomorphic(mods[0], mods[1]) is None
+
+
+def _catalog_lift(name, coords, d):
+    from poisson_atlas import get_entry
+
+    pres = get_entry(name).presentation
+    pt = PointP(pres.varset, coords)
+    lie = lie_from_point(pres, pt)
+    return lift_module(pres, pt, sl2_irrep(lie, d, find_sl2_triple(lie)))
+
+
+# (ok, checks, failures) of the default verify run on one +1 perturbation each,
+# as recorded before the failure labels were formatted lazily.
+PINNED_FAILURES = {
+    ("kleinian-a1", (0, 0, 0), 3, (0, 0, 1)): (False, 121, [
+        ("axiom (i)", "(a, b) = (x, y)"),
+        ("axiom (i)", "(a, b) = (x, z)"),
+        ("axiom (i)", "(a, b) = trial 2: (y^2*z + z^3 - 3*y*z + y, 2*x^2 + 3*x + z - 2)"),
+        ("axiom (i)", "(a, b) = trial 12: (-2*y^2 - y, -2*x*y*z + 3*y^2*z + 2*x)"),
+        ("axiom (i)", "(a, b) = trial 21: (2*z^3 + y, x^2*y - x*y^2 + x)"),
+    ]),
+    ("uqsl2-4hom", (0, 0, Scalar(0, 1, -1)), 2, (2, 1, 0)): (False, 121, [
+        ("axiom (i)", "(a, b) = (x, y)"),
+        ("axiom (i)", "(a, b) = (x, z)"),
+        ("axiom (i)", "(a, b) = trial 8: (x, -3*y*z)"),
+        ("axiom (i)", "(a, b) = trial 12: (-z^3 - 2*y*z, 3*y*z^2 - 2*x*z^-1 + 2*z^-1)"),
+        ("axiom (i)", "(a, b) = trial 13: (-x^2*z - 3*x*z^2 - 3*z^3 + x*y, y^2 - 2*z^2)"),
+        ("axiom (i)", "(a, b) = trial 16: (x*z^-1, -x^3 + 2*y^2*z - x + 3*z)"),
+        ("axiom (i)", "(a, b) = trial 18: (-3*y*z^2 + 2*x^2, -x*z^2 + 3*x + z)"),
+        ("axiom (i)", "(a, b) = trial 19: (3*x*z^2 + y^2*z^-1 + 2*y - 2, -y^2*z + z^3 + 1)"),
+        ("axiom (i)", "(a, b) = trial 21: (2*z^2 + x*z^-1, y*z^2 + y^2 - x)"),
+        ("axiom (i)", "(a, b) = trial 23: (-2*x^3*z^-1 + 3*x*z - y^3*z^-1 + 2*y, 3*y - 3*x*z^-1)"),
+        ("axiom (i)", "(a, b) = trial 24: (-2*y + 1, -x*z^-1)"),
+        ("axiom (i)", "(a, b) = trial 25: (-2*x^2*z + 3*z - 3*x*z^-1, 2*x^3 + 3*x*y^2 + 2*z^3 + 2*z)"),
+        ("axiom (i)", "(a, b) = trial 26: (2*y^3 + 2*x^2*y*z^-1 - 2*x*z + x*y*z^-1, "
+                      "-x*z^2 + y^3 + 3*x*y + z)"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_FAILURES), ids=lambda case: case[0])
+def test_verify_failure_reports_are_pinned(case):
+    name, coords, d, (g, r, c) = case
+    report = verify_poisson_axioms(_catalog_lift(name, coords, d).perturbed(g, r, c))
+    assert (report.ok, report.checks, report.failures) == PINNED_FAILURES[case]
+
+
+def test_passing_verify_formats_no_witness(monkeypatch):
+    module = _catalog_lift("uqsl2-4hom", (0, 0, Scalar(0, 1, -1)), 3)
+
+    def no_format(p):
+        raise AssertionError("a witness label was formatted")
+
+    monkeypatch.setattr(LaurentPoly, "__str__", no_format)
+    report = verify_poisson_axioms(module)
+    assert report.ok and report.checks == 121

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_poly
 from poisson_atlas import LaurentPoly, PointP, VarSet, divides, express_in_span
@@ -194,3 +196,48 @@ def test_negative_power_of_non_unit_rejected(xyz_laurent):
         (x + z) ** -1
     with pytest.raises(LaurentViolationError):
         x ** -2  # single term, but x is not Laurent-flagged
+
+
+def test_linear_part_at_zero_coordinates(xyz_laurent):
+    vs, x, y, z = xyz_laurent
+    p = 2 * x * z**-2 + x * y + y * y * z - 3 * x * x + 5 * z
+    # value 5z = 10; d/dx = 2z^-2 + y - 6x, d/dy = x + 2yz, d/dz = -4xz^-3 + y^2 + 5
+    value, grad = p.linear_part(PointP(vs, [0, 0, 2]))
+    assert value == Scalar(10)
+    assert grad == (Scalar(Fraction(1, 2)), Scalar(0), Scalar(5))
+
+
+@st.composite
+def _poly_and_point(draw):
+    """A polynomial and a point over Q or Q(sqrt(-1)) in 1 to 4 variables.
+
+    Laurent variables carry exponents down to -2 and nonzero coordinates; a
+    coordinate of any other variable is 0 half of the time.
+    """
+    d = draw(st.sampled_from([0, -1]))
+    scalar = st.builds(
+        lambda a, b, q: Scalar(Fraction(a, q), Fraction(b, q) if d else 0, d),
+        st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 3),
+    )
+    names = ("x", "y", "z", "w")[: draw(st.integers(1, 4))]
+    laurent = tuple(n for n in names if draw(st.booleans()))
+    vs = VarSet(names, laurent)
+    exps = st.tuples(*(st.integers(-2 if n in laurent else 0, 3) for n in names))
+    p = LaurentPoly(vs, draw(st.dictionaries(exps, scalar, max_size=6)))
+    coords = []
+    for n in names:
+        c = draw(scalar)
+        if n in laurent:
+            c = Scalar(1) if c.is_zero else c
+        elif draw(st.booleans()):
+            c = Scalar(0)
+        coords.append(c)
+    return p, PointP(vs, coords)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_poly_and_point())
+def test_linear_part_matches_the_reference_model(case):
+    p, pt = case
+    want = (p.evaluate(pt), tuple(p.partial(n).evaluate(pt) for n in pt.varset.names))
+    assert p.linear_part(pt) == want
