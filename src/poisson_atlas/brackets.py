@@ -27,32 +27,43 @@ class BracketSpec:
 
 
 @dataclass(frozen=True)
-class Exact(BracketSpec):
+class _PotentialSpec(BracketSpec):
+    """A bracket from a potential on three variables; its three generator
+    brackets are computed on first use and kept per variable set in `_pairs`,
+    a field outside `==`, `hash` and `repr`."""
+
+    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def pair(self, varset, i, j):
+        pairs = self._pairs.get(varset)
+        if pairs is None:
+            pairs = self._pairs[varset] = self._generator_pairs(varset)
+        if (i, j) not in pairs:
+            raise IndexError((i, j))
+        return pairs[(i, j)]
+
+    def _generator_pairs(self, varset):
+        names, f = varset.names, self.potential
+        return {(0, 1): f.partial(names[2]), (1, 2): f.partial(names[0]),
+                (0, 2): -f.partial(names[1])}
+
+
+@dataclass(frozen=True)
+class Exact(_PotentialSpec):
     """{x,y} = df/dz, {y,z} = df/dx, {z,x} = df/dy; f is Poisson-central."""
 
     potential: LaurentPoly
 
-    def pair(self, varset, i, j):
-        names = varset.names
-        f = self.potential
-        if (i, j) == (0, 1):
-            return f.partial(names[2])
-        if (i, j) == (1, 2):
-            return f.partial(names[0])
-        if (i, j) == (0, 2):
-            return -f.partial(names[1])
-        raise IndexError((i, j))
-
 
 @dataclass(frozen=True)
-class Scaled(BracketSpec):
+class Scaled(_PotentialSpec):
     """a * {-, -}_f; still a Poisson bracket on three variables."""
 
     multiplier: LaurentPoly
     potential: LaurentPoly
 
-    def pair(self, varset, i, j):
-        return self.multiplier * Exact(self.potential).pair(varset, i, j)
+    def _generator_pairs(self, varset):
+        return {ij: self.multiplier * p for ij, p in super()._generator_pairs(varset).items()}
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,11 @@ from .linalg import (
     IncrementalSpan,
     Matrix,
     associative_hull_is_full,
+    coordinates,
     eigen_small,
     kernel_basis,
+    restrict_action,
     row_space_basis,
-    solve_linear,
     trace_product,
 )
 from .scalars import Scalar, ZERO, ONE, common_domain
@@ -117,22 +118,6 @@ class LieRecognition:
         return self.tag
 
 
-def _radical_action_matrices(lie: LieAlgebra, radical, complement_vectors):
-    """ad(c)|_radical in radical coordinates, for each complement vector c."""
-    rad_rows = [list(v) for v in radical]
-    mats = []
-    for c in complement_vectors:
-        cols = []
-        for v in radical:
-            image = lie.bracket(c, v)
-            coords = solve_linear([list(col) for col in zip(*rad_rows)], list(image))
-            if coords is None:
-                raise AtlasError("radical is not an ideal")  # pragma: no cover
-            cols.append(coords)
-        mats.append(Matrix(list(zip(*cols))))
-    return mats
-
-
 def recognize(lie: LieAlgebra) -> LieRecognition:
     """Classify the algebra into the catalog shapes, with verified witness data."""
     if lie.dim > 12:
@@ -161,9 +146,8 @@ def recognize(lie: LieAlgebra) -> LieRecognition:
         if lie.dim - len(radical) == 3 and radical:
             # the abelian radical kills itself, so the action of any spanning
             # set of L on it generates the full quotient action
-            action = _radical_action_matrices(
-                lie, radical, [lie.basis_vector(i) for i in range(lie.dim)]
-            )
+            ads = [lie.ad_matrix(lie.basis_vector(i)) for i in range(lie.dim)]
+            action = restrict_action(ads, radical)
             if associative_hull_is_full(action, len(radical)):
                 return LieRecognition(
                     "sl2_semidirect",
@@ -186,12 +170,8 @@ def _basis_levi_section(lie: LieAlgebra, radical):
     if len(levi) != 3:
         return ()
     vecs = [lie.basis_vector(i) for i in levi]
-    section = IncrementalSpan(vecs)
-    for u in vecs:
-        for v in vecs:
-            if not section.contains(lie.bracket(u, v)):
-                return ()
-    return levi
+    closed = coordinates(vecs, [lie.bracket(u, v) for u in vecs for v in vecs])
+    return levi if closed is not None else ()
 
 
 @dataclass(frozen=True)
@@ -247,30 +227,13 @@ def find_sl2_triple(lie: LieAlgebra, recognition: LieRecognition | None = None) 
     else:
         raise AtlasError(f"no sl2-triple for a {rec.describe()} algebra")
     sec_vecs = [lie.basis_vector(i) for i in section]
-    sec_matrix_cols = [list(v) for v in sec_vecs]
-
-    def to_section_coords(vec):
-        return solve_linear([list(r) for r in zip(*sec_matrix_cols)], list(vec))
-
-    def to_lie_coords(sec_vec):
-        out = [ZERO] * lie.dim
-        for c, base in zip(sec_vec, sec_vecs):
-            for k in range(lie.dim):
-                out[k] = out[k] + c * base[k]
-        return tuple(out)
+    to_lie_coords = Matrix(list(zip(*sec_vecs))).apply
 
     last_error = None
     for combo in _candidate_elements(3):
         cand_sec = tuple(combo.get(k, ZERO) for k in range(3))
         cand = to_lie_coords(cand_sec)
-        cols = []
-        for j in range(3):
-            image = lie.bracket(cand, sec_vecs[j])
-            coords = to_section_coords(image)
-            if coords is None:
-                raise AtlasError("section is not a subalgebra")  # pragma: no cover
-            cols.append(coords)
-        ad_sec = Matrix(list(zip(*cols)))
+        ad_sec = restrict_action([lie.ad_matrix(cand)], sec_vecs)[0]
         try:
             eig = eigen_small(ad_sec)
         except ExtensionRequiredError as exc:

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from .brackets import PoissonPresentation, SubstitutionMap, bracket
 from .errors import LieStructureError, NotExpressibleError, NotPoissonMaximalError
 from .ideals import is_poisson_maximal
-from .linalg import Matrix, solve_and_kernel, solve_linear
-from .poly import LaurentPoly, PointP, VarSet, term_sort_key
+from .linalg import Matrix, coordinates, solve_and_kernel, unit_vector
+from .poly import LaurentPoly, PointP, VarSet, support_system
 from .scalars import Scalar, ZERO
 
 
@@ -88,7 +88,7 @@ class LieAlgebra:
         return tuple(a + b + c for a, b, c in zip(term1, term2, term3))
 
     def basis_vector(self, i):
-        return tuple(Scalar(1) if k == i else ZERO for k in range(self.dim))
+        return unit_vector(self.dim, i)
 
     def bracket(self, u, v):
         """[u, v] on coordinate vectors."""
@@ -118,19 +118,18 @@ class LieAlgebra:
         return self.labels.index(label)
 
     def change_basis(self, matrix: Matrix, labels=None) -> "LieAlgebra":
-        """Structure constants in the basis whose vectors are the matrix columns."""
-        n = self.dim
-        cols = [tuple(matrix[i, j] for i in range(n)) for j in range(n)]
-        solve_rows = [list(r) for r in matrix.rows]
-        sc = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                br = self.bracket(cols[i], cols[j])
-                coords = solve_linear(solve_rows, list(br))
-                if coords is None:
-                    raise ValueError("basis matrix is singular")
-                for k in range(n):
-                    sc[i][j][k] = coords[k]
+        """Structure constants in the basis whose vectors are the matrix columns.
+
+        With fewer columns than rows, the columns are the basis of a
+        subalgebra and `labels` names them; ValueError when a bracket of two
+        columns leaves their span.
+        """
+        cols = list(zip(*matrix.rows))
+        coords = coordinates(cols, [self.bracket(u, v) for u in cols for v in cols])
+        if coords is None:
+            raise ValueError("the columns do not span a subalgebra")
+        n = len(cols)
+        sc = [coords[i * n : i * n + n] for i in range(n)]
         return LieAlgebra(labels or self.labels, sc)
 
     def structure_table(self):
@@ -315,13 +314,7 @@ def lie_from_invariants(ip: InvariantPresentation) -> LieAlgebra:
 
 
 def _solve_with_unique_linear_part(target, basis, m, names, pair):
-    monomials = set(target.terms)
-    for b in basis:
-        monomials |= set(b.terms)
-    rows = sorted(monomials, key=term_sort_key)
-    matrix = [[b.terms.get(mono, ZERO) for b in basis] for mono in rows]
-    rhs = [target.terms.get(mono, ZERO) for mono in rows]
-    solution, kernel = solve_and_kernel(matrix, rhs)
+    solution, kernel = solve_and_kernel(*support_system(target, basis))
     if solution is None:
         raise NotExpressibleError(
             f"bracket of ({names[pair[0]]}, {names[pair[1]]}) escapes the "

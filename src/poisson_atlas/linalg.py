@@ -1,17 +1,22 @@
-"""Exact linear algebra over Scalar: elimination, kernels, small eigenproblems.
+"""Exact linear algebra over Scalar: elimination, kernels, subspaces, eigenproblems.
 
 Everything is fraction-free in spirit but implemented directly over the scalar
 field (Q or one quadratic extension); Gaussian elimination with exact pivots
-is both the solver and the verifier here.  eigen_small is capped at dimension
-12 and factors characteristic polynomials over Q plus at most one quadratic
-extension, reporting the discriminant it had to introduce.
+is both the solver and the verifier here.  The subspace routines are
+`coordinates` (every vector's coordinates in a basis, from one rref),
+`restrict_action` (matrices on an invariant subspace, built on it) and
+`closure` (the smallest span holding some seeds and stable under linear maps,
+grown in an IncrementalSpan); the density hull is a closure.  eigen_small is
+capped at dimension 12 and factors characteristic polynomials over Q plus at
+most one quadratic extension, reporting the discriminant it had to introduce.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .errors import ExtensionRequiredError
+from .errors import AtlasError, ExtensionRequiredError
 from .scalars import Scalar, ZERO, ONE, scalar_sqrt, common_domain
 
 
@@ -43,7 +48,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return Matrix._raw(tuple(unit_vector(n, i) for i in range(n)))
 
     @staticmethod
     def zeros(r: int, c: int) -> "Matrix":
@@ -124,6 +129,11 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(", ".join(str(a) for a in r) for r in self.rows)
         return f"Matrix[{body}]"
+
+
+def unit_vector(dim: int, i: int) -> tuple:
+    """The i-th standard basis vector of length dim."""
+    return tuple(ONE if k == i else ZERO for k in range(dim))
 
 
 def linear_combination(coeffs, mats, nrows: int, ncols: int) -> Matrix:
@@ -231,6 +241,33 @@ def _kernel(reduced, pivots, ncols):
     return kernel
 
 
+def coordinates(basis, vectors):
+    """Coordinates of every vector in `basis`, read from one rref of [basis | vectors].
+
+    None when some vector lies outside the span.  For a dependent basis every
+    free coordinate is 0, as `solve_linear` gives.
+    """
+    k = len(basis)
+    reduced, pivots = rref([list(row) for row in zip(*basis, *vectors)])
+    if pivots and pivots[-1] >= k:  # a pivot in a vector column: outside the span
+        return None
+    out = [[ZERO] * k for _ in vectors]
+    for row, c in zip(reduced, pivots):
+        for coords, x in zip(out, row[k:]):
+            coords[c] = x
+    return [tuple(coords) for coords in out]
+
+
+def restrict_action(mats, basis):
+    """Action matrices in the coordinates of an invariant subspace basis."""
+    images = [m.apply(v) for m in mats for v in basis]
+    coords = coordinates(basis, images)
+    if coords is None:
+        raise AtlasError("subspace is not invariant")
+    k = len(basis)
+    return [Matrix._raw(tuple(zip(*coords[i * k : i * k + k]))) for i in range(len(mats))]
+
+
 def row_space_basis(vectors):
     """Canonical (rref) basis of the span; doubles as a subspace signature."""
     reduced, pivots = rref(list(vectors))
@@ -276,31 +313,48 @@ class IncrementalSpan:
         return row_space_basis([self.rows[p] for p in sorted(self.rows)])
 
 
+def closure(seeds, maps) -> IncrementalSpan:
+    """The smallest span holding `seeds` and stable under the linear `maps`.
+
+    Each map takes a vector (a tuple) to a vector of the same length.  Every
+    new vector is mapped in turn, last found first, until the span is stable
+    or fills the whole space.
+    """
+    span = IncrementalSpan()
+    frontier = []
+    for v in map(tuple, seeds):
+        if span.add(v):
+            frontier.append(v)
+    full = len(frontier[0]) if frontier else 0
+    while frontier and span.rank < full:
+        v = frontier.pop()
+        for f in maps:
+            image = f(v)
+            if span.add(image):
+                frontier.append(image)
+    return span
+
+
 def associative_hull_is_full(mats, dim: int) -> bool:
     """Density criterion: the unital algebra generated by `mats` spans End(C^d).
 
     For a module over the complex numbers presented by matrices over Q or
-    Q(sqrt d), simplicity is equivalent to the hull having dimension d^2.
+    Q(sqrt d), simplicity is equivalent to the hull having dimension d^2.  The
+    hull is the closure of I and the generators under X -> Xg and X -> gX,
+    on matrices flattened row by row.
     """
     if dim == 0:
         return False
-    span = IncrementalSpan([Matrix.identity(dim).flat()])
-    frontier = [Matrix.identity(dim)]
 
-    def try_add(mat):
-        if not span.add(mat.flat()):
-            return False
-        frontier.append(mat)
-        return True
+    def square(flat):
+        return Matrix._raw(tuple(flat[i : i + dim] for i in range(0, dim * dim, dim)))
 
-    for m in mats:
-        try_add(m)
-    while frontier and span.rank < dim * dim:
-        mat = frontier.pop()
-        for g in mats:
-            try_add(mat * g)
-            try_add(g * mat)
-    return span.rank == dim * dim
+    maps = []
+    for g in mats:
+        maps.append(lambda x, g=g: (square(x) * g).flat())
+        maps.append(lambda x, g=g: (g * square(x)).flat())
+    seeds = [Matrix.identity(dim)] + list(mats)
+    return closure([m.flat() for m in seeds], maps).rank == dim * dim
 
 
 def charpoly(m: Matrix):
@@ -355,9 +409,7 @@ def _rational_roots(coeffs):
         coeffs = coeffs[:-1]
     if len(coeffs) <= 1:
         return roots, coeffs
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.as_fraction().denominator // _gcd(denom, c.as_fraction().denominator)
+    denom = lcm(*(c.as_fraction().denominator for c in coeffs))
     ints = [int(c.as_fraction() * denom) for c in coeffs]
     lead, const = ints[0], ints[-1]
     candidates = set()
@@ -373,12 +425,6 @@ def _rational_roots(coeffs):
             if len(coeffs) <= 1:
                 return roots, coeffs
     return roots, coeffs
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _quadratic_roots(coeffs):
@@ -449,7 +495,7 @@ def eigen_small(m: Matrix) -> EigenResult:
         candidates = _roots_in_at_most_one_extension(norm_poly)
         roots = []
         work = cp
-        for cand in _unique(candidates):
+        for cand in dict.fromkeys(candidates):  # distinct, in order
             if cand.b != 0 and cand.d != entry_d:
                 continue
             while len(work) > 1 and _poly_eval(work, cand).is_zero:
@@ -486,11 +532,3 @@ def _poly_mul(p, q):
         for j, b in enumerate(q):
             out[i + j] = out[i + j] + a * b
     return out
-
-
-def _unique(values):
-    seen = []
-    for v in values:
-        if v not in seen:
-            seen.append(v)
-    return seen

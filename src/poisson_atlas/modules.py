@@ -5,7 +5,8 @@ point and Lie-wise through the linear part of each element, so the action of
 a polynomial depends only on its constant-and-linear data at the point; the
 restriction construction reads the matrices straight back.  Submodule
 analysis combines an exact density criterion for simplicity with a
-weight-graded enumeration of the submodule lattice for series and socles.
+weight-graded enumeration of the submodule lattice for series and socles; the
+closures, restrictions and coordinate solves it needs are linalg's.
 """
 
 from __future__ import annotations
@@ -21,12 +22,15 @@ from .linalg import (
     IncrementalSpan,
     Matrix,
     associative_hull_is_full,
+    closure,
+    coordinates,
     eigen_small,
     kernel_basis,
     linear_combination,
     rank,
+    restrict_action,
     row_space_basis,
-    solve_linear,
+    unit_vector,
 )
 from .poly import LaurentPoly, PointP
 from .scalars import Scalar, ZERO, ONE
@@ -149,20 +153,13 @@ def sl2_irrep(lie: LieAlgebra, d: int, triple: Sl2Triple, radical=()) -> LieRep:
         if j < d - 1:
             F[j + 1][j] = ONE
     E, H, F = Matrix(E), Matrix(H), Matrix(F)
-    columns = [list(triple.e), list(triple.h), list(triple.f)] + [
-        list(v) for v in radical
-    ]
-    solve_rows = [list(r) for r in zip(*columns)]
-    mats = []
-    for i in range(lie.dim):
-        coords = solve_linear(solve_rows, list(lie.basis_vector(i)))
-        if coords is None:
-            raise AtlasError(
-                f"basis element {lie.labels[i]} outside span(triple, radical)"
-            )
-        ce, ch, cf = coords[0], coords[1], coords[2]
-        mats.append(E.scale(ce) + H.scale(ch) + F.scale(cf))
-    return LieRep(lie, tuple(mats))
+    coords = coordinates(
+        [triple.e, triple.h, triple.f, *radical],
+        [lie.basis_vector(i) for i in range(lie.dim)],
+    )
+    if coords is None:
+        raise AtlasError("Lie basis outside span(triple, radical)")
+    return LieRep(lie, tuple(linear_combination(c[:3], (E, H, F), d, d) for c in coords))
 
 
 def lift_module(pres: PoissonPresentation, pt: PointP, rep: LieRep) -> PoissonModule:
@@ -310,21 +307,6 @@ def verify_poisson_axioms(
 # -- submodule machinery -------------------------------------------------------
 
 
-def _closure(seed, mats):
-    """Canonical basis of the smallest subspace containing seed, stable under mats."""
-    span = IncrementalSpan()
-    frontier = []
-    if span.add(tuple(seed)):
-        frontier.append(tuple(seed))
-    while frontier:
-        v = frontier.pop()
-        for m in mats:
-            image = m.apply(v)
-            if span.add(image):
-                frontier.append(image)
-    return span.basis()
-
-
 def is_simple(mats, dim: int) -> bool:
     """Simplicity over C via the associative-hull density criterion."""
     return associative_hull_is_full(list(mats), dim)
@@ -374,11 +356,11 @@ def analyze_submodules(mats, dim: int, grading: Matrix | None = None) -> Submodu
     else:
         seeds, complete = [], False
     if not complete:
-        unit = [tuple(ONE if k == i else ZERO for k in range(dim)) for i in range(dim)]
-        seeds = seeds + unit
+        seeds = seeds + [unit_vector(dim, i) for i in range(dim)]
+    maps = [m.apply for m in mats]
     closures = []
     for s in seeds:
-        c = _closure(s, mats)
+        c = closure([s], maps).basis()
         if c not in closures:
             closures.append(c)
     # all sums of closures, deduplicated by canonical rref signature
@@ -437,21 +419,6 @@ def is_semisimple(mats, dim: int, grading: Matrix | None = None):
     return analysis.semisimple, analysis.decomposition
 
 
-def restrict_action(mats, basis):
-    """Action matrices in the coordinates of an invariant subspace basis."""
-    cols = [list(col) for col in zip(*[list(v) for v in basis])]
-    out = []
-    for m in mats:
-        new_cols = []
-        for v in basis:
-            coords = solve_linear(cols, list(m.apply(v)))
-            if coords is None:
-                raise AtlasError("subspace is not invariant")
-            new_cols.append(coords)
-        out.append(Matrix(list(zip(*new_cols))))
-    return out
-
-
 def quotient_action(mats, sub_basis, dim):
     """Action on the quotient by an invariant subspace, with the quotient grading."""
     sub = IncrementalSpan(sub_basis)
@@ -463,13 +430,9 @@ def quotient_action(mats, sub_basis, dim):
 
     out = []
     for m in mats:
-        new_cols = [reduce_vec(m.apply(_unit(dim, c))) for c in free]
+        new_cols = [reduce_vec(m.apply(unit_vector(dim, c))) for c in free]
         out.append(Matrix(list(zip(*new_cols))))
     return out, len(free)
-
-
-def _unit(dim, i):
-    return tuple(ONE if k == i else ZERO for k in range(dim))
 
 
 def composition_series(mats, dim: int, grading: Matrix | None = None):
@@ -665,17 +628,8 @@ def poisson_modules_isomorphic(m1: PoissonModule, m2: PoissonModule):
 def lie_rep_restrict(rep: LieRep, vectors, labels) -> LieRep:
     """Restrict a LieRep to the subalgebra spanned by the given L-vectors."""
     vectors = [tuple(v) for v in vectors]
-    n = len(vectors)
-    cols = [list(c) for c in zip(*[list(v) for v in vectors])]
-    sc = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            br = rep.lie.bracket(vectors[i], vectors[j])
-            coords = solve_linear(cols, list(br))
-            if coords is None:
-                raise AtlasError("vectors do not span a subalgebra")
-            for k in range(n):
-                sc[i][j][k] = coords[k]
-    sub = LieAlgebra(labels, sc)
-    mats = tuple(rep.rho(v) for v in vectors)
-    return LieRep(sub, mats)
+    try:
+        sub = rep.lie.change_basis(Matrix(list(zip(*vectors))), labels)
+    except ValueError:
+        raise AtlasError("vectors do not span a subalgebra") from None
+    return LieRep(sub, tuple(rep.rho(v) for v in vectors))

@@ -442,13 +442,18 @@ def express_in_span(target: LaurentPoly, basis) -> tuple | None:
     for b in basis:
         if b.varset != target.varset:
             raise VarSetMismatchError("basis over a different variable set")
+    return solve_linear(*support_system(target, basis))
+
+
+def support_system(target: LaurentPoly, basis):
+    """(matrix, rhs) of sum c_i * basis_i == target, one row per monomial of
+    the union of the supports, the monomials in term order."""
     monomials = set(target.terms)
     for b in basis:
         monomials |= set(b.terms)
     rows = sorted(monomials, key=term_sort_key)
     matrix = [[b.terms.get(m, ZERO) for b in basis] for m in rows]
-    rhs = [target.terms.get(m, ZERO) for m in rows]
-    return solve_linear(matrix, rhs)
+    return matrix, [target.terms.get(m, ZERO) for m in rows]
 
 
 def divides(divisor: LaurentPoly, p: LaurentPoly):

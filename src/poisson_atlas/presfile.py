@@ -271,21 +271,26 @@ class _Parser:
 
     # -- clauses -----------------------------------------------------------------
 
-    def parse_varlist(self):
+    def name_list(self):
         names = [self.expect_name().text]
         while self.at(","):
             self.next()
             names.append(self.expect_name().text)
+        return names
+
+    def parse_varset(self, names, tok) -> VarSet:
+        """`names` with the optional `laurent(...)` list that follows them; a
+        repeated or unknown name is reported at `tok`."""
         laurent = []
         if self.at("laurent"):
             self.next()
             self.expect("(")
-            laurent.append(self.expect_name().text)
-            while self.at(","):
-                self.next()
-                laurent.append(self.expect_name().text)
+            laurent = self.name_list()
             self.expect(")")
-        return names, laurent
+        try:
+            return VarSet(tuple(names), tuple(laurent))
+        except ValueError as exc:
+            raise ParseError(str(exc), tok.line, tok.col) from None
 
     def parse_bracket(self, varset, env):
         tok = self.peek()
@@ -349,12 +354,8 @@ class _Parser:
         if tok.text != "vars":
             raise ParseError("file must start with a vars clause", tok.line, tok.col)
         self.next()
-        names, laurent = self.parse_varlist()
+        varset = self.parse_varset(self.name_list(), tok)
         self.expect(";")
-        try:
-            varset = VarSet(tuple(names), tuple(laurent))
-        except ValueError as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from None
         env: dict = {}
         spec = None
         relations, points = [], []
@@ -410,23 +411,12 @@ class _Parser:
         )
 
     def parse_embed(self, varset, env) -> EmbedClause:
-        name = self.expect_name().text
+        name_tok = self.expect_name()
+        name = name_tok.text
         self.expect("(")
-        sub_names = [self.expect_name().text]
-        while self.at(","):
-            self.next()
-            sub_names.append(self.expect_name().text)
+        sub_names = self.name_list()
         self.expect(")")
-        sub_laurent = []
-        if self.at("laurent"):
-            self.next()
-            self.expect("(")
-            sub_laurent.append(self.expect_name().text)
-            while self.at(","):
-                self.next()
-                sub_laurent.append(self.expect_name().text)
-            self.expect(")")
-        sub_varset = VarSet(tuple(sub_names), tuple(sub_laurent))
+        sub_varset = self.parse_varset(sub_names, name_tok)
         self.expect("{")
         images = {}
         sub_bracket = None
@@ -452,7 +442,9 @@ class _Parser:
         self.expect("}")
         missing = [n for n in sub_names if n not in images]
         if missing:
-            raise ParseError(f"embed {name} misses images for {missing}", 0, 0)
+            raise ParseError(
+                f"embed {name} misses images for {missing}", name_tok.line, name_tok.col
+            )
         return EmbedClause(
             name, sub_varset, images, sub_bracket, tuple(sub_relations), sub_env
         )
@@ -531,40 +523,43 @@ def _scalar_text(s: Scalar) -> str:
     return f"({text})" if (s.a != 0 or b < 0) else text
 
 
+def _bracket_clause(spec, varset, embed=False) -> str:
+    """The bracket clause of `spec`: in a file it binds f and a and writes a
+    table one row per line, in an embed it binds F and A on one line.  A spec
+    other than exact, scaled or table is written as the table of its
+    generator brackets."""
+    f, a = ("F", "A") if embed else ("f", "a")
+    if isinstance(spec, Exact):
+        return f"bracket exact {f} = {poly_text(spec.potential)};"
+    if isinstance(spec, Scaled):
+        return (
+            f"bracket scaled {a} = {poly_text(spec.multiplier)}; "
+            f"{f} = {poly_text(spec.potential)};"
+        )
+    n, names = len(varset), varset.names
+    entries = spec.entries if isinstance(spec, Table) else [
+        (i, j, spec.pair(varset, i, j)) for i in range(n) for j in range(i + 1, n)
+    ]
+    rows = [
+        f"[{names[i]},{names[j]}] = {poly_text(poly)};"
+        for i, j, poly in entries
+        if not poly.is_zero
+    ]
+    if embed:
+        return " ".join(["bracket table {", *rows, "};"])
+    return "\n  ".join(["bracket table {", *rows]) + "\n};"
+
+
+def _laurent_text(varset) -> str:
+    flagged = [n for n, f in zip(varset.names, varset.laurent) if f]
+    return f" laurent({', '.join(flagged)})" if flagged else ""
+
+
 def serialize_presentation(pf: PresentationFile) -> str:
     """Render a PresentationFile back to clause text (round-trips by parse)."""
     lines = []
-    vars_line = "vars " + ", ".join(pf.varset.names)
-    flagged = [n for n, f in zip(pf.varset.names, pf.varset.laurent) if f]
-    if flagged:
-        vars_line += f" laurent({', '.join(flagged)})"
-    lines.append(vars_line + ";")
-    spec = pf.bracket_spec
-    if isinstance(spec, Exact):
-        lines.append(f"bracket exact f = {poly_text(spec.potential)};")
-    elif isinstance(spec, Scaled):
-        lines.append(
-            f"bracket scaled a = {poly_text(spec.multiplier)}; f = {poly_text(spec.potential)};"
-        )
-    else:
-        rows = []
-        if isinstance(spec, Table):
-            entries = spec.entries
-        else:  # KirillovKostant and friends expose a pair table
-            n = len(pf.varset)
-            entries = [
-                (i, j, spec.pair(pf.varset, i, j))
-                for i in range(n)
-                for j in range(i + 1, n)
-            ]
-        for i, j, poly in entries:
-            if not poly.is_zero:
-                rows.append(
-                    f"  [{pf.varset.names[i]},{pf.varset.names[j]}] = {poly_text(poly)};"
-                )
-        lines.append("bracket table {")
-        lines.extend(rows)
-        lines.append("};")
+    lines.append(f"vars {', '.join(pf.varset.names)}{_laurent_text(pf.varset)};")
+    lines.append(_bracket_clause(pf.bracket_spec, pf.varset))
     for r in pf.relations:
         lines.append(f"relation {poly_text(r)};")
     for pt in pf.points:
@@ -576,19 +571,11 @@ def serialize_presentation(pf: PresentationFile) -> str:
         )
         lines.append(f"auto {name} {{ {body} }};")
     for name, embed in pf.embeds.items():
-        head = f"embed {name}(" + ", ".join(embed.sub_varset.names) + ")"
-        flagged = [n for n, f in zip(embed.sub_varset.names, embed.sub_varset.laurent) if f]
-        if flagged:
-            head += f" laurent({', '.join(flagged)})"
+        sub = embed.sub_varset
+        head = f"embed {name}({', '.join(sub.names)}){_laurent_text(sub)}"
         body = []
         if embed.sub_bracket is not None:
-            if isinstance(embed.sub_bracket, Exact):
-                body.append(f"bracket exact F = {poly_text(embed.sub_bracket.potential)};")
-            elif isinstance(embed.sub_bracket, Scaled):
-                body.append(
-                    f"bracket scaled A = {poly_text(embed.sub_bracket.multiplier)}; "
-                    f"F = {poly_text(embed.sub_bracket.potential)};"
-                )
+            body.append(_bracket_clause(embed.sub_bracket, embed.sub_varset, embed=True))
         for r in embed.sub_relations:
             body.append(f"relation {poly_text(r)};")
         for v in embed.sub_varset.names:

@@ -119,6 +119,31 @@ def test_parse_error_exit_code(tmp_path):
     assert code == 2
 
 
+def test_bad_embed_head_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.pat"
+    bad.write_text("vars x, y; bracket table { [x,y] = x; }; embed e(u, u) { u -> x; };")
+    code, out = run(["ideals", str(bad)])
+    assert code == 2
+    assert "parse error: line 1, col 48: duplicate variable names" in capsys.readouterr().err
+
+
+def test_restrict_along_a_reserialized_table_embed(tmp_path):
+    from poisson_atlas import parse_presentation, serialize_presentation
+
+    text = (
+        "vars x, y; bracket table { [x,y] = x; }; point (0, 0);"
+        "embed e(u, v) { bracket table { [u,v] = u; }; u -> x; v -> y; };"
+    )
+    path = tmp_path / "table.pat"
+    path.write_text(serialize_presentation(parse_presentation(text)))
+    code, out = run(
+        ["restrict", str(path), "--embed", "e", "--point", "(0,0)", "--dim", "1",
+         "--character", "0, 1", "--format", "machine"]
+    )
+    assert code == 0
+    assert "sub.point = (0, 0)" in out
+
+
 def test_solvable_point_needs_dim_one(tmp_path):
     path = tmp_path / "an3.pat"
     path.write_text("vars x, y, z; bracket exact f = z^3 - x*y;")

@@ -1,6 +1,14 @@
 import pytest
 
-from poisson_atlas import Scaled, parse_presentation, serialize_presentation
+from poisson_atlas import (
+    KirillovKostant,
+    LaurentPoly,
+    Scaled,
+    catalog_names,
+    get_entry,
+    parse_presentation,
+    serialize_presentation,
+)
 from poisson_atlas.brackets import Exact
 from poisson_atlas.errors import ParseError
 from poisson_atlas.scalars import Scalar
@@ -110,22 +118,78 @@ def test_serialize_round_trip():
     assert pf2.grading == pf.grading
 
 
-def test_catalog_entries_serialize_and_reparse():
-    from poisson_atlas import get_entry
+WRONG_RING = pytest.mark.xfail(
+    strict=True, raises=ParseError, reason="ROADMAP item 1: embed written in the wrong ring"
+)
 
-    for name in ("torus-so3", "kleinian-a1", "uqsl2", "whitney"):
-        entry = get_entry(name)
-        pf = entry.presentation_file()
-        text = serialize_presentation(pf)
-        pf2 = parse_presentation(text)
-        assert pf2.varset == pf.varset
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        pytest.param(n, marks=WRONG_RING) if n in ("c-theta", "d-phi") else n
+        for n in catalog_names()
+    ],
+)
+def test_catalog_entries_serialize_and_reparse(name):
+    pf = get_entry(name).presentation_file()
+    text = serialize_presentation(pf)
+    pf2 = parse_presentation(text)
+    assert serialize_presentation(pf2) == text
+    assert pf2.varset == pf.varset
+    if not isinstance(pf.bracket_spec, KirillovKostant):  # written as its table
         assert pf2.bracket_spec == pf.bracket_spec
-        assert pf2.points == pf.points
-        for auto in pf.autos:
-            assert pf2.autos[auto].images == pf.autos[auto].images
-        for emb in pf.embeds:
-            assert pf2.embeds[emb].images == pf.embeds[emb].images
-            assert pf2.embeds[emb].sub_bracket == pf.embeds[emb].sub_bracket
+    assert pf2.presentation().pair_table() == pf.presentation().pair_table()
+    assert pf2.points == pf.points
+    for auto in pf.autos:
+        assert pf2.autos[auto].images == pf.autos[auto].images
+    for emb in pf.embeds:
+        assert pf2.embeds[emb].images == pf.embeds[emb].images
+        assert pf2.embeds[emb].sub_bracket == pf.embeds[emb].sub_bracket
+
+
+TABLE_EMBED = """vars x, y;
+bracket table { [x,y] = x; };
+point (0, 0);
+embed e(u, v) { bracket table { [u,v] = u; }; u -> x; v -> y; };
+"""
+
+
+def test_embed_table_bracket_round_trip():
+    pf = parse_presentation(TABLE_EMBED)
+    text = serialize_presentation(pf)
+    pf2 = parse_presentation(text)
+    assert serialize_presentation(pf2) == text
+    assert pf2.embeds["e"].sub_bracket == pf.embeds["e"].sub_bracket
+    assert pf2.embeds["e"].sub_presentation().pair_table() == {
+        (0, 1): LaurentPoly.variable(pf2.embeds["e"].sub_varset, "u")
+    }
+
+
+@pytest.mark.parametrize(
+    "head, message",
+    [("e(u, u)", "duplicate variable names"), ("e(u, v) laurent(w)", "unknown variables")],
+    ids=["repeated", "unknown-laurent"],
+)
+def test_bad_embed_head_is_located(head, message):
+    text = f"vars x, y;\nbracket table {{ [x,y] = x; }};\nembed {head} {{ u -> x; v -> y; }};"
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert (err.value.line, err.value.column) == (3, 7)
+    assert message in str(err.value)
+
+
+def test_missing_embed_image_points_at_the_embed_name():
+    text = "vars x, y;\nbracket table { [x,y] = x; };\n  embed e(u, v) { u -> x; };"
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert (err.value.line, err.value.column) == (3, 9)
+    assert "misses images for ['v']" in str(err.value)
+
+
+def test_repeated_variable_is_located():
+    with pytest.raises(ParseError) as err:
+        parse_presentation("vars x, x;")
+    assert (err.value.line, err.value.column) == (1, 1)
 
 
 def test_missing_bracket_clause():

@@ -1,0 +1,351 @@
+"""Reference tests for the subspace routines of linalg: coordinates,
+restrict_action, closure, the density hull, and LieAlgebra.change_basis on a
+subalgebra.  The references are the per-vector `solve_linear` loops these
+routines replaced, and brute-force spans of words."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from poisson_atlas.errors import AtlasError
+from poisson_atlas.lie import LieAlgebra
+from poisson_atlas.linalg import (
+    Matrix,
+    associative_hull_is_full,
+    closure,
+    coordinates,
+    rank,
+    restrict_action,
+    row_space_basis,
+    solve_linear,
+)
+from poisson_atlas.modules import lie_rep_restrict, sl2_irrep
+from poisson_atlas.classify import find_sl2_triple
+from poisson_atlas.scalars import Scalar
+
+SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+SL2 = LieAlgebra.from_brackets(
+    ("e", "h", "f"),
+    {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1}},
+)
+HEIS = LieAlgebra.from_brackets(("p", "q", "c"), {("p", "q"): {"c": 1}})
+# sl2 acting on its 2-dimensional simple module span(v1, v2), v1 of weight 1
+SL2_V2 = LieAlgebra.from_brackets(
+    ("e", "h", "f", "v1", "v2"),
+    {
+        ("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1},
+        ("e", "v2"): {"v1": 1}, ("f", "v1"): {"v2": 1},
+        ("h", "v1"): {"v1": 1}, ("h", "v2"): {"v2": -1},
+    },
+)
+
+
+# -- references: the per-vector loops the linalg routines replaced -------------
+
+
+def coordinates_reference(basis, vectors):
+    rows = [list(r) for r in zip(*basis)]
+    out = [solve_linear(rows, list(v)) for v in vectors]
+    return None if any(c is None for c in out) else out
+
+
+def restrict_action_reference(mats, basis):
+    cols = [list(col) for col in zip(*[list(v) for v in basis])]
+    out = []
+    for m in mats:
+        new_cols = []
+        for v in basis:
+            coords = solve_linear(cols, list(m.apply(v)))
+            if coords is None:
+                raise AtlasError("subspace is not invariant")
+            new_cols.append(coords)
+        out.append(Matrix(list(zip(*new_cols))))
+    return out
+
+
+def structure_constants_reference(lie, vectors):
+    """The structure constants of span(vectors), one solve per bracket."""
+    n = len(vectors)
+    cols = [list(c) for c in zip(*vectors)]
+    sc = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            coords = solve_linear(cols, list(lie.bracket(vectors[i], vectors[j])))
+            if coords is None:
+                return None
+            sc[i][j] = coords
+    return sc
+
+
+def words_span(seeds, mats, dim):
+    """rref of every word of length <= dim in `mats` applied to the seeds."""
+    level = [tuple(s) for s in seeds]
+    words = list(level)
+    for _ in range(dim):
+        level = [m.apply(v) for v in level for m in mats]
+        words.extend(level)
+    return row_space_basis(words)
+
+
+def inverse(p: Matrix) -> Matrix:
+    n = p.nrows
+    unit = [[Scalar(int(i == j)) for i in range(n)] for j in range(n)]
+    return Matrix(list(zip(*coordinates_reference(list(zip(*p.rows)), unit))))
+
+
+# -- strategies ------------------------------------------------------------------
+
+
+def _entries(d):
+    """Small entries over Q (d = 0) or Q(sqrt(-1)) (d = -1), zero included."""
+    return st.builds(
+        lambda a, b: Scalar(a, b if d else 0, d), st.integers(-3, 3), st.integers(-2, 2)
+    )
+
+
+def _vector(draw, entry, n):
+    return tuple(draw(st.lists(entry, min_size=n, max_size=n)))
+
+
+def _combination(draw, entry, vectors, n):
+    out = [Scalar(0)] * n
+    for v in vectors:
+        c = draw(entry)
+        out = [a + c * b for a, b in zip(out, v)]
+    return tuple(out)
+
+
+def _matrix(draw, entry, n):
+    return Matrix([_vector(draw, entry, n) for _ in range(n)])
+
+
+def _invertible(draw, entry, n):
+    p = _matrix(draw, entry, n)
+    while rank([list(r) for r in p.rows]) < n:
+        p = p + Matrix.identity(n)
+    return p
+
+
+@st.composite
+def _bases_and_vectors(draw):
+    """A basis (sometimes dependent) of a subspace of an n-space, and vectors
+    each inside its span or drawn freely (then usually outside it)."""
+    entry = _entries(draw(st.sampled_from([0, -1])))
+    n, k, m = draw(st.integers(1, 5)), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    basis = [_vector(draw, entry, n) for _ in range(k)]
+    if basis and draw(st.booleans()):
+        basis.append(_combination(draw, entry, basis, n))
+    vectors = [
+        _combination(draw, entry, basis, n) if draw(st.booleans()) else _vector(draw, entry, n)
+        for _ in range(m)
+    ]
+    return basis, vectors
+
+
+@st.composite
+def _with_invariant_subspace(draw):
+    """Matrices P B_i P^-1 with B_i block upper triangular (top-left block k x k),
+    the first k columns of P spanning an invariant subspace; sometimes a
+    basis that is not invariant instead."""
+    entry = _entries(draw(st.sampled_from([0, -1])))
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    p = _invertible(draw, entry, n)
+    p_inv = inverse(p)
+    mats = []
+    for _ in range(draw(st.integers(1, 3))):
+        b = [list(r) for r in _matrix(draw, entry, n).rows]
+        for i in range(k, n):
+            for j in range(k):
+                b[i][j] = Scalar(0)
+        mats.append(p * Matrix(b) * p_inv)
+    basis = list(zip(*p.rows))[:k]
+    if draw(st.booleans()):
+        basis = [_vector(draw, entry, n) for _ in range(k)]
+    return mats, basis
+
+
+# -- coordinates -----------------------------------------------------------------
+
+
+@SETTINGS
+@given(_bases_and_vectors())
+def test_coordinates_match_one_solve_per_vector(case):
+    basis, vectors = case
+    got = coordinates(basis, vectors)
+    assert got == coordinates_reference(basis, vectors)
+    n = len((basis + vectors)[0]) if basis + vectors else 0
+    outside = rank(basis + vectors) > rank(basis) if basis else any(
+        not c.is_zero for v in vectors for c in v
+    )
+    assert (got is None) == outside
+    if got is not None:
+        for v, coords in zip(vectors, got):
+            recombined = [Scalar(0)] * n
+            for c, b in zip(coords, basis):
+                recombined = [a + c * x for a, x in zip(recombined, b)]
+            assert tuple(recombined) == v
+
+
+def test_coordinates_dependent_basis_and_outside_vector():
+    one, zero = Scalar(1), Scalar(0)
+    basis = [(one, zero), (Scalar(2), zero)]
+    assert coordinates(basis, [(Scalar(3), zero)]) == [(Scalar(3), zero)]
+    assert coordinates(basis, [(Scalar(3), zero), (zero, one)]) is None
+    assert coordinates([], [(zero, zero)]) == [()]
+    assert coordinates([], [(one, zero)]) is None
+
+
+# -- restrict_action -------------------------------------------------------------
+
+
+@SETTINGS
+@given(_with_invariant_subspace())
+def test_restrict_action_matches_one_solve_per_image(case):
+    mats, basis = case
+    try:
+        want = restrict_action_reference(mats, basis)
+    except AtlasError:
+        with pytest.raises(AtlasError):
+            restrict_action(mats, basis)
+        return
+    got = restrict_action(mats, basis)
+    assert got == want
+    assert all(m == Matrix(m.rows) for m in got)
+
+
+# -- closure ---------------------------------------------------------------------
+
+
+@st.composite
+def _closure_cases(draw):
+    """Seeds and matrices on an n-space; block triangular matrices half the
+    time, so proper closures occur."""
+    entry = _entries(draw(st.sampled_from([0, -1])))
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    mats = []
+    for _ in range(draw(st.integers(0, 3))):
+        b = [list(r) for r in _matrix(draw, entry, n).rows]
+        if draw(st.booleans()):
+            for i in range(k, n):
+                for j in range(k):
+                    b[i][j] = Scalar(0)
+        mats.append(Matrix(b))
+    seeds = [_vector(draw, entry, n) for _ in range(draw(st.integers(1, 2)))]
+    return seeds, mats, n
+
+
+@SETTINGS
+@given(_closure_cases())
+def test_closure_is_the_span_of_all_words(case):
+    seeds, mats, n = case
+    span = closure(seeds, [m.apply for m in mats])
+    assert span.basis() == words_span(seeds, mats, n)
+
+
+def test_closure_without_maps_or_seeds():
+    one, zero = Scalar(1), Scalar(0)
+    assert closure([(one, zero), (Scalar(2), zero)], []).basis() == ((one, zero),)
+    assert closure([], []).rank == 0
+    assert closure([(zero, zero)], [lambda v: v]).rank == 0
+
+
+# -- density hull ----------------------------------------------------------------
+
+
+def irrep(d):
+    return sl2_irrep(SL2, d, find_sl2_triple(SL2)).mats
+
+
+def block(a, b, c):
+    """[[a, c], [0, b]] from blocks of sizes p x p, q x q and p x q."""
+    top = [tuple(ra) + tuple(rc) for ra, rc in zip(a.rows, c.rows)]
+    bottom = [(Scalar(0),) * a.nrows + tuple(rb) for rb in b.rows]
+    return Matrix(top + bottom)
+
+
+@st.composite
+def _modules(draw):
+    """(matrices, dim, simple?): an sl2 irrep, a direct sum of two, or an
+    extension of one by another with a random corner; in a random basis."""
+    entry = _entries(draw(st.sampled_from([0, -1])))
+    shape = draw(st.sampled_from(["irrep", "sum", "extension"]))
+    p_dim = draw(st.integers(1, 3))
+    if shape == "irrep":
+        mats, dim = irrep(p_dim), p_dim
+    else:
+        q_dim = draw(st.integers(1, 2))
+        corner = [
+            Matrix([_vector(draw, entry, q_dim) for _ in range(p_dim)])
+            if shape == "extension"
+            else Matrix.zeros(p_dim, q_dim)
+            for _ in range(3)
+        ]
+        mats = [block(a, b, c) for a, b, c in zip(irrep(p_dim), irrep(q_dim), corner)]
+        dim = p_dim + q_dim
+    p = _invertible(draw, entry, dim)
+    p_inv = inverse(p)
+    return mats, [p_inv * m * p for m in mats], dim, shape == "irrep"
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_modules())
+def test_hull_decides_simplicity_in_any_basis(case):
+    mats, conjugated, dim, simple = case
+    assert associative_hull_is_full(mats, dim) is simple
+    assert associative_hull_is_full(conjugated, dim) is simple
+
+
+# -- change_basis on a subalgebra ------------------------------------------------
+
+
+def generated_subalgebra(lie, vectors):
+    span = row_space_basis(vectors)
+    while True:
+        grown = row_space_basis(list(span) + [lie.bracket(u, v) for u in span for v in span])
+        if len(grown) == len(span):
+            return list(span)
+        span = grown
+
+
+@st.composite
+def _subalgebras(draw):
+    """A Lie algebra in a random basis and vectors in it: the basis of the
+    subalgebra some drawn vectors generate, or the drawn vectors themselves."""
+    entry = _entries(draw(st.sampled_from([0, -1])))
+    lie = draw(st.sampled_from([SL2, HEIS, SL2_V2]))
+    lie = lie.change_basis(_invertible(draw, entry, lie.dim))
+    drawn = [_vector(draw, entry, lie.dim) for _ in range(draw(st.integers(1, 3)))]
+    if not any(not c.is_zero for v in drawn for c in v):
+        drawn = [lie.basis_vector(0)]
+    if draw(st.booleans()):
+        return lie, generated_subalgebra(lie, drawn)
+    return lie, list(row_space_basis(drawn))
+
+
+@SETTINGS
+@given(_subalgebras())
+def test_change_basis_on_a_subalgebra_matches_one_solve_per_bracket(case):
+    lie, vectors = case
+    labels = tuple(f"s{i}" for i in range(len(vectors)))
+    columns = Matrix(list(zip(*vectors)))
+    sc = structure_constants_reference(lie, vectors)
+    if sc is None:
+        with pytest.raises(ValueError):
+            lie.change_basis(columns, labels)
+        return
+    sub = lie.change_basis(columns, labels)
+    assert sub == LieAlgebra(labels, sc)
+
+
+def test_lie_rep_restrict_keeps_its_error():
+    rep = sl2_irrep(SL2, 2, find_sl2_triple(SL2))
+    e, h, f = (SL2.basis_vector(i) for i in range(3))
+    borel = lie_rep_restrict(rep, [e, h], ("e", "h"))
+    assert borel.lie.bracket(borel.lie.basis_vector(1), borel.lie.basis_vector(0)) == (
+        Scalar(2), Scalar(0),
+    )
+    with pytest.raises(AtlasError):
+        lie_rep_restrict(rep, [e, f], ("e", "f"))
