@@ -56,7 +56,6 @@ from .modules import (
     PoissonModule,
     analyze_submodules,
     composition_series,
-    is_semisimple,
     is_simple_module,
     lie_reps_isomorphic,
     lift_module,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import LieStructureError, VarSetMismatchError
-from .poly import LaurentPoly, VarSet, divides
+from .poly import LaurentPoly, PointP, VarSet, divides
 from .scalars import Scalar
 
 
@@ -240,6 +240,10 @@ class SubstitutionMap:
         if p.varset != self.source:
             raise VarSetMismatchError("map applied to a foreign polynomial")
         return p.substitute(dict(zip(self.source.names, self.images)))
+
+    def pull_point(self, pt: PointP) -> PointP:
+        """The point p with a(p) = self(a)(pt): ideal(p) is self^-1(ideal(pt))."""
+        return PointP(self.source, [img.evaluate(pt) for img in self.images])
 
     def compose(self, inner: "SubstitutionMap") -> "SubstitutionMap":
         """self o inner (apply inner first)."""

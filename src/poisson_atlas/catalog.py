@@ -543,9 +543,7 @@ def _entry_kleinian_a1() -> CatalogEntry:
             restricted = restrict_to_subalgebra(ctx.lift(ORIGIN, d), emb, sub)
             if restricted.point != _pt(svs, ORIGIN):
                 return False, "sub-point is not the origin"
-            analysis = analyze_submodules(
-                restricted.mats, d, grading=restricted.mats[2]
-            )
+            analysis = analyze_submodules(restricted.mats, d)
             if analysis.semisimple is not True or [
                 len(s) for s in analysis.decomposition
             ] != [1] * d:
@@ -612,8 +610,7 @@ def _entry_torus() -> CatalogEntry:
         for (name, auto), want in zip(autos.items(), five[2:]):
             if not verify_poisson_map(auto, pres, pres).ok:
                 return False, f"{name} is not Poisson"
-            moved = PointP(vs, [img.evaluate(ctx.point(j2)) for img in auto.images])
-            if moved != ctx.point(want):
+            if auto.pull_point(ctx.point(j2)) != ctx.point(want):
                 return False, f"{name}(J2) is not as displayed"
         return True, "theta_x, theta_y, theta_z are Poisson and permute the ideals"
 
@@ -977,10 +974,7 @@ def _entry_d_phi() -> CatalogEntry:
             (2, 0, 0): (0, 2, 0),
             (-2, 0, 0): (0, 2, 0),
         }
-        ok = all(
-            PointP(dvs, [img.evaluate(_pt(cvs, c)) for img in emb.images]) == _pt(dvs, want)
-            for c, want in images.items()
-        )
+        ok = all(emb.pull_point(_pt(cvs, c)) == _pt(dvs, want) for c, want in images.items())
         return ok, "I-points project to the L4-point, L-points to the L3-point"
 
     return _entry(
@@ -1087,12 +1081,11 @@ def _entry_weyl_a2() -> CatalogEntry:
 
     def prop52(ctx, cfg):
         rep = m5(ctx)
-        g3_mat = rep.mats[2]
-        if _eig_multiset(g3_mat) != _expect_eigs([-2, -1, 0, 1, 2]):
+        if _eig_multiset(rep.mats[2]) != _expect_eigs([-2, -1, 0, 1, 2]):
             return False, "g3 grading spectrum is not {-2..2}"
-        analysis = analyze_submodules(rep.mats, 5, grading=g3_mat)
+        analysis = analyze_submodules(rep.mats, 5)
         proper = analysis.proper_nonzero()
-        series = composition_series(rep.mats, 5, g3_mat)
+        series = composition_series(rep.mats, 5)
         ok = (
             len(proper) == 1
             and len(proper[0]) == 3
@@ -1109,7 +1102,7 @@ def _entry_weyl_a2() -> CatalogEntry:
             [rep.lie.basis_vector(i) for i in range(3)],
             ("g1", "g2", "g3"),
         )
-        analysis = analyze_submodules(sub.mats, 5, grading=rep.mats[2])
+        analysis = analyze_submodules(sub.mats, 5)
         dims = sorted(len(s) for s in (analysis.decomposition or []))
         return (
             analysis.semisimple is True and dims == [2, 3],

@@ -71,18 +71,9 @@ def derived_subalgebra(lie: LieAlgebra):
     return _bracket_span(lie, basis, basis)
 
 
-def center(lie: LieAlgebra):
-    """Basis of the center, via the kernel of the stacked ad matrices."""
-    rows = []
-    for i in range(lie.dim):
-        ad = lie.ad_matrix(lie.basis_vector(i))
-        rows.extend(ad.rows)
-    return kernel_basis(rows)
-
-
-def killing_matrix(lie: LieAlgebra) -> Matrix:
-    ads = [lie.ad_matrix(lie.basis_vector(i)) for i in range(lie.dim)]
-    n = lie.dim
+def killing_matrix(ads) -> Matrix:
+    """The Killing form tr(ad_i ad_j) from the ad matrices of a basis."""
+    n = len(ads)
     rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
@@ -126,7 +117,8 @@ def recognize(lie: LieAlgebra) -> LieRecognition:
     derived = derived_subalgebra(lie)
     if not derived:
         return LieRecognition("abelian", dims, center_dim=lie.dim)
-    cent = center(lie)
+    ads = [lie.ad_matrix(lie.basis_vector(i)) for i in range(lie.dim)]
+    cent = kernel_basis([row for ad in ads for row in ad.rows])  # the center
     if lie.dim == 3:
         if len(derived) == 3:
             return LieRecognition("sl2", dims, center_dim=len(cent))
@@ -139,14 +131,13 @@ def recognize(lie: LieAlgebra) -> LieRecognition:
     if dims[-1] == 0:
         return LieRecognition("solvable", dims, center_dim=len(cent))
     if len(derived) == lie.dim:  # perfect
-        radical = kernel_basis([list(r) for r in killing_matrix(lie).rows])
+        radical = kernel_basis([list(r) for r in killing_matrix(ads).rows])
         radical = list(row_space_basis(radical))
         if radical and _bracket_span(lie, radical, radical):
             return LieRecognition("unrecognized", dims, center_dim=len(cent))
         if lie.dim - len(radical) == 3 and radical:
             # the abelian radical kills itself, so the action of any spanning
             # set of L on it generates the full quotient action
-            ads = [lie.ad_matrix(lie.basis_vector(i)) for i in range(lie.dim)]
             action = restrict_action(ads, radical)
             if associative_hull_is_full(action, len(radical)):
                 return LieRecognition(

@@ -22,7 +22,6 @@ from .classify import (
 from .errors import AtlasError, ExtensionRequiredError, ParseError
 from .ideals import SearchBox, find_poisson_maximal, leaf_report
 from .lie import lie_from_point
-from .linalg import eigen_small
 from .modules import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -96,31 +95,36 @@ def _point_arg(parser):
     parser.add_argument("--point", required=True, help='point, e.g. "(0, 0, 1)"')
 
 
+def _trial_flags(parser):
+    parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    parser.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
+
+
 def _common_flags(parser):
     parser.add_argument("--format", choices=("text", "machine"), default="text")
     parser.add_argument("--box-num", type=int, default=4, help="box numerator bound")
     parser.add_argument("--box-den", type=int, default=2, help="box denominator bound")
 
 
-def _module_at(pf, pres, point, dim, character=None):
-    """The canonical dim-dimensional simple module at the point."""
+def _module_at(pf, pres, args):
+    """(point, module, recognition): the canonical simple module of dimension
+    `--dim` at `--point`, a `--character` for solvable g(J)."""
+    point = _parse_point(pf, args.point)
     lie = lie_from_point(pres, point)
     rec = recognize(lie)
     if rec.is_sl2_type:
-        triple = find_sl2_triple(lie, rec)
-        radical = rec.radical_basis
-        rep = sl2_irrep(lie, dim, triple, radical)
-        return lift_module(pres, point, rep), rec
-    if dim != 1:
+        rep = sl2_irrep(lie, args.dim, find_sl2_triple(lie, rec), rec.radical_basis)
+        return point, lift_module(pres, point, rep), rec
+    if args.dim != 1:
         raise AtlasError(
             f"g(J) is {rec.describe()}: only one-dimensional simple modules exist"
         )
-    if character is None:
+    if args.character is None:
         beta = [Scalar(0)] * len(pres.varset)
     else:
         beta = [Scalar.coerce(_parse_expr(pf, c).constant_value())
-                for c in character.split(",")]
-    return solvable_character_module(pres, point, beta), rec
+                for c in args.character.split(",")]
+    return point, solvable_character_module(pres, point, beta), rec
 
 
 def cmd_ideals(args) -> int:
@@ -197,8 +201,7 @@ def cmd_classify(args) -> int:
 
 def cmd_module(args) -> int:
     pf, pres = _load_file(args.file)
-    point = _parse_point(pf, args.point)
-    module, rec = _module_at(pf, pres, point, args.dim, args.character)
+    point, module, rec = _module_at(pf, pres, args)
     report = Report("module")
     report.add("point", point)
     report.add("dim", args.dim)
@@ -212,8 +215,7 @@ def cmd_module(args) -> int:
 
 def cmd_verify(args) -> int:
     pf, pres = _load_file(args.file)
-    point = _parse_point(pf, args.point)
-    module, _ = _module_at(pf, pres, point, args.dim, args.character)
+    point, module, _ = _module_at(pf, pres, args)
     result = verify_poisson_axioms(module, args.trials, args.seed)
     report = Report("verify")
     report.add("point", point)
@@ -235,10 +237,8 @@ def cmd_twist(args) -> int:
     pf, pres = _load_file(args.file)
     if args.auto not in pf.autos:
         raise AtlasError(f"no automorphism named {args.auto!r} in the file")
-    auto = pf.autos[args.auto]
-    point = _parse_point(pf, args.point)
-    module, _ = _module_at(pf, pres, point, args.dim, args.character)
-    twisted = twist(module, auto)
+    point, module, _ = _module_at(pf, pres, args)
+    twisted = twist(module, pf.autos[args.auto])
     report = Report("twist")
     report.add("auto", args.auto)
     report.add("point", point)
@@ -256,10 +256,8 @@ def cmd_restrict(args) -> int:
         raise AtlasError(f"no embedding named {args.embed!r} in the file")
     clause = pf.embeds[args.embed]
     sub_pres = clause.sub_presentation()
-    emb = clause.substitution()
-    point = _parse_point(pf, args.point)
-    module, _ = _module_at(pf, pres, point, args.dim, args.character)
-    restricted = restrict_to_subalgebra(module, emb, sub_pres)
+    point, module, _ = _module_at(pf, pres, args)
+    restricted = restrict_to_subalgebra(module, clause.substitution(), sub_pres)
     report = Report("restrict")
     report.add("embed", args.embed)
     report.add("point", point)
@@ -267,16 +265,7 @@ def cmd_restrict(args) -> int:
     for name, mat in zip(sub_pres.varset.names, restricted.mats):
         report.add(f"action.{name}", _matrix_text(mat))
     report.add("simple", is_simple_module(restricted))
-    grading = None
-    for mat in restricted.mats:
-        try:
-            eig = eigen_small(mat)
-        except ExtensionRequiredError:
-            continue
-        if all(len(vecs) == 1 for _, _, vecs in eig.pairs):
-            grading = mat
-            break
-    analysis = analyze_submodules(restricted.mats, restricted.dim, grading)
+    analysis = analyze_submodules(restricted.mats, restricted.dim)
     if analysis.semisimple is True:
         dims = sorted(len(s) for s in analysis.decomposition)
         report.add("semisimple", f"yes, summand dims {dims}")
@@ -368,38 +357,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
+    def add_module(name, fn):
+        """A subcommand on the module that `_module_at` builds."""
+        p = add(name, fn)
+        _point_arg(p)
+        p.add_argument("--dim", type=int, required=True)
+        p.add_argument("--character", help="comma-separated scalars for solvable g(J)")
+        return p
+
     add("ideals", cmd_ideals)
     add("leaves", cmd_leaves)
-    p = add("lie", cmd_lie)
-    _point_arg(p)
+    _point_arg(add("lie", cmd_lie))
     add("classify", cmd_classify)
-    p = add("module", cmd_module)
-    _point_arg(p)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--character", help="comma-separated scalars for solvable g(J)")
-    p = add("verify", cmd_verify)
-    _point_arg(p)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--character")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
-    p = add("twist", cmd_twist)
-    p.add_argument("--auto", required=True)
-    _point_arg(p)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--character")
-    p = add("restrict", cmd_restrict)
-    p.add_argument("--embed", required=True)
-    _point_arg(p)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--character")
+    add_module("module", cmd_module)
+    _trial_flags(add_module("verify", cmd_verify))
+    add_module("twist", cmd_twist).add_argument("--auto", required=True)
+    add_module("restrict", cmd_restrict).add_argument("--embed", required=True)
     p = add("homogeneity", cmd_homogeneity)
     p.add_argument("--relation", help="expression; restrict to ideals containing it")
     p = add("catalog", cmd_catalog, needs_file=False)
     p.add_argument("action", choices=("list", "run", "run-all", "file"))
     p.add_argument("name", nargs="?")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
+    _trial_flags(p)
     return parser
 
 

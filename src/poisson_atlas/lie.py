@@ -327,8 +327,3 @@ def _solve_with_unique_linear_part(target, basis, m, names, pair):
             )
     return solution[:m]
 
-
-def apply_automorphism_to_point(auto: SubstitutionMap, pt: PointP) -> PointP:
-    """The point pt' with a(pt') = auto(a)(pt); i.e. ideal(pt') = auto^-1(ideal(pt))."""
-    values = [img.evaluate(pt) for img in auto.images]
-    return PointP(auto.source, values)

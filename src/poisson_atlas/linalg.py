@@ -6,8 +6,8 @@ is both the solver and the verifier here.  The subspace routines are
 `coordinates` (every vector's coordinates in a basis, from one rref),
 `restrict_action` (matrices on an invariant subspace, built on it) and
 `closure` (the smallest span holding some seeds and stable under linear maps,
-grown in an IncrementalSpan); the density hull is a closure.  eigen_small is
-capped at dimension 12 and factors characteristic polynomials over Q plus at
+grown in an IncrementalSpan); the density hull is a closure.  eigen_small
+(up to dimension EIGEN_CAP) factors characteristic polynomials over Q plus at
 most one quadratic extension, reporting the discriminant it had to introduce.
 """
 
@@ -473,8 +473,11 @@ def _roots_in_at_most_one_extension(coeffs):
     raise ExtensionRequiredError("extension beyond quadratic required")
 
 
+EIGEN_CAP = 12
+
+
 def eigen_small(m: Matrix) -> EigenResult:
-    """Exact eigendecomposition for dim <= 12 over Q or one Q(sqrt d).
+    """Exact eigendecomposition for dim <= EIGEN_CAP over Q or one Q(sqrt d).
 
     Raises ExtensionRequiredError when the spectrum does not fit in a single
     quadratic extension.
@@ -482,8 +485,8 @@ def eigen_small(m: Matrix) -> EigenResult:
     n = m.nrows
     if n != m.ncols:
         raise ValueError("eigen_small needs a square matrix")
-    if n > 12:
-        raise ValueError("eigen_small capped at dimension 12")
+    if n > EIGEN_CAP:
+        raise ValueError(f"eigen_small capped at dimension {EIGEN_CAP}")
     cp = charpoly(m)
     entry_d = common_domain(m.flat())
     if entry_d == 0:

@@ -3,10 +3,12 @@
 The lift of a g(J)-representation N acts associatively by evaluation at the
 point and Lie-wise through the linear part of each element, so the action of
 a polynomial depends only on its constant-and-linear data at the point; the
-restriction construction reads the matrices straight back.  Submodule
-analysis combines an exact density criterion for simplicity with a
-weight-graded enumeration of the submodule lattice for series and socles; the
-closures, restrictions and coordinate solves it needs are linalg's.
+restriction construction reads the matrices straight back.  Restriction to a
+subalgebra and twisting by an automorphism are one pullback along a verified
+Poisson map.  Submodule analysis combines an exact density criterion for
+simplicity with an enumeration of the submodule lattice for series and
+socles, graded by an action matrix of the module itself; the closures,
+restrictions and coordinate solves it needs are linalg's.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from dataclasses import dataclass, field
 
 from .brackets import PoissonPresentation, SubstitutionMap, bracket, verify_poisson_map
 from .classify import Sl2Triple, derived_subalgebra
-from .errors import AtlasError, IncompatibleTableError, NotPoissonMaximalError
+from .errors import (
+    AtlasError, ExtensionRequiredError, IncompatibleTableError, NotPoissonMaximalError
+)
 from .ideals import is_poisson_maximal
 from .lie import LieAlgebra, lie_from_point
 from .linalg import (
@@ -24,6 +28,7 @@ from .linalg import (
     associative_hull_is_full,
     closure,
     coordinates,
+    EIGEN_CAP,
     eigen_small,
     kernel_basis,
     linear_combination,
@@ -318,11 +323,11 @@ def is_simple_module(module: PoissonModule) -> bool:
 
 @dataclass
 class SubmoduleAnalysis:
-    """Lattice data from weight-vector closures under the action matrices."""
+    """Lattice data from closures of weight vectors under the action matrices."""
 
     dim: int
     lattice: list  # canonical bases, sorted by (dim, signature)
-    complete: bool  # True when every weight space was 1-dimensional
+    complete: bool  # True when the seeds were weight vectors (see _weight_seeds)
     minimal: list
     socle_dim: int
     semisimple: bool | None
@@ -332,31 +337,39 @@ class SubmoduleAnalysis:
         return [s for s in self.lattice if 0 < len(s) < self.dim]
 
 
-def _weight_seeds(grading: Matrix):
-    eig = eigen_small(grading)
-    seeds, complete = [], True
-    for _, _, vecs in eig.pairs:
-        if len(vecs) != 1:
-            complete = False
-        seeds.extend(vecs)
-    return seeds, complete
+def _weight_seeds(mats, dim: int):
+    """(seeds, complete): the eigenvectors of the first action matrix whose
+    eigenspaces are all one-dimensional, else the basis vectors.
+
+    Every submodule is stable under that matrix, so each simple submodule
+    holds one of its eigenvectors and is the closure of it: the socle is found
+    exactly.  A matrix whose spectrum needs more than one quadratic extension
+    is skipped; without a grading, or above EIGEN_CAP, the basis vectors seed.
+    """
+    if dim <= EIGEN_CAP:
+        for m in mats:
+            try:
+                pairs = eigen_small(m).pairs
+            except ExtensionRequiredError:
+                continue
+            if all(len(vecs) == 1 for _, _, vecs in pairs):
+                return [vecs[0] for _, _, vecs in pairs], True
+    return [unit_vector(dim, i) for i in range(dim)], False
 
 
-def analyze_submodules(mats, dim: int, grading: Matrix | None = None) -> SubmoduleAnalysis:
-    """Enumerate submodules from weight-vector closures.
+def analyze_submodules(mats, dim: int) -> SubmoduleAnalysis:
+    """Enumerate submodules as sums of closures of weight vectors.
 
-    With a diagonalizable grading whose weight spaces are all one-dimensional,
-    every submodule is graded and the enumeration is the full lattice;
-    otherwise closures of basis vectors are used and the lattice may be
-    incomplete (simplicity stays decided by the density criterion).
+    The grading is an action matrix with one-dimensional eigenspaces, found by
+    `_weight_seeds` from the module's own matrices.  With one, the socle and
+    the semisimplicity verdict are exact; the lattice is the full lattice when
+    that matrix is diagonalizable and may be partial when it is not.  Without
+    one, closures of basis vectors are used, the lattice may be partial, and a
+    socle short of the module leaves the verdict undetermined (None).
+    Simplicity of each summand is decided by the density criterion.
     """
     mats = list(mats)
-    if grading is not None:
-        seeds, complete = _weight_seeds(grading)
-    else:
-        seeds, complete = [], False
-    if not complete:
-        seeds = seeds + [unit_vector(dim, i) for i in range(dim)]
+    seeds, complete = _weight_seeds(mats, dim)
     maps = [m.apply for m in mats]
     closures = []
     for s in seeds:
@@ -413,14 +426,13 @@ def analyze_submodules(mats, dim: int, grading: Matrix | None = None) -> Submodu
     )
 
 
-def is_semisimple(mats, dim: int, grading: Matrix | None = None):
-    """(verdict, decomposition witness); verdict None if the lattice was partial."""
-    analysis = analyze_submodules(list(mats), dim, grading)
-    return analysis.semisimple, analysis.decomposition
-
-
 def quotient_action(mats, sub_basis, dim):
-    """Action on the quotient by an invariant subspace, with the quotient grading."""
+    """Action on the quotient by an invariant subspace: (matrices, dimension).
+
+    No grading is carried over: `analyze_submodules` finds the quotient's own,
+    and with a non-diagonalizable one the quotient's socle and verdict are
+    still exact though its lattice may be partial.
+    """
     sub = IncrementalSpan(sub_basis)
     free = [i for i in range(dim) if i not in sub.rows]
 
@@ -435,18 +447,20 @@ def quotient_action(mats, sub_basis, dim):
     return out, len(free)
 
 
-def composition_series(mats, dim: int, grading: Matrix | None = None):
+def composition_series(mats, dim: int):
     """Dimensions of the composition factors, built from minimal submodules.
 
-    Every factor is certified simple by the density criterion; on a partially
-    enumerated lattice that certification can fail, which is reported rather
-    than returning a non-composition filtration.
+    Each step analyzes the current quotient afresh, so its grading comes from
+    the quotient's own matrices; with a non-diagonalizable grading the minimal
+    submodules are still exact though the lattice may be partial.  Every
+    factor is certified simple by the density criterion; without a grading
+    that certification can fail, which is reported rather than returning a
+    non-composition filtration.
     """
     mats = list(mats)
     factors = []
-    g = grading
     while dim > 0:
-        analysis = analyze_submodules(mats, dim, g)
+        analysis = analyze_submodules(mats, dim)
         candidates = [s for s in analysis.minimal if len(s) < dim]
         if not candidates:
             if not is_simple(mats, dim):
@@ -463,51 +477,34 @@ def composition_series(mats, dim: int, grading: Matrix | None = None):
                 "is not simple (lattice not fully enumerated)"
             )
         factors.append(len(sub))
-        mats, new_dim = quotient_action(mats, sub, dim)
-        if g is not None:
-            g = quotient_action([g], sub, dim)[0][0]
-        dim = new_dim
+        mats, dim = quotient_action(mats, sub, dim)
     return factors
 
 
 # -- constructions -------------------------------------------------------------
 
 
-def twist(module: PoissonModule, auto: SubstitutionMap, check: bool = True) -> PoissonModule:
-    """Pullback along an automorphism: {a, m} = {pi(a), m}_M; ann moves to pi^-1(J)."""
-    if check:
-        report = verify_poisson_map(auto, module.pres, module.pres)
-        if not report.ok:
-            raise AtlasError("substitution map is not a Poisson automorphism")
-    new_point = PointP(
-        module.pres.varset, [img.evaluate(module.point) for img in auto.images]
-    )
-    new_mats = tuple(module.action_of(img) for img in auto.images)
-    return PoissonModule(module.pres, new_point, new_mats)
-
-
 def restrict_to_subalgebra(
-    module: PoissonModule,
-    emb: SubstitutionMap,
-    sub_pres: PoissonPresentation,
-    check: bool = True,
+    module: PoissonModule, emb: SubstitutionMap, sub_pres: PoissonPresentation
 ) -> PoissonModule:
-    """Restriction along an embedding of a Poisson subalgebra given by generators.
+    """Pullback along a Poisson map emb from sub_pres into the module's algebra.
 
-    Each sub-generator G acts associatively by G(pt) and Lie-wise by
-    rho(lin G at pt): only the constant-and-linear data of G matters.
+    Each source generator G acts associatively by emb(G)(pt) and Lie-wise by
+    rho(lin emb(G) at pt): only the constant-and-linear data of emb(G)
+    matters.  The annihilator moves to emb^-1(J).
     """
     if emb.source != sub_pres.varset or emb.target != module.pres.varset:
-        raise AtlasError("embedding endpoints do not match the presentations")
-    if check:
-        report = verify_poisson_map(emb, sub_pres, module.pres)
-        if not report.ok:
-            raise AtlasError(f"embedding is not a Poisson map: {report.failures}")
-    sub_point = PointP(
-        sub_pres.varset, [img.evaluate(module.point) for img in emb.images]
-    )
+        raise AtlasError("substitution map endpoints do not match the presentations")
+    report = verify_poisson_map(emb, sub_pres, module.pres)
+    if not report.ok:
+        raise AtlasError(f"substitution map is not a Poisson map: {report.failures}")
     sub_mats = tuple(module.action_of(img) for img in emb.images)
-    return PoissonModule(sub_pres, sub_point, sub_mats)
+    return PoissonModule(sub_pres, emb.pull_point(module.point), sub_mats)
+
+
+def twist(module: PoissonModule, auto: SubstitutionMap) -> PoissonModule:
+    """Pullback along an automorphism: {a, m} = {auto(a), m}_M."""
+    return restrict_to_subalgebra(module, auto, module.pres)
 
 
 def solvable_character_module(

@@ -376,24 +376,10 @@ class _Parser:
                 points.append(self.parse_point(varset, env))
                 self.expect(";")
             elif word == "auto":
-                name = self.expect_name().text
-                self.expect("{")
-                images = {}
-                while not self.at("}"):
-                    v = self.expect_name().text
-                    if v not in varset.names:
-                        raise ParseError(f"unknown variable {v!r}", tok.line, tok.col)
-                    self.expect("->")
-                    images[v] = self.parse_expr(varset, env)
-                    self.expect(";")
-                self.expect("}")
+                name_tok = self.expect_name()
+                images = self.parse_images("auto", name_tok, varset.names, varset, env)
                 self.expect(";")
-                missing = [n for n in varset.names if n not in images]
-                if missing:
-                    raise ParseError(
-                        f"auto {name} misses variables {missing}", tok.line, tok.col
-                    )
-                autos[name] = SubstitutionMap.from_dict(varset, images)
+                autos[name_tok.text] = SubstitutionMap.from_dict(varset, images)
             elif word == "embed":
                 embed = self.parse_embed(varset, env)
                 embeds[embed.name] = embed
@@ -410,43 +396,56 @@ class _Parser:
             varset, spec, env, relations, points, autos, embeds, grading
         )
 
+    def parse_images(self, kind, name_tok, names, varset, env, other=None) -> dict:
+        """The `{ name -> expr; ... }` block of the `kind` clause named at
+        `name_tok`: one image over `varset` per name in `names`.  Another word
+        goes to `other(tok)` when given.  An unknown or repeated name is a
+        ParseError at that name, a missing one at `name_tok`."""
+        self.expect("{")
+        images = {}
+        while not self.at("}"):
+            tok = self.expect_name()
+            if tok.text not in names:
+                if other is None:
+                    raise ParseError(f"unknown variable {tok.text!r}", tok.line, tok.col)
+                other(tok)
+                continue
+            if tok.text in images:
+                raise ParseError(f"image of {tok.text!r} given twice", tok.line, tok.col)
+            self.expect("->")
+            images[tok.text] = self.parse_expr(varset, env)
+            self.expect(";")
+        self.expect("}")
+        missing = [n for n in names if n not in images]
+        if missing:
+            raise ParseError(
+                f"{kind} {name_tok.text} misses images for {missing}",
+                name_tok.line,
+                name_tok.col,
+            )
+        return images
+
     def parse_embed(self, varset, env) -> EmbedClause:
         name_tok = self.expect_name()
-        name = name_tok.text
         self.expect("(")
         sub_names = self.name_list()
         self.expect(")")
         sub_varset = self.parse_varset(sub_names, name_tok)
-        self.expect("{")
-        images = {}
-        sub_bracket = None
-        sub_relations = []
-        sub_env: dict = {}
-        while not self.at("}"):
-            tok = self.peek()
-            word = self.expect_name().text
-            if word == "bracket":
+        sub_bracket, sub_relations, sub_env = None, [], {}
+
+        def sub_clause(tok):
+            nonlocal sub_bracket
+            if tok.text == "bracket":
                 sub_bracket = self.parse_bracket(sub_varset, sub_env)
-                self.expect(";")
-            elif word == "relation":
+            elif tok.text == "relation":
                 sub_relations.append(self.parse_expr(sub_varset, sub_env))
-                self.expect(";")
-            elif word in sub_names:
-                self.expect("->")
-                images[word] = self.parse_expr(varset, env)
-                self.expect(";")
             else:
-                raise ParseError(
-                    f"unknown name {word!r} in embed block", tok.line, tok.col
-                )
-        self.expect("}")
-        missing = [n for n in sub_names if n not in images]
-        if missing:
-            raise ParseError(
-                f"embed {name} misses images for {missing}", name_tok.line, name_tok.col
-            )
+                raise ParseError(f"unknown name {tok.text!r} in embed block", tok.line, tok.col)
+            self.expect(";")
+
+        images = self.parse_images("embed", name_tok, sub_names, varset, env, sub_clause)
         return EmbedClause(
-            name, sub_varset, images, sub_bracket, tuple(sub_relations), sub_env
+            name_tok.text, sub_varset, images, sub_bracket, tuple(sub_relations), sub_env
         )
 
 

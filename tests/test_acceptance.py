@@ -200,7 +200,7 @@ def test_criterion_5_kleinian_family():
     for d in range(1, 5):
         module = lift_module(a1, origin, sl2_irrep(lie, d, triple))
         restricted = restrict_to_subalgebra(module, emb, sub)
-        analysis = analyze_submodules(restricted.mats, d, restricted.mats[2])
+        analysis = analyze_submodules(restricted.mats, d)
         ok = ok and analysis.semisimple is True
         ok = ok and [len(s) for s in analysis.decomposition] == [1] * d
         got = eig_multiset(restricted.mats[2])

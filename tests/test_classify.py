@@ -125,10 +125,36 @@ def test_recognize_basis_independent():
             assert recognize(conjugated).describe() == tag
 
 
+# sl2 acting on its 2-dimensional simple module span(v1, v2), v1 of weight 1
+SL2_C2 = LieAlgebra.from_brackets(
+    ("e", "h", "f", "v1", "v2"),
+    {
+        ("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1},
+        ("e", "v2"): {"v1": 1}, ("f", "v1"): {"v2": 1},
+        ("h", "v1"): {"v1": 1}, ("h", "v2"): {"v2": -1},
+    },
+)
+
+
+@pytest.mark.parametrize(
+    "lie, tag",
+    [(SL2_C2, "sl2_semidirect(2)"), (P7, "sl2_semidirect(4)")],
+    ids=["sl2+C2", "P7"],
+)
+def test_recognize_builds_each_ad_matrix_once(monkeypatch, lie, tag):
+    calls = []
+    ad_matrix = LieAlgebra.ad_matrix
+    monkeypatch.setattr(
+        LieAlgebra, "ad_matrix", lambda self, u: calls.append(u) or ad_matrix(self, u)
+    )
+    assert recognize(lie).describe() == tag
+    assert len(calls) == lie.dim
+
+
 def test_killing_radical_matches():
     kernel_dim = sum(
         1
-        for row in killing_matrix(P7).rows
+        for row in killing_matrix([P7.ad_matrix(P7.basis_vector(i)) for i in range(7)]).rows
         if all(c.is_zero for c in row)
     )
     # the Killing form vanishes exactly on the 4-dimensional radical block

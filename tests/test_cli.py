@@ -1,9 +1,19 @@
+import argparse
 import io
+import json
 import sys
+from pathlib import Path
 
 import pytest
 
-from poisson_atlas.cli import HEADER, main
+from poisson_atlas.catalog import catalog_names
+from poisson_atlas.cli import HEADER, build_parser, main
+from poisson_atlas.modules import DEFAULT_SEED, DEFAULT_TRIALS
+
+ROOT = Path(__file__).resolve().parents[1]
+INPUTS = ROOT / "perfbench" / "inputs"
+# machine reports of `restrict` and `twist` on the committed catalog files
+PINNED = json.loads((ROOT / "tests" / "pinned_reports.json").read_text(encoding="utf-8"))
 
 TORUS = """
 vars x, y, z;
@@ -225,3 +235,55 @@ def test_module_entry_point(torus_file):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == HEADER
+
+
+@pytest.mark.parametrize(
+    "case", PINNED, ids=lambda c: f"{c['argv'][0]}-{c['argv'][3]}-d{c['argv'][7]}"
+)
+def test_restrict_and_twist_reports_are_pinned(case, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert run(case["argv"]) == (0, case["report"])
+
+
+def test_restrict_above_the_eigen_cap():
+    code, out = run(
+        ["restrict", str(INPUTS / "kleinian-a1.pa"), "--embed", "pi4",
+         "--point", "(0,0,0)", "--dim", "13", "--format", "machine"]
+    )
+    assert code == 0
+    assert f"semisimple = yes, summand dims {[1] * 13}" in out
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_catalog_file_matches_the_committed_input(name):
+    code, out = run(["catalog", "file", name])
+    assert code == 0
+    assert out.encode("utf-8") == (INPUTS / f"{name}.pa").read_bytes()
+
+
+def test_module_subcommands_keep_their_flags():
+    sub = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+
+    def flags(command):
+        return {
+            a.dest: (a.required, a.default)
+            for a in sub.choices[command]._actions
+            if a.option_strings and a.dest != "help"
+        }
+
+    common = {
+        "format": (False, "text"), "box_num": (False, 4), "box_den": (False, 2),
+        "point": (True, None), "dim": (True, None), "character": (False, None),
+    }
+    assert flags("module") == common
+    assert flags("verify") == {
+        **common, "trials": (False, DEFAULT_TRIALS), "seed": (False, DEFAULT_SEED)
+    }
+    assert flags("twist") == {**common, "auto": (True, None)}
+    assert flags("restrict") == {**common, "embed": (True, None)}
+    assert flags("catalog") == {
+        "format": (False, "text"), "box_num": (False, 4), "box_den": (False, 2),
+        "trials": (False, DEFAULT_TRIALS), "seed": (False, DEFAULT_SEED),
+    }

@@ -26,7 +26,6 @@ from poisson_atlas import (
 )
 from poisson_atlas.errors import ScalarDomainError
 from poisson_atlas.ideals import PoissonMaxIdeal, make_ideal
-from poisson_atlas.lie import apply_automorphism_to_point
 from poisson_atlas.scalars import Scalar
 
 
@@ -162,7 +161,7 @@ def test_automorphism_preserves_poisson_points(torus_pres):
     for images in autos.values():
         auto = SubstitutionMap.from_dict(vs, images)
         for ideal in ideals:
-            moved = apply_automorphism_to_point(auto, ideal.point)
+            moved = auto.pull_point(ideal.point)
             assert is_poisson_maximal(torus_pres, moved)
 
 
@@ -171,7 +170,7 @@ def test_phi_automorphism_laurent_inv(xyz):
     pres = PoissonPresentation(vs, Exact(x * (4 - z * z) + y * y))
     phi = SubstitutionMap.from_dict(vs, {"x": x, "y": -y, "z": -z})
     j1 = PointP(vs, [0, 0, 2])
-    moved = apply_automorphism_to_point(phi, j1)
+    moved = phi.pull_point(j1)
     assert moved == PointP(vs, [0, 0, -2])
     assert is_poisson_maximal(pres, moved)
 

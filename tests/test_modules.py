@@ -217,13 +217,13 @@ def test_prop52_module_facts():
     P7, rep = prop52_rep()
     g3_mat = rep.mats[2]
     assert eig_multiset(g3_mat) == scal_sorted([-2, -1, 0, 1, 2])
-    analysis = analyze_submodules(rep.mats, 5, grading=g3_mat)
+    analysis = analyze_submodules(rep.mats, 5)
     assert analysis.complete
     proper = analysis.proper_nonzero()
     assert len(proper) == 1 and len(proper[0]) == 3
     assert analysis.semisimple is False
     assert not is_simple(rep.mats, 5)
-    assert composition_series(rep.mats, 5, g3_mat) == [3, 2]
+    assert composition_series(rep.mats, 5) == [3, 2]
 
 
 def test_prop52_sl2_restriction_splits():
@@ -231,7 +231,7 @@ def test_prop52_sl2_restriction_splits():
     sub = lie_rep_restrict(
         rep, [P7.basis_vector(i) for i in range(3)], ("g1", "g2", "g3")
     )
-    analysis = analyze_submodules(sub.mats, 5, grading=rep.mats[2])
+    analysis = analyze_submodules(sub.mats, 5)
     assert analysis.semisimple is True
     assert sorted(len(s) for s in analysis.decomposition) == [2, 3]
     # each summand is a simple sl2-module
@@ -318,7 +318,7 @@ def test_restriction_split(a1_pres):
         assert eig_multiset(restricted.mats[2]) == scal_sorted(
             Fraction(2 * j + 1 - d, 4) for j in range(d)
         )
-        analysis = analyze_submodules(restricted.mats, d, restricted.mats[2])
+        analysis = analyze_submodules(restricted.mats, d)
         assert analysis.semisimple is True
         assert [len(s) for s in analysis.decomposition] == [1] * d
 

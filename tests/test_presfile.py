@@ -217,3 +217,24 @@ def test_syntax_error_location():
     with pytest.raises(ParseError) as err:
         parse_presentation("vars x, y z;")
     assert err.value.line == 1
+
+
+HEAD = "vars x, y;\nbracket table { [x,y] = x; };\n"
+
+
+@pytest.mark.parametrize(
+    "block, where, message",
+    [
+        ("auto a {\n  w -> x; };", (4, 3), "unknown variable 'w'"),
+        ("auto a { x -> x; };", (3, 6), "auto a misses images for ['y']"),
+        ("auto a { x -> x; x -> -x; y -> y; };", (3, 18), "image of 'x' given twice"),
+        ("embed e(u) { u -> x; u -> y; };", (3, 22), "image of 'u' given twice"),
+        ("embed e(u) {\n  w -> x; };", (4, 3), "unknown name 'w' in embed block"),
+    ],
+    ids=["auto-unknown", "auto-missing", "auto-repeated", "embed-repeated", "embed-unknown"],
+)
+def test_image_block_errors_are_located(block, where, message):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(HEAD + block)
+    assert (err.value.line, err.value.column) == where
+    assert message in str(err.value)

@@ -1,7 +1,9 @@
 """Reference tests for the subspace routines of linalg: coordinates,
 restrict_action, closure, the density hull, and LieAlgebra.change_basis on a
 subalgebra.  The references are the per-vector `solve_linear` loops these
-routines replaced, and brute-force spans of words."""
+routines replaced, and brute-force spans of words.  The submodule analysis,
+which finds its weight grading among the module's own matrices, is checked
+against the trace-form criterion for semisimplicity."""
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +16,15 @@ from poisson_atlas.linalg import (
     associative_hull_is_full,
     closure,
     coordinates,
+    eigen_small,
     rank,
     restrict_action,
     row_space_basis,
     solve_linear,
+    trace_product,
 )
-from poisson_atlas.modules import lie_rep_restrict, sl2_irrep
+from poisson_atlas.errors import ExtensionRequiredError
+from poisson_atlas.modules import analyze_submodules, lie_rep_restrict, sl2_irrep
 from poisson_atlas.classify import find_sl2_triple
 from poisson_atlas.scalars import Scalar
 
@@ -349,3 +354,126 @@ def test_lie_rep_restrict_keeps_its_error():
     )
     with pytest.raises(AtlasError):
         lie_rep_restrict(rep, [e, f], ("e", "f"))
+
+
+# -- submodule analysis: the grading comes from the module's own matrices -------
+
+
+def semisimple_reference(mats, dim):
+    """Dickson's criterion: over a field of characteristic 0 the unital algebra
+    A the matrices generate acts semisimply iff the trace form tr(ab) on A is
+    nondegenerate (its kernel is the radical of A)."""
+    def square(flat):
+        return Matrix([flat[i : i + dim] for i in range(0, dim * dim, dim)])
+
+    maps = [lambda x, g=g: (square(x) * g).flat() for g in mats]
+    hull = [square(v) for v in closure([Matrix.identity(dim).flat()], maps).basis()]
+    gram = [[trace_product(a, b) for b in hull] for a in hull]
+    return rank(gram) == len(hull)
+
+
+def has_weight_grading(mats):
+    """Some action matrix has a spectrum in one extension and 1-dim eigenspaces."""
+    for m in mats:
+        try:
+            pairs = eigen_small(m).pairs
+        except ExtensionRequiredError:
+            continue
+        if all(len(vecs) == 1 for _, _, vecs in pairs):
+            return True
+    return False
+
+
+@st.composite
+def _characters(draw):
+    """A direct sum of n one-dimensional modules in a random basis: generator k
+    acts on summand i by scalars[k][i], so equal scalars (eigenspaces above
+    dimension 1) are common."""
+    entry = _entries(draw(st.sampled_from([0, -1])))
+    n, g = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    scalars = [[draw(entry) for _ in range(n)] for _ in range(g)]
+    diagonal = [
+        Matrix([[row[i] if i == j else Scalar(0) for j in range(n)] for i in range(n)])
+        for row in scalars
+    ]
+    p = _invertible(draw, entry, n)
+    p_inv = inverse(p)
+    return [p_inv * m * p for m in diagonal], n, scalars
+
+
+@st.composite
+def _triangular(draw):
+    """Block upper triangular matrices (blocks k and n - k) in a random basis:
+    extensions that may or may not split, with Jordan blocks among them."""
+    entry = _entries(draw(st.sampled_from([0, -1])))
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, n - 1))
+    mats = []
+    for _ in range(draw(st.integers(1, 2))):
+        b = [list(r) for r in _matrix(draw, entry, n).rows]
+        for i in range(k, n):
+            for j in range(k):
+                b[i][j] = Scalar(0)
+        mats.append(Matrix(b))
+    p = _invertible(draw, entry, n)
+    p_inv = inverse(p)
+    return [p_inv * m * p for m in mats], n
+
+
+def check_verdict(mats, dim):
+    """The verdict is never wrong, and it is decided whenever some action
+    matrix has one-dimensional eigenspaces; a semisimple verdict comes with a
+    direct decomposition into simple summands."""
+    analysis = analyze_submodules(mats, dim)
+    truth = semisimple_reference(mats, dim)
+    assert analysis.semisimple in (truth, None)
+    if has_weight_grading(mats):
+        assert analysis.complete
+        assert analysis.semisimple is truth
+    if analysis.semisimple:
+        summands = analysis.decomposition
+        assert rank([v for s in summands for v in s]) == dim
+        assert all(associative_hull_is_full(restrict_action(mats, s), len(s)) for s in summands)
+    return analysis
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_characters())
+def test_submodules_of_a_sum_of_characters(case):
+    mats, n, scalars = case
+    analysis = check_verdict(mats, n)
+    assert semisimple_reference(mats, n)
+    if has_weight_grading(mats):
+        # a generator with n distinct scalars grades the full lattice of 2^n
+        assert any(len(set(row)) == n for row in scalars)
+        assert analysis.semisimple is True
+        assert len(analysis.lattice) == 2**n
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_modules())
+def test_submodules_of_sl2_sums_and_extensions(case):
+    _, conjugated, dim, _ = case
+    check_verdict(conjugated, dim)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_triangular())
+def test_submodules_of_triangular_extensions(case):
+    check_verdict(*case)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_a_jordan_block_is_not_semisimple(d):
+    jordan = Matrix([[2, 1, 0], [0, 2, 0], [0, 0, 1]])
+    p = Matrix([[1, 2, 0], [0, 1, Scalar(1, 1 if d else 0, d)], [1, 0, 1]])
+    for mats in ([jordan], [Matrix.identity(3), p * jordan * inverse(p)]):
+        analysis = analyze_submodules(mats, 3)
+        assert analysis.complete and analysis.semisimple is False
+        assert analysis.socle_dim == 2
+
+
+def test_a_diagonal_module_is_semisimple():
+    analysis = analyze_submodules([Matrix([[1, 0], [0, 2]])], 2)
+    assert analysis.complete and analysis.semisimple is True
+    assert len(analysis.proper_nonzero()) == 2
