@@ -21,7 +21,7 @@ from .classify import (
 )
 from .errors import AtlasError, ExtensionRequiredError, ParseError
 from .ideals import SearchBox, find_poisson_maximal, leaf_report
-from .lie import lie_from_point
+from .lie import LieAlgebra, lie_from_point, linearization
 from .modules import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -173,6 +173,22 @@ def cmd_lie(args) -> int:
     return 0
 
 
+def _classification(lie) -> list:
+    """(key, value) report records of a g(J): its recognition and simple modules."""
+    rec = recognize(lie)
+    records = [("recognition", rec.describe()), ("derived_dims", rec.derived_dims)]
+    if rec.tag != "unrecognized":
+        cat = classify_simple_modules(lie, rec)
+        if cat.kind == "one_per_dimension":
+            records.append(("simple_modules", "one class per dimension d >= 1"))
+        else:
+            records.append((
+                "simple_modules",
+                f"characters only ({cat.character_space_dim}-parameter family)",
+            ))
+    return records
+
+
 def cmd_classify(args) -> int:
     pf, pres = _load_file(args.file)
     report = Report("classify")
@@ -180,21 +196,16 @@ def cmd_classify(args) -> int:
     box = SearchBox(args.box_num, args.box_den, tuple(pf.points))
     ideals = find_poisson_maximal(pres, box)
     report.add("ideal.count", len(ideals))
+    # points with equal structure constants share one verified g(J) and its classification
+    classified = {}
     for k, ideal in enumerate(ideals, 1):
-        lie = lie_from_point(pres, ideal.point)
-        rec = recognize(lie)
+        sc = linearization(pres, ideal.point)
+        records = classified.get(sc)
+        if records is None:
+            records = classified[sc] = _classification(LieAlgebra(pres.varset.names, sc))
         report.add(f"ideal.{k}.point", ideal.point)
-        report.add(f"ideal.{k}.recognition", rec.describe())
-        report.add(f"ideal.{k}.derived_dims", rec.derived_dims)
-        if rec.tag != "unrecognized":
-            cat = classify_simple_modules(lie, rec)
-            if cat.kind == "one_per_dimension":
-                report.add(f"ideal.{k}.simple_modules", "one class per dimension d >= 1")
-            else:
-                report.add(
-                    f"ideal.{k}.simple_modules",
-                    f"characters only ({cat.character_space_dim}-parameter family)",
-                )
+        for key, value in records:
+            report.add(f"ideal.{k}.{key}", value)
     print(report.render(args.format), end="")
     return 0
 

@@ -4,12 +4,15 @@ A maximal ideal at a point is Poisson iff every generator bracket vanishes
 there; for an exact bracket this is exactly the vanishing gradient of the
 potential, i.e. a singularity of the level surface through the point.  The
 search is an exact scan of a rational box plus caller-supplied candidates.
-The box is walked one coordinate at a time: each bracket is split into
-rational component polynomials, the next coordinate's value is substituted
-into them, and a branch is dropped as soon as some component becomes a
-nonzero constant, so the work follows the surviving partial points rather
-than the full grid.  The scan is sound and complete within the box;
-completeness is never claimed beyond it.
+Each bracket is split into integer component polynomials, and the box is
+walked one coordinate at a time: the next value p/q is substituted
+homogeneously (a term c*x^e becomes c*p^e*q^(top-e), a nonzero multiple of
+the exact value), and a branch is dropped as soon as some component becomes
+a nonzero constant, so the work follows the surviving partial points rather
+than the full grid.  On the last coordinate only 0 and the values that pass
+the rational root theorem's divisor test are tried.  The scan does integer
+arithmetic only, and it is sound and complete within the box; completeness
+is never claimed beyond it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .brackets import Exact, PoissonPresentation, Scaled
 from .poly import LaurentPoly, PointP
@@ -83,70 +87,111 @@ def make_ideal(pres: PoissonPresentation, pt: PointP) -> PoissonMaxIdeal:
     return PoissonMaxIdeal(pt, pres, lam, rel_values)
 
 
-def _rational_components(poly: LaurentPoly) -> list:
-    """Rational polynomials (exponents -> Fraction) whose common rational zeros are poly's.
+def _integer_components(poly: LaurentPoly) -> list:
+    """Integer polynomials [(terms, tops)] whose common zeros in the box are poly's.
 
-    A coefficient a + b*sqrt(d) contributes a to the first component and b to
-    the second; at a rational point poly vanishes iff both do.
+    A coefficient (n + m*sqrt d)/q contributes n/q to the first component and
+    m/q to the second; at a rational point poly vanishes iff both do.  Each
+    component is scaled to coprime integer coefficients and multiplied by a
+    monomial in its Laurent variables so their least exponent is 0 (a unit
+    on the box, where those coordinates are nonzero); other variables are
+    never shifted.  `tops` holds the component's highest exponent per variable.
     """
     common_domain(poly.terms.values())
-    parts = ({e: c.a for e, c in poly.terms.items() if c.a},
-             {e: c.b for e, c in poly.terms.items() if c.b})
-    return [part for part in parts if part]
-
-
-def _substitute_first(components, v):
-    """Put v for the first variable of each component; None once one is a nonzero constant."""
-    powers = {}
+    laurent = poly.varset.laurent
     out = []
-    for comp in components:
+    for part in ({e: (c.n, c.q) for e, c in poly.terms.items() if c.n},
+                 {e: (c.m, c.q) for e, c in poly.terms.items() if c.m}):
+        if not part:
+            continue
+        den = lcm(*(q for _, q in part.values()))
+        content = gcd(*(n * (den // q) for n, q in part.values()))
+        lows = [min(e[k] for e in part) if flag else 0 for k, flag in enumerate(laurent)]
+        terms = {
+            tuple(x - lo for x, lo in zip(e, lows)): n * (den // q) // content
+            for e, (n, q) in part.items()
+        }
+        out.append((terms, tuple(map(max, zip(*terms)))))
+    return out
+
+
+def _fold_first(components, v):
+    """Put v = p/q for the first variable, c*x^e -> c*p^e*q^(top-e) (q^top times
+    the exact value, same zeros); None once a component is a nonzero constant."""
+    factors = v[3]
+    out = []
+    for terms, tops in components:
+        fac = factors[tops[0]]
         folded = {}
-        for exps, c in comp.items():
-            e, rest = exps[0], exps[1:]
-            if e:
-                p = powers.get(e)
-                if p is None:
-                    p = powers[e] = v if e == 1 else v**e
-                c = c * p
-            s = folded.get(rest)
-            folded[rest] = c if s is None else s + c
+        for exps, c in terms.items():
+            rest = exps[1:]
+            folded[rest] = folded.get(rest, 0) + c * fac[exps[0]]
         folded = {rest: c for rest, c in folded.items() if c}
         if folded:
             if len(folded) == 1 and not any(next(iter(folded))):
                 return None
-            out.append(folded)
+            out.append((folded, tops[1:]))
     return out
+
+
+def _last_axis_zeros(components, axis):
+    """The values of the last axis at which every univariate component vanishes.
+
+    By the rational root theorem a nonzero root p/q of the first component
+    has p | (its lowest-degree coefficient) and q | (its leading one); the
+    values passing that test, and 0, are then tested exactly.
+    """
+    first = components[0][0]
+    low, lead = first[min(first)], first[max(first)]
+    for v in axis:
+        _, p, q, factors = v
+        if p and (low % p or lead % q):
+            continue
+        if all(
+            not sum(c * factors[top][e] for (e,), c in terms.items())
+            for terms, (top,) in components
+        ):
+            yield v
 
 
 def _common_zeros(components, axes, prefix=()):
     """Every completion of prefix over axes at which all components vanish, in grid order."""
     if not components:
         yield from (prefix + rest for rest in itertools.product(*axes))
-        return
-    # a component left over once every axis is fixed is a nonzero constant, pruned above
-    for v in axes[0]:
-        folded = _substitute_first(components, v)
-        if folded is not None:
-            yield from _common_zeros(folded, axes[1:], prefix + (v,))
+    elif len(axes) == 1:
+        # a component left over is univariate: a nonzero constant was pruned above
+        yield from (prefix + (v,) for v in _last_axis_zeros(components, axes[0]))
+    else:
+        for v in axes[0]:
+            folded = _fold_first(components, v)
+            if folded is not None:
+                yield from _common_zeros(folded, axes[1:], prefix + (v,))
 
 
 def find_poisson_maximal(pres: PoissonPresentation, box: SearchBox = SearchBox()):
     """All box points (plus explicit candidates) that are Poisson maximal.
 
-    The box is searched by nested partial evaluation: coordinates are
-    substituted one at a time into the rational components of every pair
-    bracket, and a branch is pruned once a component is a nonzero constant.
+    Every pair bracket is split into integer component polynomials and the
+    box is searched by nested partial evaluation: each coordinate p/q is
+    substituted homogeneously (integers only, no Fractions), and a branch is
+    pruned once a component is a nonzero constant.  On the last coordinate
+    only 0 and the values allowed by the rational root theorem are tested.
     Explicit candidates, which may lie over Q(sqrt d), are tested exactly.
     Sound and complete within the box; deterministically ordered by coordinates.
     """
     components = [
-        comp for poly in pres.pair_table().values() for comp in _rational_components(poly)
+        comp for poly in pres.pair_table().values() for comp in _integer_components(poly)
     ]
-    values = box.coordinate_values()
-    axes = [[v for v in values if v != 0] if flag else values for flag in pres.varset.laurent]
+    top = max((t for _, tops in components for t in tops), default=0)
+    values = []  # (Scalar, p, q, factors[top][e] = p^e * q^(top-e)) per box value p/q
+    for v in box.coordinate_values():
+        p, q = v.as_integer_ratio()
+        factors = [[p**e * q ** (t - e) for e in range(t + 1)] for t in range(top + 1)]
+        values.append((Scalar(v), p, q, factors))
+    axes = [[v for v in values if v[1]] if flag else values for flag in pres.varset.laurent]
     found = {}
     for combo in _common_zeros(components, axes):
-        pt = PointP(pres.varset, [Scalar(v) for v in combo])
+        pt = PointP(pres.varset, [v[0] for v in combo])
         found[pt] = make_ideal(pres, pt)
     for pt in box.extra:
         if pt.varset != pres.varset:

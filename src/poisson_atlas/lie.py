@@ -155,20 +155,26 @@ class LieAlgebra:
         return f"LieAlgebra({', '.join(self.labels)})"
 
 
-def lie_from_point(pres: PoissonPresentation, pt: PointP) -> LieAlgebra:
-    """g(J) on the basis u_k = x_k - pt_k, from linear parts of generator brackets."""
+def linearization(pres: PoissonPresentation, pt: PointP) -> tuple:
+    """Structure constants of g(J) on the basis u_k = x_k - pt_k, as nested tuples.
+
+    sc[i][j] is the gradient of {x_i, x_j} at the point: the bracket's value
+    vanishes by Poisson maximality, so its class mod J^2 is the linear part.
+    """
     if not is_poisson_maximal(pres, pt):
         raise NotPoissonMaximalError(f"{pt} is not a Poisson-maximal point")
-    names = pres.varset.names
-    n = len(names)
-    sc = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    n = len(pres.varset)
+    sc = [[(ZERO,) * n] * n for _ in range(n)]
     for (i, j), poly in pres.pair_table().items():
-        value, grad = poly.linear_part(pt)
-        # value vanishes by Poisson maximality; the class mod J^2 is the gradient
-        for k in range(n):
-            sc[i][j][k] = grad[k]
-            sc[j][i][k] = -grad[k]
-    return LieAlgebra(names, sc)
+        _, grad = poly.linear_part(pt)
+        sc[i][j] = tuple(grad)
+        sc[j][i] = tuple(-g for g in grad)
+    return tuple(map(tuple, sc))
+
+
+def lie_from_point(pres: PoissonPresentation, pt: PointP) -> LieAlgebra:
+    """g(J) on the basis u_k = x_k - pt_k, from linear parts of generator brackets."""
+    return LieAlgebra(pres.varset.names, linearization(pres, pt))
 
 
 @dataclass(frozen=True)

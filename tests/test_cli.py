@@ -7,13 +7,19 @@ from pathlib import Path
 import pytest
 
 from poisson_atlas.catalog import catalog_names
+from poisson_atlas.classify import classify_simple_modules, recognize
 from poisson_atlas.cli import HEADER, build_parser, main
+from poisson_atlas.errors import ParseError
+from poisson_atlas.ideals import SearchBox, find_poisson_maximal
+from poisson_atlas.lie import lie_from_point
 from poisson_atlas.modules import DEFAULT_SEED, DEFAULT_TRIALS
+from poisson_atlas.presfile import parse_presentation
 
 ROOT = Path(__file__).resolve().parents[1]
 INPUTS = ROOT / "perfbench" / "inputs"
-# machine reports of `restrict` and `twist` on the committed catalog files
+# machine reports of `restrict`, `twist` and `classify` on the committed catalog files
 PINNED = json.loads((ROOT / "tests" / "pinned_reports.json").read_text(encoding="utf-8"))
+PINNED_CLASSIFY = [c for c in PINNED if c["argv"][0] == "classify"]
 
 TORUS = """
 vars x, y, z;
@@ -238,11 +244,87 @@ def test_module_entry_point(torus_file):
 
 
 @pytest.mark.parametrize(
-    "case", PINNED, ids=lambda c: f"{c['argv'][0]}-{c['argv'][3]}-d{c['argv'][7]}"
+    "case", [c for c in PINNED if c not in PINNED_CLASSIFY],
+    ids=lambda c: f"{c['argv'][0]}-{c['argv'][3]}-d{c['argv'][7]}",
 )
 def test_restrict_and_twist_reports_are_pinned(case, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert run(case["argv"]) == (0, case["report"])
+
+
+@pytest.mark.parametrize(
+    "case", PINNED_CLASSIFY,
+    ids=lambda c: f"{Path(c['argv'][1]).stem}-{c['argv'][3]}-{c['argv'][5]}",
+)
+def test_classify_reports_are_pinned(case, monkeypatch):
+    # boxes larger than the benchmark's, with a Laurent axis and sqrt(-1) candidates
+    monkeypatch.chdir(ROOT)
+    assert run(case["argv"]) == (0, case["report"])
+
+
+def _classify_reference(path, num, den):
+    """The machine report of `classify`, built point by point from lie_from_point."""
+    pf = parse_presentation(Path(path).read_text(encoding="utf-8"))
+    pres = pf.presentation(name=path)
+    ideals = find_poisson_maximal(pres, SearchBox(num, den, tuple(pf.points)))
+    lines = [HEADER, "command = classify", f"file = {path}", f"ideal.count = {len(ideals)}"]
+    for k, ideal in enumerate(ideals, 1):
+        lie = lie_from_point(pres, ideal.point)
+        rec = recognize(lie)
+        lines += [f"ideal.{k}.point = {ideal.point}",
+                  f"ideal.{k}.recognition = {rec.describe()}",
+                  f"ideal.{k}.derived_dims = {rec.derived_dims}"]
+        if rec.tag != "unrecognized":
+            cat = classify_simple_modules(lie, rec)
+            modules = (
+                "one class per dimension d >= 1" if cat.kind == "one_per_dimension"
+                else f"characters only ({cat.character_space_dim}-parameter family)"
+            )
+            lines.append(f"ideal.{k}.simple_modules = {modules}")
+    return "\n".join(lines + ["status = ok"]) + "\n"
+
+
+def test_classify_keeps_each_points_own_classification(tmp_path):
+    # {x,y} = xz vanishes where x = 0 or z = 0: 15 points of the 1/1 box, where
+    # g(J) is abelian (x = z = 0), Heisenberg (z = 0 only) or solvable (z != 0)
+    path = tmp_path / "mixed.pat"
+    path.write_text("vars x, y, z;\nbracket table { [x,y] = x*z; };\n")
+    code, out = run(["classify", str(path), "--box-num", "1", "--box-den", "1",
+                     "--format", "machine"])
+    assert (code, out) == (0, _classify_reference(str(path), 1, 1))
+    records = dict(line.split(" = ", 1) for line in out.splitlines()[1:])
+    assert records["ideal.count"] == "15"
+    for k in range(1, 16):
+        x, _, z = records[f"ideal.{k}.point"].strip("()").split(", ")
+        want = "solvable" if z != "0" else "abelian" if x == "0" else "heisenberg"
+        assert records[f"ideal.{k}.recognition"] == want
+
+
+def test_classify_separates_points_that_differ_only_in_value(tmp_path):
+    # {x,z} = x + y and {y,z} = (x + y)y vanish on the line x = -y; z acts on
+    # span(x, y) by [[1, 1], [y, y]]: nilpotent at y = -1 (Heisenberg), not at
+    # y = 1 (solvable), with the same zero pattern and the same x row there
+    path = tmp_path / "line.pat"
+    path.write_text("vars x, y, z;\nbracket table { [x,z] = x + y; [y,z] = x*y + y^2; };\n")
+    code, out = run(["classify", str(path), "--box-num", "1", "--box-den", "1",
+                     "--format", "machine"])
+    assert (code, out) == (0, _classify_reference(str(path), 1, 1))
+    records = dict(line.split(" = ", 1) for line in out.splitlines()[1:])
+    assert records["ideal.count"] == "9"
+    for k in range(1, 10):
+        y = records[f"ideal.{k}.point"].strip("()").split(", ")[1]
+        assert records[f"ideal.{k}.recognition"] == ("heisenberg" if y == "-1" else "solvable")
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_classify_matches_the_point_by_point_reference(name, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    path = f"perfbench/inputs/{name}.pa"
+    try:
+        want = (0, _classify_reference(path, 4, 2))
+    except ParseError:  # c-theta and d-phi: `catalog file` writes what the parser rejects
+        want = (2, "")
+    assert run(["classify", path, "--format", "machine"]) == want
 
 
 def test_restrict_above_the_eigen_cap():

@@ -244,12 +244,16 @@ def test_scan_matches_reference_on_catalog(name):
         _assert_same_scan(pres, dataclasses.replace(entry.box, num=num, den=den))
 
 
-_RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+_RATIONALS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
 
 @st.composite
 def _small_presentations(draw):
-    """Two-variable tables, or Exact/Scaled brackets on three variables."""
+    """Two-variable tables, or Exact/Scaled brackets on three variables.
+
+    Coefficients have denominators up to 3 and may have a sqrt(-1) part;
+    Laurent variables take exponents of both signs.
+    """
     nvars = draw(st.integers(2, 3))
     vs = VarSet(("x", "y", "z")[:nvars], [n for n in "xyz"[:nvars] if draw(st.booleans())])
     d = draw(st.sampled_from([0, -1]))
@@ -270,12 +274,26 @@ def _small_presentations(draw):
 
 
 _XY = VarSet(["x", "y"], ["y"])
+_XY_PLAIN = VarSet(["x", "y"])
+
+
+def _table(vs, poly):
+    return PoissonPresentation(vs, Table(((0, 1, LaurentPoly(vs, poly)),)))
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(_small_presentations(), st.integers(1, 3), st.integers(1, 2))
+@given(_small_presentations(), st.integers(1, 3), st.integers(1, 3))
 @example(PoissonPresentation(_XY, Table(())), 2, 2)  # no bracket: every point, no pruning
 @example(PoissonPresentation(_XY, Table(((0, 1, LaurentPoly.const(_XY, 3)),))), 2, 2)  # all pruned
+# y(y + 1)(2y - 3)/6 on the last axis: the roots 0, -1 and 3/2 need the zero
+# candidate, q | (leading coefficient) and p | (lowest coefficient) in that order
+@example(_table(_XY_PLAIN, {(0, 3): Fraction(1, 3), (0, 2): Fraction(-1, 6),
+                            (0, 1): Fraction(-1, 2)}), 3, 2)
+# 2x^2/y + 3xy on a Laurent y: x = 0 is a line of zeros, and x = -3y^2/2 meets the box
+@example(_table(_XY, {(2, -1): 2, (1, 1): 3}), 3, 2)
+# (x - 1/2) + sqrt(-1)(y - 2/3): the rational and the sqrt(-1) parts vanish only at (1/2, 2/3)
+@example(_table(_XY_PLAIN, {(1, 0): 1, (0, 1): Scalar(0, 1, -1),
+                            (0, 0): Scalar(Fraction(-1, 2), Fraction(-2, 3), -1)}), 2, 3)
 def test_scan_matches_reference_on_small_tables(pres, num, den):
     _assert_same_scan(pres, SearchBox(num, den))
