@@ -13,6 +13,7 @@ suite cross-validates them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import LieStructureError, VarSetMismatchError
 from .poly import LaurentPoly, PointP, VarSet, divides
@@ -114,13 +115,16 @@ class PoissonPresentation:
     """A variable set, a bracket spec, and optional relations (e.g. f - lambda).
 
     Relations are carried for membership filters and map verification; no
-    normal-form rewriting happens in the ambient ring.
+    normal-form rewriting happens in the ambient ring.  The generator
+    brackets are computed on first use and kept in `_pairs`, a field outside
+    `==`, `hash` and `repr`.
     """
 
     varset: VarSet
     bracket_spec: BracketSpec
     relations: tuple = ()
     name: str = ""
+    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.bracket_spec, (Exact, Scaled)) and len(self.varset) != 3:
@@ -138,13 +142,15 @@ class PoissonPresentation:
         return LaurentPoly.variable(self.varset, name)
 
     def pair_table(self):
-        """All generator brackets {x_i, x_j} for i < j."""
-        n = len(self.varset)
-        return {
-            (i, j): self.bracket_spec.pair(self.varset, i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-        }
+        """All generator brackets {x_i, x_j} for i < j, as a read-only mapping."""
+        if not self._pairs:
+            n = len(self.varset)
+            self._pairs.update(
+                ((i, j), self.bracket_spec.pair(self.varset, i, j))
+                for i in range(n)
+                for j in range(i + 1, n)
+            )
+        return MappingProxyType(self._pairs)
 
     def bracket(self, p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         return bracket(self.bracket_spec, p, q)

@@ -10,6 +10,7 @@ machine format as greppable `key = value` lines under the version header
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .catalog import RunConfig, catalog_names, get_entry, run_entry
@@ -393,9 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call and reused after."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -7,16 +7,17 @@ is both the solver and the verifier here.  The subspace routines are
 `restrict_action` (matrices on an invariant subspace, built on it) and
 `closure` (the smallest span holding some seeds and stable under linear maps,
 grown in an IncrementalSpan); the density hull is a closure.  eigen_small
-(up to dimension EIGEN_CAP) factors characteristic polynomials over Q plus at
-most one quadratic extension, reporting the discriminant it had to introduce.
+factors characteristic polynomials over Q plus at most one quadratic
+extension, reporting the discriminant it had to introduce; its root search is
+bounded by the matrix's row-sum norm, so it has no dimension cap.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
-from .errors import AtlasError, ExtensionRequiredError
+from .errors import AtlasError, ExtensionRequiredError, ScalarDomainError
 from .scalars import Scalar, ZERO, ONE, scalar_sqrt, common_domain
 
 
@@ -370,70 +371,77 @@ def charpoly(m: Matrix):
     return coeffs
 
 
-def _poly_eval(coeffs, x: Scalar) -> Scalar:
-    total = ZERO
-    for c in coeffs:
+def _poly_eval(coeffs, x):
+    """Horner's rule, on Scalars or on ints."""
+    total = coeffs[0]
+    for c in coeffs[1:]:
         total = total * x + c
     return total
 
 
-def _poly_divide_root(coeffs, root: Scalar):
-    """Synthetic division by (t - root); remainder must be zero."""
-    out = [coeffs[0]]
-    for c in coeffs[1:]:
-        out.append(c + out[-1] * root)
-    if not out[-1].is_zero:
-        raise ArithmeticError("not a root")
-    return out[:-1]
+def _divide(f, g):
+    """(quotient, remainder) of f by a monic g, coefficients leading first
+    (ints, Fractions or Scalars)."""
+    f = list(f)
+    k = max(len(f) - len(g) + 1, 0)
+    for i in range(k):
+        c = f[i]
+        if c:
+            for j in range(1, len(g)):
+                f[i + j] -= c * g[j]
+    return f[:k], f[k:]
 
 
-def _divisors(n: int):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _squarefree(f):
+    """f / gcd(f, f') for a monic integer f: the same roots, each once."""
+    n = len(f) - 1
+    a = [Fraction(c) for c in f]
+    b = [Fraction(c * (n - i)) for i, c in enumerate(f[:-1])]
+    while b:  # Euclid over Q, each divisor made monic
+        b = [c / b[0] for c in b]
+        a, b = b, _divide(a, b)[1]
+        while b and not b[0]:
+            b.pop(0)
+    return [int(c) for c in _divide(f, a)[0]]
 
 
-def _rational_roots(coeffs):
-    """All rational roots (with multiplicity) of a rational-coefficient poly."""
+def _integer_roots(f, bound: int):
+    """(roots with multiplicity, rest) for a monic integer f whose roots all
+    have absolute value at most `bound`: only divisors p <= bound of the
+    constant term are tried."""
     roots = []
-    # strip zero roots
-    while len(coeffs) > 1 and coeffs[-1].is_zero:
-        roots.append(ZERO)
-        coeffs = coeffs[:-1]
-    if len(coeffs) <= 1:
-        return roots, coeffs
-    denom = lcm(*(c.as_fraction().denominator for c in coeffs))
-    ints = [int(c.as_fraction() * denom) for c in coeffs]
-    lead, const = ints[0], ints[-1]
-    candidates = set()
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            candidates.add(Fraction(p, q))
-            candidates.add(Fraction(-p, q))
-    for cand in sorted(candidates):
-        root = Scalar(cand)
-        while _poly_eval(coeffs, root).is_zero:
-            roots.append(root)
-            coeffs = _poly_divide_root(coeffs, root)
-            if len(coeffs) <= 1:
-                return roots, coeffs
-    return roots, coeffs
+    while len(f) > 1 and f[-1] == 0:
+        roots.append(0)
+        f = f[:-1]
+    p = 1
+    while len(f) > 1 and p <= min(bound, abs(f[-1])):
+        if f[-1] % p == 0:
+            for r in (p, -p):
+                while len(f) > 1 and _poly_eval(f, r) == 0:
+                    roots.append(r)
+                    f = _divide(f, (1, -r))[0]
+        p += 1
+    return roots, f
 
 
-def _quadratic_roots(coeffs):
-    """Roots of a degree-2 scalar polynomial, introducing at most one sqrt."""
-    a, b, c = coeffs
-    disc = b * b - Scalar(4) * a * c
-    root = scalar_sqrt(disc)  # raises if disc itself is irrational
-    two_a = Scalar(2) * a
-    return [(-b + root) / two_a, (-b - root) / two_a]
+def _quadratic_factor(f, bound: int):
+    """A monic quadratic t^2 + b t + c dividing a monic integer f of degree
+    >= 2 with no integer root, or None.  Its roots have absolute value at most
+    `bound`, so |b| <= 2 bound and 0 < |c| <= bound^2, c divides f(0), and
+    its values at 1 and -1 divide f(1) and f(-1)."""
+    if len(f) == 3:
+        return f
+    f0, f1, f_1 = f[-1], _poly_eval(f, 1), _poly_eval(f, -1)
+    for size in range(1, min(bound * bound, abs(f0)) + 1):
+        if f0 % size:
+            continue
+        for c in (size, -size):
+            for b in range(-2 * bound, 2 * bound + 1):
+                at1, at_1 = 1 + b + c, 1 - b + c
+                if at1 and at_1 and not f1 % at1 and not f_1 % at_1:
+                    if not any(_divide(f, (1, b, c))[1]):
+                        return [1, b, c]
+    return None
 
 
 class EigenResult:
@@ -450,76 +458,104 @@ class EigenResult:
         return out
 
 
-def _roots_in_at_most_one_extension(coeffs):
-    """Factor a rational polynomial over Q plus one quadratic extension."""
-    roots, rest = _rational_roots(coeffs)
-    degree = len(rest) - 1
-    if degree == 0:
-        return roots
-    if degree == 2:
-        return roots + _quadratic_roots(rest)
-    if degree > 2 and degree % 2 == 0 and all(
-        rest[i].is_zero for i in range(1, degree + 1, 2)
-    ):
-        # even polynomial: substitute u = t^2
-        sub = [rest[i] for i in range(0, degree + 1, 2)]
-        u_roots, u_rest = _rational_roots(sub)
-        if len(u_rest) == 1:
-            out = list(roots)
-            for u in u_roots:
-                r = scalar_sqrt(u)
-                out.extend([r, -r])
-            return out
-    raise ExtensionRequiredError("extension beyond quadratic required")
+def _roots_by_quadratic_factors(f, bound: int):
+    """Every root of a monic integer f whose roots lie within `bound`: its
+    integer roots, then the roots of the quadratic factors of its squarefree
+    rest.  Raises ExtensionRequiredError when an irreducible factor of degree
+    above 2 remains."""
+    roots, rest = _integer_roots(f, bound)
+    roots = [Scalar(r) for r in roots]
+    if len(rest) > 1:
+        rest = _squarefree(rest)
+    while len(rest) > 1:
+        quadratic = _quadratic_factor(rest, bound)
+        if quadratic is None:
+            raise ExtensionRequiredError("extension beyond quadratic required")
+        _, b, c = quadratic
+        root = scalar_sqrt(b * b - 4 * c)
+        roots += [(root - b) / 2, (-root - b) / 2]
+        rest = _divide(rest, quadratic)[0]
+    return roots
 
 
-EIGEN_CAP = 12
+def _spectral_bound(m: Matrix) -> int:
+    """An integer bound on the row-sum norm of a matrix over Q or Q(sqrt d): no
+    eigenvalue of it or of its conjugate is larger in absolute value, as
+    |a +- b sqrt d| <= |a| + |b| ceil(sqrt |d|)."""
+    d = abs(common_domain(m.flat()))
+    root = isqrt(d) + (isqrt(d) ** 2 < d)
+    return max(
+        (sum(-(-(abs(x.n) + abs(x.m) * root) // x.q) for x in row) for row in m.rows),
+        default=0,
+    )
+
+
+def _root_bound(f) -> int:
+    """Fujiwara's bound 2 max |f_i|^(1/i) on the roots of a monic integer f,
+    each |f_i|^(1/i) rounded up to a power of 2."""
+    return 2 * max(
+        (1 << -(-abs(c).bit_length() // i) for i, c in enumerate(f[1:], 1) if c), default=0
+    )
+
+
+def _root_scale(denominators) -> int:
+    """A k > 0 with k^i c_i integral for every i, given the denominators of
+    the coefficients c_i of a monic rational polynomial, c_0 = 1 leading: the
+    least one when no denominator has a prime factor above 1000, whose
+    exponents are then read off; a larger factor is taken whole."""
+    exponents = {}  # prime -> least exponent in k
+    rest = 1
+    for i, g in enumerate(denominators[1:], 1):
+        p = 2
+        while g > 1 and p < 1000:
+            e = 0
+            while g % p == 0:
+                g //= p
+                e += 1
+            if e:
+                exponents[p] = max(exponents.get(p, 0), -(-e // i))
+            p += 1
+        rest = lcm(rest, g)
+    for p, e in exponents.items():
+        rest *= p**e
+    return rest
 
 
 def eigen_small(m: Matrix) -> EigenResult:
-    """Exact eigendecomposition for dim <= EIGEN_CAP over Q or one Q(sqrt d).
+    """Exact eigendecomposition over Q or one Q(sqrt d).
 
-    Raises ExtensionRequiredError when the spectrum does not fit in a single
-    quadratic extension.
+    The characteristic polynomial (for entries in Q(sqrt d), its product with
+    its conjugate, which is rational) has its roots scaled by the integer k of
+    `_root_scale`, so that it becomes monic with integer coefficients; its
+    roots are then searched up to k times the row-sum bound of
+    `_spectral_bound`, or up to the polynomial's own `_root_bound` where that
+    is smaller, and each root's multiplicity is read off the characteristic
+    polynomial.  Raises ExtensionRequiredError when the
+    spectrum does not fit in a single quadratic extension.
     """
     n = m.nrows
     if n != m.ncols:
         raise ValueError("eigen_small needs a square matrix")
-    if n > EIGEN_CAP:
-        raise ValueError(f"eigen_small capped at dimension {EIGEN_CAP}")
-    cp = charpoly(m)
     entry_d = common_domain(m.flat())
-    if entry_d == 0:
-        roots = _roots_in_at_most_one_extension(cp)
-    else:
-        # entries in Q(sqrt d): use the rational norm polynomial for candidates
-        conj = [c.conj() for c in cp]
-        norm_poly = _poly_mul(cp, conj)
-        candidates = _roots_in_at_most_one_extension(norm_poly)
-        roots = []
-        work = cp
-        for cand in dict.fromkeys(candidates):  # distinct, in order
-            if cand.b != 0 and cand.d != entry_d:
-                continue
-            while len(work) > 1 and _poly_eval(work, cand).is_zero:
-                roots.append(cand)
-                work = _poly_divide_root(work, cand)
-            if cand.b != 0:
-                other = cand.conj()
-                while len(work) > 1 and _poly_eval(work, other).is_zero:
-                    roots.append(other)
-                    work = _poly_divide_root(work, other)
-        if len(work) > 1:
-            raise ExtensionRequiredError("extension beyond quadratic required")
-    from .errors import ScalarDomainError
-
+    cp = charpoly(m)
+    rational = cp if entry_d == 0 else _poly_mul(cp, [c.conj() for c in cp])
+    scale = _root_scale([c.q for c in rational])
+    monic = [c.n * scale**i // c.q for i, c in enumerate(rational)]
+    candidates = _roots_by_quadratic_factors(
+        monic, min(scale * _spectral_bound(m), _root_bound(monic))
+    )
     try:
-        common_domain(roots + [Scalar(0, 1, entry_d) if entry_d else ZERO])
+        common_domain(candidates + [Scalar(0, 1, entry_d) if entry_d else ZERO])
     except ScalarDomainError:
         raise ExtensionRequiredError("extension beyond quadratic required") from None
     grouped = {}
-    for r in roots:
-        grouped[r] = grouped.get(r, 0) + 1
+    work = cp
+    for value in dict.fromkeys(c / scale for c in candidates):  # distinct, in order
+        while len(work) > 1 and _poly_eval(work, value).is_zero:
+            grouped[value] = grouped.get(value, 0) + 1
+            work = _divide(work, (ONE, -value))[0]
+    if len(work) > 1:
+        raise ExtensionRequiredError("extension beyond quadratic required")
     pairs = []
     for value in sorted(grouped, key=Scalar.sort_key):
         shifted = m - Matrix.identity(n).scale(value)

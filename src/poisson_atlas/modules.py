@@ -5,10 +5,12 @@ point and Lie-wise through the linear part of each element, so the action of
 a polynomial depends only on its constant-and-linear data at the point; the
 restriction construction reads the matrices straight back.  Restriction to a
 subalgebra and twisting by an automorphism are one pullback along a verified
-Poisson map.  Submodule analysis combines an exact density criterion for
-simplicity with an enumeration of the submodule lattice for series and
-socles, graded by an action matrix of the module itself; the closures,
-restrictions and coordinate solves it needs are linalg's.
+Poisson map.  Submodule analysis is graded by an action matrix of the module
+itself with one-dimensional eigenspaces: simplicity holds iff each of its
+eigenvectors generates the module (the density hull decides when no matrix
+grades), and the submodule lattice for series and socles is enumerated from
+the same eigenvectors; the closures, restrictions and coordinate solves it
+needs are linalg's.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .linalg import (
     associative_hull_is_full,
     closure,
     coordinates,
-    EIGEN_CAP,
     eigen_small,
     kernel_basis,
     linear_combination,
@@ -38,7 +39,7 @@ from .linalg import (
     unit_vector,
 )
 from .poly import LaurentPoly, PointP
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ZERO, ONE, common_domain
 
 DEFAULT_SEED = 0x9E3779B9
 DEFAULT_TRIALS = 32
@@ -313,8 +314,23 @@ def verify_poisson_axioms(
 
 
 def is_simple(mats, dim: int) -> bool:
-    """Simplicity over C via the associative-hull density criterion."""
-    return associative_hull_is_full(list(mats), dim)
+    """Simplicity over C, certified by weight vectors where a grading exists.
+
+    With an action matrix whose eigenspaces are all one-dimensional (found by
+    `_weight_seeds` among the module's own matrices), every nonzero submodule
+    is stable under it and so holds one of its eigenvectors: the module is
+    simple iff each eigenvector generates all of it, which takes dim
+    closures.  Without one, the associative-hull density criterion decides.
+    The zero module is not simple.
+    """
+    if dim == 0:
+        return False
+    mats = list(mats)
+    seeds, graded = _weight_seeds(mats, dim)
+    if not graded:
+        return associative_hull_is_full(mats, dim)
+    maps = [m.apply for m in mats]
+    return all(closure([v], maps).rank == dim for v in seeds)
 
 
 def is_simple_module(module: PoissonModule) -> bool:
@@ -343,17 +359,20 @@ def _weight_seeds(mats, dim: int):
 
     Every submodule is stable under that matrix, so each simple submodule
     holds one of its eigenvectors and is the closure of it: the socle is found
-    exactly.  A matrix whose spectrum needs more than one quadratic extension
-    is skipped; without a grading, or above EIGEN_CAP, the basis vectors seed.
+    exactly.  A matrix is skipped when its spectrum needs more than one
+    quadratic extension, or another one than the entries of the matrices lie
+    in; without a grading the basis vectors seed.
     """
-    if dim <= EIGEN_CAP:
-        for m in mats:
-            try:
-                pairs = eigen_small(m).pairs
-            except ExtensionRequiredError:
-                continue
-            if all(len(vecs) == 1 for _, _, vecs in pairs):
-                return [vecs[0] for _, _, vecs in pairs], True
+    field = common_domain([x for m in mats for x in m.flat()])
+    for m in mats:
+        try:
+            eig = eigen_small(m)
+        except ExtensionRequiredError:
+            continue
+        if field and eig.discriminant not in (0, field):
+            continue
+        if all(len(vecs) == 1 for _, _, vecs in eig.pairs):
+            return [vecs[0] for _, _, vecs in eig.pairs], True
     return [unit_vector(dim, i) for i in range(dim)], False
 
 
@@ -366,7 +385,8 @@ def analyze_submodules(mats, dim: int) -> SubmoduleAnalysis:
     that matrix is diagonalizable and may be partial when it is not.  Without
     one, closures of basis vectors are used, the lattice may be partial, and a
     socle short of the module leaves the verdict undetermined (None).
-    Simplicity of each summand is decided by the density criterion.
+    Simplicity of each summand is decided by `is_simple` on the summand's own
+    matrices.
     """
     mats = list(mats)
     seeds, complete = _weight_seeds(mats, dim)
@@ -453,8 +473,8 @@ def composition_series(mats, dim: int):
     Each step analyzes the current quotient afresh, so its grading comes from
     the quotient's own matrices; with a non-diagonalizable grading the minimal
     submodules are still exact though the lattice may be partial.  Every
-    factor is certified simple by the density criterion; without a grading
-    that certification can fail, which is reported rather than returning a
+    factor is certified simple by `is_simple`; without a grading that
+    certification can fail, which is reported rather than returning a
     non-composition filtration.
     """
     mats = list(mats)

@@ -217,3 +217,23 @@ def test_hamiltonian(xyz):
     assert ham_z == {"x": -x, "y": y, "z": LaurentPoly.zero(vs)}
     assert all(v.is_zero for v in hamiltonian(spec, LaurentPoly.const(vs, 1)).values())
     assert all(v.is_zero for v in hamiltonian(spec, f).values())
+
+
+def test_pair_table_is_built_once_and_read_only(torus_pres, monkeypatch):
+    spec, varset = torus_pres.bracket_spec, torus_pres.varset
+    expected = {(i, j): spec.pair(varset, i, j) for i in range(3) for j in range(i + 1, 3)}
+    calls = []
+    original = type(spec).pair
+
+    def counted(self, varset, i, j):
+        calls.append((i, j))
+        return original(self, varset, i, j)
+
+    monkeypatch.setattr(type(spec), "pair", counted)
+    first = torus_pres.pair_table()
+    assert first == expected and list(first) == [(0, 1), (0, 2), (1, 2)]
+    assert torus_pres.pair_table() == expected
+    assert calls == [(0, 1), (0, 2), (1, 2)]
+    with pytest.raises(TypeError):
+        first[(0, 1)] = first[(0, 2)]
+    assert torus_pres == PoissonPresentation(varset, spec, torus_pres.relations, "torus")

@@ -20,6 +20,7 @@ INPUTS = ROOT / "perfbench" / "inputs"
 # machine reports of `restrict`, `twist` and `classify` on the committed catalog files
 PINNED = json.loads((ROOT / "tests" / "pinned_reports.json").read_text(encoding="utf-8"))
 PINNED_CLASSIFY = [c for c in PINNED if c["argv"][0] == "classify"]
+PINNED_MODULE = [c for c in PINNED if c["argv"][0] == "module"]
 
 TORUS = """
 vars x, y, z;
@@ -244,7 +245,7 @@ def test_module_entry_point(torus_file):
 
 
 @pytest.mark.parametrize(
-    "case", [c for c in PINNED if c not in PINNED_CLASSIFY],
+    "case", [c for c in PINNED if c["argv"][0] in ("restrict", "twist")],
     ids=lambda c: f"{c['argv'][0]}-{c['argv'][3]}-d{c['argv'][7]}",
 )
 def test_restrict_and_twist_reports_are_pinned(case, monkeypatch):
@@ -260,6 +261,42 @@ def test_classify_reports_are_pinned(case, monkeypatch):
     # boxes larger than the benchmark's, with a Laurent axis and sqrt(-1) candidates
     monkeypatch.chdir(ROOT)
     assert run(case["argv"]) == (0, case["report"])
+
+
+@pytest.mark.parametrize(
+    "case", PINNED_MODULE, ids=lambda c: f"{Path(c['argv'][1]).stem}-d{c['argv'][5]}"
+)
+def test_module_reports_are_pinned(case, monkeypatch):
+    # dimensions where the density hull took seconds; recorded before the
+    # weight-vector certificate
+    monkeypatch.chdir(ROOT)
+    assert run(case["argv"]) == (0, case["report"])
+
+
+# The sl2-type points of the catalog files: `classify` recognizes sl2 there.
+SL2_POINTS = (
+    ("kirillov-kostant-sl2", "(0, 0, 0)"), ("kleinian-a1", "(0, 0, 0)"),
+    ("kleinian-an(2)", "(0, 0, 0)"), ("laurent-inv", "(0, 0, -2)"),
+    ("laurent-inv", "(0, 0, 2)"), ("torus-so3", "(-2, -2, 2)"),
+    ("torus-so3", "(-2, 2, -2)"), ("torus-so3", "(0, 0, 0)"),
+    ("torus-so3", "(2, -2, -2)"), ("torus-so3", "(2, 2, 2)"),
+    ("uqsl2-4hom", "(0, 0, -sqrt(-1))"), ("uqsl2-4hom", "(0, 0, sqrt(-1))"),
+    ("uqsl2-4hom", "(0, 0, -1)"), ("uqsl2-4hom", "(0, 0, 1)"),
+    ("uqsl2-equitable", "(-1, -1, -1)"), ("uqsl2-equitable", "(1, 1, 1)"),
+    ("uqsl2", "(0, 0, -1)"), ("uqsl2", "(0, 0, 1)"),
+)
+
+
+def test_weight_vectors_decide_simplicity_at_every_sl2_point(monkeypatch):
+    def no_hull(mats, dim):
+        raise AssertionError("the density hull ran")
+
+    monkeypatch.setattr("poisson_atlas.modules.associative_hull_is_full", no_hull)
+    for name, point in SL2_POINTS:
+        code, out = run(["module", str(INPUTS / f"{name}.pa"), "--point", point,
+                         "--dim", "16", "--format", "machine"])
+        assert code == 0
+        assert "recognition = sl2" in out and "simple = True" in out, (name, point)
 
 
 def _classify_reference(path, num, den):
@@ -369,3 +406,39 @@ def test_module_subcommands_keep_their_flags():
         "format": (False, "text"), "box_num": (False, 4), "box_den": (False, 2),
         "trials": (False, DEFAULT_TRIALS), "seed": (False, DEFAULT_SEED),
     }
+
+
+def _transcript(argvs, capsys):
+    """(exit code, stdout, stderr) of each `main` call in turn."""
+    out = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        out.append((code, captured.out, captured.err))
+    return out
+
+
+def test_one_parser_serves_every_call(torus_file, tmp_path, capsys, monkeypatch):
+    from poisson_atlas import cli
+
+    bad = tmp_path / "bad.pat"
+    bad.write_text("vars x, x;\n")
+    argvs = [
+        ["lie", torus_file, "--point", "(2,2,2)"],
+        ["module", torus_file, "--dim", "2"],
+        ["ideals", str(bad)],
+        ["module", torus_file, "--point", "(0,0,0)", "--dim", "2", "--format", "machine"],
+        ["verify", torus_file, "--point", "(2,2,2)", "--dim", "2", "--trials", "4",
+         "--seed", "0x11"],
+        ["catalog", "--help"],
+        ["lie", torus_file, "--point", "(2,2,2)", "--format", "machine"],
+    ]
+    assert cli._parser() is cli._parser()
+    shared = _transcript(argvs, capsys)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per call
+    assert _transcript(argvs, capsys) == shared
+    assert [code for code, _, _ in shared] == [0, ("exit", 2), 2, 0, 0, ("exit", 0), 0]
+    assert "parse error" in shared[2][2]

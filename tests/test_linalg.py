@@ -161,9 +161,117 @@ def test_eigen_even_polynomial_same_extension():
     assert len(result.eigenvalues()) == 4
 
 
-def test_dimension_cap():
-    with pytest.raises(ValueError):
-        eigen_small(Matrix.identity(13))
+def test_eigen_has_no_dimension_cap():
+    assert [(str(v), m, len(vs)) for v, m, vs in eigen_small(Matrix.identity(13)).pairs] == [
+        ("1", 13, 13)
+    ]
+    # h of the 32-dimensional sl2 irrep, halved: weights 31/2, 29/2, ..., -31/2
+    h = Matrix([[Fraction(31 - 2 * i, 2) if i == j else 0 for j in range(32)]
+                for i in range(32)])
+    pairs = eigen_small(h).pairs
+    assert [v for v, _, _ in pairs] == [Scalar(Fraction(k, 2)) for k in range(-31, 32, 2)]
+    assert all(m == 1 and len(vs) == 1 for _, m, vs in pairs)
+
+
+def check_eigenpairs(m, expected):
+    """`eigen_small(m)` has the expected {value: (multiplicity, eigenspace
+    dimension)}, and every vector it returns is an eigenvector."""
+    pairs = eigen_small(m).pairs
+    assert {v: (mult, len(vs)) for v, mult, vs in pairs} == expected
+    for value, _, vectors in pairs:
+        for v in vectors:
+            assert any(not c.is_zero for c in v)
+            assert m.apply(v) == tuple(value * c for c in v)
+
+
+def test_eigen_repeated_root_in_the_extension():
+    # norm polynomial (t^2 - 4t + 5)^2: a repeated quadratic factor
+    i = Scalar(0, 1, -1)
+    check_eigenpairs(Matrix([[2 + i, 1], [0, 2 + i]]), {2 + i: (2, 1)})
+
+
+def test_eigen_two_quadratic_factors_in_one_extension():
+    # norm polynomial t^2 (t^2 + 1)^2 (t^2 - 2t + 2): not even, two quadratics
+    i = Scalar(0, 1, -1)
+    zero = Scalar(0)
+    m = Matrix([[(0, i, -i, 1 + i)[r] if r == c else zero for c in range(4)]
+                for r in range(4)])
+    check_eigenpairs(m, {zero: (1, 1), i: (1, 1), -i: (1, 1), 1 + i: (1, 1)})
+
+
+def test_eigen_root_search_reaches_its_bounds():
+    i = Scalar(0, 1, -1)
+    zero = Scalar(0)
+    # purely imaginary entries: the bound must count the sqrt(-1) parts
+    diag = [2 * i, 3 * i, Scalar(1)]
+    check_eigenpairs(
+        Matrix([[diag[r] if r == c else zero for c in range(3)] for r in range(3)]),
+        {2 * i: (1, 1), 3 * i: (1, 1), Scalar(1): (1, 1)},
+    )
+    # factors t^2 -+ 6t + 10 of degree-4 t^4 - 16t^2 + 100: |b| = 6 > row sum 4
+    rotations = Matrix([[3, -1, 0, 0], [1, 3, 0, 0], [0, 0, -3, -1], [0, 0, 1, -3]])
+    check_eigenpairs(rotations, {3 + i: (1, 1), 3 - i: (1, 1), -3 + i: (1, 1), -3 - i: (1, 1)})
+    # t^2 + 1/2: the roots scale by 2^ceil(1/2) = 2 to make it monic over Z
+    half = Scalar(0, Fraction(1, 2), -2)
+    check_eigenpairs(Matrix([[0, Fraction(-1, 2)], [1, 0]]), {half: (1, 1), -half: (1, 1)})
+
+
+def test_eigen_rejects_a_large_irreducible_quartic_quickly():
+    # t^4 + t + 10^9: the row-sum bound is 10^9, the polynomial's own bound 2^9
+    companion = Matrix([[0, 0, 0, -10**9], [1, 0, 0, -1], [0, 1, 0, 0], [0, 0, 1, 0]])
+    with pytest.raises(ExtensionRequiredError):
+        eigen_small(companion)
+
+
+@st.composite
+def _spectra(draw):
+    """(matrix, expected eigenpairs): diagonal and Jordan blocks and, over Q,
+    rotation blocks [[a, -r], [r, a]] (eigenvalues a +- r sqrt(-1)), in a
+    random basis over Q or Q(sqrt(-1)); values have denominators up to 3."""
+    d = draw(st.sampled_from([0, -1]))
+    part = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    blocks, expected = [], {}
+
+    def add(value, mult):
+        old = expected.get(value, (0, 0))
+        expected[value] = (old[0] + mult, old[1] + 1)
+
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = draw(part), draw(part)
+        kind = draw(st.sampled_from(["diagonal", "jordan", "rotation"]))
+        if kind == "rotation" and not d and b:
+            blocks.append([[a, -b], [b, a]])
+            add(Scalar(a, b, -1), 1)
+            add(Scalar(a, -b, -1), 1)
+            continue
+        value = Scalar(a, b if d else 0, -1)
+        if kind == "jordan":
+            blocks.append([[value, 1], [0, value]])
+            add(value, 2)
+        else:
+            blocks.append([[value]])
+            add(value, 1)
+    n = sum(len(b) for b in blocks)
+    rows, at = [[Scalar(0)] * n for _ in range(n)], 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            for j, x in enumerate(row):
+                rows[at + i][at + j] = Scalar.coerce(x)
+        at += len(block)
+    entry = st.builds(lambda x, y: Scalar(x, y if d else 0, d),
+                      st.integers(-3, 3), st.integers(-2, 2))
+    p = Matrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+    while rank([list(r) for r in p.rows]) < n:
+        p = p + Matrix.identity(n)
+    units = [[Scalar(int(i == j)) for i in range(n)] for j in range(n)]
+    p_inv = Matrix(list(zip(*(solve_linear([list(r) for r in p.rows], u) for u in units))))
+    return p_inv * Matrix(rows) * p, expected
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(_spectra())
+def test_eigen_finds_every_eigenvalue_in_a_random_basis(case):
+    check_eigenpairs(*case)
 
 
 def test_incremental_span():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisson_atlas import (
     ActionTable,
@@ -30,7 +32,7 @@ from poisson_atlas import (
     verify_poisson_axioms,
 )
 from poisson_atlas.errors import AtlasError, IncompatibleTableError
-from poisson_atlas.linalg import Matrix, eigen_small, rank
+from poisson_atlas.linalg import Matrix, associative_hull_is_full, eigen_small, rank
 from poisson_atlas.modules import (
     SplitMix,
     find_isomorphism,
@@ -449,6 +451,26 @@ PINNED_FAILURES = {
                       "-x*z^2 + y^3 + 3*x*y + z)"),
     ]),
 }
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    st.sampled_from([
+        ("kleinian-a1", (0, 0, 0)), ("torus-so3", (2, 2, 2)), ("torus-so3", (0, 0, 0)),
+        ("uqsl2-4hom", (0, 0, Scalar(0, 1, -1))), ("uqsl2-equitable", (1, 1, 1)),
+    ]),
+    st.integers(1, 4),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 3)),
+             max_size=3),
+)
+def test_simplicity_of_perturbed_lifts_matches_the_hull(point, d, changes):
+    """Lifts at sl2 points over Q and Q(sqrt(-1)) with +1 added to some
+    action-matrix entries: the weight-vector certificate, or its fallback,
+    agrees with the density hull."""
+    module = _catalog_lift(*point, d)
+    for g, r, c in changes:
+        module = module.perturbed(g, r % d, c % d)
+    assert is_simple_module(module) is associative_hull_is_full(list(module.mats), d)
 
 
 @pytest.mark.parametrize("case", list(PINNED_FAILURES), ids=lambda case: case[0])

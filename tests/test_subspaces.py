@@ -24,7 +24,7 @@ from poisson_atlas.linalg import (
     trace_product,
 )
 from poisson_atlas.errors import ExtensionRequiredError
-from poisson_atlas.modules import analyze_submodules, lie_rep_restrict, sl2_irrep
+from poisson_atlas.modules import analyze_submodules, is_simple, lie_rep_restrict, sl2_irrep
 from poisson_atlas.classify import find_sl2_triple
 from poisson_atlas.scalars import Scalar
 
@@ -301,6 +301,22 @@ def test_hull_decides_simplicity_in_any_basis(case):
     mats, conjugated, dim, simple = case
     assert associative_hull_is_full(mats, dim) is simple
     assert associative_hull_is_full(conjugated, dim) is simple
+    assert is_simple(mats, dim) is simple
+    assert is_simple(conjugated, dim) is simple
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_every_weight_vector_is_tried(position):
+    """h = diag of three distinct weights and x with x e2 = e1 + e3,
+    x e3 = e1 + e2: span(e1) is the only proper submodule, and e1 is the only
+    eigenvector of h that does not generate; its weight ranks `position`."""
+    weights = {0: (0, 1, 2), 1: (1, 0, 2), 2: (2, 0, 1)}[position]
+    h = Matrix([[w if i == j else 0 for j in range(3)] for i, w in enumerate(weights)])
+    x = Matrix([[0, 1, 1], [0, 0, 1], [0, 1, 0]])
+    assert not associative_hull_is_full([h, x], 3)
+    assert has_weight_grading([h, x])
+    assert is_simple([h, x], 3) is False
+    assert is_simple([x, h], 3) is False
 
 
 # -- change_basis on a subalgebra ------------------------------------------------
@@ -426,6 +442,7 @@ def check_verdict(mats, dim):
     direct decomposition into simple summands."""
     analysis = analyze_submodules(mats, dim)
     truth = semisimple_reference(mats, dim)
+    assert is_simple(mats, dim) is associative_hull_is_full(mats, dim)
     assert analysis.semisimple in (truth, None)
     if has_weight_grading(mats):
         assert analysis.complete
@@ -477,3 +494,13 @@ def test_a_diagonal_module_is_semisimple():
     analysis = analyze_submodules([Matrix([[1, 0], [0, 2]])], 2)
     assert analysis.complete and analysis.semisimple is True
     assert len(analysis.proper_nonzero()) == 2
+
+
+def test_a_spectrum_in_another_extension_grades_nothing():
+    # x has eigenvalues (1 +- sqrt(5))/2 while y has entries in Q(sqrt(-1)):
+    # x's eigenvectors cannot be closed under y, so y grades the module
+    i = Scalar(0, 1, -1)
+    mats = [Matrix([[1, 1], [1, 0]]), Matrix([[i, 0], [0, -i]])]
+    analysis = analyze_submodules(mats, 2)
+    assert analysis.complete and analysis.proper_nonzero() == []
+    assert is_simple(mats, 2) and associative_hull_is_full(mats, 2)
