@@ -20,33 +20,42 @@ from .poly import LaurentPoly, PointP, VarSet, divides
 from .scalars import Scalar
 
 
+@dataclass(frozen=True)
 class BracketSpec:
-    """Base class; concrete specs provide the generator pair table."""
+    """Base class; a concrete spec computes one generator bracket in `_pair`.
+
+    `pairs` computes every generator bracket on first use and keeps the table
+    per variable set in `_pairs`, a field outside `==`, `hash` and `repr`.
+    """
+
+    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def pairs(self, varset: VarSet):
+        """All generator brackets {x_i, x_j} for i < j, as a read-only mapping."""
+        table = self._pairs.get(varset)
+        if table is None:
+            n = len(varset)
+            table = self._pairs[varset] = MappingProxyType({
+                (i, j): self._pair(varset, i, j) for i in range(n) for j in range(i + 1, n)
+            })
+        return table
 
     def pair(self, varset: VarSet, i: int, j: int) -> LaurentPoly:
+        """{x_i, x_j} for i < j, read from the table."""
+        return self.pairs(varset)[(i, j)]
+
+    def _pair(self, varset: VarSet, i: int, j: int) -> LaurentPoly:
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class _PotentialSpec(BracketSpec):
-    """A bracket from a potential on three variables; its three generator
-    brackets are computed on first use and kept per variable set in `_pairs`,
-    a field outside `==`, `hash` and `repr`."""
+    """A bracket from a potential f on three variables: {x,y} = df/dz,
+    {y,z} = df/dx, {z,x} = df/dy."""
 
-    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def pair(self, varset, i, j):
-        pairs = self._pairs.get(varset)
-        if pairs is None:
-            pairs = self._pairs[varset] = self._generator_pairs(varset)
-        if (i, j) not in pairs:
-            raise IndexError((i, j))
-        return pairs[(i, j)]
-
-    def _generator_pairs(self, varset):
-        names, f = varset.names, self.potential
-        return {(0, 1): f.partial(names[2]), (1, 2): f.partial(names[0]),
-                (0, 2): -f.partial(names[1])}
+    def _pair(self, varset, i, j):
+        partial = self.potential.partial(varset.names[3 - i - j])  # the third variable
+        return -partial if (i, j) == (0, 2) else partial
 
 
 @dataclass(frozen=True)
@@ -63,8 +72,8 @@ class Scaled(_PotentialSpec):
     multiplier: LaurentPoly
     potential: LaurentPoly
 
-    def _generator_pairs(self, varset):
-        return {ij: self.multiplier * p for ij, p in super()._generator_pairs(varset).items()}
+    def _pair(self, varset, i, j):
+        return self.multiplier * super()._pair(varset, i, j)
 
 
 @dataclass(frozen=True)
@@ -86,7 +95,7 @@ class Table(BracketSpec):
         entries.sort(key=lambda t: (t[0], t[1]))
         return Table(tuple(entries))
 
-    def pair(self, varset, i, j):
+    def _pair(self, varset, i, j):
         for a, b, poly in self.entries:
             if (a, b) == (i, j):
                 return poly
@@ -99,7 +108,7 @@ class KirillovKostant(BracketSpec):
 
     constants: tuple  # constants[i][j][k] as Scalars, antisymmetric in (i, j)
 
-    def pair(self, varset, i, j):
+    def _pair(self, varset, i, j):
         terms = {}
         for k, c in enumerate(self.constants[i][j]):
             c = Scalar.coerce(c)
@@ -115,16 +124,13 @@ class PoissonPresentation:
     """A variable set, a bracket spec, and optional relations (e.g. f - lambda).
 
     Relations are carried for membership filters and map verification; no
-    normal-form rewriting happens in the ambient ring.  The generator
-    brackets are computed on first use and kept in `_pairs`, a field outside
-    `==`, `hash` and `repr`.
+    normal-form rewriting happens in the ambient ring.
     """
 
     varset: VarSet
     bracket_spec: BracketSpec
     relations: tuple = ()
     name: str = ""
-    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.bracket_spec, (Exact, Scaled)) and len(self.varset) != 3:
@@ -142,15 +148,9 @@ class PoissonPresentation:
         return LaurentPoly.variable(self.varset, name)
 
     def pair_table(self):
-        """All generator brackets {x_i, x_j} for i < j, as a read-only mapping."""
-        if not self._pairs:
-            n = len(self.varset)
-            self._pairs.update(
-                ((i, j), self.bracket_spec.pair(self.varset, i, j))
-                for i in range(n)
-                for j in range(i + 1, n)
-            )
-        return MappingProxyType(self._pairs)
+        """All generator brackets {x_i, x_j} for i < j, as a read-only mapping:
+        the bracket spec's own table, built once."""
+        return self.bracket_spec.pairs(self.varset)
 
     def bracket(self, p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         return bracket(self.bracket_spec, p, q)
@@ -162,6 +162,7 @@ def bracket(spec: BracketSpec, p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         raise VarSetMismatchError("bracket operands over different variable sets")
     varset = p.varset
     names = varset.names
+    table = spec.pairs(varset)
     dp = [p.partial(n) for n in names]
     dq = [q.partial(n) for n in names]
     out = LaurentPoly.zero(varset)
@@ -172,7 +173,7 @@ def bracket(spec: BracketSpec, p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
             coeff = dp[i] * dq[j] - dp[j] * dq[i]
             if coeff.is_zero:
                 continue
-            out = out + coeff * spec.pair(varset, i, j)
+            out = out + coeff * table[(i, j)]
     return out
 
 

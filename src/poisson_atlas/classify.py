@@ -4,8 +4,12 @@ Recognition covers exactly the shapes occurring in the catalog: abelian,
 Heisenberg, solvable, sl2, and sl2 acting on a simple abelian radical.  sl2
 means perfect of dimension 3, which pins the complex isomorphism type; the
 radical of a perfect algebra is the kernel of its Killing form, computed
-exactly.  Explicit sl2-triples are found by a deterministic candidate search
-so results are reproducible byte for byte.
+exactly, and an algebra of dimension 3 + dim radical with an abelian radical
+is sl2_semidirect when the radical is a simple module, which linalg's
+`is_simple` certifies by weight vectors of a grading among the radical's own
+action matrices (the density hull decides only without one).  Explicit
+sl2-triples are found by a deterministic candidate search so results are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from .lie import LieAlgebra, lie_from_point
 from .linalg import (
     IncrementalSpan,
     Matrix,
-    associative_hull_is_full,
     coordinates,
     eigen_small,
+    is_simple,
     kernel_basis,
     restrict_action,
     row_space_basis,
@@ -139,7 +143,7 @@ def recognize(lie: LieAlgebra) -> LieRecognition:
             # the abelian radical kills itself, so the action of any spanning
             # set of L on it generates the full quotient action
             action = restrict_action(ads, radical)
-            if associative_hull_is_full(action, len(radical)):
+            if is_simple(action, len(radical)):
                 return LieRecognition(
                     "sl2_semidirect",
                     dims,

@@ -1,20 +1,27 @@
-"""Exact linear algebra over Scalar: elimination, kernels, subspaces, eigenproblems.
+"""Exact linear algebra over Scalar: elimination, kernels, subspaces,
+eigenproblems and the simplicity certificate.
 
 Everything is fraction-free in spirit but implemented directly over the scalar
 field (Q or one quadratic extension); Gaussian elimination with exact pivots
-is both the solver and the verifier here.  The subspace routines are
+is both the solver and the verifier here.  `rref` works in place and touches
+only the columns where the pivot row is nonzero.  The subspace routines are
 `coordinates` (every vector's coordinates in a basis, from one rref),
-`restrict_action` (matrices on an invariant subspace, built on it) and
-`closure` (the smallest span holding some seeds and stable under linear maps,
-grown in an IncrementalSpan); the density hull is a closure.  eigen_small
-factors characteristic polynomials over Q plus at most one quadratic
-extension, reporting the discriminant it had to introduce; its root search is
-bounded by the matrix's row-sum norm, so it has no dimension cap.
+`restrict_action` (matrices on an invariant subspace, built on it), `closure`
+(the smallest span holding some seeds and stable under linear maps, grown in
+an IncrementalSpan) and `relation_test` (whether coefficients combine some
+vectors to zero, read on a column basis of them).  eigen_small factors
+characteristic polynomials over Q plus at most one quadratic extension,
+reporting the discriminant it had to introduce; its root search is bounded by
+the matrix's row-sum norm, so it has no dimension cap.  `is_simple` certifies
+simplicity by one closure per eigenvector of a grading found among the
+matrices themselves (MeatAxe's vector-closure test); only without a grading
+does the density hull, itself a closure, decide.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
 
 from .errors import AtlasError, ExtensionRequiredError, ScalarDomainError
@@ -177,27 +184,36 @@ def trace_product(a: "Matrix", b: "Matrix") -> Scalar:
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
+    """Reduced row echelon form; returns (rows, pivot column list).
+
+    Rows are updated in place, and only on the support of the pivot row: the
+    rows from the pivot down are zero left of the pivot column, and an entry
+    where the pivot row is zero would only have 0 subtracted from it.
+    """
     rows = [list(r) for r in rows]
     if not rows:
         return [], []
-    ncols = len(rows[0])
+    nrows, ncols = len(rows), len(rows[0])
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero), None)
+        pivot = next((i for i in range(r, nrows) if not rows[i][c].is_zero), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        prow = rows[r]
+        inv = prow[c].inverse()
+        support = [k for k in range(c, ncols) if not prow[k].is_zero]
+        for k in support:
+            prow[k] = prow[k] * inv
+        for i, row in enumerate(rows):
+            if i != r and not row[c].is_zero:
+                factor = row[c]
+                for k in support:
+                    row[k] = row[k] - factor * prow[k]
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
     return rows, pivots
 
@@ -273,6 +289,19 @@ def row_space_basis(vectors):
     """Canonical (rref) basis of the span; doubles as a subspace signature."""
     reduced, pivots = rref(list(vectors))
     return tuple(tuple(row) for row in reduced[: len(pivots)])
+
+
+def relation_test(vectors):
+    """The test `sum_k c[k] * vectors[k] == 0` on coefficient vectors c.
+
+    It reads only a column basis of the vectors, the pivot columns of one
+    rref: every other column is a combination of those, so a combination that
+    vanishes there vanishes everywhere.  A c shorter than `vectors` leaves the
+    remaining coefficients 0.
+    """
+    vectors = [tuple(v) for v in vectors]
+    columns = [tuple(v[c] for v in vectors) for c in rref(vectors)[1]]
+    return lambda coeffs: all(_dot(coeffs, col).is_zero for col in columns)
 
 
 class IncrementalSpan:
@@ -571,3 +600,49 @@ def _poly_mul(p, q):
         for j, b in enumerate(q):
             out[i + j] = out[i + j] + a * b
     return out
+
+
+def is_simple(mats, dim: int) -> bool:
+    """Simplicity over C, certified by weight vectors where a grading exists.
+
+    With an action matrix whose eigenspaces are all one-dimensional (found by
+    `_weight_seeds` among the module's own matrices), every nonzero submodule
+    is stable under it and so holds one of its eigenvectors: the module is
+    simple iff each eigenvector generates all of it, which takes dim
+    closures.  Without one, the associative-hull density criterion decides.
+    The zero module is not simple.
+    """
+    if dim == 0:
+        return False
+    mats = tuple(mats)
+    seeds, graded = _weight_seeds(mats, dim)
+    if not graded:
+        return associative_hull_is_full(mats, dim)
+    maps = [m.apply for m in mats]
+    return all(closure([v], maps).rank == dim for v in seeds)
+
+
+@lru_cache(maxsize=1)
+def _weight_seeds(mats: tuple, dim: int):
+    """(seeds, complete): the eigenvectors of the first action matrix whose
+    eigenspaces are all one-dimensional, else the basis vectors.
+
+    Every submodule is stable under that matrix, so each simple submodule
+    holds one of its eigenvectors and is the closure of it: the socle is found
+    exactly.  A matrix is skipped when its spectrum needs more than one
+    quadratic extension, or another one than the entries of the matrices lie
+    in; without a grading the basis vectors seed.  The last result is kept,
+    keyed on the matrices themselves, so a simplicity test and a submodule
+    analysis of one module eigendecompose its matrices once.
+    """
+    field = common_domain([x for m in mats for x in m.flat()])
+    for m in mats:
+        try:
+            eig = eigen_small(m)
+        except ExtensionRequiredError:
+            continue
+        if field and eig.discriminant not in (0, field):
+            continue
+        if all(len(vecs) == 1 for _, _, vecs in eig.pairs):
+            return tuple(vecs[0] for _, _, vecs in eig.pairs), True
+    return tuple(unit_vector(dim, i) for i in range(dim)), False

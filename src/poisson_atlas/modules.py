@@ -7,10 +7,12 @@ restriction construction reads the matrices straight back.  Restriction to a
 subalgebra and twisting by an automorphism are one pullback along a verified
 Poisson map.  Submodule analysis is graded by an action matrix of the module
 itself with one-dimensional eigenspaces: simplicity holds iff each of its
-eigenvectors generates the module (the density hull decides when no matrix
-grades), and the submodule lattice for series and socles is enumerated from
-the same eigenvectors; the closures, restrictions and coordinate solves it
-needs are linalg's.
+eigenvectors generates the module (linalg's `is_simple`; the density hull
+decides when no matrix grades), and the submodule lattice for series and
+socles is enumerated from the same eigenvectors; the closures, restrictions
+and coordinate solves it needs are linalg's.  The axiom checker compares its
+matrix identities in coordinates on the action matrices and their
+commutators.
 """
 
 from __future__ import annotations
@@ -19,27 +21,26 @@ from dataclasses import dataclass, field
 
 from .brackets import PoissonPresentation, SubstitutionMap, bracket, verify_poisson_map
 from .classify import Sl2Triple, derived_subalgebra
-from .errors import (
-    AtlasError, ExtensionRequiredError, IncompatibleTableError, NotPoissonMaximalError
-)
+from .errors import AtlasError, IncompatibleTableError, NotPoissonMaximalError
 from .ideals import is_poisson_maximal
 from .lie import LieAlgebra, lie_from_point
 from .linalg import (
     IncrementalSpan,
     Matrix,
-    associative_hull_is_full,
+    _weight_seeds,
     closure,
     coordinates,
-    eigen_small,
+    is_simple,
     kernel_basis,
     linear_combination,
     rank,
+    relation_test,
     restrict_action,
     row_space_basis,
     unit_vector,
 )
 from .poly import LaurentPoly, PointP
-from .scalars import Scalar, ZERO, ONE, common_domain
+from .scalars import Scalar, ZERO, ONE
 
 DEFAULT_SEED = 0x9E3779B9
 DEFAULT_TRIALS = 32
@@ -125,11 +126,8 @@ class PoissonModule:
         return p.evaluate(self.point)
 
     def action_of(self, p: LaurentPoly) -> Matrix:
-        return self.action_of_gradient(p.linear_part(self.point)[1])
-
-    def action_of_gradient(self, grad) -> Matrix:
-        """The Lie action of any element whose gradient at the point is `grad`."""
-        return linear_combination(grad, self.mats, self.dim, self.dim)
+        """The Lie action of p: rho of its gradient at the point."""
+        return linear_combination(p.linear_part(self.point)[1], self.mats, self.dim, self.dim)
 
     def perturbed(self, gen_index: int, row: int, col: int) -> "PoissonModule":
         """Copy with +1 added to one action-matrix entry (for mutation tests)."""
@@ -240,17 +238,36 @@ def verify_poisson_axioms(
     (ii)  {p, q}(pt) == 0;
     (iii) rho(p * q) == p(pt) rho(q) + q(pt) rho(p).
 
-    The value and gradient at the point of p, q and {p, q} are taken once
-    each (`LaurentPoly.linear_part`), and rho(p), rho(q) are built once.  The
-    left side of (iii) always comes from the product polynomial p * q, never
-    from the Leibniz rule it is checking.  A pair's witness label is
-    formatted only for a check that fails.
+    The matrix identities are compared in coordinates.  With M_k the action
+    matrices and a_k the gradient of a at the point, rho(a) = sum_k a_k M_k
+    and [rho(p), rho(q)] = sum_{i<j} (p_i q_j - p_j q_i) [M_i, M_j].  So (i),
+    (iii) and the facts that constants and J^2 act as zero each say that one
+    coefficient vector combines the stack of the M_k and their commutators to
+    zero; the commutators are built once per module, and `relation_test`
+    reads the combination on a column basis of the stack, found by one rref.
+
+    The elements stay polynomials: {p, q} is the full bracket and p * q the
+    full product, each reduced to its value and gradient at the point by one
+    `LaurentPoly.linear_part`.  Truncating them to jets at the point would
+    route the checks around what they test: every {x_i, x_j} vanishes at a
+    Poisson point, so the random trials would follow from the generator pairs
+    and stop cross-checking `bracket`, the product and `linear_part`.  In the
+    same way, the left side of (iii) always comes from p * q, never from the
+    Leibniz rule it is checking.  A pair's witness label is formatted only
+    for a check that fails.
     """
-    pres, pt, dim = module.pres, module.point, module.dim
+    pres, pt, mats = module.pres, module.point, module.mats
     varset = pres.varset
     spec = pres.bracket_spec
     report = AxiomReport(True)
     gens = [LaurentPoly.variable(varset, n) for n in varset.names]
+    pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
+    combines_to_zero = relation_test(
+        [m.flat() for m in mats] + [mats[i].commutator(mats[j]).flat() for i, j in pairs]
+    )
+
+    def acts_as_zero(a: LaurentPoly) -> bool:
+        return combines_to_zero(a.linear_part(pt)[1])
 
     def check_pair(p, q, label):
         """The three axioms on (p, q); `label()` names the pair in a failure."""
@@ -258,10 +275,9 @@ def verify_poisson_axioms(
         p_value, p_grad = p.linear_part(pt)
         q_value, q_grad = q.linear_part(pt)
         br_value, br_grad = br.linear_part(pt)
-        rho_p = module.action_of_gradient(p_grad)
-        rho_q = module.action_of_gradient(q_grad)
+        commutator = [p_grad[j] * q_grad[i] - p_grad[i] * q_grad[j] for i, j in pairs]
         report.record(
-            module.action_of_gradient(br_grad) == rho_p.commutator(rho_q),
+            combines_to_zero(list(br_grad) + commutator),
             "axiom (i)",
             lambda: f"(a, b) = {label()}",
         )
@@ -270,26 +286,28 @@ def verify_poisson_axioms(
             "axiom (ii)",
             lambda: f"{{a, b}}(pt) != 0 for (a, b) = {label()}",
         )
-        lhs3 = module.action_of(p * q)
-        rhs3 = linear_combination((p_value, q_value), (rho_q, rho_p), dim, dim)
-        report.record(lhs3 == rhs3, "axiom (iii)", lambda: f"(a, b) = {label()}")
+        pq_grad = (p * q).linear_part(pt)[1]
+        report.record(
+            combines_to_zero(
+                [c - p_value * b - q_value * a for a, b, c in zip(p_grad, q_grad, pq_grad)]
+            ),
+            "axiom (iii)",
+            lambda: f"(a, b) = {label()}",
+        )
 
     names = varset.names
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            check_pair(gens[i], gens[j], lambda: f"({names[i]}, {names[j]})")
+    for i, j in pairs:
+        check_pair(gens[i], gens[j], lambda: f"({names[i]}, {names[j]})")
 
     # annihilator facts: constants and J^2 act as zero; the annihilator is Poisson
     report.record(
-        module.action_of(LaurentPoly.const(varset, 1)).is_zero,
-        "Pann contains constants",
-        "{1, -} != 0",
+        acts_as_zero(LaurentPoly.const(varset, 1)), "Pann contains constants", "{1, -} != 0"
     )
     shifted = [g - pt.values[i] for i, g in enumerate(gens)]
     for i in range(len(gens)):
         for j in range(i, len(gens)):
             report.record(
-                module.action_of(shifted[i] * shifted[j]).is_zero,
+                acts_as_zero(shifted[i] * shifted[j]),
                 "Pann contains J^2",
                 f"generators ({names[i]}, {names[j]})",
             )
@@ -313,26 +331,6 @@ def verify_poisson_axioms(
 # -- submodule machinery -------------------------------------------------------
 
 
-def is_simple(mats, dim: int) -> bool:
-    """Simplicity over C, certified by weight vectors where a grading exists.
-
-    With an action matrix whose eigenspaces are all one-dimensional (found by
-    `_weight_seeds` among the module's own matrices), every nonzero submodule
-    is stable under it and so holds one of its eigenvectors: the module is
-    simple iff each eigenvector generates all of it, which takes dim
-    closures.  Without one, the associative-hull density criterion decides.
-    The zero module is not simple.
-    """
-    if dim == 0:
-        return False
-    mats = list(mats)
-    seeds, graded = _weight_seeds(mats, dim)
-    if not graded:
-        return associative_hull_is_full(mats, dim)
-    maps = [m.apply for m in mats]
-    return all(closure([v], maps).rank == dim for v in seeds)
-
-
 def is_simple_module(module: PoissonModule) -> bool:
     return is_simple(module.mats, module.dim)
 
@@ -353,29 +351,6 @@ class SubmoduleAnalysis:
         return [s for s in self.lattice if 0 < len(s) < self.dim]
 
 
-def _weight_seeds(mats, dim: int):
-    """(seeds, complete): the eigenvectors of the first action matrix whose
-    eigenspaces are all one-dimensional, else the basis vectors.
-
-    Every submodule is stable under that matrix, so each simple submodule
-    holds one of its eigenvectors and is the closure of it: the socle is found
-    exactly.  A matrix is skipped when its spectrum needs more than one
-    quadratic extension, or another one than the entries of the matrices lie
-    in; without a grading the basis vectors seed.
-    """
-    field = common_domain([x for m in mats for x in m.flat()])
-    for m in mats:
-        try:
-            eig = eigen_small(m)
-        except ExtensionRequiredError:
-            continue
-        if field and eig.discriminant not in (0, field):
-            continue
-        if all(len(vecs) == 1 for _, _, vecs in eig.pairs):
-            return [vecs[0] for _, _, vecs in eig.pairs], True
-    return [unit_vector(dim, i) for i in range(dim)], False
-
-
 def analyze_submodules(mats, dim: int) -> SubmoduleAnalysis:
     """Enumerate submodules as sums of closures of weight vectors.
 
@@ -388,7 +363,7 @@ def analyze_submodules(mats, dim: int) -> SubmoduleAnalysis:
     Simplicity of each summand is decided by `is_simple` on the summand's own
     matrices.
     """
-    mats = list(mats)
+    mats = tuple(mats)
     seeds, complete = _weight_seeds(mats, dim)
     maps = [m.apply for m in mats]
     closures = []

@@ -219,21 +219,40 @@ def test_hamiltonian(xyz):
     assert all(v.is_zero for v in hamiltonian(spec, f).values())
 
 
-def test_pair_table_is_built_once_and_read_only(torus_pres, monkeypatch):
-    spec, varset = torus_pres.bracket_spec, torus_pres.varset
-    expected = {(i, j): spec.pair(varset, i, j) for i in range(3) for j in range(i + 1, 3)}
-    calls = []
-    original = type(spec).pair
+def _spec_of_each_kind(vs, x, y, z):
+    f = x * y * z - x * x - y * y - z * z + 4
+    zero, one = (0, 0, 0), (0, 0, 1)
+    heisenberg = ((zero, one, zero), (tuple(-c for c in one), zero, zero), (zero,) * 3)
+    return [
+        Exact(f),
+        Scaled(x + 1, f),
+        Table.from_dict(vs, {("x", "y"): z, ("y", "z"): LaurentPoly.zero(vs)}),
+        KirillovKostant(heisenberg),
+    ]
 
-    def counted(self, varset, i, j):
-        calls.append((i, j))
-        return original(self, varset, i, j)
 
-    monkeypatch.setattr(type(spec), "pair", counted)
-    first = torus_pres.pair_table()
-    assert first == expected and list(first) == [(0, 1), (0, 2), (1, 2)]
-    assert torus_pres.pair_table() == expected
-    assert calls == [(0, 1), (0, 2), (1, 2)]
-    with pytest.raises(TypeError):
-        first[(0, 1)] = first[(0, 2)]
-    assert torus_pres == PoissonPresentation(varset, spec, torus_pres.relations, "torus")
+def test_pair_table_is_built_once_and_read_only(xyz, monkeypatch):
+    """Each spec kind computes its generator brackets once per variable set;
+    the presentation's `pair_table` and every `bracket` read that one table."""
+    vs, x, y, z = xyz
+    for kind, spec in enumerate(_spec_of_each_kind(vs, x, y, z)):
+        calls = []
+        original = type(spec)._pair
+
+        def counted(self, varset, i, j, original=original):
+            calls.append((i, j))
+            return original(self, varset, i, j)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(type(spec), "_pair", counted)
+            pres = PoissonPresentation(vs, spec, name="spec")  # runs the Jacobi check
+            first = pres.pair_table()
+            assert list(first) == [(0, 1), (0, 2), (1, 2)]
+            assert first is spec.pairs(vs) is pres.pair_table()
+            assert bracket(spec, x * y, z) == bracket(spec, x, z) * y + x * bracket(spec, y, z)
+            assert [spec.pair(vs, i, j) for i, j in first] == list(first.values())
+        assert calls == [(0, 1), (0, 2), (1, 2)], type(spec).__name__
+        with pytest.raises(TypeError):
+            first[(0, 1)] = first[(0, 2)]
+        assert pres == PoissonPresentation(vs, spec, (), "spec")
+        assert spec == _spec_of_each_kind(vs, x, y, z)[kind]

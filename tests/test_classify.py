@@ -270,3 +270,39 @@ def test_homogeneity_continuum(xyz):
 def test_lower_central_heisenberg():
     assert lower_central_series(whitney_lie(0))[-1] == 0
     assert lower_central_series(whitney_lie(1))[-1] != 0
+
+
+def _catalog_algebras():
+    """(label, g(J)) at every Poisson-maximal point of every catalog entry
+    with a presentation, and the algebra of every Lie-level entry."""
+    from poisson_atlas.catalog import Context, catalog_names, get_entry
+
+    for name in catalog_names():
+        entry = get_entry(name)
+        ctx = Context(entry)
+        if entry.presentation is None:
+            yield name, ctx.lie()
+            continue
+        for ideal in ctx.ideals:
+            yield f"{name} at {ideal.point}", ctx.lie(ideal.point)
+
+
+def test_recognition_of_every_catalog_algebra_needs_no_density_hull(monkeypatch):
+    """Recognition decides every sl2_semidirect radical of the catalog by the
+    weight-vector certificate, with the verdicts the density hull gives."""
+    import poisson_atlas.classify as classify_module
+    from poisson_atlas.linalg import associative_hull_is_full
+
+    algebras = list(_catalog_algebras())
+    with monkeypatch.context() as patch:
+        patch.setattr(classify_module, "is_simple", associative_hull_is_full)
+        by_hull = [recognize(lie) for _, lie in algebras]
+
+    def no_hull(mats, dim):
+        raise AssertionError("the density hull ran")
+
+    monkeypatch.setattr("poisson_atlas.linalg.associative_hull_is_full", no_hull)
+    for (label, lie), want in zip(algebras, by_hull):
+        assert recognize(lie) == want, label
+    tags = {rec.describe() for rec in by_hull}
+    assert {"sl2_semidirect(4)", "sl2_semidirect(5)", "sl2_semidirect(7)"} <= tags

@@ -291,7 +291,7 @@ def test_weight_vectors_decide_simplicity_at_every_sl2_point(monkeypatch):
     def no_hull(mats, dim):
         raise AssertionError("the density hull ran")
 
-    monkeypatch.setattr("poisson_atlas.modules.associative_hull_is_full", no_hull)
+    monkeypatch.setattr("poisson_atlas.linalg.associative_hull_is_full", no_hull)
     for name, point in SL2_POINTS:
         code, out = run(["module", str(INPUTS / f"{name}.pa"), "--point", point,
                          "--dim", "16", "--format", "machine"])
@@ -442,3 +442,26 @@ def test_one_parser_serves_every_call(torus_file, tmp_path, capsys, monkeypatch)
     assert _transcript(argvs, capsys) == shared
     assert [code for code, _, _ in shared] == [0, ("exit", 2), 2, 0, 0, ("exit", 0), 0]
     assert "parse error" in shared[2][2]
+
+
+def test_restrict_eigendecomposes_each_module_matrix_once(monkeypatch):
+    """`restrict` asks whether the restricted module is simple and then
+    analyzes its submodules; both read one grading, computed once from the
+    module's own matrices.  Here u and v act as zero and w grades: three
+    eigendecompositions of 6 x 6 matrices, not three per question."""
+    import poisson_atlas.linalg as linalg
+
+    sizes = []
+    original = linalg.eigen_small
+
+    def counted(m):
+        sizes.append(m.nrows)
+        return original(m)
+
+    monkeypatch.setattr(linalg, "eigen_small", counted)
+    linalg._weight_seeds.cache_clear()
+    code, out = run(["restrict", str(INPUTS / "kleinian-a1.pa"), "--embed", "pi4",
+                     "--point", "(0,0,0)", "--dim", "6", "--format", "machine"])
+    assert code == 0 and "simple = False" in out
+    assert "semisimple = yes, summand dims [1, 1, 1, 1, 1, 1]" in out
+    assert sizes.count(6) == 3

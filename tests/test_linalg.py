@@ -15,6 +15,8 @@ from poisson_atlas.linalg import (
     kernel_basis,
     linear_combination,
     rank,
+    relation_test,
+    rref,
     solve_and_kernel,
     solve_linear,
 )
@@ -363,3 +365,121 @@ def test_matrix_arithmetic_results_are_checked_matrices(case):
             for l in range(a.ncols):
                 want = want + a[i, l] * c[l, j]
             assert product[i, j] == want
+
+
+# -- elimination -------------------------------------------------------------
+
+
+def _rref_reference(rows):
+    """Dense Gauss-Jordan elimination: every row operation runs over every
+    column.  The reference that `rref` must match entry for entry."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+@st.composite
+def _elimination_rows(draw, d=None):
+    """Rows over Q (d = 0) or Q(sqrt(-1)) (d = -1) with fractional entries;
+    sparse or dense, and with some rows combinations of earlier ones so that
+    the rank falls short."""
+    d = draw(st.sampled_from([0, -1])) if d is None else d
+    part = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    entry = st.builds(lambda a, b: Scalar(a, b if d else 0, d), part, part)
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    density = draw(st.sampled_from([1, 3, 10]))  # nonzero entries per 10
+    rows = []
+    for _ in range(nrows):
+        if rows and draw(st.integers(0, 3)) == 0:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            k = draw(entry)
+            rows.append([x + k * y for x, y in zip(a, b)])
+            continue
+        rows.append([
+            draw(entry) if draw(st.integers(0, 9)) < density else Scalar(0)
+            for _ in range(ncols)
+        ])
+    return rows
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_elimination_rows())
+def test_rref_matches_dense_elimination(rows):
+    snapshot = [list(r) for r in rows]
+    assert rref(rows) == _rref_reference(rows)
+    assert rows == snapshot  # the input is not modified
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_elimination_rows(d=0))
+def test_rref_matches_sympy_over_q(rows):
+    import sympy
+
+    reduced, pivots = rref(rows)
+    expected, sympy_pivots = sympy.Matrix(
+        [[sympy.Rational(x.n, x.q) for x in row] for row in rows]
+    ).rref()
+    assert list(sympy_pivots) == pivots
+    assert [[Fraction(x.n, x.q) for x in row] for row in reduced] == [
+        [Fraction(int(x.p), int(x.q)) for x in expected.row(i)] for i in range(expected.rows)
+    ]
+
+
+def test_relation_test_reads_every_column_of_the_basis():
+    """On independent vectors each single coefficient leaves a nonzero
+    combination, seen on one column only."""
+    for n in range(1, 6):
+        vanishes = relation_test(Matrix.identity(n).rows)
+        assert vanishes([Scalar(0)] * n)
+        for k in range(n):
+            assert not vanishes([Scalar(1) if i == k else Scalar(0) for i in range(n)])
+
+
+@st.composite
+def _relation_cases(draw):
+    """(vectors, coefficients): the coefficients are a random vector, a left
+    kernel vector of the vectors, or such a kernel vector plus one unit."""
+    vectors = draw(_elimination_rows())
+    k = len(vectors)
+    kernel = kernel_basis([list(col) for col in zip(*vectors)])
+    kind = draw(st.sampled_from(["random", "kernel", "kernel+unit"]))
+    if kind == "random" or not kernel:
+        part = st.integers(-3, 3)
+        return vectors, [Scalar(draw(part)) for _ in range(k)]
+    coeffs = list(draw(st.sampled_from(kernel)))
+    if kind == "kernel+unit":
+        i = draw(st.integers(0, k - 1))
+        coeffs[i] = coeffs[i] + Scalar(1)
+    return vectors, coeffs
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_relation_cases())
+def test_relation_test_matches_the_full_combination(case):
+    vectors, coeffs = case
+    ncols = len(vectors[0])
+    full = [Scalar(0)] * ncols
+    for c, v in zip(coeffs, vectors):
+        full = [a + c * b for a, b in zip(full, v)]
+    assert relation_test(vectors)(coeffs) is all(x.is_zero for x in full)
+    # a shorter coefficient vector leaves the rest at 0
+    assert relation_test(vectors)(coeffs[:1]) is all((coeffs[0] * x).is_zero for x in vectors[0])

@@ -15,6 +15,7 @@ from poisson_atlas import (
     SubstitutionMap,
     VarSet,
     analyze_submodules,
+    bracket,
     composition_series,
     find_sl2_triple,
     is_simple_module,
@@ -34,7 +35,12 @@ from poisson_atlas import (
 from poisson_atlas.errors import AtlasError, IncompatibleTableError
 from poisson_atlas.linalg import Matrix, associative_hull_is_full, eigen_small, rank
 from poisson_atlas.modules import (
+    DEFAULT_SEED,
+    DEFAULT_TRIALS,
+    AxiomReport,
     SplitMix,
+    _exponent_candidates,
+    _random_poly,
     find_isomorphism,
     is_simple,
     lie_rep_restrict,
@@ -489,3 +495,64 @@ def test_passing_verify_formats_no_witness(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__str__", no_format)
     report = verify_poisson_axioms(module)
     assert report.ok and report.checks == 121
+
+
+def _verify_reference(module, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
+    """The axiom checker that builds and compares d x d matrices for every
+    pair: the reference for the checks `verify_poisson_axioms` makes in
+    coordinates.  Same checks, same order, same labels."""
+    pres, pt, dim = module.pres, module.point, module.dim
+    varset, spec = pres.varset, pres.bracket_spec
+    report = AxiomReport(True)
+    gens = [LaurentPoly.variable(varset, n) for n in varset.names]
+
+    def check_pair(p, q, label):
+        br = bracket(spec, p, q)
+        rho_p, rho_q = module.action_of(p), module.action_of(q)
+        report.record(module.action_of(br) == rho_p.commutator(rho_q), "axiom (i)",
+                      f"(a, b) = {label}")
+        report.record(br.evaluate(pt).is_zero, "axiom (ii)",
+                      f"{{a, b}}(pt) != 0 for (a, b) = {label}")
+        rhs = rho_q.scale(p.evaluate(pt)) + rho_p.scale(q.evaluate(pt))
+        report.record(module.action_of(p * q) == rhs, "axiom (iii)", f"(a, b) = {label}")
+
+    names = varset.names
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            check_pair(gens[i], gens[j], f"({names[i]}, {names[j]})")
+    report.record(module.action_of(LaurentPoly.const(varset, 1)).is_zero,
+                  "Pann contains constants", "{1, -} != 0")
+    shifted = [g - pt.values[i] for i, g in enumerate(gens)]
+    for i in range(len(gens)):
+        for j in range(i, len(gens)):
+            report.record(module.action_of(shifted[i] * shifted[j]).is_zero,
+                          "Pann contains J^2", f"generators ({names[i]}, {names[j]})")
+    for k in range(len(gens)):
+        for l in range(len(gens)):
+            report.record(module.assoc_of(bracket(spec, gens[k], shifted[l])).is_zero,
+                          "J is a Poisson ideal", f"{{{names[k]}, {names[l]} - pt}} escapes J")
+    rng = SplitMix(seed)
+    candidates = _exponent_candidates(varset)
+    for t in range(trials):
+        p = _random_poly(rng, varset, candidates)
+        q = _random_poly(rng, varset, candidates)
+        check_pair(p, q, f"trial {t}: ({p}, {q})")
+    return report
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize(
+    "point", [("torus-so3", (2, 2, 2)), ("uqsl2-4hom", (0, 0, Scalar(0, 1, -1)))],
+    ids=["Q", "Q(sqrt(-1))"],
+)
+def test_coordinate_checks_match_matrix_comparison(point, d):
+    """The lift and each of its single-entry +1 mutants: the coordinate checks
+    report the same failures and count the same checks as the reference."""
+    module = _catalog_lift(*point, d)
+    mutants = [module] + [
+        module.perturbed(g, r, c) for g in range(3) for r in range(d) for c in range(d)
+    ]
+    for mutant in mutants:
+        got, want = verify_poisson_axioms(mutant), _verify_reference(mutant)
+        assert (got.ok, got.checks, got.failures) == (want.ok, want.checks, want.failures)
+    assert verify_poisson_axioms(module).ok
