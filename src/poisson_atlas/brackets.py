@@ -5,6 +5,9 @@ a biderivation:
 
     {p, q} = sum_{i<j} (dp/dx_i dq/dx_j - dp/dx_j dq/dx_i) * {x_i, x_j}.
 
+It is evaluated one pair of terms at a time: c*x^a in p and d*x^b in q add
+c*d*(a_i b_j - a_j b_i) * x^(a+b-e_i-e_j) * {x_i, x_j} for each i < j.
+
 Exact brackets on three variables admit a second, independent evaluation route
 through the Jacobian determinant of (f, p, q); both are exposed and the test
 suite cross-validates them.
@@ -39,6 +42,17 @@ class BracketSpec:
                 (i, j): self._pair(varset, i, j) for i in range(n) for j in range(i + 1, n)
             })
         return table
+
+    def shifted(self, varset: VarSet) -> tuple:
+        """The nonzero generator brackets as (i, j, ((t - e_i - e_j, c), ...)), one
+        entry per term c*x^t of {x_i, x_j}; kept in `_pairs` beside `pairs`."""
+        key = (varset, "shifted")
+        if key not in self._pairs:
+            self._pairs[key] = tuple(
+                (i, j, tuple((tuple(e - (k in (i, j)) for k, e in enumerate(t)), c)
+                             for t, c in poly.terms.items()))
+                for (i, j), poly in self.pairs(varset).items() if not poly.is_zero)
+        return self._pairs[key]
 
     def pair(self, varset: VarSet, i: int, j: int) -> LaurentPoly:
         """{x_i, x_j} for i < j, read from the table."""
@@ -157,24 +171,24 @@ class PoissonPresentation:
 
 
 def bracket(spec: BracketSpec, p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """{p, q} by biderivation extension of the generator table."""
+    """{p, q} by biderivation extension of the generator table, in one pass over
+    the term pairs: c*x^a in p and d*x^b in q add c*d*(a_i b_j - a_j b_i) *
+    x^(a+b-e_i-e_j) * {x_i, x_j} for each i < j.  No derivative or product is built."""
     if p.varset != q.varset:
         raise VarSetMismatchError("bracket operands over different variable sets")
-    varset = p.varset
-    names = varset.names
-    table = spec.pairs(varset)
-    dp = [p.partial(n) for n in names]
-    dq = [q.partial(n) for n in names]
-    out = LaurentPoly.zero(varset)
-    for i in range(len(names)):
-        if dp[i].is_zero and dq[i].is_zero:
-            continue
-        for j in range(i + 1, len(names)):
-            coeff = dp[i] * dq[j] - dp[j] * dq[i]
-            if coeff.is_zero:
-                continue
-            out = out + coeff * table[(i, j)]
-    return out
+    shifted, coerce, out = spec.shifted(p.varset), Scalar.coerce, {}
+    for a, c in p.terms.items():
+        for b, d in q.terms.items():
+            cd, ab = c * d, tuple(map(int.__add__, a, b))
+            for i, j, entry in shifted:
+                w = a[i] * b[j] - a[j] * b[i]
+                if w:
+                    k = cd * coerce(w)
+                    for s, e in entry:
+                        exps = tuple(map(int.__add__, ab, s))
+                        acc = out.get(exps)
+                        out[exps] = k * e if acc is None else acc + k * e
+    return LaurentPoly._raw(p.varset, {m: v for m, v in out.items() if not v.is_zero})
 
 
 def bracket_via_jacobian(spec, p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:

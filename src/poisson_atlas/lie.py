@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from .brackets import PoissonPresentation, SubstitutionMap, bracket
 from .errors import LieStructureError, NotExpressibleError, NotPoissonMaximalError
 from .ideals import is_poisson_maximal
-from .linalg import Matrix, coordinates, solve_and_kernel, unit_vector
-from .poly import LaurentPoly, PointP, VarSet, support_system
+from .linalg import Matrix, coordinates, rref, unit_vector
+from .poly import LaurentPoly, PointP, VarSet, support_matrix
 from .scalars import Scalar, ZERO
 
 
@@ -297,39 +297,38 @@ def lie_from_invariants(ip: InvariantPresentation) -> LieAlgebra:
     bound = max(t.total_degree() for t in targets.values())
     weight_vectors = [(1,) * len(ip.ambient.varset)] + list(ip.gradings)
     products, degvecs = _enumerate_products(ip, bound, weight_vectors)
-    for (i, j), target in targets.items():
+    groups = {}  # pruned product basis -> the pairs whose targets it serves
+    for pair, target in targets.items():
         tdegs = [target.degree_wrt(w) for w in weight_vectors]
         total = target.total_degree()
-        basis = list(gens)
-        for poly, degs in zip(products, degvecs):
-            # degs[0] tracks the summed total degree (the a-priori bound);
-            # degs[1:] are exact degrees per weight vector, None when unusable
-            if degs[0] > total:
-                continue
-            if any(
-                pd is not None and td is not None and pd != td
-                for pd, td in zip(degs[1:], tdegs)
-            ):
-                continue
-            basis.append(poly)
-        coeffs = _solve_with_unique_linear_part(target, basis, m, names, (i, j))
+        # degs[0] tracks the summed total degree (the a-priori bound);
+        # degs[1:] are exact degrees per weight vector, None when unusable
+        basis = tuple(k for k, degs in enumerate(degvecs) if degs[0] <= total and all(
+            pd is None or td is None or pd == td for pd, td in zip(degs[1:], tdegs)))
+        groups.setdefault(basis, []).append(pair)
+    solved = {}  # pair -> its linear part, or why it has none
+    for basis, pairs in groups.items():
+        # One rref of [products | gens | targets].  The linear parts are unique
+        # iff each gens column holds a pivot.  A target whose column holds a
+        # pivot escapes the span; the later targets of the group are not read.
+        columns = [products[k] for k in basis] + gens
+        reduced, pivots = rref(support_matrix(columns + [targets[pair] for pair in pairs]))
+        rows = dict(zip(pivots, reduced))
+        gen_cols = range(len(basis), len(columns))
+        unique = all(c in rows for c in gen_cols)
+        for col, (i, j) in enumerate(pairs, len(columns)):
+            if col in rows:
+                solved[i, j] = (f"bracket of ({names[i]}, {names[j]}) escapes the "
+                                f"subalgebra up to the degree bound")
+            elif not unique:
+                solved[i, j] = "generators are dependent modulo J^2; linear part not unique"
+            else:
+                solved[i, j] = [rows[c][col] for c in gen_cols]
+    for i, j in targets:  # in pair order, so the first failing pair is reported
+        coeffs = solved[i, j]
+        if isinstance(coeffs, str):
+            raise NotExpressibleError(coeffs)
         for k in range(m):
             sc[i][j][k] = coeffs[k]
             sc[j][i][k] = -coeffs[k]
     return LieAlgebra(names, sc)
-
-
-def _solve_with_unique_linear_part(target, basis, m, names, pair):
-    solution, kernel = solve_and_kernel(*support_system(target, basis))
-    if solution is None:
-        raise NotExpressibleError(
-            f"bracket of ({names[pair[0]]}, {names[pair[1]]}) escapes the "
-            f"subalgebra up to the degree bound"
-        )
-    for vec in kernel:
-        if any(not vec[k].is_zero for k in range(m)):
-            raise NotExpressibleError(
-                "generators are dependent modulo J^2; linear part not unique"
-            )
-    return solution[:m]
-

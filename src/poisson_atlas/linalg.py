@@ -610,10 +610,10 @@ def is_simple(mats, dim: int) -> bool:
     is stable under it and so holds one of its eigenvectors: the module is
     simple iff each eigenvector generates all of it, which takes dim
     closures.  Without one, the associative-hull density criterion decides.
-    The zero module is not simple.
+    The zero module is not simple, and a one-dimensional one is.
     """
-    if dim == 0:
-        return False
+    if dim <= 1:
+        return dim == 1
     mats = tuple(mats)
     seeds, graded = _weight_seeds(mats, dim)
     if not graded:

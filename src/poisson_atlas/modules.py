@@ -205,9 +205,8 @@ def _random_poly(rng: SplitMix, varset, candidates) -> LaurentPoly:
     for _ in range(1 + rng.below(4)):
         exps = candidates[rng.below(len(candidates))]
         coeff = rng.below(6) + 1  # 1..6 -> -3..-1, 1..3
-        coeff = coeff - 7 if coeff > 3 else coeff
-        terms[exps] = Scalar.coerce(terms.get(exps, 0)) + Scalar(coeff)
-    return LaurentPoly(varset, terms)
+        terms[exps] = terms.get(exps, 0) + (coeff - 7 if coeff > 3 else coeff)
+    return LaurentPoly._raw(varset, {e: Scalar.coerce(c) for e, c in terms.items() if c})
 
 
 def _exponent_candidates(varset):

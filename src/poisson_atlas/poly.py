@@ -442,18 +442,15 @@ def express_in_span(target: LaurentPoly, basis) -> tuple | None:
     for b in basis:
         if b.varset != target.varset:
             raise VarSetMismatchError("basis over a different variable set")
-    return solve_linear(*support_system(target, basis))
+    rows = support_matrix(basis + [target])
+    return solve_linear([row[:-1] for row in rows], [row[-1] for row in rows])
 
 
-def support_system(target: LaurentPoly, basis):
-    """(matrix, rhs) of sum c_i * basis_i == target, one row per monomial of
-    the union of the supports, the monomials in term order."""
-    monomials = set(target.terms)
-    for b in basis:
-        monomials |= set(b.terms)
-    rows = sorted(monomials, key=term_sort_key)
-    matrix = [[b.terms.get(m, ZERO) for b in basis] for m in rows]
-    return matrix, [target.terms.get(m, ZERO) for m in rows]
+def support_matrix(polys):
+    """One row per monomial of the union of the supports, the monomials in term
+    order; column k holds the coefficients of polys[k]."""
+    monomials = sorted(set().union(*(p.terms for p in polys)), key=term_sort_key)
+    return [[p.terms.get(mono, ZERO) for p in polys] for mono in monomials]
 
 
 def divides(divisor: LaurentPoly, p: LaurentPoly):

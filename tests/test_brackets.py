@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_poly
 from poisson_atlas import (
@@ -19,8 +21,29 @@ from poisson_atlas import (
     verify_jacobi,
     verify_poisson_map,
 )
-from poisson_atlas.errors import LieStructureError
+from poisson_atlas.errors import LieStructureError, ScalarDomainError
 from poisson_atlas.modules import SplitMix
+from poisson_atlas.scalars import Scalar
+
+
+def _bracket_reference(spec, p, q):
+    """{p, q} = sum_{i<j} (dp/dx_i dq/dx_j - dp/dx_j dq/dx_i) * {x_i, x_j}, built
+    from the partial-derivative polynomials and their products."""
+    varset = p.varset
+    names = varset.names
+    table = spec.pairs(varset)
+    dp = [p.partial(n) for n in names]
+    dq = [q.partial(n) for n in names]
+    out = LaurentPoly.zero(varset)
+    for i in range(len(names)):
+        if dp[i].is_zero and dq[i].is_zero:
+            continue
+        for j in range(i + 1, len(names)):
+            coeff = dp[i] * dq[j] - dp[j] * dq[i]
+            if coeff.is_zero:
+                continue
+            out = out + coeff * table[(i, j)]
+    return out
 
 
 def test_exact_bracket_pairs(xyz):
@@ -76,6 +99,92 @@ def test_jacobian_cross_check_scaled(xyz_laurent):
     for _ in range(6):
         p, q = random_poly(rng, vs), random_poly(rng, vs)
         assert bracket(spec, p, q) == bracket_via_jacobian(spec, p, q)
+
+
+def test_jacobian_cross_check_gaussian(xyz_laurent):
+    """Both routes agree with Q(sqrt(-1)) coefficients in f, the multiplier and
+    the operands."""
+    vs, x, y, z = xyz_laurent
+    i = Scalar(0, 1, -1)
+    f = x * y * z + i * x * x - (1 + i) * z**-1 + 2 * y
+    rng = SplitMix(33)
+    for spec in (Exact(f), Scaled(i * z + 1, f)):
+        for _ in range(6):
+            p = random_poly(rng, vs) * i + random_poly(rng, vs)
+            q = random_poly(rng, vs) + random_poly(rng, vs) * (2 - i)
+            assert bracket(spec, p, q) == bracket_via_jacobian(spec, p, q)
+
+
+def test_operands_from_two_extensions_raise():
+    vs = VarSet(("x", "y"))
+    x, y = LaurentPoly.variable(vs, "x"), LaurentPoly.variable(vs, "y")
+    spec = Table.from_dict(vs, {("x", "y"): LaurentPoly.const(vs, 1)})
+    root2, root3 = Scalar(0, 1, 2), Scalar(0, 1, 3)
+    for p, q in ((root2 * x * y, root3 * x), (root2 * x * y, root3 * x * y)):
+        with pytest.raises(ScalarDomainError, match=r"sqrt\(2\).*sqrt\(3\)"):
+            bracket(spec, p, q)
+
+
+@st.composite
+def _bracket_cases(draw):
+    """A spec of each kind, and operands p, q, over Q or Q(sqrt(-1)).
+
+    Exact and Scaled specs live on 3 variables, Table and KirillovKostant specs
+    on 2 to 6.  Laurent variables carry exponents down to -2.  Some cases pair
+    p with itself, or with the potential, where the bracket cancels to 0.
+    """
+    d = draw(st.sampled_from([0, -1]))
+    scalar = st.builds(
+        lambda a, b, q: Scalar(Fraction(a, q), Fraction(b, q) if d else 0, d),
+        st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 3),
+    )
+    kind = draw(st.sampled_from(["exact", "scaled", "table", "kirillov-kostant"]))
+    n = 3 if kind in ("exact", "scaled") else draw(st.integers(2, 6))
+    names = tuple(f"x{k}" for k in range(n))
+    vs = VarSet(names, tuple(v for v in names if draw(st.booleans())))
+    exps = st.tuples(*(st.integers(-2 if flag else 0, 2) for flag in vs.laurent))
+
+    def poly(max_size=4):
+        return LaurentPoly(vs, draw(st.dictionaries(exps, scalar, max_size=max_size)))
+
+    potential = None
+    if kind == "exact":
+        spec = Exact(potential := poly())
+    elif kind == "scaled":
+        spec = Scaled(poly(2), potential := poly())
+    elif kind == "table":
+        spec = Table.from_dict(vs, {
+            (a, b): poly(3) for k, a in enumerate(names) for b in names[k + 1:]
+            if draw(st.booleans())
+        })
+    else:
+        constants = [[[Scalar(0)] * n for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(n):
+                    c = draw(scalar)
+                    constants[i][j][k], constants[j][i][k] = c, -c
+        spec = KirillovKostant(tuple(tuple(map(tuple, rows)) for rows in constants))
+    p = poly()
+    shape = draw(st.sampled_from(["random", "self", "potential"]))
+    if shape == "self" or (shape == "potential" and potential is None):
+        return spec, p, p, True
+    if shape == "potential":
+        return spec, p, potential, True
+    return spec, p, poly(), False
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_bracket_cases())
+def test_bracket_matches_the_partial_derivative_reference(case):
+    spec, p, q, cancels = case
+    got = bracket(spec, p, q)
+    assert got == _bracket_reference(spec, p, q)
+    assert got == -bracket(spec, q, p)
+    if cancels:
+        assert got.is_zero
+    if isinstance(spec, (Exact, Scaled)):
+        assert got == bracket_via_jacobian(spec, p, q)
 
 
 def test_torus_table_bracket():

@@ -263,6 +263,28 @@ def test_not_expressible():
         lie_from_invariants(ip)
 
 
+def test_not_expressible_names_the_first_failing_pair():
+    bvs = VarSet(("x1", "x2"))
+    x1, x2 = (LaurentPoly.variable(bvs, n) for n in bvs.names)
+    amb = PoissonPresentation(
+        bvs, Table.from_dict(bvs, {("x1", "x2"): LaurentPoly.const(bvs, 1)})
+    )
+    # {p, q} = 2 x1 and {p, r} = 4 x1 x2 both escape, over two product bases
+    ip = InvariantPresentation(amb, ("p", "q", "r"), (x1 * x1, x2, x2 * x2))
+    with pytest.raises(NotExpressibleError, match=r"bracket of \(p, q\) escapes"):
+        lie_from_invariants(ip)
+
+
+def test_dependent_generators_are_reported():
+    bvs = VarSet(("x1", "x2"))
+    x1, x2 = (LaurentPoly.variable(bvs, n) for n in bvs.names)
+    amb = PoissonPresentation(bvs, Table.from_dict(bvs, {("x1", "x2"): x1}))
+    # every bracket lies in the span, but x1 + x2 is a combination of x1 and x2
+    ip = InvariantPresentation(amb, ("a", "b", "c"), (x1, x2, x1 + x2))
+    with pytest.raises(NotExpressibleError, match="dependent modulo J"):
+        lie_from_invariants(ip)
+
+
 def test_change_of_basis_keeps_structure():
     sl2 = LieAlgebra.from_brackets(
         ("e", "h", "f"),

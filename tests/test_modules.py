@@ -175,6 +175,44 @@ def test_is_simple(a1_pres):
         assert is_simple_module(module)
 
 
+def test_one_dimensional_modules_are_simple_without_an_eigenproblem(monkeypatch):
+    import poisson_atlas.linalg as linalg
+
+    def no_eigen(m):
+        raise AssertionError("eigen_small called on a one-dimensional module")
+
+    monkeypatch.setattr(linalg, "eigen_small", no_eigen)
+    assert is_simple([Matrix([[Scalar(3)]]), Matrix([[Scalar(0)]])], 1)
+    assert is_simple([], 1)
+    assert not is_simple([], 0)
+
+
+def _random_poly_reference(rng, varset, candidates):
+    """The per-coefficient construction: Scalar sums, then the validating
+    LaurentPoly constructor."""
+    terms = {}
+    for _ in range(1 + rng.below(4)):
+        exps = candidates[rng.below(len(candidates))]
+        coeff = rng.below(6) + 1
+        coeff = coeff - 7 if coeff > 3 else coeff
+        terms[exps] = Scalar.coerce(terms.get(exps, 0)) + Scalar(coeff)
+    return LaurentPoly(varset, terms)
+
+
+@pytest.mark.parametrize("laurent", [(), ("z",)])
+def test_random_polys_match_the_per_coefficient_construction(laurent):
+    """The axiom checker's random operands for DEFAULT_SEED: the same draws in
+    the same order give the same polynomials, and the rng ends in one state."""
+    varset = VarSet(("x", "y", "z"), laurent)
+    candidates = _exponent_candidates(varset)
+    got_rng, want_rng = SplitMix(DEFAULT_SEED), SplitMix(DEFAULT_SEED)
+    for _ in range(64):
+        got = _random_poly(got_rng, varset, candidates)
+        want = _random_poly_reference(want_rng, varset, candidates)
+        assert got == want and all(not c.is_zero for c in got.terms.values())
+    assert got_rng.state == want_rng.state
+
+
 def prop52_rep():
     labels = ("g1", "g2", "g3", "m1", "m2", "m3", "m4")
     P7 = LieAlgebra.from_brackets(
