@@ -1083,12 +1083,12 @@ def _entry_weyl_a2() -> CatalogEntry:
         rep = m5(ctx)
         if _eig_multiset(rep.mats[2]) != _expect_eigs([-2, -1, 0, 1, 2]):
             return False, "g3 grading spectrum is not {-2..2}"
+        # a False verdict needs a grading, so the socle is exact; a simple proper
+        # socle with a simple quotient is then the only proper submodule
         analysis = analyze_submodules(rep.mats, 5)
-        proper = analysis.proper_nonzero()
         series = composition_series(rep.mats, 5)
         ok = (
-            len(proper) == 1
-            and len(proper[0]) == 3
+            [len(s) for s in analysis.minimal] == [3]
             and analysis.semisimple is False
             and series == [3, 2]
             and not is_simple(rep.mats, 5)

@@ -278,9 +278,11 @@ def lie_from_invariants(ip: InvariantPresentation) -> LieAlgebra:
     gens = list(ip.generators)
     names = list(ip.generator_names)
     m = len(gens)
-    amb_origin = PointP(
-        ip.ambient.varset, [ZERO] * len(ip.ambient.varset)
-    )
+    varset = ip.ambient.varset
+    for name, flag in zip(varset.names, varset.laurent):
+        if flag:
+            raise ValueError(f"the base point is the origin, where Laurent variable {name} is 0")
+    amb_origin = PointP(varset, [ZERO] * len(varset))
     for name, g in zip(names, gens):
         if not g.evaluate(amb_origin).is_zero:
             raise ValueError(f"generator {name} does not vanish at the base point")

@@ -8,11 +8,11 @@ subalgebra and twisting by an automorphism are one pullback along a verified
 Poisson map.  Submodule analysis is graded by an action matrix of the module
 itself with one-dimensional eigenspaces: simplicity holds iff each of its
 eigenvectors generates the module (linalg's `is_simple`; the density hull
-decides when no matrix grades), and the submodule lattice for series and
-socles is enumerated from the same eigenvectors; the closures, restrictions
-and coordinate solves it needs are linalg's.  The axiom checker compares its
-matrix identities in coordinates on the action matrices and their
-commutators.
+decides when no matrix grades), and the minimal submodules, socle and
+composition series come from the closures of the same eigenvectors, with no
+sum of closures built; the closures, restrictions and coordinate solves it
+needs are linalg's.  The axiom checker compares its matrix identities in
+coordinates on the action matrices and their commutators.
 """
 
 from __future__ import annotations
@@ -336,73 +336,54 @@ def is_simple_module(module: PoissonModule) -> bool:
 
 @dataclass
 class SubmoduleAnalysis:
-    """Lattice data from closures of weight vectors under the action matrices."""
+    """Minimal submodules and the socle, from closures of weight vectors."""
 
     dim: int
-    lattice: list  # canonical bases, sorted by (dim, signature)
     complete: bool  # True when the seeds were weight vectors (see _weight_seeds)
-    minimal: list
+    minimal: list  # canonical bases, sorted by (dim, signature)
     socle_dim: int
     semisimple: bool | None
     decomposition: list | None  # direct summands (canonical bases) when semisimple
 
-    def proper_nonzero(self):
-        return [s for s in self.lattice if 0 < len(s) < self.dim]
-
 
 def analyze_submodules(mats, dim: int) -> SubmoduleAnalysis:
-    """Enumerate submodules as sums of closures of weight vectors.
+    """Minimal submodules, socle and semisimplicity from seed closures.
 
     The grading is an action matrix with one-dimensional eigenspaces, found by
-    `_weight_seeds` from the module's own matrices.  With one, the socle and
-    the semisimplicity verdict are exact; the lattice is the full lattice when
-    that matrix is diagonalizable and may be partial when it is not.  Without
-    one, closures of basis vectors are used, the lattice may be partial, and a
-    socle short of the module leaves the verdict undetermined (None).
-    Simplicity of each summand is decided by `is_simple` on the summand's own
-    matrices.
+    `_weight_seeds` from the module's own matrices; without one, basis vectors
+    seed the closures.  Every nonzero sum of closures contains a closure, so
+    the minimal members of that family are the closures containing no smaller
+    closure, and no sum is built.  With a grading the socle and the
+    semisimplicity verdict are exact; without one a socle short of the module
+    leaves the verdict undetermined (None).  Simplicity of each summand is
+    decided by `is_simple` on the summand's own matrices.
     """
     mats = tuple(mats)
     seeds, complete = _weight_seeds(mats, dim)
     maps = [m.apply for m in mats]
-    closures = []
-    for s in seeds:
-        c = closure([s], maps).basis()
-        if c not in closures:
-            closures.append(c)
-    # all sums of closures, deduplicated by canonical rref signature
-    found = {(): ()}
-    for c in closures:
-        for vectors in list(found.values()):
-            merged = row_space_basis(list(vectors) + list(c))
-            found.setdefault(merged, merged)
-    all_spaces = sorted(found.values(), key=lambda b: (len(b), str(b)))
+    closures = sorted(
+        {closure([s], maps).basis() for s in seeds}, key=lambda b: (len(b), str(b))
+    )
     minimal = []
-    for space in all_spaces:
-        if not space:
-            continue
-        span = IncrementalSpan(space)
-        if any(
-            other and len(other) < len(space) and all(span.contains(v) for v in other)
-            for other in all_spaces
-        ):
-            continue
-        minimal.append(space)
+    for c in closures:
+        span = IncrementalSpan(c)
+        if not any(len(m) < len(c) and all(span.contains(v) for v in m) for m in minimal):
+            minimal.append(c)
     socle = row_space_basis([v for s in minimal for v in s])
     semisimple: bool | None
     decomposition = None
     if len(socle) == dim:
         decomposition = []
         current: list = []
-        for s in sorted(minimal, key=lambda b: (len(b), str(b))):
+        for s in minimal:
             merged = row_space_basis(current + [v for v in s])
             if len(merged) == len(current) + len(s):
                 decomposition.append(s)
                 current = list(merged)
             if len(current) == dim:
                 break
-        # on a partial lattice a "minimal" member need not be simple; the
-        # semisimplicity certificate stands only when every summand is
+        # without a grading a closure containing no smaller one need not be
+        # simple; the semisimplicity certificate stands only when every summand is
         simple_summands = all(
             is_simple(restrict_action(mats, s), len(s)) for s in decomposition
         )
@@ -414,18 +395,16 @@ def analyze_submodules(mats, dim: int) -> SubmoduleAnalysis:
     elif complete:
         semisimple = False
     else:
-        semisimple = None  # lattice not fully enumerated
-    return SubmoduleAnalysis(
-        dim, all_spaces, complete, minimal, len(socle), semisimple, decomposition
-    )
+        semisimple = None  # socle short of the module without a grading
+    return SubmoduleAnalysis(dim, complete, minimal, len(socle), semisimple, decomposition)
 
 
 def quotient_action(mats, sub_basis, dim):
     """Action on the quotient by an invariant subspace: (matrices, dimension).
 
     No grading is carried over: `analyze_submodules` finds the quotient's own,
-    and with a non-diagonalizable one the quotient's socle and verdict are
-    still exact though its lattice may be partial.
+    so the quotient's minimal submodules, socle and verdict are exact whenever
+    one of its own matrices grades it.
     """
     sub = IncrementalSpan(sub_basis)
     free = [i for i in range(dim) if i not in sub.rows]
@@ -445,11 +424,10 @@ def composition_series(mats, dim: int):
     """Dimensions of the composition factors, built from minimal submodules.
 
     Each step analyzes the current quotient afresh, so its grading comes from
-    the quotient's own matrices; with a non-diagonalizable grading the minimal
-    submodules are still exact though the lattice may be partial.  Every
-    factor is certified simple by `is_simple`; without a grading that
-    certification can fail, which is reported rather than returning a
-    non-composition filtration.
+    the quotient's own matrices, and takes its first proper minimal submodule
+    (`analyze_submodules` sorts them by dimension).  Every factor is certified
+    simple by `is_simple`; without a grading that certification can fail,
+    which is reported rather than returning a non-composition filtration.
     """
     mats = list(mats)
     factors = []
@@ -459,16 +437,16 @@ def composition_series(mats, dim: int):
         if not candidates:
             if not is_simple(mats, dim):
                 raise AtlasError(
-                    "composition series not determined: lattice not fully "
-                    "enumerated and the remaining factor is not simple"
+                    "composition series not determined: no grading and the "
+                    "remaining factor is not simple"
                 )
             factors.append(dim)
             break
-        sub = sorted(candidates, key=lambda b: (len(b), str(b)))[0]
+        sub = candidates[0]
         if not is_simple(restrict_action(mats, sub), len(sub)):
             raise AtlasError(
-                "composition series not determined: a minimal lattice member "
-                "is not simple (lattice not fully enumerated)"
+                "composition series not determined: a minimal seed closure "
+                "is not simple (no grading)"
             )
         factors.append(len(sub))
         mats, dim = quotient_action(mats, sub, dim)

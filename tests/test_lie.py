@@ -16,6 +16,7 @@ from poisson_atlas import (
     lie_from_point,
     verify_invariance,
 )
+from poisson_atlas.catalog import get_entry
 from poisson_atlas.errors import (
     LieStructureError,
     NotExpressibleError,
@@ -282,6 +283,13 @@ def test_dependent_generators_are_reported():
     # every bracket lies in the span, but x1 + x2 is a combination of x1 and x2
     ip = InvariantPresentation(amb, ("a", "b", "c"), (x1, x2, x1 + x2))
     with pytest.raises(NotExpressibleError, match="dependent modulo J"):
+        lie_from_invariants(ip)
+
+
+@pytest.mark.parametrize("name", ["torus-so3", "laurent-inv"])
+def test_an_origin_on_a_laurent_ambient_is_refused(name):
+    ip = get_entry(name).invariants
+    with pytest.raises(ValueError, match="Laurent variable x1 is 0"):
         lie_from_invariants(ip)
 
 

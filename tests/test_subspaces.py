@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from poisson_atlas.errors import AtlasError
 from poisson_atlas.lie import LieAlgebra
 from poisson_atlas.linalg import (
+    IncrementalSpan,
     Matrix,
+    _weight_seeds,
     associative_hull_is_full,
     closure,
     coordinates,
@@ -24,7 +26,13 @@ from poisson_atlas.linalg import (
     trace_product,
 )
 from poisson_atlas.errors import ExtensionRequiredError
-from poisson_atlas.modules import analyze_submodules, is_simple, lie_rep_restrict, sl2_irrep
+from poisson_atlas.modules import (
+    SubmoduleAnalysis,
+    analyze_submodules,
+    is_simple,
+    lie_rep_restrict,
+    sl2_irrep,
+)
 from poisson_atlas.classify import find_sl2_triple
 from poisson_atlas.scalars import Scalar
 
@@ -400,6 +408,59 @@ def has_weight_grading(mats):
     return False
 
 
+def _analyze_reference(mats, dim):
+    """The analysis built from every sum of seed closures (2^k of them), with
+    the minimal members filtered out of that whole family: the former body of
+    `analyze_submodules`."""
+    mats = tuple(mats)
+    seeds, complete = _weight_seeds(mats, dim)
+    maps = [m.apply for m in mats]
+    closures = []
+    for s in seeds:
+        c = closure([s], maps).basis()
+        if c not in closures:
+            closures.append(c)
+    found = {(): ()}
+    for c in closures:
+        for vectors in list(found.values()):
+            merged = row_space_basis(list(vectors) + list(c))
+            found.setdefault(merged, merged)
+    all_spaces = sorted(found.values(), key=lambda b: (len(b), str(b)))
+    minimal = []
+    for space in all_spaces:
+        if not space:
+            continue
+        span = IncrementalSpan(space)
+        if any(
+            other and len(other) < len(space) and all(span.contains(v) for v in other)
+            for other in all_spaces
+        ):
+            continue
+        minimal.append(space)
+    socle = row_space_basis([v for s in minimal for v in s])
+    decomposition = None
+    if len(socle) == dim:
+        decomposition = []
+        current: list = []
+        for s in sorted(minimal, key=lambda b: (len(b), str(b))):
+            merged = row_space_basis(current + [v for v in s])
+            if len(merged) == len(current) + len(s):
+                decomposition.append(s)
+                current = list(merged)
+            if len(current) == dim:
+                break
+        if all(is_simple(restrict_action(mats, s), len(s)) for s in decomposition):
+            semisimple = True
+        else:
+            semisimple = None
+            decomposition = None
+    elif complete:
+        semisimple = False
+    else:
+        semisimple = None
+    return SubmoduleAnalysis(dim, complete, minimal, len(socle), semisimple, decomposition)
+
+
 @st.composite
 def _characters(draw):
     """A direct sum of n one-dimensional modules in a random basis: generator k
@@ -439,8 +500,15 @@ def _triangular(draw):
 def check_verdict(mats, dim):
     """The verdict is never wrong, and it is decided whenever some action
     matrix has one-dimensional eigenspaces; a semisimple verdict comes with a
-    direct decomposition into simple summands."""
+    direct decomposition into simple summands.  The analysis agrees with the
+    one built from every sum of seed closures."""
     analysis = analyze_submodules(mats, dim)
+    reference = _analyze_reference(mats, dim)
+    assert analysis.complete is reference.complete
+    assert analysis.minimal == reference.minimal
+    assert analysis.socle_dim == reference.socle_dim
+    assert analysis.semisimple is reference.semisimple
+    assert analysis.decomposition == reference.decomposition
     truth = semisimple_reference(mats, dim)
     assert is_simple(mats, dim) is associative_hull_is_full(mats, dim)
     assert analysis.semisimple in (truth, None)
@@ -461,10 +529,11 @@ def test_submodules_of_a_sum_of_characters(case):
     analysis = check_verdict(mats, n)
     assert semisimple_reference(mats, n)
     if has_weight_grading(mats):
-        # a generator with n distinct scalars grades the full lattice of 2^n
+        # a generator with n distinct scalars grades n one-dimensional summands
         assert any(len(set(row)) == n for row in scalars)
         assert analysis.semisimple is True
-        assert len(analysis.lattice) == 2**n
+        assert [len(s) for s in analysis.minimal] == [1] * n
+        assert len(analysis.decomposition) == n
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -493,7 +562,7 @@ def test_a_jordan_block_is_not_semisimple(d):
 def test_a_diagonal_module_is_semisimple():
     analysis = analyze_submodules([Matrix([[1, 0], [0, 2]])], 2)
     assert analysis.complete and analysis.semisimple is True
-    assert len(analysis.proper_nonzero()) == 2
+    assert [len(s) for s in analysis.minimal] == [1, 1]
 
 
 def test_a_spectrum_in_another_extension_grades_nothing():
@@ -502,5 +571,5 @@ def test_a_spectrum_in_another_extension_grades_nothing():
     i = Scalar(0, 1, -1)
     mats = [Matrix([[1, 1], [1, 0]]), Matrix([[i, 0], [0, -i]])]
     analysis = analyze_submodules(mats, 2)
-    assert analysis.complete and analysis.proper_nonzero() == []
+    assert analysis.complete and analysis.minimal == [row_space_basis(Matrix.identity(2).rows)]
     assert is_simple(mats, 2) and associative_hull_is_full(mats, 2)
