@@ -290,7 +290,7 @@ def _entry(name, cite, presentation, facts, **data) -> CatalogEntry:
 
 def _verdict_ok(report, verdict) -> bool:
     """`verdict` None expects "not t-homogeneous"."""
-    return not report.is_homogeneous if verdict is None else report.verdict == verdict
+    return report.is_homogeneous is False if verdict is None else report.verdict == verdict
 
 
 # -- fact shapes: one function each, applied to an entry's expected values -------

@@ -1,15 +1,14 @@
 """Analyze a structure-constant Lie algebra and classify its simple modules.
 
-Recognition covers exactly the shapes occurring in the catalog: abelian,
-Heisenberg, solvable, sl2, and sl2 acting on a simple abelian radical.  sl2
-means perfect of dimension 3, which pins the complex isomorphism type; the
-radical of a perfect algebra is the kernel of its Killing form, computed
-exactly, and an algebra of dimension 3 + dim radical with an abelian radical
-is sl2_semidirect when the radical is a simple module, which linalg's
-`is_simple` certifies by weight vectors of a grading among the radical's own
-action matrices (the density hull decides only without one).  Explicit
-sl2-triples are found by a deterministic candidate search so results are
-reproducible byte for byte.
+One rule holds for every finite-dimensional Lie algebra g in characteristic 0
+(Bourbaki, Lie Groups and Lie Algebras I 5; Jacobson, Lie Algebras II-III):
+rad g is the Killing-orthogonal of [g,g], [g, rad g] acts by zero on every
+simple module, and so the simple g-modules are those of the Levi factor
+s = g / rad g tensored with the characters of g, a family of dimension
+k = dim rad g - dim [g, rad g].  Recognition records (dim s, k); dim s names s
+only for 0, sl2 and sl2 + sl2, and any other s leaves the counts undetermined.
+Explicit sl2-triples come from a deterministic candidate search, so results
+are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .linalg import (
     Matrix,
     coordinates,
     eigen_small,
-    is_simple,
     kernel_basis,
     restrict_action,
     row_space_basis,
@@ -38,36 +36,23 @@ def _bracket_span(lie: LieAlgebra, left, right):
     return list(row_space_basis(vectors))
 
 
+def _derived_spans(lie: LieAlgebra):
+    """Canonical bases of L >= [L,L] >= ... until zero or stable."""
+    spans = [[lie.basis_vector(i) for i in range(lie.dim)]]
+    while True:
+        nxt = _bracket_span(lie, spans[-1], spans[-1])
+        spans.append(nxt)
+        if len(nxt) == 0 or len(nxt) == len(spans[-2]):
+            return spans
+
+
 def derived_series(lie: LieAlgebra):
     """Dimensions L >= [L,L] >= ... until zero or stable."""
-    current = [lie.basis_vector(i) for i in range(lie.dim)]
-    dims = [lie.dim]
-    while True:
-        nxt = _bracket_span(lie, current, current)
-        dims.append(len(nxt))
-        if len(nxt) == 0 or len(nxt) == len(current):
-            return dims
-        current = nxt
-
-
-def lower_central_series(lie: LieAlgebra):
-    full = [lie.basis_vector(i) for i in range(lie.dim)]
-    current = full
-    dims = [lie.dim]
-    while True:
-        nxt = _bracket_span(lie, full, current)
-        dims.append(len(nxt))
-        if len(nxt) == 0 or len(nxt) == len(current):
-            return dims
-        current = nxt
+    return [len(span) for span in _derived_spans(lie)]
 
 
 def is_solvable(lie: LieAlgebra) -> bool:
     return derived_series(lie)[-1] == 0
-
-
-def is_nilpotent(lie: LieAlgebra) -> bool:
-    return lower_central_series(lie)[-1] == 0
 
 
 def derived_subalgebra(lie: LieAlgebra):
@@ -87,13 +72,18 @@ def killing_matrix(ads) -> Matrix:
 
 @dataclass
 class LieRecognition:
-    """Tag plus the witness data that verifies it by direct computation."""
+    """The pair (dim s, k) of g, its printed tag, and the witnesses.
 
-    tag: str  # abelian | heisenberg | solvable | sl2 | sl2_semidirect | unrecognized
+    s = g / rad g is the Levi factor, and k = dim g - dim [g,g] is the
+    dimension of rad g / [g, rad g], the characters of g.
+    """
+
+    tag: str  # abelian | heisenberg | solvable | sl2 | sl2_semidirect | reductive
     derived_dims: list
-    radical_basis: tuple = ()  # for sl2_semidirect: basis of the abelian radical
-    levi_indices: tuple = ()  # basis indices spanning a complement subalgebra
-    center_dim: int = 0
+    levi_dim: int  # dim s
+    k: int
+    radical_basis: tuple = ()  # rad g when s != 0 (for s = 0, rad g = g)
+    levi_indices: tuple = ()  # basis indices spanning a complement sl2, beside a radical
 
     @property
     def radical_dim(self) -> int:
@@ -101,57 +91,42 @@ class LieRecognition:
 
     @property
     def is_sl2_type(self) -> bool:
-        return self.tag in ("sl2", "sl2_semidirect")
+        return (self.levi_dim, self.k) == (3, 0)
 
     @property
     def is_solvable_type(self) -> bool:
-        return self.tag in ("abelian", "heisenberg", "solvable")
+        return self.levi_dim == 0
 
     def describe(self) -> str:
         if self.tag == "sl2_semidirect":
             return f"sl2_semidirect({self.radical_dim})"
+        if self.tag == "reductive":
+            return f"reductive(s={self.levi_dim}, k={self.k})"
         return self.tag
 
 
 def recognize(lie: LieAlgebra) -> LieRecognition:
-    """Classify the algebra into the catalog shapes, with verified witness data."""
-    if lie.dim > 12:
-        raise ValueError("recognize capped at dimension 12")
-    dims = derived_series(lie)
-    derived = derived_subalgebra(lie)
+    """The pair (dim s, k) of g = `lie`, with its tag and witnesses.
+
+    rad g is the Killing-orthogonal of [g,g], s = g / rad g, and by the Levi
+    decomposition [g,g] = s + [g, rad g], so k = dim rad g - dim [g, rad g]
+    = dim g - dim [g,g].
+    """
+    spans = _derived_spans(lie)
+    dims = [len(span) for span in spans]
+    basis, derived = spans[0], spans[1]
+    k = lie.dim - len(derived)
     if not derived:
-        return LieRecognition("abelian", dims, center_dim=lie.dim)
-    ads = [lie.ad_matrix(lie.basis_vector(i)) for i in range(lie.dim)]
-    cent = kernel_basis([row for ad in ads for row in ad.rows])  # the center
-    if lie.dim == 3:
-        if len(derived) == 3:
-            return LieRecognition("sl2", dims, center_dim=len(cent))
-        if (
-            is_nilpotent(lie)
-            and len(derived) == 1
-            and IncrementalSpan(cent).contains(derived[0])
-        ):
-            return LieRecognition("heisenberg", dims, center_dim=len(cent))
-    if dims[-1] == 0:
-        return LieRecognition("solvable", dims, center_dim=len(cent))
-    if len(derived) == lie.dim:  # perfect
-        radical = kernel_basis([list(r) for r in killing_matrix(ads).rows])
-        radical = list(row_space_basis(radical))
-        if radical and _bracket_span(lie, radical, radical):
-            return LieRecognition("unrecognized", dims, center_dim=len(cent))
-        if lie.dim - len(radical) == 3 and radical:
-            # the abelian radical kills itself, so the action of any spanning
-            # set of L on it generates the full quotient action
-            action = restrict_action(ads, radical)
-            if is_simple(action, len(radical)):
-                return LieRecognition(
-                    "sl2_semidirect",
-                    dims,
-                    radical_basis=tuple(radical),
-                    levi_indices=_basis_levi_section(lie, radical),
-                    center_dim=len(cent),
-                )
-    return LieRecognition("unrecognized", dims, center_dim=len(cent))
+        return LieRecognition("abelian", dims, 0, k)
+    killing = killing_matrix([lie.ad_matrix(u) for u in basis])
+    radical = list(row_space_basis(kernel_basis([list(killing.apply(w)) for w in derived])))
+    levi_dim = lie.dim - len(radical)
+    if levi_dim == 0:
+        heisenberg = lie.dim == 3 and len(derived) == 1 and not _bracket_span(lie, basis, derived)
+        return LieRecognition("heisenberg" if heisenberg else "solvable", dims, 0, k)
+    tag = "reductive" if (levi_dim, k) != (3, 0) else "sl2_semidirect" if radical else "sl2"
+    levi = _basis_levi_section(lie, radical) if radical else ()
+    return LieRecognition(tag, dims, levi_dim, k, tuple(radical), levi)
 
 
 def _basis_levi_section(lie: LieAlgebra, radical):
@@ -207,20 +182,17 @@ def _canonical_eigvec(vec):
 
 
 def find_sl2_triple(lie: LieAlgebra, recognition: LieRecognition | None = None) -> Sl2Triple:
-    """Deterministic explicit sl2-triple for sl2 / sl2_semidirect algebras.
+    """Deterministic explicit sl2-triple for an algebra whose Levi factor is sl2.
 
     Works inside the 3-dimensional Levi subalgebra spanned by basis vectors;
     introduces at most one quadratic extension for the eigenvalue rescaling.
     """
     rec = recognition or recognize(lie)
-    if rec.tag == "sl2":
-        section = [0, 1, 2]
-    elif rec.tag == "sl2_semidirect":
-        if not rec.levi_indices:
-            raise AtlasError("no Levi section among basis vectors")
-        section = list(rec.levi_indices)
-    else:
+    if rec.levi_dim != 3:
         raise AtlasError(f"no sl2-triple for a {rec.describe()} algebra")
+    if rec.radical_basis and not rec.levi_indices:
+        raise AtlasError("no Levi section among basis vectors")
+    section = list(rec.levi_indices or range(3))
     sec_vecs = [lie.basis_vector(i) for i in section]
     to_lie_coords = Matrix(list(zip(*sec_vecs))).apply
 
@@ -277,75 +249,106 @@ def _proportionality(vec, ref):
     return c if c is not None else ZERO
 
 
+# the dimensions that name the semisimple Levi factor s: 0, sl2 and sl2 + sl2
+IDENTIFIED_LEVI_DIMS = (0, 3, 6)
+
+
 @dataclass
 class SimpleModuleCatalog:
-    """Description of the finite-dimensional simple modules of g(J)."""
+    """The finite-dimensional simple modules of g(J): the simple modules of its
+    Levi factor s, each tensored with the characters of g, a k-parameter family."""
 
-    kind: str  # "one_per_dimension" | "characters"
-    character_space_dim: int = 0  # dim g - dim [g,g] for the solvable shapes
-    annihilation_dim: int = 0  # dim [g,g]; characters vanish there
-    derived_basis: tuple = ()
+    levi_dim: int
+    character_space_dim: int  # k = dim g - dim [g,g]
+    annihilation_dim: int  # dim [g,g]; characters vanish there
+
+    @property
+    def kind(self) -> str:
+        """characters (s = 0), one_per_dimension (s = sl2, k = 0) or reductive."""
+        if self.levi_dim == 0:
+            return "characters"
+        return "reductive" if self.character_space_dim or self.levi_dim != 3 else "one_per_dimension"
 
     def count_in_dimension(self, d: int):
-        """Number of classes in dimension d; 'continuum' for character families."""
-        if self.kind == "one_per_dimension":
-            return 1
-        if d == 1:
-            return "continuum" if self.character_space_dim > 0 else 1
-        return 0
+        """N_s(d) classes, 'continuum' when k > 0, 'undetermined' for an unidentified s.
+
+        N_0(d) is 1 at d = 1 and 0 otherwise, N_sl2(d) = 1, and
+        N_{sl2+sl2}(d) = tau(d), from the modules V_a (x) V_b with ab = d."""
+        if self.levi_dim not in IDENTIFIED_LEVI_DIMS:
+            return "undetermined"
+        tau = sum(1 for a in range(1, d + 1) if d % a == 0)
+        count = {0: int(d == 1), 3: 1, 6: tau}[self.levi_dim]
+        return "continuum" if count and self.character_space_dim else count
+
+    def describe(self) -> str:
+        k = self.character_space_dim
+        if self.levi_dim == 0:
+            return f"characters only ({k}-parameter family)"
+        if self.levi_dim == 3:
+            per_d = f"one {k}-parameter family" if k else "one class"
+            return f"{per_d} per dimension d >= 1"
+        if self.levi_dim == 6:
+            per_d = f"tau(d) {k}-parameter families" if k else "tau(d) classes"
+            return f"{per_d} in dimension d >= 1"
+        return f"undetermined (Levi factor of dimension {self.levi_dim})"
 
 
 def classify_simple_modules(
     lie: LieAlgebra, recognition: LieRecognition | None = None
 ) -> SimpleModuleCatalog:
     rec = recognition or recognize(lie)
-    if rec.tag == "unrecognized":
-        raise AtlasError("cannot classify modules of an unrecognized algebra")
-    if rec.is_sl2_type:
-        return SimpleModuleCatalog("one_per_dimension")
-    derived = derived_subalgebra(lie)
-    return SimpleModuleCatalog(
-        "characters",
-        character_space_dim=lie.dim - len(derived),
-        annihilation_dim=len(derived),
-        derived_basis=tuple(derived),
-    )
+    return SimpleModuleCatalog(rec.levi_dim, rec.k, rec.derived_dims[1])
 
 
 @dataclass
 class HomogeneityReport:
-    """Simple-module counts per dimension, symbolically in d."""
+    """Simple-module counts per dimension, symbolically in d.
+
+    A point with pair (dim s, k) has N_s(d) classes in dimension d, each a
+    k-parameter family; t-homogeneous (t classes in every dimension) needs
+    every point to be (3, 0).
+    """
 
     ideals: list
     tags: list
     relation: object = None
-    flagged_continuum: bool = False
 
     @property
-    def sl2_count(self) -> int:
-        return sum(1 for t in self.tags if t.is_sl2_type)
+    def unidentified(self) -> list:
+        return sorted({t.levi_dim for t in self.tags} - set(IDENTIFIED_LEVI_DIMS))
 
     @property
-    def solvable_count(self) -> int:
-        return sum(1 for t in self.tags if t.is_solvable_type)
+    def is_homogeneous(self):
+        """True or False; None when some Levi factor is unidentified."""
+        return None if self.unidentified else all(t.is_sl2_type for t in self.tags)
 
     @property
     def verdict(self) -> str:
-        if self.solvable_count or any(t.tag == "unrecognized" for t in self.tags):
-            return "not t-homogeneous (continuum of 1-dimensional classes)"
-        return f"{self.sl2_count}-homogeneous"
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return self.solvable_count == 0 and all(
-            t.tag != "unrecognized" for t in self.tags
-        )
+        if self.unidentified:
+            dims = ", ".join(str(s) for s in self.unidentified)
+            return f"undetermined (unidentified Levi factor of dimension {dims})"
+        if self.is_homogeneous:
+            return f"{len(self.tags)}-homogeneous"
+        if any(t.k and t.levi_dim for t in self.tags):
+            reason = "continuum of classes in every dimension"
+        elif any(t.k for t in self.tags):
+            reason = "continuum of 1-dimensional classes"
+        else:
+            reason = f"{self.count_formula()['d >= 1']} classes in dimension d"
+        return f"not t-homogeneous ({reason})"
 
     def count_formula(self):
-        t = self.sl2_count
-        if self.solvable_count == 0:
-            return {"d >= 1": t}
-        return {"d >= 2": t, "d = 1": f"{t} + continuum"}
+        if self.unidentified:
+            return {"d >= 1": "undetermined"}
+        pairs = [(t.levi_dim, t.k) for t in self.tags]
+        t, b = pairs.count((3, 0)), pairs.count((6, 0))  # sl2 and sl2 + sl2 points
+        tau = "tau(d)" if b == 1 else f"{b}*tau(d)"
+        finite = (f"{t} + {tau}" if t else tau) if b else t
+        if any(s and k for s, k in pairs):
+            return {"d >= 1": f"{finite} + continuum"}
+        if any(k for _, k in pairs):
+            return {"d >= 2": finite, "d = 1": f"{t + b} + continuum"}
+        return {"d >= 1": finite}
 
 
 def homogeneity_report(
@@ -355,19 +358,14 @@ def homogeneity_report(
 
     With a relation r, only ideals containing r (r(pt) = 0) are counted, which
     is the A_lambda convention: simple modules of the quotient are the simple
-    modules annihilated by ideals through the relation's zero locus.  Any
-    solvable ideal contributes a continuum of one-dimensional classes, and by
-    this module's convention that always defeats t-homogeneity.
+    modules annihilated by ideals through the relation's zero locus.  A point
+    with k > 0 contributes a continuum: of one-dimensional classes when its
+    Levi factor is 0, in every dimension otherwise.  The verdict is
+    undetermined when some Levi factor is not identified by its dimension.
     """
-    kept = []
-    for ideal in ideals:
-        if relation is not None and not relation.evaluate(ideal.point).is_zero:
-            continue
-        kept.append(ideal)
+    kept = [i for i in ideals if relation is None or relation.evaluate(i.point).is_zero]
     if recognitions is None:
         tags = [recognize(lie_from_point(pres, ideal.point)) for ideal in kept]
     else:
         tags = [recognitions[ideal.point] for ideal in kept]
-    report = HomogeneityReport(kept, tags, relation)
-    report.flagged_continuum = report.solvable_count > 0
-    return report
+    return HomogeneityReport(kept, tags, relation)

@@ -109,13 +109,18 @@ def _common_flags(parser):
 
 def _module_at(pf, pres, args):
     """(point, module, recognition): the canonical simple module of dimension
-    `--dim` at `--point`, a `--character` for solvable g(J)."""
+    `--dim` at `--point`, a `--character` for solvable g(J).  Where the Levi
+    factor is sl2, the radical acts by zero, a simple module for every k."""
     point = _parse_point(pf, args.point)
     lie = lie_from_point(pres, point)
     rec = recognize(lie)
-    if rec.is_sl2_type:
+    if rec.levi_dim == 3:
         rep = sl2_irrep(lie, args.dim, find_sl2_triple(lie, rec), rec.radical_basis)
         return point, lift_module(pres, point, rep), rec
+    if rec.levi_dim != 0:
+        raise AtlasError(
+            f"g(J) is {rec.describe()}: modules are built only for a Levi factor 0 or sl2"
+        )
     if args.dim != 1:
         raise AtlasError(
             f"g(J) is {rec.describe()}: only one-dimensional simple modules exist"
@@ -177,17 +182,11 @@ def cmd_lie(args) -> int:
 def _classification(lie) -> list:
     """(key, value) report records of a g(J): its recognition and simple modules."""
     rec = recognize(lie)
-    records = [("recognition", rec.describe()), ("derived_dims", rec.derived_dims)]
-    if rec.tag != "unrecognized":
-        cat = classify_simple_modules(lie, rec)
-        if cat.kind == "one_per_dimension":
-            records.append(("simple_modules", "one class per dimension d >= 1"))
-        else:
-            records.append((
-                "simple_modules",
-                f"characters only ({cat.character_space_dim}-parameter family)",
-            ))
-    return records
+    return [
+        ("recognition", rec.describe()),
+        ("derived_dims", rec.derived_dims),
+        ("simple_modules", classify_simple_modules(lie, rec).describe()),
+    ]
 
 
 def cmd_classify(args) -> int:

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from poisson_atlas import (
     Exact,
@@ -20,9 +22,23 @@ from poisson_atlas import (
     lie_from_point,
     recognize,
 )
-from poisson_atlas.classify import killing_matrix, lower_central_series
+from poisson_atlas.classify import (
+    HomogeneityReport,
+    _basis_levi_section,
+    _bracket_span,
+    derived_subalgebra,
+    killing_matrix,
+)
 from poisson_atlas.errors import AtlasError
-from poisson_atlas.linalg import Matrix
+from poisson_atlas.linalg import (
+    IncrementalSpan,
+    Matrix,
+    associative_hull_is_full,
+    kernel_basis,
+    restrict_action,
+    rank,
+    row_space_basis,
+)
 from poisson_atlas.modules import SplitMix
 from poisson_atlas.scalars import Scalar
 
@@ -222,20 +238,40 @@ def test_classify_simple_modules():
     assert cat0.annihilation_dim == 1
 
 
-def test_classify_rejects_unrecognized():
-    # sl2 x sl2 is perfect of dimension 6 with zero radical: unrecognized here
-    labels = ("e1", "h1", "f1", "e2", "h2", "f2")
-    table = {}
-    for base in (0, 3):
-        e, h, f = labels[base], labels[base + 1], labels[base + 2]
-        table[(h, e)] = {e: 2}
-        table[(h, f)] = {f: -2}
-        table[(e, f)] = {h: 1}
-    double = LieAlgebra.from_brackets(labels, table)
+def test_classify_sl2_plus_sl2_counts_divisors():
+    # sl2 + sl2 is perfect of dimension 6 with zero radical: V_a (x) V_b, ab = d
+    double = sl2_sum(2)
     rec = recognize(double)
-    assert rec.tag == "unrecognized"
+    assert (rec.levi_dim, rec.k) == (6, 0)
+    assert rec.describe() == "reductive(s=6, k=0)"
+    cat = classify_simple_modules(double, rec)
+    assert [cat.count_in_dimension(d) for d in (1, 4, 6)] == [1, 3, 4]
     with pytest.raises(AtlasError):
-        classify_simple_modules(double, rec)
+        find_sl2_triple(double, rec)
+
+
+def test_an_unidentified_levi_factor_is_undetermined():
+    triple = sl2_sum(3)
+    rec = recognize(triple)
+    assert rec.describe() == "reductive(s=9, k=0)"
+    assert classify_simple_modules(triple, rec).count_in_dimension(2) == "undetermined"
+    report = HomogeneityReport([None], [rec])
+    assert report.is_homogeneous is None
+    assert report.verdict == "undetermined (unidentified Levi factor of dimension 9)"
+    assert report.count_formula() == {"d >= 1": "undetermined"}
+
+
+def test_counts_add_over_points():
+    sl2, double, gl2, solvable = (
+        recognize(lie) for lie in (SL2, sl2_sum(2), sl2_sum(1, 1), whitney_lie(1))
+    )
+    formula = lambda *tags: HomogeneityReport([None] * len(tags), list(tags)).count_formula()
+    assert formula(sl2, sl2, double) == {"d >= 1": "2 + tau(d)"}
+    assert formula(double, double, solvable) == {"d >= 2": "2*tau(d)", "d = 1": "2 + continuum"}
+    assert formula(sl2, gl2, solvable) == {"d >= 1": "1 + continuum"}
+    report = HomogeneityReport([None, None], [sl2, gl2])
+    assert report.verdict == "not t-homogeneous (continuum of classes in every dimension)"
+    assert report.is_homogeneous is False
 
 
 def test_homogeneity_torus(torus_pres):
@@ -267,9 +303,60 @@ def test_homogeneity_continuum(xyz):
     assert "continuum" in formula["d = 1"]
 
 
-def test_lower_central_heisenberg():
-    assert lower_central_series(whitney_lie(0))[-1] == 0
-    assert lower_central_series(whitney_lie(1))[-1] != 0
+def _lower_central_series(lie):
+    full = [lie.basis_vector(i) for i in range(lie.dim)]
+    current = full
+    dims = [lie.dim]
+    while True:
+        nxt = _bracket_span(lie, full, current)
+        dims.append(len(nxt))
+        if len(nxt) == 0 or len(nxt) == len(current):
+            return dims
+        current = nxt
+
+
+def _is_nilpotent(lie):
+    return _lower_central_series(lie)[-1] == 0
+
+
+def _recognize_reference(lie):
+    """The five-shape ladder that recognition used before the reductive
+    quotient (without its dimension cap), the radical's simplicity decided by
+    the density hull: (describe(), derived_dims, radical basis, levi_indices),
+    the radical set only for sl2_semidirect."""
+    dims = derived_series(lie)
+    derived = derived_subalgebra(lie)
+    if not derived:
+        return "abelian", dims, (), ()
+    ads = [lie.ad_matrix(lie.basis_vector(i)) for i in range(lie.dim)]
+    cent = kernel_basis([row for ad in ads for row in ad.rows])
+    if lie.dim == 3:
+        if len(derived) == 3:
+            return "sl2", dims, (), ()
+        if (
+            _is_nilpotent(lie)
+            and len(derived) == 1
+            and IncrementalSpan(cent).contains(derived[0])
+        ):
+            return "heisenberg", dims, (), ()
+    if dims[-1] == 0:
+        return "solvable", dims, (), ()
+    if len(derived) == lie.dim:  # perfect
+        radical = kernel_basis([list(r) for r in killing_matrix(ads).rows])
+        radical = list(row_space_basis(radical))
+        if radical and _bracket_span(lie, radical, radical):
+            return "unrecognized", dims, (), ()
+        if lie.dim - len(radical) == 3 and radical:
+            if associative_hull_is_full(restrict_action(ads, radical), len(radical)):
+                levi = _basis_levi_section(lie, radical)
+                return f"sl2_semidirect({len(radical)})", dims, tuple(radical), levi
+    return "unrecognized", dims, (), ()
+
+
+def _recognition_fields(rec):
+    """The fields the reference ladder fixes, the radical as a canonical basis."""
+    radical = row_space_basis(rec.radical_basis) if rec.radical_basis else ()
+    return rec.describe(), rec.derived_dims, radical, rec.levi_indices
 
 
 def _catalog_algebras():
@@ -288,21 +375,137 @@ def _catalog_algebras():
 
 
 def test_recognition_of_every_catalog_algebra_needs_no_density_hull(monkeypatch):
-    """Recognition decides every sl2_semidirect radical of the catalog by the
-    weight-vector certificate, with the verdicts the density hull gives."""
-    import poisson_atlas.classify as classify_module
-    from poisson_atlas.linalg import associative_hull_is_full
-
+    """Recognition agrees with the reference ladder on every catalog algebra,
+    the ladder deciding each sl2_semidirect radical by the density hull, and
+    recognition itself never runs the hull."""
     algebras = list(_catalog_algebras())
-    with monkeypatch.context() as patch:
-        patch.setattr(classify_module, "is_simple", associative_hull_is_full)
-        by_hull = [recognize(lie) for _, lie in algebras]
+    assert len(algebras) == 77
+    by_hull = [_recognize_reference(lie) for _, lie in algebras]
 
     def no_hull(mats, dim):
         raise AssertionError("the density hull ran")
 
     monkeypatch.setattr("poisson_atlas.linalg.associative_hull_is_full", no_hull)
     for (label, lie), want in zip(algebras, by_hull):
-        assert recognize(lie) == want, label
-    tags = {rec.describe() for rec in by_hull}
+        assert _recognition_fields(recognize(lie)) == want, label
+    tags = {want[0] for want in by_hull}
+    assert "unrecognized" not in tags
     assert {"sl2_semidirect(4)", "sl2_semidirect(5)", "sl2_semidirect(7)"} <= tags
+
+
+# -- constructions with a known (dim s, k) ----------------------------------------
+
+SL2_TABLE = {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1}}
+
+
+def sl2_on(dims, heis=False):
+    """sl2 acting on the sum of its simple modules V_n, n in `dims` (V_1 the
+    trivial one).  With `heis`, a central z and [w0, w1] = z on the first V_2
+    make that block a Heisenberg algebra, whose radical sl2 leaves no quotient
+    character.  (dim s, k) = (3, number of V_1)."""
+    labels, table = ["e", "h", "f"], dict(SL2_TABLE)
+    for b, n in enumerate(dims):
+        w = [f"w{b}_{j}" for j in range(n)]
+        labels += w
+        for j in range(n):
+            if n - 1 - 2 * j:
+                table[("h", w[j])] = {w[j]: n - 1 - 2 * j}
+            if j >= 1:
+                table[("e", w[j])] = {w[j - 1]: j * (n - j)}
+            if j < n - 1:
+                table[("f", w[j])] = {w[j + 1]: 1}
+    if heis:
+        b = dims.index(2)
+        labels.append("z")
+        table[(f"w{b}_0", f"w{b}_1")] = {"z": 1}
+    return LieAlgebra.from_brackets(labels, table)
+
+
+def sl2_sum(copies=2, abelian=0):
+    """copies x sl2 + abelian(k): (dim s, k) = (3 * copies, k)."""
+    labels, table = [], {}
+    for c in range(copies):
+        e, h, f = f"e{c}", f"h{c}", f"f{c}"
+        labels += [e, h, f]
+        table.update({(h, e): {e: 2}, (h, f): {f: -2}, (e, f): {h: 1}})
+    return LieAlgebra.from_brackets(labels + [f"c{i}" for i in range(abelian)], table)
+
+
+def derivation_extension(rows):
+    """C^m extended by t acting as the matrix `rows`: solvable, and
+    (dim s, k) = (0, m + 1 - rank)."""
+    m = len(rows)
+    labels = ("t",) + tuple(f"v{i}" for i in range(m))
+    table = {
+        ("t", f"v{i}"): {f"v{j}": rows[j][i] for j in range(m) if rows[j][i]}
+        for i in range(m)
+    }
+    return LieAlgebra.from_brackets(labels, {key: row for key, row in table.items() if row})
+
+
+@st.composite
+def _constructions(draw, kinds=("sl2_on", "heis", "double", "solvable")):
+    """(g, (dim s, k)) for one of the constructions above."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "sl2_on":
+        dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+        return sl2_on(dims), (3, dims.count(1))
+    if kind == "sl2_on_simple":
+        return sl2_on([draw(st.integers(2, 5))]), (3, 0)
+    if kind == "heis":
+        dims = [2] + draw(st.lists(st.integers(1, 3), max_size=1))
+        return sl2_on(dims, heis=True), (3, dims.count(1))
+    if kind == "double":
+        k = draw(st.integers(0, 2))
+        return sl2_sum(2, k), (6, k)
+    m = draw(st.integers(1, 3))
+    rows = draw(st.lists(
+        st.lists(st.integers(-1, 1), min_size=m, max_size=m), min_size=m, max_size=m
+    ))
+    return derivation_extension(rows), (0, m + 1 - rank([[Scalar(c) for c in r] for r in rows]))
+
+
+@st.composite
+def _random_bases(draw, n):
+    """An invertible n x n matrix L U, L and U unit-triangular, over Q or Q(sqrt(-1))."""
+    d = draw(st.sampled_from([0, -1]))
+    entry = st.builds(lambda a, b: Scalar(a, b if d else 0, d), st.integers(-2, 2), st.integers(-1, 1))
+
+    def triangle(lower):
+        return Matrix([
+            [Scalar(1) if i == j else draw(entry) if (j < i) == lower else Scalar(0)
+             for j in range(n)]
+            for i in range(n)
+        ])
+
+    return triangle(True) * triangle(False)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_recognition_pair_matches_the_construction_in_any_basis(data):
+    lie, pair = data.draw(_constructions())
+    conjugated = lie.change_basis(data.draw(_random_bases(lie.dim)))
+    rec = recognize(conjugated)
+    assert (rec.levi_dim, rec.k) == pair
+    assert rec.derived_dims == recognize(lie).derived_dims
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_recognize_matches_the_reference_where_the_ladder_recognizes(data):
+    # the ladder's shapes: sl2 on a simple module, solvable
+    lie, _ = data.draw(_constructions(("sl2_on_simple", "solvable")))
+    conjugated = lie.change_basis(data.draw(_random_bases(lie.dim)))
+    want = _recognize_reference(conjugated)
+    assume(want[0] != "unrecognized")
+    assert _recognition_fields(recognize(conjugated)) == want
+
+
+def test_recognize_past_the_former_dimension_cap():
+    lie = sl2_on([11])  # sl2 on its 11-dimensional simple module: dimension 14
+    rec = recognize(lie)
+    assert rec.describe() == "sl2_semidirect(11)"
+    assert (rec.levi_dim, rec.k) == (3, 0)
+    assert rec.levi_indices == (0, 1, 2)
+    assert find_sl2_triple(lie, rec).verify(lie)

@@ -173,6 +173,116 @@ def test_solvable_point_needs_dim_one(tmp_path):
     assert code == 0 and "action.z: [(7)]" in out
 
 
+# Kirillov-Kostant presentations of three Lie algebras outside the catalog
+SL2_SL2 = """vars e1, h1, f1, e2, h2, f2;
+bracket table { [h1,e1] = 2*e1; [h1,f1] = -2*f1; [e1,f1] = h1;
+  [h2,e2] = 2*e2; [h2,f2] = -2*f2; [e2,f2] = h2; };
+"""
+GL2 = """vars e, h, f, z;
+bracket table { [h,e] = 2*e; [h,f] = -2*f; [e,f] = h; };
+"""
+SL2_V2_V2 = """vars e, h, f, a1, a2, b1, b2;
+bracket table { [h,e] = 2*e; [h,f] = -2*f; [e,f] = h;
+  [e,a2] = a1; [f,a1] = a2; [h,a1] = a1; [h,a2] = -a2;
+  [e,b2] = b1; [f,b1] = b2; [h,b1] = b1; [h,b2] = -b2; };
+"""
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _box_1(command, path):
+    code, out = run([command, path, "--box-num", "1", "--box-den", "1", "--format", "machine"])
+    assert code == 0
+    return out.splitlines()[3:-1]  # after the header, command and file lines
+
+
+def test_sl2_plus_sl2_reports_count_divisors(tmp_path):
+    path = _write(tmp_path, "sl2sl2.pat", SL2_SL2)
+    assert _box_1("classify", path) == [
+        "ideal.count = 1",
+        "ideal.1.point = (0, 0, 0, 0, 0, 0)",
+        "ideal.1.recognition = reductive(s=6, k=0)",
+        "ideal.1.derived_dims = [6, 6]",
+        "ideal.1.simple_modules = tau(d) classes in dimension d >= 1",
+    ]
+    assert _box_1("homogeneity", path) == [
+        "ideals.considered = 1",
+        "ideal.1 = (0, 0, 0, 0, 0, 0) [reductive(s=6, k=0)]",
+        "classes.d >= 1 = tau(d)",
+        "verdict = not t-homogeneous (tau(d) classes in dimension d)",
+    ]
+
+
+def test_gl2_reports_a_continuum_in_every_dimension(tmp_path):
+    path = _write(tmp_path, "gl2.pat", GL2)
+    points = ["(0, 0, 0, -1)", "(0, 0, 0, 0)", "(0, 0, 0, 1)"]
+    assert _box_1("classify", path) == ["ideal.count = 3"] + [
+        line
+        for k, point in enumerate(points, 1)
+        for line in (
+            f"ideal.{k}.point = {point}",
+            f"ideal.{k}.recognition = reductive(s=3, k=1)",
+            f"ideal.{k}.derived_dims = [4, 3, 3]",
+            f"ideal.{k}.simple_modules = one 1-parameter family per dimension d >= 1",
+        )
+    ]
+    assert _box_1("homogeneity", path) == ["ideals.considered = 3"] + [
+        f"ideal.{k} = {point} [reductive(s=3, k=1)]" for k, point in enumerate(points, 1)
+    ] + [
+        "classes.d >= 1 = 0 + continuum",
+        "verdict = not t-homogeneous (continuum of classes in every dimension)",
+    ]
+
+
+def test_sl2_on_two_planes_is_1_homogeneous(tmp_path):
+    path = _write(tmp_path, "sl2v2v2.pat", SL2_V2_V2)
+    assert _box_1("classify", path) == [
+        "ideal.count = 1",
+        "ideal.1.point = (0, 0, 0, 0, 0, 0, 0)",
+        "ideal.1.recognition = sl2_semidirect(4)",
+        "ideal.1.derived_dims = [7, 7]",
+        "ideal.1.simple_modules = one class per dimension d >= 1",
+    ]
+    assert _box_1("homogeneity", path) == [
+        "ideals.considered = 1",
+        "ideal.1 = (0, 0, 0, 0, 0, 0, 0) [sl2_semidirect(4)]",
+        "classes.d >= 1 = 1",
+        "verdict = 1-homogeneous",
+    ]
+
+
+def test_module_with_an_sl2_levi_factor_and_characters(tmp_path):
+    # gl2 = sl2 + center: the center acts by zero on the sl2 irrep, a simple module
+    path = _write(tmp_path, "gl2.pat", GL2)
+    code, out = run(["module", path, "--point", "(0,0,0,1)", "--dim", "2", "--format", "machine"])
+    assert code == 0
+    assert "recognition = reductive(s=3, k=1)" in out.splitlines()
+    assert "action.z = [(0, 0); (0, 0)]" in out.splitlines()
+    assert "simple = True" in out.splitlines()
+    code, out = run(["verify", path, "--point", "(0,0,0,1)", "--dim", "3", "--format", "machine"])
+    assert code == 0 and "axioms = pass" in out.splitlines()
+
+
+def test_module_at_a_solvable_point_is_a_character(tmp_path):
+    path = _write(tmp_path, "line.pat", "vars x, y, z;\nbracket table { [x,y] = x*z; };\n")
+    code, out = run(["module", path, "--point", "(0,0,1)", "--dim", "1",
+                     "--character", "0, 3, 0", "--format", "machine"])
+    assert code == 0
+    assert "recognition = solvable" in out.splitlines()
+    assert "action.y = [(3)]" in out.splitlines()
+
+
+def test_module_with_another_levi_factor_is_refused(tmp_path, capsys):
+    path = _write(tmp_path, "sl2sl2.pat", SL2_SL2)
+    code, out = run(["module", path, "--point", "(0,0,0,0,0,0)", "--dim", "2"])
+    assert (code, out) == (1, "")
+    assert "g(J) is reductive(s=6, k=0)" in capsys.readouterr().err
+
+
 def test_catalog_list_and_run():
     code, out = run(["catalog", "list", "--format", "machine"])
     assert code == 0 and "entry = torus-so3" in out
@@ -310,14 +420,8 @@ def _classify_reference(path, num, den):
         rec = recognize(lie)
         lines += [f"ideal.{k}.point = {ideal.point}",
                   f"ideal.{k}.recognition = {rec.describe()}",
-                  f"ideal.{k}.derived_dims = {rec.derived_dims}"]
-        if rec.tag != "unrecognized":
-            cat = classify_simple_modules(lie, rec)
-            modules = (
-                "one class per dimension d >= 1" if cat.kind == "one_per_dimension"
-                else f"characters only ({cat.character_space_dim}-parameter family)"
-            )
-            lines.append(f"ideal.{k}.simple_modules = {modules}")
+                  f"ideal.{k}.derived_dims = {rec.derived_dims}",
+                  f"ideal.{k}.simple_modules = {classify_simple_modules(lie, rec).describe()}"]
     return "\n".join(lines + ["status = ok"]) + "\n"
 
 
