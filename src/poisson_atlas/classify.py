@@ -7,8 +7,8 @@ simple module, and so the simple g-modules are those of the Levi factor
 s = g / rad g tensored with the characters of g, a family of dimension
 k = dim rad g - dim [g, rad g].  Recognition records (dim s, k); dim s names s
 only for 0, sl2 and sl2 + sl2, and any other s leaves the counts undetermined.
-Explicit sl2-triples come from a deterministic candidate search, so results
-are reproducible byte for byte.
+Explicit sl2-triples come from a deterministic candidate search in s, built on
+basis vectors, so results are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .linalg import (
     coordinates,
     eigen_small,
     kernel_basis,
-    restrict_action,
     row_space_basis,
     trace_product,
 )
@@ -83,7 +82,6 @@ class LieRecognition:
     levi_dim: int  # dim s
     k: int
     radical_basis: tuple = ()  # rad g when s != 0 (for s = 0, rad g = g)
-    levi_indices: tuple = ()  # basis indices spanning a complement sl2, beside a radical
 
     @property
     def radical_dim(self) -> int:
@@ -125,28 +123,18 @@ def recognize(lie: LieAlgebra) -> LieRecognition:
         heisenberg = lie.dim == 3 and len(derived) == 1 and not _bracket_span(lie, basis, derived)
         return LieRecognition("heisenberg" if heisenberg else "solvable", dims, 0, k)
     tag = "reductive" if (levi_dim, k) != (3, 0) else "sl2_semidirect" if radical else "sl2"
-    levi = _basis_levi_section(lie, radical) if radical else ()
-    return LieRecognition(tag, dims, levi_dim, k, tuple(radical), levi)
-
-
-def _basis_levi_section(lie: LieAlgebra, radical):
-    """Indices of basis vectors spanning a complement subalgebra, when one exists.
-
-    Catalog algebras always expose their Levi subalgebra on basis vectors; a
-    conjugated basis may not, in which case the triple search is unavailable
-    (the recognition tag itself never depends on this)."""
-    rad = IncrementalSpan(radical)
-    levi = tuple(i for i in range(lie.dim) if not rad.contains(lie.basis_vector(i)))
-    if len(levi) != 3:
-        return ()
-    vecs = [lie.basis_vector(i) for i in levi]
-    closed = coordinates(vecs, [lie.bracket(u, v) for u in vecs for v in vecs])
-    return levi if closed is not None else ()
+    return LieRecognition(tag, dims, levi_dim, k, tuple(radical))
 
 
 @dataclass(frozen=True)
 class Sl2Triple:
-    """(e, h, f) with [h,e] = 2e, [h,f] = -2f, [e,f] = h, as L-coordinates."""
+    """(e, h, f) with [h,e] = 2e, [h,f] = -2f, [e,f] = h modulo rad g, as
+    L-coordinates.
+
+    `find_sl2_triple` lifts the triple from g / rad g along basis vectors, so
+    the relations hold exactly when those vectors span a subalgebra, a Levi
+    complement to rad g; `verify` checks them exactly.
+    """
 
     e: tuple
     h: tuple
@@ -182,31 +170,34 @@ def _canonical_eigvec(vec):
 
 
 def find_sl2_triple(lie: LieAlgebra, recognition: LieRecognition | None = None) -> Sl2Triple:
-    """Deterministic explicit sl2-triple for an algebra whose Levi factor is sl2.
+    """Deterministic explicit sl2-triple modulo rad g, for a Levi factor sl2.
 
-    Works inside the 3-dimensional Levi subalgebra spanned by basis vectors;
-    introduces at most one quadratic extension for the eigenvalue rescaling.
+    The search runs in s = g / rad g, built on the first basis vectors that
+    are independent modulo rad g, and the triple found there is lifted back
+    along those vectors; it introduces at most one quadratic extension for
+    the eigenvalue rescaling.
     """
     rec = recognition or recognize(lie)
     if rec.levi_dim != 3:
         raise AtlasError(f"no sl2-triple for a {rec.describe()} algebra")
-    if rec.radical_basis and not rec.levi_indices:
-        raise AtlasError("no Levi section among basis vectors")
-    section = list(rec.levi_indices or range(3))
+    rad = IncrementalSpan(rec.radical_basis)
+    section = [i for i in range(lie.dim) if rad.add(lie.basis_vector(i))]
     sec_vecs = [lie.basis_vector(i) for i in section]
-    to_lie_coords = Matrix(list(zip(*sec_vecs))).apply
+    # [u, v] modulo rad g, in the coordinates of the section vectors
+    brackets = [lie.bracket(u, v) for u in sec_vecs for v in sec_vecs]
+    coords = [c[:3] for c in coordinates(sec_vecs + list(rec.radical_basis), brackets)]
+    sc = [coords[3 * i : 3 * i + 3] for i in range(3)]
+    quotient = LieAlgebra([lie.labels[i] for i in section], sc)
+    lift = Matrix(list(zip(*sec_vecs))).apply
 
     last_error = None
     for combo in _candidate_elements(3):
-        cand_sec = tuple(combo.get(k, ZERO) for k in range(3))
-        cand = to_lie_coords(cand_sec)
-        ad_sec = restrict_action([lie.ad_matrix(cand)], sec_vecs)[0]
+        cand = tuple(combo.get(k, ZERO) for k in range(3))
         try:
-            eig = eigen_small(ad_sec)
+            eig = eigen_small(quotient.ad_matrix(cand))
         except ExtensionRequiredError as exc:
             last_error = exc
             continue
-        values = {str(v): (v, mult, vecs) for v, mult, vecs in eig.pairs}
         nonzero = [(v, mult, vecs) for v, mult, vecs in eig.pairs if not v.is_zero]
         if len(nonzero) != 2:
             continue
@@ -216,18 +207,15 @@ def find_sl2_triple(lie: LieAlgebra, recognition: LieRecognition | None = None) 
         lam, evecs, fvecs = (v1, vecs1, vecs2)
         if (lam.b, lam.a) < (ZERO.b, ZERO.a):  # canonical sign: b > 0, else a > 0
             lam, evecs, fvecs = (v2, vecs2, vecs1)
-        h = to_lie_coords(tuple(c * (Scalar(2) / lam) for c in cand_sec))
-        e = to_lie_coords(_canonical_eigvec(evecs[0]))
-        f0 = to_lie_coords(_canonical_eigvec(fvecs[0]))
-        ef = lie.bracket(e, f0)
-        gamma = _proportionality(ef, h)
+        h = tuple(c * (Scalar(2) / lam) for c in cand)
+        e = _canonical_eigvec(evecs[0])
+        f0 = _canonical_eigvec(fvecs[0])
+        gamma = _proportionality(quotient.bracket(e, f0), h)
         if gamma is None or gamma.is_zero:
             continue
         f = tuple(c / gamma for c in f0)
-        disc = common_domain(list(e) + list(h) + list(f))
-        triple = Sl2Triple(e, h, f, disc)
-        if triple.verify(lie):
-            return triple
+        if Sl2Triple(e, h, f).verify(quotient):
+            return Sl2Triple(lift(e), lift(h), lift(f), common_domain(e + h + f))
     if last_error is not None:
         raise last_error
     raise AtlasError("no candidate worked for the sl2-triple search")

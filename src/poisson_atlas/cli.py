@@ -101,10 +101,11 @@ def _trial_flags(parser):
     parser.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
 
 
-def _common_flags(parser):
-    parser.add_argument("--format", choices=("text", "machine"), default="text")
+def _box_flags(parser):
+    """The search box of a subcommand that scans for Poisson-maximal points."""
     parser.add_argument("--box-num", type=int, default=4, help="box numerator bound")
     parser.add_argument("--box-den", type=int, default=2, help="box denominator bound")
+    return parser
 
 
 def _module_at(pf, pres, args):
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         if needs_file:
             p.add_argument("file", help="presentation file")
-        _common_flags(p)
+        p.add_argument("--format", choices=("text", "machine"), default="text")
         p.set_defaults(fn=fn)
         return p
 
@@ -376,15 +377,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--character", help="comma-separated scalars for solvable g(J)")
         return p
 
-    add("ideals", cmd_ideals)
-    add("leaves", cmd_leaves)
+    _box_flags(add("ideals", cmd_ideals))
+    _box_flags(add("leaves", cmd_leaves))
     _point_arg(add("lie", cmd_lie))
-    add("classify", cmd_classify)
+    _box_flags(add("classify", cmd_classify))
     add_module("module", cmd_module)
     _trial_flags(add_module("verify", cmd_verify))
     add_module("twist", cmd_twist).add_argument("--auto", required=True)
     add_module("restrict", cmd_restrict).add_argument("--embed", required=True)
-    p = add("homogeneity", cmd_homogeneity)
+    p = _box_flags(add("homogeneity", cmd_homogeneity))
     p.add_argument("--relation", help="expression; restrict to ideals containing it")
     p = add("catalog", cmd_catalog, needs_file=False)
     p.add_argument("action", choices=("list", "run", "run-all", "file"))

@@ -73,22 +73,20 @@ class LieRep:
 
     lie: LieAlgebra
     mats: tuple
-    check: bool = True
 
     def __post_init__(self):
         if len(self.mats) != self.lie.dim:
             raise ValueError("one matrix per Lie basis element required")
-        if self.check:
-            for i in range(self.lie.dim):
-                for j in range(i + 1, self.lie.dim):
-                    expected = self.rho(self.lie.bracket(
-                        self.lie.basis_vector(i), self.lie.basis_vector(j)
-                    ))
-                    if expected != self.mats[i].commutator(self.mats[j]):
-                        raise IncompatibleTableError(
-                            f"not a representation on "
-                            f"({self.lie.labels[i]}, {self.lie.labels[j]})"
-                        )
+        for i in range(self.lie.dim):
+            for j in range(i + 1, self.lie.dim):
+                expected = self.rho(self.lie.bracket(
+                    self.lie.basis_vector(i), self.lie.basis_vector(j)
+                ))
+                if expected != self.mats[i].commutator(self.mats[j]):
+                    raise IncompatibleTableError(
+                        f"not a representation on "
+                        f"({self.lie.labels[i]}, {self.lie.labels[j]})"
+                    )
 
     @property
     def dim(self) -> int:

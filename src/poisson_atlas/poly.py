@@ -54,10 +54,13 @@ class VarSet:
     def __hash__(self):
         return hash((self.names, self.laurent))
 
-    def __repr__(self):
+    def laurent_suffix(self) -> str:
+        """` laurent(z, ...)` naming the flagged variables, or "" when none is."""
         flags = [n for n, f in zip(self.names, self.laurent) if f]
-        extra = f" laurent({', '.join(flags)})" if flags else ""
-        return f"VarSet({', '.join(self.names)}{extra})"
+        return f" laurent({', '.join(flags)})" if flags else ""
+
+    def __repr__(self):
+        return f"VarSet({', '.join(self.names)}{self.laurent_suffix()})"
 
 
 def _check_exponents(varset: VarSet, exps):
@@ -361,33 +364,44 @@ class LaurentPoly:
     def __repr__(self):
         return f"LaurentPoly({self})"
 
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        bits = []
+    def text(self, coeff_text, power) -> str:
+        """The terms in display order, by `term_text` and `signed_sum`, with
+        `coeff_text(c, alone)` for a coefficient c (`alone` when its monomial
+        is 1) and `power(name, e)` for a factor name^e, e not 0 or 1."""
+        pieces = []
         for exps, coeff in self.sorted_terms():
-            factors = []
-            for name, e in zip(self.varset.names, exps):
-                if e == 0:
-                    continue
-                factors.append(name if e == 1 else f"{name}^{e}")
-            mono = "*".join(factors)
-            c = str(coeff)
-            if not mono:
-                piece = c
-            elif c == "1":
-                piece = mono
-            elif c == "-1":
-                piece = f"-{mono}"
-            elif coeff.is_rational and coeff.b == 0 and "+" not in c:
-                piece = f"{c}*{mono}"
-            else:
-                piece = f"({c})*{mono}"
-            bits.append(piece)
-        out = bits[0]
-        for piece in bits[1:]:
-            out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return out
+            mono = "*".join(
+                name if e == 1 else power(name, e) for name, e in zip(self.varset.names, exps) if e
+            )
+            pieces.append(term_text(coeff_text(coeff, not mono), mono))
+        return signed_sum(pieces)
+
+    def __str__(self):
+        return self.text(report_coeff, lambda name, e: f"{name}^{e}")
+
+
+def signed_sum(pieces) -> str:
+    """Term texts joined by ` + `, or by ` - ` before a term with a leading
+    `-`; `0` when there are none."""
+    if not pieces:
+        return "0"
+    return pieces[0] + "".join(f" - {p[1:]}" if p[0] == "-" else f" + {p}" for p in pieces[1:])
+
+
+def term_text(coeff: str, mono: str) -> str:
+    """`coeff*mono`: a coefficient 1 or -1 folds into the sign, and the
+    monomial 1 (`mono` empty) adds no factor."""
+    if not mono:
+        return coeff
+    if coeff in ("1", "-1"):
+        return mono if coeff == "1" else f"-{mono}"
+    return f"{coeff}*{mono}"
+
+
+def report_coeff(c: Scalar, alone=False) -> str:
+    """A coefficient in reports: `format_scalar`'s text, an irrational one in
+    parentheses unless `alone` (no monomial follows)."""
+    return str(c) if alone or c.is_rational else f"({c})"
 
 
 class PointP:

@@ -16,6 +16,7 @@ Comments run from `#` to end of line.  Scalars may be integers, rationals
 `p/q`, or `sqrt(d)` combinations.  Names bound in a bracket clause (f, a)
 are usable in later expressions.  An embed block may optionally carry its
 own `bracket` and `relation` clauses describing the sub-presentation.
+Serialization is the file dialect of poly's writer (`LaurentPoly.text`).
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .brackets import (
     Table,
 )
 from .errors import LaurentViolationError, ParseError
-from .poly import LaurentPoly, PointP, VarSet
-from .scalars import Scalar
+from .poly import LaurentPoly, PointP, VarSet, report_coeff, signed_sum, term_text
+from .scalars import Scalar, format_scalar
 
 _SYMBOLS = ("->", ",", ";", "(", ")", "{", "}", "[", "]", "=", "+", "-", "*", "/", "^")
 
@@ -104,7 +105,6 @@ class EmbedClause:
     images: dict  # sub variable name -> LaurentPoly over the ambient varset
     sub_bracket: object = None  # optional BracketSpec over the sub varset
     sub_relations: tuple = ()
-    sub_bound: dict = field(default_factory=dict)
 
     def substitution(self) -> SubstitutionMap:
         return SubstitutionMap.from_dict(self.sub_varset, self.images)
@@ -210,26 +210,25 @@ class _Parser:
                 raise ParseError(str(exc), tok.line, tok.col) from None
         return out if sign == 1 else -out
 
-    def _exponent(self) -> int:
+    def _signed_int(self, message) -> int:
+        """An integer with an optional `-`; ParseError(message) at the token
+        where the integer should be."""
         tok = self.next()
-        if tok.text == "(":
-            inner = self.next()
-            sign = 1
-            if inner.text == "-":
-                sign = -1
-                inner = self.next()
-            if inner.kind != "int":
-                raise ParseError("expected an integer exponent", inner.line, inner.col)
-            self.expect(")")
-            return sign * int(inner.text)
+        sign = 1
         if tok.text == "-":
-            inner = self.next()
-            if inner.kind != "int":
-                raise ParseError("expected an integer exponent", inner.line, inner.col)
-            return -int(inner.text)
+            sign, tok = -1, self.next()
         if tok.kind != "int":
-            raise ParseError("expected an integer exponent", tok.line, tok.col)
-        return int(tok.text)
+            raise ParseError(message, tok.line, tok.col)
+        return sign * int(tok.text)
+
+    def _exponent(self) -> int:
+        """`n`, `-n`, `(n)` or `(-n)`."""
+        if not self.at("("):
+            return self._signed_int("expected an integer exponent")
+        self.next()
+        e = self._signed_int("expected an integer exponent")
+        self.expect(")")
+        return e
 
     def _atom(self, varset, env):
         tok = self.next()
@@ -242,15 +241,8 @@ class _Parser:
         if tok.kind == "name":
             if tok.text == "sqrt":
                 self.expect("(")
-                inner = self.next()
-                sign = 1
-                if inner.text == "-":
-                    sign = -1
-                    inner = self.next()
-                if inner.kind != "int":
-                    raise ParseError("expected sqrt of an integer", inner.line, inner.col)
+                d = self._signed_int("expected sqrt of an integer")
                 self.expect(")")
-                d = sign * int(inner.text)
                 if d in (0, 1):
                     return LaurentPoly.const(varset, Scalar(1) if d else Scalar(0))
                 return LaurentPoly.const(varset, Scalar(0, 1, d))
@@ -444,9 +436,7 @@ class _Parser:
             self.expect(";")
 
         images = self.parse_images("embed", name_tok, sub_names, varset, env, sub_clause)
-        return EmbedClause(
-            name_tok.text, sub_varset, images, sub_bracket, tuple(sub_relations), sub_env
-        )
+        return EmbedClause(name_tok.text, sub_varset, images, sub_bracket, tuple(sub_relations))
 
 
 def parse_presentation(text: str) -> PresentationFile:
@@ -458,68 +448,27 @@ def parse_presentation(text: str) -> PresentationFile:
 
 def lincomb_text(labels, row) -> str:
     """Render a sparse {index: coeff} combination over labels as `2*x - 3*y`."""
-    bits = []
-    for k in sorted(row):
-        c = row[k]
-        text = str(c)
-        if text == "1":
-            piece = labels[k]
-        elif text == "-1":
-            piece = f"-{labels[k]}"
-        else:
-            piece = f"({text})*{labels[k]}" if "sqrt" in text else f"{text}*{labels[k]}"
-        bits.append(piece)
-    if not bits:
-        return "0"
-    out = bits[0]
-    for piece in bits[1:]:
-        out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-    return out
+    return signed_sum([term_text(report_coeff(row[k]), labels[k]) for k in sorted(row)])
 
 
 def poly_text(p: LaurentPoly) -> str:
     """Expression text that parses back to the same polynomial."""
-    if p.is_zero:
-        return "0"
-    bits = []
-    for exps, coeff in p.sorted_terms():
-        factors = []
-        for name, e in zip(p.varset.names, exps):
-            if e == 0:
-                continue
-            factors.append(name if e == 1 else f"{name}^({e})" if e < 0 else f"{name}^{e}")
-        piece = "*".join(factors)
-        cs = _scalar_text(coeff)
-        if not piece:
-            piece = cs
-        elif cs == "1":
-            pass
-        elif cs == "-1":
-            piece = f"-{piece}"
-        else:
-            piece = f"{cs}*{piece}"
-        bits.append(piece)
-    out = bits[0]
-    for piece in bits[1:]:
-        out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-    return out
+    return p.text(
+        lambda c, alone: _scalar_text(c),
+        lambda name, e: f"{name}^({e})" if e < 0 else f"{name}^{e}",
+    )
 
 
 def _scalar_text(s: Scalar) -> str:
-    if s.is_rational:
-        q = s.as_fraction()
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-    parts = []
+    """`format_scalar`'s text; an irrational other than a positive multiple of
+    the root goes in parentheses, with a spaced sign before the root."""
+    text = format_scalar(s)
+    if s.is_rational or (s.a == 0 and s.b > 0):
+        return text
     if s.a != 0:
-        parts.append(f"{s.a.numerator}" if s.a.denominator == 1 else f"{s.a.numerator}/{s.a.denominator}")
-    b = s.b
-    root = f"sqrt({s.d})"
-    if abs(b) != 1:
-        mag = abs(b)
-        root = (f"{mag.numerator}" if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}") + f"*{root}"
-    parts.append(root if b > 0 else f"-{root}" if not parts else f"- {root}")
-    text = parts[0] if len(parts) == 1 else f"{parts[0]} {parts[1]}" if parts[1].startswith("-") else f"{parts[0]} + {parts[1]}"
-    return f"({text})" if (s.a != 0 or b < 0) else text
+        a = format_scalar(Scalar(s.a))
+        text = f"{a} {text[len(a)]} {text[len(a) + 1:]}"
+    return f"({text})"
 
 
 def _bracket_clause(spec, varset, embed=False) -> str:
@@ -549,15 +498,10 @@ def _bracket_clause(spec, varset, embed=False) -> str:
     return "\n  ".join(["bracket table {", *rows]) + "\n};"
 
 
-def _laurent_text(varset) -> str:
-    flagged = [n for n, f in zip(varset.names, varset.laurent) if f]
-    return f" laurent({', '.join(flagged)})" if flagged else ""
-
-
 def serialize_presentation(pf: PresentationFile) -> str:
     """Render a PresentationFile back to clause text (round-trips by parse)."""
     lines = []
-    lines.append(f"vars {', '.join(pf.varset.names)}{_laurent_text(pf.varset)};")
+    lines.append(f"vars {', '.join(pf.varset.names)}{pf.varset.laurent_suffix()};")
     lines.append(_bracket_clause(pf.bracket_spec, pf.varset))
     for r in pf.relations:
         lines.append(f"relation {poly_text(r)};")
@@ -571,7 +515,7 @@ def serialize_presentation(pf: PresentationFile) -> str:
         lines.append(f"auto {name} {{ {body} }};")
     for name, embed in pf.embeds.items():
         sub = embed.sub_varset
-        head = f"embed {name}({', '.join(sub.names)}){_laurent_text(sub)}"
+        head = f"embed {name}({', '.join(sub.names)}){sub.laurent_suffix()}"
         body = []
         if embed.sub_bracket is not None:
             body.append(_bracket_clause(embed.sub_bracket, embed.sub_varset, embed=True))

@@ -24,22 +24,29 @@ from poisson_atlas import (
 )
 from poisson_atlas.classify import (
     HomogeneityReport,
-    _basis_levi_section,
+    Sl2Triple,
     _bracket_span,
+    _candidate_elements,
+    _canonical_eigvec,
+    _proportionality,
     derived_subalgebra,
     killing_matrix,
 )
-from poisson_atlas.errors import AtlasError
+from poisson_atlas.errors import AtlasError, ExtensionRequiredError
 from poisson_atlas.linalg import (
     IncrementalSpan,
     Matrix,
     associative_hull_is_full,
+    coordinates,
+    eigen_small,
+    is_simple,
     kernel_basis,
     restrict_action,
     rank,
     row_space_basis,
 )
-from poisson_atlas.modules import SplitMix
+from poisson_atlas.modules import SplitMix, sl2_irrep
+from poisson_atlas.scalars import ZERO, common_domain
 from poisson_atlas.scalars import Scalar
 
 SL2 = LieAlgebra.from_brackets(
@@ -106,12 +113,18 @@ def test_recognize_sl2():
     assert recognize(SL2).tag == "sl2"
 
 
+def _support(triple):
+    """The basis indices on which the triple has a nonzero coordinate."""
+    return tuple(i for i, cs in enumerate(zip(triple.e, triple.h, triple.f))
+                 if any(not c.is_zero for c in cs))
+
+
 def test_recognize_p7():
     rec = recognize(P7)
     assert rec.tag == "sl2_semidirect"
     assert rec.radical_dim == 4
     assert rec.describe() == "sl2_semidirect(4)"
-    assert rec.levi_indices == (0, 1, 2)
+    assert _support(find_sl2_triple(P7, rec)) == (0, 1, 2)
 
 
 def test_recognize_kleinian_an_solvable(xyz):
@@ -322,41 +335,107 @@ def _is_nilpotent(lie):
 def _recognize_reference(lie):
     """The five-shape ladder that recognition used before the reductive
     quotient (without its dimension cap), the radical's simplicity decided by
-    the density hull: (describe(), derived_dims, radical basis, levi_indices),
-    the radical set only for sl2_semidirect."""
+    the density hull: (describe(), derived_dims, radical basis), the radical
+    set only for sl2_semidirect."""
     dims = derived_series(lie)
     derived = derived_subalgebra(lie)
     if not derived:
-        return "abelian", dims, (), ()
+        return "abelian", dims, ()
     ads = [lie.ad_matrix(lie.basis_vector(i)) for i in range(lie.dim)]
     cent = kernel_basis([row for ad in ads for row in ad.rows])
     if lie.dim == 3:
         if len(derived) == 3:
-            return "sl2", dims, (), ()
+            return "sl2", dims, ()
         if (
             _is_nilpotent(lie)
             and len(derived) == 1
             and IncrementalSpan(cent).contains(derived[0])
         ):
-            return "heisenberg", dims, (), ()
+            return "heisenberg", dims, ()
     if dims[-1] == 0:
-        return "solvable", dims, (), ()
+        return "solvable", dims, ()
     if len(derived) == lie.dim:  # perfect
         radical = kernel_basis([list(r) for r in killing_matrix(ads).rows])
         radical = list(row_space_basis(radical))
         if radical and _bracket_span(lie, radical, radical):
-            return "unrecognized", dims, (), ()
+            return "unrecognized", dims, ()
         if lie.dim - len(radical) == 3 and radical:
             if associative_hull_is_full(restrict_action(ads, radical), len(radical)):
-                levi = _basis_levi_section(lie, radical)
-                return f"sl2_semidirect({len(radical)})", dims, tuple(radical), levi
-    return "unrecognized", dims, (), ()
+                return f"sl2_semidirect({len(radical)})", dims, tuple(radical)
+    return "unrecognized", dims, ()
 
 
 def _recognition_fields(rec):
     """The fields the reference ladder fixes, the radical as a canonical basis."""
     radical = row_space_basis(rec.radical_basis) if rec.radical_basis else ()
-    return rec.describe(), rec.derived_dims, radical, rec.levi_indices
+    return rec.describe(), rec.derived_dims, radical
+
+
+def _basis_levi_section(lie, radical):
+    """The basis indices the former triple search worked on: the basis vectors
+    outside rad g, when there are three and they span a subalgebra."""
+    rad = IncrementalSpan(radical)
+    levi = tuple(i for i in range(lie.dim) if not rad.contains(lie.basis_vector(i)))
+    if len(levi) != 3:
+        return ()
+    vecs = [lie.basis_vector(i) for i in levi]
+    closed = coordinates(vecs, [lie.bracket(u, v) for u in vecs for v in vecs])
+    return levi if closed is not None else ()
+
+
+def _sl2_triple_reference(lie, rec):
+    """The former triple search, inside the Levi subalgebra spanned by basis
+    vectors (`_basis_levi_section`); None when there is no such subalgebra."""
+    section = list(_basis_levi_section(lie, rec.radical_basis) if rec.radical_basis else range(3))
+    if not section:
+        return None
+    sec_vecs = [lie.basis_vector(i) for i in section]
+    to_lie_coords = Matrix(list(zip(*sec_vecs))).apply
+    last_error = None
+    for combo in _candidate_elements(3):
+        cand_sec = tuple(combo.get(k, ZERO) for k in range(3))
+        cand = to_lie_coords(cand_sec)
+        ad_sec = restrict_action([lie.ad_matrix(cand)], sec_vecs)[0]
+        try:
+            eig = eigen_small(ad_sec)
+        except ExtensionRequiredError as exc:
+            last_error = exc
+            continue
+        nonzero = [(v, mult, vecs) for v, mult, vecs in eig.pairs if not v.is_zero]
+        if len(nonzero) != 2:
+            continue
+        (v1, m1, vecs1), (v2, m2, vecs2) = nonzero
+        if m1 != 1 or m2 != 1 or v1 != -v2:
+            continue
+        lam, evecs, fvecs = (v1, vecs1, vecs2)
+        if (lam.b, lam.a) < (ZERO.b, ZERO.a):
+            lam, evecs, fvecs = (v2, vecs2, vecs1)
+        h = to_lie_coords(tuple(c * (Scalar(2) / lam) for c in cand_sec))
+        e = to_lie_coords(_canonical_eigvec(evecs[0]))
+        f0 = to_lie_coords(_canonical_eigvec(fvecs[0]))
+        gamma = _proportionality(lie.bracket(e, f0), h)
+        if gamma is None or gamma.is_zero:
+            continue
+        f = tuple(c / gamma for c in f0)
+        triple = Sl2Triple(e, h, f, common_domain(list(e) + list(h) + list(f)))
+        if triple.verify(lie):
+            return triple
+    raise last_error or AssertionError("no candidate worked")
+
+
+def _is_triple_modulo(lie, triple, radical):
+    """[h,e] = 2e, [h,f] = -2f and [e,f] = h modulo span(radical)."""
+    rad = IncrementalSpan(radical)
+    e, h, f = triple.e, triple.h, triple.f
+
+    def zero_mod(u, v):
+        return rad.contains(tuple(a - b for a, b in zip(u, v)))
+
+    return (
+        zero_mod(lie.bracket(h, e), tuple(2 * c for c in e))
+        and zero_mod(lie.bracket(h, f), tuple(-2 * c for c in f))
+        and zero_mod(lie.bracket(e, f), h)
+    )
 
 
 def _catalog_algebras():
@@ -391,6 +470,19 @@ def test_recognition_of_every_catalog_algebra_needs_no_density_hull(monkeypatch)
     tags = {want[0] for want in by_hull}
     assert "unrecognized" not in tags
     assert {"sl2_semidirect(4)", "sl2_semidirect(5)", "sl2_semidirect(7)"} <= tags
+
+
+def test_the_triple_search_in_the_quotient_matches_the_former_search():
+    """On every catalog algebra with dim s = 3 the Levi subalgebra lies on
+    basis vectors, and the search in g / rad g finds the triple the former
+    search found inside that subalgebra."""
+    searched = 0
+    for label, lie in _catalog_algebras():
+        rec = recognize(lie)
+        if rec.levi_dim == 3:
+            searched += 1
+            assert find_sl2_triple(lie, rec) == _sl2_triple_reference(lie, rec), label
+    assert searched == 29
 
 
 # -- constructions with a known (dim s, k) ----------------------------------------
@@ -466,9 +558,9 @@ def _constructions(draw, kinds=("sl2_on", "heis", "double", "solvable")):
 
 
 @st.composite
-def _random_bases(draw, n):
+def _random_bases(draw, n, discriminants=(0, -1)):
     """An invertible n x n matrix L U, L and U unit-triangular, over Q or Q(sqrt(-1))."""
-    d = draw(st.sampled_from([0, -1]))
+    d = draw(st.sampled_from(discriminants))
     entry = st.builds(lambda a, b: Scalar(a, b if d else 0, d), st.integers(-2, 2), st.integers(-1, 1))
 
     def triangle(lower):
@@ -496,10 +588,40 @@ def test_recognition_pair_matches_the_construction_in_any_basis(data):
 def test_recognize_matches_the_reference_where_the_ladder_recognizes(data):
     # the ladder's shapes: sl2 on a simple module, solvable
     lie, _ = data.draw(_constructions(("sl2_on_simple", "solvable")))
-    conjugated = lie.change_basis(data.draw(_random_bases(lie.dim)))
+    basis = data.draw(_random_bases(lie.dim))
+    conjugated = lie.change_basis(basis)
     want = _recognize_reference(conjugated)
     assume(want[0] != "unrecognized")
-    assert _recognition_fields(recognize(conjugated)) == want
+    rec = recognize(conjugated)
+    assert _recognition_fields(rec) == want
+    if rec.levi_dim != 3:
+        return
+    try:
+        triple = find_sl2_triple(conjugated, rec)
+    except ExtensionRequiredError:
+        # the search admits one quadratic extension, so over Q(sqrt(-1)) the
+        # eigenvalue rescaling can need a second one
+        assert any(not c.is_rational for row in basis.rows for c in row)
+        return
+    assert _is_triple_modulo(conjugated, triple, rec.radical_basis)
+    if _basis_levi_section(conjugated, rec.radical_basis):
+        assert triple == _sl2_triple_reference(conjugated, rec)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_sl2_irreps_build_in_any_rational_basis(data):
+    """sl2 on a sum of its simple modules V_n, in a basis that hides the Levi
+    subalgebra: the triple found in g / rad g builds a simple module of each
+    dimension, the radical acting as zero."""
+    lie = sl2_on(data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=2)))
+    conjugated = lie.change_basis(data.draw(_random_bases(lie.dim, (0,))))
+    rec = recognize(conjugated)
+    triple = find_sl2_triple(conjugated, rec)
+    assert _is_triple_modulo(conjugated, triple, rec.radical_basis)
+    for d in range(1, 5):
+        rep = sl2_irrep(conjugated, d, triple, rec.radical_basis)  # LieRep checks the brackets
+        assert is_simple(rep.mats, d)
 
 
 def test_recognize_past_the_former_dimension_cap():
@@ -507,5 +629,6 @@ def test_recognize_past_the_former_dimension_cap():
     rec = recognize(lie)
     assert rec.describe() == "sl2_semidirect(11)"
     assert (rec.levi_dim, rec.k) == (3, 0)
-    assert rec.levi_indices == (0, 1, 2)
-    assert find_sl2_triple(lie, rec).verify(lie)
+    triple = find_sl2_triple(lie, rec)
+    assert _support(triple) == (0, 1, 2)
+    assert triple.verify(lie)

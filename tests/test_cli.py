@@ -267,6 +267,31 @@ def test_module_with_an_sl2_levi_factor_and_characters(tmp_path):
     assert code == 0 and "axioms = pass" in out.splitlines()
 
 
+# sl2 on C^2 in a basis that hides the Levi subalgebra: a = v1 + e, b = v2
+HIDDEN_LEVI = """
+vars e, h, f, a, b;
+bracket table { [e,h] = -2*e; [e,f] = h; [e,b] = -e + a; [h,f] = -2*f; [h,a] = e + a;
+  [h,b] = -b; [f,a] = -h + b; [a,b] = -e + a; };
+"""
+
+
+def test_modules_where_no_basis_vectors_span_a_levi_subalgebra(tmp_path):
+    path = _write(tmp_path, "hidden.pat", HIDDEN_LEVI)
+    assert _box_1("classify", path)[2:] == [
+        "ideal.1.recognition = sl2_semidirect(2)",
+        "ideal.1.derived_dims = [5, 5]",
+        "ideal.1.simple_modules = one class per dimension d >= 1",
+    ]
+    point = ["--point", "(0,0,0,0,0)", "--format", "machine"]
+    code, out = run(["verify", path, "--dim", "3", *point])
+    assert code == 0 and "axioms = pass" in out.splitlines()
+    for d in (2, 4):
+        code, out = run(["module", path, "--dim", str(d), *point])
+        assert code == 0 and "simple = True" in out.splitlines()
+    code, out = run(["module", path, "--dim", "2", *point])
+    assert "action.b = [(0, 0); (0, 0)]" in out.splitlines()  # the radical acts as zero
+
+
 def test_module_at_a_solvable_point_is_a_character(tmp_path):
     path = _write(tmp_path, "line.pat", "vars x, y, z;\nbracket table { [x,y] = x*z; };\n")
     code, out = run(["module", path, "--point", "(0,0,1)", "--dim", "1",
@@ -497,7 +522,7 @@ def test_module_subcommands_keep_their_flags():
         }
 
     common = {
-        "format": (False, "text"), "box_num": (False, 4), "box_den": (False, 2),
+        "format": (False, "text"),
         "point": (True, None), "dim": (True, None), "character": (False, None),
     }
     assert flags("module") == common
@@ -507,9 +532,14 @@ def test_module_subcommands_keep_their_flags():
     assert flags("twist") == {**common, "auto": (True, None)}
     assert flags("restrict") == {**common, "embed": (True, None)}
     assert flags("catalog") == {
-        "format": (False, "text"), "box_num": (False, 4), "box_den": (False, 2),
+        "format": (False, "text"),
         "trials": (False, DEFAULT_TRIALS), "seed": (False, DEFAULT_SEED),
     }
+    assert flags("lie") == {"format": (False, "text"), "point": (True, None)}
+    box = {"format": (False, "text"), "box_num": (False, 4), "box_den": (False, 2)}
+    for command in ("ideals", "leaves", "classify"):
+        assert flags(command) == box
+    assert flags("homogeneity") == {**box, "relation": (False, None)}
 
 
 def _transcript(argvs, capsys):

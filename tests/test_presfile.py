@@ -238,3 +238,25 @@ def test_image_block_errors_are_located(block, where, message):
         parse_presentation(HEAD + block)
     assert (err.value.line, err.value.column) == where
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("x^y", "line 3, col 12: expected an integer exponent"),
+        ("x^(-y)", "line 3, col 14: expected an integer exponent"),
+        ("x^(y)", "line 3, col 13: expected an integer exponent"),
+        ("x^--1", "line 3, col 13: expected an integer exponent"),
+        ("x^(1", "line 3, col 14: expected ')', found ';'"),
+        ("x^(-1 + y", "line 3, col 16: expected ')', found '+'"),
+        ("sqrt(y)*x", "line 3, col 15: expected sqrt of an integer"),
+        ("sqrt(-y)", "line 3, col 16: expected sqrt of an integer"),
+        ("sqrt(--3)", "line 3, col 16: expected sqrt of an integer"),
+        ("sqrt(3", "line 3, col 16: expected ')', found ';'"),
+    ],
+)
+def test_signed_integer_errors_are_located(expr, message):
+    # exponents and sqrt arguments read an optional `-` and an integer alike
+    with pytest.raises(ParseError) as err:
+        parse_presentation(f"vars x, y;\nbracket table {{ [x,y] = x; }};\nrelation {expr};\n")
+    assert str(err.value) == message
