@@ -175,7 +175,9 @@ def find_sl2_triple(lie: LieAlgebra, recognition: LieRecognition | None = None) 
     The search runs in s = g / rad g, built on the first basis vectors that
     are independent modulo rad g, and the triple found there is lifted back
     along those vectors; it introduces at most one quadratic extension for
-    the eigenvalue rescaling.
+    the eigenvalue rescaling.  In s, ad x has the eigenvalues 0 and
+    +-sqrt(kappa(x, x) / 2), so a candidate with Killing square 0 is
+    ad-nilpotent and skipped before its eigensolve.
     """
     rec = recognition or recognize(lie)
     if rec.levi_dim != 3:
@@ -193,8 +195,11 @@ def find_sl2_triple(lie: LieAlgebra, recognition: LieRecognition | None = None) 
     last_error = None
     for combo in _candidate_elements(3):
         cand = tuple(combo.get(k, ZERO) for k in range(3))
+        ad = quotient.ad_matrix(cand)
+        if trace_product(ad, ad).is_zero:
+            continue
         try:
-            eig = eigen_small(quotient.ad_matrix(cand))
+            eig = eigen_small(ad)
         except ExtensionRequiredError as exc:
             last_error = exc
             continue

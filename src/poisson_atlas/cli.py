@@ -101,10 +101,21 @@ def _trial_flags(parser):
     parser.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
 
 
+def _box_bound(text: str) -> int:
+    """A box bound: an integer >= 1, else a usage error that names the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _box_flags(parser):
     """The search box of a subcommand that scans for Poisson-maximal points."""
-    parser.add_argument("--box-num", type=int, default=4, help="box numerator bound")
-    parser.add_argument("--box-den", type=int, default=2, help="box denominator bound")
+    parser.add_argument("--box-num", type=_box_bound, default=4, help="box numerator bound")
+    parser.add_argument("--box-den", type=_box_bound, default=2, help="box denominator bound")
     return parser
 
 

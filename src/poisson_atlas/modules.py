@@ -23,7 +23,7 @@ from .brackets import PoissonPresentation, SubstitutionMap, bracket, verify_pois
 from .classify import Sl2Triple, derived_subalgebra
 from .errors import AtlasError, IncompatibleTableError, NotPoissonMaximalError
 from .ideals import is_poisson_maximal
-from .lie import LieAlgebra, lie_from_point
+from .lie import LieAlgebra, lie_from_point, linearization
 from .linalg import (
     IncrementalSpan,
     Matrix,
@@ -165,9 +165,12 @@ def sl2_irrep(lie: LieAlgebra, d: int, triple: Sl2Triple, radical=()) -> LieRep:
 
 
 def lift_module(pres: PoissonPresentation, pt: PointP, rep: LieRep) -> PoissonModule:
-    """The lift: a.n = a(pt) n and {a, n} = rho(lin a at pt) n, killed by the point."""
-    expected = lie_from_point(pres, pt)
-    if rep.lie != expected:
+    """The lift: a.n = a(pt) n and {a, n} = rho(lin a at pt) n, killed by the point.
+
+    `rep.lie` must be g(J): the labels and structure constants of the
+    linearization at the point, which raises first at a non-Poisson point."""
+    sc = linearization(pres, pt)
+    if rep.lie.labels != pres.varset.names or rep.lie.sc != sc:
         raise AtlasError("representation is over a different Lie algebra than g(J)")
     return PoissonModule(pres, pt, rep.mats)
 

@@ -260,55 +260,20 @@ class LaurentPoly:
         Returns (value, gradient); the class of p - p(pt) modulo the square of
         the maximal ideal at pt is sum_k grad[k] * (x_k - pt_k).  The result
         equals (p.evaluate(pt), (p.partial(x_k).evaluate(pt) for each k)), but
-        comes from one pass over the terms: a term c * prod_k x_k^e_k adds
-        c * prod_k pt_k^e_k to the value and c * e_k * pt_k^(e_k - 1) *
-        prod_{j != k} pt_j^e_j to grad[k].  Each factor pt_k^e and its
-        derivative e * pt_k^(e - 1) are computed once per call, no derivative
-        polynomial is built, and a term with a zero coordinate to a positive
-        power adds to the gradient only.
+        is one sparse sum of coeff times the point's jet of each monomial
+        (`PointP.jet`), built once per point and monomial; no derivative
+        polynomial is built.
         """
         if point.varset != self.varset:
             raise VarSetMismatchError("point over a different variable set")
-        values = point.values
-        at_zero = [x.is_zero for x in values]
-        cache = {}  # (k, e) -> (k, pt_k^e, e * pt_k^(e - 1)), for pt_k != 0
         value = ZERO
-        grad = [ZERO] * len(values)
+        grad = [ZERO] * len(self.varset)
         for exps, coeff in self.terms.items():
-            factors = []  # cache entries of the nonzero coordinates in the term
-            vanishing = []  # (k, e_k) for a zero coordinate in the term
-            for k, e in enumerate(exps):
-                if not e:
-                    continue
-                if at_zero[k]:
-                    vanishing.append((k, e))
-                    continue
-                factor = cache.get((k, e))
-                if factor is None:
-                    below = values[k] ** (e - 1)
-                    factor = cache[k, e] = (k, below * values[k], below * e)
-                factors.append(factor)
-            if vanishing:
-                # the term is 0 at pt, and so is every partial derivative but
-                # the one along a single zero coordinate of exponent 1
-                if len(vanishing) == 1 and vanishing[0][1] == 1:
-                    d = coeff
-                    for _, pw, _ in factors:
-                        d = d * pw
-                    k = vanishing[0][0]
-                    grad[k] = grad[k] + d
-                continue
-            # prefix[i] = coeff * (the powers of factors[:i]); rest is the
-            # product of the powers of factors[i + 1:]
-            prefix = [coeff]
-            for _, pw, _ in factors:
-                prefix.append(prefix[-1] * pw)
-            value = value + prefix[-1]
-            rest = ONE
-            for i in range(len(factors) - 1, -1, -1):
-                k, pw, slope = factors[i]
-                grad[k] = grad[k] + prefix[i] * rest * slope
-                rest = rest * pw
+            power, slopes = point.jet(exps)
+            if power is not None:
+                value = value + coeff * power
+            for k, slope in slopes:
+                grad[k] = grad[k] + coeff * slope
         return value, tuple(grad)
 
     def substitute(self, images: dict) -> "LaurentPoly":
@@ -405,9 +370,13 @@ def report_coeff(c: Scalar, alone=False) -> str:
 
 
 class PointP:
-    """An assignment of one scalar per variable (a maximal ideal)."""
+    """An assignment of one scalar per variable (a maximal ideal).
 
-    __slots__ = ("varset", "values")
+    A point keeps the jets of the monomials evaluated at it in `_jets`, a
+    table outside `==`, `hash`, `repr` and `str`, filled on first use.
+    """
+
+    __slots__ = ("varset", "values", "_jets")
 
     def __init__(self, varset: VarSet, values):
         values = tuple(Scalar.coerce(v) for v in values)
@@ -420,6 +389,42 @@ class PointP:
                 )
         object.__setattr__(self, "varset", varset)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_jets", {})
+
+    def jet(self, exps):
+        """(pt^a, or None when it is 0; the pairs (k, d/dx_k x^a at pt) that
+        are nonzero) for the monomial with exponent tuple a = `exps`: built
+        on first use from the factors pt_k^e_k and their derivatives by
+        prefix and suffix products, and kept in `_jets`."""
+        jet = self._jets.get(exps)
+        if jet is not None:
+            return jet
+        factors = []  # (k, pt_k^e_k, e_k * pt_k^(e_k - 1)) for pt_k != 0
+        zeros = []  # (k, e_k) for pt_k == 0
+        for k, e in enumerate(exps):
+            if e:
+                x = self.values[k]
+                if x.is_zero:
+                    zeros.append((k, e))
+                else:
+                    below = x ** (e - 1)
+                    factors.append((k, below * x, below * e))
+        prefix = [ONE]  # prefix[i] is the product of the powers of factors[:i]
+        for _, pw, _ in factors:
+            prefix.append(prefix[-1] * pw)
+        if zeros:
+            # x^a is 0 at pt, and so is every partial derivative but the one
+            # along a single zero coordinate of exponent 1
+            single = len(zeros) == 1 and zeros[0][1] == 1
+            jet = None, ((zeros[0][0], prefix[-1]),) if single else ()
+        else:
+            slopes, rest = [], ONE  # rest: the product of the powers after factor i
+            for (k, pw, slope), before in zip(reversed(factors), reversed(prefix[:-1])):
+                slopes.append((k, before * rest * slope))
+                rest = rest * pw
+            jet = prefix[-1], tuple(slopes)
+        self._jets[exps] = jet
+        return jet
 
     def __setattr__(self, *args):
         raise AttributeError("PointP is immutable")

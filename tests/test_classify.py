@@ -485,6 +485,126 @@ def test_the_triple_search_in_the_quotient_matches_the_former_search():
     assert searched == 29
 
 
+def _sl2_triple_every_candidate(lie, recognition=None):
+    """The triple search that eigensolves every candidate, the Killing-form
+    skip of ad-nilpotent candidates left out; otherwise `find_sl2_triple`."""
+    rec = recognition or recognize(lie)
+    if rec.levi_dim != 3:
+        raise AtlasError(f"no sl2-triple for a {rec.describe()} algebra")
+    rad = IncrementalSpan(rec.radical_basis)
+    section = [i for i in range(lie.dim) if rad.add(lie.basis_vector(i))]
+    sec_vecs = [lie.basis_vector(i) for i in section]
+    # [u, v] modulo rad g, in the coordinates of the section vectors
+    brackets = [lie.bracket(u, v) for u in sec_vecs for v in sec_vecs]
+    coords = [c[:3] for c in coordinates(sec_vecs + list(rec.radical_basis), brackets)]
+    sc = [coords[3 * i : 3 * i + 3] for i in range(3)]
+    quotient = LieAlgebra([lie.labels[i] for i in section], sc)
+    lift = Matrix(list(zip(*sec_vecs))).apply
+
+    last_error = None
+    for combo in _candidate_elements(3):
+        cand = tuple(combo.get(k, ZERO) for k in range(3))
+        try:
+            eig = eigen_small(quotient.ad_matrix(cand))
+        except ExtensionRequiredError as exc:
+            last_error = exc
+            continue
+        nonzero = [(v, mult, vecs) for v, mult, vecs in eig.pairs if not v.is_zero]
+        if len(nonzero) != 2:
+            continue
+        (v1, m1, vecs1), (v2, m2, vecs2) = nonzero
+        if m1 != 1 or m2 != 1 or v1 != -v2:
+            continue
+        lam, evecs, fvecs = (v1, vecs1, vecs2)
+        if (lam.b, lam.a) < (ZERO.b, ZERO.a):  # canonical sign: b > 0, else a > 0
+            lam, evecs, fvecs = (v2, vecs2, vecs1)
+        h = tuple(c * (Scalar(2) / lam) for c in cand)
+        e = _canonical_eigvec(evecs[0])
+        f0 = _canonical_eigvec(fvecs[0])
+        gamma = _proportionality(quotient.bracket(e, f0), h)
+        if gamma is None or gamma.is_zero:
+            continue
+        f = tuple(c / gamma for c in f0)
+        if Sl2Triple(e, h, f).verify(quotient):
+            return Sl2Triple(lift(e), lift(h), lift(f), common_domain(e + h + f))
+    if last_error is not None:
+        raise last_error
+    raise AtlasError("no candidate worked for the sl2-triple search")
+
+
+def _triple_or_error(search, lie, rec):
+    try:
+        return search(lie, rec)
+    except AtlasError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def eigensolved(monkeypatch):
+    """The matrices eigensolved by `find_sl2_triple` and by
+    `_sl2_triple_every_candidate`, in call order."""
+    import poisson_atlas.classify as classify
+
+    seen = []
+
+    def counted(m, original=eigen_small):
+        seen.append(m)
+        return original(m)
+
+    monkeypatch.setattr(classify, "eigen_small", counted)
+    monkeypatch.setitem(globals(), "eigen_small", counted)
+    return seen
+
+
+def _nilpotent(m):
+    return (m * m * m).is_zero  # ad x on the 3-dimensional s
+
+
+def test_the_triple_search_skips_only_ad_nilpotent_candidates(eigensolved):
+    """Skipping the candidates of Killing square 0 keeps every triple found on
+    the catalog algebras with dim s = 3, and no eigensolve is left on an
+    ad-nilpotent candidate."""
+    searched = 0
+    for label, lie in _catalog_algebras():
+        rec = recognize(lie)
+        if rec.levi_dim == 3:
+            searched += 1
+            want = _triple_or_error(_sl2_triple_every_candidate, lie, rec)
+            del eigensolved[:]
+            assert _triple_or_error(find_sl2_triple, lie, rec) == want, label
+            assert not any(_nilpotent(m) for m in eigensolved), label
+    assert searched == 29
+
+
+def test_kirillov_kostant_origin_eigensolves_one_candidate(eigensolved):
+    """At the origin of sl2*, the first basis candidate is ad-nilpotent and the
+    second is semisimple: one eigensolve, where the full search made two."""
+    from poisson_atlas.catalog import Context, get_entry
+
+    ctx = Context(get_entry("kirillov-kostant-sl2"))
+    (ideal,) = [i for i in ctx.ideals if all(c.is_zero for c in i.point.values)]
+    lie = ctx.lie(ideal.point)
+    rec = recognize(lie)
+    every = _sl2_triple_every_candidate(lie, rec)
+    assert [_nilpotent(m) for m in eigensolved] == [True, False]
+    del eigensolved[:]
+    assert find_sl2_triple(lie, rec) == every
+    assert [_nilpotent(m) for m in eigensolved] == [False]
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_the_triple_search_skip_keeps_the_triple_in_any_basis(data):
+    """The same triple, or the same refusal, on sl2 constructions in a random
+    basis over Q or Q(sqrt(-1))."""
+    lie, _ = data.draw(_constructions(("sl2_on", "heis", "sl2_on_simple")))
+    conjugated = lie.change_basis(data.draw(_random_bases(lie.dim)))
+    rec = recognize(conjugated)
+    assert _triple_or_error(find_sl2_triple, conjugated, rec) == _triple_or_error(
+        _sl2_triple_every_candidate, conjugated, rec
+    )
+
+
 # -- constructions with a known (dim s, k) ----------------------------------------
 
 SL2_TABLE = {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1}}

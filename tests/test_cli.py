@@ -379,6 +379,22 @@ def test_module_entry_point(torus_file):
     assert proc.stdout.splitlines()[0] == HEADER
 
 
+@pytest.mark.parametrize("command", ["ideals", "leaves", "classify", "homogeneity"])
+def test_box_bounds_below_1_are_usage_errors(command, torus_file):
+    """A box bound of 0 is refused by the argument parser, with a usage
+    message naming the flag, and never reaches the box as a traceback."""
+    import subprocess, sys
+
+    for flag in ("--box-num", "--box-den"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "poisson_atlas", command, torus_file, flag, "0"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr
+        assert f"argument {flag}: expected an integer >= 1, got '0'" in proc.stderr
+
+
 @pytest.mark.parametrize(
     "case", [c for c in PINNED if c["argv"][0] in ("restrict", "twist")],
     ids=lambda c: f"{c['argv'][0]}-{c['argv'][3]}-d{c['argv'][7]}",

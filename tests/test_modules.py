@@ -32,7 +32,7 @@ from poisson_atlas import (
     twist,
     verify_poisson_axioms,
 )
-from poisson_atlas.errors import AtlasError, IncompatibleTableError
+from poisson_atlas.errors import AtlasError, IncompatibleTableError, NotPoissonMaximalError
 from poisson_atlas.linalg import Matrix, associative_hull_is_full, eigen_small, rank
 from poisson_atlas.modules import (
     DEFAULT_SEED,
@@ -131,6 +131,22 @@ def test_lift_requires_matching_algebra(a1_pres, torus_pres):
     rep = sl2_irrep(lie, 2, triple)
     with pytest.raises(AtlasError):
         lift_module(torus_pres, PointP(torus_pres.varset, [0, 0, 0]), rep)
+
+
+def test_lift_refusals_keep_their_types_and_messages(torus_pres):
+    """A representation of g(J) at another sl2 point of the same presentation
+    has the same labels but other structure constants; a non-Poisson point is
+    refused before any comparison."""
+    vs = torus_pres.varset
+    lie = lie_from_point(torus_pres, PointP(vs, [2, 2, 2]))
+    rep = sl2_irrep(lie, 2, find_sl2_triple(lie))
+    with pytest.raises(AtlasError) as refused:
+        lift_module(torus_pres, PointP(vs, [-2, -2, 2]), rep)
+    assert type(refused.value) is AtlasError
+    assert str(refused.value) == "representation is over a different Lie algebra than g(J)"
+    with pytest.raises(NotPoissonMaximalError) as refused:
+        lift_module(torus_pres, PointP(vs, [1, 0, 0]), rep)
+    assert str(refused.value) == "(1, 0, 0) is not a Poisson-maximal point"
 
 
 def test_j_squared_insensitivity(a1_pres):

@@ -241,3 +241,53 @@ def test_linear_part_matches_the_reference_model(case):
     p, pt = case
     want = (p.evaluate(pt), tuple(p.partial(n).evaluate(pt) for n in pt.varset.names))
     assert p.linear_part(pt) == want
+
+
+@st.composite
+def _polys_on_one_point(draw):
+    """Several polynomials sharing monomials, and one point, over Q or
+    Q(sqrt(-1)) in 1 to 4 variables; as in `_poly_and_point`, Laurent
+    exponents go down to -2 and a non-Laurent coordinate is 0 half of the time."""
+    d = draw(st.sampled_from([0, -1]))
+    scalar = st.builds(
+        lambda a, b, q: Scalar(Fraction(a, q), Fraction(b, q) if d else 0, d),
+        st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 3),
+    )
+    names = ("x", "y", "z", "w")[: draw(st.integers(1, 4))]
+    laurent = tuple(n for n in names if draw(st.booleans()))
+    vs = VarSet(names, laurent)
+    monomials = draw(st.lists(
+        st.tuples(*(st.integers(-2 if n in laurent else 0, 3) for n in names)),
+        min_size=1, max_size=8,
+    ))
+    polys = draw(st.lists(
+        st.dictionaries(st.sampled_from(monomials), scalar, max_size=5).map(
+            lambda terms: LaurentPoly(vs, terms)
+        ),
+        min_size=2, max_size=5,
+    ))
+    coords = []
+    for n in names:
+        c = draw(scalar)
+        if n in laurent:
+            c = Scalar(1) if c.is_zero else c
+        elif draw(st.booleans()):
+            c = Scalar(0)
+        coords.append(c)
+    return polys, PointP(vs, coords)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_polys_on_one_point())
+def test_linear_part_on_a_shared_point_matches_the_reference_model(case):
+    """The point's jet table, filled by each call in the drawn order, gives
+    every later call the reference value and gradient, and leaves the point
+    equal to, hashed as and written as a fresh one."""
+    polys, pt = case
+    names = pt.varset.names
+    for p in polys + polys[:1]:
+        want = (p.evaluate(pt), tuple(p.partial(n).evaluate(pt) for n in names))
+        assert p.linear_part(pt) == want
+    fresh = PointP(pt.varset, pt.values)
+    assert pt == fresh and hash(pt) == hash(fresh)
+    assert (str(pt), repr(pt)) == (str(fresh), repr(fresh))
