@@ -8,7 +8,8 @@ s = g / rad g tensored with the characters of g, a family of dimension
 k = dim rad g - dim [g, rad g].  Recognition records (dim s, k); dim s names s
 only for 0, sl2 and sl2 + sl2, and any other s leaves the counts undetermined.
 Explicit sl2-triples come from a deterministic candidate search in s, built on
-basis vectors, so results are reproducible byte for byte.
+basis vectors, so results are reproducible byte for byte; each candidate's
+eigenvalues come from its Killing square, with no eigensolve.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from .linalg import (
     IncrementalSpan,
     Matrix,
     coordinates,
-    eigen_small,
     kernel_basis,
     row_space_basis,
     trace_product,
 )
-from .scalars import Scalar, ZERO, ONE, common_domain
+from .scalars import Scalar, ZERO, ONE, common_domain, sqrt_in_field
 
 
 def _bracket_span(lie: LieAlgebra, left, right):
@@ -172,49 +172,47 @@ def _canonical_eigvec(vec):
 def find_sl2_triple(lie: LieAlgebra, recognition: LieRecognition | None = None) -> Sl2Triple:
     """Deterministic explicit sl2-triple modulo rad g, for a Levi factor sl2.
 
-    The search runs in s = g / rad g, built on the first basis vectors that
-    are independent modulo rad g, and the triple found there is lifted back
-    along those vectors; it introduces at most one quadratic extension for
-    the eigenvalue rescaling.  In s, ad x has the eigenvalues 0 and
-    +-sqrt(kappa(x, x) / 2), so a candidate with Killing square 0 is
-    ad-nilpotent and skipped before its eigensolve.
+    The search runs in s = g / rad g (g itself when rad g = 0), built on the
+    first basis vectors that are independent modulo rad g, and the triple
+    found there is lifted back along those vectors.  In s, ad x has the
+    eigenvalues 0 and +-lam with lam^2 = kappa(x, x) / 2, so a candidate x
+    of Killing square 0 is ad-nilpotent and skipped; otherwise lam is an
+    exact square root in the field of ad x (over Q it may lie in one
+    Q(sqrt m)), its sign made canonical, h = 2x / lam, and e and f are the
+    eigenvectors of ad x for lam and -lam, one kernel solve each.  A
+    candidate whose lam lies outside that field is skipped, and
+    ExtensionRequiredError is raised when no candidate gives a triple.
     """
     rec = recognition or recognize(lie)
     if rec.levi_dim != 3:
         raise AtlasError(f"no sl2-triple for a {rec.describe()} algebra")
-    rad = IncrementalSpan(rec.radical_basis)
-    section = [i for i in range(lie.dim) if rad.add(lie.basis_vector(i))]
-    sec_vecs = [lie.basis_vector(i) for i in section]
-    # [u, v] modulo rad g, in the coordinates of the section vectors
-    brackets = [lie.bracket(u, v) for u in sec_vecs for v in sec_vecs]
-    coords = [c[:3] for c in coordinates(sec_vecs + list(rec.radical_basis), brackets)]
-    sc = [coords[3 * i : 3 * i + 3] for i in range(3)]
-    quotient = LieAlgebra([lie.labels[i] for i in section], sc)
-    lift = Matrix(list(zip(*sec_vecs))).apply
+    quotient, lift = lie, tuple  # rad g = 0: s is g itself, and lifting is the identity
+    if rec.radical_basis:
+        rad = IncrementalSpan(rec.radical_basis)
+        section = [i for i in range(lie.dim) if rad.add(lie.basis_vector(i))]
+        sec_vecs = [lie.basis_vector(i) for i in section]
+        # [u, v] modulo rad g, in the coordinates of the section vectors
+        brackets = [lie.bracket(u, v) for u in sec_vecs for v in sec_vecs]
+        coords = [c[:3] for c in coordinates(sec_vecs + list(rec.radical_basis), brackets)]
+        sc = [coords[3 * i : 3 * i + 3] for i in range(3)]
+        quotient = LieAlgebra([lie.labels[i] for i in section], sc)
+        lift = Matrix(list(zip(*sec_vecs))).apply
 
     last_error = None
     for combo in _candidate_elements(3):
         cand = tuple(combo.get(k, ZERO) for k in range(3))
         ad = quotient.ad_matrix(cand)
-        if trace_product(ad, ad).is_zero:
+        kappa = trace_product(ad, ad)
+        if kappa.is_zero:
             continue
-        try:
-            eig = eigen_small(ad)
-        except ExtensionRequiredError as exc:
-            last_error = exc
+        lam = sqrt_in_field(kappa / 2, common_domain(ad.flat()))
+        if lam is None:
+            last_error = ExtensionRequiredError("extension beyond quadratic required")
             continue
-        nonzero = [(v, mult, vecs) for v, mult, vecs in eig.pairs if not v.is_zero]
-        if len(nonzero) != 2:
-            continue
-        (v1, m1, vecs1), (v2, m2, vecs2) = nonzero
-        if m1 != 1 or m2 != 1 or v1 != -v2:
-            continue
-        lam, evecs, fvecs = (v1, vecs1, vecs2)
         if (lam.b, lam.a) < (ZERO.b, ZERO.a):  # canonical sign: b > 0, else a > 0
-            lam, evecs, fvecs = (v2, vecs2, vecs1)
+            lam = -lam
         h = tuple(c * (Scalar(2) / lam) for c in cand)
-        e = _canonical_eigvec(evecs[0])
-        f0 = _canonical_eigvec(fvecs[0])
+        e, f0 = _root_vectors(ad, lam)
         gamma = _proportionality(quotient.bracket(e, f0), h)
         if gamma is None or gamma.is_zero:
             continue
@@ -224,6 +222,16 @@ def find_sl2_triple(lie: LieAlgebra, recognition: LieRecognition | None = None) 
     if last_error is not None:
         raise last_error
     raise AtlasError("no candidate worked for the sl2-triple search")
+
+
+def _root_vectors(ad: Matrix, lam: Scalar):
+    """The eigenvectors of ad for lam and for -lam, each from one kernel solve
+    and scaled to lead with 1."""
+    identity = Matrix.identity(ad.nrows)
+    return tuple(
+        _canonical_eigvec(kernel_basis([list(r) for r in (ad - identity.scale(v)).rows])[0])
+        for v in (lam, -lam)
+    )
 
 
 def _proportionality(vec, ref):

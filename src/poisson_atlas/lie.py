@@ -20,9 +20,15 @@ from .scalars import Scalar, ZERO
 
 
 class LieAlgebra:
-    """Finite-dimensional structure-constant Lie algebra over exact scalars."""
+    """Finite-dimensional structure-constant Lie algebra over exact scalars.
 
-    __slots__ = ("labels", "sc")
+    `at` is (presentation, point) when `lie_from_point` built the algebra as
+    g(J) there, which certifies the point as Poisson-maximal; it is unset
+    otherwise (read it with `getattr(lie, "at", None)`) and takes no part in
+    equality.
+    """
+
+    __slots__ = ("labels", "sc", "at")
 
     def __init__(self, labels, sc, check=True):
         labels = tuple(labels)
@@ -173,8 +179,11 @@ def linearization(pres: PoissonPresentation, pt: PointP) -> tuple:
 
 
 def lie_from_point(pres: PoissonPresentation, pt: PointP) -> LieAlgebra:
-    """g(J) on the basis u_k = x_k - pt_k, from linear parts of generator brackets."""
-    return LieAlgebra(pres.varset.names, linearization(pres, pt))
+    """g(J) on the basis u_k = x_k - pt_k, from linear parts of generator
+    brackets, with `at` = (pres, pt)."""
+    lie = LieAlgebra(pres.varset.names, linearization(pres, pt))
+    object.__setattr__(lie, "at", (pres, pt))
+    return lie
 
 
 @dataclass(frozen=True)

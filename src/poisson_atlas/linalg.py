@@ -12,10 +12,13 @@ an IncrementalSpan) and `relation_test` (whether coefficients combine some
 vectors to zero, read on a column basis of them).  eigen_small factors
 characteristic polynomials over Q plus at most one quadratic extension,
 reporting the discriminant it had to introduce; its root search is bounded by
-the matrix's row-sum norm, so it has no dimension cap.  `is_simple` certifies
-simplicity by one closure per eigenvector of a grading found among the
-matrices themselves (MeatAxe's vector-closure test); only without a grading
-does the density hull, itself a closure, decide.
+the matrix's row-sum norm, so it has no dimension cap.  `is_simple` reads
+simplicity off the weight graph when some combination of the matrices is
+diagonal with distinct entries (one kernel solve, then zero tests and graph
+searches only); otherwise it certifies simplicity by one closure per
+eigenvector of a grading found among the matrices themselves (MeatAxe's
+vector-closure test), and only without a grading does the density hull,
+itself a closure, decide.
 """
 
 from __future__ import annotations
@@ -603,18 +606,26 @@ def _poly_mul(p, q):
 
 
 def is_simple(mats, dim: int) -> bool:
-    """Simplicity over C, certified by weight vectors where a grading exists.
+    """Simplicity over C, read off the weight graph where the unit vectors are
+    weight vectors, else certified by the weight vectors of a grading.
 
-    With an action matrix whose eigenspaces are all one-dimensional (found by
-    `_weight_seeds` among the module's own matrices), every nonzero submodule
-    is stable under it and so holds one of its eigenvectors: the module is
-    simple iff each eigenvector generates all of it, which takes dim
-    closures.  Without one, the associative-hull density criterion decides.
-    The zero module is not simple, and a one-dimensional one is.
+    With a weight graph (`weight_graph`), the submodules are the spans of the
+    unit vectors on sets closed under its edges, so the module is simple iff
+    the graph is strongly connected: every vertex reaches every vertex.
+    Otherwise, with an action matrix whose eigenspaces are
+    all one-dimensional (found by `_weight_seeds` among the module's own
+    matrices), every nonzero submodule is stable under it and so holds one of
+    its eigenvectors: the module is simple iff each eigenvector generates all
+    of it, which takes dim closures.  Without either, the associative-hull
+    density criterion decides.  The zero module is not simple, and a
+    one-dimensional one is.
     """
     if dim <= 1:
         return dim == 1
     mats = tuple(mats)
+    graph = weight_graph(mats, dim)
+    if graph is not None:
+        return all(len(reachable(graph, i)) == dim for i in range(dim))
     seeds, graded = _weight_seeds(mats, dim)
     if not graded:
         return associative_hull_is_full(mats, dim)
@@ -622,19 +633,70 @@ def is_simple(mats, dim: int) -> bool:
     return all(closure([v], maps).rank == dim for v in seeds)
 
 
+def reachable(graph, start: int) -> frozenset:
+    """The vertices reachable from `start` along the edges i -> j in graph[i]."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for j in graph[stack.pop()]:
+            if j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return frozenset(seen)
+
+
+@lru_cache(maxsize=1)
+def weight_graph(mats: tuple, dim: int):
+    """graph[i] = every j != i with some M_k[j][i] != 0, when some
+    H = sum_k c_k M_k is diagonal with pairwise distinct entries; else None.
+
+    Every submodule is then H-stable, so it is the span of the unit vectors
+    on a set closed under the graph's edges.  The diagonal combinations are
+    the kernel of the off-diagonal entries, one `kernel_basis` solve; with
+    H_1..H_r from a basis of it, such an H exists iff the weight tuples
+    (H_1[j][j], ..., H_r[j][j]) are pairwise distinct (then H on the moment
+    curve sum_i t^(i-1) H_i separates each pair for all but at most r - 1
+    values of t), so H itself is never built.  After the solve only zero
+    tests are made.  The last result is kept, keyed on the matrices, so a simplicity
+    test and a submodule analysis of one module build it once.
+    """
+    conditions = IncrementalSpan()  # rows (M_1[j][i], ..., M_n[j][i]) with sum_k c_k M_k[j][i] = 0
+    graph = [set() for _ in range(dim)]
+    for i in range(dim):
+        for j in range(dim):
+            entries = tuple(m.rows[j][i] for m in mats)
+            if i != j and any(not x.is_zero for x in entries):
+                graph[i].add(j)
+                conditions.add(entries)
+                if conditions.rank == len(mats):  # only H = 0 is diagonal
+                    return None
+    rows = [list(conditions.rows[p]) for p in sorted(conditions.rows)]
+    if rows:
+        kernel = kernel_basis(rows)
+    else:
+        kernel = [unit_vector(len(mats), k) for k in range(len(mats))]
+    weights = {tuple(_dot(c, [m.rows[j][j] for m in mats]) for c in kernel) for j in range(dim)}
+    return tuple(map(frozenset, graph)) if len(weights) == dim else None
+
+
 @lru_cache(maxsize=1)
 def _weight_seeds(mats: tuple, dim: int):
-    """(seeds, complete): the eigenvectors of the first action matrix whose
-    eigenspaces are all one-dimensional, else the basis vectors.
+    """(seeds, complete): weight vectors that find every simple submodule, or
+    the basis vectors.
 
-    Every submodule is stable under that matrix, so each simple submodule
-    holds one of its eigenvectors and is the closure of it: the socle is found
-    exactly.  A matrix is skipped when its spectrum needs more than one
-    quadratic extension, or another one than the entries of the matrices lie
-    in; without a grading the basis vectors seed.  The last result is kept,
-    keyed on the matrices themselves, so a simplicity test and a submodule
-    analysis of one module eigendecompose its matrices once.
+    Where `weight_graph` applies, the seeds are the unit vectors.  Otherwise
+    they are the eigenvectors of the first action matrix whose eigenspaces
+    are all one-dimensional.  Either way every submodule is stable under a
+    matrix whose eigenvectors the seeds are, so each simple submodule holds
+    one of them and is the closure of it: the socle is found exactly.  A
+    matrix is skipped when its spectrum needs more than one quadratic
+    extension, or another one than the entries of the matrices lie in;
+    without a grading the basis vectors seed.  The last result is kept, keyed
+    on the matrices themselves, so a simplicity test and a submodule analysis
+    of one module eigendecompose its matrices once.
     """
+    if weight_graph(mats, dim) is not None:
+        return tuple(unit_vector(dim, i) for i in range(dim)), True
     field = common_domain([x for m in mats for x in m.flat()])
     for m in mats:
         try:

@@ -5,14 +5,20 @@ point and Lie-wise through the linear part of each element, so the action of
 a polynomial depends only on its constant-and-linear data at the point; the
 restriction construction reads the matrices straight back.  Restriction to a
 subalgebra and twisting by an automorphism are one pullback along a verified
-Poisson map.  Submodule analysis is graded by an action matrix of the module
-itself with one-dimensional eigenspaces: simplicity holds iff each of its
-eigenvectors generates the module (linalg's `is_simple`; the density hull
-decides when no matrix grades), and the minimal submodules, socle and
-composition series come from the closures of the same eigenvectors, with no
-sum of closures built; the closures, restrictions and coordinate solves it
-needs are linalg's.  The axiom checker compares its matrix identities in
-coordinates on the action matrices and their commutators.
+Poisson map.  A lift takes its point check from the g(J) that
+`lie_from_point` built at the point.  Submodule analysis reads the weight
+graph when some combination of the action matrices is diagonal with distinct
+entries, as in every sl2 lift: the submodules are then spans of unit vectors,
+the module is simple iff the graph is strongly connected (linalg's
+`is_simple`), and the minimal submodules are its terminal strongly connected
+components.  Otherwise it is graded by an action matrix of the module itself
+with one-dimensional eigenspaces: simplicity holds iff each of its
+eigenvectors generates the module (the density hull decides when no matrix
+grades), and the minimal submodules, socle and composition series come from
+the closures of the same eigenvectors, with no sum of closures built; the
+graph, closures, restrictions and coordinate solves it needs are linalg's.
+The axiom checker compares its matrix identities in coordinates on the action
+matrices and their commutators.
 """
 
 from __future__ import annotations
@@ -34,10 +40,12 @@ from .linalg import (
     kernel_basis,
     linear_combination,
     rank,
+    reachable,
     relation_test,
     restrict_action,
     row_space_basis,
     unit_vector,
+    weight_graph,
 )
 from .poly import LaurentPoly, PointP
 from .scalars import Scalar, ZERO, ONE
@@ -101,17 +109,21 @@ class PoissonModule:
     """A point (maximal ideal) with a Lie action matrix per ambient generator.
 
     The associative action of a is the scalar a(pt); the Lie action of a is
-    rho(grad a at pt), so C + J^2 kills the module (Pann contains it).
+    rho(grad a at pt), so C + J^2 kills the module (Pann contains it).  The
+    point is checked to be Poisson-maximal, unless `lie` is the g(J) that
+    `lie_from_point` built at this very point, which already checked it.
     """
 
     pres: PoissonPresentation
     point: PointP
     mats: tuple
+    lie: LieAlgebra | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.mats) != len(self.pres.varset):
             raise ValueError("one action matrix per generator required")
-        if not is_poisson_maximal(self.pres, self.point):
+        certified = getattr(self.lie, "at", None) == (self.pres, self.point)
+        if not certified and not is_poisson_maximal(self.pres, self.point):
             raise NotPoissonMaximalError(
                 f"{self.point} is not a Poisson-maximal point"
             )
@@ -167,12 +179,16 @@ def sl2_irrep(lie: LieAlgebra, d: int, triple: Sl2Triple, radical=()) -> LieRep:
 def lift_module(pres: PoissonPresentation, pt: PointP, rep: LieRep) -> PoissonModule:
     """The lift: a.n = a(pt) n and {a, n} = rho(lin a at pt) n, killed by the point.
 
-    `rep.lie` must be g(J): the labels and structure constants of the
-    linearization at the point, which raises first at a non-Poisson point."""
-    sc = linearization(pres, pt)
-    if rep.lie.labels != pres.varset.names or rep.lie.sc != sc:
-        raise AtlasError("representation is over a different Lie algebra than g(J)")
-    return PoissonModule(pres, pt, rep.mats)
+    `rep.lie` must be g(J).  It is when `lie_from_point` built it at this
+    point; otherwise its labels and structure constants are compared with the
+    linearization at the point, which raises first at a non-Poisson point.
+    The module keeps `rep.lie`, so a g(J) built at the point spares its check
+    too."""
+    if getattr(rep.lie, "at", None) != (pres, pt):
+        sc = linearization(pres, pt)
+        if rep.lie.labels != pres.varset.names or rep.lie.sc != sc:
+            raise AtlasError("representation is over a different Lie algebra than g(J)")
+    return PoissonModule(pres, pt, rep.mats, rep.lie)
 
 
 def restrict_to_lie(module: PoissonModule) -> LieRep:
@@ -337,7 +353,8 @@ def is_simple_module(module: PoissonModule) -> bool:
 
 @dataclass
 class SubmoduleAnalysis:
-    """Minimal submodules and the socle, from closures of weight vectors."""
+    """Minimal submodules and the socle, from the weight graph or closures of
+    weight vectors."""
 
     dim: int
     complete: bool  # True when the seeds were weight vectors (see _weight_seeds)
@@ -348,18 +365,39 @@ class SubmoduleAnalysis:
 
 
 def analyze_submodules(mats, dim: int) -> SubmoduleAnalysis:
-    """Minimal submodules, socle and semisimplicity from seed closures.
+    """Minimal submodules, socle and semisimplicity, exact wherever the module
+    has weight vectors.
 
-    The grading is an action matrix with one-dimensional eigenspaces, found by
-    `_weight_seeds` from the module's own matrices; without one, basis vectors
-    seed the closures.  Every nonzero sum of closures contains a closure, so
-    the minimal members of that family are the closures containing no smaller
+    Where `weight_graph` applies, the submodules are the spans of unit
+    vectors on sets closed under the graph's edges: the minimal ones are its
+    terminal strongly connected components (the vertex sets that every one of
+    their vertices reaches exactly), the socle is their union, and the module
+    is semisimple iff they cover every vertex.  Otherwise the grading is an
+    action matrix with one-dimensional eigenspaces, found by `_weight_seeds`
+    from the module's own matrices; without one, basis vectors seed the
+    closures.  Every nonzero sum of closures contains a closure, so the
+    minimal members of that family are the closures containing no smaller
     closure, and no sum is built.  With a grading the socle and the
     semisimplicity verdict are exact; without one a socle short of the module
     leaves the verdict undetermined (None).  Simplicity of each summand is
-    decided by `is_simple` on the summand's own matrices.
+    decided by `is_simple` on the summand's own matrices.  Either way the
+    minimal submodules are canonical (rref) bases, sorted by dimension and
+    then by their text.
     """
     mats = tuple(mats)
+    graph = weight_graph(mats, dim)
+    if graph is not None:
+        reach = [reachable(graph, i) for i in range(dim)]
+        sinks = {r for r in reach if all(reach[j] == r for j in r)}
+        minimal = sorted(
+            (tuple(unit_vector(dim, i) for i in sorted(r)) for r in sinks),
+            key=lambda b: (len(b), str(b)),
+        )
+        socle_dim = sum(map(len, minimal))
+        semisimple = socle_dim == dim
+        return SubmoduleAnalysis(
+            dim, True, minimal, socle_dim, semisimple, list(minimal) if semisimple else None
+        )
     seeds, complete = _weight_seeds(mats, dim)
     maps = [m.apply for m in mats]
     closures = sorted(
@@ -494,7 +532,7 @@ def solvable_character_module(
         if not value.is_zero:
             raise AtlasError("beta does not vanish on [g(J), g(J)]")
     mats = tuple(Matrix([[b]]) for b in beta)
-    return PoissonModule(pres, pt, mats)
+    return PoissonModule(pres, pt, mats, lie)
 
 
 @dataclass(frozen=True)

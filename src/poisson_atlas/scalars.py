@@ -20,7 +20,7 @@ the value as a + b*sqrt(d) with Fractions a and b.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import ScalarDomainError, ExtensionRequiredError
 
@@ -334,6 +334,41 @@ def scalar_sqrt(value) -> Scalar:
     if d_num == 1:
         return Scalar(root)
     return Scalar(0, root, d_num)
+
+
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    """The rational square root >= 0 of q, or None when q is not a square."""
+    if q < 0:
+        return None
+    n, d = isqrt(q.numerator), isqrt(q.denominator)
+    return Fraction(n, d) if n * n == q.numerator and d * d == q.denominator else None
+
+
+def sqrt_in_field(value: Scalar, d: int) -> Scalar | None:
+    """A square root of `value` in Q(sqrt d), or None when it has none there.
+
+    For d = 0 the value is rational and its root lies in Q or in one
+    Q(sqrt m), as `scalar_sqrt` gives.  Otherwise (x + y sqrt d)^2 =
+    a + b sqrt d says x^2 + d y^2 = a and 2xy = b: for b = 0 either x or y is
+    0, and for b != 0, x^2 - d y^2 = +-n with n^2 = a^2 - d b^2, the norm, so
+    x^2 = (a +- n) / 2 and y = b / 2x.
+    """
+    if d == 0:
+        return scalar_sqrt(value)
+    a, b = value.a, value.b
+    if b == 0:
+        x = _rational_sqrt(a)
+        if x is not None:
+            return Scalar(x)
+        y = _rational_sqrt(a / d)
+        return None if y is None else Scalar(0, y, d)
+    n = _rational_sqrt(a * a - d * b * b)
+    if n is None:
+        return None
+    for x in (_rational_sqrt((a + n) / 2), _rational_sqrt((a - n) / 2)):
+        if x:
+            return Scalar(x, b / (2 * x), d)
+    return None
 
 
 def format_scalar(s: Scalar) -> str:

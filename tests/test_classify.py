@@ -44,6 +44,7 @@ from poisson_atlas.linalg import (
     restrict_action,
     rank,
     row_space_basis,
+    trace_product,
 )
 from poisson_atlas.modules import SplitMix, sl2_irrep
 from poisson_atlas.scalars import ZERO, common_domain
@@ -540,19 +541,24 @@ def _triple_or_error(search, lie, rec):
 
 
 @pytest.fixture
-def eigensolved(monkeypatch):
-    """The matrices eigensolved by `find_sl2_triple` and by
-    `_sl2_triple_every_candidate`, in call order."""
+def solved(monkeypatch):
+    """The ad matrices of the candidates whose +-lam eigenvectors are solved,
+    in call order: by `classify._root_vectors` in `find_sl2_triple`, and by
+    `eigen_small` in `_sl2_triple_every_candidate`."""
     import poisson_atlas.classify as classify
 
     seen = []
 
-    def counted(m, original=eigen_small):
+    def counted_roots(ad, lam, original=classify._root_vectors):
+        seen.append(ad)
+        return original(ad, lam)
+
+    def counted_eigen(m, original=eigen_small):
         seen.append(m)
         return original(m)
 
-    monkeypatch.setattr(classify, "eigen_small", counted)
-    monkeypatch.setitem(globals(), "eigen_small", counted)
+    monkeypatch.setattr(classify, "_root_vectors", counted_roots)
+    monkeypatch.setitem(globals(), "eigen_small", counted_eigen)
     return seen
 
 
@@ -560,25 +566,26 @@ def _nilpotent(m):
     return (m * m * m).is_zero  # ad x on the 3-dimensional s
 
 
-def test_the_triple_search_skips_only_ad_nilpotent_candidates(eigensolved):
+def test_the_triple_search_skips_only_ad_nilpotent_candidates(solved):
     """Skipping the candidates of Killing square 0 keeps every triple found on
-    the catalog algebras with dim s = 3, and no eigensolve is left on an
-    ad-nilpotent candidate."""
+    the catalog algebras with dim s = 3, and no candidate whose eigenvectors
+    are solved is ad-nilpotent."""
     searched = 0
     for label, lie in _catalog_algebras():
         rec = recognize(lie)
         if rec.levi_dim == 3:
             searched += 1
             want = _triple_or_error(_sl2_triple_every_candidate, lie, rec)
-            del eigensolved[:]
+            del solved[:]
             assert _triple_or_error(find_sl2_triple, lie, rec) == want, label
-            assert not any(_nilpotent(m) for m in eigensolved), label
+            assert not any(_nilpotent(m) for m in solved), label
     assert searched == 29
 
 
-def test_kirillov_kostant_origin_eigensolves_one_candidate(eigensolved):
+def test_kirillov_kostant_origin_eigensolves_one_candidate(solved):
     """At the origin of sl2*, the first basis candidate is ad-nilpotent and the
-    second is semisimple: one eigensolve, where the full search made two."""
+    second is semisimple: one candidate solved, where the full search
+    eigensolved two."""
     from poisson_atlas.catalog import Context, get_entry
 
     ctx = Context(get_entry("kirillov-kostant-sl2"))
@@ -586,10 +593,10 @@ def test_kirillov_kostant_origin_eigensolves_one_candidate(eigensolved):
     lie = ctx.lie(ideal.point)
     rec = recognize(lie)
     every = _sl2_triple_every_candidate(lie, rec)
-    assert [_nilpotent(m) for m in eigensolved] == [True, False]
-    del eigensolved[:]
+    assert [_nilpotent(m) for m in solved] == [True, False]
+    del solved[:]
     assert find_sl2_triple(lie, rec) == every
-    assert [_nilpotent(m) for m in eigensolved] == [False]
+    assert [_nilpotent(m) for m in solved] == [False]
 
 
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
@@ -603,6 +610,60 @@ def test_the_triple_search_skip_keeps_the_triple_in_any_basis(data):
     assert _triple_or_error(find_sl2_triple, conjugated, rec) == _triple_or_error(
         _sl2_triple_every_candidate, conjugated, rec
     )
+
+
+I = Scalar(0, 1, -1)
+# bases of sl2 over Q(sqrt(-1)), as (e, h, f) coordinates of their vectors
+KILLING_BASES = {
+    # kappa(x, x) / 2 = 2 sqrt(-1) = (1 + sqrt(-1))^2 at the first vector
+    "irrational square": [(0, (1 + I) / 2, 0), (1, 0, 0), (0, 0, 1)],
+    # sqrt(-1) at the first vector, not a square in Q(sqrt(-1)); h follows
+    "irrational non-square first": [(1, 0, I / 4), (0, 1, 0), (0, 0, 1)],
+    # 2 at the first vector: its root sqrt(2) lies in another extension
+    "rational, root in another field": [(1, 0, Fraction(1, 2)), (0, I, 0), (0, 0, 1)],
+    # every candidate irrational and no square in Q(sqrt(-1)): a refusal
+    "no square anywhere": [
+        (1 + I, -1, 1 - 2 * I), (-2 * I, 1 + 2 * I, I), (-I, -1 + I, 2 + I),
+    ],
+}
+
+
+def _is_square_in_gaussian_field(c: Scalar) -> bool:
+    import sympy
+
+    t = sympy.symbols("t")
+    value = sympy.Rational(c.a.numerator, c.a.denominator) + sympy.Rational(
+        c.b.numerator, c.b.denominator) * sympy.I
+    field = sympy.QQ.algebraic_field(sympy.I)
+    return not sympy.Poly(t**2 - value, t, domain=field).is_irreducible
+
+
+@pytest.mark.parametrize("name", list(KILLING_BASES))
+def test_the_triple_from_the_killing_square_matches_the_eigensolves(name, solved):
+    """Over Q(sqrt(-1)), lam = sqrt(kappa(x, x) / 2) is taken in the field of
+    ad x: the triple, or the refusal, is the one the eigensolve of every
+    candidate gives, whether kappa / 2 is a square there or not."""
+    columns = [tuple(Scalar.coerce(c) for c in v) for v in KILLING_BASES[name]]
+    lie = SL2.change_basis(Matrix(list(zip(*columns))))
+    rec = recognize(lie)
+    halves = [
+        trace_product(lie.ad_matrix(x), lie.ad_matrix(x)) / 2
+        for x in (tuple(combo.get(k, ZERO) for k in range(3)) for combo in _candidate_elements(3))
+    ]
+    squares = [_is_square_in_gaussian_field(c) for c in halves]
+    want = _triple_or_error(_sl2_triple_every_candidate, lie, rec)
+    del solved[:]
+    got = _triple_or_error(find_sl2_triple, lie, rec)
+    assert got == want
+    if name == "irrational square":
+        assert not halves[0].is_rational and squares[0]
+        assert len(solved) == 1 and got.discriminant == -1 and got.verify(lie)
+    elif name == "no square anywhere":
+        assert not any(c.is_rational or squares[k] for k, c in enumerate(halves))
+        assert got == (ExtensionRequiredError, "extension beyond quadratic required")
+    else:
+        assert not squares[0] and squares[1]
+        assert len(solved) == 1 and got.verify(lie)
 
 
 # -- constructions with a known (dim s, k) ----------------------------------------

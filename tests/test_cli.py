@@ -594,24 +594,97 @@ def test_one_parser_serves_every_call(torus_file, tmp_path, capsys, monkeypatch)
     assert "parse error" in shared[2][2]
 
 
-def test_restrict_eigendecomposes_each_module_matrix_once(monkeypatch):
+def test_restrict_builds_one_weight_graph_and_no_eigensolve(monkeypatch):
     """`restrict` asks whether the restricted module is simple and then
-    analyzes its submodules; both read one grading, computed once from the
-    module's own matrices.  Here u and v act as zero and w grades: three
-    eigendecompositions of 6 x 6 matrices, not three per question."""
-    import poisson_atlas.linalg as linalg
+    analyzes its submodules; both read one weight graph, built once from the
+    module's own matrices.  Here u and v act as zero and w is diagonal with
+    distinct entries: one graph on the 6 x 6 matrices, and no
+    eigendecomposition."""
+    from functools import lru_cache
 
-    sizes = []
+    import poisson_atlas.linalg as linalg
+    import poisson_atlas.modules as modules
+
+    sizes, built = [], []
     original = linalg.eigen_small
 
     def counted(m):
         sizes.append(m.nrows)
         return original(m)
 
+    def build(mats, dim, original=linalg.weight_graph.__wrapped__):
+        built.append(dim)
+        return original(mats, dim)
+
+    graph = lru_cache(maxsize=1)(build)
     monkeypatch.setattr(linalg, "eigen_small", counted)
+    monkeypatch.setattr(linalg, "weight_graph", graph)
+    monkeypatch.setattr(modules, "weight_graph", graph)
     linalg._weight_seeds.cache_clear()
     code, out = run(["restrict", str(INPUTS / "kleinian-a1.pa"), "--embed", "pi4",
                      "--point", "(0,0,0)", "--dim", "6", "--format", "machine"])
     assert code == 0 and "simple = False" in out
     assert "semisimple = yes, summand dims [1, 1, 1, 1, 1, 1]" in out
-    assert sizes.count(6) == 3
+    assert built.count(6) == 1
+    assert sizes == []
+
+
+def _count_calls(monkeypatch, *names):
+    """Counters of calls to the named `ideals`/`lie` functions, through every
+    poisson_atlas module that binds them."""
+    import poisson_atlas.ideals as ideals
+    import poisson_atlas.lie as lie
+
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(ideals, name, None) or getattr(lie, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        for module in [m for k, m in sys.modules.items() if k.startswith("poisson_atlas")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "argv, checks",
+    [
+        (["module"], 1),
+        (["verify"], 1),
+        (["twist", "--auto", "theta_x"], 2),  # the second at the twisted point
+        (["restrict", "--embed", "pi4"], 2),  # the second at the pulled-back point
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else str(v),
+)
+def test_a_module_request_checks_its_point_once(argv, checks, monkeypatch):
+    """One `is_poisson_maximal` and one `linearization` per request at the
+    point itself: `lie_from_point` makes both, and the g(J) it returns
+    certifies the point to `lift_module` and `PoissonModule`.  A pullback
+    checks the point it pulls back to, in the other presentation."""
+    name, point = ("kleinian-a1", "(0, 0, 0)") if argv[0] == "restrict" else (
+        "torus-so3", "(2, 2, 2)")
+    counts = _count_calls(monkeypatch, "is_poisson_maximal", "linearization")
+    code, out = run([argv[0], str(INPUTS / f"{name}.pa"), *argv[1:], "--point", point,
+                     "--dim", "3", "--format", "machine"])
+    assert code == 0 and "status = ok" in out
+    assert counts == {"is_poisson_maximal": checks, "linearization": 1}
+
+
+def test_module_requests_at_every_sl2_point_solve_no_eigenproblem(monkeypatch):
+    """At every sl2 point of the catalog files the lifted module's unit vectors
+    are weight vectors and the triple comes from the Killing square, so no
+    request eigensolves or builds the density hull."""
+    def refuse(*args):
+        raise AssertionError("an eigensolve or the density hull ran")
+
+    monkeypatch.setattr("poisson_atlas.linalg.eigen_small", refuse)
+    monkeypatch.setattr("poisson_atlas.linalg.associative_hull_is_full", refuse)
+    for name, point in SL2_POINTS:
+        for command in ("module", "verify"):
+            for dim in ("2", "5"):
+                code, out = run([command, str(INPUTS / f"{name}.pa"), "--point", point,
+                                 "--dim", dim, "--format", "machine"])
+                assert code == 0 and "status = ok" in out, (command, name, point, dim)

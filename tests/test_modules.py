@@ -38,6 +38,7 @@ from poisson_atlas.modules import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     AxiomReport,
+    PoissonModule,
     SplitMix,
     _exponent_candidates,
     _random_poly,
@@ -147,6 +148,22 @@ def test_lift_refusals_keep_their_types_and_messages(torus_pres):
     with pytest.raises(NotPoissonMaximalError) as refused:
         lift_module(torus_pres, PointP(vs, [1, 0, 0]), rep)
     assert str(refused.value) == "(1, 0, 0) is not a Poisson-maximal point"
+
+
+def test_a_module_at_a_non_poisson_point_is_refused_on_every_route(torus_pres):
+    """Only the g(J) that `lie_from_point` built at the module's own point
+    spares the point check: a g(J) from another point, or an algebra equal
+    to it but built otherwise, certifies nothing."""
+    vs = torus_pres.varset
+    good, bad = PointP(vs, [2, 2, 2]), PointP(vs, [1, 0, 0])
+    lie = lie_from_point(torus_pres, good)
+    mats = sl2_irrep(lie, 2, find_sl2_triple(lie)).mats
+    copy = LieAlgebra(lie.labels, lie.sc)
+    assert copy == lie
+    for certificate in (None, lie, copy):
+        with pytest.raises(NotPoissonMaximalError, match=r"\(1, 0, 0\) is not a Poisson-maximal"):
+            PoissonModule(torus_pres, bad, mats, certificate)
+    assert PoissonModule(torus_pres, good, mats, copy) == PoissonModule(torus_pres, good, mats, lie)
 
 
 def test_j_squared_insensitivity(a1_pres):

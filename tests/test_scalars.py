@@ -11,6 +11,7 @@ from poisson_atlas.scalars import (
     common_domain,
     format_scalar,
     scalar_sqrt,
+    sqrt_in_field,
     squarefree_decompose,
 )
 
@@ -271,3 +272,34 @@ def test_division_by_zero():
             zero**-2
         with pytest.raises(ZeroDivisionError):
             1 / zero
+
+
+_FRACTIONS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from([-1, 2, -3]), _FRACTIONS, _FRACTIONS, st.booleans())
+def test_sqrt_in_field_finds_a_root_exactly_when_one_exists(d, a, b, square):
+    """A root in Q(sqrt d) squares back to the value, and None means that
+    t^2 - value is irreducible over Q(sqrt d) (sympy); a drawn square gives
+    its root up to sign."""
+    import sympy
+
+    x = Scalar(a, b, d)
+    value = x * x if square else x
+    root = sqrt_in_field(value, d)
+    if square:
+        assert root in (x, -x)
+    if root is not None:
+        assert root * root == value and common_domain([root, value]) in (0, d)
+    else:
+        t = sympy.symbols("t")
+        c = sympy.Rational(value.a.numerator, value.a.denominator) + sympy.Rational(
+            value.b.numerator, value.b.denominator) * sympy.sqrt(d)
+        field = sympy.QQ.algebraic_field(sympy.sqrt(d))
+        assert sympy.Poly(t**2 - c, t, domain=field).is_irreducible
+
+
+def test_sqrt_in_field_over_q_is_scalar_sqrt():
+    for value in (4, 2, -4, -2, Fraction(9, 8)):
+        assert sqrt_in_field(Scalar(value), 0) == scalar_sqrt(value)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from poisson_atlas.errors import AtlasError
 from poisson_atlas.lie import LieAlgebra
+from poisson_atlas import linalg, modules
 from poisson_atlas.linalg import (
     IncrementalSpan,
     Matrix,
@@ -24,11 +25,14 @@ from poisson_atlas.linalg import (
     row_space_basis,
     solve_linear,
     trace_product,
+    unit_vector,
+    weight_graph,
 )
 from poisson_atlas.errors import ExtensionRequiredError
 from poisson_atlas.modules import (
     SubmoduleAnalysis,
     analyze_submodules,
+    composition_series,
     is_simple,
     lie_rep_restrict,
     sl2_irrep,
@@ -573,3 +577,85 @@ def test_a_spectrum_in_another_extension_grades_nothing():
     analysis = analyze_submodules(mats, 2)
     assert analysis.complete and analysis.minimal == [row_space_basis(Matrix.identity(2).rows)]
     assert is_simple(mats, 2) and associative_hull_is_full(mats, 2)
+
+
+# -- the weight graph: unit vectors that are weight vectors ---------------------
+
+
+@st.composite
+def _weight_basis_modules(draw):
+    """(entry field, matrices, dim): an sl2 irrep, a sum of two, or an
+    extension of one by another with random e and f corners, in the weight
+    basis (h stays diagonal)."""
+    entry = _entries(draw(st.sampled_from([0, -1])))
+    shape = draw(st.sampled_from(["irrep", "sum", "extension"]))
+    p_dim = draw(st.integers(1, 4))
+    if shape == "irrep":
+        return entry, irrep(p_dim), p_dim
+    q_dim = draw(st.integers(1, 3))
+    corner = [
+        Matrix([_vector(draw, entry, q_dim) for _ in range(p_dim)])
+        if shape == "extension" and k != 1
+        else Matrix.zeros(p_dim, q_dim)
+        for k in range(3)
+    ]
+    mats = [block(a, b, c) for a, b, c in zip(irrep(p_dim), irrep(q_dim), corner)]
+    return entry, mats, p_dim + q_dim
+
+
+def _by_unit_vector_closures(fn, *args):
+    """`fn` with the weight graph switched off and the unit vectors as the
+    seeds: the closure route on the same weight vectors."""
+    def units(mats, dim):
+        return tuple(unit_vector(dim, i) for i in range(dim)), True
+
+    def no_graph(mats, dim):
+        return None
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (linalg, modules):
+            patch.setattr(module, "weight_graph", no_graph)
+            patch.setattr(module, "_weight_seeds", units)
+        return fn(*args)
+
+
+def _series_or_error(mats, dim):
+    try:
+        return composition_series(mats, dim)
+    except AtlasError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(_weight_basis_modules(), st.data())
+def test_the_weight_graph_matches_closures_of_the_unit_vectors(case, data):
+    """Conjugated by a permutation times a diagonal scaling, the unit vectors
+    stay weight vectors: the graph applies exactly where it does in the
+    weight basis, and then gives the simplicity verdict, every field of the
+    submodule analysis and the composition series of the closures seeded by
+    the same unit vectors.  A general conjugation takes the eigen fallback
+    and keeps the verdicts."""
+    entry, mats, dim = case
+    order = data.draw(st.permutations(range(dim)))
+    scales = [data.draw(entry.filter(lambda c: not c.is_zero)) for _ in range(dim)]
+    q = Matrix([[scales[j] if i == order[j] else Scalar(0) for j in range(dim)]
+                for i in range(dim)])
+    q_inv = inverse(q)
+    monomial = [q_inv * m * q for m in mats]
+    assert (weight_graph(tuple(monomial), dim) is None) is (weight_graph(tuple(mats), dim) is None)
+    if weight_graph(tuple(monomial), dim) is not None:
+        analysis = analyze_submodules(monomial, dim)
+        assert analysis == _by_unit_vector_closures(analyze_submodules, monomial, dim)
+        assert analysis.complete
+        assert is_simple(monomial, dim) is _by_unit_vector_closures(is_simple, monomial, dim)
+        assert _series_or_error(monomial, dim) == _by_unit_vector_closures(
+            _series_or_error, monomial, dim)
+    if dim >= 2:
+        lower = Matrix([[Scalar(1) if i == j else data.draw(entry.filter(lambda c: not c.is_zero))
+                         if j < i else Scalar(0) for j in range(dim)] for i in range(dim)])
+        p = lower * Matrix([[Scalar(int(i <= j)) for j in range(dim)] for i in range(dim)])
+        general = [inverse(p) * m * p for m in mats]
+        assert weight_graph(tuple(general), dim) is None
+        assert is_simple(general, dim) is is_simple(mats, dim)
+        assert analyze_submodules(general, dim).semisimple in (
+            analyze_submodules(mats, dim).semisimple, None)
