@@ -58,7 +58,6 @@ from .modules import (
     ActionTable,
     analyze_submodules,
     composition_series,
-    is_simple,
     is_simple_module,
     lie_rep_restrict,
     lift_module,
@@ -1091,7 +1090,7 @@ def _entry_weyl_a2() -> CatalogEntry:
             [len(s) for s in analysis.minimal] == [3]
             and analysis.semisimple is False
             and series == [3, 2]
-            and not is_simple(rep.mats, 5)
+            and not analysis.simple
         )
         return ok, "unique proper submodule dim 3; series (3,2); not semisimple"
 

@@ -287,8 +287,8 @@ def cmd_restrict(args) -> int:
     report.add("sub.point", restricted.point)
     for name, mat in zip(sub_pres.varset.names, restricted.mats):
         report.add(f"action.{name}", _matrix_text(mat))
-    report.add("simple", is_simple_module(restricted))
     analysis = analyze_submodules(restricted.mats, restricted.dim)
+    report.add("simple", analysis.simple)
     if analysis.semisimple is True:
         dims = sorted(len(s) for s in analysis.decomposition)
         report.add("semisimple", f"yes, summand dims {dims}")

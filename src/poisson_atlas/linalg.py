@@ -1,5 +1,5 @@
 """Exact linear algebra over Scalar: elimination, kernels, subspaces,
-eigenproblems and the simplicity certificate.
+eigenproblems, weight gradings and the density hull.
 
 Everything is fraction-free in spirit but implemented directly over the scalar
 field (Q or one quadratic extension); Gaussian elimination with exact pivots
@@ -12,19 +12,18 @@ an IncrementalSpan) and `relation_test` (whether coefficients combine some
 vectors to zero, read on a column basis of them).  eigen_small factors
 characteristic polynomials over Q plus at most one quadratic extension,
 reporting the discriminant it had to introduce; its root search is bounded by
-the matrix's row-sum norm, so it has no dimension cap.  `is_simple` reads
-simplicity off the weight graph when some combination of the matrices is
-diagonal with distinct entries (one kernel solve, then zero tests and graph
-searches only); otherwise it certifies simplicity by one closure per
-eigenvector of a grading found among the matrices themselves (MeatAxe's
-vector-closure test), and only without a grading does the density hull,
-itself a closure, decide.
+the matrix's row-sum norm, so it has no dimension cap.  Two gradings feed
+the submodule analysis in `modules`: `weight_graph` reads the unit vectors as
+weight vectors when some combination of the matrices is diagonal with
+distinct entries (one kernel solve, then zero tests only), and `_weight_seeds`
+takes the eigenvectors of an action matrix with one-dimensional eigenspaces
+(MeatAxe's vector closures start from them); `associative_hull_is_full` is the
+density criterion, itself a closure, for a module with neither.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt, lcm
 
 from .errors import AtlasError, ExtensionRequiredError, ScalarDomainError
@@ -605,34 +604,6 @@ def _poly_mul(p, q):
     return out
 
 
-def is_simple(mats, dim: int) -> bool:
-    """Simplicity over C, read off the weight graph where the unit vectors are
-    weight vectors, else certified by the weight vectors of a grading.
-
-    With a weight graph (`weight_graph`), the submodules are the spans of the
-    unit vectors on sets closed under its edges, so the module is simple iff
-    the graph is strongly connected: every vertex reaches every vertex.
-    Otherwise, with an action matrix whose eigenspaces are
-    all one-dimensional (found by `_weight_seeds` among the module's own
-    matrices), every nonzero submodule is stable under it and so holds one of
-    its eigenvectors: the module is simple iff each eigenvector generates all
-    of it, which takes dim closures.  Without either, the associative-hull
-    density criterion decides.  The zero module is not simple, and a
-    one-dimensional one is.
-    """
-    if dim <= 1:
-        return dim == 1
-    mats = tuple(mats)
-    graph = weight_graph(mats, dim)
-    if graph is not None:
-        return all(len(reachable(graph, i)) == dim for i in range(dim))
-    seeds, graded = _weight_seeds(mats, dim)
-    if not graded:
-        return associative_hull_is_full(mats, dim)
-    maps = [m.apply for m in mats]
-    return all(closure([v], maps).rank == dim for v in seeds)
-
-
 def reachable(graph, start: int) -> frozenset:
     """The vertices reachable from `start` along the edges i -> j in graph[i]."""
     seen = {start}
@@ -645,8 +616,7 @@ def reachable(graph, start: int) -> frozenset:
     return frozenset(seen)
 
 
-@lru_cache(maxsize=1)
-def weight_graph(mats: tuple, dim: int):
+def weight_graph(mats, dim: int):
     """graph[i] = every j != i with some M_k[j][i] != 0, when some
     H = sum_k c_k M_k is diagonal with pairwise distinct entries; else None.
 
@@ -657,8 +627,7 @@ def weight_graph(mats: tuple, dim: int):
     (H_1[j][j], ..., H_r[j][j]) are pairwise distinct (then H on the moment
     curve sum_i t^(i-1) H_i separates each pair for all but at most r - 1
     values of t), so H itself is never built.  After the solve only zero
-    tests are made.  The last result is kept, keyed on the matrices, so a simplicity
-    test and a submodule analysis of one module build it once.
+    tests are made.
     """
     conditions = IncrementalSpan()  # rows (M_1[j][i], ..., M_n[j][i]) with sum_k c_k M_k[j][i] = 0
     graph = [set() for _ in range(dim)]
@@ -679,24 +648,17 @@ def weight_graph(mats: tuple, dim: int):
     return tuple(map(frozenset, graph)) if len(weights) == dim else None
 
 
-@lru_cache(maxsize=1)
-def _weight_seeds(mats: tuple, dim: int):
+def _weight_seeds(mats, dim: int):
     """(seeds, complete): weight vectors that find every simple submodule, or
     the basis vectors.
 
-    Where `weight_graph` applies, the seeds are the unit vectors.  Otherwise
-    they are the eigenvectors of the first action matrix whose eigenspaces
-    are all one-dimensional.  Either way every submodule is stable under a
-    matrix whose eigenvectors the seeds are, so each simple submodule holds
-    one of them and is the closure of it: the socle is found exactly.  A
-    matrix is skipped when its spectrum needs more than one quadratic
-    extension, or another one than the entries of the matrices lie in;
-    without a grading the basis vectors seed.  The last result is kept, keyed
-    on the matrices themselves, so a simplicity test and a submodule analysis
-    of one module eigendecompose its matrices once.
+    The weight vectors are the eigenvectors of the first action matrix whose
+    eigenspaces are all one-dimensional.  Every submodule is stable under
+    that matrix, so each simple submodule holds one of them and is the
+    closure of it: the socle is found exactly.  A matrix is skipped when its
+    spectrum needs more than one quadratic extension, or another one than the
+    entries of the matrices lie in; without a grading the basis vectors seed.
     """
-    if weight_graph(mats, dim) is not None:
-        return tuple(unit_vector(dim, i) for i in range(dim)), True
     field = common_domain([x for m in mats for x in m.flat()])
     for m in mats:
         try:

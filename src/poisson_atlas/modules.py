@@ -6,17 +6,17 @@ a polynomial depends only on its constant-and-linear data at the point; the
 restriction construction reads the matrices straight back.  Restriction to a
 subalgebra and twisting by an automorphism are one pullback along a verified
 Poisson map.  A lift takes its point check from the g(J) that
-`lie_from_point` built at the point.  Submodule analysis reads the weight
-graph when some combination of the action matrices is diagonal with distinct
-entries, as in every sl2 lift: the submodules are then spans of unit vectors,
-the module is simple iff the graph is strongly connected (linalg's
-`is_simple`), and the minimal submodules are its terminal strongly connected
-components.  Otherwise it is graded by an action matrix of the module itself
-with one-dimensional eigenspaces: simplicity holds iff each of its
-eigenvectors generates the module (the density hull decides when no matrix
-grades), and the minimal submodules, socle and composition series come from
-the closures of the same eigenvectors, with no sum of closures built; the
-graph, closures, restrictions and coordinate solves it needs are linalg's.
+`lie_from_point` built at the point.  One function, `analyze_submodules`,
+decides simplicity and the minimal submodules, and the composition series
+reads it.  It reads the weight graph when some combination of the action
+matrices is diagonal with distinct entries, as in every sl2 lift: the
+submodules are then spans of unit vectors, the module is simple iff the graph
+is strongly connected, and the minimal submodules are its terminal strongly
+connected components.  Otherwise an action matrix with one-dimensional
+eigenspaces grades it, the only complete route for a grading that is not
+diagonal in the given basis: the minimal submodules, socle and simplicity
+come from the closures of its eigenvectors, with no sum of closures built.
+Only without either grading does the density hull decide simplicity.
 The axiom checker compares its matrix identities in coordinates on the action
 matrices and their commutators.
 """
@@ -29,6 +29,7 @@ from .brackets import PoissonPresentation, SubstitutionMap, bracket, verify_pois
 from .classify import Sl2Triple, derived_subalgebra
 from .errors import AtlasError, IncompatibleTableError, NotPoissonMaximalError
 from .ideals import is_poisson_maximal
+from . import linalg  # the hull is read off linalg, so replacing it there reaches every call
 from .lie import LieAlgebra, lie_from_point, linearization
 from .linalg import (
     IncrementalSpan,
@@ -36,7 +37,6 @@ from .linalg import (
     _weight_seeds,
     closure,
     coordinates,
-    is_simple,
     kernel_basis,
     linear_combination,
     rank,
@@ -351,13 +351,19 @@ def is_simple_module(module: PoissonModule) -> bool:
     return is_simple(module.mats, module.dim)
 
 
+def is_simple(mats, dim: int) -> bool:
+    """Simplicity over C, as `analyze_submodules` decides it."""
+    return analyze_submodules(mats, dim).simple
+
+
 @dataclass
 class SubmoduleAnalysis:
-    """Minimal submodules and the socle, from the weight graph or closures of
-    weight vectors."""
+    """Simplicity, minimal submodules and the socle, from the weight graph or
+    closures of weight vectors."""
 
     dim: int
     complete: bool  # True when the seeds were weight vectors (see _weight_seeds)
+    simple: bool
     minimal: list  # canonical bases, sorted by (dim, signature)
     socle_dim: int
     semisimple: bool | None
@@ -365,8 +371,8 @@ class SubmoduleAnalysis:
 
 
 def analyze_submodules(mats, dim: int) -> SubmoduleAnalysis:
-    """Minimal submodules, socle and semisimplicity, exact wherever the module
-    has weight vectors.
+    """Simplicity, minimal submodules, socle and semisimplicity, exact
+    wherever the module has weight vectors.
 
     Where `weight_graph` applies, the submodules are the spans of unit
     vectors on sets closed under the graph's edges: the minimal ones are its
@@ -377,26 +383,35 @@ def analyze_submodules(mats, dim: int) -> SubmoduleAnalysis:
     from the module's own matrices; without one, basis vectors seed the
     closures.  Every nonzero sum of closures contains a closure, so the
     minimal members of that family are the closures containing no smaller
-    closure, and no sum is built.  With a grading the socle and the
-    semisimplicity verdict are exact; without one a socle short of the module
-    leaves the verdict undetermined (None).  Simplicity of each summand is
-    decided by `is_simple` on the summand's own matrices.  Either way the
-    minimal submodules are canonical (rref) bases, sorted by dimension and
-    then by their text.
+    closure, and no sum is built.
+
+    With a grading (the graph or weight vectors) every submodule is stable
+    under it and so holds a seed: each minimal closure is simple, the socle
+    and the semisimplicity verdict are exact, and the module is simple iff
+    its only minimal submodule is the whole of it.  Without one a minimal
+    closure need not be simple: the density hull decides simplicity (after
+    the closures, when no proper one exists) and certifies each direct
+    summand, and a socle short of the module leaves the semisimplicity
+    verdict undetermined (None).  The minimal submodules are canonical
+    (rref) bases, sorted by dimension and then by their text, which for
+    unit-vector bases of disjoint sets of one size puts the larger least
+    index first.
     """
     mats = tuple(mats)
     graph = weight_graph(mats, dim)
     if graph is not None:
         reach = [reachable(graph, i) for i in range(dim)]
-        sinks = {r for r in reach if all(reach[j] == r for j in r)}
-        minimal = sorted(
-            (tuple(unit_vector(dim, i) for i in sorted(r)) for r in sinks),
-            key=lambda b: (len(b), str(b)),
-        )
+        # j in reach(i) implies reach(j) <= reach(i): a sink is a set of equal reaches
+        sinks = {r for r in reach if all(len(reach[j]) == len(r) for j in r)}
+        minimal = [
+            tuple(unit_vector(dim, i) for i in sorted(r))
+            for r in sorted(sinks, key=lambda r: (len(r), -min(r)))
+        ]
         socle_dim = sum(map(len, minimal))
         semisimple = socle_dim == dim
         return SubmoduleAnalysis(
-            dim, True, minimal, socle_dim, semisimple, list(minimal) if semisimple else None
+            dim, True, [len(s) for s in minimal] == [dim], minimal, socle_dim, semisimple,
+            list(minimal) if semisimple else None,
         )
     seeds, complete = _weight_seeds(mats, dim)
     maps = [m.apply for m in mats]
@@ -408,6 +423,9 @@ def analyze_submodules(mats, dim: int) -> SubmoduleAnalysis:
         span = IncrementalSpan(c)
         if not any(len(m) < len(c) and all(span.contains(v) for v in m) for m in minimal):
             minimal.append(c)
+    simple = [len(s) for s in minimal] == [dim] and (
+        complete or linalg.associative_hull_is_full(mats, dim)
+    )
     socle = row_space_basis([v for s in minimal for v in s])
     semisimple: bool | None
     decomposition = None
@@ -421,12 +439,10 @@ def analyze_submodules(mats, dim: int) -> SubmoduleAnalysis:
                 current = list(merged)
             if len(current) == dim:
                 break
-        # without a grading a closure containing no smaller one need not be
-        # simple; the semisimplicity certificate stands only when every summand is
-        simple_summands = all(
-            is_simple(restrict_action(mats, s), len(s)) for s in decomposition
-        )
-        if simple_summands:
+        if complete or all(
+            linalg.associative_hull_is_full(restrict_action(mats, s), len(s))
+            for s in decomposition
+        ):
             semisimple = True
         else:
             semisimple = None
@@ -435,7 +451,7 @@ def analyze_submodules(mats, dim: int) -> SubmoduleAnalysis:
         semisimple = False
     else:
         semisimple = None  # socle short of the module without a grading
-    return SubmoduleAnalysis(dim, complete, minimal, len(socle), semisimple, decomposition)
+    return SubmoduleAnalysis(dim, complete, simple, minimal, len(socle), semisimple, decomposition)
 
 
 def quotient_action(mats, sub_basis, dim):
@@ -464,9 +480,10 @@ def composition_series(mats, dim: int):
 
     Each step analyzes the current quotient afresh, so its grading comes from
     the quotient's own matrices, and takes its first proper minimal submodule
-    (`analyze_submodules` sorts them by dimension).  Every factor is certified
-    simple by `is_simple`; without a grading that certification can fail,
-    which is reported rather than returning a non-composition filtration.
+    (`analyze_submodules` sorts them by dimension).  With a grading every
+    minimal submodule is simple; without one each factor is certified simple
+    by `is_simple`, and a failed certification is reported rather than
+    returning a non-composition filtration.
     """
     mats = list(mats)
     factors = []
@@ -474,7 +491,7 @@ def composition_series(mats, dim: int):
         analysis = analyze_submodules(mats, dim)
         candidates = [s for s in analysis.minimal if len(s) < dim]
         if not candidates:
-            if not is_simple(mats, dim):
+            if not analysis.simple:
                 raise AtlasError(
                     "composition series not determined: no grading and the "
                     "remaining factor is not simple"
@@ -482,7 +499,7 @@ def composition_series(mats, dim: int):
             factors.append(dim)
             break
         sub = candidates[0]
-        if not is_simple(restrict_action(mats, sub), len(sub)):
+        if not analysis.complete and not is_simple(restrict_action(mats, sub), len(sub)):
             raise AtlasError(
                 "composition series not determined: a minimal seed closure "
                 "is not simple (no grading)"

@@ -372,12 +372,16 @@ def sqrt_in_field(value: Scalar, d: int) -> Scalar | None:
 
 
 def format_scalar(s: Scalar) -> str:
-    """Render exactly: `p/q`, or `a+b*sqrt(d)` with b's sign folded in."""
+    """Render exactly: `p/q`, or `a+b*sqrt(d)` with b's sign folded in.
+
+    A rational prints from its ints, which are already in lowest terms; only
+    an irrational one is split into the Fractions a and b."""
+    if s.d == 0:
+        return str(s.n) if s.q == 1 else f"{s.n}/{s.q}"
+
     def frac(q: Fraction) -> str:
         return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
-    if s.d == 0:
-        return frac(s.a)
     b = s.b
     mag = abs(b)
     root = f"sqrt({s.d})" if mag == 1 else f"{frac(mag)}*sqrt({s.d})"

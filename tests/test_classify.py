@@ -39,14 +39,13 @@ from poisson_atlas.linalg import (
     associative_hull_is_full,
     coordinates,
     eigen_small,
-    is_simple,
     kernel_basis,
     restrict_action,
     rank,
     row_space_basis,
     trace_product,
 )
-from poisson_atlas.modules import SplitMix, sl2_irrep
+from poisson_atlas.modules import SplitMix, is_simple, sl2_irrep
 from poisson_atlas.scalars import ZERO, common_domain
 from poisson_atlas.scalars import Scalar
 

@@ -595,13 +595,11 @@ def test_one_parser_serves_every_call(torus_file, tmp_path, capsys, monkeypatch)
 
 
 def test_restrict_builds_one_weight_graph_and_no_eigensolve(monkeypatch):
-    """`restrict` asks whether the restricted module is simple and then
-    analyzes its submodules; both read one weight graph, built once from the
-    module's own matrices.  Here u and v act as zero and w is diagonal with
+    """`restrict` reads simplicity and semisimplicity off one submodule
+    analysis, which builds one weight graph from the module's own matrices,
+    with no cache.  Here u and v act as zero and w is diagonal with
     distinct entries: one graph on the 6 x 6 matrices, and no
     eigendecomposition."""
-    from functools import lru_cache
-
     import poisson_atlas.linalg as linalg
     import poisson_atlas.modules as modules
 
@@ -612,21 +610,61 @@ def test_restrict_builds_one_weight_graph_and_no_eigensolve(monkeypatch):
         sizes.append(m.nrows)
         return original(m)
 
-    def build(mats, dim, original=linalg.weight_graph.__wrapped__):
+    def graph(mats, dim, original=linalg.weight_graph):
         built.append(dim)
         return original(mats, dim)
 
-    graph = lru_cache(maxsize=1)(build)
     monkeypatch.setattr(linalg, "eigen_small", counted)
     monkeypatch.setattr(linalg, "weight_graph", graph)
     monkeypatch.setattr(modules, "weight_graph", graph)
-    linalg._weight_seeds.cache_clear()
     code, out = run(["restrict", str(INPUTS / "kleinian-a1.pa"), "--embed", "pi4",
                      "--point", "(0,0,0)", "--dim", "6", "--format", "machine"])
     assert code == 0 and "simple = False" in out
     assert "semisimple = yes, summand dims [1, 1, 1, 1, 1, 1]" in out
     assert built.count(6) == 1
     assert sizes == []
+
+
+# `restrict` along u -> y - x, whose image acts by e + f in the irrep basis: no
+# combination of the action matrices is diagonal there
+EIGEN_ROUTE_ARGV = ["restrict", "tests/kleinian-a1-eigen.pa", "--embed", "s", "--point",
+                    "(0,0,0)", "--dim", "4", "--format", "machine"]
+EIGEN_ROUTE_REPORT = """poisson-atlas-report v1
+command = restrict
+embed = s
+point = (0, 0, 0)
+sub.point = (0)
+action.u = [(0, 3, 0, 0); (1, 0, 4, 0); (0, 1, 0, 3); (0, 0, 1, 0)]
+simple = False
+semisimple = yes, summand dims [1, 1, 1, 1]
+status = ok
+"""
+
+
+def test_restrict_along_a_grading_off_the_basis_takes_the_eigen_route(monkeypatch):
+    """The weight graph refuses the restricted module, so the eigenvectors of
+    its one action matrix seed the closures: one eigensolve of the 4 x 4
+    matrix, and the report recorded before the submodule analysis decided
+    simplicity."""
+    import poisson_atlas.linalg as linalg
+    import poisson_atlas.modules as modules
+
+    graphs, sizes = [], []
+
+    def graph(mats, dim, original=linalg.weight_graph):
+        graphs.append(original(mats, dim))
+        return graphs[-1]
+
+    def counted(m, original=linalg.eigen_small):
+        sizes.append(m.nrows)
+        return original(m)
+
+    monkeypatch.setattr(modules, "weight_graph", graph)
+    monkeypatch.setattr(linalg, "eigen_small", counted)
+    monkeypatch.chdir(ROOT)
+    assert run(EIGEN_ROUTE_ARGV) == (0, EIGEN_ROUTE_REPORT)
+    assert graphs == [None]
+    assert sizes == [4]
 
 
 def _count_calls(monkeypatch, *names):

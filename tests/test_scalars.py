@@ -230,6 +230,15 @@ def test_comparison_hash_format_match_fraction_model(pair):
     assert (x.sort_key() == y.sort_key()) == (mx == my)
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.fractions(), st.fractions(), st.sampled_from([0, -1, 2, 5, -7]))
+def test_format_matches_the_fraction_text(a, b, d):
+    """A rational prints from its ints, an irrational scalar from its
+    Fractions a and b: either way the text is the one the Fractions give."""
+    s = Scalar(a, b if d else 0, d)
+    assert format_scalar(s) == _model_format(_model_of(s))
+
+
 def test_canonical_forms():
     r2 = Scalar(0, 1, 2)
     square = r2 * r2

@@ -415,7 +415,7 @@ def has_weight_grading(mats):
 def _analyze_reference(mats, dim):
     """The analysis built from every sum of seed closures (2^k of them), with
     the minimal members filtered out of that whole family: the former body of
-    `analyze_submodules`."""
+    `analyze_submodules`.  Its simplicity verdict is the density hull's."""
     mats = tuple(mats)
     seeds, complete = _weight_seeds(mats, dim)
     maps = [m.apply for m in mats]
@@ -462,7 +462,9 @@ def _analyze_reference(mats, dim):
         semisimple = False
     else:
         semisimple = None
-    return SubmoduleAnalysis(dim, complete, minimal, len(socle), semisimple, decomposition)
+    simple = associative_hull_is_full(mats, dim)
+    return SubmoduleAnalysis(
+        dim, complete, simple, minimal, len(socle), semisimple, decomposition)
 
 
 @st.composite
@@ -509,6 +511,7 @@ def check_verdict(mats, dim):
     analysis = analyze_submodules(mats, dim)
     reference = _analyze_reference(mats, dim)
     assert analysis.complete is reference.complete
+    assert analysis.simple is reference.simple
     assert analysis.minimal == reference.minimal
     assert analysis.socle_dim == reference.socle_dim
     assert analysis.semisimple is reference.semisimple
@@ -553,6 +556,26 @@ def test_submodules_of_triangular_extensions(case):
     check_verdict(*case)
 
 
+@pytest.mark.parametrize("dim, message", [
+    (3, "the remaining factor is not simple"),
+    (4, "a minimal seed closure is not simple"),
+])
+def test_a_composition_series_without_a_grading_is_refused(dim, message):
+    """x: e4 -> e3 -> e1 and y: e3 -> e2, on span(e1, e2, e3) for dim 3,
+    each with an eigenspace of dimension 2 or more, in the basis e1 + e3,
+    e2 + e3, e1 + e2 + e3 (and e4): every seed closure holds span(e1, e2, e3),
+    which is not simple, so the closures cannot give a composition series."""
+    x = Matrix([[0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
+    y = Matrix([[0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    p = Matrix([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 1, 0], [0, 0, 0, 1]])
+    mats = [Matrix([r[:dim] for r in (inverse(p) * m * p).rows[:dim]]) for m in (x, y)]
+    analysis = analyze_submodules(mats, dim)
+    assert not analysis.complete and not analysis.simple
+    assert [len(s) for s in analysis.minimal] == [3] and analysis.semisimple is None
+    with pytest.raises(AtlasError, match=message):
+        composition_series(mats, dim)
+
+
 @pytest.mark.parametrize("d", [0, -1])
 def test_a_jordan_block_is_not_semisimple(d):
     jordan = Matrix([[2, 1, 0], [0, 2, 0], [0, 0, 1]])
@@ -567,6 +590,46 @@ def test_a_diagonal_module_is_semisimple():
     analysis = analyze_submodules([Matrix([[1, 0], [0, 2]])], 2)
     assert analysis.complete and analysis.semisimple is True
     assert [len(s) for s in analysis.minimal] == [1, 1]
+
+
+@st.composite
+def _digraphs(draw):
+    """(dim, edges): a random digraph on dim vertices, without loops."""
+    dim = draw(st.integers(1, 7))
+    pairs = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+    return dim, draw(st.sets(pairs.filter(lambda e: e[0] != e[1])))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_digraphs())
+def test_the_graph_route_keeps_the_text_order_of_its_sinks(case):
+    """h diagonal with distinct weights and x with x e_i having an e_j
+    component for each edge i -> j: the minimal submodules are the unit
+    vectors on the sink components, the minimal reach sets, listed in the
+    former order by (dimension, text), and the simplicity verdict is the
+    density hull's."""
+    dim, edges = case
+    h = Matrix([[i if i == j else 0 for j in range(dim)] for i in range(dim)])
+    x = Matrix([[int((i, j) in edges) for i in range(dim)] for j in range(dim)])
+    assert weight_graph([h, x], dim) is not None
+    reach = []
+    for i in range(dim):
+        seen, stack = {i}, [i]
+        while stack:
+            k = stack.pop()
+            for a, b in edges:
+                if a == k and b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        reach.append(frozenset(seen))
+    sinks = {r for r in reach if not any(other < r for other in reach)}
+    expected = sorted(
+        (tuple(unit_vector(dim, i) for i in sorted(r)) for r in sinks),
+        key=lambda b: (len(b), str(b)),
+    )
+    analysis = analyze_submodules([h, x], dim)
+    assert analysis.minimal == expected
+    assert analysis.simple is associative_hull_is_full([h, x], dim)
 
 
 def test_a_spectrum_in_another_extension_grades_nothing():
