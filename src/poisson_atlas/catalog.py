@@ -43,7 +43,13 @@ from .classify import (
     recognize,
 )
 from .errors import AtlasError
-from .ideals import SearchBox, find_poisson_maximal, is_poisson_maximal, leaf_report
+from .ideals import (
+    SearchBox,
+    find_poisson_maximal,
+    is_poisson_maximal,
+    leaf_report,
+    relation_in_J_squared,
+)
 from .lie import (
     InvariantPresentation,
     LieAlgebra,
@@ -492,10 +498,7 @@ def _kleinian_invariants(n: int, f) -> InvariantPresentation:
     elif n == 4:
         i = Scalar(0, 1, -1)
         autos = (SubstitutionMap.from_dict(avs, {"x1": x1 * i, "x2": x2 * (-i)}),)
-    return InvariantPresentation(
-        amb, ("x", "y", "z"), gens, automorphisms=autos, relations=(f,),
-        gradings=((1, 1),),
-    )
+    return InvariantPresentation(amb, ("x", "y", "z"), gens, automorphisms=autos, relations=(f,))
 
 
 # -- entry builders ----------------------------------------------------------------
@@ -895,8 +898,7 @@ def _entry_c_theta() -> CatalogEntry:
 
     def g_in_j2(ctx, cfg):
         for ideal in ctx.ideals:
-            value, grad = g.linear_part(ideal.point)
-            if not (value.is_zero and all(c.is_zero for c in grad)):
+            if not relation_in_J_squared(pres, g, ideal.point):
                 return False, f"g not in J^2 at {ideal.point}"
         return True, "g in J^2 at I1, I2, L1, L2"
 
@@ -994,13 +996,6 @@ def _entry_d_phi() -> CatalogEntry:
     )
 
 
-def _weyl_invariants(amb, names, gens, autos):
-    """Invariants of a Weyl group acting on a 4-variable ambient, bigraded."""
-    return InvariantPresentation(
-        amb, names, gens, automorphisms=autos, gradings=((1, 1, 0, 0), (0, 0, 1, 1))
-    )
-
-
 def _weyl_ambient():
     vs = _vars(("a1", "a2", "b1", "b2"))
     a1, a2, b1, b2 = _gens(vs)
@@ -1073,7 +1068,9 @@ def _prop52_table():
 
 def _entry_weyl_a2() -> CatalogEntry:
     amb, gens, autos = _weyl_ambient()
-    ip = _weyl_invariants(amb, ("g1", "g2", "g3", "m1", "m2", "m3", "m4"), gens, autos)
+    ip = InvariantPresentation(
+        amb, ("g1", "g2", "g3", "m1", "m2", "m3", "m4"), gens, automorphisms=autos
+    )
 
     def m5(ctx):
         return ctx.memo("m5", lambda: module_from_table(ctx.lie(), _prop52_table()))
@@ -1141,7 +1138,9 @@ def _entry_weyl_b2() -> CatalogEntry:
     s1 = _sign_flip(vs, (-1, 1, -1, 1))
     s2 = SubstitutionMap.from_dict(vs, {"x1": x2, "y1": y2, "x2": x1, "y2": y1})
     names = ("g1", "g2", "g3", "m1", "m2", "m3", "m4", "m5")
-    ip = _weyl_invariants(amb, names, (g1, g2, g3, m1, m2, m3, m4, m5), (s1, s2))
+    ip = InvariantPresentation(
+        amb, names, (g1, g2, g3, m1, m2, m3, m4, m5), automorphisms=(s1, s2)
+    )
 
     table = {
         ("g1", "g2"): {"g3": 4},
@@ -1202,7 +1201,7 @@ def _entry_weyl_g2() -> CatalogEntry:
     neg = _sign_flip(vs, (-1,) * 4)
     names = ("g1", "g2", "g3", "n1", "n2", "n3", "n4", "n5", "n6", "n7")
     gens = (g1, g2, g3, m1 * m1, m2 * m2, m1 * m2, m1 * m3, m1 * m4, m2 * m3, m2 * m4)
-    ip = _weyl_invariants(amb, names, gens, autos + (neg,))
+    ip = InvariantPresentation(amb, names, gens, automorphisms=autos + (neg,))
 
     def constants(ctx, cfg):
         L = ctx.lie()

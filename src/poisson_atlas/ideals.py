@@ -50,12 +50,10 @@ class SearchBox:
 
 @dataclass(frozen=True)
 class PoissonMaxIdeal:
-    """A Poisson point together with the potential/relation values there."""
+    """A Poisson point together with the potential value there."""
 
     point: PointP
-    presentation: PoissonPresentation
     lambda_value: Scalar | None = None  # potential value, when one exists
-    relation_values: tuple = ()
 
     def sort_key(self):
         return self.point.sort_key()
@@ -82,9 +80,7 @@ def _potential_of(pres: PoissonPresentation) -> LaurentPoly | None:
 
 def make_ideal(pres: PoissonPresentation, pt: PointP) -> PoissonMaxIdeal:
     potential = _potential_of(pres)
-    lam = potential.evaluate(pt) if potential is not None else None
-    rel_values = tuple(r.evaluate(pt) for r in pres.relations)
-    return PoissonMaxIdeal(pt, pres, lam, rel_values)
+    return PoissonMaxIdeal(pt, potential.evaluate(pt) if potential is not None else None)
 
 
 def _integer_components(poly: LaurentPoly) -> list:

@@ -3,13 +3,16 @@
 Two routes, mirroring the worked examples: linearize the generator brackets at
 the point (polynomial presentations), or express brackets of invariant
 generators in the generators modulo products of two or more of them
-(invariant presentations).  Both produce structure-constant algebras whose
-antisymmetry and Jacobi identity are enforced at construction.
+(invariant presentations).  The second route prunes its product basis by
+the total degree when that grades the generators.  Both produce
+structure-constant algebras whose antisymmetry and Jacobi identity are
+enforced at construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 from .brackets import PoissonPresentation, SubstitutionMap, bracket
 from .errors import LieStructureError, NotExpressibleError, NotPoissonMaximalError
@@ -190,9 +193,8 @@ def lie_from_point(pres: PoissonPresentation, pt: PointP) -> LieAlgebra:
 class InvariantPresentation:
     """Named invariant generators inside an ambient Poisson presentation.
 
-    `gradings` lists weight vectors (one weight per ambient variable) under
-    which all data is homogeneous; they only prune the product basis of the
-    mod-J^2 solve and are never required for correctness.
+    `lie_from_invariants` reads from the generators whether the total degree
+    prunes its product basis, so the presentation carries no grading hints.
     """
 
     ambient: PoissonPresentation
@@ -200,7 +202,6 @@ class InvariantPresentation:
     generators: tuple  # LaurentPoly over the ambient varset
     automorphisms: tuple = ()  # SubstitutionMap on the ambient varset
     relations: tuple = ()  # LaurentPoly over the generator varset
-    gradings: tuple = ()
 
     def __post_init__(self):
         if len(self.generator_names) != len(self.generators):
@@ -235,44 +236,33 @@ def verify_invariance(ip: InvariantPresentation) -> InvarianceReport:
     return InvarianceReport(not failures, failures)
 
 
-def _enumerate_products(ip: InvariantPresentation, bound: int, weight_vectors):
+def _weights(gens, n):
+    """The weight vectors that prune the product basis: (1, ..., 1) when every
+    generator is homogeneous in total degree, else none."""
+    ones = (1,) * n
+    return [ones] if all(g.degree_wrt(ones) is not None for g in gens) else []
+
+
+def _enumerate_products(gens, bound: int, weights):
     """All products of >= 2 generators with total degree <= bound.
 
-    Returns (products, degree vectors) where each degree vector holds the
-    product's degree under every usable grading (None marks a grading some
-    generator is inhomogeneous for; those never filter).
+    Returns (products, degree vectors): a product's vector holds its summed
+    total degree, then its degree under each weight vector, each the sum of
+    its factors' degrees (every generator is homogeneous under every one).
     """
-    names = list(ip.generator_names)
-    gens = list(ip.generators)
-    totals = [g.total_degree() for g in gens]
-    grading_degs = []
-    for w in weight_vectors:
-        gds = [g.degree_wrt(w) for g in gens]
-        grading_degs.append(gds if all(d is not None for d in gds) else None)
-
+    degs = [(g.total_degree(),) + tuple(g.degree_wrt(w) for w in weights) for g in gens]
     products, degvecs = [], []
 
-    def extend(start, count, poly, total, wdegs):
+    def extend(start, count, poly, degvec):
         if count >= 2:
             products.append(poly)
-            degvecs.append((total,) + tuple(wdegs))
+            degvecs.append(degvec)
         for idx in range(start, len(gens)):
-            d = totals[idx]
-            if d is None or total + d > bound:
-                continue
-            extend(
-                idx,
-                count + 1,
-                poly * gens[idx],
-                total + d,
-                [
-                    None if gds is None or wd is None else wd + gds[idx]
-                    for wd, gds in zip(wdegs, grading_degs)
-                ],
-            )
+            d = degs[idx]
+            if d[0] is not None and degvec[0] + d[0] <= bound:
+                extend(idx, count + 1, poly * gens[idx], tuple(map(add, degvec, d)))
 
-    one = LaurentPoly.const(ip.ambient.varset, 1)
-    extend(0, 0, one, 0, [0 if gds is not None else None for gds in grading_degs])
+    extend(0, 0, LaurentPoly.const(gens[0].varset, 1), (0,) * len(degs[0]))
     return products, degvecs
 
 
@@ -280,9 +270,12 @@ def lie_from_invariants(ip: InvariantPresentation) -> LieAlgebra:
     """g(J) from an invariant presentation via the mod-J^2 membership solve.
 
     Solves {G_i, G_j} = sum_k c_k G_k + (combination of products of >= 2
-    generators) exactly over the monomial support; the linear coefficients are
-    additionally checked to be unique, i.e. the generators stay independent
-    modulo J^2.
+    generators) exactly over the monomial support, with products of total
+    degree up to the largest target or generator.  The generators must stay
+    independent modulo those products (J^2), so the linear parts are unique.
+    Every generator is homogeneous under each weight vector from `_weights`;
+    so is every product, and each check needs only the products of its
+    polynomial's degree under the weight vectors it is homogeneous for.
     """
     gens = list(ip.generators)
     names = list(ip.generator_names)
@@ -305,41 +298,42 @@ def lie_from_invariants(ip: InvariantPresentation) -> LieAlgebra:
     sc = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
     if not targets:
         return LieAlgebra(names, sc)
-    bound = max(t.total_degree() for t in targets.values())
-    weight_vectors = [(1,) * len(ip.ambient.varset)] + list(ip.gradings)
-    products, degvecs = _enumerate_products(ip, bound, weight_vectors)
+    bound = max(p.total_degree() or 0 for p in list(targets.values()) + gens)
+    weights = _weights(gens, len(varset))
+    products, degvecs = _enumerate_products(gens, bound, weights)
+
+    def pruned(poly, total):  # the products of poly's degree under each weight it has one for
+        degs = [poly.degree_wrt(w) for w in weights]
+        return tuple(k for k, (ptotal, *pds) in enumerate(degvecs) if ptotal <= total and all(
+            d is None or pd == d for pd, d in zip(pds, degs)))
+
+    classes = {}  # a dependency modulo J^2 holds among generators of equal degrees
+    for g in gens:
+        classes.setdefault(pruned(g, bound), []).append(g)
+    independent = True
+    for basis, members in classes.items():
+        pivots = rref(support_matrix([products[k] for k in basis] + members))[1]
+        independent &= all(len(basis) + c in pivots for c in range(len(members)))
     groups = {}  # pruned product basis -> the pairs whose targets it serves
     for pair, target in targets.items():
-        tdegs = [target.degree_wrt(w) for w in weight_vectors]
-        total = target.total_degree()
-        # degs[0] tracks the summed total degree (the a-priori bound);
-        # degs[1:] are exact degrees per weight vector, None when unusable
-        basis = tuple(k for k, degs in enumerate(degvecs) if degs[0] <= total and all(
-            pd is None or td is None or pd == td for pd, td in zip(degs[1:], tdegs)))
-        groups.setdefault(basis, []).append(pair)
-    solved = {}  # pair -> its linear part, or why it has none
+        groups.setdefault(pruned(target, target.total_degree()), []).append(pair)
+    escapes = []
     for basis, pairs in groups.items():
-        # One rref of [products | gens | targets].  The linear parts are unique
-        # iff each gens column holds a pivot.  A target whose column holds a
-        # pivot escapes the span; the later targets of the group are not read.
+        # One rref of [products | gens | targets]: a target whose column holds a
+        # pivot escapes, and the later ones of its group are read only if none does.
         columns = [products[k] for k in basis] + gens
         reduced, pivots = rref(support_matrix(columns + [targets[pair] for pair in pairs]))
         rows = dict(zip(pivots, reduced))
-        gen_cols = range(len(basis), len(columns))
-        unique = all(c in rows for c in gen_cols)
         for col, (i, j) in enumerate(pairs, len(columns)):
             if col in rows:
-                solved[i, j] = (f"bracket of ({names[i]}, {names[j]}) escapes the "
-                                f"subalgebra up to the degree bound")
-            elif not unique:
-                solved[i, j] = "generators are dependent modulo J^2; linear part not unique"
-            else:
-                solved[i, j] = [rows[c][col] for c in gen_cols]
-    for i, j in targets:  # in pair order, so the first failing pair is reported
-        coeffs = solved[i, j]
-        if isinstance(coeffs, str):
-            raise NotExpressibleError(coeffs)
-        for k in range(m):
-            sc[i][j][k] = coeffs[k]
-            sc[j][i][k] = -coeffs[k]
+                escapes.append((i, j))
+            elif independent:
+                for k, c in enumerate(range(len(basis), len(columns))):
+                    sc[i][j][k], sc[j][i][k] = rows[c][col], -rows[c][col]
+    if escapes:  # the first escaping pair in pair order is the first of its group
+        i, j = min(escapes)
+        raise NotExpressibleError(f"bracket of ({names[i]}, {names[j]}) escapes the "
+                                  f"subalgebra up to the degree bound")
+    if not independent:
+        raise NotExpressibleError("generators are dependent modulo J^2; linear part not unique")
     return LieAlgebra(names, sc)

@@ -1,5 +1,5 @@
 """Exact linear algebra over Scalar: elimination, kernels, subspaces,
-eigenproblems, weight gradings and the density hull.
+eigenproblems, weight graphs and the density hull.
 
 Everything is fraction-free in spirit but implemented directly over the scalar
 field (Q or one quadratic extension); Gaussian elimination with exact pivots
@@ -12,7 +12,7 @@ an IncrementalSpan) and `relation_test` (whether coefficients combine some
 vectors to zero, read on a column basis of them).  eigen_small factors
 characteristic polynomials over Q plus at most one quadratic extension,
 reporting the discriminant it had to introduce; its root search is bounded by
-the matrix's row-sum norm, so it has no dimension cap.  Two gradings feed
+the matrix's row-sum norm, so it has no dimension cap.  Two weight routes feed
 the submodule analysis in `modules`: `weight_graph` reads the unit vectors as
 weight vectors when some combination of the matrices is diagonal with
 distinct entries (one kernel solve, then zero tests only), and `_weight_seeds`

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from poisson_atlas import lie
 from poisson_atlas import (
     Exact,
     InvariantPresentation,
@@ -16,8 +19,9 @@ from poisson_atlas import (
     lie_from_point,
     verify_invariance,
 )
-from poisson_atlas.catalog import get_entry
+from poisson_atlas.catalog import catalog_names, get_entry
 from poisson_atlas.errors import (
+    AtlasError,
     LieStructureError,
     NotExpressibleError,
     NotPoissonMaximalError,
@@ -128,7 +132,6 @@ def weyl_a2_setup():
         ("g1", "g2", "g3", "m1", "m2", "m3", "m4"),
         gens,
         automorphisms=(swap, cycle),
-        gradings=((1, 1, 0, 0), (0, 0, 1, 1)),
     )
 
 
@@ -164,7 +167,6 @@ def test_lie_from_invariants_kleinian_section_42(a1_pres):
         amb,
         ("x", "y", "z"),
         (x1 * x1 * half, x2 * x2 * half, x1 * x2 * half),
-        gradings=((1, 1),),
     )
     L = lie_from_invariants(ip)
     assert sc_table(L) == {
@@ -192,7 +194,6 @@ def test_lie_from_invariants_kleinian_an(n, xyz):
         ("x", "y", "z"),
         (x1**n * inv_a, x2**n * inv_a, x1 * x2 * Fraction(1, n)),
         relations=(z**n - x * y,),
-        gradings=((1, 1),),
     )
     assert verify_invariance(ip).ok
     L = lie_from_invariants(ip)
@@ -329,3 +330,118 @@ def test_identity_automorphism_always_passes():
         amb, ("p", "q"), (x1 * x1, x1 * x2), automorphisms=(ident,)
     )
     assert verify_invariance(ip).ok
+
+
+# -- the pruning lie_from_invariants reads from its generators --------------------
+
+
+def _outcome(ip):
+    """The structure constants, or the error's type and text (a Laurent
+    ambient is refused, pruned or not)."""
+    try:
+        return lie_from_invariants(ip).sc
+    except (AtlasError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in catalog_names() if get_entry(n).invariants is not None]
+)
+def test_the_pruned_solve_equals_the_unpruned_one(name, monkeypatch):
+    ip = get_entry(name).invariants
+    pruned = _outcome(ip)
+    monkeypatch.setattr(lie, "_weights", lambda gens, n: [])
+    assert _outcome(ip) == pruned
+
+
+@st.composite
+def _small_invariant_presentations(draw):
+    """Two variables, a bracket {x1, x2} of degree <= 2 and up to three
+    generators: sums of monomials of degree >= 1 with exponents <= 2, all of
+    one total degree in about half the draws."""
+    vs = VarSet(("x1", "x2"))
+    coeff = st.integers(-2, 2).filter(bool)
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+    def poly(exp_strategy):
+        es = draw(st.lists(exp_strategy, min_size=1, max_size=3, unique=True))
+        return LaurentPoly(vs, {e: Scalar(draw(coeff)) for e in es})
+
+    amb = PoissonPresentation(
+        vs, Table.from_dict(vs, {("x1", "x2"): poly(exps.filter(lambda e: sum(e) <= 2))})
+    )
+    graded = draw(st.booleans())
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(1, 4))
+        gens.append(poly(exps.filter(lambda e: sum(e) == d if graded else any(e))))
+    return InvariantPresentation(amb, tuple(f"g{i}" for i in range(len(gens))), tuple(gens))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_small_invariant_presentations())
+def test_the_pruned_solve_equals_the_unpruned_one_on_drawn_presentations(ip):
+    pruned = _outcome(ip)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lie, "_weights", lambda gens, n: [])
+        assert _outcome(ip) == pruned
+
+
+def test_a_generator_in_J_squared_is_caught_whatever_the_pruning():
+    """x1^2 is a product of the generator x1 with itself, so it is no new
+    generator, although no bracket target has the degree of x1^3."""
+    vs = VarSet(("x1", "x2"))
+    x1, x2 = (LaurentPoly.variable(vs, n) for n in vs.names)
+    amb = PoissonPresentation(vs, Table.from_dict(vs, {("x1", "x2"): x1 * x2}))
+    for c in (x1 * x1, x1**3):
+        ip = InvariantPresentation(amb, ("a", "b", "c"), (x1, x2, c))
+        assert lie._weights(ip.generators, 2) == [(1, 1)]
+        with pytest.raises(NotExpressibleError, match="dependent modulo J"):
+            lie_from_invariants(ip)
+    # a - c = b^2: the product b^2 has a larger total degree than c
+    ip = InvariantPresentation(amb, ("a", "b", "c"), (x1 + x2 * x2, x2, x1))
+    assert lie._weights(ip.generators, 2) == []
+    with pytest.raises(NotExpressibleError, match="dependent modulo J"):
+        lie_from_invariants(ip)
+    # c = d^2 has a larger degree than the only bracket target, {a, b} = a
+    vs3 = VarSet(("x1", "x2", "x3"))
+    y1, y2, y3 = (LaurentPoly.variable(vs3, n) for n in vs3.names)
+    amb3 = PoissonPresentation(vs3, Table.from_dict(vs3, {("x1", "x2"): y1}))
+    ip = InvariantPresentation(amb3, ("a", "b", "c", "d"), (y1, y2, y3 * y3, y3))
+    with pytest.raises(NotExpressibleError, match="dependent modulo J"):
+        lie_from_invariants(ip)
+
+
+def test_the_first_escaping_pair_is_named_across_product_bases():
+    """{q, r} and {q, s} escape, over different product bases; {q, s} shares
+    its (empty) basis with {p, q}, the first pair, so its group comes first."""
+    vs = VarSet(("x1", "x2"))
+    x1, x2 = (LaurentPoly.variable(vs, n) for n in vs.names)
+    amb = PoissonPresentation(vs, Table.from_dict(vs, {("x1", "x2"): x1}))
+    gens = (x2, x1 * x1, x1 * x2 * x2, x1 * x2 + x1)
+    ip = InvariantPresentation(amb, ("p", "q", "r", "s"), gens)
+    with pytest.raises(NotExpressibleError, match=r"bracket of \(q, r\) escapes"):
+        lie_from_invariants(ip)
+
+
+def test_the_total_degree_prunes_only_when_it_grades_every_generator():
+    vs = VarSet(("x1", "x2", "x3"))
+    x1, x2, x3 = (LaurentPoly.variable(vs, n) for n in vs.names)
+    zero = LaurentPoly.zero(vs)
+    assert lie._weights([x1 * x1, x2 * x3 + x1 * x1, zero], 3) == [(1, 1, 1)]
+    assert lie._weights([x1 * x1 + x2**3, x3], 3) == []
+    # a zero generator is no crash but a dependency: 0 lies in J^2
+    amb = PoissonPresentation(vs, Table.from_dict(vs, {("x1", "x2"): x3}))
+    ip = InvariantPresentation(amb, ("p", "q", "r", "s"), (x1, x2, x3, zero))
+    with pytest.raises(NotExpressibleError, match="dependent modulo J"):
+        lie_from_invariants(ip)
+
+
+def test_the_total_degree_does_not_filter_a_target_inhomogeneous_in_it():
+    bvs = VarSet(("x1", "x2"))
+    x1, x2 = (LaurentPoly.variable(bvs, n) for n in bvs.names)
+    # {p, q} = x1 + x2^2 = p + q^2 is not homogeneous in total degree
+    amb = PoissonPresentation(bvs, Table.from_dict(bvs, {("x1", "x2"): x1 + x2 * x2}))
+    ip = InvariantPresentation(amb, ("p", "q"), (x1, x2))
+    assert lie._weights(ip.generators, 2) == [(1, 1)]
+    assert sc_table(lie_from_invariants(ip)) == {("p", "q"): {"p": Scalar(1)}}

@@ -689,15 +689,25 @@ def _series_or_error(mats, dim):
         return str(exc)
 
 
+def _check_the_graph_route(mats, dim):
+    """Where the weight graph applies, it gives the simplicity verdict, every
+    field of the submodule analysis and the composition series of the
+    closures seeded by the unit vectors."""
+    analysis = analyze_submodules(mats, dim)
+    assert analysis == _by_unit_vector_closures(analyze_submodules, mats, dim)
+    assert analysis.complete
+    assert is_simple(mats, dim) is _by_unit_vector_closures(is_simple, mats, dim)
+    assert _series_or_error(mats, dim) == _by_unit_vector_closures(_series_or_error, mats, dim)
+
+
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(_weight_basis_modules(), st.data())
 def test_the_weight_graph_matches_closures_of_the_unit_vectors(case, data):
     """Conjugated by a permutation times a diagonal scaling, the unit vectors
     stay weight vectors: the graph applies exactly where it does in the
-    weight basis, and then gives the simplicity verdict, every field of the
-    submodule analysis and the composition series of the closures seeded by
-    the same unit vectors.  A general conjugation takes the eigen fallback
-    and keeps the verdicts."""
+    weight basis, and then agrees with the closures of the unit vectors.  A
+    general conjugation keeps the verdicts; where it still admits a graph,
+    that graph agrees with the unit-vector closures too."""
     entry, mats, dim = case
     order = data.draw(st.permutations(range(dim)))
     scales = [data.draw(entry.filter(lambda c: not c.is_zero)) for _ in range(dim)]
@@ -707,18 +717,32 @@ def test_the_weight_graph_matches_closures_of_the_unit_vectors(case, data):
     monomial = [q_inv * m * q for m in mats]
     assert (weight_graph(tuple(monomial), dim) is None) is (weight_graph(tuple(mats), dim) is None)
     if weight_graph(tuple(monomial), dim) is not None:
-        analysis = analyze_submodules(monomial, dim)
-        assert analysis == _by_unit_vector_closures(analyze_submodules, monomial, dim)
-        assert analysis.complete
-        assert is_simple(monomial, dim) is _by_unit_vector_closures(is_simple, monomial, dim)
-        assert _series_or_error(monomial, dim) == _by_unit_vector_closures(
-            _series_or_error, monomial, dim)
+        _check_the_graph_route(monomial, dim)
     if dim >= 2:
         lower = Matrix([[Scalar(1) if i == j else data.draw(entry.filter(lambda c: not c.is_zero))
                          if j < i else Scalar(0) for j in range(dim)] for i in range(dim)])
         p = lower * Matrix([[Scalar(int(i <= j)) for j in range(dim)] for i in range(dim)])
         general = [inverse(p) * m * p for m in mats]
-        assert weight_graph(tuple(general), dim) is None
+        if weight_graph(tuple(general), dim) is not None:
+            _check_the_graph_route(general, dim)
         assert is_simple(general, dim) is is_simple(mats, dim)
         assert analyze_submodules(general, dim).semisimple in (
             analyze_submodules(mats, dim).semisimple, None)
+
+
+def test_a_general_conjugation_can_keep_a_weight_graph():
+    """p = [[1, 1], [1, 2]], a lower times an upper unitriangular matrix,
+    conjugates the 2-dimensional irrep to matrices with a diagonal
+    combination of distinct entries, so the graph applies there too, and the
+    verdicts are those of the weight basis."""
+    mats = irrep(2)
+    p = Matrix([[Scalar(1), Scalar(1)], [Scalar(1), Scalar(2)]])
+    general = [inverse(p) * m * p for m in mats]
+    assert [m.rows for m in general] == [
+        tuple(tuple(Scalar(c) for c in row) for row in rows)
+        for rows in (((2, 4), (-1, -2)), ((3, 4), (-2, -3)), ((-1, -1), (1, 1)))
+    ]
+    assert weight_graph(tuple(general), 2) is not None
+    _check_the_graph_route(general, 2)
+    assert is_simple(general, 2) is is_simple(mats, 2) is True
+    assert analyze_submodules(general, 2).semisimple == analyze_submodules(mats, 2).semisimple
