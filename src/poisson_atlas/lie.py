@@ -169,12 +169,15 @@ def linearization(pres: PoissonPresentation, pt: PointP) -> tuple:
 
     sc[i][j] is the gradient of {x_i, x_j} at the point: the bracket's value
     vanishes by Poisson maximality, so its class mod J^2 is the linear part.
+    A bracket that is identically zero is skipped; its rows stay zero.
     """
     if not is_poisson_maximal(pres, pt):
         raise NotPoissonMaximalError(f"{pt} is not a Poisson-maximal point")
     n = len(pres.varset)
     sc = [[(ZERO,) * n] * n for _ in range(n)]
     for (i, j), poly in pres.pair_table().items():
+        if poly.is_zero:
+            continue
         _, grad = poly.linear_part(pt)
         sc[i][j] = tuple(grad)
         sc[j][i] = tuple(-g for g in grad)

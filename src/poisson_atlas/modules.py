@@ -75,9 +75,37 @@ class SplitMix:
         return self.next64() % n
 
 
+def _nonzero_rows(m: Matrix) -> list:
+    """Each row of m as the (column, entry) pairs of its nonzero entries."""
+    return [[(c, x) for c, x in enumerate(row) if not x.is_zero] for row in m.rows]
+
+
+def _commutator_is(a, b, coeffs, mats) -> bool:
+    """AB - BA == sum_k coeffs[k] M_k, for A, B and the M_k as `_nonzero_rows`."""
+    terms = [(c, m) for c, m in zip(coeffs, mats) if not c.is_zero]
+    for r in range(len(a)):
+        acc = {}
+        for mid, x in a[r]:
+            for col, y in b[mid]:
+                acc[col] = acc.get(col, ZERO) + x * y
+        for mid, x in b[r]:
+            for col, y in a[mid]:
+                acc[col] = acc.get(col, ZERO) - x * y
+        for c, m in terms:
+            for col, y in m[r]:
+                acc[col] = acc.get(col, ZERO) - c * y
+        if not all(v.is_zero for v in acc.values()):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class LieRep:
-    """Matrices per Lie basis element; the rep property is constructor-checked."""
+    """Matrices per Lie basis element; the rep property is constructor-checked.
+
+    The check compares rho([u_i, u_j]) with [rho(u_i), rho(u_j)] row by row
+    over the nonzero entries of the matrices; no dense product is built.
+    """
 
     lie: LieAlgebra
     mats: tuple
@@ -85,12 +113,11 @@ class LieRep:
     def __post_init__(self):
         if len(self.mats) != self.lie.dim:
             raise ValueError("one matrix per Lie basis element required")
+        rows = [_nonzero_rows(m) for m in self.mats]
         for i in range(self.lie.dim):
             for j in range(i + 1, self.lie.dim):
-                expected = self.rho(self.lie.bracket(
-                    self.lie.basis_vector(i), self.lie.basis_vector(j)
-                ))
-                if expected != self.mats[i].commutator(self.mats[j]):
+                coeffs = self.lie.bracket(self.lie.basis_vector(i), self.lie.basis_vector(j))
+                if not _commutator_is(rows[i], rows[j], coeffs, rows):
                     raise IncompatibleTableError(
                         f"not a representation on "
                         f"({self.lie.labels[i]}, {self.lie.labels[j]})"

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import sys
@@ -709,6 +710,31 @@ def test_a_module_request_checks_its_point_once(argv, checks, monkeypatch):
                      "--dim", "3", "--format", "machine"])
     assert code == 0 and "status = ok" in out
     assert counts == {"is_poisson_maximal": checks, "linearization": 1}
+
+
+def test_classify_linearizes_no_zero_bracket(monkeypatch):
+    """Every pair bracket of abelian(3) is 0, so its 2,197 points are linearized
+    without one `LaurentPoly.linear_part` call, and the report keeps the bytes
+    recorded in the benchmark golden."""
+    from poisson_atlas.poly import LaurentPoly
+
+    calls = []
+    original = LaurentPoly.linear_part
+
+    def counted(self, *args):
+        calls.append(self)
+        return original(self, *args)
+
+    monkeypatch.setattr(LaurentPoly, "linear_part", counted)
+    monkeypatch.chdir(ROOT)
+    code, out = run(["classify", "perfbench/inputs/abelian(3).pa", "--box-num", "4",
+                     "--box-den", "2", "--format", "machine"])
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))
+    recorded = golden["scan"]["requests"]["classify abelian(3) 4/2"]
+    assert (code, recorded["rc"]) == (0, 0)
+    assert hashlib.sha256(f"rc=0\n{out}\0".encode("utf-8")).hexdigest() == recorded["sha256"]
+    assert "ideal.count = 2197" in out.splitlines()
+    assert calls == []
 
 
 def test_module_requests_at_every_sl2_point_solve_no_eigenproblem(monkeypatch):

@@ -293,5 +293,20 @@ def _table(vs, poly):
 # (x - 1/2) + sqrt(-1)(y - 2/3): the rational and the sqrt(-1) parts vanish only at (1/2, 2/3)
 @example(_table(_XY_PLAIN, {(1, 0): 1, (0, 1): Scalar(0, 1, -1),
                             (0, 0): Scalar(Fraction(-1, 2), Fraction(-2, 3), -1)}), 2, 3)
+# the last axis is not walked: its candidates are the roots of one component
+@example(_table(_XY_PLAIN, {(0, 1): 2, (0, 0): -1}), 2, 2)  # linear, root 1/2 in the box
+@example(_table(_XY_PLAIN, {(0, 1): 3, (0, 0): -1}), 3, 2)  # linear, root 1/3 outside it
+# (x + 2)y - 1: the root 1/(x + 2) is in the box for some x only, and x = -2 is pruned
+@example(_table(_XY_PLAIN, {(1, 1): 1, (0, 1): 2, (0, 0): -1}), 3, 3)
+@example(_table(_XY_PLAIN, {(0, 2): 2, (0, 1): 3, (0, 0): -2}), 2, 2)  # (2y - 1)(y + 2)
+@example(_table(_XY_PLAIN, {(0, 2): 1, (0, 0): -2}), 2, 2)  # y^2 - 2: a non-square discriminant
+@example(_table(_XY_PLAIN, {(0, 2): 1, (0, 0): 1}), 2, 2)  # y^2 + 1: a negative discriminant
+@example(_table(_XY_PLAIN, {(0, 3): 1, (0, 1): -1}), 2, 2)  # y^3 - y: 0 besides the roots of y^2 - 1
+# y(y - 1)(2y + 1)(y + 2): 0, then a cubic's roots by the divisor pairs
+@example(_table(_XY_PLAIN, {(0, 4): 2, (0, 3): 3, (0, 2): -3, (0, 1): -2}), 2, 2)
+# (y^3 - y) + sqrt(-1)(y - 1): the linear second component, not the first, gives the candidates
+@example(_table(_XY_PLAIN, {(0, 3): 1, (0, 1): Scalar(-1, 1, -1), (0, 0): Scalar(0, -1, -1)}), 2, 2)
+# x + y on a Laurent y: at x = 0 the component y has the root 0, which is not on the axis
+@example(_table(_XY, {(1, 0): 1, (0, 1): 1}), 2, 2)
 def test_scan_matches_reference_on_small_tables(pres, num, den):
     _assert_same_scan(pres, SearchBox(num, den))

@@ -109,6 +109,48 @@ def test_rep_property_enforced():
         LieRep(sl2, tuple(bad_mats))
 
 
+def _first_failing_pair(lie, mats):
+    """The first (i, j) in order where rho([u_i, u_j]) != [rho(u_i), rho(u_j)],
+    by dense matrix products."""
+    d = mats[0].nrows
+    for i in range(lie.dim):
+        for j in range(i + 1, lie.dim):
+            coeffs = lie.bracket(lie.basis_vector(i), lie.basis_vector(j))
+            expected = Matrix.zeros(d, d)
+            for c, m in zip(coeffs, mats):
+                expected = expected + m.scale(c)
+            if expected != mats[i] * mats[j] - mats[j] * mats[i]:
+                return f"({lie.labels[i]}, {lie.labels[j]})"
+    return None
+
+
+def test_a_perturbed_rep_is_refused_on_the_first_failing_pair():
+    """The sparse bracket check of LieRep names the pair that dense products
+    find first, for a perturbation of each entry of each matrix."""
+    sl2 = LieAlgebra.from_brackets(
+        ("e", "h", "f"),
+        {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1}},
+    )
+    good = sl2_irrep(sl2, 3, find_sl2_triple(sl2))
+    labels = set()
+    for k in range(3):
+        for r in range(3):
+            for c in range(3):
+                bump = [[0] * 3 for _ in range(3)]
+                bump[r][c] = Fraction(1, 2)
+                mats = list(good.mats)
+                mats[k] = mats[k] + Matrix(bump)
+                label = _first_failing_pair(sl2, mats)
+                if label is None:
+                    LieRep(sl2, tuple(mats))
+                    continue
+                with pytest.raises(IncompatibleTableError) as err:
+                    LieRep(sl2, tuple(mats))
+                assert str(err.value) == f"not a representation on {label}"
+                labels.add(label)
+    assert labels == {"(e, h)", "(e, f)", "(h, f)"}
+
+
 def test_lift_and_round_trips(a1_pres):
     origin, lie, triple = a1_setup(a1_pres)
     for d in range(1, 5):
