@@ -42,13 +42,12 @@ from .lie import (
 from .classify import (
     LieRecognition,
     Sl2Triple,
-    SimpleModuleCatalog,
-    classify_simple_modules,
     derived_series,
     find_sl2_triple,
     homogeneity_report,
     is_solvable,
     recognize,
+    recognize_points,
 )
 from .modules import (
     ActionTable,

@@ -36,12 +36,7 @@ from .brackets import (
     bracket,
     verify_poisson_map,
 )
-from .classify import (
-    classify_simple_modules,
-    find_sl2_triple,
-    homogeneity_report,
-    recognize,
-)
+from .classify import find_sl2_triple, homogeneity_report, recognize
 from .errors import AtlasError
 from .ideals import (
     SearchBox,
@@ -799,10 +794,9 @@ def _entry_whitney() -> CatalogEntry:
 
     def catalog_dims(ctx, cfg):
         for point, rec in ctx.tags().items():
-            cat = classify_simple_modules(ctx.lie(point), rec)
             want = 2 if point.values[0].is_zero else 1
-            if cat.character_space_dim != want:
-                return False, f"character space at {point} is {cat.character_space_dim}"
+            if rec.k != want:
+                return False, f"character space at {point} is {rec.k}"
         return True, "character space dim 2 at alpha = 0, else 1"
 
     return _entry(
@@ -1273,8 +1267,7 @@ def _entry_abelian(n: int) -> CatalogEntry:
     def abelian_tag(ctx, cfg):
         pt = ctx.ideals[0].point
         rec = ctx.rec(pt)
-        cat = classify_simple_modules(ctx.lie(pt), rec)
-        ok = rec.tag == "abelian" and cat.character_space_dim == n
+        ok = rec.tag == "abelian" and rec.k == n
         return ok, f"abelian; {n}-parameter family of characters"
 
     def character_formula(ctx, cfg):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ExtensionRequiredError, AtlasError
-from .lie import LieAlgebra, lie_from_point
+from .lie import LieAlgebra, linearization
 from .linalg import (
     IncrementalSpan,
     Matrix,
@@ -69,9 +69,14 @@ def killing_matrix(ads) -> Matrix:
     return Matrix(rows)
 
 
+# the dimensions that name the semisimple Levi factor s: 0, sl2 and sl2 + sl2
+IDENTIFIED_LEVI_DIMS = (0, 3, 6)
+
+
 @dataclass
 class LieRecognition:
-    """The pair (dim s, k) of g, its printed tag, and the witnesses.
+    """The classification of g: the pair (dim s, k), its printed tag, the
+    witnesses, and the simple g-modules it counts.
 
     s = g / rad g is the Levi factor, and k = dim g - dim [g,g] is the
     dimension of rad g / [g, rad g], the characters of g.
@@ -102,6 +107,30 @@ class LieRecognition:
             return f"reductive(s={self.levi_dim}, k={self.k})"
         return self.tag
 
+    def count_in_dimension(self, d: int):
+        """N_s(d) classes, 'continuum' when k > 0, 'undetermined' for an unidentified s.
+
+        N_0(d) is 1 at d = 1 and 0 otherwise, N_sl2(d) = 1, and
+        N_{sl2+sl2}(d) = tau(d), from the modules V_a (x) V_b with ab = d."""
+        if self.levi_dim not in IDENTIFIED_LEVI_DIMS:
+            return "undetermined"
+        tau = sum(1 for a in range(1, d + 1) if d % a == 0)
+        count = {0: int(d == 1), 3: 1, 6: tau}[self.levi_dim]
+        return "continuum" if count and self.k else count
+
+    def simple_modules(self) -> str:
+        """The simple g-modules: those of s, each tensored with k-parameter characters."""
+        k = self.k
+        if self.levi_dim == 0:
+            return f"characters only ({k}-parameter family)"
+        if self.levi_dim == 3:
+            per_d = f"one {k}-parameter family" if k else "one class"
+            return f"{per_d} per dimension d >= 1"
+        if self.levi_dim == 6:
+            per_d = f"tau(d) {k}-parameter families" if k else "tau(d) classes"
+            return f"{per_d} in dimension d >= 1"
+        return f"undetermined (Levi factor of dimension {self.levi_dim})"
+
 
 def recognize(lie: LieAlgebra) -> LieRecognition:
     """The pair (dim s, k) of g = `lie`, with its tag and witnesses.
@@ -124,6 +153,19 @@ def recognize(lie: LieAlgebra) -> LieRecognition:
         return LieRecognition("heisenberg" if heisenberg else "solvable", dims, 0, k)
     tag = "reductive" if (levi_dim, k) != (3, 0) else "sl2_semidirect" if radical else "sl2"
     return LieRecognition(tag, dims, levi_dim, k, tuple(radical))
+
+
+def recognize_points(pres, points):
+    """The recognition of g(J) at each point, in order; points whose
+    linearizations have equal structure constants share one recognition."""
+    names = pres.varset.names
+    by_sc = {}
+    for pt in points:
+        sc = linearization(pres, pt)
+        rec = by_sc.get(sc)
+        if rec is None:
+            rec = by_sc[sc] = recognize(LieAlgebra(names, sc))
+        yield rec
 
 
 @dataclass(frozen=True)
@@ -250,57 +292,6 @@ def _proportionality(vec, ref):
     return c if c is not None else ZERO
 
 
-# the dimensions that name the semisimple Levi factor s: 0, sl2 and sl2 + sl2
-IDENTIFIED_LEVI_DIMS = (0, 3, 6)
-
-
-@dataclass
-class SimpleModuleCatalog:
-    """The finite-dimensional simple modules of g(J): the simple modules of its
-    Levi factor s, each tensored with the characters of g, a k-parameter family."""
-
-    levi_dim: int
-    character_space_dim: int  # k = dim g - dim [g,g]
-    annihilation_dim: int  # dim [g,g]; characters vanish there
-
-    @property
-    def kind(self) -> str:
-        """characters (s = 0), one_per_dimension (s = sl2, k = 0) or reductive."""
-        if self.levi_dim == 0:
-            return "characters"
-        return "reductive" if self.character_space_dim or self.levi_dim != 3 else "one_per_dimension"
-
-    def count_in_dimension(self, d: int):
-        """N_s(d) classes, 'continuum' when k > 0, 'undetermined' for an unidentified s.
-
-        N_0(d) is 1 at d = 1 and 0 otherwise, N_sl2(d) = 1, and
-        N_{sl2+sl2}(d) = tau(d), from the modules V_a (x) V_b with ab = d."""
-        if self.levi_dim not in IDENTIFIED_LEVI_DIMS:
-            return "undetermined"
-        tau = sum(1 for a in range(1, d + 1) if d % a == 0)
-        count = {0: int(d == 1), 3: 1, 6: tau}[self.levi_dim]
-        return "continuum" if count and self.character_space_dim else count
-
-    def describe(self) -> str:
-        k = self.character_space_dim
-        if self.levi_dim == 0:
-            return f"characters only ({k}-parameter family)"
-        if self.levi_dim == 3:
-            per_d = f"one {k}-parameter family" if k else "one class"
-            return f"{per_d} per dimension d >= 1"
-        if self.levi_dim == 6:
-            per_d = f"tau(d) {k}-parameter families" if k else "tau(d) classes"
-            return f"{per_d} in dimension d >= 1"
-        return f"undetermined (Levi factor of dimension {self.levi_dim})"
-
-
-def classify_simple_modules(
-    lie: LieAlgebra, recognition: LieRecognition | None = None
-) -> SimpleModuleCatalog:
-    rec = recognition or recognize(lie)
-    return SimpleModuleCatalog(rec.levi_dim, rec.k, rec.derived_dims[1])
-
-
 @dataclass
 class HomogeneityReport:
     """Simple-module counts per dimension, symbolically in d.
@@ -312,7 +303,6 @@ class HomogeneityReport:
 
     ideals: list
     tags: list
-    relation: object = None
 
     @property
     def unidentified(self) -> list:
@@ -352,9 +342,7 @@ class HomogeneityReport:
         return {"d >= 1": finite}
 
 
-def homogeneity_report(
-    pres, ideals, relation=None, recognitions=None
-) -> HomogeneityReport:
+def homogeneity_report(pres, ideals, relation=None, recognitions=None) -> HomogeneityReport:
     """Count simple Poisson module classes per dimension over the given ideals.
 
     With a relation r, only ideals containing r (r(pt) = 0) are counted, which
@@ -366,7 +354,7 @@ def homogeneity_report(
     """
     kept = [i for i in ideals if relation is None or relation.evaluate(i.point).is_zero]
     if recognitions is None:
-        tags = [recognize(lie_from_point(pres, ideal.point)) for ideal in kept]
+        tags = list(recognize_points(pres, [ideal.point for ideal in kept]))
     else:
         tags = [recognitions[ideal.point] for ideal in kept]
-    return HomogeneityReport(kept, tags, relation)
+    return HomogeneityReport(kept, tags)

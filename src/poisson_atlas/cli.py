@@ -14,15 +14,10 @@ import functools
 import sys
 
 from .catalog import RunConfig, catalog_names, get_entry, run_entry
-from .classify import (
-    classify_simple_modules,
-    find_sl2_triple,
-    homogeneity_report,
-    recognize,
-)
+from .classify import find_sl2_triple, homogeneity_report, recognize, recognize_points
 from .errors import AtlasError, ExtensionRequiredError, ParseError
 from .ideals import SearchBox, find_poisson_maximal, leaf_report
-from .lie import LieAlgebra, lie_from_point, linearization
+from .lie import lie_from_point
 from .modules import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -101,8 +96,8 @@ def _trial_flags(parser):
     parser.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
 
 
-def _box_bound(text: str) -> int:
-    """A box bound: an integer >= 1, else a usage error that names the flag."""
+def _at_least_one(text: str) -> int:
+    """A box bound or a module dimension: an integer >= 1, else a usage error."""
     try:
         value = int(text)
     except ValueError:
@@ -114,8 +109,8 @@ def _box_bound(text: str) -> int:
 
 def _box_flags(parser):
     """The search box of a subcommand that scans for Poisson-maximal points."""
-    parser.add_argument("--box-num", type=_box_bound, default=4, help="box numerator bound")
-    parser.add_argument("--box-den", type=_box_bound, default=2, help="box denominator bound")
+    parser.add_argument("--box-num", type=_at_least_one, default=4, help="box numerator bound")
+    parser.add_argument("--box-den", type=_at_least_one, default=2, help="box denominator bound")
     return parser
 
 
@@ -191,16 +186,6 @@ def cmd_lie(args) -> int:
     return 0
 
 
-def _classification(lie) -> list:
-    """(key, value) report records of a g(J): its recognition and simple modules."""
-    rec = recognize(lie)
-    return [
-        ("recognition", rec.describe()),
-        ("derived_dims", rec.derived_dims),
-        ("simple_modules", classify_simple_modules(lie, rec).describe()),
-    ]
-
-
 def cmd_classify(args) -> int:
     pf, pres = _load_file(args.file)
     report = Report("classify")
@@ -208,13 +193,16 @@ def cmd_classify(args) -> int:
     box = SearchBox(args.box_num, args.box_den, tuple(pf.points))
     ideals = find_poisson_maximal(pres, box)
     report.add("ideal.count", len(ideals))
-    # points with equal structure constants share one verified g(J) and its classification
-    classified = {}
-    for k, ideal in enumerate(ideals, 1):
-        sc = linearization(pres, ideal.point)
-        records = classified.get(sc)
+    lines = {}  # id of a shared recognition -> its report records
+    recs = recognize_points(pres, [ideal.point for ideal in ideals])
+    for k, (ideal, rec) in enumerate(zip(ideals, recs), 1):
+        records = lines.get(id(rec))
         if records is None:
-            records = classified[sc] = _classification(LieAlgebra(pres.varset.names, sc))
+            records = lines[id(rec)] = (
+                ("recognition", rec.describe()),
+                ("derived_dims", str(rec.derived_dims)),
+                ("simple_modules", rec.simple_modules()),
+            )
         report.add(f"ideal.{k}.point", ideal.point)
         for key, value in records:
             report.add(f"ideal.{k}.{key}", value)
@@ -384,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         """A subcommand on the module that `_module_at` builds."""
         p = add(name, fn)
         _point_arg(p)
-        p.add_argument("--dim", type=int, required=True)
+        p.add_argument("--dim", type=_at_least_one, required=True)
         p.add_argument("--character", help="comma-separated scalars for solvable g(J)")
         return p
 

@@ -12,7 +12,6 @@ enforced at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add
 
 from .brackets import PoissonPresentation, SubstitutionMap, bracket
 from .errors import LieStructureError, NotExpressibleError, NotPoissonMaximalError
@@ -239,34 +238,32 @@ def verify_invariance(ip: InvariantPresentation) -> InvarianceReport:
     return InvarianceReport(not failures, failures)
 
 
-def _weights(gens, n):
-    """The weight vectors that prune the product basis: (1, ..., 1) when every
-    generator is homogeneous in total degree, else none."""
-    ones = (1,) * n
-    return [ones] if all(g.degree_wrt(ones) is not None for g in gens) else []
+def _graded(gens) -> bool:
+    """Whether every generator is homogeneous in total degree, so that the
+    total degree prunes the product basis."""
+    return all(g.degree_wrt((1,) * len(g.varset)) is not None for g in gens)
 
 
-def _enumerate_products(gens, bound: int, weights):
+def _enumerate_products(gens, bound: int):
     """All products of >= 2 generators with total degree <= bound.
 
-    Returns (products, degree vectors): a product's vector holds its summed
-    total degree, then its degree under each weight vector, each the sum of
-    its factors' degrees (every generator is homogeneous under every one).
+    Returns (products, degrees): a product's degree is the sum of its factors'
+    total degrees.
     """
-    degs = [(g.total_degree(),) + tuple(g.degree_wrt(w) for w in weights) for g in gens]
-    products, degvecs = [], []
+    degs = [g.total_degree() for g in gens]
+    products, degrees = [], []
 
-    def extend(start, count, poly, degvec):
+    def extend(start, count, poly, deg):
         if count >= 2:
             products.append(poly)
-            degvecs.append(degvec)
+            degrees.append(deg)
         for idx in range(start, len(gens)):
             d = degs[idx]
-            if d[0] is not None and degvec[0] + d[0] <= bound:
-                extend(idx, count + 1, poly * gens[idx], tuple(map(add, degvec, d)))
+            if d is not None and deg + d <= bound:
+                extend(idx, count + 1, poly * gens[idx], deg + d)
 
-    extend(0, 0, LaurentPoly.const(gens[0].varset, 1), (0,) * len(degs[0]))
-    return products, degvecs
+    extend(0, 0, LaurentPoly.const(gens[0].varset, 1), 0)
+    return products, degrees
 
 
 def lie_from_invariants(ip: InvariantPresentation) -> LieAlgebra:
@@ -276,9 +273,9 @@ def lie_from_invariants(ip: InvariantPresentation) -> LieAlgebra:
     generators) exactly over the monomial support, with products of total
     degree up to the largest target or generator.  The generators must stay
     independent modulo those products (J^2), so the linear parts are unique.
-    Every generator is homogeneous under each weight vector from `_weights`;
-    so is every product, and each check needs only the products of its
-    polynomial's degree under the weight vectors it is homogeneous for.
+    When `_graded` finds every generator homogeneous in total degree, so is
+    every product, and each check of a homogeneous polynomial needs only the
+    products of its degree.
     """
     gens = list(ip.generators)
     names = list(ip.generator_names)
@@ -302,13 +299,12 @@ def lie_from_invariants(ip: InvariantPresentation) -> LieAlgebra:
     if not targets:
         return LieAlgebra(names, sc)
     bound = max(p.total_degree() or 0 for p in list(targets.values()) + gens)
-    weights = _weights(gens, len(varset))
-    products, degvecs = _enumerate_products(gens, bound, weights)
+    ones = (1,) * len(varset) if _graded(gens) else None
+    products, degrees = _enumerate_products(gens, bound)
 
-    def pruned(poly, total):  # the products of poly's degree under each weight it has one for
-        degs = [poly.degree_wrt(w) for w in weights]
-        return tuple(k for k, (ptotal, *pds) in enumerate(degvecs) if ptotal <= total and all(
-            d is None or pd == d for pd, d in zip(pds, degs)))
+    def pruned(poly, total):  # the products up to total, of poly's degree if it has one
+        d = None if ones is None else poly.degree_wrt(ones)
+        return tuple(k for k, deg in enumerate(degrees) if deg <= total and d in (None, deg))
 
     classes = {}  # a dependency modulo J^2 holds among generators of equal degrees
     for g in gens:

@@ -224,23 +224,11 @@ def rank(rows) -> int:
     return len(rref(rows)[1])
 
 
-def solve_and_kernel(matrix, rhs):
-    """(one exact solution of M x = b or None, kernel basis of M) from one rref."""
-    if not matrix:
-        return (() if all(Scalar.coerce(v).is_zero for v in rhs) else None), []
-    ncols = len(matrix[0])
-    reduced, pivots = rref([list(row) + [b] for row, b in zip(matrix, rhs)])
-    if pivots and pivots[-1] == ncols:  # a pivot in b: inconsistent
-        return None, _kernel(reduced, pivots[:-1], ncols)
-    solution = [ZERO] * ncols
-    for row, c in zip(reduced, pivots):
-        solution[c] = row[-1]
-    return tuple(solution), _kernel(reduced, pivots, ncols)
-
-
 def solve_linear(matrix, rhs):
-    """One exact solution of M x = b, or None if inconsistent."""
-    return solve_and_kernel(matrix, rhs)[0]
+    """One exact solution of M x = b, its free coordinates 0, or None if
+    inconsistent: the coordinates of b on the columns of M."""
+    coords = coordinates(list(zip(*matrix)), [rhs])
+    return None if coords is None else coords[0]
 
 
 def kernel_basis(matrix):

@@ -570,6 +570,9 @@ def solvable_character_module(
     beta must vanish on [g(J), g(J)]; that is exactly the character condition.
     """
     beta = tuple(Scalar.coerce(b) for b in beta)
+    if len(beta) != len(pres.varset):
+        raise AtlasError(f"a character takes {len(pres.varset)} values, one per generator, "
+                         f"not {len(beta)}")
     lie = lie_from_point(pres, pt)
     for w in derived_subalgebra(lie):
         value = sum((b * c for b, c in zip(beta, w)), ZERO)

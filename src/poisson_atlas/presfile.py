@@ -34,8 +34,6 @@ from .errors import LaurentViolationError, ParseError
 from .poly import LaurentPoly, PointP, VarSet, report_coeff, signed_sum, term_text
 from .scalars import Scalar, format_scalar
 
-_SYMBOLS = ("->", ",", ";", "(", ")", "{", "}", "[", "]", "=", "+", "-", "*", "/", "^")
-
 
 @dataclass
 class _Token:

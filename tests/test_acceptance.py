@@ -22,7 +22,6 @@ from poisson_atlas import (
     VarSet,
     analyze_submodules,
     catalog_names,
-    classify_simple_modules,
     composition_series,
     find_poisson_maximal,
     find_sl2_triple,
@@ -189,8 +188,7 @@ def test_criterion_5_kleinian_family():
         lie = lie_from_point(pres, ideals[0].point)
         rec = recognize(lie)
         ok = ok and rec.tag == "solvable"
-        cat = classify_simple_modules(lie, rec)
-        ok = ok and cat.kind == "characters"
+        ok = ok and rec.is_solvable_type
     # restriction: the d-dim B^pi2 module splits into d one-dimensional modules
     a1_entry, a1 = entry_pres("kleinian-a1")
     emb, sub = a1_entry.embeds["pi4"]

@@ -13,7 +13,6 @@ from poisson_atlas import (
     SearchBox,
     Table,
     VarSet,
-    classify_simple_modules,
     derived_series,
     find_poisson_maximal,
     find_sl2_triple,
@@ -235,20 +234,20 @@ def test_triple_rejected_for_solvable():
 
 
 def test_classify_simple_modules():
-    cat = classify_simple_modules(SL2)
-    assert cat.kind == "one_per_dimension"
-    assert cat.count_in_dimension(1) == 1 and cat.count_in_dimension(9) == 1
+    rec = recognize(SL2)
+    assert rec.is_sl2_type
+    assert rec.count_in_dimension(1) == 1 and rec.count_in_dimension(9) == 1
 
-    cat1 = classify_simple_modules(whitney_lie(1))
-    assert cat1.kind == "characters"
-    assert cat1.character_space_dim == 1
-    assert cat1.annihilation_dim == 2
-    assert cat1.count_in_dimension(1) == "continuum"
-    assert cat1.count_in_dimension(2) == 0
+    rec1 = recognize(whitney_lie(1))
+    assert rec1.is_solvable_type
+    assert rec1.k == 1
+    assert rec1.derived_dims[1] == 2
+    assert rec1.count_in_dimension(1) == "continuum"
+    assert rec1.count_in_dimension(2) == 0
 
-    cat0 = classify_simple_modules(whitney_lie(0))
-    assert cat0.character_space_dim == 2
-    assert cat0.annihilation_dim == 1
+    rec0 = recognize(whitney_lie(0))
+    assert rec0.k == 2
+    assert rec0.derived_dims[1] == 1
 
 
 def test_classify_sl2_plus_sl2_counts_divisors():
@@ -257,8 +256,7 @@ def test_classify_sl2_plus_sl2_counts_divisors():
     rec = recognize(double)
     assert (rec.levi_dim, rec.k) == (6, 0)
     assert rec.describe() == "reductive(s=6, k=0)"
-    cat = classify_simple_modules(double, rec)
-    assert [cat.count_in_dimension(d) for d in (1, 4, 6)] == [1, 3, 4]
+    assert [rec.count_in_dimension(d) for d in (1, 4, 6)] == [1, 3, 4]
     with pytest.raises(AtlasError):
         find_sl2_triple(double, rec)
 
@@ -267,7 +265,7 @@ def test_an_unidentified_levi_factor_is_undetermined():
     triple = sl2_sum(3)
     rec = recognize(triple)
     assert rec.describe() == "reductive(s=9, k=0)"
-    assert classify_simple_modules(triple, rec).count_in_dimension(2) == "undetermined"
+    assert rec.count_in_dimension(2) == "undetermined"
     report = HomogeneityReport([None], [rec])
     assert report.is_homogeneous is None
     assert report.verdict == "undetermined (unidentified Levi factor of dimension 9)"

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from poisson_atlas.catalog import catalog_names
-from poisson_atlas.classify import classify_simple_modules, recognize
+from poisson_atlas.classify import recognize
 from poisson_atlas.cli import HEADER, build_parser, main
 from poisson_atlas.errors import ParseError
 from poisson_atlas.ideals import SearchBox, find_poisson_maximal
@@ -396,6 +396,35 @@ def test_box_bounds_below_1_are_usage_errors(command, torus_file):
         assert f"argument {flag}: expected an integer >= 1, got '0'" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["module", "verify", "twist", "restrict"])
+def test_module_dims_below_1_are_usage_errors(command):
+    """A module dimension of 0 or below is refused by the argument parser, as
+    a box bound is, and never reaches the module builder as a traceback."""
+    import subprocess, sys
+
+    name, extra = ("kleinian-a1", ["--embed", "pi4"]) if command == "restrict" else (
+        "torus-so3", ["--auto", "theta_x"] if command == "twist" else [])
+    for dim in ("0", "-1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "poisson_atlas", command, str(INPUTS / f"{name}.pa"),
+             *extra, "--point", "(0, 0, 0)", "--dim", dim],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"argument --dim: expected an integer >= 1, got '{dim}'" in proc.stderr
+
+
+def test_a_character_of_the_wrong_length_is_an_error(capsys):
+    """whitney has three generators, so a character takes three values; two
+    or four are refused with both counts named, not a traceback."""
+    for character, given in (("5,0", 2), ("5,0,0,7", 4)):
+        code, out = run(["module", str(INPUTS / "whitney.pa"), "--point", "(1, 0, 0)",
+                         "--dim", "1", "--character", character])
+        assert (code, out) == (1, "")
+        assert f"takes 3 values, one per generator, not {given}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "case", [c for c in PINNED if c["argv"][0] in ("restrict", "twist")],
     ids=lambda c: f"{c['argv'][0]}-{c['argv'][3]}-d{c['argv'][7]}",
@@ -463,7 +492,7 @@ def _classify_reference(path, num, den):
         lines += [f"ideal.{k}.point = {ideal.point}",
                   f"ideal.{k}.recognition = {rec.describe()}",
                   f"ideal.{k}.derived_dims = {rec.derived_dims}",
-                  f"ideal.{k}.simple_modules = {classify_simple_modules(lie, rec).describe()}"]
+                  f"ideal.{k}.simple_modules = {rec.simple_modules()}"]
     return "\n".join(lines + ["status = ok"]) + "\n"
 
 
@@ -669,14 +698,15 @@ def test_restrict_along_a_grading_off_the_basis_takes_the_eigen_route(monkeypatc
 
 
 def _count_calls(monkeypatch, *names):
-    """Counters of calls to the named `ideals`/`lie` functions, through every
-    poisson_atlas module that binds them."""
+    """Counters of calls to the named `ideals`/`lie`/`classify` functions,
+    through every poisson_atlas module that binds them."""
+    import poisson_atlas.classify as classify
     import poisson_atlas.ideals as ideals
     import poisson_atlas.lie as lie
 
     counts = dict.fromkeys(names, 0)
     for name in names:
-        original = getattr(ideals, name, None) or getattr(lie, name)
+        original = next(getattr(m, name) for m in (ideals, lie, classify) if hasattr(m, name))
 
         def counted(*args, name=name, original=original):
             counts[name] += 1
@@ -752,3 +782,26 @@ def test_module_requests_at_every_sl2_point_solve_no_eigenproblem(monkeypatch):
                 code, out = run([command, str(INPUTS / f"{name}.pa"), "--point", point,
                                  "--dim", dim, "--format", "machine"])
                 assert code == 0 and "status = ok" in out, (command, name, point, dim)
+
+
+def test_a_box_with_one_g_recognizes_it_once(monkeypatch):
+    """g(J) is abelian at all 2,197 points of abelian(3) in the 4/2 box: one
+    recognition serves every point, and the report keeps its recorded bytes."""
+    counts = _count_calls(monkeypatch, "recognize")
+    monkeypatch.chdir(ROOT)
+    code, out = run(["homogeneity", "perfbench/inputs/abelian(3).pa", "--box-num", "4",
+                     "--box-den", "2", "--format", "machine"])
+    assert code == 0 and "ideals.considered = 2197" in out.splitlines()
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "968e84aee716a42aab9fed084a2c587248efa1d8bf05d4da603e3580b63a9140")
+    assert counts == {"recognize": 1}
+
+
+@pytest.mark.parametrize("command", ["classify", "homogeneity"])
+def test_distinct_g_are_each_recognized(command, monkeypatch):
+    """The five sl2 points of torus-so3 have five different linearizations,
+    so each is recognized on its own."""
+    counts = _count_calls(monkeypatch, "recognize")
+    code, out = run([command, str(INPUTS / "torus-so3.pa"), "--format", "machine"])
+    assert code == 0 and out.count("sl2") == 5
+    assert counts == {"recognize": 5}
