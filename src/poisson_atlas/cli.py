@@ -30,7 +30,6 @@ from .modules import (
     twist,
     verify_poisson_axioms,
 )
-from .poly import PointP
 from .presfile import _Parser, lincomb_text, parse_presentation, serialize_presentation
 from .scalars import Scalar
 
@@ -70,15 +69,18 @@ def _load_file(path: str):
     return pf, pf.presentation(name=path)
 
 
-def _parse_point(pf, text: str) -> PointP:
-    parser = _Parser(text.strip())
-    point = parser.parse_point(pf.varset, pf.bound)
-    return point
-
-
-def _parse_expr(pf, text: str):
-    parser = _Parser(text.strip())
-    return parser.parse_expr(pf.varset, pf.bound)
+def _flag_value(pf, flag: str, text: str, read):
+    """read(parser, varset, names) on the whole text of a flag, with the file's
+    parser and names; an error names the flag and a column of its text."""
+    try:
+        parser = _Parser(text)
+        value = read(parser, pf.varset, pf.bound)
+        tok = parser.peek()
+        if tok.kind != "eof":
+            raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+    except ParseError as exc:
+        raise ParseError(f"{flag}, col {exc.column}: {exc.message}") from None
+    return value
 
 
 def _matrix_text(m) -> str:
@@ -117,10 +119,13 @@ def _box_flags(parser):
 def _module_at(pf, pres, args):
     """(point, module, recognition): the canonical simple module of dimension
     `--dim` at `--point`, a `--character` for solvable g(J).  Where the Levi
-    factor is sl2, the radical acts by zero, a simple module for every k."""
-    point = _parse_point(pf, args.point)
+    factor is sl2, the radical acts by zero, a simple module for every k, and
+    a `--character` is refused."""
+    point = _flag_value(pf, "--point", args.point, _Parser.parse_point)
     lie = lie_from_point(pres, point)
     rec = recognize(lie)
+    if rec.levi_dim and args.character is not None:
+        raise ParseError(f"--character needs a solvable g(J), and g(J) is {rec.describe()}")
     if rec.levi_dim == 3:
         rep = sl2_irrep(lie, args.dim, find_sl2_triple(lie, rec), rec.radical_basis)
         return point, lift_module(pres, point, rep), rec
@@ -135,8 +140,7 @@ def _module_at(pf, pres, args):
     if args.character is None:
         beta = [Scalar(0)] * len(pres.varset)
     else:
-        beta = [Scalar.coerce(_parse_expr(pf, c).constant_value())
-                for c in args.character.split(",")]
+        beta = _flag_value(pf, "--character", args.character, _Parser.scalar_list)
     return point, solvable_character_module(pres, point, beta), rec
 
 
@@ -172,7 +176,7 @@ def cmd_leaves(args) -> int:
 
 def cmd_lie(args) -> int:
     pf, pres = _load_file(args.file)
-    point = _parse_point(pf, args.point)
+    point = _flag_value(pf, "--point", args.point, _Parser.parse_point)
     lie = lie_from_point(pres, point)
     report = Report("lie")
     report.add("point", point)
@@ -294,7 +298,8 @@ def cmd_homogeneity(args) -> int:
     report.add("file", args.file)
     box = SearchBox(args.box_num, args.box_den, tuple(pf.points))
     ideals = find_poisson_maximal(pres, box)
-    relation = _parse_expr(pf, args.relation) if args.relation else None
+    relation = (_flag_value(pf, "--relation", args.relation, _Parser.parse_expr)
+                if args.relation else None)
     rep = homogeneity_report(pres, ideals, relation)
     if args.relation:
         report.add("relation", args.relation)

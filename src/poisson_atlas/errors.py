@@ -41,8 +41,7 @@ class ParseError(AtlasError):
     """Presentation file syntax or semantic error, with location."""
 
     def __init__(self, message, line=None, column=None):
-        self.line = line
-        self.column = column
+        self.message, self.line, self.column = message, line, column
         if line is not None:
             message = f"line {line}, col {column}: {message}"
         super().__init__(message)

@@ -9,12 +9,11 @@ walked one coordinate at a time: the next value p/q is substituted
 homogeneously (a term c*x^e becomes c*p^e*q^(top-e), a nonzero multiple of
 the exact value), and a branch is dropped as soon as some component becomes
 a nonzero constant, so the work follows the surviving partial points rather
-than the full grid.  The last coordinate is not walked: its candidates are
-the rational roots of one univariate component, read off its coefficients
-(a linear root, a quadratic's roots by an integer square-root test, or the
-rational root theorem's divisor pairs) and looked up among the box values.
-The scan does integer arithmetic only, and it is sound and complete within
-the box; completeness is never claimed beyond it.
+than the full grid.  On the last coordinate the values substituted are not
+the whole axis but the rational roots in the box of one univariate
+component, from `intpoly.rational_roots`.  The scan does integer arithmetic
+only, and it is sound and complete within the box; completeness is never
+claimed beyond it.
 """
 
 from __future__ import annotations
@@ -23,9 +22,10 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .brackets import Exact, PoissonPresentation, Scaled
+from .intpoly import rational_roots
 from .poly import LaurentPoly, PointP
 from .scalars import Scalar, common_domain
 
@@ -132,62 +132,26 @@ def _fold_first(components, v):
     return out
 
 
-def _divisors(n, bound):
-    """The positive divisors of n up to bound."""
-    return [d for d in range(1, min(abs(n), bound) + 1) if not n % d]
-
-
-def _last_axis_zeros(components, axis, positions, box):
-    """The values of the last axis at which every univariate component vanishes.
-
-    Each component is t^low * r(t) with r(0) != 0.  The candidates come from
-    the component whose r has least degree, without a walk of the axis: 0
-    when low > 0, and the nonzero rational roots of r.  A linear r has one,
-    a quadratic r those its discriminant gives when it is a square, and
-    otherwise a root p/q in lowest terms has p | r(0) and q | (r's leading
-    coefficient) by the rational root theorem.  Candidates are looked up in
-    `positions`, (p, q) -> index of p/q on the axis, so values outside the
-    box drop out; each one left is tested exactly against every component,
-    in grid order.
-    """
-    least = min((terms for terms, _ in components), key=lambda t: max(t)[0] - min(t)[0])
-    (low,), (high,) = min(least), max(least)
-    degree, c0, c1 = high - low, least[(low,)], least[(high,)]
-    keys = [(0, 1)] if low else []
-    if degree == 1:
-        keys.append(Fraction(-c0, c1).as_integer_ratio())
-    elif degree == 2:
-        b = least.get((low + 1,), 0)
-        disc = b * b - 4 * c0 * c1
-        root = isqrt(disc) if disc >= 0 else -1
-        if root * root == disc:
-            keys += [Fraction(-b + s * root, 2 * c1).as_integer_ratio() for s in (-1, 1)]
-    elif degree > 2:
-        keys += [(s * p, q) for p in _divisors(c0, box.num) for q in _divisors(c1, box.den)
-                 for s in (1, -1)]
-    for i in sorted({positions[k] for k in keys if k in positions}):
-        factors = axis[i][3]
-        if all(
-            not sum(c * factors[top][e] for (e,), c in terms.items())
-            for terms, (top,) in components
-        ):
-            yield axis[i]
-
-
 def _common_zeros(components, axes, positions, box, prefix=()):
-    """Every completion of prefix over axes at which all components vanish, in grid order."""
+    """Every completion of prefix over axes at which all components vanish, in grid order.
+
+    On the last axis the components left are univariate (a nonzero constant
+    was pruned above), so only the rational roots in the box of the one of
+    least degree are tried, found in `positions`, (p, q) -> index on the axis.
+    """
     if not components:
         yield from (prefix + rest for rest in itertools.product(*axes))
-    elif len(axes) == 1:
-        # a component left over is univariate: a nonzero constant was pruned above
-        yield from (
-            prefix + (v,) for v in _last_axis_zeros(components, axes[0], positions, box)
-        )
-    else:
-        for v in axes[0]:
-            folded = _fold_first(components, v)
-            if folded is not None:
-                yield from _common_zeros(folded, axes[1:], positions, box, prefix + (v,))
+        return
+    values = axes[0]
+    if len(axes) == 1:
+        least = min((terms for terms, _ in components), key=lambda t: max(t)[0] - min(t)[0])
+        f = [least.get((e,), 0) for e in range(max(least)[0], -1, -1)]
+        roots = rational_roots(f, box.num, box.den)
+        values = [values[i] for i in sorted(positions[r] for r in roots if r in positions)]
+    for v in values:
+        folded = _fold_first(components, v)
+        if folded is not None:
+            yield from _common_zeros(folded, axes[1:], positions, box, prefix + (v,))
 
 
 def find_poisson_maximal(pres: PoissonPresentation, box: SearchBox = SearchBox()):
@@ -196,12 +160,11 @@ def find_poisson_maximal(pres: PoissonPresentation, box: SearchBox = SearchBox()
     Every pair bracket is split into integer component polynomials and the
     box is searched by nested partial evaluation: each coordinate p/q is
     substituted homogeneously (integers only, no Fractions), and a branch is
-    pruned once a component is a nonzero constant.  The last coordinate is
-    not walked: `_last_axis_zeros` reads candidates off one component's
-    coefficients and finds them in a (p, q) -> position dict of the last
-    axis, built once per call.  Explicit candidates, which may lie over
-    Q(sqrt d), are tested exactly.  Sound and complete within the box;
-    deterministically ordered by coordinates.
+    pruned once a component is a nonzero constant.  On the last coordinate
+    only the rational roots of one component are substituted, found in a
+    (p, q) -> position dict of the last axis built once per call.  Explicit
+    candidates, which may lie over Q(sqrt d), are tested exactly.  Sound and
+    complete within the box; deterministically ordered by coordinates.
     """
     components = [
         comp for poly in pres.pair_table().values() for comp in _integer_components(poly)

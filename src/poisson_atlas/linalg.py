@@ -11,12 +11,13 @@ only the columns where the pivot row is nonzero.  The subspace routines are
 an IncrementalSpan) and `relation_test` (whether coefficients combine some
 vectors to zero, read on a column basis of them).  eigen_small factors
 characteristic polynomials over Q plus at most one quadratic extension,
-reporting the discriminant it had to introduce; its root search is bounded by
-the matrix's row-sum norm, so it has no dimension cap.  Two weight routes feed
-the submodule analysis in `modules`: `weight_graph` reads the unit vectors as
-weight vectors when some combination of the matrices is diagonal with
-distinct entries (one kernel solve, then zero tests only), and `_weight_seeds`
-takes the eigenvectors of an action matrix with one-dimensional eigenspaces
+reporting the discriminant it had to introduce; it takes the rational roots
+and quadratic factors from `intpoly`, searched up to the matrix's row-sum
+norm, so it has no dimension cap.  Two weight routes feed the submodule
+analysis in `modules`: `weight_graph` reads the unit vectors as weight
+vectors when some combination of the matrices is diagonal with distinct
+entries (one kernel solve, then zero tests only), and `_weight_seeds` takes
+the eigenvectors of an action matrix with one-dimensional eigenspaces
 (MeatAxe's vector closures start from them); `associative_hull_is_full` is the
 density criterion, itself a closure, for a module with neither.
 """
@@ -24,9 +25,12 @@ density criterion, itself a closure, for a module with neither.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from .errors import AtlasError, ExtensionRequiredError, ScalarDomainError
+from .intpoly import (
+    divide, evaluate, mul, quadratic_factors, rational_roots, root_bound, root_scale,
+)
 from .scalars import Scalar, ZERO, ONE, scalar_sqrt, common_domain
 
 
@@ -390,79 +394,6 @@ def charpoly(m: Matrix):
     return coeffs
 
 
-def _poly_eval(coeffs, x):
-    """Horner's rule, on Scalars or on ints."""
-    total = coeffs[0]
-    for c in coeffs[1:]:
-        total = total * x + c
-    return total
-
-
-def _divide(f, g):
-    """(quotient, remainder) of f by a monic g, coefficients leading first
-    (ints, Fractions or Scalars)."""
-    f = list(f)
-    k = max(len(f) - len(g) + 1, 0)
-    for i in range(k):
-        c = f[i]
-        if c:
-            for j in range(1, len(g)):
-                f[i + j] -= c * g[j]
-    return f[:k], f[k:]
-
-
-def _squarefree(f):
-    """f / gcd(f, f') for a monic integer f: the same roots, each once."""
-    n = len(f) - 1
-    a = [Fraction(c) for c in f]
-    b = [Fraction(c * (n - i)) for i, c in enumerate(f[:-1])]
-    while b:  # Euclid over Q, each divisor made monic
-        b = [c / b[0] for c in b]
-        a, b = b, _divide(a, b)[1]
-        while b and not b[0]:
-            b.pop(0)
-    return [int(c) for c in _divide(f, a)[0]]
-
-
-def _integer_roots(f, bound: int):
-    """(roots with multiplicity, rest) for a monic integer f whose roots all
-    have absolute value at most `bound`: only divisors p <= bound of the
-    constant term are tried."""
-    roots = []
-    while len(f) > 1 and f[-1] == 0:
-        roots.append(0)
-        f = f[:-1]
-    p = 1
-    while len(f) > 1 and p <= min(bound, abs(f[-1])):
-        if f[-1] % p == 0:
-            for r in (p, -p):
-                while len(f) > 1 and _poly_eval(f, r) == 0:
-                    roots.append(r)
-                    f = _divide(f, (1, -r))[0]
-        p += 1
-    return roots, f
-
-
-def _quadratic_factor(f, bound: int):
-    """A monic quadratic t^2 + b t + c dividing a monic integer f of degree
-    >= 2 with no integer root, or None.  Its roots have absolute value at most
-    `bound`, so |b| <= 2 bound and 0 < |c| <= bound^2, c divides f(0), and
-    its values at 1 and -1 divide f(1) and f(-1)."""
-    if len(f) == 3:
-        return f
-    f0, f1, f_1 = f[-1], _poly_eval(f, 1), _poly_eval(f, -1)
-    for size in range(1, min(bound * bound, abs(f0)) + 1):
-        if f0 % size:
-            continue
-        for c in (size, -size):
-            for b in range(-2 * bound, 2 * bound + 1):
-                at1, at_1 = 1 + b + c, 1 - b + c
-                if at1 and at_1 and not f1 % at1 and not f_1 % at_1:
-                    if not any(_divide(f, (1, b, c))[1]):
-                        return [1, b, c]
-    return None
-
-
 class EigenResult:
     """Exact eigenvalues with multiplicities and eigenvectors."""
 
@@ -477,26 +408,6 @@ class EigenResult:
         return out
 
 
-def _roots_by_quadratic_factors(f, bound: int):
-    """Every root of a monic integer f whose roots lie within `bound`: its
-    integer roots, then the roots of the quadratic factors of its squarefree
-    rest.  Raises ExtensionRequiredError when an irreducible factor of degree
-    above 2 remains."""
-    roots, rest = _integer_roots(f, bound)
-    roots = [Scalar(r) for r in roots]
-    if len(rest) > 1:
-        rest = _squarefree(rest)
-    while len(rest) > 1:
-        quadratic = _quadratic_factor(rest, bound)
-        if quadratic is None:
-            raise ExtensionRequiredError("extension beyond quadratic required")
-        _, b, c = quadratic
-        root = scalar_sqrt(b * b - 4 * c)
-        roots += [(root - b) / 2, (-root - b) / 2]
-        rest = _divide(rest, quadratic)[0]
-    return roots
-
-
 def _spectral_bound(m: Matrix) -> int:
     """An integer bound on the row-sum norm of a matrix over Q or Q(sqrt d): no
     eigenvalue of it or of its conjugate is larger in absolute value, as
@@ -509,60 +420,38 @@ def _spectral_bound(m: Matrix) -> int:
     )
 
 
-def _root_bound(f) -> int:
-    """Fujiwara's bound 2 max |f_i|^(1/i) on the roots of a monic integer f,
-    each |f_i|^(1/i) rounded up to a power of 2."""
-    return 2 * max(
-        (1 << -(-abs(c).bit_length() // i) for i, c in enumerate(f[1:], 1) if c), default=0
-    )
-
-
-def _root_scale(denominators) -> int:
-    """A k > 0 with k^i c_i integral for every i, given the denominators of
-    the coefficients c_i of a monic rational polynomial, c_0 = 1 leading: the
-    least one when no denominator has a prime factor above 1000, whose
-    exponents are then read off; a larger factor is taken whole."""
-    exponents = {}  # prime -> least exponent in k
-    rest = 1
-    for i, g in enumerate(denominators[1:], 1):
-        p = 2
-        while g > 1 and p < 1000:
-            e = 0
-            while g % p == 0:
-                g //= p
-                e += 1
-            if e:
-                exponents[p] = max(exponents.get(p, 0), -(-e // i))
-            p += 1
-        rest = lcm(rest, g)
-    for p, e in exponents.items():
-        rest *= p**e
-    return rest
-
-
 def eigen_small(m: Matrix) -> EigenResult:
     """Exact eigendecomposition over Q or one Q(sqrt d).
 
     The characteristic polynomial (for entries in Q(sqrt d), its product with
     its conjugate, which is rational) has its roots scaled by the integer k of
-    `_root_scale`, so that it becomes monic with integer coefficients; its
-    roots are then searched up to k times the row-sum bound of
-    `_spectral_bound`, or up to the polynomial's own `_root_bound` where that
-    is smaller, and each root's multiplicity is read off the characteristic
-    polynomial.  Raises ExtensionRequiredError when the
-    spectrum does not fit in a single quadratic extension.
+    `intpoly.root_scale`, so that it becomes monic with integer coefficients.
+    Its rational roots and then its monic quadratic factors are searched up to
+    k times the row-sum bound of `_spectral_bound`, or up to the polynomial's
+    own `root_bound` where that is smaller, and each root's multiplicity is
+    read off the characteristic polynomial.  Raises ExtensionRequiredError
+    when the spectrum does not fit in a single quadratic extension.
     """
     n = m.nrows
     if n != m.ncols:
         raise ValueError("eigen_small needs a square matrix")
     entry_d = common_domain(m.flat())
     cp = charpoly(m)
-    rational = cp if entry_d == 0 else _poly_mul(cp, [c.conj() for c in cp])
-    scale = _root_scale([c.q for c in rational])
+    rational = cp if entry_d == 0 else mul(cp, [c.conj() for c in cp])
+    scale = root_scale([c.q for c in rational])
     monic = [c.n * scale**i // c.q for i, c in enumerate(rational)]
-    candidates = _roots_by_quadratic_factors(
-        monic, min(scale * _spectral_bound(m), _root_bound(monic))
-    )
+    bound = min(scale * _spectral_bound(m), root_bound(monic))
+    rest, candidates = monic, []
+    for p, _ in rational_roots(monic, bound, 1):
+        candidates.append(Scalar(p))
+        while not evaluate(rest, p):  # taken out as often as it divides
+            rest = divide(rest, (1, -p))[0]
+    factors, rest = quadratic_factors(rest, bound)
+    if len(rest) > 1:
+        raise ExtensionRequiredError("extension beyond quadratic required")
+    for _, b, c in factors:
+        root = scalar_sqrt(b * b - 4 * c)
+        candidates += [(root - b) / 2, (-root - b) / 2]
     try:
         common_domain(candidates + [Scalar(0, 1, entry_d) if entry_d else ZERO])
     except ScalarDomainError:
@@ -570,9 +459,9 @@ def eigen_small(m: Matrix) -> EigenResult:
     grouped = {}
     work = cp
     for value in dict.fromkeys(c / scale for c in candidates):  # distinct, in order
-        while len(work) > 1 and _poly_eval(work, value).is_zero:
+        while len(work) > 1 and evaluate(work, value).is_zero:
             grouped[value] = grouped.get(value, 0) + 1
-            work = _divide(work, (ONE, -value))[0]
+            work = divide(work, (ONE, -value))[0]
     if len(work) > 1:
         raise ExtensionRequiredError("extension beyond quadratic required")
     pairs = []
@@ -582,14 +471,6 @@ def eigen_small(m: Matrix) -> EigenResult:
         pairs.append((value, grouped[value], vectors))
     disc = common_domain([v for v, _, _ in pairs])
     return EigenResult(pairs, disc)
-
-
-def _poly_mul(p, q):
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
 
 
 def reachable(graph, start: int) -> frozenset:

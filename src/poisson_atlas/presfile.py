@@ -327,12 +327,16 @@ class _Parser:
         tok = self.peek()
         raise ParseError(f"unknown bracket kind {kind!r}", tok.line, tok.col)
 
-    def parse_point(self, varset, env) -> PointP:
-        self.expect("(")
+    def scalar_list(self, varset, env) -> list:
         values = [self.scalar_expr(varset, env)]
         while self.at(","):
             self.next()
             values.append(self.scalar_expr(varset, env))
+        return values
+
+    def parse_point(self, varset, env) -> PointP:
+        self.expect("(")
+        values = self.scalar_list(varset, env)
         tok = self.expect(")")
         try:
             return PointP(varset, values)

@@ -425,6 +425,44 @@ def test_a_character_of_the_wrong_length_is_an_error(capsys):
         assert f"takes 3 values, one per generator, not {given}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["homogeneity", "weyl-a2", "--relation", "x"],
+     "parse error: --relation, col 1: unknown variable 'x'"),
+    (["homogeneity", "weyl-a2", "--relation", "a1 a1"],
+     "parse error: --relation, col 4: unexpected token 'a1'"),
+    (["module", "torus-so3", "--point", "(2,2,q)", "--dim", "2"],
+     "parse error: --point, col 6: unknown variable 'q'"),
+    (["lie", "torus-so3", "--point", " (2, 2, 2"],
+     "parse error: --point, col 10: expected ')', found ''"),
+    (["module", "whitney", "--point", "(1, 0, 0)", "--dim", "1", "--character", "1,q,3"],
+     "parse error: --character, col 3: unknown variable 'q'"),
+    (["module", "whitney", "--point", "(1, 0, 0)", "--dim", "1", "--character", "1, x, 3"],
+     "parse error: --character, col 4: expected a scalar value"),
+], ids=["relation", "relation-trailing", "point", "point-unclosed", "character",
+        "character-not-scalar"])
+def test_a_flag_value_error_names_the_flag(argv, message, capsys):
+    """A flag's text is parsed with the file's parser, but its errors name the
+    flag and a column of the flag's text, not a line of the file."""
+    argv = [argv[0], str(INPUTS / f"{argv[1]}.pa"), *argv[2:]]
+    assert run(argv) == (2, "")
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_a_character_is_refused_where_the_levi_factor_is_nonzero(tmp_path, capsys):
+    """A character is a module of a solvable g(J) only; at an sl2 point, or
+    one with another Levi factor, the flag is refused with exit 2, not ignored."""
+    argv = ["module", str(INPUTS / "torus-so3.pa"), "--point", "(2,2,2)", "--dim", "2",
+            "--character", "1,2,3"]
+    assert run(argv) == (2, "")
+    assert capsys.readouterr().err == (
+        "parse error: --character needs a solvable g(J), and g(J) is sl2\n")
+    path = _write(tmp_path, "sl2sl2.pat", SL2_SL2)
+    code, out = run(["module", path, "--point", "(0,0,0,0,0,0)", "--dim", "1",
+                     "--character", "0,0,0,0,0,0"])
+    assert (code, out) == (2, "")
+    assert "--character needs a solvable g(J)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "case", [c for c in PINNED if c["argv"][0] in ("restrict", "twist")],
     ids=lambda c: f"{c['argv'][0]}-{c['argv'][3]}-d{c['argv'][7]}",
