@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ExtensionRequiredError, AtlasError
-from .lie import LieAlgebra, linearization
+from .lie import LieAlgebra, linearization, pair_gradients
 from .linalg import (
     IncrementalSpan,
     Matrix,
@@ -156,15 +156,17 @@ def recognize(lie: LieAlgebra) -> LieRecognition:
 
 
 def recognize_points(pres, points):
-    """The recognition of g(J) at each point, in order; points whose
-    linearizations have equal structure constants share one recognition."""
+    """The recognition of g(J) at each point, in order.  Points are keyed by
+    the gradients of the nonzero pair brackets (`pair_gradients`), which are
+    exactly what `linearization` writes into the structure constants, so two
+    keys are equal iff the two g(J) are; only a new key builds its algebra."""
     names = pres.varset.names
-    by_sc = {}
+    by_key = {}
     for pt in points:
-        sc = linearization(pres, pt)
-        rec = by_sc.get(sc)
+        key = tuple(pair_gradients(pres, pt).values())
+        rec = by_key.get(key)
         if rec is None:
-            rec = by_sc[sc] = recognize(LieAlgebra(names, sc))
+            rec = by_key[key] = recognize(LieAlgebra(names, linearization(pres, pt)))
         yield rec
 
 

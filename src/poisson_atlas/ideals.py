@@ -5,15 +5,16 @@ there; for an exact bracket this is exactly the vanishing gradient of the
 potential, i.e. a singularity of the level surface through the point.  The
 search is an exact scan of a rational box plus caller-supplied candidates.
 Each bracket is split into integer component polynomials, and the box is
-walked one coordinate at a time: the next value p/q is substituted
-homogeneously (a term c*x^e becomes c*p^e*q^(top-e), a nonzero multiple of
-the exact value), and a branch is dropped as soon as some component becomes
-a nonzero constant, so the work follows the surviving partial points rather
-than the full grid.  On the last coordinate the values substituted are not
-the whole axis but the rational roots in the box of one univariate
-component, from `intpoly.rational_roots`.  The scan does integer arithmetic
-only, and it is sound and complete within the box; completeness is never
-claimed beyond it.
+searched one coordinate at a time: a value p/q is substituted homogeneously
+(a term c*x^e becomes c*p^e*q^(top-e), a nonzero multiple of the exact
+value), and a branch is dropped as soon as some component becomes a nonzero
+constant.  The values tried on a coordinate are the rational roots in the box
+of an eliminant, a polynomial in that coordinate alone in the ideal of the
+components, from resultants that eliminate the later ones (Cox, Little and
+O'Shea, Ideals, Varieties, and Algorithms, ch. 3); the axis is walked only
+where none is found.  So the work follows the points, not the grid.  The scan
+does integer arithmetic only, and it is sound and complete within the box;
+completeness is never claimed beyond it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .brackets import Exact, PoissonPresentation, Scaled
-from .intpoly import rational_roots
+from .intpoly import rational_roots, resultant
 from .poly import LaurentPoly, PointP
 from .scalars import Scalar, common_domain
 
@@ -43,11 +44,8 @@ class SearchBox:
             raise ValueError("box bounds must be >= 1")
 
     def coordinate_values(self):
-        values = set()
-        for q in range(1, self.den + 1):
-            for p in range(-self.num, self.num + 1):
-                values.add(Fraction(p, q))
-        return sorted(values)
+        return sorted({Fraction(p, q) for q in range(1, self.den + 1)
+                       for p in range(-self.num, self.num + 1)})
 
 
 @dataclass(frozen=True)
@@ -69,7 +67,7 @@ def is_poisson_maximal(pres: PoissonPresentation, pt: PointP) -> bool:
     if pt.varset != pres.varset:
         raise ValueError("point over a different variable set")
     return all(
-        poly.evaluate(pt).is_zero for poly in pres.pair_table().values()
+        poly.is_zero or poly.evaluate(pt).is_zero for poly in pres.pair_table().values()
     )
 
 
@@ -132,39 +130,63 @@ def _fold_first(components, v):
     return out
 
 
+def _eliminant(polys):
+    """A nonzero integer polynomial in the first variable alone, leading
+    coefficient first, in the ideal of `polys`, or None when none is found.
+
+    The later variables go last first: a polynomial free of the variable is
+    kept, and those that hold it are paired into resultants, of which the
+    first 3 nonzero ones are kept.  Of the univariate polynomials left, the
+    one of least degree span is taken.
+    """
+    while len(next(iter(polys[0]))) > 1:
+        held, free = [], []
+        for f in polys:
+            (held if any(e[-1] for e in f) else free).append(f)
+        resultants = (resultant(f, g) for f, g in itertools.combinations(held, 2))
+        polys = [{e[:-1]: c for e, c in f.items()} for f in free]
+        polys += itertools.islice(filter(None, resultants), 3)
+        if not polys:
+            return None
+    least = min(polys, key=lambda t: max(t)[0] - min(t)[0])
+    return [least.get((e,), 0) for e in range(max(least)[0], -1, -1)]
+
+
 def _common_zeros(components, axes, positions, box, prefix=()):
     """Every completion of prefix over axes at which all components vanish, in grid order.
 
-    On the last axis the components left are univariate (a nonzero constant
-    was pruned above), so only the rational roots in the box of the one of
-    least degree are tried, found in `positions`, (p, q) -> index on the axis.
+    The values tried on the next axis are the rational roots in the box of
+    an eliminant of the components (`_eliminant`), found in `positions[0]`,
+    (p, q) -> index on that axis, and walked in grid order; the whole axis is
+    walked only when there is none (every resultant vanishes identically).  On
+    the last axis the components are univariate (a nonzero constant was
+    pruned above), and the eliminant is the one of least degree.
     """
     if not components:
         yield from (prefix + rest for rest in itertools.product(*axes))
         return
     values = axes[0]
-    if len(axes) == 1:
-        least = min((terms for terms, _ in components), key=lambda t: max(t)[0] - min(t)[0])
-        f = [least.get((e,), 0) for e in range(max(least)[0], -1, -1)]
+    f = _eliminant([terms for terms, _ in components])
+    if f is not None:
         roots = rational_roots(f, box.num, box.den)
-        values = [values[i] for i in sorted(positions[r] for r in roots if r in positions)]
+        values = [values[i] for i in sorted(positions[0][r] for r in roots if r in positions[0])]
     for v in values:
         folded = _fold_first(components, v)
         if folded is not None:
-            yield from _common_zeros(folded, axes[1:], positions, box, prefix + (v,))
+            yield from _common_zeros(folded, axes[1:], positions[1:], box, prefix + (v,))
 
 
 def find_poisson_maximal(pres: PoissonPresentation, box: SearchBox = SearchBox()):
     """All box points (plus explicit candidates) that are Poisson maximal.
 
     Every pair bracket is split into integer component polynomials and the
-    box is searched by nested partial evaluation: each coordinate p/q is
-    substituted homogeneously (integers only, no Fractions), and a branch is
-    pruned once a component is a nonzero constant.  On the last coordinate
-    only the rational roots of one component are substituted, found in a
-    (p, q) -> position dict of the last axis built once per call.  Explicit
-    candidates, which may lie over Q(sqrt d), are tested exactly.  Sound and
-    complete within the box; deterministically ordered by coordinates.
+    box is searched by nested partial evaluation (`_common_zeros`), with
+    integers only: on each coordinate only the rational roots of an eliminant
+    are substituted, found in a (p, q) -> position dict per axis built once
+    per call.  The points come out in grid order, which is the `sort_key`
+    order.  An explicit candidate off the grid, which may lie over Q(sqrt d),
+    is tested exactly, and only when one is added are the points sorted.
+    Sound and complete within the box.
     """
     components = [
         comp for poly in pres.pair_table().values() for comp in _integer_components(poly)
@@ -176,17 +198,18 @@ def find_poisson_maximal(pres: PoissonPresentation, box: SearchBox = SearchBox()
         factors = [[p**e * q ** (t - e) for e in range(t + 1)] for t in range(top + 1)]
         values.append((Scalar(v), p, q, factors))
     axes = [[v for v in values if v[1]] if flag else values for flag in pres.varset.laurent]
-    positions = {(v[1], v[2]): i for i, v in enumerate(axes[-1])} if axes else {}
-    found = {}
-    for combo in _common_zeros(components, axes, positions, box):
-        pt = PointP(pres.varset, [v[0] for v in combo])
-        found[pt] = make_ideal(pres, pt)
-    for pt in box.extra:
+    positions = [{(v[1], v[2]): i for i, v in enumerate(axis)} for axis in axes]
+    found = [make_ideal(pres, PointP(pres.varset, [v[0] for v in combo]))
+             for combo in _common_zeros(components, axes, positions, box)]
+    extra = []
+    for pt in dict.fromkeys(box.extra):
         if pt.varset != pres.varset:
             raise ValueError("candidate point over a different variable set")
-        if pt not in found and is_poisson_maximal(pres, pt):
-            found[pt] = make_ideal(pres, pt)
-    return sorted(found.values(), key=PoissonMaxIdeal.sort_key)
+        on_grid = all(v.is_rational and v.a.as_integer_ratio() in pos
+                      for v, pos in zip(pt.values, positions))
+        if not on_grid and is_poisson_maximal(pres, pt):
+            extra.append(make_ideal(pres, pt))
+    return sorted(found + extra, key=PoissonMaxIdeal.sort_key) if extra else found
 
 
 def relation_in_J_squared(pres: PoissonPresentation, r: LaurentPoly, pt: PointP) -> bool:

@@ -1,11 +1,13 @@
 """Univariate polynomials as coefficient lists, leading coefficient first.
 
 The one root finder of the package.  `rational_roots` serves the point scan
-(the last coordinate of a box, its bounds the box's) and `eigen_small` (a
-characteristic polynomial scaled to a monic integer one, denominator 1 and
-the spectral bound); `quadratic_factors` finds the monic quadratic factors
-that carry `eigen_small` into one quadratic extension.  `evaluate`, `divide`
-and `mul` take ints, Fractions or Scalars alike.
+(an eliminant in the next coordinate of a box, its bounds the box's) and
+`eigen_small` (a characteristic polynomial scaled to a monic integer one,
+denominator 1 and the spectral bound); `quadratic_factors` finds the monic
+quadratic factors that carry `eigen_small` into one quadratic extension.
+`evaluate`, `divide` and `mul` take ints, Fractions or Scalars alike.
+`resultant` is the scan's elimination step, on integer polynomials in
+several variables held as {exponent tuple: coefficient}.
 """
 
 from __future__ import annotations
@@ -104,6 +106,66 @@ def quadratic_factors(f, bound: int):
         factors.append(f)
         f = [1]
     return factors, f
+
+
+def _cross(a, x, b, y):
+    """a x - b y for integer polynomials {exponent tuple: coefficient}."""
+    out = {}
+    for f, g, s in ((a, x, 1), (b, y, -1)):
+        for e1, c1 in f.items():
+            for e2, c2 in g.items():
+                e = tuple(map(int.__add__, e1, e2))
+                out[e] = out.get(e, 0) + s * c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _exact_quotient(f, g):
+    """f / g when g divides f, by long division on the lexicographically
+    greatest term."""
+    lead = max(g)
+    f, out = dict(f), {}
+    while f:
+        e = max(f)
+        m = tuple(map(int.__sub__, e, lead))
+        c = out[m] = f[e] // g[lead]
+        for b, d in g.items():
+            k = tuple(map(int.__add__, m, b))
+            f[k] = f.get(k, 0) - c * d
+            if not f[k]:
+                del f[k]
+    return out
+
+
+def resultant(f, g):
+    """The Sylvester resultant of integer polynomials f and g {exponent tuple:
+    coefficient}, both of positive degree in their last variable, as a
+    polynomial in the others: the determinant of the Sylvester matrix by
+    fraction-free Bareiss elimination, each division exact.  It lies in the
+    ideal (f, g), so it vanishes wherever f and g both do (Cox, Little and
+    O'Shea, Ideals, Varieties, and Algorithms, ch. 3)."""
+    def coefficients(h):  # in the last variable, leading first
+        top = max(e[-1] for e in h)
+        return [{e[:-1]: c for e, c in h.items() if e[-1] == k} for k in range(top, -1, -1)]
+
+    a, b = coefficients(f), coefficients(g)
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[{}] * i + a + [{}] * (n - 1 - i) for i in range(n)]
+    rows += [[{}] * i + b + [{}] * (m - 1 - i) for i in range(m)]
+    sign, previous = 1, {(0,) * (len(next(iter(f))) - 1): 1}
+    for k in range(m + n - 1):
+        pivot = next((i for i in range(k, m + n) if rows[i][k]), None)
+        if pivot is None:
+            return {}
+        if pivot != k:
+            rows[k], rows[pivot], sign = rows[pivot], rows[k], -sign
+        lead = rows[k]
+        for row in rows[k + 1:]:
+            row[k + 1:] = [
+                _exact_quotient(_cross(lead[k], x, row[k], y), previous)
+                for x, y in zip(row[k + 1:], lead[k + 1:])
+            ]
+        previous = lead[k]
+    return {e: sign * c for e, c in rows[-1][-1].items()}
 
 
 def root_bound(f) -> int:

@@ -163,22 +163,28 @@ class LieAlgebra:
         return f"LieAlgebra({', '.join(self.labels)})"
 
 
+def pair_gradients(pres: PoissonPresentation, pt: PointP) -> dict:
+    """{(i, j): gradient of {x_i, x_j} at pt} over the pair brackets that are
+    not identically zero; NotPoissonMaximalError unless pt is Poisson-maximal.
+    These gradients are all that g(J) is made of."""
+    if not is_poisson_maximal(pres, pt):
+        raise NotPoissonMaximalError(f"{pt} is not a Poisson-maximal point")
+    return {
+        ij: poly.linear_part(pt)[1] for ij, poly in pres.pair_table().items() if not poly.is_zero
+    }
+
+
 def linearization(pres: PoissonPresentation, pt: PointP) -> tuple:
     """Structure constants of g(J) on the basis u_k = x_k - pt_k, as nested tuples.
 
     sc[i][j] is the gradient of {x_i, x_j} at the point: the bracket's value
     vanishes by Poisson maximality, so its class mod J^2 is the linear part.
-    A bracket that is identically zero is skipped; its rows stay zero.
+    A bracket that is identically zero has no gradient; its rows stay zero.
     """
-    if not is_poisson_maximal(pres, pt):
-        raise NotPoissonMaximalError(f"{pt} is not a Poisson-maximal point")
     n = len(pres.varset)
     sc = [[(ZERO,) * n] * n for _ in range(n)]
-    for (i, j), poly in pres.pair_table().items():
-        if poly.is_zero:
-            continue
-        _, grad = poly.linear_part(pt)
-        sc[i][j] = tuple(grad)
+    for (i, j), grad in pair_gradients(pres, pt).items():
+        sc[i][j] = grad
         sc[j][i] = tuple(-g for g in grad)
     return tuple(map(tuple, sc))
 

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -13,13 +14,16 @@ from poisson_atlas import (
     SearchBox,
     Table,
     VarSet,
+    catalog_names,
     derived_series,
     find_poisson_maximal,
     find_sl2_triple,
+    get_entry,
     homogeneity_report,
     is_solvable,
     lie_from_point,
     recognize,
+    recognize_points,
 )
 from poisson_atlas.classify import (
     HomogeneityReport,
@@ -31,7 +35,7 @@ from poisson_atlas.classify import (
     derived_subalgebra,
     killing_matrix,
 )
-from poisson_atlas.errors import AtlasError, ExtensionRequiredError
+from poisson_atlas.errors import AtlasError, ExtensionRequiredError, NotPoissonMaximalError
 from poisson_atlas.linalg import (
     IncrementalSpan,
     Matrix,
@@ -810,3 +814,25 @@ def test_recognize_past_the_former_dimension_cap():
     triple = find_sl2_triple(lie, rec)
     assert _support(triple) == (0, 1, 2)
     assert triple.verify(lie)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_recognize_points_matches_recognize_at_each_point(name):
+    """One recognition per distinct gradient key is the recognition of g(J)
+    at every point of the 4/2 box."""
+    entry = get_entry(name)
+    pres = entry.presentation or entry.invariants.ambient
+    box = dataclasses.replace(entry.box, num=4, den=2)
+    points = [ideal.point for ideal in find_poisson_maximal(pres, box)]
+    fields = lambda rec: (rec.describe(), rec.derived_dims, rec.simple_modules())
+    got = [fields(rec) for rec in recognize_points(pres, points)]
+    assert got == [fields(recognize(lie_from_point(pres, pt))) for pt in points]
+
+
+def test_recognize_points_refuses_a_point_that_is_not_poisson(torus_pres):
+    vs = torus_pres.varset
+    points = [PointP(vs, [2, 2, 2]), PointP(vs, [1, 1, 1])]
+    recs = recognize_points(torus_pres, points)
+    assert next(recs).describe() == "sl2"
+    with pytest.raises(NotPoissonMaximalError, match=r"\(1, 1, 1\) is not a Poisson-maximal"):
+        next(recs)

@@ -3,7 +3,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from poisson_atlas import (
@@ -24,8 +24,10 @@ from poisson_atlas import (
     leaf_report,
     relation_in_J_squared,
 )
+from poisson_atlas import ideals as ideals_module
 from poisson_atlas.errors import ScalarDomainError
 from poisson_atlas.ideals import PoissonMaxIdeal, make_ideal
+from poisson_atlas.intpoly import rational_roots, resultant
 from poisson_atlas.scalars import Scalar
 
 
@@ -310,3 +312,127 @@ def _table(vs, poly):
 @example(_table(_XY, {(1, 0): 1, (0, 1): 1}), 2, 2)
 def test_scan_matches_reference_on_small_tables(pres, num, den):
     _assert_same_scan(pres, SearchBox(num, den))
+
+
+# -- an eliminant per prefix -----------------------------------------------------
+
+
+@st.composite
+def _planted_potentials(draw):
+    """Exact or Scaled brackets whose potential lies in I^2, where I is the
+    ideal of the four points {a1, a2} x {b1, b2} x {c}: its gradient lies in
+    I, so those points are Poisson whatever else is, planted on the first two
+    axes.  Each generator's square is a term, so the points are mostly
+    isolated; Scaled by y + 1 adds the plane y = -1.  Some coordinates fall
+    outside the box; a Laurent x may multiply the potential by the unit x^-1."""
+    vs = VarSet(("x", "y", "z"), [n for n in "xyz" if draw(st.booleans())])
+    x, y, z = (LaurentPoly.variable(vs, n) for n in vs.names)
+    a1, a2, b1, b2, c = (draw(st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2)))
+                         for _ in range(5))
+    gens = ((x - a1) * (x - a2), (y - b1) * (y - b2), z - c)
+    coeffs = [Scalar(0, 1, -1), -2, -1, 1, 2]
+    f = LaurentPoly.zero(vs)
+    for i, j in itertools.combinations_with_replacement(range(3), 2):
+        if i == j or draw(st.booleans()):
+            f = f + draw(st.sampled_from(coeffs)) * gens[i] * gens[j]
+    assume(not f.is_zero)
+    if vs.laurent[0] and draw(st.booleans()):
+        f = f * x**-1
+    spec = Scaled(y + 1, f) if draw(st.integers(0, 3)) == 0 else Exact(f)
+    planted = [PointP(vs, [a, b, c]) for a in (a1, a2) for b in (b1, b2)
+               if not any(flag and v == 0 for flag, v in zip(vs.laurent, (a, b, c)))]
+    return PoissonPresentation(vs, spec), planted
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_planted_potentials(), st.integers(1, 3), st.integers(1, 2))
+def test_scan_matches_reference_on_planted_points(case, num, den):
+    pres, planted = case
+    box = SearchBox(num, den)
+    _assert_same_scan(pres, box)
+    found = {i.point for i in find_poisson_maximal(pres, box)}
+    grid = set(box.coordinate_values())
+    assert {pt for pt in planted if all(v.as_fraction() in grid for v in pt.values)} <= found
+
+
+def _eliminants(monkeypatch):
+    """Record (prefix length, eliminant or None) for each `_eliminant` call."""
+    calls = []
+    real = ideals_module._eliminant
+
+    def recording(polys):
+        f = real(polys)
+        calls.append((len(next(iter(polys[0]))), f))
+        return f
+
+    monkeypatch.setattr(ideals_module, "_eliminant", recording)
+    return calls
+
+
+def test_a_line_of_points_walks_its_axis(monkeypatch, xyz):
+    """Whitney-like: x y^2 - 2 z^2 is singular along the x axis, so the two
+    components y^2 and x y left after z is set aside share the factor y,
+    their resultant vanishes identically and x is walked."""
+    vs, x, y, z = xyz
+    pres = PoissonPresentation(vs, Exact(x * y * y - 2 * z * z))
+    calls = _eliminants(monkeypatch)
+    box = SearchBox(3, 2)
+    _assert_same_scan(pres, box)
+    assert calls[0] == (3, None)
+    assert [i.point.values[0] for i in find_poisson_maximal(pres, box)] == [
+        Scalar(v) for v in box.coordinate_values()]
+
+
+def test_a_plane_of_points_walks_two_axes(monkeypatch, xyz):
+    """(x - 1)(y - z)^2 is singular along y = z: at every prefix x the
+    components share the factor y - z, so both x and y are walked."""
+    vs, x, y, z = xyz
+    pres = PoissonPresentation(vs, Exact((x - 1) * (y - z) * (y - z)))
+    calls = _eliminants(monkeypatch)
+    box = SearchBox(2, 2)
+    _assert_same_scan(pres, box)
+    assert (3, None) in calls and (2, None) in calls
+    assert len(find_poisson_maximal(pres, box)) == len(box.coordinate_values()) ** 2
+
+
+def test_torus_prefixes_at_x_2_eliminate_through_a_vanishing_resultant(monkeypatch, torus_pres):
+    """At x = +-2 the brackets {x,y} and {x,z} of x y z - x^2 - y^2 - z^2 + 4
+    both fold to a multiple of y - z, whose resultant vanishes identically;
+    the pairs with y z - 4 do not, and their eliminant y^2 - 4 gives y = +-2."""
+    calls = _eliminants(monkeypatch)
+    box = SearchBox(4, 2)
+    _assert_same_scan(torus_pres, box)
+    top, *middle = [f for k, f in calls if k >= 2]
+    assert sorted(rational_roots(top, 4, 2)) == [(-2, 1), (0, 1), (2, 1)]
+    roots = [sorted(rational_roots(f, 4, 2)) for f in middle]
+    assert roots == [[(-2, 1), (2, 1)], [(0, 1)], [(-2, 1), (2, 1)]]
+    held = [terms for terms, _ in ideals_module._fold_first(
+        [c for poly in torus_pres.pair_table().values()
+         for c in ideals_module._integer_components(poly)],
+        (Scalar(2), 2, 1, [[2**e for e in range(t + 1)] for t in range(3)]))]
+    assert resultant(held[0], held[1]) == {}
+
+
+# -- the scan's order is the sort order; explicit candidates are sorted in --------
+
+
+_I = Scalar(0, 1, -1)
+# {x, y} = (x^2 + 1)(x - 3)(x - 1) + y^2: in the 2/2 box only (1, 0) is a zero;
+# (3, 0) lies outside it, and (+-sqrt(-1), 0) over Q(sqrt(-1))
+_FOUR_ROOTS = _table(_XY_PLAIN, {(4, 0): 1, (3, 0): -4, (2, 0): 4, (1, 0): -4, (0, 0): 3,
+                                 (0, 2): 1})
+
+
+@pytest.mark.parametrize("extra, want", [
+    ((), [(1, 0)]),
+    (((0, 0), (1, 0), (1, 0)), [(1, 0)]),  # inside the box: one Poisson, one not
+    (((3, 0), (1, 0), (0, 0), (3, 0)), [(1, 0), (3, 0)]),  # outside it, given twice
+    (((3, 0), (_I, 0), (1, 0), (-_I, 0)), [(-_I, 0), (_I, 0), (1, 0), (3, 0)]),
+])
+def test_points_come_in_sort_order(extra, want):
+    vs = _FOUR_ROOTS.varset
+    box = SearchBox(2, 2, tuple(PointP(vs, c) for c in extra))
+    got = [i.point for i in find_poisson_maximal(_FOUR_ROOTS, box)]
+    assert got == [PointP(vs, c) for c in want]
+    assert got == sorted(got, key=PointP.sort_key)

@@ -4,7 +4,9 @@ Polynomials are built from planted factors: linear factors q*t - p with
 roots inside the box bounds, on their edge and just outside them, a leading
 coefficient other than 1 and 0 as a repeated root for `rational_roots`;
 monic quadratics without rational roots, one of them repeated, and an
-irreducible cubic for `quadratic_factors`.
+irreducible cubic for `quadratic_factors`.  `resultant` is checked against
+sympy's on integer polynomials in one to three variables, some with a
+planted common factor.
 """
 
 from fractions import Fraction
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisson_atlas.intpoly import (
-    divide, evaluate, mul, quadratic_factors, rational_roots, root_bound, root_scale,
+    divide, evaluate, mul, quadratic_factors, rational_roots, resultant, root_bound, root_scale,
 )
 
 T = sympy.Symbol("t")
@@ -129,3 +131,55 @@ def test_root_bound_and_scale():
     # t^2 + t/2 + 1/12: k = 6 gives t^2 + 3t + 3, and no smaller k does
     assert root_scale([1, 2, 12]) == 6
     assert root_scale([1, 1009]) == 1009
+
+
+_GENS = sympy.symbols("x y z")
+
+
+@st.composite
+def _resultant_pairs(draw):
+    """Integer polynomials f, g {exponent tuple: coefficient} in 1 to 3
+    variables, each of positive degree in the last; with a common factor of
+    positive degree in it, half the time."""
+    gens = _GENS[:draw(st.integers(1, 3))]
+
+    def poly():
+        terms = draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 2)] * len(gens)), st.integers(-4, 4), min_size=1, max_size=4))
+        last = draw(st.integers(3, 4))  # above every drawn exponent: no cancellation
+        return sum((c * sympy.prod([v**e for v, e in zip(gens, exps)])
+                    for exps, c in terms.items()), draw(st.sampled_from([1, -2])) * gens[-1] ** last)
+
+    f, g = poly(), poly()
+    if draw(st.booleans()):
+        common = poly()
+        f, g = f * common, g * common
+    return gens, f, g
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_resultant_pairs())
+def test_resultant_is_sympys(case):
+    gens, f, g = case
+    as_dict = lambda h: {e: int(c) for e, c in sympy.Poly(h, *gens).as_dict().items()}
+    got = resultant(as_dict(f), as_dict(g))
+    want = sympy.Poly(sympy.resultant(f, g, gens[-1]), *gens[:-1]) if len(gens) > 1 else None
+    want = as_dict(sympy.resultant(f, g, gens[-1])) if want is None else {
+        e + (0,): int(c) for e, c in want.as_dict().items() if c}
+    got = {e + (0,): c for e, c in got.items()}
+    # sympy's sign is (-1)^(deg f deg g) times the Sylvester determinant's for some degrees
+    assert got in (want, {e: -c for e, c in want.items()})
+
+
+def test_resultant_is_the_sylvester_determinant():
+    t = _GENS[0]
+    # (t + 5) and (-t^3 - t^2 + 3): the determinant is g(-5) = 103; sympy gives -103
+    assert resultant({(1,): 1, (0,): 5}, {(3,): -1, (2,): -1, (0,): 3}) == {(): 103}
+    assert sympy.resultant(t + 5, -t**3 - t**2 + 3, t) == -103
+    # t^2 - t + 1 and t^2: the elimination swaps rows, and the determinant is 1
+    assert resultant({(2,): 1, (1,): -1, (0,): 1}, {(2,): 1}) == {(): 1}
+    # x y - 2 z and y z - 2 x in z: det [[-2, x y], [y, -2 x]] = 4x - x y^2
+    assert resultant({(1, 1, 0): 1, (0, 0, 1): -2}, {(0, 1, 1): 1, (1, 0, 0): -2}) == {
+        (1, 0): 4, (1, 2): -1}
+    # a common factor z - y: the resultant vanishes identically
+    assert resultant({(0, 0, 1): 1, (0, 1, 0): -1}, {(0, 0, 2): 1, (0, 1, 1): -1}) == {}
