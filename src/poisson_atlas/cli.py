@@ -16,7 +16,7 @@ import sys
 from .catalog import RunConfig, catalog_names, get_entry, run_entry
 from .classify import find_sl2_triple, homogeneity_report, recognize, recognize_points
 from .errors import AtlasError, ExtensionRequiredError, ParseError
-from .ideals import SearchBox, find_poisson_maximal, leaf_report
+from .ideals import SearchBox, _potential_of, find_poisson_maximal, leaf_report
 from .lie import lie_from_point
 from .modules import (
     DEFAULT_SEED,
@@ -161,6 +161,8 @@ def cmd_ideals(args) -> int:
 
 def cmd_leaves(args) -> int:
     pf, pres = _load_file(args.file)
+    if _potential_of(pres) is None:
+        raise AtlasError("leaves needs an exact or scaled bracket (one with a potential)")
     report = Report("leaves")
     report.add("file", args.file)
     rep = leaf_report(pres, SearchBox(args.box_num, args.box_den, tuple(pf.points)))

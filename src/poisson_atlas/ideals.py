@@ -23,6 +23,7 @@ import itertools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .brackets import Exact, PoissonPresentation, Scaled
@@ -46,6 +47,11 @@ class SearchBox:
     def coordinate_values(self):
         return sorted({Fraction(p, q) for q in range(1, self.den + 1)
                        for p in range(-self.num, self.num + 1)})
+
+    @cached_property
+    def pairs(self):
+        """`coordinate_values` as pairs (p, q) in lowest terms, built on first use."""
+        return [v.as_integer_ratio() for v in self.coordinate_values()]
 
 
 @dataclass(frozen=True)
@@ -84,14 +90,14 @@ def make_ideal(pres: PoissonPresentation, pt: PointP) -> PoissonMaxIdeal:
 
 
 def _integer_components(poly: LaurentPoly) -> list:
-    """Integer polynomials [(terms, tops)] whose common zeros in the box are poly's.
+    """Integer polynomials {exponent tuple: int} whose common zeros in the box are poly's.
 
     A coefficient (n + m*sqrt d)/q contributes n/q to the first component and
     m/q to the second; at a rational point poly vanishes iff both do.  Each
     component is scaled to coprime integer coefficients and multiplied by a
     monomial in its Laurent variables so their least exponent is 0 (a unit
     on the box, where those coordinates are nonzero); other variables are
-    never shifted.  `tops` holds the component's highest exponent per variable.
+    never shifted.
     """
     common_domain(poly.terms.values())
     laurent = poly.varset.laurent
@@ -103,30 +109,28 @@ def _integer_components(poly: LaurentPoly) -> list:
         den = lcm(*(q for _, q in part.values()))
         content = gcd(*(n * (den // q) for n, q in part.values()))
         lows = [min(e[k] for e in part) if flag else 0 for k, flag in enumerate(laurent)]
-        terms = {
+        out.append({
             tuple(x - lo for x, lo in zip(e, lows)): n * (den // q) // content
             for e, (n, q) in part.items()
-        }
-        out.append((terms, tuple(map(max, zip(*terms)))))
+        })
     return out
 
 
-def _fold_first(components, v):
-    """Put v = p/q for the first variable, c*x^e -> c*p^e*q^(top-e) (q^top times
-    the exact value, same zeros); None once a component is a nonzero constant."""
-    factors = v[3]
+def _fold_first(components, p, q):
+    """Put p/q for the first variable, c*x^e -> c*p^e*q^(top-e) for the component's
+    top exponent (same zeros); None once a component is a nonzero constant."""
     out = []
-    for terms, tops in components:
-        fac = factors[tops[0]]
+    for terms in components:
+        top = max(e[0] for e in terms)
         folded = {}
         for exps, c in terms.items():
             rest = exps[1:]
-            folded[rest] = folded.get(rest, 0) + c * fac[exps[0]]
+            folded[rest] = folded.get(rest, 0) + c * p ** exps[0] * q ** (top - exps[0])
         folded = {rest: c for rest, c in folded.items() if c}
         if folded:
             if len(folded) == 1 and not any(next(iter(folded))):
                 return None
-            out.append((folded, tops[1:]))
+            out.append(folded)
     return out
 
 
@@ -152,28 +156,27 @@ def _eliminant(polys):
     return [least.get((e,), 0) for e in range(max(least)[0], -1, -1)]
 
 
-def _common_zeros(components, axes, positions, box, prefix=()):
-    """Every completion of prefix over axes at which all components vanish, in grid order.
+def _common_zeros(components, box, laurent, prefix=()):
+    """Every completion of prefix, (p, q) per axis, where all components vanish, in order.
 
-    The values tried on the next axis are the rational roots in the box of
-    an eliminant of the components (`_eliminant`), found in `positions[0]`,
-    (p, q) -> index on that axis, and walked in grid order; the whole axis is
-    walked only when there is none (every resultant vanishes identically).  On
-    the last axis the components are univariate (a nonzero constant was
-    pruned above), and the eliminant is the one of least degree.
+    The values tried on the next axis are the rational roots in the box of an
+    eliminant of the components (`_eliminant`), sorted; the box's values are
+    walked only when there is none (every resultant vanishes identically) or
+    no component is left, and a Laurent axis skips 0.  On the last axis the
+    components are univariate (a nonzero constant was pruned above), and the
+    eliminant is the one of least degree.
     """
     if not components:
+        axes = [[r for r in box.pairs if r[0] or not flag] for flag in laurent]
         yield from (prefix + rest for rest in itertools.product(*axes))
         return
-    values = axes[0]
-    f = _eliminant([terms for terms, _ in components])
-    if f is not None:
-        roots = rational_roots(f, box.num, box.den)
-        values = [values[i] for i in sorted(positions[0][r] for r in roots if r in positions[0])]
-    for v in values:
-        folded = _fold_first(components, v)
+    f = _eliminant(components)
+    values = box.pairs if f is None else sorted(
+        rational_roots(f, box.num, box.den), key=lambda r: Fraction(*r))
+    for p, q in values:
+        folded = _fold_first(components, p, q) if p or not laurent[0] else None
         if folded is not None:
-            yield from _common_zeros(folded, axes[1:], positions[1:], box, prefix + (v,))
+            yield from _common_zeros(folded, box, laurent[1:], prefix + ((p, q),))
 
 
 def find_poisson_maximal(pres: PoissonPresentation, box: SearchBox = SearchBox()):
@@ -182,31 +185,25 @@ def find_poisson_maximal(pres: PoissonPresentation, box: SearchBox = SearchBox()
     Every pair bracket is split into integer component polynomials and the
     box is searched by nested partial evaluation (`_common_zeros`), with
     integers only: on each coordinate only the rational roots of an eliminant
-    are substituted, found in a (p, q) -> position dict per axis built once
-    per call.  The points come out in grid order, which is the `sort_key`
-    order.  An explicit candidate off the grid, which may lie over Q(sqrt d),
-    is tested exactly, and only when one is added are the points sorted.
-    Sound and complete within the box.
+    are substituted directly, and each distinct coordinate found gets one
+    Scalar.  The points come out in increasing order, which is the `sort_key`
+    order.  An explicit candidate off the grid (outside the box's bounds, or
+    over Q(sqrt d)) is tested exactly, and only when one is added are the
+    points sorted.  Sound and complete within the box.
     """
     components = [
         comp for poly in pres.pair_table().values() for comp in _integer_components(poly)
     ]
-    top = max((t for _, tops in components for t in tops), default=0)
-    values = []  # (Scalar, p, q, factors[top][e] = p^e * q^(top-e)) per box value p/q
-    for v in box.coordinate_values():
-        p, q = v.as_integer_ratio()
-        factors = [[p**e * q ** (t - e) for e in range(t + 1)] for t in range(top + 1)]
-        values.append((Scalar(v), p, q, factors))
-    axes = [[v for v in values if v[1]] if flag else values for flag in pres.varset.laurent]
-    positions = [{(v[1], v[2]): i for i, v in enumerate(axis)} for axis in axes]
-    found = [make_ideal(pres, PointP(pres.varset, [v[0] for v in combo]))
-             for combo in _common_zeros(components, axes, positions, box)]
+    combos = list(_common_zeros(components, box, pres.varset.laurent))
+    scalars = {r: Scalar(Fraction(*r)) for r in set().union(*combos)}
+    found = [make_ideal(pres, PointP(pres.varset, [scalars[r] for r in combo]))
+             for combo in combos]
     extra = []
     for pt in dict.fromkeys(box.extra):
         if pt.varset != pres.varset:
             raise ValueError("candidate point over a different variable set")
-        on_grid = all(v.is_rational and v.a.as_integer_ratio() in pos
-                      for v, pos in zip(pt.values, positions))
+        on_grid = all(v.is_rational and abs(v.n) <= box.num and v.q <= box.den
+                      for v in pt.values)
         if not on_grid and is_poisson_maximal(pres, pt):
             extra.append(make_ideal(pres, pt))
     return sorted(found + extra, key=PoissonMaxIdeal.sort_key) if extra else found

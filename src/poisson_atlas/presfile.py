@@ -30,7 +30,7 @@ from .brackets import (
     SubstitutionMap,
     Table,
 )
-from .errors import LaurentViolationError, ParseError
+from .errors import LaurentViolationError, ParseError, VarSetMismatchError
 from .poly import LaurentPoly, PointP, VarSet, report_coeff, signed_sum, term_text
 from .scalars import Scalar, format_scalar
 
@@ -156,10 +156,13 @@ class _Parser:
             raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
         return tok
 
-    def expect_name(self) -> _Token:
+    def expect_name(self, names=None) -> _Token:
+        """The next token, a name, and one of `names` when they are given."""
         tok = self.next()
         if tok.kind != "name":
             raise ParseError(f"expected a name, found {tok.text!r}", tok.line, tok.col)
+        if names is not None and tok.text not in names:
+            raise ParseError(f"unknown variable {tok.text!r}", tok.line, tok.col)
         return tok
 
     def at(self, text: str) -> bool:
@@ -311,10 +314,12 @@ class _Parser:
             mapping = {}
             while not self.at("}"):
                 tok = self.expect("[")
-                a = self.expect_name().text
+                a = self.expect_name(varset.names).text
                 self.expect(",")
-                b = self.expect_name().text
+                b = self.expect_name(varset.names).text
                 self.expect("]")
+                if a == b:
+                    raise ParseError(f"diagonal bracket [{a},{b}]", tok.line, tok.col)
                 if (a, b) in mapping or (b, a) in mapping:
                     raise ParseError(
                         f"bracket [{a},{b}] given twice", tok.line, tok.col
@@ -340,7 +345,7 @@ class _Parser:
         tok = self.expect(")")
         try:
             return PointP(varset, values)
-        except LaurentViolationError as exc:
+        except (LaurentViolationError, VarSetMismatchError) as exc:
             raise ParseError(str(exc), tok.line, tok.col) from None
 
     def parse_file(self) -> PresentationFile:
@@ -357,8 +362,6 @@ class _Parser:
         grading = None
         while not self.at(""):
             tok = self.peek()
-            if tok.kind == "eof":
-                break
             word = self.expect_name().text
             if word == "bracket":
                 spec = self.parse_bracket(varset, env)
@@ -398,10 +401,8 @@ class _Parser:
         self.expect("{")
         images = {}
         while not self.at("}"):
-            tok = self.expect_name()
+            tok = self.expect_name(None if other else names)
             if tok.text not in names:
-                if other is None:
-                    raise ParseError(f"unknown variable {tok.text!r}", tok.line, tok.col)
                 other(tok)
                 continue
             if tok.text in images:

@@ -396,6 +396,17 @@ def test_box_bounds_below_1_are_usage_errors(command, torus_file):
         assert f"argument {flag}: expected an integer >= 1, got '0'" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "name", ["abelian(3)", "kirillov-kostant-sl2", "weyl-a2", "weyl-b2", "weyl-g2"])
+def test_leaves_refuses_a_bracket_without_a_potential(name, capsys):
+    """The leaf partition is read off a potential, so `leaves` on a table or
+    Kirillov-Kostant bracket is an error (exit 1) before any scan, not a traceback."""
+    assert run(["leaves", str(INPUTS / f"{name}.pa")]) == (1, "")
+    err = capsys.readouterr().err
+    assert err == "error: leaves needs an exact or scaled bracket (one with a potential)\n"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["module", "verify", "twist", "restrict"])
 def test_module_dims_below_1_are_usage_errors(command):
     """A module dimension of 0 or below is refused by the argument parser, as
@@ -438,8 +449,9 @@ def test_a_character_of_the_wrong_length_is_an_error(capsys):
      "parse error: --character, col 3: unknown variable 'q'"),
     (["module", "whitney", "--point", "(1, 0, 0)", "--dim", "1", "--character", "1, x, 3"],
      "parse error: --character, col 4: expected a scalar value"),
+    (["lie", "torus-so3", "--point", "(1,2)"], "parse error: --point, col 5: point arity mismatch"),
 ], ids=["relation", "relation-trailing", "point", "point-unclosed", "character",
-        "character-not-scalar"])
+        "character-not-scalar", "point-arity"])
 def test_a_flag_value_error_names_the_flag(argv, message, capsys):
     """A flag's text is parsed with the file's parser, but its errors name the
     flag and a column of the flag's text, not a line of the file."""

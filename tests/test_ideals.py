@@ -407,11 +407,32 @@ def test_torus_prefixes_at_x_2_eliminate_through_a_vanishing_resultant(monkeypat
     assert sorted(rational_roots(top, 4, 2)) == [(-2, 1), (0, 1), (2, 1)]
     roots = [sorted(rational_roots(f, 4, 2)) for f in middle]
     assert roots == [[(-2, 1), (2, 1)], [(0, 1)], [(-2, 1), (2, 1)]]
-    held = [terms for terms, _ in ideals_module._fold_first(
+    held = ideals_module._fold_first(
         [c for poly in torus_pres.pair_table().values()
-         for c in ideals_module._integer_components(poly)],
-        (Scalar(2), 2, 1, [[2**e for e in range(t + 1)] for t in range(3)]))]
+         for c in ideals_module._integer_components(poly)], 2, 1)
     assert resultant(held[0], held[1]) == {}
+
+
+def test_the_box_is_enumerated_only_where_an_axis_is_walked(monkeypatch, xyz, torus_pres):
+    """Where every prefix has an eliminant only its roots are substituted, so
+    the box's values are never listed, however large the box; a line of points
+    walks its axis, and a plane walks two, from one listing per call."""
+    def refuse(box):
+        raise AssertionError("the box was enumerated")
+
+    monkeypatch.setattr(SearchBox, "coordinate_values", refuse)
+    assert pts(find_poisson_maximal(torus_pres, SearchBox(2048, 256))) == [
+        ("-2", "-2", "2"), ("-2", "2", "-2"), ("0", "0", "0"), ("2", "-2", "-2"), ("2", "2", "2")]
+    monkeypatch.undo()
+    listed = []
+    real = SearchBox.coordinate_values
+    monkeypatch.setattr(SearchBox, "coordinate_values", lambda box: listed.append(box) or real(box))
+    vs, x, y, z = xyz
+    for potential, points in ((x * y * y - z * z, 1), ((x - 1) * (y - z) * (y - z), 2)):
+        box = SearchBox(4, 2)
+        found = find_poisson_maximal(PoissonPresentation(vs, Exact(potential)), box)
+        assert listed == [box] and len(found) == len(real(box)) ** points
+        listed.clear()
 
 
 # -- the scan's order is the sort order; explicit candidates are sorted in --------
@@ -429,6 +450,7 @@ _FOUR_ROOTS = _table(_XY_PLAIN, {(4, 0): 1, (3, 0): -4, (2, 0): 4, (1, 0): -4, (
     (((0, 0), (1, 0), (1, 0)), [(1, 0)]),  # inside the box: one Poisson, one not
     (((3, 0), (1, 0), (0, 0), (3, 0)), [(1, 0), (3, 0)]),  # outside it, given twice
     (((3, 0), (_I, 0), (1, 0), (-_I, 0)), [(-_I, 0), (_I, 0), (1, 0), (3, 0)]),
+    (((Fraction(1, 3), 0), (1, 0)), [(1, 0)]),  # a denominator beyond the box, not Poisson
 ])
 def test_points_come_in_sort_order(extra, want):
     vs = _FOUR_ROOTS.varset

@@ -241,6 +241,25 @@ def test_image_block_errors_are_located(block, where, message):
 
 
 @pytest.mark.parametrize(
+    "text, where, message",
+    [
+        ("vars x, y;\nbracket table {\n  [x,x] = 1;\n};", (3, 3), "diagonal bracket [x,x]"),
+        (HEAD + "embed e(u, v) {\n  bracket table { [v,v] = 1; };\n  u -> x; v -> y; };",
+         (4, 19), "diagonal bracket [v,v]"),
+        ("vars x, y;\nbracket table {\n  [x,q] = 1;\n};", (3, 6), "unknown variable 'q'"),
+        ("vars x, y, z;\nbracket table { [x,y] = z; };\npoint (0, 0);", (3, 12),
+         "point arity mismatch"),
+    ],
+    ids=["diagonal", "embed-diagonal", "unknown-variable", "point-arity"],
+)
+def test_bad_table_entries_and_points_are_located(text, where, message):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert (err.value.line, err.value.column) == where
+    assert err.value.message == message
+
+
+@pytest.mark.parametrize(
     "expr, message",
     [
         ("x^y", "line 3, col 12: expected an integer exponent"),
