@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ExtensionRequiredError, AtlasError
-from .lie import LieAlgebra, linearization, pair_gradients
+from .lie import LieAlgebra, gradient_sc, pair_gradients
 from .linalg import (
     IncrementalSpan,
     Matrix,
@@ -29,9 +29,14 @@ from .linalg import (
 from .scalars import Scalar, ZERO, ONE, common_domain, sqrt_in_field
 
 
-def _bracket_span(lie: LieAlgebra, left, right):
-    """Basis of span{[u, v] : u in left, v in right}."""
-    vectors = [lie.bracket(u, v) for u in left for v in right]
+def _bracket_span(lie: LieAlgebra, left, right=None):
+    """Basis of span{[u, v] : u in left, v in right}.  With no `right` it is
+    [left, left], read off each unordered pair once: [v, u] = -[u, v] and
+    [u, u] = 0 add nothing to the span."""
+    if right is None:
+        vectors = [lie.bracket(u, v) for a, u in enumerate(left) for v in left[a + 1 :]]
+    else:
+        vectors = [lie.bracket(u, v) for u in left for v in right]
     return list(row_space_basis(vectors))
 
 
@@ -39,7 +44,7 @@ def _derived_spans(lie: LieAlgebra):
     """Canonical bases of L >= [L,L] >= ... until zero or stable."""
     spans = [[lie.basis_vector(i) for i in range(lie.dim)]]
     while True:
-        nxt = _bracket_span(lie, spans[-1], spans[-1])
+        nxt = _bracket_span(lie, spans[-1])
         spans.append(nxt)
         if len(nxt) == 0 or len(nxt) == len(spans[-2]):
             return spans
@@ -55,8 +60,7 @@ def is_solvable(lie: LieAlgebra) -> bool:
 
 
 def derived_subalgebra(lie: LieAlgebra):
-    basis = [lie.basis_vector(i) for i in range(lie.dim)]
-    return _bracket_span(lie, basis, basis)
+    return _bracket_span(lie, [lie.basis_vector(i) for i in range(lie.dim)])
 
 
 def killing_matrix(ads) -> Matrix:
@@ -158,15 +162,18 @@ def recognize(lie: LieAlgebra) -> LieRecognition:
 def recognize_points(pres, points):
     """The recognition of g(J) at each point, in order.  Points are keyed by
     the gradients of the nonzero pair brackets (`pair_gradients`), which are
-    exactly what `linearization` writes into the structure constants, so two
-    keys are equal iff the two g(J) are; only a new key builds its algebra."""
+    exactly what `gradient_sc` writes into the structure constants, so two
+    keys are equal iff the two g(J) are; only a new key builds its algebra,
+    from the gradients of its key."""
     names = pres.varset.names
     by_key = {}
     for pt in points:
-        key = tuple(pair_gradients(pres, pt).values())
+        gradients = pair_gradients(pres, pt)
+        key = tuple(gradients.values())
         rec = by_key.get(key)
         if rec is None:
-            rec = by_key[key] = recognize(LieAlgebra(names, linearization(pres, pt)))
+            lie = LieAlgebra(names, gradient_sc(len(names), gradients))
+            rec = by_key[key] = recognize(lie)
         yield rec
 
 

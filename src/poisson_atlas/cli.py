@@ -94,25 +94,30 @@ def _point_arg(parser):
 
 
 def _trial_flags(parser):
-    parser.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    parser.add_argument("--trials", type=_at_least(0), default=DEFAULT_TRIALS)
     parser.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
 
 
-def _at_least_one(text: str) -> int:
-    """A box bound or a module dimension: an integer >= 1, else a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _at_least(low: int):
+    """The argument type of an integer >= low: a box bound or a module
+    dimension (low 1), a trial count (low 0); anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _box_flags(parser):
     """The search box of a subcommand that scans for Poisson-maximal points."""
-    parser.add_argument("--box-num", type=_at_least_one, default=4, help="box numerator bound")
-    parser.add_argument("--box-den", type=_at_least_one, default=2, help="box denominator bound")
+    parser.add_argument("--box-num", type=_at_least(1), default=4, help="box numerator bound")
+    parser.add_argument("--box-den", type=_at_least(1), default=2, help="box denominator bound")
     return parser
 
 
@@ -379,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         """A subcommand on the module that `_module_at` builds."""
         p = add(name, fn)
         _point_arg(p)
-        p.add_argument("--dim", type=_at_least_one, required=True)
+        p.add_argument("--dim", type=_at_least(1), required=True)
         p.add_argument("--character", help="comma-separated scalars for solvable g(J)")
         return p
 

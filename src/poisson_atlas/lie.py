@@ -16,21 +16,24 @@ from dataclasses import dataclass, field
 from .brackets import PoissonPresentation, SubstitutionMap, bracket
 from .errors import LieStructureError, NotExpressibleError, NotPoissonMaximalError
 from .ideals import is_poisson_maximal
-from .linalg import Matrix, coordinates, rref, unit_vector
-from .poly import LaurentPoly, PointP, VarSet, support_matrix
+from .linalg import Matrix, coordinates, unit_vector
+from .poly import LaurentPoly, PointP, PolySpan, VarSet
 from .scalars import Scalar, ZERO
 
 
 class LieAlgebra:
     """Finite-dimensional structure-constant Lie algebra over exact scalars.
 
-    `at` is (presentation, point) when `lie_from_point` built the algebra as
-    g(J) there, which certifies the point as Poisson-maximal; it is unset
-    otherwise (read it with `getattr(lie, "at", None)`) and takes no part in
-    equality.
+    `sc[i][j][k]` is the coefficient of e_k in [e_i, e_j].  The constructor
+    also keeps, once, the nonzero (k, c) pairs of each [e_i, e_j] in
+    `_pairs[i][j]`; `bracket`, `ad_matrix`, the construction check and
+    `structure_table` read only those.  `at` is (presentation, point) when
+    `lie_from_point` built the algebra as g(J) there, which certifies the
+    point as Poisson-maximal; it is unset otherwise (read it with
+    `getattr(lie, "at", None)`) and takes no part in equality.
     """
 
-    __slots__ = ("labels", "sc", "at")
+    __slots__ = ("labels", "sc", "_pairs", "at")
 
     def __init__(self, labels, sc, check=True):
         labels = tuple(labels)
@@ -39,8 +42,13 @@ class LieAlgebra:
             tuple(tuple(Scalar.coerce(c) for c in sc[i][j]) for j in range(n))
             for i in range(n)
         )
+        pairs = tuple(
+            tuple(tuple((k, c) for k, c in enumerate(row) if not c.is_zero) for row in rows)
+            for rows in sc
+        )
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "sc", sc)
+        object.__setattr__(self, "_pairs", pairs)
         if check:
             self._verify()
 
@@ -71,56 +79,65 @@ class LieAlgebra:
         return LieAlgebra(labels, sc, check=check)
 
     def _verify(self):
-        n = self.dim
+        """LieStructureError on the first pair (i, j) where [e_j, e_i] is not
+        -[e_i, e_j], else on the first triple i < j < k whose Jacobiator is
+        not 0.  A failing (i, j) makes (j, i) fail, so the first one has i <= j."""
+        pairs, n = self._pairs, self.dim
         for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.sc[i][j][k] != -self.sc[j][i][k]:
-                        raise LieStructureError(
-                            f"antisymmetry fails on ({self.labels[i]}, {self.labels[j]})"
-                        )
+            for j in range(i, n):
+                if pairs[i][j] != tuple((k, -c) for k, c in pairs[j][i]):
+                    raise LieStructureError(
+                        f"antisymmetry fails on ({self.labels[i]}, {self.labels[j]})"
+                    )
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    acc = self._jacobiator(i, j, k)
-                    if any(not c.is_zero for c in acc):
+                    if self._jacobiator(i, j, k):
                         raise LieStructureError(
                             f"Jacobi fails on ({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
                         )
 
-    def _jacobiator(self, i, j, k):
-        e = self.basis_vector
-        term1 = self.bracket(self.bracket(e(i), e(j)), e(k))
-        term2 = self.bracket(self.bracket(e(j), e(k)), e(i))
-        term3 = self.bracket(self.bracket(e(k), e(i)), e(j))
-        return tuple(a + b + c for a, b, c in zip(term1, term2, term3))
+    def _jacobiator(self, i, j, k) -> dict:
+        """[[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] as its
+        nonzero {m: c} entries."""
+        pairs = self._pairs
+        acc = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, x in pairs[a][b]:
+                for m, y in pairs[l][c]:
+                    acc[m] = acc[m] + x * y if m in acc else x * y
+        return {m: c for m, c in acc.items() if not c.is_zero}
 
     def basis_vector(self, i):
         return unit_vector(self.dim, i)
 
     def bracket(self, u, v):
         """[u, v] on coordinate vectors."""
-        n = self.dim
-        out = [ZERO] * n
-        for i in range(n):
-            a = u[i]
+        pairs = self._pairs
+        out = [ZERO] * self.dim
+        right = [(j, b) for j, b in enumerate(v) if not b.is_zero]
+        for i, a in enumerate(u):
             if a.is_zero:
                 continue
-            for j in range(n):
-                b = v[j]
-                if b.is_zero:
-                    continue
-                coeff = a * b
-                row = self.sc[i][j]
-                for k in range(n):
-                    if not row[k].is_zero:
-                        out[k] = out[k] + coeff * row[k]
+            row = pairs[i]
+            for j, b in right:
+                if row[j]:
+                    coeff = a * b
+                    for k, c in row[j]:
+                        out[k] = out[k] + coeff * c
         return tuple(out)
 
     def ad_matrix(self, u) -> Matrix:
         """Matrix of ad(u): column j is [u, e_j] in coordinates."""
-        cols = [self.bracket(u, self.basis_vector(j)) for j in range(self.dim)]
-        return Matrix(list(zip(*cols)))
+        n = self.dim
+        rows = [[ZERO] * n for _ in range(n)]
+        for i, a in enumerate(u):
+            if a.is_zero:
+                continue
+            for j, entries in enumerate(self._pairs[i]):
+                for k, c in entries:
+                    rows[k][j] = rows[k][j] + a * c
+        return Matrix._raw(tuple(map(tuple, rows)))
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
@@ -142,15 +159,12 @@ class LieAlgebra:
 
     def structure_table(self):
         """Sparse view {(i, j): {k: c}} for i < j, nonzero entries only."""
-        out = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                row = {
-                    k: c for k, c in enumerate(self.sc[i][j]) if not c.is_zero
-                }
-                if row:
-                    out[(i, j)] = row
-        return out
+        return {
+            (i, j): dict(row[j])
+            for i, row in enumerate(self._pairs)
+            for j in range(i + 1, self.dim)
+            if row[j]
+        }
 
     def __eq__(self, other):
         return (
@@ -174,6 +188,17 @@ def pair_gradients(pres: PoissonPresentation, pt: PointP) -> dict:
     }
 
 
+def gradient_sc(n: int, gradients: dict) -> tuple:
+    """Structure constants, as nested tuples, with sc[i][j] the gradient of
+    the pair (i, j) in `gradients` (as `pair_gradients` gives them) and
+    sc[j][i] its negative; every other row is zero."""
+    sc = [[(ZERO,) * n] * n for _ in range(n)]
+    for (i, j), grad in gradients.items():
+        sc[i][j] = grad
+        sc[j][i] = tuple(-g for g in grad)
+    return tuple(map(tuple, sc))
+
+
 def linearization(pres: PoissonPresentation, pt: PointP) -> tuple:
     """Structure constants of g(J) on the basis u_k = x_k - pt_k, as nested tuples.
 
@@ -181,12 +206,7 @@ def linearization(pres: PoissonPresentation, pt: PointP) -> tuple:
     vanishes by Poisson maximality, so its class mod J^2 is the linear part.
     A bracket that is identically zero has no gradient; its rows stay zero.
     """
-    n = len(pres.varset)
-    sc = [[(ZERO,) * n] * n for _ in range(n)]
-    for (i, j), grad in pair_gradients(pres, pt).items():
-        sc[i][j] = grad
-        sc[j][i] = tuple(-g for g in grad)
-    return tuple(map(tuple, sc))
+    return gradient_sc(len(pres.varset), pair_gradients(pres, pt))
 
 
 def lie_from_point(pres: PoissonPresentation, pt: PointP) -> LieAlgebra:
@@ -276,8 +296,10 @@ def lie_from_invariants(ip: InvariantPresentation) -> LieAlgebra:
     """g(J) from an invariant presentation via the mod-J^2 membership solve.
 
     Solves {G_i, G_j} = sum_k c_k G_k + (combination of products of >= 2
-    generators) exactly over the monomial support, with products of total
-    degree up to the largest target or generator.  The generators must stay
+    generators) exactly, with products of total degree up to the largest
+    target or generator, on a `PolySpan` of the products and then the
+    generators: a target escapes when it does not reduce to 0 there, and the
+    c_k are its coordinates on the generators.  The generators must stay
     independent modulo those products (J^2), so the linear parts are unique.
     When `_graded` finds every generator homogeneous in total degree, so is
     every product, and each check of a homogeneous polynomial needs only the
@@ -315,26 +337,25 @@ def lie_from_invariants(ip: InvariantPresentation) -> LieAlgebra:
     classes = {}  # a dependency modulo J^2 holds among generators of equal degrees
     for g in gens:
         classes.setdefault(pruned(g, bound), []).append(g)
-    independent = True
-    for basis, members in classes.items():
-        pivots = rref(support_matrix([products[k] for k in basis] + members))[1]
-        independent &= all(len(basis) + c in pivots for c in range(len(members)))
+    spans = (PolySpan(products[k] for k in basis) for basis in classes)
+    independent = all(all(span.add(g) for g in members)
+                      for span, members in zip(spans, classes.values()))
     groups = {}  # pruned product basis -> the pairs whose targets it serves
     for pair, target in targets.items():
         groups.setdefault(pruned(target, target.total_degree()), []).append(pair)
     escapes = []
     for basis, pairs in groups.items():
-        # One rref of [products | gens | targets]: a target whose column holds a
-        # pivot escapes, and the later ones of its group are read only if none does.
-        columns = [products[k] for k in basis] + gens
-        reduced, pivots = rref(support_matrix(columns + [targets[pair] for pair in pairs]))
-        rows = dict(zip(pivots, reduced))
-        for col, (i, j) in enumerate(pairs, len(columns)):
-            if col in rows:
+        # a target escapes when it lies outside span(products, gens); the later
+        # ones of its group are read only if none does
+        span = PolySpan([products[k] for k in basis] + gens)
+        for i, j in pairs:
+            coords = span.coordinates(targets[(i, j)])
+            if coords is None:
                 escapes.append((i, j))
-            elif independent:
-                for k, c in enumerate(range(len(basis), len(columns))):
-                    sc[i][j][k], sc[j][i][k] = rows[c][col], -rows[c][col]
+                break
+            for k in range(m):
+                c = coords.get(len(basis) + k, ZERO)
+                sc[i][j][k], sc[j][i][k] = c, -c
     if escapes:  # the first escaping pair in pair order is the first of its group
         i, j = min(escapes)
         raise NotExpressibleError(f"bracket of ({names[i]}, {names[j]}) escapes the "

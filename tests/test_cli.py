@@ -426,6 +426,24 @@ def test_module_dims_below_1_are_usage_errors(command):
         assert f"argument --dim: expected an integer >= 1, got '{dim}'" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", str(INPUTS / "torus-so3.pa"), "--point", "(2, 2, 2)", "--dim", "2"],
+    ["catalog", "run", "kleinian-a1"],
+], ids=["verify", "catalog"])
+def test_negative_trials_are_usage_errors(argv):
+    """A trial count below 0 is refused by the argument parser, as a module
+    dimension of 0 is, and runs no axiom check that would read `pass`."""
+    import subprocess, sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "poisson_atlas", *argv, "--trials", "-3"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "argument --trials: expected an integer >= 0, got '-3'" in proc.stderr
+
+
 def test_a_character_of_the_wrong_length_is_an_error(capsys):
     """whitney has three generators, so a character takes three values; two
     or four are refused with both counts named, not a traceback."""
@@ -855,3 +873,14 @@ def test_distinct_g_are_each_recognized(command, monkeypatch):
     code, out = run([command, str(INPUTS / "torus-so3.pa"), "--format", "machine"])
     assert code == 0 and out.count("sl2") == 5
     assert counts == {"recognize": 5}
+
+
+def test_classify_takes_one_gradient_pass_per_point(monkeypatch):
+    """`recognize_points` builds each new g(J) from the gradients it keyed the
+    point by, so the five points of torus-so3 take one `pair_gradients` pass
+    each and no `linearization`."""
+    counts = _count_calls(monkeypatch, "pair_gradients", "linearization")
+    code, out = run(["classify", str(INPUTS / "torus-so3.pa"), "--box-num", "4",
+                     "--box-den", "2", "--format", "machine"])
+    assert code == 0 and "ideal.count = 5" in out.splitlines()
+    assert counts == {"pair_gradients": 5, "linearization": 0}

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from poisson_atlas import lie
 from poisson_atlas import (
+    bracket,
     Exact,
     InvariantPresentation,
     LaurentPoly,
@@ -26,8 +27,9 @@ from poisson_atlas.errors import (
     NotExpressibleError,
     NotPoissonMaximalError,
 )
-from poisson_atlas.linalg import Matrix
-from poisson_atlas.scalars import Scalar, scalar_sqrt
+from poisson_atlas.linalg import Matrix, coordinates, rank, rref, unit_vector
+from poisson_atlas.poly import term_sort_key
+from poisson_atlas.scalars import ZERO, Scalar, scalar_sqrt
 
 
 def sc_table(lie):
@@ -445,3 +447,241 @@ def test_the_total_degree_does_not_filter_a_target_inhomogeneous_in_it():
     ip = InvariantPresentation(amb, ("p", "q"), (x1, x2))
     assert lie._graded(ip.generators)
     assert sc_table(lie_from_invariants(ip)) == {("p", "q"): {"p": Scalar(1)}}
+
+
+# -- the nonzero structure constants against the dense loops they replaced ------
+
+
+class _DenseLie:
+    """The dense loops of `LieAlgebra` before it read only the nonzero
+    structure constants: `bracket`, `ad_matrix` and `_verify`, kept as the
+    reference."""
+
+    def __init__(self, labels, sc):
+        self.labels, self.sc, self.dim = tuple(labels), sc, len(labels)
+
+    def basis_vector(self, i):
+        return unit_vector(self.dim, i)
+
+    def _verify(self):
+        n = self.dim
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    if self.sc[i][j][k] != -self.sc[j][i][k]:
+                        raise LieStructureError(
+                            f"antisymmetry fails on ({self.labels[i]}, {self.labels[j]})"
+                        )
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    acc = self._jacobiator(i, j, k)
+                    if any(not c.is_zero for c in acc):
+                        raise LieStructureError(
+                            f"Jacobi fails on ({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
+                        )
+
+    def _jacobiator(self, i, j, k):
+        e = self.basis_vector
+        term1 = self.bracket(self.bracket(e(i), e(j)), e(k))
+        term2 = self.bracket(self.bracket(e(j), e(k)), e(i))
+        term3 = self.bracket(self.bracket(e(k), e(i)), e(j))
+        return tuple(a + b + c for a, b, c in zip(term1, term2, term3))
+
+    def bracket(self, u, v):
+        n = self.dim
+        out = [ZERO] * n
+        for i in range(n):
+            a = u[i]
+            if a.is_zero:
+                continue
+            for j in range(n):
+                b = v[j]
+                if b.is_zero:
+                    continue
+                coeff = a * b
+                row = self.sc[i][j]
+                for k in range(n):
+                    if not row[k].is_zero:
+                        out[k] = out[k] + coeff * row[k]
+        return tuple(out)
+
+    def ad_matrix(self, u) -> Matrix:
+        cols = [self.bracket(u, self.basis_vector(j)) for j in range(self.dim)]
+        return Matrix(list(zip(*cols)))
+
+
+# Lie algebras of dimension <= 6 as (dim, {(i, j): {k: c}}) with [e_i, e_j] = sum c e_k
+_KNOWN_LIE = [
+    (1, {}),
+    (2, {(0, 1): {1: 1}}),
+    (3, {(0, 1): {2: 1}}),  # Heisenberg
+    (3, {(1, 0): {0: 2}, (1, 2): {2: -2}, (0, 2): {1: 1}}),  # sl2 on (e, h, f)
+    (3, {(0, 1): {2: 1}, (1, 2): {0: 1}, (2, 0): {1: 1}}),  # so3
+    (4, {(0, 1): {1: 1}, (2, 3): {3: 1}}),  # two copies of the 2-dimensional one
+    (5, {(1, 0): {0: 2}, (1, 2): {2: -2}, (0, 2): {1: 1},  # sl2 on its module C^2
+         (1, 3): {3: 1}, (1, 4): {4: -1}, (0, 4): {3: 1}, (2, 3): {4: 1}}),
+    (6, {(1, 0): {0: 2}, (1, 2): {2: -2}, (0, 2): {1: 1},
+         (4, 3): {3: 2}, (4, 5): {5: -2}, (3, 5): {4: 1}}),  # sl2 + sl2
+]
+
+
+def _dense_sc(n, table):
+    sc = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for (i, j), row in table.items():
+        for k, c in row.items():
+            sc[i][j][k], sc[j][i][k] = Scalar(c), -Scalar(c)
+    return sc
+
+
+@st.composite
+def _structure_tables(draw):
+    """(labels, sc, vectors) over Q or Q(sqrt(-1)), in dimension 1 to 6: a
+    known Lie algebra (with an abelian summand) in a drawn basis, or a drawn
+    antisymmetric table, which is rarely Lie; in a quarter of the draws one
+    entry then breaks antisymmetry."""
+    i = scalar_sqrt(-1) if draw(st.booleans()) else ZERO
+    entry = st.tuples(st.integers(-2, 2), st.integers(-1, 1)).map(lambda ab: ab[0] + ab[1] * i)
+    sparse = st.one_of(st.just(ZERO), st.just(ZERO), entry)
+    if draw(st.booleans()):
+        dim, table = draw(st.sampled_from(_KNOWN_LIE))
+        n = draw(st.integers(dim, 6))
+        dense = _DenseLie(range(n), _dense_sc(n, table))
+        cols = draw(st.lists(st.tuples(*[entry] * n), min_size=n, max_size=n)
+                    .filter(lambda cols: rank(cols) == n))
+        coords = coordinates(cols, [dense.bracket(u, v) for u in cols for v in cols])
+        sc = [[list(coords[a * n + b]) for b in range(n)] for a in range(n)]
+    else:
+        n = draw(st.integers(1, 6))
+        sc = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        for a in range(n):
+            for b in range(a + 1, n):
+                sc[a][b] = [draw(sparse) for _ in range(n)]
+                sc[b][a] = [-c for c in sc[a][b]]
+    if draw(st.integers(0, 3)) == 0:
+        a, b, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        sc[a][b][k] = sc[a][b][k] + draw(entry.filter(lambda c: not c.is_zero))
+    vectors = draw(st.lists(st.tuples(*[sparse] * n), min_size=1, max_size=3))
+    return tuple(f"u{a}" for a in range(n)), sc, vectors
+
+
+def _construction(build):
+    try:
+        build()
+    except LieStructureError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_structure_tables())
+def test_the_nonzero_structure_constants_give_the_dense_results(case):
+    labels, sc, vectors = case
+    dense = _DenseLie(labels, sc)
+    assert _construction(lambda: LieAlgebra(labels, sc)) == _construction(dense._verify)
+    lie = LieAlgebra(labels, sc, check=False)
+    basis = [dense.basis_vector(a) for a in range(dense.dim)]
+    for u in vectors + basis:
+        assert lie.ad_matrix(u) == dense.ad_matrix(u)
+        for v in vectors + basis:
+            assert lie.bracket(u, v) == dense.bracket(u, v)
+    assert lie.structure_table() == {
+        (a, b): {k: c for k, c in enumerate(sc[a][b]) if not c.is_zero}
+        for a in range(dense.dim) for b in range(a + 1, dense.dim)
+        if any(not c.is_zero for c in sc[a][b])
+    }
+
+
+# -- the mod-J^2 solve on sparse rows against the rref of the support matrix --------
+
+
+def _support_matrix(polys):
+    """One row per monomial of the union of the supports, the monomials in term
+    order; column k holds the coefficients of polys[k]."""
+    monomials = sorted(set().union(*(p.terms for p in polys)), key=term_sort_key)
+    return [[p.terms.get(mono, ZERO) for p in polys] for mono in monomials]
+
+
+def _rref_lie_from_invariants(ip):
+    """`lie_from_invariants` as it solved on one dense rref of the support
+    matrix per product basis, kept as the reference."""
+    gens = list(ip.generators)
+    names = list(ip.generator_names)
+    m = len(gens)
+    varset = ip.ambient.varset
+    for name, flag in zip(varset.names, varset.laurent):
+        if flag:
+            raise ValueError(f"the base point is the origin, where Laurent variable {name} is 0")
+    amb_origin = PointP(varset, [ZERO] * len(varset))
+    for name, g in zip(names, gens):
+        if not g.evaluate(amb_origin).is_zero:
+            raise ValueError(f"generator {name} does not vanish at the base point")
+    spec = ip.ambient.bracket_spec
+    targets = {}
+    for i in range(m):
+        for j in range(i + 1, m):
+            t = bracket(spec, gens[i], gens[j])
+            if not t.is_zero:
+                targets[(i, j)] = t
+    sc = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
+    if not targets:
+        return LieAlgebra(names, sc)
+    bound = max(p.total_degree() or 0 for p in list(targets.values()) + gens)
+    ones = (1,) * len(varset) if lie._graded(gens) else None
+    products, degrees = lie._enumerate_products(gens, bound)
+
+    def pruned(poly, total):  # the products up to total, of poly's degree if it has one
+        d = None if ones is None else poly.degree_wrt(ones)
+        return tuple(k for k, deg in enumerate(degrees) if deg <= total and d in (None, deg))
+
+    classes = {}  # a dependency modulo J^2 holds among generators of equal degrees
+    for g in gens:
+        classes.setdefault(pruned(g, bound), []).append(g)
+    independent = True
+    for basis, members in classes.items():
+        pivots = rref(_support_matrix([products[k] for k in basis] + members))[1]
+        independent &= all(len(basis) + c in pivots for c in range(len(members)))
+    groups = {}  # pruned product basis -> the pairs whose targets it serves
+    for pair, target in targets.items():
+        groups.setdefault(pruned(target, target.total_degree()), []).append(pair)
+    escapes = []
+    for basis, pairs in groups.items():
+        # One rref of [products | gens | targets]: a target whose column holds a
+        # pivot escapes, and the later ones of its group are read only if none does.
+        columns = [products[k] for k in basis] + gens
+        reduced, pivots = rref(_support_matrix(columns + [targets[pair] for pair in pairs]))
+        rows = dict(zip(pivots, reduced))
+        for col, (i, j) in enumerate(pairs, len(columns)):
+            if col in rows:
+                escapes.append((i, j))
+            elif independent:
+                for k, c in enumerate(range(len(basis), len(columns))):
+                    sc[i][j][k], sc[j][i][k] = rows[c][col], -rows[c][col]
+    if escapes:  # the first escaping pair in pair order is the first of its group
+        i, j = min(escapes)
+        raise NotExpressibleError(f"bracket of ({names[i]}, {names[j]}) escapes the "
+                                  f"subalgebra up to the degree bound")
+    if not independent:
+        raise NotExpressibleError("generators are dependent modulo J^2; linear part not unique")
+    return LieAlgebra(names, sc)
+
+
+def _rref_outcome(ip):
+    try:
+        return _rref_lie_from_invariants(ip).sc
+    except (AtlasError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in catalog_names() if get_entry(n).invariants is not None]
+)
+def test_the_sparse_solve_equals_the_rref_solve(name):
+    ip = get_entry(name).invariants
+    assert _outcome(ip) == _rref_outcome(ip)
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(_small_invariant_presentations())
+def test_the_sparse_solve_equals_the_rref_solve_on_drawn_presentations(ip):
+    assert _outcome(ip) == _rref_outcome(ip)

@@ -8,7 +8,9 @@ from conftest import random_poly
 from poisson_atlas import LaurentPoly, PointP, VarSet, divides, express_in_span
 from poisson_atlas.errors import LaurentViolationError, VarSetMismatchError
 from poisson_atlas.modules import SplitMix
-from poisson_atlas.scalars import Scalar
+from poisson_atlas.linalg import solve_linear
+from poisson_atlas.poly import term_sort_key
+from poisson_atlas.scalars import ZERO, Scalar, scalar_sqrt
 
 
 def test_arithmetic_identities(xyz):
@@ -138,6 +140,56 @@ def test_express_reproduces_target(xyz):
         for c, b in zip(got, basis):
             recon = recon + c * b
         assert recon == target
+
+
+
+def _rref_express_in_span(target, basis):
+    """`express_in_span` as it solved over the support matrix, one row per
+    monomial of the union of the supports, kept as the reference."""
+    polys = list(basis) + [target]
+    monomials = sorted(set().union(*(p.terms for p in polys)), key=term_sort_key)
+    rows = [[p.terms.get(mono, ZERO) for p in polys] for mono in monomials]
+    return solve_linear([row[:-1] for row in rows], [row[-1] for row in rows])
+
+
+@st.composite
+def _spans(draw):
+    """(target, basis) in two variables over Q or Q(sqrt(-1)): drawn members,
+    zero members and combinations of earlier members; the target a
+    combination of members, or drawn and so mostly outside the span."""
+    vs = VarSet(("x", "y"))
+    i = scalar_sqrt(-1) if draw(st.booleans()) else ZERO
+    coeff = st.tuples(st.integers(-2, 2), st.integers(-1, 1)).map(lambda ab: ab[0] + ab[1] * i)
+    nonzero = coeff.filter(lambda c: not c.is_zero)
+    mono = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+    def poly():
+        return LaurentPoly(vs, draw(st.dictionaries(mono, nonzero, min_size=1, max_size=3)))
+
+    def combination(members):
+        out = LaurentPoly.zero(vs)
+        for b in members:
+            out = out + draw(coeff) * b
+        return out
+
+    basis = []
+    for kind in draw(st.lists(st.sampled_from("ppzc"), max_size=5)):
+        basis.append(poly() if kind == "p" else combination(basis) if kind == "c"
+                     else LaurentPoly.zero(vs))
+    target = combination(basis) if draw(st.booleans()) else poly()
+    return target, basis
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_spans())
+def test_express_in_span_equals_the_support_matrix_solve(case):
+    target, basis = case
+    got, expected = express_in_span(target, basis), _rref_express_in_span(target, basis)
+    if all(p.is_zero for p in basis + [target]):
+        # an empty support matrix has no columns, and the old solve gave ()
+        assert (got, expected) == ((ZERO,) * len(basis), ())
+    else:
+        assert got == expected
 
 
 def test_divides(xyz):
