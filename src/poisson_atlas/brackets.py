@@ -240,10 +240,16 @@ def verify_jacobi(spec: BracketSpec, varset: VarSet) -> JacobiReport:
 
 @dataclass(frozen=True)
 class SubstitutionMap:
-    """Per-variable image polynomials from a source varset into a target ring."""
+    """Per-variable image polynomials from a source varset into a target ring.
+
+    `verify_poisson_map` keeps its report per (source, target) presentation
+    pair in `_reports`, a field outside `==`, `hash` and `repr`, so a map is
+    checked once however many modules are pulled back along it.
+    """
 
     source: VarSet
     images: tuple  # LaurentPoly per source variable, all over the target varset
+    _reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.images) != len(self.source):
@@ -291,25 +297,30 @@ def verify_poisson_map(
 ) -> MapReport:
     """m({x_i,x_j}_src) == {m(x_i), m(x_j)}_tgt, modulo a single target relation.
 
-    Source relations must also map to zero modulo the target relations.
+    Source relations must also map to zero modulo the target relations.  The
+    report is computed on the first call for (source, target) and kept in
+    `m._reports`; later calls return that same report.
     """
     if m.source != source.varset or m.target != target.varset:
         raise VarSetMismatchError("map endpoints do not match the presentations")
-    failures = []
-    n = len(source.varset)
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = m.apply(source.bracket_spec.pair(source.varset, i, j))
-            rhs = bracket(target.bracket_spec, m.images[i], m.images[j])
-            if not _zero_modulo(lhs - rhs, target.relations):
-                failures.append(
-                    ("pair", source.varset.names[i], source.varset.names[j], lhs - rhs)
-                )
-    for r in source.relations:
-        image = m.apply(r)
-        if not _zero_modulo(image, target.relations):
-            failures.append(("relation", r, image))
-    return MapReport(not failures, failures)
+    key = (source, target)
+    if key not in m._reports:
+        failures = []
+        n = len(source.varset)
+        for i in range(n):
+            for j in range(i + 1, n):
+                lhs = m.apply(source.bracket_spec.pair(source.varset, i, j))
+                rhs = bracket(target.bracket_spec, m.images[i], m.images[j])
+                if not _zero_modulo(lhs - rhs, target.relations):
+                    failures.append(
+                        ("pair", source.varset.names[i], source.varset.names[j], lhs - rhs)
+                    )
+        for r in source.relations:
+            image = m.apply(r)
+            if not _zero_modulo(image, target.relations):
+                failures.append(("relation", r, image))
+        m._reports[key] = MapReport(not failures, failures)
+    return m._reports[key]
 
 
 def is_poisson_central(spec: BracketSpec, p: LaurentPoly) -> bool:

@@ -161,6 +161,9 @@ class Context:
 
     A point `at` is a coordinate tuple or a `PointP` of the presentation; no
     point means the algebra of a Lie-level entry, read off its invariants.
+    `point` returns one `PointP` per point, the first one it was given or
+    built, so every lift and fact at a point shares the jets and the axiom
+    obligations that the point keeps.
     """
 
     def __init__(self, entry: CatalogEntry):
@@ -182,9 +185,10 @@ class Context:
         return value
 
     def point(self, at):
-        if at is None or isinstance(at, PointP):
-            return at
-        return _pt(self.pres.varset, at)
+        if at is None:
+            return None
+        pt = at if isinstance(at, PointP) else _pt(self.pres.varset, at)
+        return self.memo(("point", pt), lambda: pt)
 
     @property
     def ideals(self):

@@ -18,12 +18,14 @@ diagonal in the given basis: the minimal submodules, socle and simplicity
 come from the closures of its eigenvectors, with no sum of closures built.
 Only without either grading does the density hull decide simplicity.
 The axiom checker compares its matrix identities in coordinates on the action
-matrices and their commutators.
+matrices and their commutators; the coefficients and verdicts that do not read
+the module are built once per point and kept on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .brackets import PoissonPresentation, SubstitutionMap, bracket, verify_poisson_map
 from .classify import Sl2Triple, derived_subalgebra
@@ -268,6 +270,69 @@ def _exponent_candidates(varset):
     return out
 
 
+def _pair_obligations(spec, pt, pairs, p, q, label):
+    """The three axioms on (p, q) as obligations; `label()` names the pair in a
+    failure."""
+    br = bracket(spec, p, q)
+    p_value, p_grad = p.linear_part(pt)
+    q_value, q_grad = q.linear_part(pt)
+    br_value, br_grad = br.linear_part(pt)
+    commutator = [p_grad[j] * q_grad[i] - p_grad[i] * q_grad[j] for i, j in pairs]
+    pq_grad = (p * q).linear_part(pt)[1]
+    return [
+        ("axiom (i)", list(br_grad) + commutator, lambda: f"(a, b) = {label()}"),
+        ("axiom (ii)", br_value.is_zero,
+         lambda: f"{{a, b}}(pt) != 0 for (a, b) = {label()}"),
+        ("axiom (iii)",
+         [c - p_value * b - q_value * a for a, b, c in zip(p_grad, q_grad, pq_grad)],
+         lambda: f"(a, b) = {label()}"),
+    ]
+
+
+def _point_obligations(pres: PoissonPresentation, pt: PointP, trials: int, seed: int):
+    """The checks of `verify_poisson_axioms` that do not read the module, in its
+    order, as (axiom, check, witness).  A check is a coefficient vector on the
+    action matrices and their commutators that must combine to 0, or a verdict
+    already decided; a witness is formatted only for a failing check.  Built
+    once per (presentation, trials, seed) and kept in the point's
+    `_obligations`."""
+    key = (pres, trials, seed)
+    kept = pt._obligations.get(key)
+    if kept is not None:
+        return kept
+    varset, spec, names = pres.varset, pres.bracket_spec, pres.varset.names
+    gens = [LaurentPoly.variable(varset, n) for n in names]
+    pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
+    out = []
+    for i, j in pairs:
+        label = partial("({}, {})".format, names[i], names[j])
+        out += _pair_obligations(spec, pt, pairs, gens[i], gens[j], label)
+
+    # annihilator facts: constants and J^2 act as zero; the annihilator is Poisson
+    out.append(("Pann contains constants",
+                LaurentPoly.const(varset, 1).linear_part(pt)[1], "{1, -} != 0"))
+    shifted = [g - pt.values[i] for i, g in enumerate(gens)]
+    for i in range(len(gens)):
+        for j in range(i, len(gens)):
+            out.append(("Pann contains J^2", (shifted[i] * shifted[j]).linear_part(pt)[1],
+                        f"generators ({names[i]}, {names[j]})"))
+    for k in range(len(gens)):
+        for l in range(len(gens)):
+            out.append(("J is a Poisson ideal",
+                        bracket(spec, gens[k], shifted[l]).evaluate(pt).is_zero,
+                        f"{{{names[k]}, {names[l]} - pt}} escapes J"))
+
+    rng = SplitMix(seed)
+    candidates = _exponent_candidates(varset)
+    for t in range(trials):
+        p = _random_poly(rng, varset, candidates)
+        q = _random_poly(rng, varset, candidates)
+        label = partial("trial {}: ({}, {})".format, t, p, q)
+        out += _pair_obligations(spec, pt, pairs, p, q, label)
+    kept = pt._obligations[key] = tuple(out)
+    return kept
+
+
 def verify_poisson_axioms(
     module: PoissonModule, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED
 ) -> AxiomReport:
@@ -286,8 +351,13 @@ def verify_poisson_axioms(
     and [rho(p), rho(q)] = sum_{i<j} (p_i q_j - p_j q_i) [M_i, M_j].  So (i),
     (iii) and the facts that constants and J^2 act as zero each say that one
     coefficient vector combines the stack of the M_k and their commutators to
-    zero; the commutators are built once per module, and `relation_test`
-    reads the combination on a column basis of the stack, found by one rref.
+    zero.  Only that last step reads the module: the coefficient vectors, and
+    the verdicts of (ii) and "J is a Poisson ideal", are the point's
+    obligations, built once per point, presentation, trials and seed by
+    `_point_obligations` and kept on the point, so modules at one point share
+    them.  The module builds its commutators and its one `relation_test`,
+    which reads each combination on a column basis of the stack found by one
+    rref, and records the obligations in order.
 
     The elements stay polynomials: {p, q} is the full bracket and p * q the
     full product, each reduced to its value and gradient at the point by one
@@ -299,75 +369,15 @@ def verify_poisson_axioms(
     Leibniz rule it is checking.  A pair's witness label is formatted only
     for a check that fails.
     """
-    pres, pt, mats = module.pres, module.point, module.mats
-    varset = pres.varset
-    spec = pres.bracket_spec
-    report = AxiomReport(True)
-    gens = [LaurentPoly.variable(varset, n) for n in varset.names]
-    pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
+    mats, n = module.mats, len(module.mats)
     combines_to_zero = relation_test(
-        [m.flat() for m in mats] + [mats[i].commutator(mats[j]).flat() for i, j in pairs]
+        [m.flat() for m in mats]
+        + [mats[i].commutator(mats[j]).flat() for i in range(n) for j in range(i + 1, n)]
     )
-
-    def acts_as_zero(a: LaurentPoly) -> bool:
-        return combines_to_zero(a.linear_part(pt)[1])
-
-    def check_pair(p, q, label):
-        """The three axioms on (p, q); `label()` names the pair in a failure."""
-        br = bracket(spec, p, q)
-        p_value, p_grad = p.linear_part(pt)
-        q_value, q_grad = q.linear_part(pt)
-        br_value, br_grad = br.linear_part(pt)
-        commutator = [p_grad[j] * q_grad[i] - p_grad[i] * q_grad[j] for i, j in pairs]
-        report.record(
-            combines_to_zero(list(br_grad) + commutator),
-            "axiom (i)",
-            lambda: f"(a, b) = {label()}",
-        )
-        report.record(
-            br_value.is_zero,
-            "axiom (ii)",
-            lambda: f"{{a, b}}(pt) != 0 for (a, b) = {label()}",
-        )
-        pq_grad = (p * q).linear_part(pt)[1]
-        report.record(
-            combines_to_zero(
-                [c - p_value * b - q_value * a for a, b, c in zip(p_grad, q_grad, pq_grad)]
-            ),
-            "axiom (iii)",
-            lambda: f"(a, b) = {label()}",
-        )
-
-    names = varset.names
-    for i, j in pairs:
-        check_pair(gens[i], gens[j], lambda: f"({names[i]}, {names[j]})")
-
-    # annihilator facts: constants and J^2 act as zero; the annihilator is Poisson
-    report.record(
-        acts_as_zero(LaurentPoly.const(varset, 1)), "Pann contains constants", "{1, -} != 0"
-    )
-    shifted = [g - pt.values[i] for i, g in enumerate(gens)]
-    for i in range(len(gens)):
-        for j in range(i, len(gens)):
-            report.record(
-                acts_as_zero(shifted[i] * shifted[j]),
-                "Pann contains J^2",
-                f"generators ({names[i]}, {names[j]})",
-            )
-    for k in range(len(gens)):
-        for l in range(len(gens)):
-            report.record(
-                module.assoc_of(bracket(spec, gens[k], shifted[l])).is_zero,
-                "J is a Poisson ideal",
-                f"{{{names[k]}, {names[l]} - pt}} escapes J",
-            )
-
-    rng = SplitMix(seed)
-    candidates = _exponent_candidates(varset)
-    for t in range(trials):
-        p = _random_poly(rng, varset, candidates)
-        q = _random_poly(rng, varset, candidates)
-        check_pair(p, q, lambda: f"trial {t}: ({p}, {q})")
+    report = AxiomReport(True)
+    for axiom, check, witness in _point_obligations(module.pres, module.point, trials, seed):
+        report.record(check if isinstance(check, bool) else combines_to_zero(check),
+                      axiom, witness)
     return report
 
 
@@ -546,7 +556,9 @@ def restrict_to_subalgebra(
 
     Each source generator G acts associatively by emb(G)(pt) and Lie-wise by
     rho(lin emb(G) at pt): only the constant-and-linear data of emb(G)
-    matters.  The annihilator moves to emb^-1(J).
+    matters.  The annihilator moves to emb^-1(J).  The map's check is kept
+    on the map, so pulling several modules back along it checks it once; a
+    map that is not Poisson is refused on every call.
     """
     if emb.source != sub_pres.varset or emb.target != module.pres.varset:
         raise AtlasError("substitution map endpoints do not match the presentations")

@@ -280,7 +280,9 @@ class LaurentPoly:
     def substitute(self, images: dict) -> "LaurentPoly":
         """Substitute each variable by a polynomial (all over one target varset).
 
-        Negative powers require the image to be an invertible monomial.
+        Negative powers require the image to be an invertible monomial.  The
+        image of each monomial is scaled by its coefficient into one dict of
+        sums, and the zero coefficients are dropped once at the end.
         """
         target = None
         for img in images.values():
@@ -291,19 +293,22 @@ class LaurentPoly:
         missing = [n for n in self.varset.names if n not in images]
         if missing:
             raise VarSetMismatchError(f"substitution misses variables {missing}")
-        out = LaurentPoly.zero(target)
+        out = {}
+        one = {(0,) * len(target): ONE}
         cache: dict[tuple[int, int], LaurentPoly] = {}
         for exps, coeff in self.terms.items():
-            term = LaurentPoly.const(target, coeff)
+            image = None  # of the monomial x^exps; None for 1
             for i, e in enumerate(exps):
                 if e == 0:
                     continue
                 key = (i, e)
                 if key not in cache:
                     cache[key] = images[self.varset.names[i]] ** e
-                term = term * cache[key]
-            out = out + term
-        return out
+                image = cache[key] if image is None else image * cache[key]
+            for m, c in (one if image is None else image.terms).items():
+                acc, c = out.get(m), coeff * c
+                out[m] = c if acc is None else acc + c
+        return LaurentPoly._raw(target, {m: c for m, c in out.items() if not c.is_zero})
 
     # -- canonical form ----------------------------------------------------------
 
@@ -373,11 +378,13 @@ def report_coeff(c: Scalar, alone=False) -> str:
 class PointP:
     """An assignment of one scalar per variable (a maximal ideal).
 
-    A point keeps the jets of the monomials evaluated at it in `_jets`, a
-    table outside `==`, `hash`, `repr` and `str`, filled on first use.
+    A point keeps the jets of the monomials evaluated at it in `_jets`, and
+    the module-independent axiom checks at it (`modules._point_obligations`)
+    in `_obligations`; both tables are outside `==`, `hash`, `repr` and
+    `str`, and filled on first use.
     """
 
-    __slots__ = ("varset", "values", "_jets")
+    __slots__ = ("varset", "values", "_jets", "_obligations")
 
     def __init__(self, varset: VarSet, values):
         values = tuple(Scalar.coerce(v) for v in values)
@@ -391,6 +398,7 @@ class PointP:
         object.__setattr__(self, "varset", varset)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_jets", {})
+        object.__setattr__(self, "_obligations", {})
 
     def jet(self, exps):
         """(pt^a, or None when it is 0; the pairs (k, d/dx_k x^a at pt) that

@@ -150,3 +150,26 @@ def test_a_failing_derived_value_is_computed_once(monkeypatch):
             assert (result.ok, result.detail) == (False, error), result.key
         else:
             assert _fact_line("torus-so3", result) == GOLDEN[f"torus-so3.{result.key}"]
+
+
+def test_a_context_keeps_one_point_per_coordinate_tuple():
+    from poisson_atlas.catalog import Context
+
+    ctx = Context(get_entry("kleinian-a1"))
+    origin = ctx.point((0, 0, 0))
+    assert ctx.point((0, 0, 0)) is origin and ctx.point(origin) is origin
+    assert ctx.lift((0, 0, 0), 2).point is origin and ctx.lift(origin, 3).point is origin
+
+
+def test_lifted_modules_draws_one_set_of_trial_polynomials(monkeypatch):
+    import poisson_atlas.modules as modules
+    from poisson_atlas.catalog import Context
+
+    entry = get_entry("kleinian-a1")
+    draws = []
+    real = modules._random_poly
+    monkeypatch.setattr(modules, "_random_poly", lambda *a: draws.append(1) or real(*a))
+    (fact,) = [fn for key, _, fn in entry.checks if key == "lifted_modules"]
+    ok, _ = fact(Context(entry), RunConfig())
+    # six lifts at the origin, 32 trial pairs: 64 draws, not 6 * 64 = 384
+    assert ok and len(draws) == 2 * RunConfig().trials == 64

@@ -669,3 +669,112 @@ def test_coordinate_checks_match_matrix_comparison(point, d):
         got, want = verify_poisson_axioms(mutant), _verify_reference(mutant)
         assert (got.ok, got.checks, got.failures) == (want.ok, want.checks, want.failures)
     assert verify_poisson_axioms(module).ok
+
+
+def _cold_copy(module):
+    """The module on a fresh point equal to its own, with no kept obligations."""
+    pt = PointP(module.pres.varset, module.point.values)
+    return PoissonModule(module.pres, pt, module.mats)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize(
+    "point", [("torus-so3", (2, 2, 2)), ("uqsl2-4hom", (0, 0, Scalar(0, 1, -1)))],
+    ids=["Q", "Q(sqrt(-1))"],
+)
+def test_kept_obligations_name_their_own_pairs(point, d):
+    """Every mutant verified on a cold point and again on the warmed shared
+    point reports what the reference reports: a kept witness names its own
+    pair, not the last one of the loop that built the obligations."""
+    module = _catalog_lift(*point, d)
+    assert verify_poisson_axioms(module).ok  # warms module.point
+    for g in range(3):
+        for r in range(d):
+            for c in range(d):
+                mutant = module.perturbed(g, r, c)
+                want = _verify_reference(mutant)
+                for got in (verify_poisson_axioms(_cold_copy(mutant)),
+                            verify_poisson_axioms(mutant)):
+                    assert (got.ok, got.checks, got.failures) == (
+                        want.ok, want.checks, want.failures)
+
+
+@pytest.mark.parametrize("case", list(PINNED_FAILURES), ids=lambda case: case[0])
+def test_pinned_failures_hold_on_a_warm_point(case):
+    name, coords, d, (g, r, c) = case
+    module = _catalog_lift(name, coords, d)
+    assert verify_poisson_axioms(module).ok
+    for _ in range(2):
+        report = verify_poisson_axioms(module.perturbed(g, r, c))
+        assert (report.ok, report.checks, report.failures) == PINNED_FAILURES[case]
+
+
+def test_a_second_verify_at_a_point_reuses_its_obligations(monkeypatch):
+    import poisson_atlas.modules as modules
+    from poisson_atlas import get_entry
+
+    pres = get_entry("kleinian-a1").presentation
+    origin = PointP(pres.varset, (0, 0, 0))
+    lie = lie_from_point(pres, origin)
+    triple = find_sl2_triple(lie)
+    first, second = (lift_module(pres, origin, sl2_irrep(lie, d, triple)) for d in (2, 3))
+    assert verify_poisson_axioms(first).ok
+
+    def refuse(*args):
+        raise AssertionError("the point's obligations were built again")
+
+    monkeypatch.setattr(modules, "bracket", refuse)
+    monkeypatch.setattr(modules, "_random_poly", refuse)
+    report = verify_poisson_axioms(second)
+    monkeypatch.undo()
+    want = _verify_reference(second)
+    assert (report.ok, report.checks, report.failures) == (want.ok, want.checks, want.failures)
+    # other trials or another seed are other obligations
+    monkeypatch.setattr(modules, "_random_poly", refuse)
+    with pytest.raises(AssertionError, match="built again"):
+        verify_poisson_axioms(second, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED + 1)
+
+
+def _torus_shear():
+    from poisson_atlas import get_entry
+
+    pres = get_entry("torus-so3").presentation
+    x, y, z = (pres.gen(n) for n in "xyz")
+    return SubstitutionMap.from_dict(pres.varset, {"x": x, "y": y, "z": z + 1})
+
+
+def test_a_non_poisson_map_is_refused_on_every_twist(monkeypatch):
+    import poisson_atlas.brackets as brackets
+
+    shear = _torus_shear()
+    module = _catalog_lift("torus-so3", (2, 2, 2), 2)
+    with pytest.raises(AtlasError, match="not a Poisson map") as first:
+        twist(module, shear)
+
+    def refuse(*args):
+        raise AssertionError("the map was checked again")
+
+    monkeypatch.setattr(brackets, "bracket", refuse)
+    with pytest.raises(AtlasError, match="not a Poisson map") as second:
+        twist(module, shear)
+    assert str(second.value) == str(first.value)
+    # the kept report is outside ==, hash and repr
+    fresh = SubstitutionMap(shear.source, shear.images)
+    assert fresh == shear and hash(fresh) == hash(shear) and repr(fresh) == repr(shear)
+
+
+def test_restricting_twice_along_one_map_checks_it_once(monkeypatch):
+    import poisson_atlas.brackets as brackets
+    from poisson_atlas import get_entry
+    from poisson_atlas.catalog import Context
+
+    entry = get_entry("kleinian-a1")
+    emb, sub = entry.embeds["pi4"]
+    module = Context(entry).lift((0, 0, 0), 3)
+    calls = []
+    real = brackets.bracket
+    monkeypatch.setattr(brackets, "bracket", lambda *a: calls.append(a) or real(*a))
+    first = restrict_to_subalgebra(module, emb, sub)
+    assert len(calls) == 3  # one map check: {m(u), m(v)}, {m(u), m(w)}, {m(v), m(w)}
+    second = restrict_to_subalgebra(module, emb, sub)
+    assert first == second and len(calls) == 3
