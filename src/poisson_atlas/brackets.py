@@ -220,17 +220,19 @@ def verify_jacobi(spec: BracketSpec, varset: VarSet) -> JacobiReport:
     """Check the Jacobiator on generator triples.
 
     The Jacobiator of a biderivation-extended bracket is a triderivation, so
-    vanishing on generator triples implies the full Jacobi identity.
+    vanishing on generator triples implies the full Jacobi identity.  The
+    inner brackets are read from the spec's table, {x_k, x_i} as -{x_i, x_k}.
     """
     n = len(varset)
     gens = [LaurentPoly.variable(varset, name) for name in varset.names]
+    pair = spec.pairs(varset)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 jac = (
-                    bracket(spec, bracket(spec, gens[i], gens[j]), gens[k])
-                    + bracket(spec, bracket(spec, gens[j], gens[k]), gens[i])
-                    + bracket(spec, bracket(spec, gens[k], gens[i]), gens[j])
+                    bracket(spec, pair[i, j], gens[k])
+                    + bracket(spec, pair[j, k], gens[i])
+                    - bracket(spec, pair[i, k], gens[j])
                 )
                 if not jac.is_zero:
                     names = varset.names

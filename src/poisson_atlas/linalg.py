@@ -13,13 +13,13 @@ vectors to zero, read on a column basis of them).  eigen_small factors
 characteristic polynomials over Q plus at most one quadratic extension,
 reporting the discriminant it had to introduce; it takes the rational roots
 and quadratic factors from `intpoly`, searched up to the matrix's row-sum
-norm, so it has no dimension cap.  Two weight routes feed the submodule
-analysis in `modules`: `weight_graph` reads the unit vectors as weight
-vectors when some combination of the matrices is diagonal with distinct
-entries (one kernel solve, then zero tests only), and `_weight_seeds` takes
-the eigenvectors of an action matrix with one-dimensional eigenspaces
-(MeatAxe's vector closures start from them); `associative_hull_is_full` is the
-density criterion, itself a closure, for a module with neither.
+norm, so it has no dimension cap.  The submodule analysis in `modules` takes
+its seeds and reaches from here: the unit vectors, reaching along the
+`weight_graph` (one kernel solve, then zero tests only) when a combination of
+the matrices is diagonal with distinct entries; else `_weight_seeds`, the
+eigenvectors of an action matrix with one-dimensional eigenspaces or the basis
+vectors, each reaching the seeds in its `closure` (MeatAxe's vector closures).
+`associative_hull_is_full` is the density criterion, itself a closure.
 """
 
 from __future__ import annotations

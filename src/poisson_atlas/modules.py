@@ -8,15 +8,15 @@ subalgebra and twisting by an automorphism are one pullback along a verified
 Poisson map.  A lift takes its point check from the g(J) that
 `lie_from_point` built at the point.  One function, `analyze_submodules`,
 decides simplicity and the minimal submodules, and the composition series
-reads it.  It reads the weight graph when some combination of the action
-matrices is diagonal with distinct entries, as in every sl2 lift: the
-submodules are then spans of unit vectors, the module is simple iff the graph
-is strongly connected, and the minimal submodules are its terminal strongly
-connected components.  Otherwise an action matrix with one-dimensional
-eigenspaces grades it, the only complete route for a grading that is not
-diagonal in the given basis: the minimal submodules, socle and simplicity
-come from the closures of its eigenvectors, with no sum of closures built.
-Only without either grading does the density hull decide simplicity.
+reads it.  It applies one rule to seeds and their reaches (the seeds in the
+submodule each one generates): the minimal submodules are the sinks, the
+reaches every seed in them shares.  The seeds are the unit vectors, reaching
+along the weight graph, when some combination of the action matrices is
+diagonal with distinct entries, as in every sl2 lift; otherwise the
+eigenvectors of an action matrix with one-dimensional eigenspaces, or
+without one the basis vectors, reaching through their closures.  With a
+grading the sinks are the simple submodules and their sum is direct; only
+without one does the density hull decide simplicity.
 The axiom checker compares its matrix identities in coordinates on the action
 matrices and their commutators; the coefficients and verdicts that do not read
 the module are built once per point and kept on it.
@@ -395,11 +395,11 @@ def is_simple(mats, dim: int) -> bool:
 
 @dataclass
 class SubmoduleAnalysis:
-    """Simplicity, minimal submodules and the socle, from the weight graph or
-    closures of weight vectors."""
+    """Simplicity, minimal submodules and the socle, from the sinks of the
+    seeds' reaches."""
 
     dim: int
-    complete: bool  # True when the seeds were weight vectors (see _weight_seeds)
+    complete: bool  # True when the seeds grade the module: every submodule holds one
     simple: bool
     minimal: list  # canonical bases, sorted by (dim, signature)
     socle_dim: int
@@ -411,60 +411,55 @@ def analyze_submodules(mats, dim: int) -> SubmoduleAnalysis:
     """Simplicity, minimal submodules, socle and semisimplicity, exact
     wherever the module has weight vectors.
 
-    Where `weight_graph` applies, the submodules are the spans of unit
-    vectors on sets closed under the graph's edges: the minimal ones are its
-    terminal strongly connected components (the vertex sets that every one of
-    their vertices reaches exactly), the socle is their union, and the module
-    is semisimple iff they cover every vertex.  Otherwise the grading is an
-    action matrix with one-dimensional eigenspaces, found by `_weight_seeds`
-    from the module's own matrices; without one, basis vectors seed the
-    closures.  Every nonzero sum of closures contains a closure, so the
-    minimal members of that family are the closures containing no smaller
-    closure, and no sum is built.
+    A route gives seeds, the reach of each (the seeds in the submodule it
+    generates) and whether the seeds grade the module.  Where `weight_graph`
+    applies, the seeds are the unit vectors and a reach is the graph's.
+    Otherwise `_weight_seeds` gives the eigenvectors of an action matrix with
+    one-dimensional eigenspaces, or without one the basis vectors, and a
+    reach is read off the seed's closure.  A seed in another's submodule
+    reaches no more than that one, so the submodules generated by one seed
+    that contain no smaller one are the sinks: the reaches shared by every
+    seed in them.  Only a sink gets a canonical (rref) basis.
 
     With a grading (the graph or weight vectors) every submodule is stable
-    under it and so holds a seed: each minimal closure is simple, the socle
-    and the semisimplicity verdict are exact, and the module is simple iff
-    its only minimal submodule is the whole of it.  Without one a minimal
-    closure need not be simple: the density hull decides simplicity (after
-    the closures, when no proper one exists) and certifies each direct
-    summand, and a socle short of the module leaves the semisimplicity
-    verdict undetermined (None).  The minimal submodules are canonical
-    (rref) bases, sorted by dimension and then by their text, which for
-    unit-vector bases of disjoint sets of one size puts the larger least
-    index first.
+    under it and so holds a seed: the sinks are the simple submodules, and
+    one-dimensional weight spaces make them pairwise non-isomorphic, so the
+    socle is their direct sum.  The module is semisimple iff their dimensions
+    add up to its own, and simple iff its only sink is the whole of it.
+    Without a grading a sink need not be simple: the density hull decides
+    simplicity and certifies each summand of a greedy decomposition of the
+    socle, and a socle short of the module leaves the semisimplicity verdict
+    undetermined (None).  The minimal submodules are sorted by dimension and
+    then by their text, which for unit-vector bases of disjoint sets of one
+    size puts the larger least index first.
     """
     mats = tuple(mats)
     graph = weight_graph(mats, dim)
-    if graph is not None:
-        reach = [reachable(graph, i) for i in range(dim)]
-        # j in reach(i) implies reach(j) <= reach(i): a sink is a set of equal reaches
-        sinks = {r for r in reach if all(len(reach[j]) == len(r) for j in r)}
-        minimal = [
-            tuple(unit_vector(dim, i) for i in sorted(r))
-            for r in sorted(sinks, key=lambda r: (len(r), -min(r)))
-        ]
+    if graph is not None:  # a unit-vector sink is the span of its own seeds
+        reach, complete = [reachable(graph, i) for i in range(dim)], True
+        submodule = lambda r: tuple(unit_vector(dim, i) for i in sorted(r))
+        text_order = lambda r, basis: -min(r)
+    else:
+        seeds, complete = _weight_seeds(mats, dim)
+        maps = [m.apply for m in mats]
+        spans = [closure([s], maps) for s in seeds]
+        reach = [frozenset(j for j, s in enumerate(seeds) if span.contains(s)) for span in spans]
+        submodule = lambda r: spans[min(r)].basis()
+        text_order = lambda r, basis: str(basis)
+    # j in reach(i) implies reach(j) <= reach(i): a sink is a set of equal reaches
+    sinks = {r for r in reach if all(len(reach[j]) == len(r) for j in r)}
+    bases = {r: submodule(r) for r in sinks}
+    minimal = [bases[r] for r in
+               sorted(bases, key=lambda r: (len(bases[r]), text_order(r, bases[r])))]
+    simple = [len(s) for s in minimal] == [dim]
+    if complete:
         socle_dim = sum(map(len, minimal))
         semisimple = socle_dim == dim
-        return SubmoduleAnalysis(
-            dim, True, [len(s) for s in minimal] == [dim], minimal, socle_dim, semisimple,
-            list(minimal) if semisimple else None,
-        )
-    seeds, complete = _weight_seeds(mats, dim)
-    maps = [m.apply for m in mats]
-    closures = sorted(
-        {closure([s], maps).basis() for s in seeds}, key=lambda b: (len(b), str(b))
-    )
-    minimal = []
-    for c in closures:
-        span = IncrementalSpan(c)
-        if not any(len(m) < len(c) and all(span.contains(v) for v in m) for m in minimal):
-            minimal.append(c)
-    simple = [len(s) for s in minimal] == [dim] and (
-        complete or linalg.associative_hull_is_full(mats, dim)
-    )
+        return SubmoduleAnalysis(dim, True, simple, minimal, socle_dim, semisimple,
+                                 list(minimal) if semisimple else None)
+    simple = simple and linalg.associative_hull_is_full(mats, dim)
     socle = row_space_basis([v for s in minimal for v in s])
-    semisimple: bool | None
+    semisimple: bool | None = None  # undetermined unless the hull certifies the summands
     decomposition = None
     if len(socle) == dim:
         decomposition = []
@@ -476,19 +471,14 @@ def analyze_submodules(mats, dim: int) -> SubmoduleAnalysis:
                 current = list(merged)
             if len(current) == dim:
                 break
-        if complete or all(
+        if all(
             linalg.associative_hull_is_full(restrict_action(mats, s), len(s))
             for s in decomposition
         ):
             semisimple = True
         else:
-            semisimple = None
             decomposition = None
-    elif complete:
-        semisimple = False
-    else:
-        semisimple = None  # socle short of the module without a grading
-    return SubmoduleAnalysis(dim, complete, simple, minimal, len(socle), semisimple, decomposition)
+    return SubmoduleAnalysis(dim, False, simple, minimal, len(socle), semisimple, decomposition)
 
 
 def quotient_action(mats, sub_basis, dim):

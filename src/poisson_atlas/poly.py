@@ -210,14 +210,16 @@ class LaurentPoly:
     def __pow__(self, n: int):
         if n < 0:
             return self._unit_inverse() ** (-n)
-        out = LaurentPoly.const(self.varset, 1)
-        base = self
-        while n:
+        if n == 0:
+            return LaurentPoly.const(self.varset, 1)
+        out, base = None, self
+        while True:  # no product with the constant 1, no square past the last bit
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if not n:
+                return out
+            base = base * base
 
     def _unit_inverse(self) -> "LaurentPoly":
         """Inverse of a unit (single term on Laurent-invertible variables)."""

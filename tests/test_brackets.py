@@ -21,6 +21,8 @@ from poisson_atlas import (
     verify_jacobi,
     verify_poisson_map,
 )
+from poisson_atlas import brackets
+from poisson_atlas.brackets import JacobiReport
 from poisson_atlas.errors import LieStructureError, ScalarDomainError
 from poisson_atlas.modules import SplitMix
 from poisson_atlas.scalars import Scalar
@@ -215,6 +217,51 @@ def test_verify_jacobi_fail_with_witness(xyz):
     assert not report.ok
     assert report.witness == ("x", "y", "z")
     assert report.jacobiator == -2 * y * z
+
+
+def _verify_jacobi_reference(spec, varset):
+    """The Jacobiator on generator triples with every bracket computed, the
+    inner generator brackets too."""
+    n = len(varset)
+    gens = [LaurentPoly.variable(varset, name) for name in varset.names]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                jac = (
+                    bracket(spec, bracket(spec, gens[i], gens[j]), gens[k])
+                    + bracket(spec, bracket(spec, gens[j], gens[k]), gens[i])
+                    + bracket(spec, bracket(spec, gens[k], gens[i]), gens[j])
+                )
+                if not jac.is_zero:
+                    names = varset.names
+                    return JacobiReport(False, (names[i], names[j], names[k]), jac)
+    return JacobiReport(True)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_bracket_cases())
+def test_verify_jacobi_matches_the_all_bracket_reference(case):
+    """Drawn tables and Kirillov-Kostant constants mostly fail Jacobi: the
+    witness triple and the Jacobiator are the reference's."""
+    spec, p, _, _ = case
+    report, reference = verify_jacobi(spec, p.varset), _verify_jacobi_reference(spec, p.varset)
+    assert report == reference
+    assert str(report.jacobiator) == str(reference.jacobiator)
+
+
+def test_verify_jacobi_makes_three_brackets_per_triple(xyz, monkeypatch):
+    vs, x, y, z = xyz
+    calls = []
+
+    def counted(spec, p, q, real=bracket):
+        calls.append(1)
+        return real(spec, p, q)
+
+    monkeypatch.setattr(brackets, "bracket", counted)
+    for spec in _spec_of_each_kind(vs, x, y, z):
+        calls.clear()
+        verify_jacobi(spec, vs)
+        assert len(calls) == 3, type(spec).__name__
 
 
 def test_curl_free_table_is_actually_poisson(xyz):

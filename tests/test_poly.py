@@ -250,6 +250,25 @@ def test_negative_power_of_non_unit_rejected(xyz_laurent):
         x ** -2  # single term, but x is not Laurent-flagged
 
 
+@pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
+def test_a_power_makes_one_product_per_square_and_set_bit(xyz_laurent, monkeypatch, n, products):
+    vs, x, y, z = xyz_laurent
+    p = 2 * x - y * z**-1 + 3
+    expected = LaurentPoly.const(vs, 1)
+    for _ in range(n):
+        expected = expected * p
+    real, calls = LaurentPoly.__mul__, []
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    assert p**n == expected
+    assert len(calls) == products
+    assert (z**-1) ** n == LaurentPoly(vs, {(0, 0, -n): 1})
+
+
 def test_linear_part_at_zero_coordinates(xyz_laurent):
     vs, x, y, z = xyz_laurent
     p = 2 * x * z**-2 + x * y + y * y * z - 3 * x * x + 5 * z

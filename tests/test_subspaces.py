@@ -592,6 +592,30 @@ def test_a_diagonal_module_is_semisimple():
     assert [len(s) for s in analysis.minimal] == [1, 1]
 
 
+def test_only_the_sinks_get_a_canonical_basis(monkeypatch):
+    """The 5-dimensional irrep in a unitriangular basis, h acting first: no
+    combination is diagonal, h's five eigenvectors seed, and the one sink,
+    the whole module, is the only subspace put in canonical form."""
+    d = 5
+    e, h, f = irrep(d)
+    p = Matrix([[int(j >= i) for j in range(d)] for i in range(d)])
+    mats = [inverse(p) * m * p for m in (h, e, f)]
+    assert weight_graph(mats, d) is None
+    assert _weight_seeds(mats, d)[1] and len(_weight_seeds(mats, d)[0]) == d
+    calls = []
+
+    def counted(vectors):
+        calls.append(len(vectors))
+        return row_space_basis(vectors)
+
+    monkeypatch.setattr(linalg, "row_space_basis", counted)
+    monkeypatch.setattr(modules, "row_space_basis", counted)
+    analysis = analyze_submodules(mats, d)
+    assert analysis.simple and analysis.semisimple and analysis.socle_dim == d
+    assert len(analysis.minimal) == 1 and len(analysis.minimal[0]) == d
+    assert calls == [d]
+
+
 @st.composite
 def _digraphs(draw):
     """(dim, edges): a random digraph on dim vertices, without loops."""
