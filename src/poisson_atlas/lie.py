@@ -3,7 +3,8 @@
 Two routes, mirroring the worked examples: linearize the generator brackets at
 the point (polynomial presentations), or express brackets of invariant
 generators in the generators modulo products of two or more of them
-(invariant presentations).  The second route prunes its product basis by
+(invariant presentations), in a `linalg.IncrementalSpan` of the products
+and the tagged generators.  The second route prunes its product basis by
 the total degree when that grades the generators.  Both produce
 structure-constant algebras whose antisymmetry and Jacobi identity are
 enforced at construction.
@@ -16,8 +17,8 @@ from dataclasses import dataclass, field
 from .brackets import PoissonPresentation, SubstitutionMap, bracket
 from .errors import LieStructureError, NotExpressibleError, NotPoissonMaximalError
 from .ideals import is_poisson_maximal
-from .linalg import Matrix, coordinates, unit_vector
-from .poly import LaurentPoly, PointP, PolySpan, VarSet
+from .linalg import IncrementalSpan, Matrix, coordinates, unit_vector
+from .poly import LaurentPoly, PointP, VarSet
 from .scalars import Scalar, ZERO
 
 
@@ -297,9 +298,10 @@ def lie_from_invariants(ip: InvariantPresentation) -> LieAlgebra:
 
     Solves {G_i, G_j} = sum_k c_k G_k + (combination of products of >= 2
     generators) exactly, with products of total degree up to the largest
-    target or generator, on a `PolySpan` of the products and then the
-    generators: a target escapes when it does not reduce to 0 there, and the
-    c_k are its coordinates on the generators.  The generators must stay
+    target or generator, in an `IncrementalSpan` of the products, untagged,
+    and then the generators, generator k with tag k: a target escapes when it
+    does not reduce to 0 there, and the c_k are its coordinates, read off the
+    tags.  The generators must stay
     independent modulo those products (J^2), so the linear parts are unique.
     When `_graded` finds every generator homogeneous in total degree, so is
     every product, and each check of a homogeneous polynomial needs only the
@@ -337,8 +339,8 @@ def lie_from_invariants(ip: InvariantPresentation) -> LieAlgebra:
     classes = {}  # a dependency modulo J^2 holds among generators of equal degrees
     for g in gens:
         classes.setdefault(pruned(g, bound), []).append(g)
-    spans = (PolySpan(products[k] for k in basis) for basis in classes)
-    independent = all(all(span.add(g) for g in members)
+    spans = (IncrementalSpan(products[k].terms for k in basis) for basis in classes)
+    independent = all(all(span.add(g.terms) for g in members)
                       for span, members in zip(spans, classes.values()))
     groups = {}  # pruned product basis -> the pairs whose targets it serves
     for pair, target in targets.items():
@@ -347,14 +349,16 @@ def lie_from_invariants(ip: InvariantPresentation) -> LieAlgebra:
     for basis, pairs in groups.items():
         # a target escapes when it lies outside span(products, gens); the later
         # ones of its group are read only if none does
-        span = PolySpan([products[k] for k in basis] + gens)
+        span = IncrementalSpan(products[k].terms for k in basis)
+        for k, g in enumerate(gens):
+            span.add(g.terms, k)
         for i, j in pairs:
-            coords = span.coordinates(targets[(i, j)])
+            coords = span.coordinates(targets[(i, j)].terms)
             if coords is None:
                 escapes.append((i, j))
                 break
             for k in range(m):
-                c = coords.get(len(basis) + k, ZERO)
+                c = coords.get(k, ZERO)
                 sc[i][j][k], sc[j][i][k] = c, -c
     if escapes:  # the first escaping pair in pair order is the first of its group
         i, j = min(escapes)

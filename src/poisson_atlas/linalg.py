@@ -4,7 +4,11 @@ eigenproblems, weight graphs and the density hull.
 Everything is fraction-free in spirit but implemented directly over the scalar
 field (Q or one quadratic extension); Gaussian elimination with exact pivots
 is both the solver and the verifier here.  `rref` works in place and touches
-only the columns where the pivot row is nonzero.  The subspace routines are
+only the columns where the pivot row is nonzero.  `IncrementalSpan` is the one
+echelon span, on sparse rows, of vectors and of polynomials (`LaurentPoly.terms`
+dicts); it keeps coordinates only on the vectors added with a tag, which is
+how `lie` solves modulo J^2 and `poly.express_in_span` expresses a target.
+The subspace routines are
 `coordinates` (every vector's coordinates in a basis, from one rref),
 `restrict_action` (matrices on an invariant subspace, built on it), `closure`
 (the smallest span holding some seeds and stable under linear maps, grown in
@@ -24,6 +28,7 @@ vectors, each reaching the seeds in its `closure` (MeatAxe's vector closures).
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from math import isqrt
 
@@ -298,43 +303,89 @@ def relation_test(vectors):
     return lambda coeffs: all(_dot(coeffs, col).is_zero for col in columns)
 
 
+def _subtract(acc: dict, f: Scalar, row: dict):
+    """acc -= f * row on {key: Scalar} dicts; an entry that cancels stays, as 0."""
+    for key, c in row.items():
+        acc[key] = acc[key] - f * c if key in acc else -(f * c)
+
+
+def _nonzero(vec: dict) -> dict:
+    return {key: c for key, c in vec.items() if not c.is_zero}
+
+
 class IncrementalSpan:
-    """Row-echelon accumulator with O(rank * n) membership and insertion."""
+    """The span of some vectors, in echelon form on sparse rows.
+
+    A vector is a {key: Scalar} dict, such as `LaurentPoly.terms`, or a
+    sequence of Scalars, read as {position: entry}.  A row is such a dict with
+    entry 1 at its lead, its least key, and it is filed under that lead; no
+    two rows share one, so one pass up the leads reduces a vector.  On
+    sequences the leads are the pivot positions of a row echelon form.  A
+    vector added with a `tag` carries it into the rows it enters: such a row
+    keeps, in `coords`, its coordinates {tag: c} on the tagged vectors, which
+    `coordinates` reads.  A span with no tagged vector keeps none.
+    """
 
     def __init__(self, vectors=()):
-        self.rows = {}  # pivot position -> normalized row
+        self.rows = {}  # lead -> normalized row
+        self.leads = []  # the leads, ascending
+        self.coords = {}  # lead -> {tag: c}, for the rows a tagged vector entered
+        self.width = 0  # the length of the sequences added, for `basis`
         for v in vectors:
             self.add(v)
 
-    def reduce(self, vec):
-        """`vec` minus its components along the stored rows (zero at each pivot)."""
-        v = list(vec)
-        for p in sorted(self.rows):
-            if not v[p].is_zero:
-                factor = v[p]
-                row = self.rows[p]
-                v = [a - factor * b for a, b in zip(v, row)]
-        return v
+    def reduce(self, vec, taken=None) -> dict:
+        """`vec` minus its components along the rows, as {key: entry}; it is 0
+        at every lead, and an entry that cancels stays, as 0.  `taken` gathers
+        the tagged coordinates of the combination subtracted."""
+        rem = dict(vec) if isinstance(vec, dict) else dict(enumerate(vec))
+        for lead in self.leads:
+            f = rem.get(lead)
+            if f is not None and not f.is_zero:
+                _subtract(rem, f, self.rows[lead])
+                if taken is not None and lead in self.coords:
+                    _subtract(taken, -f, self.coords[lead])
+        return rem
 
-    def add(self, vec) -> bool:
-        """Insert if independent; returns True when the rank grew."""
-        v = self.reduce(vec)
-        pivot = next((i for i, c in enumerate(v) if not c.is_zero), None)
-        if pivot is None:
+    def add(self, vec, tag=None) -> bool:
+        """Insert if independent; returns True when the rank grew.  Tags are
+        distinct; a vector that adds nothing gets no coordinate."""
+        if not isinstance(vec, dict):
+            self.width = len(vec)
+        taken = {}
+        rem = _nonzero(self.reduce(vec, taken))
+        if not rem:
             return False
-        inv = v[pivot].inverse()
-        self.rows[pivot] = tuple(c * inv for c in v)
+        lead = min(rem)
+        inv = rem[lead].inverse()
+        self.rows[lead] = {key: c * inv for key, c in rem.items()}
+        insort(self.leads, lead)
+        coords = {t: -c * inv for t, c in _nonzero(taken).items()}
+        if tag is not None:
+            coords[tag] = inv
+        if coords:
+            self.coords[lead] = coords
         return True
 
     def contains(self, vec) -> bool:
-        return all(c.is_zero for c in self.reduce(vec))
+        return self.coordinates(vec) is not None
+
+    def coordinates(self, vec) -> dict | None:
+        """{tag: c} with vec == the sum of c times the vector added with `tag`,
+        plus a combination of the untagged ones; None when vec lies outside
+        the span."""
+        taken = {}
+        rem = self.reduce(vec, taken)
+        return _nonzero(taken) if all(c.is_zero for c in rem.values()) else None
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
     def basis(self):
-        return row_space_basis([self.rows[p] for p in sorted(self.rows)])
+        """The canonical (rref) basis of a span of sequences, as tuples."""
+        return row_space_basis([[row.get(k, ZERO) for k in range(self.width)]
+                                for row in map(self.rows.get, self.leads)])
 
 
 def closure(seeds, maps) -> IncrementalSpan:
@@ -498,6 +549,7 @@ def weight_graph(mats, dim: int):
     values of t), so H itself is never built.  After the solve only zero
     tests are made.
     """
+    n = len(mats)
     conditions = IncrementalSpan()  # rows (M_1[j][i], ..., M_n[j][i]) with sum_k c_k M_k[j][i] = 0
     graph = [set() for _ in range(dim)]
     for i in range(dim):
@@ -506,13 +558,10 @@ def weight_graph(mats, dim: int):
             if i != j and any(not x.is_zero for x in entries):
                 graph[i].add(j)
                 conditions.add(entries)
-                if conditions.rank == len(mats):  # only H = 0 is diagonal
+                if conditions.rank == n:  # only H = 0 is diagonal
                     return None
-    rows = [list(conditions.rows[p]) for p in sorted(conditions.rows)]
-    if rows:
-        kernel = kernel_basis(rows)
-    else:
-        kernel = [unit_vector(len(mats), k) for k in range(len(mats))]
+    rows = [[row.get(k, ZERO) for k in range(n)] for row in conditions.rows.values()]
+    kernel = kernel_basis(rows) if rows else [unit_vector(n, k) for k in range(n)]
     weights = {tuple(_dot(c, [m.rows[j][j] for m in mats]) for c in kernel) for j in range(dim)}
     return tuple(map(frozenset, graph)) if len(weights) == dim else None
 

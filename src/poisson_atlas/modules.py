@@ -492,8 +492,8 @@ def quotient_action(mats, sub_basis, dim):
     free = [i for i in range(dim) if i not in sub.rows]
 
     def reduce_vec(v):
-        v = sub.reduce(v)
-        return tuple(v[i] for i in free)
+        rem = sub.reduce(v)
+        return tuple(rem.get(i, ZERO) for i in free)
 
     out = []
     for m in mats:

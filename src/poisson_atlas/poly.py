@@ -4,15 +4,16 @@ Terms are stored as a dict from exponent tuples to nonzero Scalars, so equality
 is syntactic on canonical forms.  Negative exponents are admitted only at
 positions whose variable carries the Laurent flag.  The display order is
 graded-lexicographic (total degree first, then exponent tuple), fixed globally
-so report output is byte-stable.
+so report output is byte-stable.  Span solving is `linalg.IncrementalSpan` on
+the terms dicts; `express_in_span` tags each basis member with its index.
 """
 
 from __future__ import annotations
 
-import bisect
 from fractions import Fraction
 
 from .errors import LaurentViolationError, VarSetMismatchError
+from .linalg import IncrementalSpan
 from .scalars import Scalar, ZERO, ONE
 
 
@@ -460,71 +461,6 @@ class PointP:
         return "(" + ", ".join(str(v) for v in self.values) + ")"
 
 
-def _subtract(acc: dict, f: Scalar, row: dict):
-    """acc -= f * row on {key: Scalar} dicts, dropping the entries that cancel."""
-    for key, c in row.items():
-        x = acc[key] - f * c if key in acc else -(f * c)
-        if x.is_zero:
-            del acc[key]
-        else:
-            acc[key] = x
-
-
-class PolySpan:
-    """The span of some polynomials, in echelon form on sparse rows.
-
-    A row is a {monomial: Scalar} dict with coefficient 1 at its leading
-    monomial, the largest in `term_sort_key` order, and it is filed under that
-    monomial; no two rows share one.  Each row carries its coordinates
-    {index: Scalar} on the polynomials given to `add`, numbered from 0 in
-    order.  A polynomial that adds nothing to the span gets no row, and no
-    coordinates ever fall on it.
-    """
-
-    def __init__(self, polys=()):
-        self.rows = {}  # leading monomial -> (row, coordinates)
-        self.leads = []  # the leading monomials, in ascending term order
-        self.count = 0  # polynomials added so far
-        for p in polys:
-            self.add(p)
-
-    def _reduce(self, poly):
-        """(remainder, taken): `poly` minus the combination of rows that clears
-        every leading monomial, and that combination's coordinates.  A row's
-        monomials lie at or below its lead, so one pass down the leads will do."""
-        rem, taken = dict(poly.terms), {}
-        for lead in reversed(self.leads):
-            if not rem:
-                break
-            f = rem.get(lead)
-            if f is not None:
-                row, coords = self.rows[lead]
-                _subtract(rem, f, row)
-                _subtract(taken, -f, coords)
-        return rem, taken
-
-    def add(self, poly: LaurentPoly) -> bool:
-        """Insert the next polynomial; True when the span grew."""
-        index = self.count
-        self.count += 1
-        rem, taken = self._reduce(poly)
-        if not rem:
-            return False
-        lead = max(rem, key=term_sort_key)
-        inv = rem[lead].inverse()
-        coords = {i: -c * inv for i, c in taken.items()}
-        coords[index] = inv
-        self.rows[lead] = {mono: c * inv for mono, c in rem.items()}, coords
-        bisect.insort(self.leads, lead, key=term_sort_key)
-        return True
-
-    def coordinates(self, poly: LaurentPoly) -> dict | None:
-        """{index: c} with poly == sum of c times the polynomial added as
-        `index`, or None when poly lies outside the span."""
-        rem, taken = self._reduce(poly)
-        return None if rem else taken
-
-
 def express_in_span(target: LaurentPoly, basis) -> tuple | None:
     """Exact coefficients c with sum c_i * basis_i == target, or None.
 
@@ -536,7 +472,10 @@ def express_in_span(target: LaurentPoly, basis) -> tuple | None:
     for b in basis:
         if b.varset != target.varset:
             raise VarSetMismatchError("basis over a different variable set")
-    coords = PolySpan(basis).coordinates(target)
+    span = IncrementalSpan()
+    for i, b in enumerate(basis):
+        span.add(b.terms, i)
+    coords = span.coordinates(target.terms)
     return None if coords is None else tuple(coords.get(i, ZERO) for i in range(len(basis)))
 
 

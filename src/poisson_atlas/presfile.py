@@ -32,7 +32,7 @@ from .brackets import (
 )
 from .errors import LaurentViolationError, ParseError, VarSetMismatchError
 from .poly import LaurentPoly, PointP, VarSet, report_coeff, signed_sum, term_text
-from .scalars import Scalar, format_scalar
+from .scalars import Scalar, format_scalar, scalar_sqrt
 
 
 @dataclass
@@ -71,9 +71,9 @@ def _tokenize(text: str):
             col += j - i
             i = j
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":  # ASCII digits only: int() reads others too
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("int", text[i:j], line, col))
             col += j - i
@@ -244,9 +244,7 @@ class _Parser:
                 self.expect("(")
                 d = self._signed_int("expected sqrt of an integer")
                 self.expect(")")
-                if d in (0, 1):
-                    return LaurentPoly.const(varset, Scalar(1) if d else Scalar(0))
-                return LaurentPoly.const(varset, Scalar(0, 1, d))
+                return LaurentPoly.const(varset, scalar_sqrt(d))
             if tok.text in env:
                 return env[tok.text]
             if tok.text in varset.names:

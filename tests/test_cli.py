@@ -884,3 +884,19 @@ def test_classify_takes_one_gradient_pass_per_point(monkeypatch):
                      "--box-den", "2", "--format", "machine"])
     assert code == 0 and "ideal.count = 5" in out.splitlines()
     assert counts == {"pair_gradients": 5, "linearization": 0}
+
+
+def test_a_sqrt_point_is_read_as_its_value():
+    torus = str(INPUTS / "torus-so3.pa")
+    plain = run(["lie", torus, "--point", "(2, 2, 2)", "--format", "machine"])
+    assert plain[0] == 0
+    assert run(["lie", torus, "--point", "(sqrt(4), sqrt(4), sqrt(4))",
+                "--format", "machine"]) == plain
+
+
+def test_a_non_ascii_digit_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.pa"
+    bad.write_text("vars x, y, z;\nbracket exact f = x^² - y*z;\n", encoding="utf-8")
+    code, _ = run(["ideals", str(bad)])
+    assert code == 2
+    assert "line 2, col 21: unexpected character" in capsys.readouterr().err

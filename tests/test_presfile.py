@@ -279,3 +279,27 @@ def test_signed_integer_errors_are_located(expr, message):
     with pytest.raises(ParseError) as err:
         parse_presentation(f"vars x, y;\nbracket table {{ [x,y] = x; }};\nrelation {expr};\n")
     assert str(err.value) == message
+
+
+def test_sqrt_takes_the_square_part_out():
+    pf = parse_presentation(
+        "vars x, y;\nbracket table { [x,y] = x; };\n"
+        "relation sqrt(8)*x;\nrelation sqrt(-4)*x + sqrt(-1)*x;\nrelation sqrt(9) + sqrt(0);\n"
+    )
+    x = LaurentPoly.variable(pf.varset, "x")
+    assert pf.relations == [Scalar(0, 2, 2) * x, Scalar(0, 3, -1) * x,
+                            LaurentPoly.const(pf.varset, 3)]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("vars x, y, z;\nbracket exact f = x^² - y*z;\n", "line 2, col 21: unexpected character '²'"),
+        ("vars x, y;\nbracket table { [x,y] = x; };\nrelation ٣*x;\n",
+         "line 3, col 10: unexpected character '٣'"),
+    ],
+)
+def test_only_ascii_digits_make_integers(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert str(err.value) == message
