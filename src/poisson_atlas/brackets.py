@@ -43,6 +43,15 @@ class BracketSpec:
             })
         return table
 
+    def nonzero(self, varset: VarSet) -> tuple:
+        """The generator brackets that are not identically 0, as ((i, j), {x_i, x_j})
+        in pair order; kept in `_pairs` beside `pairs` and `shifted`."""
+        key = (varset, "nonzero")
+        if key not in self._pairs:
+            self._pairs[key] = tuple(
+                (ij, poly) for ij, poly in self.pairs(varset).items() if not poly.is_zero)
+        return self._pairs[key]
+
     def shifted(self, varset: VarSet) -> tuple:
         """The nonzero generator brackets as (i, j, ((t - e_i - e_j, c), ...)), one
         entry per term c*x^t of {x_i, x_j}; kept in `_pairs` beside `pairs`."""
@@ -51,7 +60,7 @@ class BracketSpec:
             self._pairs[key] = tuple(
                 (i, j, tuple((tuple(e - (k in (i, j)) for k, e in enumerate(t)), c)
                              for t, c in poly.terms.items()))
-                for (i, j), poly in self.pairs(varset).items() if not poly.is_zero)
+                for (i, j), poly in self.nonzero(varset))
         return self._pairs[key]
 
     def pair(self, varset: VarSet, i: int, j: int) -> LaurentPoly:

@@ -141,20 +141,22 @@ def recognize(lie: LieAlgebra) -> LieRecognition:
 
     rad g is the Killing-orthogonal of [g,g], s = g / rad g, and by the Levi
     decomposition [g,g] = s + [g, rad g], so k = dim rad g - dim [g, rad g]
-    = dim g - dim [g,g].
+    = dim g - dim [g,g].  A solvable g is its own radical, so when the
+    derived series reaches 0 the series alone settles s = 0, and no Killing
+    form is built.
     """
     spans = _derived_spans(lie)
     dims = [len(span) for span in spans]
     basis, derived = spans[0], spans[1]
     k = lie.dim - len(derived)
-    if not derived:
-        return LieRecognition("abelian", dims, 0, k)
+    if not spans[-1]:  # solvable: the derived series reaches 0
+        if not derived:
+            return LieRecognition("abelian", dims, 0, k)
+        heisenberg = lie.dim == 3 and len(derived) == 1 and not _bracket_span(lie, basis, derived)
+        return LieRecognition("heisenberg" if heisenberg else "solvable", dims, 0, k)
     killing = killing_matrix([lie.ad_matrix(u) for u in basis])
     radical = list(row_space_basis(kernel_basis([list(killing.apply(w)) for w in derived])))
     levi_dim = lie.dim - len(radical)
-    if levi_dim == 0:
-        heisenberg = lie.dim == 3 and len(derived) == 1 and not _bracket_span(lie, basis, derived)
-        return LieRecognition("heisenberg" if heisenberg else "solvable", dims, 0, k)
     tag = "reductive" if (levi_dim, k) != (3, 0) else "sl2_semidirect" if radical else "sl2"
     return LieRecognition(tag, dims, levi_dim, k, tuple(radical))
 
@@ -164,7 +166,9 @@ def recognize_points(pres, points):
     the gradients of the nonzero pair brackets (`pair_gradients`), which are
     exactly what `gradient_sc` writes into the structure constants, so two
     keys are equal iff the two g(J) are; only a new key builds its algebra,
-    from the gradients of its key."""
+    from the gradients of its key.  The one `linear_part` per bracket that
+    gives a gradient also gives the value, so that pass alone refuses a
+    point that is not Poisson."""
     names = pres.varset.names
     by_key = {}
     for pt in points:

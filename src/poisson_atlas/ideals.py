@@ -72,9 +72,7 @@ def is_poisson_maximal(pres: PoissonPresentation, pt: PointP) -> bool:
     """True iff every generator bracket {x_i, x_j} vanishes at the point."""
     if pt.varset != pres.varset:
         raise ValueError("point over a different variable set")
-    return all(
-        poly.is_zero or poly.evaluate(pt).is_zero for poly in pres.pair_table().values()
-    )
+    return all(poly.evaluate(pt).is_zero for _, poly in pres.bracket_spec.nonzero(pres.varset))
 
 
 def _potential_of(pres: PoissonPresentation) -> LaurentPoly | None:

@@ -180,13 +180,19 @@ class LieAlgebra:
 
 def pair_gradients(pres: PoissonPresentation, pt: PointP) -> dict:
     """{(i, j): gradient of {x_i, x_j} at pt} over the pair brackets that are
-    not identically zero; NotPoissonMaximalError unless pt is Poisson-maximal.
-    These gradients are all that g(J) is made of."""
-    if not is_poisson_maximal(pres, pt):
-        raise NotPoissonMaximalError(f"{pt} is not a Poisson-maximal point")
-    return {
-        ij: poly.linear_part(pt)[1] for ij, poly in pres.pair_table().items() if not poly.is_zero
-    }
+    not identically zero (the bracket spec's `nonzero`).  Each bracket's value
+    and gradient come from one `linear_part`, and a value that is not 0
+    raises NotPoissonMaximalError, so the pass also decides, as
+    `is_poisson_maximal` does, that pt is Poisson-maximal.  These gradients
+    are all that g(J) is made of."""
+    if pt.varset != pres.varset:
+        raise ValueError("point over a different variable set")
+    gradients = {}
+    for ij, poly in pres.bracket_spec.nonzero(pres.varset):
+        value, gradients[ij] = poly.linear_part(pt)
+        if not value.is_zero:
+            raise NotPoissonMaximalError(f"{pt} is not a Poisson-maximal point")
+    return gradients
 
 
 def gradient_sc(n: int, gradients: dict) -> tuple:
@@ -206,7 +212,10 @@ def linearization(pres: PoissonPresentation, pt: PointP) -> tuple:
     sc[i][j] is the gradient of {x_i, x_j} at the point: the bracket's value
     vanishes by Poisson maximality, so its class mod J^2 is the linear part.
     A bracket that is identically zero has no gradient; its rows stay zero.
+    The point is certified first, by one `is_poisson_maximal` call.
     """
+    if not is_poisson_maximal(pres, pt):
+        raise NotPoissonMaximalError(f"{pt} is not a Poisson-maximal point")
     return gradient_sc(len(pres.varset), pair_gradients(pres, pt))
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import isqrt
 
 from .errors import AtlasError, ExtensionRequiredError, ScalarDomainError
@@ -368,7 +369,30 @@ class IncrementalSpan:
         return True
 
     def contains(self, vec) -> bool:
-        return self.coordinates(vec) is not None
+        """Whether vec lies in the span: `coordinates(vec) is not None`, read
+        key by key in ascending order.  The entry at a key, minus the rows of
+        the leads read before it, is 0, or at a lead, whose row then joins the
+        ones subtracted, or else it cannot cancel: the answer is False, and no
+        later entry is computed."""
+        vec = vec if isinstance(vec, dict) else dict(enumerate(vec))
+        keys, seen, taken = list(vec), set(vec), []  # taken: (entry, row) per lead read
+        heapify(keys)
+        while keys:
+            key = heappop(keys)
+            f = vec.get(key, ZERO)
+            for c, row in taken:
+                if key in row:
+                    f = f - c * row[key]
+            if f.is_zero:
+                continue
+            row = self.rows.get(key)
+            if row is None:
+                return False
+            taken.append((f, row))
+            for k in row.keys() - seen:
+                seen.add(k)
+                heappush(keys, k)
+        return True
 
     def coordinates(self, vec) -> dict | None:
         """{tag: c} with vec == the sum of c times the vector added with `tag`,

@@ -27,10 +27,12 @@ from poisson_atlas import (
 )
 from poisson_atlas.classify import (
     HomogeneityReport,
+    LieRecognition,
     Sl2Triple,
     _bracket_span,
     _candidate_elements,
     _canonical_eigvec,
+    _derived_spans,
     _proportionality,
     derived_subalgebra,
     killing_matrix,
@@ -804,6 +806,65 @@ def test_sl2_irreps_build_in_any_rational_basis(data):
     for d in range(1, 5):
         rep = sl2_irrep(conjugated, d, triple, rec.radical_basis)  # LieRep checks the brackets
         assert is_simple(rep.mats, d)
+
+
+def _recognize_through_the_killing_form(lie):
+    """`recognize` as it was before a solvable g skipped the Killing form:
+    every g but an abelian one builds it and takes rad g from its kernel."""
+    spans = _derived_spans(lie)
+    dims = [len(span) for span in spans]
+    basis, derived = spans[0], spans[1]
+    k = lie.dim - len(derived)
+    if not derived:
+        return LieRecognition("abelian", dims, 0, k)
+    killing = killing_matrix([lie.ad_matrix(u) for u in basis])
+    radical = list(row_space_basis(kernel_basis([list(killing.apply(w)) for w in derived])))
+    levi_dim = lie.dim - len(radical)
+    if levi_dim == 0:
+        heisenberg = lie.dim == 3 and len(derived) == 1 and not _bracket_span(lie, basis, derived)
+        return LieRecognition("heisenberg" if heisenberg else "solvable", dims, 0, k)
+    tag = "reductive" if (levi_dim, k) != (3, 0) else "sl2_semidirect" if radical else "sl2"
+    return LieRecognition(tag, dims, levi_dim, k, tuple(radical))
+
+
+@st.composite
+def _every_recognition_shape(draw):
+    """abelian, nilpotent, Heisenberg, other solvable, sl2, sl2 on V_n,
+    sl2 + abelian or sl2 + sl2."""
+    kind = draw(st.sampled_from(("abelian", "nilpotent", "heisenberg", "solvable", "sl2",
+                                 "sl2_on", "sl2+abelian", "sl2+sl2")))
+    if kind == "abelian":
+        return sl2_sum(0, draw(st.integers(1, 3)))
+    if kind == "heisenberg":
+        return LieAlgebra.from_brackets(("x", "y", "z"), {("x", "y"): {"z": 1}})
+    if kind == "sl2":
+        return sl2_sum(1)
+    if kind == "sl2_on":
+        return sl2_on([draw(st.integers(2, 4))])
+    if kind == "sl2+abelian":
+        return sl2_sum(1, draw(st.integers(1, 2)))
+    if kind == "sl2+sl2":
+        return sl2_sum(2, draw(st.integers(0, 1)))
+    m = draw(st.integers(2, 3))
+    entry = st.integers(-1, 1)
+    # t acting by a strictly upper triangular matrix gives a nilpotent g
+    rows = [[draw(entry) if kind == "solvable" or j > i else 0 for j in range(m)]
+            for i in range(m)]
+    return derivation_extension(rows)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_recognize_matches_the_killing_form_route_in_any_basis(data):
+    """A solvable g is recognized from its derived series alone; the tag, the
+    derived dims, dim s, k and the radical basis are those the Killing form
+    gives, over Q and Q(sqrt(-1))."""
+    lie = data.draw(_every_recognition_shape())
+    conjugated = lie.change_basis(data.draw(_random_bases(lie.dim)))
+    rec = recognize(conjugated)
+    want = _recognize_through_the_killing_form(conjugated)
+    assert (rec.tag, rec.derived_dims, rec.levi_dim, rec.k, rec.radical_basis) == (
+        want.tag, want.derived_dims, want.levi_dim, want.k, want.radical_basis)
 
 
 def test_recognize_past_the_former_dimension_cap():

@@ -886,6 +886,44 @@ def test_classify_takes_one_gradient_pass_per_point(monkeypatch):
     assert counts == {"pair_gradients": 5, "linearization": 0}
 
 
+def test_a_solvable_g_builds_no_killing_matrix(monkeypatch):
+    """Every point of whitney's line in the 6/3 box has a solvable g(J), which
+    its derived series recognizes, so no Killing matrix is built."""
+    counts = _count_calls(monkeypatch, "killing_matrix")
+    monkeypatch.chdir(ROOT)
+    code, out = run(["classify", "perfbench/inputs/whitney.pa", "--box-num", "6",
+                     "--box-den", "3", "--format", "machine"])
+    assert code == 0 and "ideal.count = 27" in out.splitlines()
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))
+    recorded = golden["scan"]["requests"]["classify whitney 6/3"]["sha256"]
+    assert hashlib.sha256(f"rc=0\n{out}\0".encode("utf-8")).hexdigest() == recorded
+    assert counts == {"killing_matrix": 0}
+
+
+def test_classify_linearizes_each_pair_bracket_once_per_point(monkeypatch):
+    """At each of the five points of torus-so3, each of its three nonzero pair
+    brackets gives its value and gradient in one `linear_part`, and no pair
+    bracket is evaluated."""
+    from poisson_atlas.poly import LaurentPoly
+
+    path = INPUTS / "torus-so3.pa"
+    pres = parse_presentation(path.read_text(encoding="utf-8")).presentation()
+    pairs = [poly for poly in pres.pair_table().values() if not poly.is_zero]
+    calls = {"linear_part": 0, "evaluate": 0}
+    for method in calls:
+        original = getattr(LaurentPoly, method)
+
+        def counted(self, *args, method=method, original=original):
+            calls[method] += self in pairs
+            return original(self, *args)
+
+        monkeypatch.setattr(LaurentPoly, method, counted)
+    code, out = run(["classify", str(path), "--box-num", "4", "--box-den", "2",
+                     "--format", "machine"])
+    assert code == 0 and "ideal.count = 5" in out.splitlines()
+    assert len(pairs) == 3 and calls == {"linear_part": 15, "evaluate": 0}
+
+
 def test_a_sqrt_point_is_read_as_its_value():
     torus = str(INPUTS / "torus-so3.pa")
     plain = run(["lie", torus, "--point", "(2, 2, 2)", "--format", "machine"])

@@ -356,6 +356,30 @@ def test_scan_matches_reference_on_planted_points(case, num, den):
     assert {pt for pt in planted if all(v.as_fraction() in grid for v in pt.values)} <= found
 
 
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(_planted_potentials(), st.integers(1, 3), st.integers(1, 2))
+def test_a_found_point_is_the_point_its_values_build(case, num, den):
+    """Each point the scan returns equals, hashes and prints like
+    `PointP(varset, values)`, holds canonical Scalars and carries
+    `make_ideal`'s lambda.  The planted points and a sqrt(-1) point go in as
+    explicit candidates."""
+    pres, planted = case
+    vs = pres.varset
+    i = Scalar(0, 1, -1)
+    box = SearchBox(num, den, tuple(planted) + (PointP(vs, [i, i, 1]),))
+    ideals = find_poisson_maximal(pres, box)
+    assert [ideal.point for ideal in ideals] == sorted(
+        {ideal.point for ideal in ideals}, key=PointP.sort_key)
+    for ideal in ideals:
+        pt = ideal.point
+        checked = PointP(vs, pt.values)
+        assert pt == checked and hash(pt) == hash(checked) and repr(pt) == repr(checked)
+        assert type(pt.values) is tuple and all(type(v) is Scalar for v in pt.values)
+        assert all(v == Scalar.coerce(v.as_fraction()) for v in pt.values if v.is_rational)
+        assert ideal == make_ideal(pres, pt)
+
+
 def _eliminants(monkeypatch):
     """Record (prefix length, eliminant or None) for each `_eliminant` call."""
     calls = []

@@ -217,3 +217,21 @@ def test_an_untagged_span_carries_no_coordinates():
     assert span.coordinates(x.terms) is None
     span.add(x.terms, "x")
     assert span.coordinates((3 * x + x * y).terms) == {"x": 3}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_vector_cases(), _poly_cases())
+def test_contains_answers_as_coordinates_do(vectors, polys):
+    """`contains` stops at the first entry that no row cancels, and answers
+    as `coordinates(vec) is not None` on sequences and on polynomial dicts,
+    members and non-members."""
+    members, probes = vectors
+    span = IncrementalSpan(members)
+    for v in members + probes:
+        assert span.contains(v) == (span.coordinates(v) is not None)
+    members, tags, target = polys
+    span = IncrementalSpan()
+    for p, tag in zip(members, tags):
+        span.add(p.terms, tag)
+    for p in members + [target]:
+        assert span.contains(p.terms) == (span.coordinates(p.terms) is not None)
