@@ -7,7 +7,9 @@ generators in the generators modulo products of two or more of them
 and the tagged generators.  The second route prunes its product basis by
 the total degree when that grades the generators.  Both produce
 structure-constant algebras whose antisymmetry and Jacobi identity are
-enforced at construction.
+enforced at construction.  `lie_from_point` is the one place that certifies
+a point as Poisson-maximal; it keeps the g(J) it builds on the point, so
+every later request at that point reads the same algebra.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass, field
 
 from .brackets import PoissonPresentation, SubstitutionMap, bracket
 from .errors import LieStructureError, NotExpressibleError, NotPoissonMaximalError
-from .ideals import is_poisson_maximal
 from .linalg import IncrementalSpan, Matrix, coordinates, unit_vector
 from .poly import LaurentPoly, PointP, VarSet
 from .scalars import Scalar, ZERO
@@ -28,13 +29,11 @@ class LieAlgebra:
     `sc[i][j][k]` is the coefficient of e_k in [e_i, e_j].  The constructor
     also keeps, once, the nonzero (k, c) pairs of each [e_i, e_j] in
     `_pairs[i][j]`; `bracket`, `ad_matrix`, the construction check and
-    `structure_table` read only those.  `at` is (presentation, point) when
-    `lie_from_point` built the algebra as g(J) there, which certifies the
-    point as Poisson-maximal; it is unset otherwise (read it with
-    `getattr(lie, "at", None)`) and takes no part in equality.
+    `structure_table` read only those.  Equality compares the labels and
+    the structure constants.
     """
 
-    __slots__ = ("labels", "sc", "_pairs", "at")
+    __slots__ = ("labels", "sc", "_pairs")
 
     def __init__(self, labels, sc, check=True):
         labels = tuple(labels)
@@ -206,24 +205,19 @@ def gradient_sc(n: int, gradients: dict) -> tuple:
     return tuple(map(tuple, sc))
 
 
-def linearization(pres: PoissonPresentation, pt: PointP) -> tuple:
-    """Structure constants of g(J) on the basis u_k = x_k - pt_k, as nested tuples.
-
-    sc[i][j] is the gradient of {x_i, x_j} at the point: the bracket's value
-    vanishes by Poisson maximality, so its class mod J^2 is the linear part.
-    A bracket that is identically zero has no gradient; its rows stay zero.
-    The point is certified first, by one `is_poisson_maximal` call.
-    """
-    if not is_poisson_maximal(pres, pt):
-        raise NotPoissonMaximalError(f"{pt} is not a Poisson-maximal point")
-    return gradient_sc(len(pres.varset), pair_gradients(pres, pt))
-
-
 def lie_from_point(pres: PoissonPresentation, pt: PointP) -> LieAlgebra:
-    """g(J) on the basis u_k = x_k - pt_k, from linear parts of generator
-    brackets, with `at` = (pres, pt)."""
-    lie = LieAlgebra(pres.varset.names, linearization(pres, pt))
-    object.__setattr__(lie, "at", (pres, pt))
+    """g(J) on the basis u_k = x_k - pt_k, with [u_i, u_j] the gradient of
+    {x_i, x_j} at pt (the bracket vanishes there, so its class mod J^2 is its
+    linear part): one `pair_gradients` pass, which also refuses a point that
+    is not Poisson-maximal, written into structure constants by
+    `gradient_sc`.  The algebra is kept in the point's `_obligations` under
+    `pres`, so later calls at that point return the same object; a point
+    that fails is never kept, so it raises on every call."""
+    lie = pt._obligations.get(pres)
+    if lie is None:
+        names = pres.varset.names
+        lie = LieAlgebra(names, gradient_sc(len(names), pair_gradients(pres, pt)))
+        pt._obligations[pres] = lie
     return lie
 
 

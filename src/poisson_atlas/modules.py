@@ -5,12 +5,12 @@ point and Lie-wise through the linear part of each element, so the action of
 a polynomial depends only on its constant-and-linear data at the point; the
 restriction construction reads the matrices straight back.  Restriction to a
 subalgebra and twisting by an automorphism are one pullback along a verified
-Poisson map.  A lift takes its point check from the g(J) that
-`lie_from_point` built at the point.  One function, `analyze_submodules`,
-decides simplicity and the minimal submodules, and the composition series
-reads it.  It applies one rule to seeds and their reaches (the seeds in the
-submodule each one generates): the minimal submodules are the sinks, the
-reaches every seed in them shares.  The seeds are the unit vectors, reaching
+Poisson map.  Every module checks its point through `lie_from_point`, which
+keeps g(J) on the point, so a lift and its module share one check.  One
+function, `analyze_submodules`, decides simplicity and the minimal
+submodules, and the composition series reads it.  It applies one rule to
+seeds and their reaches (the seeds in the submodule each one generates):
+the minimal submodules are the sinks, the reaches every seed in them shares.  The seeds are the unit vectors, reaching
 along the weight graph, when some combination of the action matrices is
 diagonal with distinct entries, as in every sl2 lift; otherwise the
 eigenvectors of an action matrix with one-dimensional eigenspaces, or
@@ -29,10 +29,9 @@ from functools import partial
 
 from .brackets import PoissonPresentation, SubstitutionMap, bracket, verify_poisson_map
 from .classify import Sl2Triple, derived_subalgebra
-from .errors import AtlasError, IncompatibleTableError, NotPoissonMaximalError
-from .ideals import is_poisson_maximal
+from .errors import AtlasError, IncompatibleTableError
 from . import linalg  # the hull is read off linalg, so replacing it there reaches every call
-from .lie import LieAlgebra, lie_from_point, linearization
+from .lie import LieAlgebra, lie_from_point
 from .linalg import (
     IncrementalSpan,
     Matrix,
@@ -139,23 +138,18 @@ class PoissonModule:
 
     The associative action of a is the scalar a(pt); the Lie action of a is
     rho(grad a at pt), so C + J^2 kills the module (Pann contains it).  The
-    point is checked to be Poisson-maximal, unless `lie` is the g(J) that
-    `lie_from_point` built at this very point, which already checked it.
+    point is checked to be Poisson-maximal by `lie_from_point`, which builds
+    g(J) there once and keeps it on the point.
     """
 
     pres: PoissonPresentation
     point: PointP
     mats: tuple
-    lie: LieAlgebra | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.mats) != len(self.pres.varset):
             raise ValueError("one action matrix per generator required")
-        certified = getattr(self.lie, "at", None) == (self.pres, self.point)
-        if not certified and not is_poisson_maximal(self.pres, self.point):
-            raise NotPoissonMaximalError(
-                f"{self.point} is not a Poisson-maximal point"
-            )
+        lie_from_point(self.pres, self.point)
 
     @property
     def dim(self) -> int:
@@ -208,16 +202,11 @@ def sl2_irrep(lie: LieAlgebra, d: int, triple: Sl2Triple, radical=()) -> LieRep:
 def lift_module(pres: PoissonPresentation, pt: PointP, rep: LieRep) -> PoissonModule:
     """The lift: a.n = a(pt) n and {a, n} = rho(lin a at pt) n, killed by the point.
 
-    `rep.lie` must be g(J).  It is when `lie_from_point` built it at this
-    point; otherwise its labels and structure constants are compared with the
-    linearization at the point, which raises first at a non-Poisson point.
-    The module keeps `rep.lie`, so a g(J) built at the point spares its check
-    too."""
-    if getattr(rep.lie, "at", None) != (pres, pt):
-        sc = linearization(pres, pt)
-        if rep.lie.labels != pres.varset.names or rep.lie.sc != sc:
-            raise AtlasError("representation is over a different Lie algebra than g(J)")
-    return PoissonModule(pres, pt, rep.mats, rep.lie)
+    `rep.lie` must equal g(J), as `lie_from_point` gives it at the point,
+    which raises first at a non-Poisson point."""
+    if rep.lie != lie_from_point(pres, pt):
+        raise AtlasError("representation is over a different Lie algebra than g(J)")
+    return PoissonModule(pres, pt, rep.mats)
 
 
 def restrict_to_lie(module: PoissonModule) -> LieRep:
@@ -581,7 +570,7 @@ def solvable_character_module(
         if not value.is_zero:
             raise AtlasError("beta does not vanish on [g(J), g(J)]")
     mats = tuple(Matrix([[b]]) for b in beta)
-    return PoissonModule(pres, pt, mats, lie)
+    return PoissonModule(pres, pt, mats)
 
 
 @dataclass(frozen=True)

@@ -382,9 +382,11 @@ class PointP:
     """An assignment of one scalar per variable (a maximal ideal).
 
     A point keeps the jets of the monomials evaluated at it in `_jets`, and
-    the module-independent axiom checks at it (`modules._point_obligations`)
-    in `_obligations`; both tables are outside `==`, `hash`, `repr` and
-    `str`, and filled on first use.
+    in `_obligations` what is decided once per point: g(J) under its
+    presentation (`lie.lie_from_point`) and the module-independent axiom
+    checks under (presentation, trials, seed) (`modules._point_obligations`).
+    Both tables are outside `==`, `hash`, `repr` and `str`, and filled on
+    first use.
     """
 
     __slots__ = ("varset", "values", "_jets", "_obligations")

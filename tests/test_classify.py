@@ -792,6 +792,37 @@ def test_recognize_matches_the_reference_where_the_ladder_recognizes(data):
         assert triple == _sl2_triple_reference(conjugated, rec)
 
 
+# sl2 on V_3 in the basis L U, L and U unit-triangular over Z[sqrt(-1)],
+# given as their entries off the diagonal {(row, column): entry}
+GAUSSIAN_LU_BASES = {
+    "L20=-1-sqrt(-1),U01=-sqrt(-1)": ({(2, 0): -1 - I}, {(0, 1): -I}),
+    "L20=-2-sqrt(-1),U01=2": ({(2, 0): -2 - I}, {(0, 1): 2}),
+}
+
+
+def _unit_triangular(n, entries):
+    return Matrix([[Scalar(1) if i == j else Scalar.coerce(entries.get((i, j), 0))
+                    for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.xfail(strict=True, raises=ExtensionRequiredError, reason=(
+    "ROADMAP item 8: the triple search tries basis vectors of g/rad g and their "
+    "pairwise sums and differences, and its rescaling admits one quadratic extension"))
+@pytest.mark.parametrize("factors", list(GAUSSIAN_LU_BASES.values()),
+                         ids=list(GAUSSIAN_LU_BASES))
+def test_a_gaussian_basis_of_sl2_on_v3_finds_its_split_triple(factors):
+    """The (e, h, f) of sl2 ⋉ V_3, read in the new basis, is a split triple
+    over Q(sqrt(-1)); `find_sl2_triple` should find one there."""
+    lie = sl2_on([3])
+    basis = _unit_triangular(lie.dim, factors[0]) * _unit_triangular(lie.dim, factors[1])
+    conjugated = lie.change_basis(basis)
+    e, h, f = coordinates(list(zip(*basis.rows)), [lie.basis_vector(k) for k in range(3)])
+    assert Sl2Triple(e, h, f, -1).verify(conjugated)
+    rec = recognize(conjugated)
+    assert rec.describe() == "sl2_semidirect(3)"
+    assert _is_triple_modulo(conjugated, find_sl2_triple(conjugated, rec), rec.radical_basis)
+
+
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_sl2_irreps_build_in_any_rational_basis(data):

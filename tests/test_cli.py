@@ -797,17 +797,18 @@ def _count_calls(monkeypatch, *names):
     ids=lambda v: v[0] if isinstance(v, list) else str(v),
 )
 def test_a_module_request_checks_its_point_once(argv, checks, monkeypatch):
-    """One `is_poisson_maximal` and one `linearization` per request at the
-    point itself: `lie_from_point` makes both, and the g(J) it returns
-    certifies the point to `lift_module` and `PoissonModule`.  A pullback
-    checks the point it pulls back to, in the other presentation."""
+    """One `pair_gradients` pass per request at the point itself, and no
+    `is_poisson_maximal`: `lie_from_point` certifies the point and keeps
+    g(J) on it, so `lift_module` and `PoissonModule` read it again without
+    a second pass.  A pullback checks the point it pulls back to, in the
+    other presentation."""
     name, point = ("kleinian-a1", "(0, 0, 0)") if argv[0] == "restrict" else (
         "torus-so3", "(2, 2, 2)")
-    counts = _count_calls(monkeypatch, "is_poisson_maximal", "linearization")
+    counts = _count_calls(monkeypatch, "is_poisson_maximal", "pair_gradients")
     code, out = run([argv[0], str(INPUTS / f"{name}.pa"), *argv[1:], "--point", point,
                      "--dim", "3", "--format", "machine"])
     assert code == 0 and "status = ok" in out
-    assert counts == {"is_poisson_maximal": checks, "linearization": 1}
+    assert counts == {"is_poisson_maximal": 0, "pair_gradients": checks}
 
 
 def test_classify_linearizes_no_zero_bracket(monkeypatch):
@@ -878,12 +879,12 @@ def test_distinct_g_are_each_recognized(command, monkeypatch):
 def test_classify_takes_one_gradient_pass_per_point(monkeypatch):
     """`recognize_points` builds each new g(J) from the gradients it keyed the
     point by, so the five points of torus-so3 take one `pair_gradients` pass
-    each and no `linearization`."""
-    counts = _count_calls(monkeypatch, "pair_gradients", "linearization")
+    each."""
+    counts = _count_calls(monkeypatch, "pair_gradients")
     code, out = run(["classify", str(INPUTS / "torus-so3.pa"), "--box-num", "4",
                      "--box-den", "2", "--format", "machine"])
     assert code == 0 and "ideal.count = 5" in out.splitlines()
-    assert counts == {"pair_gradients": 5, "linearization": 0}
+    assert counts == {"pair_gradients": 5}
 
 
 def test_a_solvable_g_builds_no_killing_matrix(monkeypatch):

@@ -95,6 +95,32 @@ def test_lie_from_point_requires_poisson_point(torus_pres):
         lie_from_point(torus_pres, PointP(torus_pres.varset, [1, 1, 1]))
 
 
+def test_a_point_keeps_its_g_under_each_presentation(a1_pres, torus_pres, xyz, monkeypatch):
+    """`lie_from_point` keeps g(J) on the point under its presentation: a second
+    call returns the same object without another gradient pass, another
+    presentation at that point gets its own g(J), and a point that is not
+    Poisson-maximal is never kept, so it raises on every call."""
+    vs, x, y, z = xyz
+    calls = []
+    real = lie.pair_gradients
+    monkeypatch.setattr(lie, "pair_gradients", lambda *args: calls.append(args) or real(*args))
+    origin = PointP(vs, [0, 0, 0])
+    first = lie_from_point(a1_pres, origin)
+    assert lie_from_point(a1_pres, origin) is first and len(calls) == 1
+    whitney = PoissonPresentation(vs, Exact(x * y * y - z * z))
+    other = lie_from_point(whitney, origin)
+    assert other != first and len(calls) == 2
+    assert lie_from_point(whitney, origin) is other and lie_from_point(a1_pres, origin) is first
+    assert len(calls) == 2
+    fresh = lie_from_point(a1_pres, PointP(vs, [0, 0, 0]))  # an equal point, not this one
+    assert fresh == first and fresh is not first and len(calls) == 3
+    bad = PointP(vs, [1, 1, 1])
+    for count in (4, 5):
+        with pytest.raises(NotPoissonMaximalError, match=r"^\(1, 1, 1\) is not a Poisson-maximal point$"):
+            lie_from_point(torus_pres, bad)
+        assert len(calls) == count
+
+
 def test_translation_invariance_of_potential(a1_pres, xyz):
     vs, x, y, z = xyz
     f = z * z - x * y

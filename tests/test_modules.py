@@ -190,22 +190,27 @@ def test_lift_refusals_keep_their_types_and_messages(torus_pres):
     with pytest.raises(NotPoissonMaximalError) as refused:
         lift_module(torus_pres, PointP(vs, [1, 0, 0]), rep)
     assert str(refused.value) == "(1, 0, 0) is not a Poisson-maximal point"
+    # an algebra equal to g(J) is g(J), however it was built; other labels are not
+    j2 = PointP(vs, [2, 2, 2])
+    copy = LieRep(LieAlgebra(lie.labels, lie.sc), rep.mats)
+    assert lift_module(torus_pres, j2, copy) == lift_module(torus_pres, j2, rep)
+    renamed = LieRep(LieAlgebra(("a", "b", "c"), lie.sc), rep.mats)
+    with pytest.raises(AtlasError, match="different Lie algebra than g"):
+        lift_module(torus_pres, j2, renamed)
 
 
 def test_a_module_at_a_non_poisson_point_is_refused_on_every_route(torus_pres):
-    """Only the g(J) that `lie_from_point` built at the module's own point
-    spares the point check: a g(J) from another point, or an algebra equal
-    to it but built otherwise, certifies nothing."""
+    """A module or a lift at a non-Poisson point is refused, whatever algebra
+    the matrices came from: a g(J) built at another point certifies nothing."""
     vs = torus_pres.varset
     good, bad = PointP(vs, [2, 2, 2]), PointP(vs, [1, 0, 0])
     lie = lie_from_point(torus_pres, good)
-    mats = sl2_irrep(lie, 2, find_sl2_triple(lie)).mats
-    copy = LieAlgebra(lie.labels, lie.sc)
-    assert copy == lie
-    for certificate in (None, lie, copy):
+    rep = sl2_irrep(lie, 2, find_sl2_triple(lie))
+    for build in (lambda: PoissonModule(torus_pres, bad, rep.mats),
+                  lambda: lift_module(torus_pres, bad, rep)):
         with pytest.raises(NotPoissonMaximalError, match=r"\(1, 0, 0\) is not a Poisson-maximal"):
-            PoissonModule(torus_pres, bad, mats, certificate)
-    assert PoissonModule(torus_pres, good, mats, copy) == PoissonModule(torus_pres, good, mats, lie)
+            build()
+    assert lift_module(torus_pres, good, rep) == PoissonModule(torus_pres, good, rep.mats)
 
 
 def test_j_squared_insensitivity(a1_pres):
