@@ -162,8 +162,8 @@ class Context:
     A point `at` is a coordinate tuple or a `PointP` of the presentation; no
     point means the algebra of a Lie-level entry, read off its invariants.
     `point` returns one `PointP` per point, the first one it was given or
-    built, so every lift and fact at a point shares the jets and the axiom
-    obligations that the point keeps.
+    built, so every lift and fact at a point shares the jets, g(J) and the
+    axiom obligations that the point keeps.
     """
 
     def __init__(self, entry: CatalogEntry):
@@ -203,7 +203,7 @@ class Context:
         pt = self.point(at)
         if pt is None:
             return self.memo("lie", lambda: lie_from_invariants(self.entry.invariants))
-        return self.memo(("lie", pt), lambda: lie_from_point(self.pres, pt))
+        return lie_from_point(self.pres, pt)  # the point keeps its g(J)
 
     def rec(self, at=None):
         pt = self.point(at)

@@ -40,7 +40,6 @@ from .linalg import (
     coordinates,
     kernel_basis,
     linear_combination,
-    rank,
     reachable,
     relation_test,
     restrict_action,
@@ -53,8 +52,6 @@ from .scalars import Scalar, ZERO, ONE
 
 DEFAULT_SEED = 0x9E3779B9
 DEFAULT_TRIALS = 32
-ISO_TRIALS = 16
-ISO_COEFF = 50
 
 _MASK64 = (1 << 64) - 1
 
@@ -602,7 +599,17 @@ def module_from_table(lie: LieAlgebra, table: ActionTable) -> LieRep:
 
 
 def intertwiner_space(mats1, mats2, dim1: int, dim2: int):
-    """Basis of {T : T rho1(u) = rho2(u) T for all u}; T maps module 1 to 2."""
+    """Basis of {T : T rho1(u) = rho2(u) T for all u}; T maps module 1 to 2.
+
+    The two families act through the same generators, so they must have one
+    matrix each, dim1 x dim1 and dim2 x dim2; anything else is a ValueError.
+    """
+    mats1, mats2 = list(mats1), list(mats2)
+    if len(mats1) != len(mats2):
+        raise ValueError(f"{len(mats1)} action matrices against {len(mats2)}")
+    for mats, dim in ((mats1, dim1), (mats2, dim2)):
+        if any((m.nrows, m.ncols) != (dim, dim) for m in mats):
+            raise ValueError(f"an action matrix is not {dim} x {dim}")
     rows = []
     for a, b in zip(mats1, mats2):
         # (T a - b T)[i][j] = 0; unknowns T[i][l] indexed by i*dim1 + l
@@ -622,38 +629,21 @@ def intertwiner_space(mats1, mats2, dim1: int, dim2: int):
 
 
 def find_isomorphism(mats1, mats2, dim1: int, dim2: int):
-    """An invertible intertwiner from module 1 to module 2, or None.
+    """An invertible intertwiner from module 1 to module 2, or None, decided
+    by Schur's lemma on one `intertwiner_space` solve.
 
-    Tries the intertwiner basis, then sums of two basis elements, then
-    ISO_TRIALS combinations of the basis with integer coefficients in
-    [-ISO_COEFF, ISO_COEFF] drawn from a fixed-seed SplitMix, so the result is
-    deterministic.  None is certain when the dimensions differ or every
-    intertwiner is singular.  Otherwise an invertible intertwiner exists, the
-    determinant of a combination is a nonzero polynomial of degree dim in its
-    coefficients, and by Schwartz-Zippel each trial misses with probability at
-    most dim / (2 * ISO_COEFF + 1), so a None for isomorphic modules is
-    possible but very unlikely.
+    None is certain when the dimensions differ or every intertwiner is 0.
+    When either module is simple a nonzero intertwiner is injective (its
+    kernel is a submodule) or surjective (its image is one), so at equal
+    dimensions the first basis intertwiner is invertible and is returned.
+    With neither module simple the question is left open: AtlasError.
     """
-    if dim1 != dim2:
-        return None
     space = intertwiner_space(mats1, mats2, dim1, dim2)
-    for t in space:
-        if rank([list(r) for r in t.rows]) == dim1:
-            return t
-    for i in range(len(space)):
-        for j in range(i + 1, len(space)):
-            t = space[i] + space[j]
-            if rank([list(r) for r in t.rows]) == dim1:
-                return t
-    if len(space) < 2:  # every intertwiner is a multiple of one singular matrix
+    if dim1 != dim2 or not space:
         return None
-    rng = SplitMix(DEFAULT_SEED)
-    for _ in range(ISO_TRIALS):
-        coeffs = [rng.below(2 * ISO_COEFF + 1) - ISO_COEFF for _ in space]
-        t = linear_combination(coeffs, space, dim2, dim1)
-        if rank([list(r) for r in t.rows]) == dim1:
-            return t
-    return None
+    if is_simple(mats1, dim1) or is_simple(mats2, dim2):
+        return space[0]
+    raise AtlasError("isomorphism not determined: neither module is simple")
 
 
 def lie_reps_isomorphic(r1: LieRep, r2: LieRep):
@@ -663,7 +653,9 @@ def lie_reps_isomorphic(r1: LieRep, r2: LieRep):
 
 
 def poisson_modules_isomorphic(m1: PoissonModule, m2: PoissonModule):
-    """Isomorphism requires equal annihilators (points); then a Lie intertwiner."""
+    """An invertible intertwiner, or None: modules at different points
+    (different annihilators) are never isomorphic, and at one point the
+    g(J)-actions decide it through `find_isomorphism`."""
     if m1.pres is not m2.pres and m1.pres != m2.pres:
         return None
     if m1.point != m2.point:

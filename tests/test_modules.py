@@ -518,15 +518,115 @@ def test_isomorphism_bookkeeping(a1_pres):
     assert poisson_modules_isomorphic(module, smaller) is None
 
 
-def test_trivial_module_isomorphic_to_itself():
-    # every intertwiner of the 3-dimensional trivial module is a 3x3 matrix;
-    # the basis E_ij and the pair sums all have rank <= 2, so only a
-    # combination of the whole basis finds an invertible witness
+def _find_isomorphism_reference(mats1, mats2, dim1, dim2):
+    """The seeded search that decided isomorphism before Schur's lemma did:
+    the intertwiner basis, sums of two basis elements, then 16 SplitMix
+    combinations with coefficients in [-50, 50]."""
+    from poisson_atlas.linalg import linear_combination
+    from poisson_atlas.modules import intertwiner_space
+
+    if dim1 != dim2:
+        return None
+    space = intertwiner_space(mats1, mats2, dim1, dim2)
+    for t in space:
+        if rank([list(r) for r in t.rows]) == dim1:
+            return t
+    for i in range(len(space)):
+        for j in range(i + 1, len(space)):
+            t = space[i] + space[j]
+            if rank([list(r) for r in t.rows]) == dim1:
+                return t
+    if len(space) < 2:
+        return None
+    rng = SplitMix(DEFAULT_SEED)
+    for _ in range(16):
+        coeffs = [rng.below(101) - 50 for _ in space]
+        t = linear_combination(coeffs, space, dim2, dim1)
+        if rank([list(r) for r in t.rows]) == dim1:
+            return t
+    return None
+
+
+def _unitriangular_conjugates(mats, d):
+    """U^-1 m U for the fixed unitriangular U with U[i][j] = j - i + 1 above
+    the diagonal; U^-1 is the finite sum of (-N)^k for N = U - 1."""
+    u = Matrix([[1 if i == j else (j - i + 1 if j > i else 0) for j in range(d)] for i in range(d)])
+    minus_n = Matrix.identity(d) - u
+    inverse, power = Matrix.identity(d), Matrix.identity(d)
+    for _ in range(d - 1):
+        power = power * minus_n
+        inverse = inverse + power
+    assert inverse * u == Matrix.identity(d)
+    return [inverse * m * u for m in mats]
+
+
+@pytest.mark.parametrize(
+    "point", [("kleinian-a1", (0, 0, 0)), ("uqsl2-4hom", (0, 0, Scalar(0, 1, -1)))],
+    ids=["Q", "Q(sqrt(-1))"],
+)
+def test_schur_witness_matches_the_seeded_search_on_sl2_irreps(point):
+    from poisson_atlas import get_entry
+
+    name, coords = point
+    pres = get_entry(name).presentation
+    lie = lie_from_point(pres, PointP(pres.varset, coords))
+    triple = find_sl2_triple(lie)
+    for d in range(1, 7):
+        mats = list(sl2_irrep(lie, d, triple).mats)
+        conjugated = _unitriangular_conjugates(mats, d)
+        for pair in ((mats, conjugated), (conjugated, mats), (mats, mats)):
+            want = _find_isomorphism_reference(*pair, d, d)
+            assert want is not None
+            assert find_isomorphism(*pair, d, d) == want, (name, d)
+        smaller = list(sl2_irrep(lie, d + 1, triple).mats)
+        assert find_isomorphism(mats, smaller, d, d + 1) is None
+
+
+def test_schur_witness_matches_the_seeded_search_on_c_theta_restrictions():
+    from poisson_atlas import get_entry
+
+    torus = get_entry("torus-so3").presentation
+    emb, sub = get_entry("c-theta").embeds["theta"]
+    for d in range(1, 5):
+        restricted = []
+        for coords in ((2, 2, 2), (2, -2, -2)):
+            pt = PointP(torus.varset, list(coords))
+            lie = lie_from_point(torus, pt)
+            module = lift_module(torus, pt, sl2_irrep(lie, d, find_sl2_triple(lie)))
+            restricted.append(restrict_to_subalgebra(module, emb, sub))
+        m1, m2 = restricted
+        want = _find_isomorphism_reference(m1.mats, m2.mats, d, d)
+        assert want is not None
+        assert poisson_modules_isomorphic(m1, m2) == want
+
+
+def test_distinct_characters_are_not_isomorphic():
+    one, two = Matrix([[1]]), Matrix([[2]])
+    assert find_isomorphism([one], [two], 1, 1) is None
+    assert find_isomorphism([one], [one], 1, 1) == Matrix([[1]])
+
+
+def test_trivial_module_isomorphism_is_not_determined():
+    # every intertwiner of the 3-dimensional trivial module is a 3x3 matrix,
+    # and neither side is simple, so Schur's lemma decides nothing
     zero = Matrix.zeros(3, 3)
-    t = find_isomorphism([zero, zero], [zero, zero], 3, 3)
-    assert t is not None
-    assert rank([list(r) for r in t.rows]) == 3
-    assert find_isomorphism([zero, zero], [zero, zero], 3, 3) == t
+    with pytest.raises(AtlasError, match="isomorphism not determined: neither module is simple"):
+        find_isomorphism([zero, zero], [zero, zero], 3, 3)
+
+
+def test_a_family_of_another_length_is_refused(a1_pres):
+    # zip would drop B and return a witness that ignores it
+    origin, lie, triple = a1_setup(a1_pres)
+    e, h, _ = sl2_irrep(lie, 2, triple).mats
+    with pytest.raises(ValueError, match="2 action matrices against 1"):
+        find_isomorphism([h, e], [h], 2, 2)
+
+
+def test_a_matrix_of_the_wrong_shape_is_refused():
+    with pytest.raises(ValueError, match="an action matrix is not 2 x 2"):
+        find_isomorphism([Matrix.identity(2)], [Matrix.identity(3)], 2, 2)
+    with pytest.raises(ValueError, match="an action matrix is not 3 x 3"):
+        find_isomorphism([Matrix.identity(3)], [Matrix.zeros(3, 2)], 3, 3)
 
 
 def test_distinct_points_never_isomorphic(torus_pres):
