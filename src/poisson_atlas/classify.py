@@ -21,7 +21,6 @@ from .lie import LieAlgebra, gradient_sc, pair_gradients
 from .linalg import (
     IncrementalSpan,
     Matrix,
-    coordinates,
     kernel_basis,
     row_space_basis,
     trace_product,
@@ -244,12 +243,13 @@ def find_sl2_triple(lie: LieAlgebra, recognition: LieRecognition | None = None) 
     quotient, lift = lie, tuple  # rad g = 0: s is g itself, and lifting is the identity
     if rec.radical_basis:
         rad = IncrementalSpan(rec.radical_basis)
-        section = [i for i in range(lie.dim) if rad.add(lie.basis_vector(i))]
+        section = []  # section vector k is tagged k, so coordinates read g / rad g
+        for i in range(lie.dim):
+            if rad.add(lie.basis_vector(i), tag=len(section)):
+                section.append(i)
         sec_vecs = [lie.basis_vector(i) for i in section]
-        # [u, v] modulo rad g, in the coordinates of the section vectors
-        brackets = [lie.bracket(u, v) for u in sec_vecs for v in sec_vecs]
-        coords = [c[:3] for c in coordinates(sec_vecs + list(rec.radical_basis), brackets)]
-        sc = [coords[3 * i : 3 * i + 3] for i in range(3)]
+        brackets = ((rad.coordinates(lie.bracket(u, v)) for v in sec_vecs) for u in sec_vecs)
+        sc = [[tuple(c.get(k, ZERO) for k in range(3)) for c in row] for row in brackets]
         quotient = LieAlgebra([lie.labels[i] for i in section], sc)
         lift = Matrix(list(zip(*sec_vecs))).apply
 

@@ -1,25 +1,24 @@
 """Exact linear algebra over Scalar: elimination, kernels, subspaces,
 eigenproblems, weight graphs and the density hull.
 
-Everything is fraction-free in spirit but implemented directly over the scalar
-field (Q or one quadratic extension); Gaussian elimination with exact pivots
-is both the solver and the verifier here.  `rref` works in place and touches
-only the columns where the pivot row is nonzero.  `IncrementalSpan` is the one
-echelon span, on sparse rows, of vectors and of polynomials (`LaurentPoly.terms`
-dicts); it keeps coordinates only on the vectors added with a tag, which is
-how `lie` solves modulo J^2 and `poly.express_in_span` expresses a target.
-The subspace routines are
-`coordinates` (every vector's coordinates in a basis, from one rref),
-`restrict_action` (matrices on an invariant subspace, built on it), `closure`
-(the smallest span holding some seeds and stable under linear maps, grown in
-an IncrementalSpan) and `relation_test` (whether coefficients combine some
-vectors to zero, read on a column basis of them).  eigen_small factors
+Everything is exact over the scalar field (Q or one quadratic extension),
+and there is one elimination: `IncrementalSpan`, an echelon span on sparse
+rows of vectors and of polynomials (`LaurentPoly.terms` dicts).  It keeps
+coordinates only on the vectors added with a tag, which is how `lie` solves
+modulo J^2 and `poly.express_in_span` expresses a target, and its `basis` is
+the reduced row echelon form.  `rref`, `rank`, `row_space_basis`,
+`kernel_basis` (read off the reduced rows at the free columns), `coordinates`
+(basis vector k tagged k, so a dependent one gets 0), `solve_linear` and
+`relation_test` (coefficient vectors tested on the columns at the span's
+leads) are views of one span; `restrict_action` (matrices on an invariant
+subspace) and `closure` (the smallest span holding some seeds and stable
+under linear maps) are built on it.  eigen_small factors
 characteristic polynomials over Q plus at most one quadratic extension,
 reporting the discriminant it had to introduce; it takes the rational roots
 and quadratic factors from `intpoly`, searched up to the matrix's row-sum
 norm, so it has no dimension cap.  The submodule analysis in `modules` takes
 its seeds and reaches from here: the unit vectors, reaching along the
-`weight_graph` (one kernel solve, then zero tests only) when a combination of
+`weight_graph` (one span, then zero tests only) when a combination of
 the matrices is diagonal with distinct entries; else `_weight_seeds`, the
 eigenvectors of an action matrix with one-dimensional eigenspaces or the basis
 vectors, each reaching the seeds in its `closure` (MeatAxe's vector closures).
@@ -196,42 +195,16 @@ def trace_product(a: "Matrix", b: "Matrix") -> Scalar:
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot column list).
-
-    Rows are updated in place, and only on the support of the pivot row: the
-    rows from the pivot down are zero left of the pivot column, and an entry
-    where the pivot row is zero would only have 0 subtracted from it.
-    """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    nrows, ncols = len(rows), len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if not rows[i][c].is_zero), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        inv = prow[c].inverse()
-        support = [k for k in range(c, ncols) if not prow[k].is_zero]
-        for k in support:
-            prow[k] = prow[k] * inv
-        for i, row in enumerate(rows):
-            if i != r and not row[c].is_zero:
-                factor = row[c]
-                for k in support:
-                    row[k] = row[k] - factor * prow[k]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    """Reduced row echelon form; returns (rows, pivot column list): the
+    canonical basis of the rows' span, then zero rows up to their number."""
+    rows = list(rows)
+    span = IncrementalSpan(rows)
+    padding = [[ZERO] * span.width for _ in rows[span.rank :]]
+    return [list(r) for r in span.basis()] + padding, span.leads
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[1])
+    return IncrementalSpan(rows).rank
 
 
 def solve_linear(matrix, rhs):
@@ -243,7 +216,8 @@ def solve_linear(matrix, rhs):
 
 def kernel_basis(matrix):
     """Basis of the null space, one vector per free column, pivot-normalized."""
-    return _kernel(*rref(matrix), len(matrix[0])) if matrix else []
+    span = IncrementalSpan(matrix)
+    return _kernel(span.basis(), span.leads, len(matrix[0])) if matrix else []
 
 
 def _kernel(reduced, pivots, ncols):
@@ -259,20 +233,20 @@ def _kernel(reduced, pivots, ncols):
 
 
 def coordinates(basis, vectors):
-    """Coordinates of every vector in `basis`, read from one rref of [basis | vectors].
+    """Coordinates of every vector in `basis`, read in one span of the basis
+    vectors, basis vector k tagged k.
 
     None when some vector lies outside the span.  For a dependent basis every
-    free coordinate is 0, as `solve_linear` gives.
+    free coordinate is 0, as `solve_linear` gives: a basis vector that adds
+    nothing to the span gets no coordinate.
     """
-    k = len(basis)
-    reduced, pivots = rref([list(row) for row in zip(*basis, *vectors)])
-    if pivots and pivots[-1] >= k:  # a pivot in a vector column: outside the span
+    span = IncrementalSpan()
+    for k, v in enumerate(basis):
+        span.add(v, tag=k)
+    coords = [span.coordinates(v) for v in vectors]
+    if None in coords:
         return None
-    out = [[ZERO] * k for _ in vectors]
-    for row, c in zip(reduced, pivots):
-        for coords, x in zip(out, row[k:]):
-            coords[c] = x
-    return [tuple(coords) for coords in out]
+    return [tuple(c.get(k, ZERO) for k in range(len(basis))) for c in coords]
 
 
 def restrict_action(mats, basis):
@@ -287,20 +261,19 @@ def restrict_action(mats, basis):
 
 def row_space_basis(vectors):
     """Canonical (rref) basis of the span; doubles as a subspace signature."""
-    reduced, pivots = rref(list(vectors))
-    return tuple(tuple(row) for row in reduced[: len(pivots)])
+    return IncrementalSpan(vectors).basis()
 
 
 def relation_test(vectors):
     """The test `sum_k c[k] * vectors[k] == 0` on coefficient vectors c.
 
-    It reads only a column basis of the vectors, the pivot columns of one
-    rref: every other column is a combination of those, so a combination that
+    It reads only a column basis of the vectors, the leads of their span:
+    every other column is a combination of those, so a combination that
     vanishes there vanishes everywhere.  A c shorter than `vectors` leaves the
     remaining coefficients 0.
     """
     vectors = [tuple(v) for v in vectors]
-    columns = [tuple(v[c] for v in vectors) for c in rref(vectors)[1]]
+    columns = [tuple(v[c] for v in vectors) for c in IncrementalSpan(vectors).leads]
     return lambda coeffs: all(_dot(coeffs, col).is_zero for col in columns)
 
 
@@ -335,12 +308,13 @@ class IncrementalSpan:
         for v in vectors:
             self.add(v)
 
-    def reduce(self, vec, taken=None) -> dict:
-        """`vec` minus its components along the rows, as {key: entry}; it is 0
-        at every lead, and an entry that cancels stays, as 0.  `taken` gathers
-        the tagged coordinates of the combination subtracted."""
+    def reduce(self, vec, taken=None, leads=None) -> dict:
+        """`vec` minus its components along the rows (those of `leads`, when
+        given), as {key: entry}; it is 0 at each of those leads, and an entry
+        that cancels stays, as 0.  `taken` gathers the tagged coordinates of
+        the combination subtracted."""
         rem = dict(vec) if isinstance(vec, dict) else dict(enumerate(vec))
-        for lead in self.leads:
+        for lead in self.leads if leads is None else leads:
             f = rem.get(lead)
             if f is not None and not f.is_zero:
                 _subtract(rem, f, self.rows[lead])
@@ -407,9 +381,12 @@ class IncrementalSpan:
         return len(self.rows)
 
     def basis(self):
-        """The canonical (rref) basis of a span of sequences, as tuples."""
-        return row_space_basis([[row.get(k, ZERO) for k in range(self.width)]
-                                for row in map(self.rows.get, self.leads)])
+        """The canonical (rref) basis of a span of sequences, as tuples: each
+        row reduced by the rows of the later leads, so it is 0 at every lead
+        but its own."""
+        leads = self.leads
+        rows = (self.reduce(self.rows[lead], leads=leads[i + 1 :]) for i, lead in enumerate(leads))
+        return tuple(tuple(row.get(k, ZERO) for k in range(self.width)) for row in rows)
 
 
 def closure(seeds, maps) -> IncrementalSpan:
@@ -566,12 +543,12 @@ def weight_graph(mats, dim: int):
 
     Every submodule is then H-stable, so it is the span of the unit vectors
     on a set closed under the graph's edges.  The diagonal combinations are
-    the kernel of the off-diagonal entries, one `kernel_basis` solve; with
+    the kernel of the off-diagonal entries, read off their span; with
     H_1..H_r from a basis of it, such an H exists iff the weight tuples
     (H_1[j][j], ..., H_r[j][j]) are pairwise distinct (then H on the moment
     curve sum_i t^(i-1) H_i separates each pair for all but at most r - 1
-    values of t), so H itself is never built.  After the solve only zero
-    tests are made.
+    values of t), so H itself is never built.  After that one elimination
+    only zero tests are made.
     """
     n = len(mats)
     conditions = IncrementalSpan()  # rows (M_1[j][i], ..., M_n[j][i]) with sum_k c_k M_k[j][i] = 0
@@ -584,8 +561,7 @@ def weight_graph(mats, dim: int):
                 conditions.add(entries)
                 if conditions.rank == n:  # only H = 0 is diagonal
                     return None
-    rows = [[row.get(k, ZERO) for k in range(n)] for row in conditions.rows.values()]
-    kernel = kernel_basis(rows) if rows else [unit_vector(n, k) for k in range(n)]
+    kernel = _kernel(conditions.basis(), conditions.leads, n)
     weights = {tuple(_dot(c, [m.rows[j][j] for m in mats]) for c in kernel) for j in range(dim)}
     return tuple(map(frozenset, graph)) if len(weights) == dim else None
 

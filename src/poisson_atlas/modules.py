@@ -40,10 +40,10 @@ from .linalg import (
     coordinates,
     kernel_basis,
     linear_combination,
+    rank,
     reachable,
     relation_test,
     restrict_action,
-    row_space_basis,
     unit_vector,
     weight_graph,
 )
@@ -342,8 +342,8 @@ def verify_poisson_axioms(
     obligations, built once per point, presentation, trials and seed by
     `_point_obligations` and kept on the point, so modules at one point share
     them.  The module builds its commutators and its one `relation_test`,
-    which reads each combination on a column basis of the stack found by one
-    rref, and records the obligations in order.
+    which reads each combination on a column basis of the stack, the leads
+    of one span, and records the obligations in order.
 
     The elements stay polynomials: {p, q} is the full bracket and p * q the
     full product, each reduced to its value and gradient at the point by one
@@ -444,17 +444,16 @@ def analyze_submodules(mats, dim: int) -> SubmoduleAnalysis:
         return SubmoduleAnalysis(dim, True, simple, minimal, socle_dim, semisimple,
                                  list(minimal) if semisimple else None)
     simple = simple and linalg.associative_hull_is_full(mats, dim)
-    socle = row_space_basis([v for s in minimal for v in s])
+    socle_dim = rank([v for s in minimal for v in s])
     semisimple: bool | None = None  # undetermined unless the hull certifies the summands
     decomposition = None
-    if len(socle) == dim:
+    if socle_dim == dim:
         decomposition = []
         current: list = []
         for s in minimal:
-            merged = row_space_basis(current + [v for v in s])
-            if len(merged) == len(current) + len(s):
+            if rank(current + list(s)) == len(current) + len(s):
                 decomposition.append(s)
-                current = list(merged)
+                current += s
             if len(current) == dim:
                 break
         if all(
@@ -464,7 +463,7 @@ def analyze_submodules(mats, dim: int) -> SubmoduleAnalysis:
             semisimple = True
         else:
             decomposition = None
-    return SubmoduleAnalysis(dim, False, simple, minimal, len(socle), semisimple, decomposition)
+    return SubmoduleAnalysis(dim, False, simple, minimal, socle_dim, semisimple, decomposition)
 
 
 def quotient_action(mats, sub_basis, dim):

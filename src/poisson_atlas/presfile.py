@@ -15,7 +15,9 @@ The grammar, one clause per statement, each ending in `;`:
 Comments run from `#` to end of line.  Scalars may be integers, rationals
 `p/q`, or `sqrt(d)` combinations.  Names bound in a bracket clause (f, a)
 are usable in later expressions.  An embed block may optionally carry its
-own `bracket` and `relation` clauses describing the sub-presentation.
+own `bracket` and `relation` clauses describing the sub-presentation.  A
+second bracket clause, in the file or in one embed block, and a second auto
+or embed under one name are ParseErrors there.
 Serialization is the file dialect of poly's writer (`LaurentPoly.text`).
 """
 
@@ -362,6 +364,8 @@ class _Parser:
             tok = self.peek()
             word = self.expect_name().text
             if word == "bracket":
+                if spec is not None:
+                    raise ParseError("bracket clause given twice", tok.line, tok.col)
                 spec = self.parse_bracket(varset, env)
                 self.expect(";")
             elif word == "relation":
@@ -370,14 +374,17 @@ class _Parser:
             elif word == "point":
                 points.append(self.parse_point(varset, env))
                 self.expect(";")
-            elif word == "auto":
+            elif word in ("auto", "embed"):
+                named = autos if word == "auto" else embeds
                 name_tok = self.expect_name()
-                images = self.parse_images("auto", name_tok, varset.names, varset, env)
-                self.expect(";")
-                autos[name_tok.text] = SubstitutionMap.from_dict(varset, images)
-            elif word == "embed":
-                embed = self.parse_embed(varset, env)
-                embeds[embed.name] = embed
+                if name_tok.text in named:
+                    raise ParseError(f"{word} {name_tok.text} given twice",
+                                     name_tok.line, name_tok.col)
+                if word == "auto":
+                    images = self.parse_images("auto", name_tok, varset.names, varset, env)
+                    named[name_tok.text] = SubstitutionMap.from_dict(varset, images)
+                else:
+                    named[name_tok.text] = self.parse_embed(name_tok, varset, env)
                 self.expect(";")
             elif word == "grading":
                 grading = self.parse_expr(varset, env)
@@ -418,8 +425,7 @@ class _Parser:
             )
         return images
 
-    def parse_embed(self, varset, env) -> EmbedClause:
-        name_tok = self.expect_name()
+    def parse_embed(self, name_tok, varset, env) -> EmbedClause:
         self.expect("(")
         sub_names = self.name_list()
         self.expect(")")
@@ -429,6 +435,8 @@ class _Parser:
         def sub_clause(tok):
             nonlocal sub_bracket
             if tok.text == "bracket":
+                if sub_bracket is not None:
+                    raise ParseError("bracket clause given twice", tok.line, tok.col)
                 sub_bracket = self.parse_bracket(sub_varset, sub_env)
             elif tok.text == "relation":
                 sub_relations.append(self.parse_expr(sub_varset, sub_env))

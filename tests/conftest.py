@@ -4,6 +4,8 @@ from poisson_atlas import Exact, LaurentPoly, PoissonPresentation, VarSet
 from poisson_atlas.modules import SplitMix
 from poisson_atlas.scalars import Scalar
 
+ZERO, ONE = Scalar(0), Scalar(1)
+
 
 @pytest.fixture
 def xyz():
@@ -47,3 +49,65 @@ def random_poly(rng: SplitMix, varset, max_terms=4, degree=3):
         key = tuple(exps)
         terms[key] = Scalar.coerce(terms.get(key, 0)) + Scalar(c)
     return LaurentPoly(varset, terms)
+
+
+# -- dense elimination: the reference for every readout of linalg's one span --
+
+
+def rref_reference(rows):
+    """Dense Gauss-Jordan elimination: every row operation runs over every
+    column.  The reference that `rref` must match entry for entry."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def rref_kernel(matrix):
+    """The null space read off `rref_reference`: one vector per free column,
+    with 1 there, 0 at the other free columns and minus the reduced rows'
+    entries at the pivot columns."""
+    if not matrix:
+        return []
+    reduced, pivots = rref_reference(matrix)
+    kernel = []
+    for f in (c for c in range(len(matrix[0])) if c not in pivots):
+        vec = [ZERO] * len(matrix[0])
+        vec[f] = ONE
+        for row, c in zip(reduced, pivots):
+            vec[c] = -row[f]
+        kernel.append(tuple(vec))
+    return kernel
+
+
+def rref_coordinates(basis, vectors):
+    """Coordinates of every vector in `basis`, read from one `rref_reference`
+    of the columns [basis | vectors]: 0 at a basis vector without a pivot,
+    and None when some vector's column holds one (it lies outside the span)."""
+    k = len(basis)
+    reduced, pivots = rref_reference([list(row) for row in zip(*basis, *vectors)])
+    if pivots and pivots[-1] >= k:
+        return None
+    out = [[ZERO] * k for _ in vectors]
+    for row, c in zip(reduced, pivots):
+        for coords, x in zip(out, row[k:]):
+            coords[c] = x
+    return [tuple(coords) for coords in out]

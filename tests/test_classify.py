@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import rref_coordinates
 from poisson_atlas import (
     Exact,
     LaurentPoly,
@@ -486,7 +487,55 @@ def test_the_triple_search_in_the_quotient_matches_the_former_search():
         if rec.levi_dim == 3:
             searched += 1
             assert find_sl2_triple(lie, rec) == _sl2_triple_reference(lie, rec), label
+            if rec.radical_basis:
+                want = _two_elimination_constants(lie, rec)
+                assert _quotient_constants(lie, rec) == want, label
     assert searched == 29
+
+
+def _quotient_constants(lie, rec):
+    """The structure constants of g / rad g that `find_sl2_triple` builds,
+    recorded at its one `LieAlgebra` construction."""
+    import poisson_atlas.classify as classify
+
+    seen = []
+
+    def recorded(labels, sc, original=LieAlgebra):
+        seen.append(sc)
+        return original(labels, sc)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify, "LieAlgebra", recorded)
+        try:
+            find_sl2_triple(lie, rec)
+        except ExtensionRequiredError:
+            pass
+    return seen[0]
+
+
+def _two_elimination_constants(lie, rec):
+    """The constants of g / rad g as they were solved in two eliminations:
+    the section vectors found in a span of rad g, then the coordinates of
+    their brackets on the section vectors and rad g, read off the dense
+    `rref_coordinates`."""
+    rad = IncrementalSpan(rec.radical_basis)
+    section = [i for i in range(lie.dim) if rad.add(lie.basis_vector(i))]
+    sec_vecs = [lie.basis_vector(i) for i in section]
+    brackets = [lie.bracket(u, v) for u in sec_vecs for v in sec_vecs]
+    coords = [c[:3] for c in rref_coordinates(sec_vecs + list(rec.radical_basis), brackets)]
+    return [coords[3 * i : 3 * i + 3] for i in range(3)]
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_the_quotient_constants_match_the_two_elimination_solve(data):
+    """In any basis over Q or Q(sqrt(-1)), the constants read off the tagged
+    span of rad g equal those of the second, dense solve entry for entry."""
+    lie, _ = data.draw(_constructions(("sl2_on", "heis")))
+    conjugated = lie.change_basis(data.draw(_random_bases(lie.dim)))
+    rec = recognize(conjugated)
+    assert rec.levi_dim == 3 and rec.radical_basis
+    assert _quotient_constants(conjugated, rec) == _two_elimination_constants(conjugated, rec)
 
 
 def _sl2_triple_every_candidate(lie, recognition=None):

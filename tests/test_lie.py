@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rref_reference
 from poisson_atlas import lie
 from poisson_atlas import (
     bracket,
@@ -27,7 +28,7 @@ from poisson_atlas.errors import (
     NotExpressibleError,
     NotPoissonMaximalError,
 )
-from poisson_atlas.linalg import Matrix, coordinates, rank, rref, unit_vector
+from poisson_atlas.linalg import Matrix, coordinates, rank, unit_vector
 from poisson_atlas.poly import term_sort_key
 from poisson_atlas.scalars import ZERO, Scalar, scalar_sqrt
 
@@ -630,7 +631,8 @@ def _support_matrix(polys):
 
 def _rref_lie_from_invariants(ip):
     """`lie_from_invariants` as it solved on one dense rref of the support
-    matrix per product basis, kept as the reference."""
+    matrix per product basis, kept as the reference; the rref is the dense
+    `rref_reference`, independent of the span under test."""
     gens = list(ip.generators)
     names = list(ip.generator_names)
     m = len(gens)
@@ -665,7 +667,7 @@ def _rref_lie_from_invariants(ip):
         classes.setdefault(pruned(g, bound), []).append(g)
     independent = True
     for basis, members in classes.items():
-        pivots = rref(_support_matrix([products[k] for k in basis] + members))[1]
+        pivots = rref_reference(_support_matrix([products[k] for k in basis] + members))[1]
         independent &= all(len(basis) + c in pivots for c in range(len(members)))
     groups = {}  # pruned product basis -> the pairs whose targets it serves
     for pair, target in targets.items():
@@ -675,7 +677,8 @@ def _rref_lie_from_invariants(ip):
         # One rref of [products | gens | targets]: a target whose column holds a
         # pivot escapes, and the later ones of its group are read only if none does.
         columns = [products[k] for k in basis] + gens
-        reduced, pivots = rref(_support_matrix(columns + [targets[pair] for pair in pairs]))
+        support = _support_matrix(columns + [targets[pair] for pair in pairs])
+        reduced, pivots = rref_reference(support)
         rows = dict(zip(pivots, reduced))
         for col, (i, j) in enumerate(pairs, len(columns)):
             if col in rows:

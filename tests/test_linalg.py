@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rref_coordinates, rref_kernel, rref_reference
+from poisson_atlas import linalg
 from poisson_atlas.errors import ExtensionRequiredError
 from poisson_atlas.lie import LieAlgebra
 from poisson_atlas.linalg import (
@@ -11,6 +13,7 @@ from poisson_atlas.linalg import (
     Matrix,
     associative_hull_is_full,
     charpoly,
+    coordinates,
     eigen_small,
     kernel_basis,
     linear_combination,
@@ -367,33 +370,6 @@ def test_matrix_arithmetic_results_are_checked_matrices(case):
 # -- elimination -------------------------------------------------------------
 
 
-def _rref_reference(rows):
-    """Dense Gauss-Jordan elimination: every row operation runs over every
-    column.  The reference that `rref` must match entry for entry."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
 @st.composite
 def _elimination_rows(draw, d=None):
     """Rows over Q (d = 0) or Q(sqrt(-1)) (d = -1) with fractional entries;
@@ -421,9 +397,62 @@ def _elimination_rows(draw, d=None):
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(_elimination_rows())
 def test_rref_matches_dense_elimination(rows):
+    """`rref` and every readout of the one span match the dense elimination
+    entry for entry: the canonical basis and leads, the kernel, and the
+    columns `relation_test` reads."""
     snapshot = [list(r) for r in rows]
-    assert rref(rows) == _rref_reference(rows)
+    reduced, pivots = rref_reference(rows)
+    assert rref(rows) == (reduced, pivots)
     assert rows == snapshot  # the input is not modified
+    span = IncrementalSpan(rows)
+    assert span.basis() == tuple(map(tuple, reduced[: len(pivots)]))
+    assert span.leads == pivots and rank(rows) == len(pivots)
+    assert kernel_basis(rows) == rref_kernel(rows)
+    assert _columns_read(rows) == [tuple(r[c] for r in rows) for c in pivots]
+
+
+def _columns_read(vectors):
+    """The columns `relation_test(vectors)` reads, in order: each test of a
+    combination is one `_dot` with a column, here recorded and read as 0."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_dot", lambda coeffs, col: seen.append(col) or Scalar(0))
+        relation_test(vectors)([Scalar(0)] * len(vectors))
+    return seen
+
+
+@st.composite
+def _coordinate_cases(draw):
+    """(basis, vectors): the basis is the first k rows of one draw, dependent
+    when a combination of earlier rows falls among them; each vector is a
+    combination of the basis or one of the other rows, which mostly lies
+    outside its span."""
+    rows = [tuple(r) for r in draw(_elimination_rows())]
+    k = draw(st.integers(0, len(rows)))
+    basis, rest, vectors = rows[:k], rows[k:], []
+    for _ in range(draw(st.integers(0, 4))):
+        if rest and draw(st.integers(0, 3)) == 0:
+            vectors.append(rest.pop())
+            continue
+        coeffs = [Scalar(draw(st.integers(-2, 2))) for _ in basis]
+        vectors.append(tuple(sum((c * b[j] for c, b in zip(coeffs, basis)), Scalar(0))
+                             for j in range(len(rows[0]))))
+    return basis, vectors
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_coordinate_cases())
+def test_coordinates_and_solutions_match_dense_elimination(case):
+    """Coordinates in a basis, and the solution of M x = b on the columns of
+    M, match the dense elimination of [basis | vectors] entry for entry: 0 at
+    each dependent basis vector, and None for a vector outside the span."""
+    basis, vectors = case
+    assert coordinates(basis, vectors) == rref_coordinates(basis, vectors)
+    matrix = [list(row) for row in zip(*basis)]
+    if basis:
+        for v in vectors:
+            coords = rref_coordinates(basis, [v])
+            assert solve_linear(matrix, list(v)) == (None if coords is None else coords[0])
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

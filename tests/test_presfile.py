@@ -230,8 +230,14 @@ HEAD = "vars x, y;\nbracket table { [x,y] = x; };\n"
         ("auto a { x -> x; x -> -x; y -> y; };", (3, 18), "image of 'x' given twice"),
         ("embed e(u) { u -> x; u -> y; };", (3, 22), "image of 'u' given twice"),
         ("embed e(u) {\n  w -> x; };", (4, 3), "unknown name 'w' in embed block"),
+        ("auto a { x -> x; y -> y; };\nauto a { x -> y; y -> x; };", (4, 6),
+         "auto a given twice"),
+        ("embed e(u) { u -> x; };\nembed e(u) { u -> y; };", (4, 7), "embed e given twice"),
+        ("embed e(u, v) {\n  bracket table { [u,v] = u; };\n  bracket table { [u,v] = v; };\n"
+         "  u -> x; v -> y; };", (5, 3), "bracket clause given twice"),
     ],
-    ids=["auto-unknown", "auto-missing", "auto-repeated", "embed-repeated", "embed-unknown"],
+    ids=["auto-unknown", "auto-missing", "auto-repeated", "embed-repeated", "embed-unknown",
+         "auto-twice", "embed-twice", "embed-bracket-twice"],
 )
 def test_image_block_errors_are_located(block, where, message):
     with pytest.raises(ParseError) as err:
@@ -249,8 +255,10 @@ def test_image_block_errors_are_located(block, where, message):
         ("vars x, y;\nbracket table {\n  [x,q] = 1;\n};", (3, 6), "unknown variable 'q'"),
         ("vars x, y, z;\nbracket table { [x,y] = z; };\npoint (0, 0);", (3, 12),
          "point arity mismatch"),
+        ("vars x, y, z;\nbracket table { [x,y] = z; [y,z] = x; [z,x] = y; };\n"
+         "bracket exact f = x;", (3, 1), "bracket clause given twice"),
     ],
-    ids=["diagonal", "embed-diagonal", "unknown-variable", "point-arity"],
+    ids=["diagonal", "embed-diagonal", "unknown-variable", "point-arity", "bracket-twice"],
 )
 def test_bad_table_entries_and_points_are_located(text, where, message):
     with pytest.raises(ParseError) as err:

@@ -8,7 +8,8 @@ import bisect
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poisson_atlas.linalg import IncrementalSpan, row_space_basis
+from conftest import rref_reference
+from poisson_atlas.linalg import IncrementalSpan
 from poisson_atlas.poly import LaurentPoly, VarSet, term_sort_key
 from poisson_atlas.scalars import ZERO, scalar_sqrt
 
@@ -49,7 +50,9 @@ class DenseSpan:
         return len(self.rows)
 
     def basis(self):
-        return row_space_basis([self.rows[p] for p in sorted(self.rows)])
+        """The canonical basis, from the dense `rref_reference` of the rows."""
+        reduced, pivots = rref_reference([self.rows[p] for p in sorted(self.rows)])
+        return tuple(map(tuple, reduced[: len(pivots)]))
 
 
 def _subtract(acc: dict, f, row: dict):

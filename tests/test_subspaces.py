@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rref_coordinates, rref_kernel
 from poisson_atlas.errors import AtlasError
 from poisson_atlas.lie import LieAlgebra
 from poisson_atlas import linalg, modules
@@ -191,7 +192,7 @@ def _with_invariant_subspace(draw):
 def test_coordinates_match_one_solve_per_vector(case):
     basis, vectors = case
     got = coordinates(basis, vectors)
-    assert got == coordinates_reference(basis, vectors)
+    assert got == coordinates_reference(basis, vectors) == rref_coordinates(basis, vectors)
     n = len((basis + vectors)[0]) if basis + vectors else 0
     outside = rank(basis + vectors) > rank(basis) if basis else any(
         not c.is_zero for v in vectors for c in v
@@ -595,21 +596,25 @@ def test_a_diagonal_module_is_semisimple():
 def test_only_the_sinks_get_a_canonical_basis(monkeypatch):
     """The 5-dimensional irrep in a unitriangular basis, h acting first: no
     combination is diagonal, h's five eigenvectors seed, and the one sink,
-    the whole module, is the only subspace put in canonical form."""
+    the whole module, is the only subspace put in canonical form.  Every
+    canonical basis is one `IncrementalSpan.basis`, counted there; the seeds
+    are found before counting, since the kernels of their eigensolves are
+    read off spans too."""
     d = 5
     e, h, f = irrep(d)
     p = Matrix([[int(j >= i) for j in range(d)] for i in range(d)])
     mats = [inverse(p) * m * p for m in (h, e, f)]
     assert weight_graph(mats, d) is None
-    assert _weight_seeds(mats, d)[1] and len(_weight_seeds(mats, d)[0]) == d
+    seeds = _weight_seeds(mats, d)
+    assert seeds[1] and len(seeds[0]) == d
     calls = []
 
-    def counted(vectors):
-        calls.append(len(vectors))
-        return row_space_basis(vectors)
+    def counted(span, original=IncrementalSpan.basis):
+        calls.append(span.rank)
+        return original(span)
 
-    monkeypatch.setattr(linalg, "row_space_basis", counted)
-    monkeypatch.setattr(modules, "row_space_basis", counted)
+    monkeypatch.setattr(modules, "_weight_seeds", lambda mats, dim: seeds)
+    monkeypatch.setattr(IncrementalSpan, "basis", counted)
     analysis = analyze_submodules(mats, d)
     assert analysis.simple and analysis.semisimple and analysis.socle_dim == d
     assert len(analysis.minimal) == 1 and len(analysis.minimal[0]) == d
@@ -752,6 +757,68 @@ def test_the_weight_graph_matches_closures_of_the_unit_vectors(case, data):
         assert is_simple(general, dim) is is_simple(mats, dim)
         assert analyze_submodules(general, dim).semisimple in (
             analyze_submodules(mats, dim).semisimple, None)
+
+
+def _weight_graph_kernel(mats, dim):
+    """The kernel `weight_graph` reads its weights off, recorded at its one
+    `_kernel` call; None when it returns before that."""
+    seen = []
+
+    def recorded(*args, original=linalg._kernel):
+        seen.append(original(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_kernel", recorded)
+        weight_graph(mats, dim)
+    return seen[0] if seen else None
+
+
+def _two_elimination_kernel(mats, dim):
+    """The weight graph's kernel as it was solved in two eliminations: the
+    off-diagonal conditions gathered in a span, then its rows, as they lie,
+    solved again by the dense `rref_kernel`; None when only H = 0 is
+    diagonal."""
+    n = len(mats)
+    conditions = IncrementalSpan()
+    for i in range(dim):
+        for j in range(dim):
+            entries = tuple(m.rows[j][i] for m in mats)
+            if i != j and any(not x.is_zero for x in entries):
+                conditions.add(entries)
+                if conditions.rank == n:
+                    return None
+    rows = [[row.get(k, Scalar(0)) for k in range(n)] for row in conditions.rows.values()]
+    return rref_kernel(rows) if rows else [unit_vector(n, k) for k in range(n)]
+
+
+@st.composite
+def _matrix_families(draw):
+    """(mats, dim): n matrices whose off-diagonal parts are combinations of
+    r <= n drawn ones, so that for r < n some combination is diagonal, each
+    plus a drawn diagonal."""
+    entry = _entries(draw(st.sampled_from([0, -1])))
+    dim, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    off = [[[draw(entry) if i != j else Scalar(0) for j in range(dim)] for i in range(dim)]
+           for _ in range(draw(st.integers(0, n)))]
+    mats = []
+    for _ in range(n):
+        cs = [draw(entry) for _ in off]
+        mats.append(Matrix([
+            [draw(entry) if i == j else sum((c * b[i][j] for c, b in zip(cs, off)), Scalar(0))
+             for j in range(dim)]
+            for i in range(dim)
+        ]))
+    return tuple(mats), dim
+
+
+@SETTINGS
+@given(_matrix_families())
+def test_the_weight_graph_kernel_matches_the_two_elimination_solve(case):
+    """One elimination gives the diagonal combinations entry for entry as the
+    span followed by a dense kernel solve did."""
+    mats, dim = case
+    assert _weight_graph_kernel(mats, dim) == _two_elimination_kernel(mats, dim)
 
 
 def test_a_general_conjugation_can_keep_a_weight_graph():
