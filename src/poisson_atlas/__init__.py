@@ -12,7 +12,6 @@ from .poly import LaurentPoly, PointP, VarSet, express_in_span, divides
 from .linalg import Matrix, eigen_small, kernel_basis, solve_linear
 from .brackets import (
     Exact,
-    KirillovKostant,
     PoissonPresentation,
     Scaled,
     SubstitutionMap,

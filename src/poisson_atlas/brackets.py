@@ -101,45 +101,31 @@ class Scaled(_PotentialSpec):
 
 @dataclass(frozen=True)
 class Table(BracketSpec):
-    """Explicit antisymmetric table; stored on pairs i < j only."""
+    """Explicit antisymmetric table, stored on pairs i < j only; with linear
+    entries it is the Kirillov-Kostant bracket of a Lie algebra."""
 
     entries: tuple  # ((i, j, LaurentPoly), ...) with i < j
 
     @staticmethod
     def from_dict(varset: VarSet, mapping) -> "Table":
-        entries = []
+        """Each pair once, in either order; ValueError on a diagonal or repeated pair."""
+        entries = {}
         for (a, b), poly in mapping.items():
             i, j = varset.index(a), varset.index(b)
             if i == j:
                 raise ValueError(f"diagonal bracket {{{a},{b}}}")
             if i > j:
                 i, j, poly = j, i, -poly
-            entries.append((i, j, poly))
-        entries.sort(key=lambda t: (t[0], t[1]))
-        return Table(tuple(entries))
+            if (i, j) in entries:
+                raise ValueError(f"bracket {{{a},{b}}} given twice")
+            entries[i, j] = poly
+        return Table(tuple((i, j, poly) for (i, j), poly in sorted(entries.items())))
 
     def _pair(self, varset, i, j):
         for a, b, poly in self.entries:
             if (a, b) == (i, j):
                 return poly
         return LaurentPoly.zero(varset)
-
-
-@dataclass(frozen=True)
-class KirillovKostant(BracketSpec):
-    """{x_i, x_j} = sum_k c^k_ij x_k from Lie structure constants."""
-
-    constants: tuple  # constants[i][j][k] as Scalars, antisymmetric in (i, j)
-
-    def _pair(self, varset, i, j):
-        terms = {}
-        for k, c in enumerate(self.constants[i][j]):
-            c = Scalar.coerce(c)
-            if not c.is_zero:
-                exps = [0] * len(varset)
-                exps[k] = 1
-                terms[tuple(exps)] = c
-        return LaurentPoly(varset, terms)
 
 
 @dataclass(frozen=True)

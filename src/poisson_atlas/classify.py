@@ -1,4 +1,4 @@
-"""Analyze a structure-constant Lie algebra and classify its simple modules.
+"""Analyze a Lie algebra from its brackets and classify its simple modules.
 
 One rule holds for every finite-dimensional Lie algebra g in characteristic 0
 (Bourbaki, Lie Groups and Lie Algebras I 5; Jacobson, Lie Algebras II-III):
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ExtensionRequiredError, AtlasError
-from .lie import LieAlgebra, gradient_sc, pair_gradients
+from .lie import LieAlgebra, pair_gradients
 from .linalg import (
     IncrementalSpan,
     Matrix,
@@ -163,11 +163,10 @@ def recognize(lie: LieAlgebra) -> LieRecognition:
 def recognize_points(pres, points):
     """The recognition of g(J) at each point, in order.  Points are keyed by
     the gradients of the nonzero pair brackets (`pair_gradients`), which are
-    exactly what `gradient_sc` writes into the structure constants, so two
-    keys are equal iff the two g(J) are; only a new key builds its algebra,
-    from the gradients of its key.  The one `linear_part` per bracket that
-    gives a gradient also gives the value, so that pass alone refuses a
-    point that is not Poisson."""
+    exactly the brackets `LieAlgebra` takes, so two keys are equal iff the
+    two g(J) are; only a new key builds its algebra, from the gradients of
+    its key.  The one `linear_part` per bracket that gives a gradient also
+    gives the value, so that pass alone refuses a point that is not Poisson."""
     names = pres.varset.names
     by_key = {}
     for pt in points:
@@ -175,7 +174,7 @@ def recognize_points(pres, points):
         key = tuple(gradients.values())
         rec = by_key.get(key)
         if rec is None:
-            lie = LieAlgebra(names, gradient_sc(len(names), gradients))
+            lie = LieAlgebra(names, gradients)
             rec = by_key[key] = recognize(lie)
         yield rec
 
@@ -248,9 +247,9 @@ def find_sl2_triple(lie: LieAlgebra, recognition: LieRecognition | None = None) 
             if rad.add(lie.basis_vector(i), tag=len(section)):
                 section.append(i)
         sec_vecs = [lie.basis_vector(i) for i in section]
-        brackets = ((rad.coordinates(lie.bracket(u, v)) for v in sec_vecs) for u in sec_vecs)
-        sc = [[tuple(c.get(k, ZERO) for k in range(3)) for c in row] for row in brackets]
-        quotient = LieAlgebra([lie.labels[i] for i in section], sc)
+        brackets = {(a, b): rad.coordinates(lie.bracket(sec_vecs[a], sec_vecs[b]))
+                    for a, b in ((0, 1), (0, 2), (1, 2))}
+        quotient = LieAlgebra([lie.labels[i] for i in section], brackets)
         lift = Matrix(list(zip(*sec_vecs))).apply
 
     last_error = None

@@ -26,7 +26,7 @@ class NotPoissonMaximalError(AtlasError):
 
 
 class LieStructureError(AtlasError):
-    """Structure constants violate antisymmetry or the Jacobi identity."""
+    """Structure constants violate the Jacobi identity."""
 
 
 class NotExpressibleError(AtlasError):

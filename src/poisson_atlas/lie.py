@@ -5,16 +5,17 @@ the point (polynomial presentations), or express brackets of invariant
 generators in the generators modulo products of two or more of them
 (invariant presentations), in a `linalg.IncrementalSpan` of the products
 and the tagged generators.  The second route prunes its product basis by
-the total degree when that grades the generators.  Both produce
-structure-constant algebras whose antisymmetry and Jacobi identity are
-enforced at construction.  `lie_from_point` is the one place that certifies
-a point as Poisson-maximal; it keeps the g(J) it builds on the point, so
-every later request at that point reads the same algebra.
+the total degree when that grades the generators.  Both give `LieAlgebra`
+its brackets on the pairs i < j, so antisymmetry holds by construction, and
+the constructor checks the Jacobi identity.  `lie_from_point` is the one
+place that certifies a point as Poisson-maximal; it keeps the g(J) it builds
+on the point, so every later request at that point reads the same algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .brackets import PoissonPresentation, SubstitutionMap, bracket
 from .errors import LieStructureError, NotExpressibleError, NotPoissonMaximalError
@@ -26,31 +27,32 @@ from .scalars import Scalar, ZERO
 class LieAlgebra:
     """Finite-dimensional structure-constant Lie algebra over exact scalars.
 
-    `sc[i][j][k]` is the coefficient of e_k in [e_i, e_j].  The constructor
-    also keeps, once, the nonzero (k, c) pairs of each [e_i, e_j] in
-    `_pairs[i][j]`; `bracket`, `ad_matrix`, the construction check and
-    `structure_table` read only those.  Equality compares the labels and
-    the structure constants.
+    Built from its brackets on the pairs i < j, `{(i, j): row}`, where row is
+    [e_i, e_j] as {k: c} or, read as {position: c}, a sequence (a gradient);
+    [e_j, e_i] is its negative, so antisymmetry holds by construction, and the
+    constructor checks the Jacobi identity.  `_pairs[i][j]` keeps the nonzero
+    (k, c) of [e_i, e_j], k ascending, for every i and j; everything else,
+    equality too, reads only those.
     """
 
-    __slots__ = ("labels", "sc", "_pairs")
+    __slots__ = ("labels", "_pairs")
 
-    def __init__(self, labels, sc, check=True):
+    def __init__(self, labels, brackets):
         labels = tuple(labels)
         n = len(labels)
-        sc = tuple(
-            tuple(tuple(Scalar.coerce(c) for c in sc[i][j]) for j in range(n))
-            for i in range(n)
-        )
-        pairs = tuple(
-            tuple(tuple((k, c) for k, c in enumerate(row) if not c.is_zero) for row in rows)
-            for rows in sc
-        )
+        pairs = [[()] * n for _ in range(n)]
+        for (i, j), row in brackets.items():
+            row = sorted(row.items()) if isinstance(row, dict) else tuple(enumerate(row))
+            if not 0 <= i < j < n:
+                raise ValueError(f"bracket pair ({i}, {j}) is not i < j < {n}")
+            if not all(0 <= k < n for k, _ in row):
+                raise ValueError(f"[e_{i}, e_{j}] has a coefficient outside 0..{n - 1}")
+            coerced = ((k, Scalar.coerce(c)) for k, c in row)
+            pairs[i][j] = tuple((k, c) for k, c in coerced if not c.is_zero)
+            pairs[j][i] = tuple((k, -c) for k, c in pairs[i][j])
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "sc", sc)
-        object.__setattr__(self, "_pairs", pairs)
-        if check:
-            self._verify()
+        object.__setattr__(self, "_pairs", tuple(map(tuple, pairs)))
+        self._verify()
 
     def __setattr__(self, *args):
         raise AttributeError("LieAlgebra is immutable")
@@ -60,42 +62,38 @@ class LieAlgebra:
         return len(self.labels)
 
     @staticmethod
-    def from_brackets(labels, table, check=True) -> "LieAlgebra":
+    def from_brackets(labels, table) -> "LieAlgebra":
         """Build from a sparse table {(a, b): {c: coeff}} with [a, b] = sum coeff*c.
 
-        Antisymmetric counterparts are filled in automatically.
+        A pair may be given in either order, once.  ValueError on a name
+        outside `labels`, a diagonal pair or a pair given twice.
         """
         labels = tuple(labels)
         idx = {l: i for i, l in enumerate(labels)}
-        n = len(labels)
-        sc = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        unknown = {a for pair, row in table.items() for a in (*pair, *row)}.difference(idx)
+        if unknown:
+            raise ValueError(f"unknown labels {sorted(unknown)}")
+        brackets = {}
         for (a, b), row in table.items():
             i, j = idx[a], idx[b]
-            for c, coeff in row.items():
-                k = idx[c]
-                coeff = Scalar.coerce(coeff)
-                sc[i][j][k] = coeff
-                sc[j][i][k] = -coeff
-        return LieAlgebra(labels, sc, check=check)
+            if i == j:
+                raise ValueError(f"diagonal bracket [{a},{b}]")
+            row = {idx[c]: Scalar.coerce(coeff) for c, coeff in row.items()}
+            if i > j:
+                i, j, row = j, i, {k: -c for k, c in row.items()}
+            if (i, j) in brackets:
+                raise ValueError(f"bracket [{a},{b}] given twice")
+            brackets[i, j] = row
+        return LieAlgebra(labels, brackets)
 
     def _verify(self):
-        """LieStructureError on the first pair (i, j) where [e_j, e_i] is not
-        -[e_i, e_j], else on the first triple i < j < k whose Jacobiator is
-        not 0.  A failing (i, j) makes (j, i) fail, so the first one has i <= j."""
-        pairs, n = self._pairs, self.dim
-        for i in range(n):
-            for j in range(i, n):
-                if pairs[i][j] != tuple((k, -c) for k, c in pairs[j][i]):
-                    raise LieStructureError(
-                        f"antisymmetry fails on ({self.labels[i]}, {self.labels[j]})"
-                    )
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    if self._jacobiator(i, j, k):
-                        raise LieStructureError(
-                            f"Jacobi fails on ({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
-                        )
+        """LieStructureError on the first triple i < j < k whose Jacobiator
+        is not 0."""
+        for i, j, k in combinations(range(self.dim), 3):
+            if self._jacobiator(i, j, k):
+                raise LieStructureError(
+                    f"Jacobi fails on ({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
+                )
 
     def _jacobiator(self, i, j, k) -> dict:
         """[[e_i, e_j], e_k] + [[e_j, e_k], e_i] + [[e_k, e_i], e_j] as its
@@ -146,16 +144,19 @@ class LieAlgebra:
         """Structure constants in the basis whose vectors are the matrix columns.
 
         With fewer columns than rows, the columns are the basis of a
-        subalgebra and `labels` names them; ValueError when a bracket of two
-        columns leaves their span.
+        subalgebra and `labels` names them.  Only the pairs i < j are solved.
+        ValueError when the labels are not one per column, or when a bracket
+        of two columns leaves their span.
         """
         cols = list(zip(*matrix.rows))
-        coords = coordinates(cols, [self.bracket(u, v) for u in cols for v in cols])
+        labels = tuple(labels or self.labels)
+        if len(labels) != len(cols):
+            raise ValueError(f"{len(labels)} labels for {len(cols)} columns")
+        pairs = [(i, j) for i in range(len(cols)) for j in range(i + 1, len(cols))]
+        coords = coordinates(cols, [self.bracket(cols[i], cols[j]) for i, j in pairs])
         if coords is None:
             raise ValueError("the columns do not span a subalgebra")
-        n = len(cols)
-        sc = [coords[i * n : i * n + n] for i in range(n)]
-        return LieAlgebra(labels or self.labels, sc)
+        return LieAlgebra(labels, dict(zip(pairs, coords)))
 
     def structure_table(self):
         """Sparse view {(i, j): {k: c}} for i < j, nonzero entries only."""
@@ -170,7 +171,7 @@ class LieAlgebra:
         return (
             isinstance(other, LieAlgebra)
             and self.labels == other.labels
-            and self.sc == other.sc
+            and self._pairs == other._pairs
         )
 
     def __repr__(self):
@@ -194,29 +195,17 @@ def pair_gradients(pres: PoissonPresentation, pt: PointP) -> dict:
     return gradients
 
 
-def gradient_sc(n: int, gradients: dict) -> tuple:
-    """Structure constants, as nested tuples, with sc[i][j] the gradient of
-    the pair (i, j) in `gradients` (as `pair_gradients` gives them) and
-    sc[j][i] its negative; every other row is zero."""
-    sc = [[(ZERO,) * n] * n for _ in range(n)]
-    for (i, j), grad in gradients.items():
-        sc[i][j] = grad
-        sc[j][i] = tuple(-g for g in grad)
-    return tuple(map(tuple, sc))
-
-
 def lie_from_point(pres: PoissonPresentation, pt: PointP) -> LieAlgebra:
     """g(J) on the basis u_k = x_k - pt_k, with [u_i, u_j] the gradient of
     {x_i, x_j} at pt (the bracket vanishes there, so its class mod J^2 is its
     linear part): one `pair_gradients` pass, which also refuses a point that
-    is not Poisson-maximal, written into structure constants by
-    `gradient_sc`.  The algebra is kept in the point's `_obligations` under
-    `pres`, so later calls at that point return the same object; a point
-    that fails is never kept, so it raises on every call."""
+    is not Poisson-maximal, and whose gradients are the brackets `LieAlgebra`
+    takes.  The algebra is kept in the point's `_obligations` under `pres`,
+    so later calls at that point return the same object; a point that fails
+    is never kept, so it raises on every call."""
     lie = pt._obligations.get(pres)
     if lie is None:
-        names = pres.varset.names
-        lie = LieAlgebra(names, gradient_sc(len(names), pair_gradients(pres, pt)))
+        lie = LieAlgebra(pres.varset.names, pair_gradients(pres, pt))
         pt._obligations[pres] = lie
     return lie
 
@@ -328,9 +317,9 @@ def lie_from_invariants(ip: InvariantPresentation) -> LieAlgebra:
             t = bracket(spec, gens[i], gens[j])
             if not t.is_zero:
                 targets[(i, j)] = t
-    sc = [[[ZERO] * m for _ in range(m)] for _ in range(m)]
+    brackets = {}
     if not targets:
-        return LieAlgebra(names, sc)
+        return LieAlgebra(names, brackets)
     bound = max(p.total_degree() or 0 for p in list(targets.values()) + gens)
     ones = (1,) * len(varset) if _graded(gens) else None
     products, degrees = _enumerate_products(gens, bound)
@@ -360,13 +349,11 @@ def lie_from_invariants(ip: InvariantPresentation) -> LieAlgebra:
             if coords is None:
                 escapes.append((i, j))
                 break
-            for k in range(m):
-                c = coords.get(k, ZERO)
-                sc[i][j][k], sc[j][i][k] = c, -c
+            brackets[i, j] = coords
     if escapes:  # the first escaping pair in pair order is the first of its group
         i, j = min(escapes)
         raise NotExpressibleError(f"bracket of ({names[i]}, {names[j]}) escapes the "
                                   f"subalgebra up to the degree bound")
     if not independent:
         raise NotExpressibleError("generators are dependent modulo J^2; linear part not unique")
-    return LieAlgebra(names, sc)
+    return LieAlgebra(names, brackets)

@@ -14,10 +14,11 @@ The grammar, one clause per statement, each ending in `;`:
 
 Comments run from `#` to end of line.  Scalars may be integers, rationals
 `p/q`, or `sqrt(d)` combinations.  Names bound in a bracket clause (f, a)
-are usable in later expressions.  An embed block may optionally carry its
-own `bracket` and `relation` clauses describing the sub-presentation.  A
-second bracket clause, in the file or in one embed block, and a second auto
-or embed under one name are ParseErrors there.
+are usable in later expressions.  A Kirillov-Kostant bracket is a table
+with linear entries.  An embed block may optionally carry its own `bracket`
+and `relation` clauses describing the sub-presentation.  A second bracket
+clause, in the file or in one embed block, and a second auto or embed under
+one name are ParseErrors there.
 Serialization is the file dialect of poly's writer (`LaurentPoly.text`).
 """
 
@@ -482,9 +483,7 @@ def _scalar_text(s: Scalar) -> str:
 
 def _bracket_clause(spec, varset, embed=False) -> str:
     """The bracket clause of `spec`: in a file it binds f and a and writes a
-    table one row per line, in an embed it binds F and A on one line.  A spec
-    other than exact, scaled or table is written as the table of its
-    generator brackets."""
+    table one row per line, in an embed it binds F and A on one line."""
     f, a = ("F", "A") if embed else ("f", "a")
     if isinstance(spec, Exact):
         return f"bracket exact {f} = {poly_text(spec.potential)};"
@@ -493,13 +492,10 @@ def _bracket_clause(spec, varset, embed=False) -> str:
             f"bracket scaled {a} = {poly_text(spec.multiplier)}; "
             f"{f} = {poly_text(spec.potential)};"
         )
-    n, names = len(varset), varset.names
-    entries = spec.entries if isinstance(spec, Table) else [
-        (i, j, spec.pair(varset, i, j)) for i in range(n) for j in range(i + 1, n)
-    ]
+    names = varset.names
     rows = [
         f"[{names[i]},{names[j]}] = {poly_text(poly)};"
-        for i, j, poly in entries
+        for i, j, poly in spec.entries
         if not poly.is_zero
     ]
     if embed:

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from conftest import random_poly
 from poisson_atlas import (
     Exact,
-    KirillovKostant,
     LaurentPoly,
+    LieAlgebra,
+    PointP,
     PoissonPresentation,
     Scaled,
     SubstitutionMap,
@@ -18,6 +19,7 @@ from poisson_atlas import (
     bracket_via_jacobian,
     hamiltonian,
     is_poisson_central,
+    lie_from_point,
     verify_jacobi,
     verify_poisson_map,
 )
@@ -131,8 +133,8 @@ def test_operands_from_two_extensions_raise():
 def _bracket_cases(draw):
     """A spec of each kind, and operands p, q, over Q or Q(sqrt(-1)).
 
-    Exact and Scaled specs live on 3 variables, Table and KirillovKostant specs
-    on 2 to 6.  Laurent variables carry exponents down to -2.  Some cases pair
+    Exact and Scaled specs live on 3 variables, tables on 2 to 6; a
+    Kirillov-Kostant spec is a table with a drawn linear entry on every pair.  Laurent variables carry exponents down to -2.  Some cases pair
     p with itself, or with the potential, where the bracket cancels to 0.
     """
     d = draw(st.sampled_from([0, -1]))
@@ -160,13 +162,11 @@ def _bracket_cases(draw):
             if draw(st.booleans())
         })
     else:
-        constants = [[[Scalar(0)] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(n):
-                    c = draw(scalar)
-                    constants[i][j][k], constants[j][i][k] = c, -c
-        spec = KirillovKostant(tuple(tuple(map(tuple, rows)) for rows in constants))
+        units = [tuple(int(k == m) for m in range(n)) for k in range(n)]
+        spec = Table.from_dict(vs, {
+            (a, b): LaurentPoly(vs, {unit: draw(scalar) for unit in units})
+            for k, a in enumerate(names) for b in names[k + 1:]
+        })
     p = poly()
     shape = draw(st.sampled_from(["random", "self", "potential"]))
     if shape == "self" or (shape == "potential" and potential is None):
@@ -241,8 +241,7 @@ def _verify_jacobi_reference(spec, varset):
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(_bracket_cases())
 def test_verify_jacobi_matches_the_all_bracket_reference(case):
-    """Drawn tables and Kirillov-Kostant constants mostly fail Jacobi: the
-    witness triple and the Jacobiator are the reference's."""
+    """Drawn tables, linear ones too, mostly fail Jacobi: the witness triple and the Jacobiator are the reference's."""
     spec, p, _, _ = case
     report, reference = verify_jacobi(spec, p.varset), _verify_jacobi_reference(spec, p.varset)
     assert report == reference
@@ -283,16 +282,30 @@ def test_presentation_rejects_non_jacobi(xyz):
 
 
 def test_kirillov_kostant_spec(xyz):
+    """The Kirillov-Kostant bracket of a Lie algebra is the table with its
+    brackets as linear entries, and g(J) at the origin is that algebra."""
     vs, x, y, z = xyz
-    from poisson_atlas.lie import LieAlgebra
-
     sl2 = LieAlgebra.from_brackets(
         ("x", "y", "z"),
         {("y", "x"): {"z": 2}, ("z", "y"): {"x": 2}, ("x", "z"): {"y": 2}},
     )
-    spec = KirillovKostant(sl2.sc)
+    spec = Table.from_dict(vs, {("y", "x"): 2 * z, ("z", "y"): 2 * x, ("x", "z"): 2 * y})
     assert bracket(spec, y, x) == 2 * z
     assert verify_jacobi(spec, vs).ok
+    assert lie_from_point(PoissonPresentation(vs, spec), PointP(vs, [0, 0, 0])) == sl2
+
+
+def test_table_refuses_a_pair_given_twice(xyz):
+    """Both orders of one pair are one bracket: the table refuses the second
+    as it refuses a diagonal pair, instead of keeping two entries."""
+    vs, x, y, z = xyz
+    for mapping in ({("x", "y"): z, ("y", "x"): -z}, {("y", "x"): -z, ("x", "y"): z},
+                    {("x", "y"): z, ("y", "x"): z}):
+        with pytest.raises(ValueError, match=r"^bracket \{\w,\w\} given twice$"):
+            Table.from_dict(vs, mapping)
+    with pytest.raises(ValueError, match=r"^diagonal bracket \{x,x\}$"):
+        Table.from_dict(vs, {("x", "x"): z})
+    assert Table.from_dict(vs, {("y", "x"): -z}) == Table.from_dict(vs, {("x", "y"): z})
 
 
 def test_identity_map_is_poisson(torus_pres):
@@ -377,13 +390,11 @@ def test_hamiltonian(xyz):
 
 def _spec_of_each_kind(vs, x, y, z):
     f = x * y * z - x * x - y * y - z * z + 4
-    zero, one = (0, 0, 0), (0, 0, 1)
-    heisenberg = ((zero, one, zero), (tuple(-c for c in one), zero, zero), (zero,) * 3)
     return [
         Exact(f),
         Scaled(x + 1, f),
         Table.from_dict(vs, {("x", "y"): z, ("y", "z"): LaurentPoly.zero(vs)}),
-        KirillovKostant(heisenberg),
+        Table.from_dict(vs, {("x", "y"): z}),  # Kirillov-Kostant of the Heisenberg algebra
     ]
 
 

@@ -99,10 +99,7 @@ def test_derived_series_sl2():
 
 def test_derived_series_abelian():
     for n in (1, 2, 4):
-        ab = LieAlgebra(
-            tuple(f"u{i}" for i in range(n)),
-            [[[Scalar(0)] * n for _ in range(n)] for _ in range(n)],
-        )
+        ab = LieAlgebra(tuple(f"u{i}" for i in range(n)), {})
         assert derived_series(ab) == [n, 0]
 
 
@@ -111,7 +108,7 @@ def test_recognize_abelian_heisenberg_solvable():
     rec = recognize(whitney_lie(1))
     assert rec.tag == "solvable"
     assert rec.derived_dims == [3, 2, 0]
-    ab = LieAlgebra(("u", "v"), [[[Scalar(0)] * 2] * 2] * 2)
+    ab = LieAlgebra(("u", "v"), {})
     assert recognize(ab).tag == "abelian"
 
 
@@ -494,15 +491,15 @@ def test_the_triple_search_in_the_quotient_matches_the_former_search():
 
 
 def _quotient_constants(lie, rec):
-    """The structure constants of g / rad g that `find_sl2_triple` builds,
+    """The structure table of g / rad g that `find_sl2_triple` builds,
     recorded at its one `LieAlgebra` construction."""
     import poisson_atlas.classify as classify
 
     seen = []
 
-    def recorded(labels, sc, original=LieAlgebra):
-        seen.append(sc)
-        return original(labels, sc)
+    def recorded(labels, brackets, original=LieAlgebra):
+        seen.append(original(labels, brackets))
+        return seen[-1]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(classify, "LieAlgebra", recorded)
@@ -510,7 +507,7 @@ def _quotient_constants(lie, rec):
             find_sl2_triple(lie, rec)
         except ExtensionRequiredError:
             pass
-    return seen[0]
+    return seen[0].structure_table()
 
 
 def _two_elimination_constants(lie, rec):
@@ -523,7 +520,9 @@ def _two_elimination_constants(lie, rec):
     sec_vecs = [lie.basis_vector(i) for i in section]
     brackets = [lie.bracket(u, v) for u in sec_vecs for v in sec_vecs]
     coords = [c[:3] for c in rref_coordinates(sec_vecs + list(rec.radical_basis), brackets)]
-    return [coords[3 * i : 3 * i + 3] for i in range(3)]
+    rows = {(a, b): {k: c for k, c in enumerate(coords[3 * a + b]) if not c.is_zero}
+            for a in range(3) for b in range(a + 1, 3)}
+    return {pair: row for pair, row in rows.items() if row}
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -550,8 +549,8 @@ def _sl2_triple_every_candidate(lie, recognition=None):
     # [u, v] modulo rad g, in the coordinates of the section vectors
     brackets = [lie.bracket(u, v) for u in sec_vecs for v in sec_vecs]
     coords = [c[:3] for c in coordinates(sec_vecs + list(rec.radical_basis), brackets)]
-    sc = [coords[3 * i : 3 * i + 3] for i in range(3)]
-    quotient = LieAlgebra([lie.labels[i] for i in section], sc)
+    quotient = LieAlgebra([lie.labels[i] for i in section],
+                          {(a, b): coords[3 * a + b] for a in range(3) for b in range(a + 1, 3)})
     lift = Matrix(list(zip(*sec_vecs))).apply
 
     last_error = None

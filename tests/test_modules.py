@@ -192,9 +192,9 @@ def test_lift_refusals_keep_their_types_and_messages(torus_pres):
     assert str(refused.value) == "(1, 0, 0) is not a Poisson-maximal point"
     # an algebra equal to g(J) is g(J), however it was built; other labels are not
     j2 = PointP(vs, [2, 2, 2])
-    copy = LieRep(LieAlgebra(lie.labels, lie.sc), rep.mats)
+    copy = LieRep(LieAlgebra(lie.labels, lie.structure_table()), rep.mats)
     assert lift_module(torus_pres, j2, copy) == lift_module(torus_pres, j2, rep)
-    renamed = LieRep(LieAlgebra(("a", "b", "c"), lie.sc), rep.mats)
+    renamed = LieRep(LieAlgebra(("a", "b", "c"), lie.structure_table()), rep.mats)
     with pytest.raises(AtlasError, match="different Lie algebra than g"):
         lift_module(torus_pres, j2, renamed)
 

@@ -1,7 +1,6 @@
 import pytest
 
 from poisson_atlas import (
-    KirillovKostant,
     LaurentPoly,
     Scaled,
     catalog_names,
@@ -152,8 +151,7 @@ def test_every_catalog_entry_round_trips(name):
     pf2 = parse_presentation(text)
     assert serialize_presentation(pf2) == text
     assert pf2.varset == pf.varset
-    if not isinstance(pf.bracket_spec, KirillovKostant):  # written as its table
-        assert pf2.bracket_spec == pf.bracket_spec
+    assert pf2.bracket_spec == pf.bracket_spec
     assert pf2.presentation().pair_table() == pf.presentation().pair_table()
     assert pf2.points == pf.points
     for auto in pf.autos:
