@@ -24,7 +24,6 @@ from .brackets import (
     verify_poisson_map,
 )
 from .ideals import (
-    PoissonMaxIdeal,
     SearchBox,
     find_poisson_maximal,
     is_poisson_maximal,

@@ -16,6 +16,7 @@ suite cross-validates them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 from .errors import LieStructureError, VarSetMismatchError
@@ -23,51 +24,37 @@ from .poly import LaurentPoly, PointP, VarSet, divides
 from .scalars import Scalar
 
 
-@dataclass(frozen=True)
 class BracketSpec:
-    """Base class; a concrete spec computes one generator bracket in `_pair`.
+    """Base class; a concrete spec has a variable set `varset` and computes one
+    generator bracket in `_pair`.
 
-    `pairs` computes every generator bracket on first use and keeps the table
-    per variable set in `_pairs`, a field outside `==`, `hash` and `repr`.
+    `pairs`, `nonzero` and `shifted` are tables of the spec's own generator
+    brackets, each built on first use and kept on the spec.
     """
 
-    _pairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def pairs(self, varset: VarSet):
+    @cached_property
+    def pairs(self):
         """All generator brackets {x_i, x_j} for i < j, as a read-only mapping."""
-        table = self._pairs.get(varset)
-        if table is None:
-            n = len(varset)
-            table = self._pairs[varset] = MappingProxyType({
-                (i, j): self._pair(varset, i, j) for i in range(n) for j in range(i + 1, n)
-            })
-        return table
+        n = len(self.varset)
+        return MappingProxyType(
+            {(i, j): self._pair(i, j) for i in range(n) for j in range(i + 1, n)})
 
-    def nonzero(self, varset: VarSet) -> tuple:
+    @cached_property
+    def nonzero(self) -> tuple:
         """The generator brackets that are not identically 0, as ((i, j), {x_i, x_j})
-        in pair order; kept in `_pairs` beside `pairs` and `shifted`."""
-        key = (varset, "nonzero")
-        if key not in self._pairs:
-            self._pairs[key] = tuple(
-                (ij, poly) for ij, poly in self.pairs(varset).items() if not poly.is_zero)
-        return self._pairs[key]
+        in pair order."""
+        return tuple((ij, poly) for ij, poly in self.pairs.items() if not poly.is_zero)
 
-    def shifted(self, varset: VarSet) -> tuple:
+    @cached_property
+    def shifted(self) -> tuple:
         """The nonzero generator brackets as (i, j, ((t - e_i - e_j, c), ...)), one
-        entry per term c*x^t of {x_i, x_j}; kept in `_pairs` beside `pairs`."""
-        key = (varset, "shifted")
-        if key not in self._pairs:
-            self._pairs[key] = tuple(
-                (i, j, tuple((tuple(e - (k in (i, j)) for k, e in enumerate(t)), c)
-                             for t, c in poly.terms.items()))
-                for (i, j), poly in self.nonzero(varset))
-        return self._pairs[key]
+        entry per term c*x^t of {x_i, x_j}."""
+        return tuple(
+            (i, j, tuple((tuple(e - (k in (i, j)) for k, e in enumerate(t)), c)
+                         for t, c in poly.terms.items()))
+            for (i, j), poly in self.nonzero)
 
-    def pair(self, varset: VarSet, i: int, j: int) -> LaurentPoly:
-        """{x_i, x_j} for i < j, read from the table."""
-        return self.pairs(varset)[(i, j)]
-
-    def _pair(self, varset: VarSet, i: int, j: int) -> LaurentPoly:
+    def _pair(self, i: int, j: int) -> LaurentPoly:
         raise NotImplementedError
 
 
@@ -76,8 +63,12 @@ class _PotentialSpec(BracketSpec):
     """A bracket from a potential f on three variables: {x,y} = df/dz,
     {y,z} = df/dx, {z,x} = df/dy."""
 
-    def _pair(self, varset, i, j):
-        partial = self.potential.partial(varset.names[3 - i - j])  # the third variable
+    @property
+    def varset(self) -> VarSet:
+        return self.potential.varset
+
+    def _pair(self, i, j):
+        partial = self.potential.partial(self.varset.names[3 - i - j])  # the third variable
         return -partial if (i, j) == (0, 2) else partial
 
 
@@ -95,8 +86,8 @@ class Scaled(_PotentialSpec):
     multiplier: LaurentPoly
     potential: LaurentPoly
 
-    def _pair(self, varset, i, j):
-        return self.multiplier * super()._pair(varset, i, j)
+    def _pair(self, i, j):
+        return self.multiplier * super()._pair(i, j)
 
 
 @dataclass(frozen=True)
@@ -104,6 +95,7 @@ class Table(BracketSpec):
     """Explicit antisymmetric table, stored on pairs i < j only; with linear
     entries it is the Kirillov-Kostant bracket of a Lie algebra."""
 
+    varset: VarSet
     entries: tuple  # ((i, j, LaurentPoly), ...) with i < j
 
     @staticmethod
@@ -119,13 +111,13 @@ class Table(BracketSpec):
             if (i, j) in entries:
                 raise ValueError(f"bracket {{{a},{b}}} given twice")
             entries[i, j] = poly
-        return Table(tuple((i, j, poly) for (i, j), poly in sorted(entries.items())))
+        return Table(varset, tuple((i, j, poly) for (i, j), poly in sorted(entries.items())))
 
-    def _pair(self, varset, i, j):
+    def _pair(self, i, j):
         for a, b, poly in self.entries:
             if (a, b) == (i, j):
                 return poly
-        return LaurentPoly.zero(varset)
+        return LaurentPoly.zero(self.varset)
 
 
 @dataclass(frozen=True)
@@ -144,10 +136,12 @@ class PoissonPresentation:
     def __post_init__(self):
         if isinstance(self.bracket_spec, (Exact, Scaled)) and len(self.varset) != 3:
             raise ValueError("exact/scaled brackets need exactly 3 variables")
+        if self.bracket_spec.varset != self.varset:
+            raise VarSetMismatchError("bracket spec over a different variable set")
         for r in self.relations:
             if r.varset != self.varset:
                 raise VarSetMismatchError("relation over a different variable set")
-        report = verify_jacobi(self.bracket_spec, self.varset)
+        report = verify_jacobi(self.bracket_spec)
         if not report.ok:
             raise LieStructureError(
                 f"bracket fails Jacobi at {report.witness}: {report.jacobiator}"
@@ -156,22 +150,14 @@ class PoissonPresentation:
     def gen(self, name: str) -> LaurentPoly:
         return LaurentPoly.variable(self.varset, name)
 
-    def pair_table(self):
-        """All generator brackets {x_i, x_j} for i < j, as a read-only mapping:
-        the bracket spec's own table, built once."""
-        return self.bracket_spec.pairs(self.varset)
-
-    def bracket(self, p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-        return bracket(self.bracket_spec, p, q)
-
 
 def bracket(spec: BracketSpec, p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """{p, q} by biderivation extension of the generator table, in one pass over
     the term pairs: c*x^a in p and d*x^b in q add c*d*(a_i b_j - a_j b_i) *
     x^(a+b-e_i-e_j) * {x_i, x_j} for each i < j.  No derivative or product is built."""
-    if p.varset != q.varset:
-        raise VarSetMismatchError("bracket operands over different variable sets")
-    shifted, coerce, out = spec.shifted(p.varset), Scalar.coerce, {}
+    if not p.varset == q.varset == spec.varset:
+        raise VarSetMismatchError("bracket operands over a variable set other than the spec's")
+    shifted, coerce, out = spec.shifted, Scalar.coerce, {}
     for a, c in p.terms.items():
         for b, d in q.terms.items():
             cd, ab = c * d, tuple(map(int.__add__, a, b))
@@ -211,16 +197,16 @@ class JacobiReport:
     jacobiator: LaurentPoly | None = None
 
 
-def verify_jacobi(spec: BracketSpec, varset: VarSet) -> JacobiReport:
+def verify_jacobi(spec: BracketSpec) -> JacobiReport:
     """Check the Jacobiator on generator triples.
 
     The Jacobiator of a biderivation-extended bracket is a triderivation, so
     vanishing on generator triples implies the full Jacobi identity.  The
     inner brackets are read from the spec's table, {x_k, x_i} as -{x_i, x_k}.
     """
+    varset, pair = spec.varset, spec.pairs
     n = len(varset)
     gens = [LaurentPoly.variable(varset, name) for name in varset.names]
-    pair = spec.pairs(varset)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -303,15 +289,13 @@ def verify_poisson_map(
     key = (source, target)
     if key not in m._reports:
         failures = []
-        n = len(source.varset)
-        for i in range(n):
-            for j in range(i + 1, n):
-                lhs = m.apply(source.bracket_spec.pair(source.varset, i, j))
-                rhs = bracket(target.bracket_spec, m.images[i], m.images[j])
-                if not _zero_modulo(lhs - rhs, target.relations):
-                    failures.append(
-                        ("pair", source.varset.names[i], source.varset.names[j], lhs - rhs)
-                    )
+        for (i, j), poly in source.bracket_spec.pairs.items():
+            lhs = m.apply(poly)
+            rhs = bracket(target.bracket_spec, m.images[i], m.images[j])
+            if not _zero_modulo(lhs - rhs, target.relations):
+                failures.append(
+                    ("pair", source.varset.names[i], source.varset.names[j], lhs - rhs)
+                )
         for r in source.relations:
             image = m.apply(r)
             if not _zero_modulo(image, target.relations):

@@ -128,7 +128,7 @@ class CatalogEntry:
             autos.update(
                 (f"w{k + 1}", auto) for k, auto in enumerate(self.invariants.automorphisms)
             )
-        points = [i.point for i in find_poisson_maximal(pres, self.box)]
+        points = find_poisson_maximal(pres, self.box)
         grading = None
         if self.grading_name and self.grading_name in pres.varset.names:
             grading = pres.gen(self.grading_name)
@@ -191,10 +191,11 @@ class Context:
 
     @property
     def ideals(self):
+        """The Poisson points in the entry's box, those on `containing` only."""
         def scan():
             g = self.entry.containing
             found = find_poisson_maximal(self.pres, self.entry.box)
-            return [i for i in found if g is None or g.evaluate(i.point).is_zero]
+            return [pt for pt in found if g is None or g.evaluate(pt).is_zero]
 
         return self.memo("ideals", scan)
 
@@ -225,7 +226,7 @@ class Context:
     def tags(self, ideals=None) -> dict:
         """Recognition of g(J) at each ideal (default: all of them), by point."""
         ideals = self.ideals if ideals is None else ideals
-        return {i.point: self.rec(i.point) for i in ideals}
+        return {pt: self.rec(pt) for pt in ideals}
 
     def homogeneity(self, relation=None, ideals=None):
         ideals = self.ideals if ideals is None else ideals
@@ -305,7 +306,7 @@ def _ideal_points(want, note=None):
 
     def fact(ctx, cfg):
         coords = want(ctx.entry.box) if callable(want) else want
-        got = [i.point for i in ctx.ideals]
+        got = ctx.ideals
         expected = sorted((ctx.point(c) for c in coords), key=PointP.sort_key)
         detail = f"found {[str(p) for p in got]}"
         return got == expected, detail if note is None else f"{detail} ({note})"
@@ -895,9 +896,9 @@ def _entry_c_theta() -> CatalogEntry:
     )
 
     def g_in_j2(ctx, cfg):
-        for ideal in ctx.ideals:
-            if not relation_in_J_squared(pres, g, ideal.point):
-                return False, f"g not in J^2 at {ideal.point}"
+        for pt in ctx.ideals:
+            if not relation_in_J_squared(pres, g, pt):
+                return False, f"g not in J^2 at {pt}"
         return True, "g in J^2 at I1, I2, L1, L2"
 
     def restriction(ctx, cfg):
@@ -1263,14 +1264,14 @@ def _entry_kirillov_kostant_sl2() -> CatalogEntry:
 def _entry_abelian(n: int) -> CatalogEntry:
     names = tuple(f"x{i+1}" for i in range(n))
     vs = _vars(names)
-    pres = PoissonPresentation(vs, Table(()), name=f"abelian({n})")
+    pres = PoissonPresentation(vs, Table(vs, ()), name=f"abelian({n})")
 
     def ideals(ctx, cfg):
         want = len(ctx.entry.box.coordinate_values()) ** n
         return len(ctx.ideals) == want, f"every box point is Poisson ({want})"
 
     def abelian_tag(ctx, cfg):
-        pt = ctx.ideals[0].point
+        pt = ctx.ideals[0]
         rec = ctx.rec(pt)
         ok = rec.tag == "abelian" and rec.k == n
         return ok, f"abelian; {n}-parameter family of characters"

@@ -313,7 +313,7 @@ class HomogeneityReport:
     every point to be (3, 0).
     """
 
-    ideals: list
+    ideals: list  # the Poisson points counted, each the maximal ideal J
     tags: list
 
     @property
@@ -354,19 +354,19 @@ class HomogeneityReport:
         return {"d >= 1": finite}
 
 
-def homogeneity_report(pres, ideals, relation=None, recognitions=None) -> HomogeneityReport:
-    """Count simple Poisson module classes per dimension over the given ideals.
+def homogeneity_report(pres, points, relation=None, recognitions=None) -> HomogeneityReport:
+    """Count simple Poisson module classes per dimension over the given points.
 
-    With a relation r, only ideals containing r (r(pt) = 0) are counted, which
+    With a relation r, only points where r vanishes (J contains r) are counted, which
     is the A_lambda convention: simple modules of the quotient are the simple
     modules annihilated by ideals through the relation's zero locus.  A point
     with k > 0 contributes a continuum: of one-dimensional classes when its
     Levi factor is 0, in every dimension otherwise.  The verdict is
     undetermined when some Levi factor is not identified by its dimension.
     """
-    kept = [i for i in ideals if relation is None or relation.evaluate(i.point).is_zero]
+    kept = [pt for pt in points if relation is None or relation.evaluate(pt).is_zero]
     if recognitions is None:
-        tags = list(recognize_points(pres, [ideal.point for ideal in kept]))
+        tags = list(recognize_points(pres, kept))
     else:
-        tags = [recognitions[ideal.point] for ideal in kept]
+        tags = [recognitions[pt] for pt in kept]
     return HomogeneityReport(kept, tags)

@@ -154,12 +154,13 @@ def cmd_ideals(args) -> int:
     report = Report("ideals")
     report.add("file", args.file)
     box = SearchBox(args.box_num, args.box_den, tuple(pf.points))
-    ideals = find_poisson_maximal(pres, box)
-    report.add("ideal.count", len(ideals))
-    for k, ideal in enumerate(ideals, 1):
-        report.add(f"ideal.{k}.point", ideal.point)
-        if ideal.lambda_value is not None:
-            report.add(f"ideal.{k}.lambda", ideal.lambda_value)
+    points = find_poisson_maximal(pres, box)
+    potential = _potential_of(pres)
+    report.add("ideal.count", len(points))
+    for k, pt in enumerate(points, 1):
+        report.add(f"ideal.{k}.point", pt)
+        if potential is not None:
+            report.add(f"ideal.{k}.lambda", potential.evaluate(pt))
     print(report.render(args.format), end="")
     return 0
 
@@ -202,11 +203,10 @@ def cmd_classify(args) -> int:
     report = Report("classify")
     report.add("file", args.file)
     box = SearchBox(args.box_num, args.box_den, tuple(pf.points))
-    ideals = find_poisson_maximal(pres, box)
-    report.add("ideal.count", len(ideals))
+    points = find_poisson_maximal(pres, box)
+    report.add("ideal.count", len(points))
     lines = {}  # id of a shared recognition -> its report records
-    recs = recognize_points(pres, [ideal.point for ideal in ideals])
-    for k, (ideal, rec) in enumerate(zip(ideals, recs), 1):
+    for k, (pt, rec) in enumerate(zip(points, recognize_points(pres, points)), 1):
         records = lines.get(id(rec))
         if records is None:
             records = lines[id(rec)] = (
@@ -214,7 +214,7 @@ def cmd_classify(args) -> int:
                 ("derived_dims", str(rec.derived_dims)),
                 ("simple_modules", rec.simple_modules()),
             )
-        report.add(f"ideal.{k}.point", ideal.point)
+        report.add(f"ideal.{k}.point", pt)
         for key, value in records:
             report.add(f"ideal.{k}.{key}", value)
     print(report.render(args.format), end="")
@@ -304,15 +304,15 @@ def cmd_homogeneity(args) -> int:
     report = Report("homogeneity")
     report.add("file", args.file)
     box = SearchBox(args.box_num, args.box_den, tuple(pf.points))
-    ideals = find_poisson_maximal(pres, box)
+    points = find_poisson_maximal(pres, box)
     relation = (_flag_value(pf, "--relation", args.relation, _Parser.parse_expr)
                 if args.relation else None)
-    rep = homogeneity_report(pres, ideals, relation)
+    rep = homogeneity_report(pres, points, relation)
     if args.relation:
         report.add("relation", args.relation)
     report.add("ideals.considered", len(rep.ideals))
-    for k, (ideal, tag) in enumerate(zip(rep.ideals, rep.tags), 1):
-        report.add(f"ideal.{k}", f"{ideal.point} [{tag.describe()}]")
+    for k, (pt, tag) in enumerate(zip(rep.ideals, rep.tags), 1):
+        report.add(f"ideal.{k}", f"{pt} [{tag.describe()}]")
     for d, count in rep.count_formula().items():
         report.add(f"classes.{d}", count)
     report.add("verdict", rep.verdict)

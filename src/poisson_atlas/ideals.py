@@ -54,37 +54,18 @@ class SearchBox:
         return [v.as_integer_ratio() for v in self.coordinate_values()]
 
 
-@dataclass(frozen=True)
-class PoissonMaxIdeal:
-    """A Poisson point together with the potential value there."""
-
-    point: PointP
-    lambda_value: Scalar | None = None  # potential value, when one exists
-
-    def sort_key(self):
-        return self.point.sort_key()
-
-    def __str__(self):
-        return str(self.point)
-
-
 def is_poisson_maximal(pres: PoissonPresentation, pt: PointP) -> bool:
     """True iff every generator bracket {x_i, x_j} vanishes at the point."""
     if pt.varset != pres.varset:
         raise ValueError("point over a different variable set")
-    return all(poly.evaluate(pt).is_zero for _, poly in pres.bracket_spec.nonzero(pres.varset))
+    return all(poly.evaluate(pt).is_zero for _, poly in pres.bracket_spec.nonzero)
 
 
 def _potential_of(pres: PoissonPresentation) -> LaurentPoly | None:
+    """The potential f of an Exact or Scaled bracket (its value at a point is
+    the point's lambda), or None."""
     spec = pres.bracket_spec
-    if isinstance(spec, (Exact, Scaled)):
-        return spec.potential
-    return None
-
-
-def make_ideal(pres: PoissonPresentation, pt: PointP) -> PoissonMaxIdeal:
-    potential = _potential_of(pres)
-    return PoissonMaxIdeal(pt, potential.evaluate(pt) if potential is not None else None)
+    return spec.potential if isinstance(spec, (Exact, Scaled)) else None
 
 
 def _integer_components(poly: LaurentPoly) -> list:
@@ -178,7 +159,7 @@ def _common_zeros(components, box, laurent, prefix=()):
 
 
 def find_poisson_maximal(pres: PoissonPresentation, box: SearchBox = SearchBox()):
-    """All box points (plus explicit candidates) that are Poisson maximal.
+    """All box points (plus explicit candidates) that are Poisson maximal, as `PointP`s.
 
     Every pair bracket is split into integer component polynomials and the
     box is searched by nested partial evaluation (`_common_zeros`), with
@@ -190,12 +171,11 @@ def find_poisson_maximal(pres: PoissonPresentation, box: SearchBox = SearchBox()
     points sorted.  Sound and complete within the box.
     """
     components = [
-        comp for poly in pres.pair_table().values() for comp in _integer_components(poly)
+        comp for poly in pres.bracket_spec.pairs.values() for comp in _integer_components(poly)
     ]
     combos = list(_common_zeros(components, box, pres.varset.laurent))
     scalars = {r: Scalar(Fraction(*r)) for r in set().union(*combos)}
-    found = [make_ideal(pres, PointP(pres.varset, [scalars[r] for r in combo]))
-             for combo in combos]
+    found = [PointP(pres.varset, [scalars[r] for r in combo]) for combo in combos]
     extra = []
     for pt in dict.fromkeys(box.extra):
         if pt.varset != pres.varset:
@@ -203,8 +183,8 @@ def find_poisson_maximal(pres: PoissonPresentation, box: SearchBox = SearchBox()
         on_grid = all(v.is_rational and abs(v.n) <= box.num and v.q <= box.den
                       for v in pt.values)
         if not on_grid and is_poisson_maximal(pres, pt):
-            extra.append(make_ideal(pres, pt))
-    return sorted(found + extra, key=PoissonMaxIdeal.sort_key) if extra else found
+            extra.append(pt)
+    return sorted(found + extra, key=PointP.sort_key) if extra else found
 
 
 def relation_in_J_squared(pres: PoissonPresentation, r: LaurentPoly, pt: PointP) -> bool:
@@ -221,7 +201,6 @@ class LeafReport:
 
     singular_lambdas: list = field(default_factory=list)  # sorted Scalars
     points_by_lambda: dict = field(default_factory=dict)  # Scalar -> [PointP]
-    ideals: list = field(default_factory=list)
 
     def strata_description(self):
         lines = []
@@ -237,12 +216,12 @@ class LeafReport:
 
 
 def leaf_report(pres: PoissonPresentation, box: SearchBox = SearchBox()) -> LeafReport:
-    """Partition report for a potential-based bracket (Exact or Scaled)."""
-    if _potential_of(pres) is None:
+    """Partition report for a potential-based bracket (Exact or Scaled): the
+    found points grouped by lambda, the potential's value there."""
+    potential = _potential_of(pres)
+    if potential is None:
         raise ValueError("leaf_report needs a potential-based bracket")
-    ideals = find_poisson_maximal(pres, box)
     by_lambda = {}
-    for ideal in ideals:
-        by_lambda.setdefault(ideal.lambda_value, []).append(ideal.point)
-    lams = sorted(by_lambda, key=Scalar.sort_key)
-    return LeafReport(lams, by_lambda, ideals)
+    for pt in find_poisson_maximal(pres, box):
+        by_lambda.setdefault(potential.evaluate(pt), []).append(pt)
+    return LeafReport(sorted(by_lambda, key=Scalar.sort_key), by_lambda)

@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .brackets import PoissonPresentation, SubstitutionMap, bracket
 from .errors import LieStructureError, NotExpressibleError, NotPoissonMaximalError
-from .linalg import IncrementalSpan, Matrix, coordinates, unit_vector
+from .linalg import IncrementalSpan, Matrix, unit_vector
 from .poly import LaurentPoly, PointP, VarSet
 from .scalars import Scalar, ZERO
 
@@ -144,17 +144,21 @@ class LieAlgebra:
         """Structure constants in the basis whose vectors are the matrix columns.
 
         With fewer columns than rows, the columns are the basis of a
-        subalgebra and `labels` names them.  Only the pairs i < j are solved.
-        ValueError when the labels are not one per column, or when a bracket
-        of two columns leaves their span.
+        subalgebra and `labels` names them.  Only the pairs i < j are solved,
+        in one span of the columns.  ValueError when the labels are not one
+        per column, when the columns are dependent, or when a bracket of two
+        columns leaves their span.
         """
         cols = list(zip(*matrix.rows))
         labels = tuple(labels or self.labels)
         if len(labels) != len(cols):
             raise ValueError(f"{len(labels)} labels for {len(cols)} columns")
+        span = IncrementalSpan()
+        if not all(span.add(col, tag=k) for k, col in enumerate(cols)):
+            raise ValueError("the columns are linearly dependent")
         pairs = [(i, j) for i in range(len(cols)) for j in range(i + 1, len(cols))]
-        coords = coordinates(cols, [self.bracket(cols[i], cols[j]) for i, j in pairs])
-        if coords is None:
+        coords = [span.coordinates(self.bracket(cols[i], cols[j])) for i, j in pairs]
+        if None in coords:
             raise ValueError("the columns do not span a subalgebra")
         return LieAlgebra(labels, dict(zip(pairs, coords)))
 
@@ -188,7 +192,7 @@ def pair_gradients(pres: PoissonPresentation, pt: PointP) -> dict:
     if pt.varset != pres.varset:
         raise ValueError("point over a different variable set")
     gradients = {}
-    for ij, poly in pres.bracket_spec.nonzero(pres.varset):
+    for ij, poly in pres.bracket_spec.nonzero:
         value, gradients[ij] = poly.linear_part(pt)
         if not value.is_zero:
             raise NotPoissonMaximalError(f"{pt} is not a Poisson-maximal point")

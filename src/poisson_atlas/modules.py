@@ -667,6 +667,6 @@ def lie_rep_restrict(rep: LieRep, vectors, labels) -> LieRep:
     vectors = [tuple(v) for v in vectors]
     try:
         sub = rep.lie.change_basis(Matrix(list(zip(*vectors))), labels)
-    except ValueError:
-        raise AtlasError("vectors do not span a subalgebra") from None
+    except ValueError as exc:
+        raise AtlasError(f"cannot restrict: {exc}") from None
     return LieRep(sub, tuple(rep.rho(v) for v in vectors))

@@ -78,7 +78,7 @@ def entry_pres(name):
 def test_criterion_1_torus():
     entry, pres = entry_pres("torus-so3")
     ideals = find_poisson_maximal(pres, entry.box)
-    found = {tuple(str(v) for v in i.point.values) for i in ideals}
+    found = {tuple(str(v) for v in i.values) for i in ideals}
     expected = {
         ("0", "0", "0"),
         ("2", "2", "2"),
@@ -87,7 +87,7 @@ def test_criterion_1_torus():
         ("-2", "-2", "2"),
     }
     ok = found == expected and len(ideals) == 5
-    tags = [recognize(lie_from_point(pres, i.point)) for i in ideals]
+    tags = [recognize(lie_from_point(pres, i)) for i in ideals]
     ok = ok and all(t.tag == "sl2" for t in tags)
     f = pres.relations[0]
     ok = ok and homogeneity_report(pres, ideals).verdict == "5-homogeneous"
@@ -99,8 +99,8 @@ def test_criterion_1_torus():
 def test_criterion_2_kleinian_a1():
     entry, pres = entry_pres("kleinian-a1")
     ideals = find_poisson_maximal(pres, entry.box)
-    ok = len(ideals) == 1 and str(ideals[0].point) == "(0, 0, 0)"
-    origin = ideals[0].point
+    ok = len(ideals) == 1 and str(ideals[0]) == "(0, 0, 0)"
+    origin = ideals[0]
     lie = lie_from_point(pres, origin)
     rec = recognize(lie)
     ok = ok and rec.tag == "sl2"
@@ -123,7 +123,7 @@ def test_criterion_3_uqsl2_family():
         entry, pres = entry_pres(name)
         ideals = find_poisson_maximal(pres, entry.box)
         ok = ok and len(ideals) == 2
-        tags = [recognize(lie_from_point(pres, i.point)) for i in ideals]
+        tags = [recognize(lie_from_point(pres, i)) for i in ideals]
         ok = ok and all(t.tag == "sl2" for t in tags)
         ok = ok and homogeneity_report(pres, ideals).verdict == "2-homogeneous"
     # eta verifies as a Poisson map (scaled -> equitable; inverse back)
@@ -141,7 +141,7 @@ def test_criterion_3_uqsl2_family():
     entry4, pres4 = entry_pres("uqsl2-4hom")
     ideals4 = find_poisson_maximal(pres4, entry4.box)
     tags4 = {
-        i.point: recognize(lie_from_point(pres4, i.point)) for i in ideals4
+        i: recognize(lie_from_point(pres4, i)) for i in ideals4
     }
     ok = ok and len(ideals4) == 4 and all(t.tag == "sl2" for t in tags4.values())
     ok = (
@@ -156,13 +156,13 @@ def test_criterion_4_whitney():
     entry, pres = entry_pres("whitney")
     ideals = find_poisson_maximal(pres, entry.box)
     alphas = entry.box.coordinate_values()
-    ok = [i.point for i in ideals] == sorted(
+    ok = ideals == sorted(
         (PointP(pres.varset, [Scalar(a), 0, 0]) for a in alphas),
         key=PointP.sort_key,
     )
     for ideal in ideals:
-        rec = recognize(lie_from_point(pres, ideal.point))
-        want = "heisenberg" if ideal.point.values[0].is_zero else "solvable"
+        rec = recognize(lie_from_point(pres, ideal))
+        want = "heisenberg" if ideal.values[0].is_zero else "solvable"
         ok = ok and rec.tag == want
     # alpha * rho = 0: at alpha != 0 the character space excludes the y-direction
     at1 = PointP(pres.varset, [1, 0, 0])
@@ -185,7 +185,7 @@ def test_criterion_5_kleinian_family():
         entry, pres = entry_pres(f"kleinian-an({n})")
         ideals = find_poisson_maximal(pres, entry.box)
         ok = ok and len(ideals) == 1
-        lie = lie_from_point(pres, ideals[0].point)
+        lie = lie_from_point(pres, ideals[0])
         rec = recognize(lie)
         ok = ok and rec.tag == "solvable"
         ok = ok and rec.is_solvable_type
@@ -206,7 +206,7 @@ def test_criterion_5_kleinian_family():
     for name in ("kleinian-d(4)", "kleinian-d(5)", "kleinian-e6", "kleinian-e7", "kleinian-e8"):
         entry, pres = entry_pres(name)
         ideals = find_poisson_maximal(pres, entry.box)
-        rec = recognize(lie_from_point(pres, ideals[0].point))
+        rec = recognize(lie_from_point(pres, ideals[0]))
         ok = ok and rec.is_solvable_type
     announce(5, ok, "A_{n-1} solvable with tau-characters; restriction splits; D/E solvable")
 
@@ -215,13 +215,13 @@ def test_criterion_6_section_47():
     c_entry, ctheta = entry_pres("c-theta")
     g = ctheta.relations[0]
     all_c = find_poisson_maximal(ctheta, c_entry.box)
-    with_g = [i for i in all_c if g.evaluate(i.point).is_zero]
+    with_g = [i for i in all_c if g.evaluate(i).is_zero]
     ok = len(with_g) == 4
 
     d_entry, dphi = entry_pres("d-phi")
     h = dphi.relations[0]
     all_d = find_poisson_maximal(dphi, d_entry.box)
-    with_h = [i for i in all_d if h.evaluate(i.point).is_zero]
+    with_h = [i for i in all_d if h.evaluate(i).is_zero]
     ok = ok and len(with_h) == 4
 
     # restricted J2- and J3-modules: simple, isomorphic, annihilated at I1
@@ -242,7 +242,7 @@ def test_criterion_6_section_47():
     # the maximal ideal of C over L1 is not Poisson: {y,z}(2,0,0) = -4
     pt = PointP(torus.varset, [2, 0, 0])
     ok = ok and not is_poisson_maximal(torus, pt)
-    witness = torus.bracket_spec.pair(torus.varset, 1, 2).evaluate(pt)
+    witness = torus.bracket_spec.pairs[1, 2].evaluate(pt)
     ok = ok and witness == Scalar(-4)
 
     # the projection-label discrepancy is reported as a flagged note
@@ -294,10 +294,10 @@ def _sl2_point_modules(max_dim=4):
     ):
         entry, pres = entry_pres(name)
         for ideal in find_poisson_maximal(pres, entry.box):
-            lie = lie_from_point(pres, ideal.point)
+            lie = lie_from_point(pres, ideal)
             rec = recognize(lie)
             if rec.is_sl2_type:
-                out.append((name, pres, ideal.point, lie, find_sl2_triple(lie, rec)))
+                out.append((name, pres, ideal, lie, find_sl2_triple(lie, rec)))
     return out
 
 
@@ -349,9 +349,9 @@ def test_criterion_10_mutation_robustness():
     for name, dim in (("kleinian-a1", 3), ("torus-so3", 2), ("uqsl2", 2)):
         entry, pres = entry_pres(name)
         ideal = find_poisson_maximal(pres, entry.box)[-1]
-        lie = lie_from_point(pres, ideal.point)
+        lie = lie_from_point(pres, ideal)
         triple = find_sl2_triple(lie)
-        targets.append(lift_module(pres, ideal.point, sl2_irrep(lie, dim, triple)))
+        targets.append(lift_module(pres, ideal, sl2_irrep(lie, dim, triple)))
     rng = SplitMix(SEED)
     ok = True
     for k in range(20):

@@ -25,7 +25,7 @@ from poisson_atlas import (
 )
 from poisson_atlas import brackets
 from poisson_atlas.brackets import JacobiReport
-from poisson_atlas.errors import LieStructureError, ScalarDomainError
+from poisson_atlas.errors import LieStructureError, ScalarDomainError, VarSetMismatchError
 from poisson_atlas.modules import SplitMix
 from poisson_atlas.scalars import Scalar
 
@@ -35,7 +35,7 @@ def _bracket_reference(spec, p, q):
     from the partial-derivative polynomials and their products."""
     varset = p.varset
     names = varset.names
-    table = spec.pairs(varset)
+    table = spec.pairs
     dp = [p.partial(n) for n in names]
     dq = [q.partial(n) for n in names]
     out = LaurentPoly.zero(varset)
@@ -203,9 +203,9 @@ def test_torus_table_bracket():
 def test_verify_jacobi_pass(xyz, xyz_laurent):
     vs, x, y, z = xyz
     f = x * y * z - x * x - y * y - z * z + 4
-    assert verify_jacobi(Exact(f), vs).ok
+    assert verify_jacobi(Exact(f)).ok
     lvs, lx, ly, lz = xyz_laurent
-    assert verify_jacobi(Scaled(2 * lz, lx * ly + lz + lz**-1), lvs).ok
+    assert verify_jacobi(Scaled(2 * lz, lx * ly + lz + lz**-1)).ok
 
 
 def test_verify_jacobi_fail_with_witness(xyz):
@@ -213,7 +213,7 @@ def test_verify_jacobi_fail_with_witness(xyz):
     bad = Table.from_dict(
         vs, {("x", "y"): z, ("y", "z"): y * y, ("z", "x"): LaurentPoly.zero(vs)}
     )
-    report = verify_jacobi(bad, vs)
+    report = verify_jacobi(bad)
     assert not report.ok
     assert report.witness == ("x", "y", "z")
     assert report.jacobiator == -2 * y * z
@@ -243,7 +243,7 @@ def _verify_jacobi_reference(spec, varset):
 def test_verify_jacobi_matches_the_all_bracket_reference(case):
     """Drawn tables, linear ones too, mostly fail Jacobi: the witness triple and the Jacobiator are the reference's."""
     spec, p, _, _ = case
-    report, reference = verify_jacobi(spec, p.varset), _verify_jacobi_reference(spec, p.varset)
+    report, reference = verify_jacobi(spec), _verify_jacobi_reference(spec, p.varset)
     assert report == reference
     assert str(report.jacobiator) == str(reference.jacobiator)
 
@@ -259,7 +259,7 @@ def test_verify_jacobi_makes_three_brackets_per_triple(xyz, monkeypatch):
     monkeypatch.setattr(brackets, "bracket", counted)
     for spec in _spec_of_each_kind(vs, x, y, z):
         calls.clear()
-        verify_jacobi(spec, vs)
+        verify_jacobi(spec)
         assert len(calls) == 3, type(spec).__name__
 
 
@@ -269,7 +269,7 @@ def test_curl_free_table_is_actually_poisson(xyz):
     table = Table.from_dict(
         vs, {("x", "y"): z, ("y", "z"): LaurentPoly.zero(vs), ("z", "x"): y * y}
     )
-    assert verify_jacobi(table, vs).ok
+    assert verify_jacobi(table).ok
 
 
 def test_presentation_rejects_non_jacobi(xyz):
@@ -291,8 +291,25 @@ def test_kirillov_kostant_spec(xyz):
     )
     spec = Table.from_dict(vs, {("y", "x"): 2 * z, ("z", "y"): 2 * x, ("x", "z"): 2 * y})
     assert bracket(spec, y, x) == 2 * z
-    assert verify_jacobi(spec, vs).ok
+    assert verify_jacobi(spec).ok
     assert lie_from_point(PoissonPresentation(vs, spec), PointP(vs, [0, 0, 0])) == sl2
+
+
+def test_a_spec_refuses_another_variable_set(xyz, xyz_laurent):
+    """A spec's tables are over its own variables: operands or a presentation
+    over other ones are refused, not read through the spec's pairs."""
+    vs, x, y, z = xyz
+    xy, uv = VarSet(("x", "y")), VarSet(("u", "v"))
+    u, v = (LaurentPoly.variable(uv, n) for n in uv.names)
+    table = Table.from_dict(xy, {("x", "y"): LaurentPoly.variable(xy, "x")})
+    exact = Exact(x * y * z)
+    assert table.varset == xy and exact.varset == vs
+    lvs, lx, ly, _ = xyz_laurent  # the names of vs, with Laurent flags
+    for spec, p, q, other in ((table, u, v, uv), (exact, lx, ly, lvs)):
+        with pytest.raises(VarSetMismatchError):
+            bracket(spec, p, q)
+        with pytest.raises(VarSetMismatchError):
+            PoissonPresentation(other, spec)
 
 
 def test_table_refuses_a_pair_given_twice(xyz):
@@ -399,25 +416,27 @@ def _spec_of_each_kind(vs, x, y, z):
 
 
 def test_pair_table_is_built_once_and_read_only(xyz, monkeypatch):
-    """Each spec kind computes its generator brackets once per variable set;
-    the presentation's `pair_table` and every `bracket` read that one table."""
+    """Each spec kind computes its generator brackets once, on first use:
+    `spec.pairs` is that one table, and `nonzero`, `shifted` and every
+    `bracket` read it."""
     vs, x, y, z = xyz
     for kind, spec in enumerate(_spec_of_each_kind(vs, x, y, z)):
         calls = []
         original = type(spec)._pair
 
-        def counted(self, varset, i, j, original=original):
+        def counted(self, i, j, original=original):
             calls.append((i, j))
-            return original(self, varset, i, j)
+            return original(self, i, j)
 
         with monkeypatch.context() as patch:
             patch.setattr(type(spec), "_pair", counted)
             pres = PoissonPresentation(vs, spec, name="spec")  # runs the Jacobi check
-            first = pres.pair_table()
+            first = spec.pairs
             assert list(first) == [(0, 1), (0, 2), (1, 2)]
-            assert first is spec.pairs(vs) is pres.pair_table()
+            assert first is spec.pairs is pres.bracket_spec.pairs
             assert bracket(spec, x * y, z) == bracket(spec, x, z) * y + x * bracket(spec, y, z)
-            assert [spec.pair(vs, i, j) for i, j in first] == list(first.values())
+            assert spec.nonzero is spec.nonzero and spec.shifted is spec.shifted
+            assert spec.nonzero == tuple((ij, p) for ij, p in first.items() if not p.is_zero)
         assert calls == [(0, 1), (0, 2), (1, 2)], type(spec).__name__
         with pytest.raises(TypeError):
             first[(0, 1)] = first[(0, 2)]

@@ -55,7 +55,7 @@ def test_e8_potential():
 
 def test_abelian_zero_table():
     entry = get_entry("abelian(3)")
-    table = entry.presentation.pair_table()
+    table = entry.presentation.bracket_spec.pairs
     assert all(p.is_zero for p in table.values())
 
 

@@ -452,7 +452,7 @@ def _catalog_algebras():
             yield name, ctx.lie()
             continue
         for ideal in ctx.ideals:
-            yield f"{name} at {ideal.point}", ctx.lie(ideal.point)
+            yield f"{name} at {ideal}", ctx.lie(ideal)
 
 
 def test_recognition_of_every_catalog_algebra_needs_no_density_hull(monkeypatch):
@@ -640,8 +640,8 @@ def test_kirillov_kostant_origin_eigensolves_one_candidate(solved):
     from poisson_atlas.catalog import Context, get_entry
 
     ctx = Context(get_entry("kirillov-kostant-sl2"))
-    (ideal,) = [i for i in ctx.ideals if all(c.is_zero for c in i.point.values)]
-    lie = ctx.lie(ideal.point)
+    (ideal,) = [i for i in ctx.ideals if all(c.is_zero for c in i.values)]
+    lie = ctx.lie(ideal)
     rec = recognize(lie)
     every = _sl2_triple_every_candidate(lie, rec)
     assert [_nilpotent(m) for m in solved] == [True, False]
@@ -963,7 +963,7 @@ def test_recognize_points_matches_recognize_at_each_point(name):
     entry = get_entry(name)
     pres = entry.presentation or entry.invariants.ambient
     box = dataclasses.replace(entry.box, num=4, den=2)
-    points = [ideal.point for ideal in find_poisson_maximal(pres, box)]
+    points = find_poisson_maximal(pres, box)
     fields = lambda rec: (rec.describe(), rec.derived_dims, rec.simple_modules())
     got = [fields(rec) for rec in recognize_points(pres, points)]
     assert got == [fields(recognize(lie_from_point(pres, pt))) for pt in points]

@@ -555,9 +555,9 @@ def _classify_reference(path, num, den):
     ideals = find_poisson_maximal(pres, SearchBox(num, den, tuple(pf.points)))
     lines = [HEADER, "command = classify", f"file = {path}", f"ideal.count = {len(ideals)}"]
     for k, ideal in enumerate(ideals, 1):
-        lie = lie_from_point(pres, ideal.point)
+        lie = lie_from_point(pres, ideal)
         rec = recognize(lie)
-        lines += [f"ideal.{k}.point = {ideal.point}",
+        lines += [f"ideal.{k}.point = {ideal}",
                   f"ideal.{k}.recognition = {rec.describe()}",
                   f"ideal.{k}.derived_dims = {rec.derived_dims}",
                   f"ideal.{k}.simple_modules = {rec.simple_modules()}"]
@@ -909,7 +909,7 @@ def test_classify_linearizes_each_pair_bracket_once_per_point(monkeypatch):
 
     path = INPUTS / "torus-so3.pa"
     pres = parse_presentation(path.read_text(encoding="utf-8")).presentation()
-    pairs = [poly for poly in pres.pair_table().values() if not poly.is_zero]
+    pairs = [poly for poly in pres.bracket_spec.pairs.values() if not poly.is_zero]
     calls = {"linear_part": 0, "evaluate": 0}
     for method in calls:
         original = getattr(LaurentPoly, method)

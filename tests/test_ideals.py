@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -26,13 +27,12 @@ from poisson_atlas import (
 )
 from poisson_atlas import ideals as ideals_module
 from poisson_atlas.errors import ScalarDomainError
-from poisson_atlas.ideals import PoissonMaxIdeal, make_ideal
 from poisson_atlas.intpoly import rational_roots, resultant
 from poisson_atlas.scalars import Scalar
 
 
 def pts(ideals):
-    return [tuple(str(v) for v in i.point.values) for i in ideals]
+    return [tuple(str(v) for v in i.values) for i in ideals]
 
 
 def test_is_poisson_maximal_torus(torus_pres):
@@ -40,14 +40,14 @@ def test_is_poisson_maximal_torus(torus_pres):
     assert is_poisson_maximal(torus_pres, PointP(vs, [2, 2, 2]))
     # oracle: {y,z}(1,1,1) = yz - 2x = -1 != 0
     bad = PointP(vs, [1, 1, 1])
-    yz = torus_pres.bracket_spec.pair(vs, 1, 2)
+    yz = torus_pres.bracket_spec.pairs[1, 2]
     assert yz.evaluate(bad) == Scalar(-1)
     assert not is_poisson_maximal(torus_pres, bad)
 
 
 def test_abelian_every_point_poisson():
     vs = VarSet(("x1", "x2", "x3"))
-    pres = PoissonPresentation(vs, Table(()))
+    pres = PoissonPresentation(vs, Table(vs, ()))
     assert is_poisson_maximal(pres, PointP(vs, [5, -7, Fraction(1, 3)]))
     ideals = find_poisson_maximal(pres, SearchBox(1, 1))
     assert len(ideals) == 3**3
@@ -68,7 +68,7 @@ def test_find_torus(torus_pres):
         ("-2", "-2", "2"),
     }
     # soundness re-check
-    assert all(is_poisson_maximal(torus_pres, i.point) for i in ideals)
+    assert all(is_poisson_maximal(torus_pres, i) for i in ideals)
 
 
 def test_find_laurent_inv(xyz):
@@ -146,7 +146,7 @@ def test_leaf_report_whitney(xyz):
 
 def test_leaf_report_needs_potential():
     vs = VarSet(("x1", "x2"))
-    pres = PoissonPresentation(vs, Table(()))
+    pres = PoissonPresentation(vs, Table(vs, ()))
     with pytest.raises(ValueError):
         leaf_report(pres)
 
@@ -163,7 +163,7 @@ def test_automorphism_preserves_poisson_points(torus_pres):
     for images in autos.values():
         auto = SubstitutionMap.from_dict(vs, images)
         for ideal in ideals:
-            moved = auto.pull_point(ideal.point)
+            moved = auto.pull_point(ideal)
             assert is_poisson_maximal(torus_pres, moved)
 
 
@@ -180,7 +180,7 @@ def test_phi_automorphism_laurent_inv(xyz):
 def test_deterministic_order(torus_pres):
     first = find_poisson_maximal(torus_pres, SearchBox(3, 1))
     second = find_poisson_maximal(torus_pres, SearchBox(3, 1))
-    assert [i.point for i in first] == [i.point for i in second]
+    assert first == second
 
 
 def test_exact_gradient_equivalence(torus_pres):
@@ -217,23 +217,35 @@ def test_mixed_extensions_in_one_bracket_raise():
 
 def _scan_reference(pres, box):
     """Build every box point and evaluate every pair bracket there."""
-    table = list(pres.pair_table().values())
+    table = list(pres.bracket_spec.pairs.values())
     values = box.coordinate_values()
     axes = [[v for v in values if v != 0] if flag else values for flag in pres.varset.laurent]
-    found = {}
+    found = set()
     for combo in itertools.product(*axes):
         pt = PointP(pres.varset, [Scalar(v) for v in combo])
         if all(poly.evaluate(pt).is_zero for poly in table):
-            found[pt] = make_ideal(pres, pt)
-    for pt in box.extra:
-        if pt not in found and is_poisson_maximal(pres, pt):
-            found[pt] = make_ideal(pres, pt)
-    return sorted(found.values(), key=PoissonMaxIdeal.sort_key)
+            found.add(pt)
+    found.update(pt for pt in box.extra if is_poisson_maximal(pres, pt))
+    return sorted(found, key=PointP.sort_key)
 
 
 def _assert_same_scan(pres, box):
-    got, want = find_poisson_maximal(pres, box), _scan_reference(pres, box)
-    assert [(i.point, i.lambda_value) for i in got] == [(i.point, i.lambda_value) for i in want]
+    """The scan finds the reference's points, in order, and with a potential
+    `leaf_report` files each under the potential's value there; one scan."""
+    want = _scan_reference(pres, box)
+    if not isinstance(pres.bracket_spec, (Exact, Scaled)):
+        assert find_poisson_maximal(pres, box) == want
+        return
+    scans, real = [], ideals_module.find_poisson_maximal
+    with patch.object(ideals_module, "find_poisson_maximal",
+                      lambda *args: scans.append(real(*args)) or scans[-1]):
+        rep = leaf_report(pres, box)
+    assert scans == [want]
+    by_lambda = {}
+    for pt in want:
+        by_lambda.setdefault(pres.bracket_spec.potential.evaluate(pt), []).append(pt)
+    assert rep.points_by_lambda == by_lambda
+    assert rep.singular_lambdas == sorted(by_lambda, key=Scalar.sort_key)
 
 
 @pytest.mark.parametrize("name", catalog_names())
@@ -267,7 +279,7 @@ def _small_presentations(draw):
         return LaurentPoly(vs, terms)
 
     if nvars == 2:
-        return PoissonPresentation(vs, Table(((0, 1, poly()),)))
+        return PoissonPresentation(vs, Table(vs, ((0, 1, poly()),)))
     f = poly()
     spec = Scaled(poly(), f) if draw(st.booleans()) else Exact(f)
     return PoissonPresentation(vs, spec, relations=(f,))
@@ -278,14 +290,14 @@ _XY_PLAIN = VarSet(["x", "y"])
 
 
 def _table(vs, poly):
-    return PoissonPresentation(vs, Table(((0, 1, LaurentPoly(vs, poly)),)))
+    return PoissonPresentation(vs, Table(vs, ((0, 1, LaurentPoly(vs, poly)),)))
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_small_presentations(), st.integers(1, 3), st.integers(1, 3))
-@example(PoissonPresentation(_XY, Table(())), 2, 2)  # no bracket: every point, no pruning
-@example(PoissonPresentation(_XY, Table(((0, 1, LaurentPoly.const(_XY, 3)),))), 2, 2)  # all pruned
+@example(PoissonPresentation(_XY, Table(_XY, ())), 2, 2)  # no bracket: every point, no pruning
+@example(PoissonPresentation(_XY, Table(_XY, ((0, 1, LaurentPoly.const(_XY, 3)),))), 2, 2)  # all pruned
 # y(y + 1)(2y - 3)/6 on the last axis: the roots 0, -1 and 3/2 need the zero
 # candidate, q | (leading coefficient) and p | (lowest coefficient) in that order
 @example(_table(_XY_PLAIN, {(0, 3): Fraction(1, 3), (0, 2): Fraction(-1, 6),
@@ -351,7 +363,7 @@ def test_scan_matches_reference_on_planted_points(case, num, den):
     pres, planted = case
     box = SearchBox(num, den)
     _assert_same_scan(pres, box)
-    found = {i.point for i in find_poisson_maximal(pres, box)}
+    found = set(find_poisson_maximal(pres, box))
     grid = set(box.coordinate_values())
     assert {pt for pt in planted if all(v.as_fraction() in grid for v in pt.values)} <= found
 
@@ -361,23 +373,21 @@ def test_scan_matches_reference_on_planted_points(case, num, den):
 @given(_planted_potentials(), st.integers(1, 3), st.integers(1, 2))
 def test_a_found_point_is_the_point_its_values_build(case, num, den):
     """Each point the scan returns equals, hashes and prints like
-    `PointP(varset, values)`, holds canonical Scalars and carries
-    `make_ideal`'s lambda.  The planted points and a sqrt(-1) point go in as
-    explicit candidates."""
+    `PointP(varset, values)` and holds canonical Scalars, and the scan matches
+    the reference, lambda too.  The planted points and a sqrt(-1) point go in
+    as explicit candidates."""
     pres, planted = case
     vs = pres.varset
     i = Scalar(0, 1, -1)
     box = SearchBox(num, den, tuple(planted) + (PointP(vs, [i, i, 1]),))
     ideals = find_poisson_maximal(pres, box)
-    assert [ideal.point for ideal in ideals] == sorted(
-        {ideal.point for ideal in ideals}, key=PointP.sort_key)
-    for ideal in ideals:
-        pt = ideal.point
+    assert ideals == sorted(set(ideals), key=PointP.sort_key)
+    for pt in ideals:
         checked = PointP(vs, pt.values)
         assert pt == checked and hash(pt) == hash(checked) and repr(pt) == repr(checked)
         assert type(pt.values) is tuple and all(type(v) is Scalar for v in pt.values)
         assert all(v == Scalar.coerce(v.as_fraction()) for v in pt.values if v.is_rational)
-        assert ideal == make_ideal(pres, pt)
+    _assert_same_scan(pres, box)
 
 
 def _eliminants(monkeypatch):
@@ -404,7 +414,7 @@ def test_a_line_of_points_walks_its_axis(monkeypatch, xyz):
     box = SearchBox(3, 2)
     _assert_same_scan(pres, box)
     assert calls[0] == (3, None)
-    assert [i.point.values[0] for i in find_poisson_maximal(pres, box)] == [
+    assert [i.values[0] for i in find_poisson_maximal(pres, box)] == [
         Scalar(v) for v in box.coordinate_values()]
 
 
@@ -432,7 +442,7 @@ def test_torus_prefixes_at_x_2_eliminate_through_a_vanishing_resultant(monkeypat
     roots = [sorted(rational_roots(f, 4, 2)) for f in middle]
     assert roots == [[(-2, 1), (2, 1)], [(0, 1)], [(-2, 1), (2, 1)]]
     held = ideals_module._fold_first(
-        [c for poly in torus_pres.pair_table().values()
+        [c for poly in torus_pres.bracket_spec.pairs.values()
          for c in ideals_module._integer_components(poly)], 2, 1)
     assert resultant(held[0], held[1]) == {}
 
@@ -479,6 +489,6 @@ _FOUR_ROOTS = _table(_XY_PLAIN, {(4, 0): 1, (3, 0): -4, (2, 0): 4, (1, 0): -4, (
 def test_points_come_in_sort_order(extra, want):
     vs = _FOUR_ROOTS.varset
     box = SearchBox(2, 2, tuple(PointP(vs, c) for c in extra))
-    got = [i.point for i in find_poisson_maximal(_FOUR_ROOTS, box)]
+    got = find_poisson_maximal(_FOUR_ROOTS, box)
     assert got == [PointP(vs, c) for c in want]
     assert got == sorted(got, key=PointP.sort_key)

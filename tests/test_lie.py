@@ -92,6 +92,17 @@ def test_change_basis_needs_one_label_per_column():
     assert sl2.change_basis(Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == sl2
 
 
+def test_change_basis_refuses_dependent_columns():
+    """sl2 columns (e, e, h) span the Borel part only: refused, not read as a
+    3-dimensional algebra in which the repeated column gets coordinate 0."""
+    sl2 = LieAlgebra.from_brackets(
+        ("e", "h", "f"), {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1}})
+    with pytest.raises(ValueError, match=r"^the columns are linearly dependent$"):
+        sl2.change_basis(Matrix([[1, 1, 0], [0, 0, 1], [0, 0, 0]]))
+    with pytest.raises(ValueError, match=r"^the columns are linearly dependent$"):
+        sl2.change_basis(Matrix([[1, 2], [0, 0], [0, 0]]), ("a", "b"))
+
+
 def test_constructor_enforces_jacobi():
     # [x,y] = z, [y,z] = y^2-ish is not expressible; use constants violating Jacobi
     with pytest.raises(LieStructureError):

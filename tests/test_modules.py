@@ -465,7 +465,7 @@ def test_solvable_characters(xyz):
     # abelian: Example 3.5 formula on a sample polynomial
     from poisson_atlas import Table
 
-    pres = PoissonPresentation(vs, Table(()))
+    pres = PoissonPresentation(vs, Table(vs, ()))
     pt = PointP(vs, [1, 2, 3])
     beta = (Scalar(5), Scalar(-1), Scalar(Fraction(1, 2)))
     module = solvable_character_module(pres, pt, beta)

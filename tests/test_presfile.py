@@ -74,7 +74,7 @@ def test_table_bracket():
         "bracket table { [x1,x2] = x1*x2; };"
     )
     pres = pf.presentation()
-    pair = pres.bracket_spec.pair(pf.varset, 0, 1)
+    pair = pres.bracket_spec.pairs[0, 1]
     assert str(pair) == "x1*x2"
 
 
@@ -152,7 +152,7 @@ def test_every_catalog_entry_round_trips(name):
     assert serialize_presentation(pf2) == text
     assert pf2.varset == pf.varset
     assert pf2.bracket_spec == pf.bracket_spec
-    assert pf2.presentation().pair_table() == pf.presentation().pair_table()
+    assert pf2.presentation().bracket_spec.pairs == pf.presentation().bracket_spec.pairs
     assert pf2.points == pf.points
     for auto in pf.autos:
         assert pf2.autos[auto].images == pf.autos[auto].images
@@ -174,7 +174,7 @@ def test_embed_table_bracket_round_trip():
     pf2 = parse_presentation(text)
     assert serialize_presentation(pf2) == text
     assert pf2.embeds["e"].sub_bracket == pf.embeds["e"].sub_bracket
-    assert pf2.embeds["e"].sub_presentation().pair_table() == {
+    assert pf2.embeds["e"].sub_presentation().bracket_spec.pairs == {
         (0, 1): LaurentPoly.variable(pf2.embeds["e"].sub_varset, "u")
     }
 

@@ -382,8 +382,14 @@ def test_lie_rep_restrict_keeps_its_error():
     assert borel.lie.bracket(borel.lie.basis_vector(1), borel.lie.basis_vector(0)) == (
         Scalar(2), Scalar(0),
     )
-    with pytest.raises(AtlasError):
-        lie_rep_restrict(rep, [e, f], ("e", "f"))
+    # the AtlasError keeps the reason `change_basis` gives
+    for vectors, labels, reason in (
+        ([e, e, h], ("a", "b", "c"), "the columns are linearly dependent"),
+        ([e, h], ("e",), "1 labels for 2 columns"),
+        ([e, f], ("e", "f"), "the columns do not span a subalgebra"),
+    ):
+        with pytest.raises(AtlasError, match=f"^cannot restrict: {reason}$"):
+            lie_rep_restrict(rep, vectors, labels)
 
 
 # -- submodule analysis: the grading comes from the module's own matrices -------
