@@ -122,22 +122,23 @@ class Table(BracketSpec):
 
 @dataclass(frozen=True)
 class PoissonPresentation:
-    """A variable set, a bracket spec, and optional relations (e.g. f - lambda).
+    """A bracket spec and optional relations (e.g. f - lambda) over the spec's
+    variable set; two presentations are equal when both are.
 
     Relations are carried for membership filters and map verification; no
     normal-form rewriting happens in the ambient ring.
     """
 
-    varset: VarSet
     bracket_spec: BracketSpec
     relations: tuple = ()
-    name: str = ""
+
+    @property
+    def varset(self) -> VarSet:
+        return self.bracket_spec.varset
 
     def __post_init__(self):
         if isinstance(self.bracket_spec, (Exact, Scaled)) and len(self.varset) != 3:
             raise ValueError("exact/scaled brackets need exactly 3 variables")
-        if self.bracket_spec.varset != self.varset:
-            raise VarSetMismatchError("bracket spec over a different variable set")
         for r in self.relations:
             if r.varset != self.varset:
                 raise VarSetMismatchError("relation over a different variable set")

@@ -433,23 +433,21 @@ def _weyl_trio(cite, weights, weights_detail):
 # -- shared data -------------------------------------------------------------------
 
 
-def _exact(name, potential, names="xyz"):
+def _exact(potential, names="xyz"):
     """C[names]/(f) with the exact bracket of f = potential(*generators)."""
-    vs = _vars(names)
-    f = potential(*_gens(vs))
-    return PoissonPresentation(vs, Exact(f), relations=(f,), name=name)
+    f = potential(*_gens(_vars(names)))
+    return PoissonPresentation(Exact(f), relations=(f,))
 
 
-def _scaled(name, potential):
+def _scaled(potential):
     """C[x, y, z^+-1] with 2z times the exact bracket of potential(x, y, z)."""
-    vs = _vars("xyz", laurent=("z",))
-    x, y, z = _gens(vs)
-    return PoissonPresentation(vs, Scaled(2 * z, potential(x, y, z)), name=name)
+    x, y, z = _gens(_vars("xyz", laurent=("z",)))
+    return PoissonPresentation(Scaled(2 * z, potential(x, y, z)))
 
 
-def _table_pres(varset, brackets, name=""):
+def _table_pres(varset, brackets):
     """A presentation given by its generator brackets {(a, b): {a,b}}."""
-    return PoissonPresentation(varset, Table.from_dict(varset, brackets), name=name)
+    return PoissonPresentation(Table.from_dict(varset, brackets))
 
 
 def _sign_flip(varset, signs):
@@ -460,12 +458,11 @@ def _sign_flip(varset, signs):
 
 
 def _torus_presentation():
-    return _exact("torus-so3", lambda x, y, z: x * y * z - x * x - y * y - z * z + 4)
+    return _exact(lambda x, y, z: x * y * z - x * x - y * y - z * z + 4)
 
 
 def _c_theta_presentation():
     return _exact(
-        "c-theta",
         lambda x, v, w: 2 * x * v * w - x * x * v - 2 * v * v - 2 * w * w + 4 * v,
         ("x", "v", "w"),
     )
@@ -505,7 +502,7 @@ def _kleinian_invariants(n: int, f) -> InvariantPresentation:
 
 
 def _entry_kleinian_a1() -> CatalogEntry:
-    pres = _exact("kleinian-a1", lambda x, y, z: z * z - x * y)
+    pres = _exact(lambda x, y, z: z * z - x * y)
     x, y, z = _gens(pres.varset)
     # z^2 - xy expands to the zero ambient polynomial
     ip = _kleinian_invariants(2, pres.relations[0])
@@ -514,7 +511,7 @@ def _entry_kleinian_a1() -> CatalogEntry:
     svs = _vars("uvw")
     u, v, w = _gens(svs)
     f4 = w**4 * Fraction(1, 4) - u * v
-    sub = PoissonPresentation(svs, Exact(f4), relations=(f4,), name="b-pi4")
+    sub = PoissonPresentation(Exact(f4), relations=(f4,))
     emb = SubstitutionMap.from_dict(
         svs,
         {"u": x * x * Fraction(1, 8), "v": y * y * Fraction(1, 8), "w": z * Fraction(1, 2)},
@@ -590,7 +587,7 @@ def _entry_torus() -> CatalogEntry:
     # invariants of the 2-torus; z is the pi'-image of the displayed generator
     tvs = _vars(("x1", "x2"), laurent=("x1", "x2"))
     x1, x2 = _gens(tvs)
-    tor = _table_pres(tvs, {("x1", "x2"): x1 * x2}, "torus-laurent")
+    tor = _table_pres(tvs, {("x1", "x2"): x1 * x2})
     pi = SubstitutionMap.from_dict(tvs, {"x1": x1**-1, "x2": x2**-1})
     inv_x = x1 + x1**-1
     inv_y = x2 + x2**-1
@@ -664,10 +661,10 @@ def _entry_torus() -> CatalogEntry:
 
 
 def _entry_laurent_inv() -> CatalogEntry:
-    pres = _exact("laurent-inv", lambda x, y, z: x * (4 - z * z) + y * y)
+    pres = _exact(lambda x, y, z: x * (4 - z * z) + y * y)
     bvs = _vars(("x1", "x2"), laurent=("x1",))
     x1, x2 = _gens(bvs)
-    bpres = _table_pres(bvs, {("x1", "x2"): x1}, "laurent-ambient")
+    bpres = _table_pres(bvs, {("x1", "x2"): x1})
     pi = SubstitutionMap.from_dict(bvs, {"x1": x1**-1, "x2": -x2})
     gens = (x2 * x2, x2 * (x1 - x1**-1), x1 + x1**-1)
     ip = InvariantPresentation(
@@ -691,7 +688,7 @@ def _entry_laurent_inv() -> CatalogEntry:
 
 
 def _uqsl2_presentation():
-    return _scaled("uqsl2", lambda x, y, z: x * y + z + z**-1)
+    return _scaled(lambda x, y, z: x * y + z + z**-1)
 
 
 def _entry_uqsl2() -> CatalogEntry:
@@ -724,7 +721,7 @@ def _entry_uqsl2_equitable() -> CatalogEntry:
     scaled = _uqsl2_presentation()
     vs = scaled.varset
     x, y, z = _gens(vs)
-    pres = PoissonPresentation(vs, Exact(2 * (x + y + z - x * y * z)), name="uqsl2-equitable")
+    pres = PoissonPresentation(Exact(2 * (x + y + z - x * y * z)))
     eta = SubstitutionMap.from_dict(vs, {"x": 1 - z * y, "y": x - z**-1, "z": z})
     eta_inv = SubstitutionMap.from_dict(
         vs, {"x": y + z**-1, "y": z**-1 * (1 - x), "z": z}
@@ -760,7 +757,7 @@ def _entry_uqsl2_equitable() -> CatalogEntry:
 
 
 def _entry_uqsl2_4hom() -> CatalogEntry:
-    pres = _scaled("uqsl2-4hom", lambda x, y, z: x * y + z * z + z**-2)
+    pres = _scaled(lambda x, y, z: x * y + z * z + z**-2)
     i = Scalar(0, 1, -1)
     points = [(0, 0, 1), (0, 0, -1), (0, 0, i), (0, 0, -i)]
     return _entry(
@@ -774,7 +771,7 @@ def _entry_uqsl2_4hom() -> CatalogEntry:
 
 
 def _entry_whitney() -> CatalogEntry:
-    pres = _exact("whitney", lambda x, y, z: x * y * y - z * z)
+    pres = _exact(lambda x, y, z: x * y * y - z * z)
 
     def tags(ctx, cfg):
         for point, rec in ctx.tags().items():
@@ -820,7 +817,7 @@ def _entry_whitney() -> CatalogEntry:
 
 
 def _entry_kleinian_an(n: int) -> CatalogEntry:
-    pres = _exact(f"kleinian-an({n})", lambda x, y, z: z**n - x * y)
+    pres = _exact(lambda x, y, z: z**n - x * y)
     notes = []
     if n > 2:
         notes.append(
@@ -851,7 +848,7 @@ def _entry_kleinian_an(n: int) -> CatalogEntry:
         return ok, "{z, v} = tau v family; characters supported on z only"
 
     return _entry(
-        pres.name, "example 4.4", pres,
+        f"kleinian-an({n})", "example 4.4", pres,
         invariants=_kleinian_invariants(n, pres.relations[0]), grading_name="z", notes=notes,
         facts=[
             ("ideal_points", _ideal_points([ORIGIN])),
@@ -867,7 +864,7 @@ def _entry_kleinian_an(n: int) -> CatalogEntry:
 
 
 def _entry_kleinian_de(name: str, potential_fn, note=None) -> CatalogEntry:
-    pres = _exact(name, potential_fn)
+    pres = _exact(potential_fn)
 
     def solvable(ctx, cfg):
         rec = ctx.rec(ORIGIN)
@@ -952,7 +949,7 @@ def _entry_d_phi() -> CatalogEntry:
         - du * dv * dv
         + 2 * du * dv
     )
-    pres = PoissonPresentation(dvs, Exact(2 * h), relations=(h,), name="d-phi")
+    pres = PoissonPresentation(Exact(2 * h), relations=(h,))
 
     ctheta = _c_theta_presentation()
     cvs = ctheta.varset
@@ -1003,7 +1000,6 @@ def _weyl_ambient():
     amb = _table_pres(
         vs,
         {("a1", "b1"): six, ("a2", "b2"): six, ("a1", "b2"): m3, ("a2", "b1"): m3},
-        "weyl-a2-ambient",
     )
     ninth = Fraction(1, 9)
     g1 = (a1 * a1 + a2 * a2 + a1 * a2) * ninth
@@ -1125,7 +1121,7 @@ def _entry_weyl_b2() -> CatalogEntry:
     vs = _vars(("x1", "x2", "y1", "y2"))
     x1, x2, y1, y2 = _gens(vs)
     one = LaurentPoly.const(vs, 1)
-    amb = _table_pres(vs, {("x1", "y1"): one, ("x2", "y2"): one}, "weyl-b2-ambient")
+    amb = _table_pres(vs, {("x1", "y1"): one, ("x2", "y2"): one})
     g1 = x1 * x1 + x2 * x2
     g2 = y1 * y1 + y2 * y2
     g3 = x1 * y1 + x2 * y2
@@ -1234,7 +1230,7 @@ def _entry_kirillov_kostant_sl2() -> CatalogEntry:
         vs.names, {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1}}
     )
     table = Table.from_dict(vs, {("h", "e"): 2 * e, ("h", "f"): -2 * f, ("e", "f"): h})
-    pres = PoissonPresentation(vs, table, name="kirillov-kostant-sl2")
+    pres = PoissonPresentation(table)
 
     def lie_matches(ctx, cfg):
         return ctx.lie(ORIGIN) == sl2, "g(J) carries the input structure constants"
@@ -1264,7 +1260,7 @@ def _entry_kirillov_kostant_sl2() -> CatalogEntry:
 def _entry_abelian(n: int) -> CatalogEntry:
     names = tuple(f"x{i+1}" for i in range(n))
     vs = _vars(names)
-    pres = PoissonPresentation(vs, Table(vs, ()), name=f"abelian({n})")
+    pres = PoissonPresentation(Table(vs, ()))
 
     def ideals(ctx, cfg):
         want = len(ctx.entry.box.coordinate_values()) ** n

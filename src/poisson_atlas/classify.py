@@ -267,8 +267,9 @@ def find_sl2_triple(lie: LieAlgebra, recognition: LieRecognition | None = None) 
             lam = -lam
         h = tuple(c * (Scalar(2) / lam) for c in cand)
         e, f0 = _root_vectors(ad, lam)
-        gamma = _proportionality(quotient.bracket(e, f0), h)
-        if gamma is None or gamma.is_zero:
+        k = next(k for k, c in enumerate(h) if not c.is_zero)
+        gamma = quotient.bracket(e, f0)[k] / h[k]  # verify refuses [e, f0] not along h
+        if gamma.is_zero:
             continue
         f = tuple(c / gamma for c in f0)
         if Sl2Triple(e, h, f).verify(quotient):
@@ -286,22 +287,6 @@ def _root_vectors(ad: Matrix, lam: Scalar):
         _canonical_eigvec(kernel_basis([list(r) for r in (ad - identity.scale(v)).rows])[0])
         for v in (lam, -lam)
     )
-
-
-def _proportionality(vec, ref):
-    """Scalar c with vec == c * ref, or None."""
-    c = None
-    for a, b in zip(vec, ref):
-        if b.is_zero:
-            if not a.is_zero:
-                return None
-        else:
-            ratio = a / b
-            if c is None:
-                c = ratio
-            elif c != ratio:
-                return None
-    return c if c is not None else ZERO
 
 
 @dataclass

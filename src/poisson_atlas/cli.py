@@ -66,7 +66,7 @@ def _load_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     pf = parse_presentation(text)
-    return pf, pf.presentation(name=path)
+    return pf, pf.presentation()
 
 
 def _flag_value(pf, flag: str, text: str, read):

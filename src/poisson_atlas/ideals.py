@@ -113,20 +113,27 @@ def _fold_first(components, p, q):
     return out
 
 
-def _eliminant(polys):
+def _eliminant(polys, bound):
     """A nonzero integer polynomial in the first variable alone, leading
     coefficient first, in the ideal of `polys`, or None when none is found.
 
     The later variables go last first: a polynomial free of the variable is
     kept, and those that hold it are paired into resultants, of which the
-    first 3 nonzero ones are kept.  Of the univariate polynomials left, the
-    one of least degree span is taken.
+    first 3 nonzero ones are kept.  A pair whose total degrees multiply to
+    more than `bound`, the count of values on an axis, is skipped: its
+    resultant may be of that degree (Bezout), and computing it can cost more
+    than walking the axis.  Of the univariate polynomials left, the one of
+    least degree span is taken.
     """
     while len(next(iter(polys[0]))) > 1:
         held, free = [], []
         for f in polys:
-            (held if any(e[-1] for e in f) else free).append(f)
-        resultants = (resultant(f, g) for f, g in itertools.combinations(held, 2))
+            if any(e[-1] for e in f):
+                held.append((max(map(sum, f)), f))
+            else:
+                free.append(f)
+        resultants = (resultant(f, g) for (m, f), (n, g) in itertools.combinations(held, 2)
+                      if m * n <= bound)
         polys = [{e[:-1]: c for e, c in f.items()} for f in free]
         polys += itertools.islice(filter(None, resultants), 3)
         if not polys:
@@ -140,16 +147,16 @@ def _common_zeros(components, box, laurent, prefix=()):
 
     The values tried on the next axis are the rational roots in the box of an
     eliminant of the components (`_eliminant`), sorted; the box's values are
-    walked only when there is none (every resultant vanishes identically) or
-    no component is left, and a Laurent axis skips 0.  On the last axis the
-    components are univariate (a nonzero constant was pruned above), and the
-    eliminant is the one of least degree.
+    walked only when there is none (every resultant vanishes identically or
+    is skipped as too large) or no component is left, and a Laurent axis
+    skips 0.  On the last axis the components are univariate (a nonzero
+    constant was pruned above), and the eliminant is the one of least degree.
     """
     if not components:
         axes = [[r for r in box.pairs if r[0] or not flag] for flag in laurent]
         yield from (prefix + rest for rest in itertools.product(*axes))
         return
-    f = _eliminant(components)
+    f = _eliminant(components, (2 * box.num + 1) * box.den)
     values = box.pairs if f is None else sorted(
         rational_roots(f, box.num, box.den), key=lambda r: Fraction(*r))
     for p, q in values:

@@ -652,12 +652,11 @@ def lie_reps_isomorphic(r1: LieRep, r2: LieRep):
 
 
 def poisson_modules_isomorphic(m1: PoissonModule, m2: PoissonModule):
-    """An invertible intertwiner, or None: modules at different points
-    (different annihilators) are never isomorphic, and at one point the
-    g(J)-actions decide it through `find_isomorphism`."""
-    if m1.pres is not m2.pres and m1.pres != m2.pres:
-        return None
-    if m1.point != m2.point:
+    """An invertible intertwiner, or None: modules over unequal presentations
+    or at different points (different annihilators) are never isomorphic, and
+    at one point of one presentation the g(J)-actions decide it through
+    `find_isomorphism`."""
+    if m1.pres != m2.pres or m1.point != m2.point:
         return None
     return find_isomorphism(m1.mats, m2.mats, m1.dim, m2.dim)
 

@@ -110,12 +110,10 @@ class EmbedClause:
     def substitution(self) -> SubstitutionMap:
         return SubstitutionMap.from_dict(self.sub_varset, self.images)
 
-    def sub_presentation(self, name="") -> PoissonPresentation:
+    def sub_presentation(self) -> PoissonPresentation:
         if self.sub_bracket is None:
             raise ParseError(f"embed {self.name} carries no sub-presentation bracket")
-        return PoissonPresentation(
-            self.sub_varset, self.sub_bracket, self.sub_relations, name or self.name
-        )
+        return PoissonPresentation(self.sub_bracket, self.sub_relations)
 
 
 @dataclass
@@ -131,11 +129,9 @@ class PresentationFile:
     embeds: dict = field(default_factory=dict)
     grading: LaurentPoly | None = None
 
-    def presentation(self, name="") -> PoissonPresentation:
+    def presentation(self) -> PoissonPresentation:
         """Semantic validation (Jacobi) happens in the constructor."""
-        return PoissonPresentation(
-            self.varset, self.bracket_spec, tuple(self.relations), name
-        )
+        return PoissonPresentation(self.bracket_spec, tuple(self.relations))
 
 
 class _Parser:

@@ -23,14 +23,14 @@ def xyz_laurent():
 def a1_pres(xyz):
     vs, x, y, z = xyz
     f = z * z - x * y
-    return PoissonPresentation(vs, Exact(f), relations=(f,), name="a1")
+    return PoissonPresentation(Exact(f), relations=(f,))
 
 
 @pytest.fixture
 def torus_pres(xyz):
     vs, x, y, z = xyz
     f = x * y * z - x * x - y * y - z * z + 4
-    return PoissonPresentation(vs, Exact(f), relations=(f,), name="torus")
+    return PoissonPresentation(Exact(f), relations=(f,))
 
 
 def random_poly(rng: SplitMix, varset, max_terms=4, degree=3):

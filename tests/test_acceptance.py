@@ -129,8 +129,8 @@ def test_criterion_3_uqsl2_family():
     # eta verifies as a Poisson map (scaled -> equitable; inverse back)
     vs = VarSet(("x", "y", "z"), laurent=("z",))
     x, y, z = (LaurentPoly.variable(vs, n) for n in vs.names)
-    scaled = PoissonPresentation(vs, Scaled(2 * z, x * y + z + z**-1))
-    equitable = PoissonPresentation(vs, Exact(2 * (x + y + z - x * y * z)))
+    scaled = PoissonPresentation(Scaled(2 * z, x * y + z + z**-1))
+    equitable = PoissonPresentation(Exact(2 * (x + y + z - x * y * z)))
     eta = SubstitutionMap.from_dict(vs, {"x": 1 - z * y, "y": x - z**-1, "z": z})
     eta_inv = SubstitutionMap.from_dict(
         vs, {"x": y + z**-1, "y": z**-1 * (1 - x), "z": z}

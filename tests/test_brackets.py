@@ -278,7 +278,7 @@ def test_presentation_rejects_non_jacobi(xyz):
         vs, {("x", "y"): z, ("y", "z"): y * y, ("z", "x"): LaurentPoly.zero(vs)}
     )
     with pytest.raises(LieStructureError):
-        PoissonPresentation(vs, bad)
+        PoissonPresentation(bad)
 
 
 def test_kirillov_kostant_spec(xyz):
@@ -292,24 +292,26 @@ def test_kirillov_kostant_spec(xyz):
     spec = Table.from_dict(vs, {("y", "x"): 2 * z, ("z", "y"): 2 * x, ("x", "z"): 2 * y})
     assert bracket(spec, y, x) == 2 * z
     assert verify_jacobi(spec).ok
-    assert lie_from_point(PoissonPresentation(vs, spec), PointP(vs, [0, 0, 0])) == sl2
+    assert lie_from_point(PoissonPresentation(spec), PointP(vs, [0, 0, 0])) == sl2
 
 
 def test_a_spec_refuses_another_variable_set(xyz, xyz_laurent):
-    """A spec's tables are over its own variables: operands or a presentation
-    over other ones are refused, not read through the spec's pairs."""
+    """A spec's tables are over its own variables: operands or a relation over
+    other ones are refused, not read through the spec's pairs, and a
+    presentation has the spec's variables."""
     vs, x, y, z = xyz
     xy, uv = VarSet(("x", "y")), VarSet(("u", "v"))
     u, v = (LaurentPoly.variable(uv, n) for n in uv.names)
     table = Table.from_dict(xy, {("x", "y"): LaurentPoly.variable(xy, "x")})
     exact = Exact(x * y * z)
     assert table.varset == xy and exact.varset == vs
-    lvs, lx, ly, _ = xyz_laurent  # the names of vs, with Laurent flags
-    for spec, p, q, other in ((table, u, v, uv), (exact, lx, ly, lvs)):
+    _, lx, ly, _ = xyz_laurent  # the names of vs, with Laurent flags
+    for spec, p, q in ((table, u, v), (exact, lx, ly)):
         with pytest.raises(VarSetMismatchError):
             bracket(spec, p, q)
+        assert PoissonPresentation(spec).varset == spec.varset
         with pytest.raises(VarSetMismatchError):
-            PoissonPresentation(other, spec)
+            PoissonPresentation(spec, relations=(p,))
 
 
 def test_table_refuses_a_pair_given_twice(xyz):
@@ -337,15 +339,15 @@ def test_torus_inversion_is_poisson():
     vs = VarSet(("x1", "x2"), laurent=("x1", "x2"))
     x1 = LaurentPoly.variable(vs, "x1")
     x2 = LaurentPoly.variable(vs, "x2")
-    pres = PoissonPresentation(vs, Table.from_dict(vs, {("x1", "x2"): x1 * x2}))
+    pres = PoissonPresentation(Table.from_dict(vs, {("x1", "x2"): x1 * x2}))
     pi = SubstitutionMap.from_dict(vs, {"x1": x1**-1, "x2": x2**-1})
     assert verify_poisson_map(pi, pres, pres).ok
 
 
 def test_eta_poisson_direction(xyz_laurent):
     vs, x, y, z = xyz_laurent
-    scaled = PoissonPresentation(vs, Scaled(2 * z, x * y + z + z**-1))
-    equitable = PoissonPresentation(vs, Exact(2 * (x + y + z - x * y * z)))
+    scaled = PoissonPresentation(Scaled(2 * z, x * y + z + z**-1))
+    equitable = PoissonPresentation(Exact(2 * (x + y + z - x * y * z)))
     eta = SubstitutionMap.from_dict(vs, {"x": 1 - z * y, "y": x - z**-1, "z": z})
     eta_inv = SubstitutionMap.from_dict(
         vs, {"x": y + z**-1, "y": z**-1 * (1 - x), "z": z}
@@ -363,7 +365,7 @@ def test_poisson_map_modulo_relation(a1_pres):
     svs = VarSet(("u", "v", "w"))
     u, v, w = (LaurentPoly.variable(svs, n) for n in svs.names)
     f4 = w**4 * Fraction(1, 4) - u * v
-    sub = PoissonPresentation(svs, Exact(f4), relations=(f4,))
+    sub = PoissonPresentation(Exact(f4), relations=(f4,))
     emb = SubstitutionMap.from_dict(
         svs,
         {
@@ -430,7 +432,7 @@ def test_pair_table_is_built_once_and_read_only(xyz, monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(type(spec), "_pair", counted)
-            pres = PoissonPresentation(vs, spec, name="spec")  # runs the Jacobi check
+            pres = PoissonPresentation(spec)  # runs the Jacobi check
             first = spec.pairs
             assert list(first) == [(0, 1), (0, 2), (1, 2)]
             assert first is spec.pairs is pres.bracket_spec.pairs
@@ -440,5 +442,5 @@ def test_pair_table_is_built_once_and_read_only(xyz, monkeypatch):
         assert calls == [(0, 1), (0, 2), (1, 2)], type(spec).__name__
         with pytest.raises(TypeError):
             first[(0, 1)] = first[(0, 2)]
-        assert pres == PoissonPresentation(vs, spec, (), "spec")
+        assert pres == PoissonPresentation(spec)
         assert spec == _spec_of_each_kind(vs, x, y, z)[kind]

@@ -138,7 +138,7 @@ def test_a_failing_derived_value_is_computed_once(monkeypatch):
     calls = []
 
     def scan(pres, box):
-        calls.append(pres.name)
+        calls.append(pres)
         raise RuntimeError("scan unavailable")
 
     monkeypatch.setattr(catalog, "find_poisson_maximal", scan)

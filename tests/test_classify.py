@@ -34,7 +34,6 @@ from poisson_atlas.classify import (
     _candidate_elements,
     _canonical_eigvec,
     _derived_spans,
-    _proportionality,
     derived_subalgebra,
     killing_matrix,
 )
@@ -133,7 +132,7 @@ def test_recognize_p7():
 def test_recognize_kleinian_an_solvable(xyz):
     vs, x, y, z = xyz
     for n in (3, 4, 5):
-        pres = PoissonPresentation(vs, Exact(z**n - x * y))
+        pres = PoissonPresentation(Exact(z**n - x * y))
         rec = recognize(lie_from_point(pres, PointP(vs, [0, 0, 0])))
         assert rec.tag == "solvable"
 
@@ -301,14 +300,14 @@ def test_homogeneity_uqsl2(xyz_laurent):
     from poisson_atlas import Scaled
 
     vs, x, y, z = xyz_laurent
-    pres = PoissonPresentation(vs, Scaled(2 * z, x * y + z + z**-1))
+    pres = PoissonPresentation(Scaled(2 * z, x * y + z + z**-1))
     ideals = find_poisson_maximal(pres, SearchBox(3, 1))
     assert homogeneity_report(pres, ideals).verdict == "2-homogeneous"
 
 
 def test_homogeneity_continuum(xyz):
     vs, x, y, z = xyz
-    pres = PoissonPresentation(vs, Exact(z**3 - x * y))
+    pres = PoissonPresentation(Exact(z**3 - x * y))
     ideals = find_poisson_maximal(pres, SearchBox(2, 1))
     rep = homogeneity_report(pres, ideals)
     assert not rep.is_homogeneous
@@ -383,6 +382,22 @@ def _basis_levi_section(lie, radical):
     vecs = [lie.basis_vector(i) for i in levi]
     closed = coordinates(vecs, [lie.bracket(u, v) for u in vecs for v in vecs])
     return levi if closed is not None else ()
+
+
+def _proportionality(vec, ref):
+    """Scalar c with vec == c * ref, or None."""
+    c = None
+    for a, b in zip(vec, ref):
+        if b.is_zero:
+            if not a.is_zero:
+                return None
+        else:
+            ratio = a / b
+            if c is None:
+                c = ratio
+            elif c != ratio:
+                return None
+    return c if c is not None else ZERO
 
 
 def _sl2_triple_reference(lie, rec):

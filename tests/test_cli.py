@@ -551,7 +551,7 @@ def test_weight_vectors_decide_simplicity_at_every_sl2_point(monkeypatch):
 def _classify_reference(path, num, den):
     """The machine report of `classify`, built point by point from lie_from_point."""
     pf = parse_presentation(Path(path).read_text(encoding="utf-8"))
-    pres = pf.presentation(name=path)
+    pres = pf.presentation()
     ideals = find_poisson_maximal(pres, SearchBox(num, den, tuple(pf.points)))
     lines = [HEADER, "command = classify", f"file = {path}", f"ideal.count = {len(ideals)}"]
     for k, ideal in enumerate(ideals, 1):

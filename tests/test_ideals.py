@@ -47,7 +47,7 @@ def test_is_poisson_maximal_torus(torus_pres):
 
 def test_abelian_every_point_poisson():
     vs = VarSet(("x1", "x2", "x3"))
-    pres = PoissonPresentation(vs, Table(vs, ()))
+    pres = PoissonPresentation(Table(vs, ()))
     assert is_poisson_maximal(pres, PointP(vs, [5, -7, Fraction(1, 3)]))
     ideals = find_poisson_maximal(pres, SearchBox(1, 1))
     assert len(ideals) == 3**3
@@ -73,21 +73,21 @@ def test_find_torus(torus_pres):
 
 def test_find_laurent_inv(xyz):
     vs, x, y, z = xyz
-    pres = PoissonPresentation(vs, Exact(x * (4 - z * z) + y * y))
+    pres = PoissonPresentation(Exact(x * (4 - z * z) + y * y))
     ideals = find_poisson_maximal(pres, SearchBox(3, 1))
     assert set(pts(ideals)) == {("0", "0", "2"), ("0", "0", "-2")}
 
 
 def test_box_skips_zero_for_laurent(xyz_laurent):
     vs, x, y, z = xyz_laurent
-    pres = PoissonPresentation(vs, Scaled(2 * z, x * y + z + z**-1))
+    pres = PoissonPresentation(Scaled(2 * z, x * y + z + z**-1))
     ideals = find_poisson_maximal(pres, SearchBox(4, 2))
     assert set(pts(ideals)) == {("0", "0", "1"), ("0", "0", "-1")}
 
 
 def test_explicit_candidates(xyz_laurent):
     vs, x, y, z = xyz_laurent
-    pres = PoissonPresentation(vs, Scaled(2 * z, x * y + z * z + z**-2))
+    pres = PoissonPresentation(Scaled(2 * z, x * y + z * z + z**-2))
     i = Scalar(0, 1, -1)
     box = SearchBox(extra=(PointP(vs, [0, 0, i]), PointP(vs, [0, 0, -i])))
     ideals = find_poisson_maximal(pres, box)
@@ -106,7 +106,7 @@ def test_relation_in_j_squared(torus_pres):
 def test_relation_in_j_squared_kleinian(xyz):
     vs, x, y, z = xyz
     for n in (3, 4, 5):
-        pres = PoissonPresentation(vs, Exact(z**n - x * y))
+        pres = PoissonPresentation(Exact(z**n - x * y))
         origin = PointP(vs, [0, 0, 0])
         assert relation_in_J_squared(pres, z ** (n - 1), origin)
 
@@ -132,7 +132,7 @@ def test_leaf_report_a1(a1_pres):
 
 def test_leaf_report_whitney(xyz):
     vs, x, y, z = xyz
-    pres = PoissonPresentation(vs, Exact(x * y * y - z * z))
+    pres = PoissonPresentation(Exact(x * y * y - z * z))
     box = SearchBox(3, 1)
     rep = leaf_report(pres, box)
     assert [str(s) for s in rep.singular_lambdas] == ["0"]
@@ -146,7 +146,7 @@ def test_leaf_report_whitney(xyz):
 
 def test_leaf_report_needs_potential():
     vs = VarSet(("x1", "x2"))
-    pres = PoissonPresentation(vs, Table(vs, ()))
+    pres = PoissonPresentation(Table(vs, ()))
     with pytest.raises(ValueError):
         leaf_report(pres)
 
@@ -169,7 +169,7 @@ def test_automorphism_preserves_poisson_points(torus_pres):
 
 def test_phi_automorphism_laurent_inv(xyz):
     vs, x, y, z = xyz
-    pres = PoissonPresentation(vs, Exact(x * (4 - z * z) + y * y))
+    pres = PoissonPresentation(Exact(x * (4 - z * z) + y * y))
     phi = SubstitutionMap.from_dict(vs, {"x": x, "y": -y, "z": -z})
     j1 = PointP(vs, [0, 0, 2])
     moved = phi.pull_point(j1)
@@ -207,7 +207,7 @@ def test_mixed_extensions_in_one_bracket_raise():
     vs = VarSet(["x", "y"])
     x, y = LaurentPoly.variable(vs, "x"), LaurentPoly.variable(vs, "y")
     mixed = Scalar(0, 1, 2) * x + Scalar(0, 1, 3) * y
-    pres = PoissonPresentation(vs, Table.from_dict(vs, {("x", "y"): mixed}))
+    pres = PoissonPresentation(Table.from_dict(vs, {("x", "y"): mixed}))
     with pytest.raises(ScalarDomainError, match=r"sqrt\(2\).*sqrt\(3\)"):
         find_poisson_maximal(pres, SearchBox(2, 1))
 
@@ -279,10 +279,10 @@ def _small_presentations(draw):
         return LaurentPoly(vs, terms)
 
     if nvars == 2:
-        return PoissonPresentation(vs, Table(vs, ((0, 1, poly()),)))
+        return PoissonPresentation(Table(vs, ((0, 1, poly()),)))
     f = poly()
     spec = Scaled(poly(), f) if draw(st.booleans()) else Exact(f)
-    return PoissonPresentation(vs, spec, relations=(f,))
+    return PoissonPresentation(spec, relations=(f,))
 
 
 _XY = VarSet(["x", "y"], ["y"])
@@ -290,14 +290,14 @@ _XY_PLAIN = VarSet(["x", "y"])
 
 
 def _table(vs, poly):
-    return PoissonPresentation(vs, Table(vs, ((0, 1, LaurentPoly(vs, poly)),)))
+    return PoissonPresentation(Table(vs, ((0, 1, LaurentPoly(vs, poly)),)))
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_small_presentations(), st.integers(1, 3), st.integers(1, 3))
-@example(PoissonPresentation(_XY, Table(_XY, ())), 2, 2)  # no bracket: every point, no pruning
-@example(PoissonPresentation(_XY, Table(_XY, ((0, 1, LaurentPoly.const(_XY, 3)),))), 2, 2)  # all pruned
+@example(PoissonPresentation(Table(_XY, ())), 2, 2)  # no bracket: every point, no pruning
+@example(PoissonPresentation(Table(_XY, ((0, 1, LaurentPoly.const(_XY, 3)),))), 2, 2)  # all pruned
 # y(y + 1)(2y - 3)/6 on the last axis: the roots 0, -1 and 3/2 need the zero
 # candidate, q | (leading coefficient) and p | (lowest coefficient) in that order
 @example(_table(_XY_PLAIN, {(0, 3): Fraction(1, 3), (0, 2): Fraction(-1, 6),
@@ -353,7 +353,7 @@ def _planted_potentials(draw):
     spec = Scaled(y + 1, f) if draw(st.integers(0, 3)) == 0 else Exact(f)
     planted = [PointP(vs, [a, b, c]) for a in (a1, a2) for b in (b1, b2)
                if not any(flag and v == 0 for flag, v in zip(vs.laurent, (a, b, c)))]
-    return PoissonPresentation(vs, spec), planted
+    return PoissonPresentation(spec), planted
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None,
@@ -395,8 +395,8 @@ def _eliminants(monkeypatch):
     calls = []
     real = ideals_module._eliminant
 
-    def recording(polys):
-        f = real(polys)
+    def recording(polys, bound):
+        f = real(polys, bound)
         calls.append((len(next(iter(polys[0]))), f))
         return f
 
@@ -409,7 +409,7 @@ def test_a_line_of_points_walks_its_axis(monkeypatch, xyz):
     components y^2 and x y left after z is set aside share the factor y,
     their resultant vanishes identically and x is walked."""
     vs, x, y, z = xyz
-    pres = PoissonPresentation(vs, Exact(x * y * y - 2 * z * z))
+    pres = PoissonPresentation(Exact(x * y * y - 2 * z * z))
     calls = _eliminants(monkeypatch)
     box = SearchBox(3, 2)
     _assert_same_scan(pres, box)
@@ -422,7 +422,7 @@ def test_a_plane_of_points_walks_two_axes(monkeypatch, xyz):
     """(x - 1)(y - z)^2 is singular along y = z: at every prefix x the
     components share the factor y - z, so both x and y are walked."""
     vs, x, y, z = xyz
-    pres = PoissonPresentation(vs, Exact((x - 1) * (y - z) * (y - z)))
+    pres = PoissonPresentation(Exact((x - 1) * (y - z) * (y - z)))
     calls = _eliminants(monkeypatch)
     box = SearchBox(2, 2)
     _assert_same_scan(pres, box)
@@ -464,9 +464,37 @@ def test_the_box_is_enumerated_only_where_an_axis_is_walked(monkeypatch, xyz, to
     vs, x, y, z = xyz
     for potential, points in ((x * y * y - z * z, 1), ((x - 1) * (y - z) * (y - z), 2)):
         box = SearchBox(4, 2)
-        found = find_poisson_maximal(PoissonPresentation(vs, Exact(potential)), box)
+        found = find_poisson_maximal(PoissonPresentation(Exact(potential)), box)
         assert listed == [box] and len(found) == len(real(box)) ** points
         listed.clear()
+
+
+def test_resultants_past_the_box_are_skipped_and_the_axis_is_walked():
+    """On this Scaled bracket over Q(sqrt(-1)), with Laurent x and z, the pair
+    resultants grow without bound: unbounded, the scan did not finish at box
+    1/1 in 20 s.  A pair whose total degrees multiply past the box's count of
+    values on an axis is skipped, so `classify` finishes in a few seconds at
+    most, with the points of a scan of every box point."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from poisson_atlas import parse_presentation
+
+    path = Path(__file__).resolve().parent / "eliminant-blowup.pa"
+    pres = parse_presentation(path.read_text(encoding="utf-8")).presentation()
+    for num in (1, 3):
+        proc = subprocess.run(
+            [sys.executable, "-m", "poisson_atlas", "classify", str(path),
+             "--box-num", str(num), "--box-den", "1", "--format", "machine"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        want = _scan_reference(pres, SearchBox(num, 1))
+        lines = proc.stdout.splitlines()
+        assert f"ideal.count = {len(want)}" in lines
+        assert [ln for ln in lines if ".point = " in ln] == [
+            f"ideal.{k}.point = {pt}" for k, pt in enumerate(want, 1)]
 
 
 # -- the scan's order is the sort order; explicit candidates are sorted in --------

@@ -428,7 +428,7 @@ def test_restriction_split(a1_pres):
     svs = VarSet(("u", "v", "w"))
     u, v, w = (LaurentPoly.variable(svs, n) for n in svs.names)
     f4 = w**4 * Fraction(1, 4) - u * v
-    sub = PoissonPresentation(svs, Exact(f4), relations=(f4,))
+    sub = PoissonPresentation(Exact(f4), relations=(f4,))
     emb = SubstitutionMap.from_dict(
         svs,
         {
@@ -465,7 +465,7 @@ def test_solvable_characters(xyz):
     # abelian: Example 3.5 formula on a sample polynomial
     from poisson_atlas import Table
 
-    pres = PoissonPresentation(vs, Table(vs, ()))
+    pres = PoissonPresentation(Table(vs, ()))
     pt = PointP(vs, [1, 2, 3])
     beta = (Scalar(5), Scalar(-1), Scalar(Fraction(1, 2)))
     module = solvable_character_module(pres, pt, beta)
@@ -478,7 +478,7 @@ def test_solvable_characters(xyz):
     assert module.action_of(sample)[0, 0] == expected
 
     # Kleinian A_{n-1}, n > 2: characters supported on z only
-    kl = PoissonPresentation(vs, Exact(z**4 - x * y))
+    kl = PoissonPresentation(Exact(z**4 - x * y))
     origin = PointP(vs, [0, 0, 0])
     tau_mod = solvable_character_module(kl, origin, (0, 0, Scalar(9)))
     assert verify_poisson_axioms(tau_mod).ok
@@ -637,6 +637,24 @@ def test_distinct_points_never_isomorphic(torus_pres):
         lie = lie_from_point(torus_pres, pt)
         mods.append(lift_module(torus_pres, pt, sl2_irrep(lie, 2, find_sl2_triple(lie))))
     assert poisson_modules_isomorphic(mods[0], mods[1]) is None
+
+
+def test_a_presentation_read_back_from_its_file_is_the_same_presentation():
+    """A presentation is its bracket and its relations: the catalog's torus and
+    the one parsed from its serialized file are equal, so one module over each
+    at (2, 2, 2) is isomorphic to the other."""
+    from pathlib import Path
+
+    from poisson_atlas import get_entry, parse_presentation
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "torus-so3.pa"
+    parsed = parse_presentation(path.read_text(encoding="utf-8")).presentation()
+    assert parsed == get_entry("torus-so3").presentation
+    assert hash(parsed) == hash(get_entry("torus-so3").presentation)
+    pt = PointP(parsed.varset, (2, 2, 2))
+    lie = lie_from_point(parsed, pt)
+    ours = lift_module(parsed, pt, sl2_irrep(lie, 2, find_sl2_triple(lie)))
+    assert poisson_modules_isomorphic(_catalog_lift("torus-so3", (2, 2, 2), 2), ours) is not None
 
 
 def _catalog_lift(name, coords, d):

@@ -32,7 +32,7 @@ def test_parse_uqsl2():
     assert len(pf.points) == 2
     assert "phi" in pf.autos
     assert pf.grading is not None
-    pres = pf.presentation("uqsl2")
+    pres = pf.presentation()
     assert len(pres.relations) == 1
 
 
