@@ -143,7 +143,6 @@ class CatalogEntry:
             for name, (emb, sub) in self.embeds.items()
         }
         return PresentationFile(
-            pres.varset,
             pres.bracket_spec,
             {},
             list(pres.relations),

@@ -7,6 +7,8 @@ simple module, and so the simple g-modules are those of the Levi factor
 s = g / rad g tensored with the characters of g, a family of dimension
 k = dim rad g - dim [g, rad g].  Recognition records (dim s, k); dim s names s
 only for 0, sl2 and sl2 + sl2, and any other s leaves the counts undetermined.
+A 3-dimensional g is read off the rank of its three pair rows alone, with no
+Killing form and no derived series.
 Explicit sl2-triples come from a deterministic candidate search in s, built on
 basis vectors, so results are reproducible byte for byte; each candidate's
 eigenvalues come from its Killing square, with no eigensolve.
@@ -22,6 +24,7 @@ from .linalg import (
     IncrementalSpan,
     Matrix,
     kernel_basis,
+    rank,
     row_space_basis,
     trace_product,
 )
@@ -143,16 +146,37 @@ def recognize(lie: LieAlgebra) -> LieRecognition:
     = dim g - dim [g,g].  A solvable g is its own radical, so when the
     derived series reaches 0 the series alone settles s = 0, and no Killing
     form is built.
+
+    A 3-dimensional g is read off r = dim [g,g], the rank of its pair rows
+    [e0,e1], [e0,e2] and [e1,e2] (Jacobson, Lie Algebras I 4), with no
+    Killing form and no derived series:
+    - r = 3: g is perfect, so not solvable, and its Levi factor, nonzero
+      semisimple and so of dimension 3 or more, is all of g: g is simple,
+      sl2 over the closure, with [3, 3], dim s = 3, k = 0 and rad g = 0.
+    - r <= 2: g is not perfect, so it is solvable, and [g,g] is nilpotent of
+      dimension <= 2, so abelian: the derived dims are [3, r, 0], or [3, 0]
+      when r = 0, and k = 3 - r.  r = 0 is abelian and r = 2 solvable;
+      r = 1 is heisenberg when [g,[g,g]] = 0 and solvable otherwise.
     """
+    if lie.dim == 3:
+        rows = list(lie.structure_table().values())
+        r = rank(rows)
+        if r == 3:
+            return LieRecognition("sl2", [3, 3], 3, 0)
+        if r == 0:
+            return LieRecognition("abelian", [3, 0], 0, 3)
+        tag = "solvable"
+        if r == 1:  # [g,g] is spanned by d, and [g,[g,g]] = 0 when d is central
+            d = tuple(rows[0].get(k, ZERO) for k in range(3))
+            if all(c.is_zero for i in range(3) for c in lie.bracket(lie.basis_vector(i), d)):
+                tag = "heisenberg"
+        return LieRecognition(tag, [3, r, 0], 0, 3 - r)
     spans = _derived_spans(lie)
     dims = [len(span) for span in spans]
     basis, derived = spans[0], spans[1]
     k = lie.dim - len(derived)
     if not spans[-1]:  # solvable: the derived series reaches 0
-        if not derived:
-            return LieRecognition("abelian", dims, 0, k)
-        heisenberg = lie.dim == 3 and len(derived) == 1 and not _bracket_span(lie, basis, derived)
-        return LieRecognition("heisenberg" if heisenberg else "solvable", dims, 0, k)
+        return LieRecognition("solvable" if derived else "abelian", dims, 0, k)
     killing = killing_matrix([lie.ad_matrix(u) for u in basis])
     radical = list(row_space_basis(kernel_basis([list(killing.apply(w)) for w in derived])))
     levi_dim = lie.dim - len(radical)

@@ -120,7 +120,6 @@ class EmbedClause:
 class PresentationFile:
     """Parsed form of one presentation file."""
 
-    varset: VarSet
     bracket_spec: object
     bound: dict  # names bound in the bracket clause, e.g. f and a
     relations: list = field(default_factory=list)
@@ -128,6 +127,10 @@ class PresentationFile:
     autos: dict = field(default_factory=dict)
     embeds: dict = field(default_factory=dict)
     grading: LaurentPoly | None = None
+
+    @property
+    def varset(self) -> VarSet:
+        return self.bracket_spec.varset
 
     def presentation(self) -> PoissonPresentation:
         """Semantic validation (Jacobi) happens in the constructor."""
@@ -391,9 +394,7 @@ class _Parser:
         if spec is None:
             tok = self.peek()
             raise ParseError("missing bracket clause", tok.line, tok.col)
-        return PresentationFile(
-            varset, spec, env, relations, points, autos, embeds, grading
-        )
+        return PresentationFile(spec, env, relations, points, autos, embeds, grading)
 
     def parse_images(self, kind, name_tok, names, varset, env, other=None) -> dict:
         """The `{ name -> expr; ... }` block of the `kind` clause named at
@@ -477,7 +478,7 @@ def _scalar_text(s: Scalar) -> str:
     return f"({text})"
 
 
-def _bracket_clause(spec, varset, embed=False) -> str:
+def _bracket_clause(spec, embed=False) -> str:
     """The bracket clause of `spec`: in a file it binds f and a and writes a
     table one row per line, in an embed it binds F and A on one line."""
     f, a = ("F", "A") if embed else ("f", "a")
@@ -488,7 +489,7 @@ def _bracket_clause(spec, varset, embed=False) -> str:
             f"bracket scaled {a} = {poly_text(spec.multiplier)}; "
             f"{f} = {poly_text(spec.potential)};"
         )
-    names = varset.names
+    names = spec.varset.names
     rows = [
         f"[{names[i]},{names[j]}] = {poly_text(poly)};"
         for i, j, poly in spec.entries
@@ -503,7 +504,7 @@ def serialize_presentation(pf: PresentationFile) -> str:
     """Render a PresentationFile back to clause text (round-trips by parse)."""
     lines = []
     lines.append(f"vars {', '.join(pf.varset.names)}{pf.varset.laurent_suffix()};")
-    lines.append(_bracket_clause(pf.bracket_spec, pf.varset))
+    lines.append(_bracket_clause(pf.bracket_spec))
     for r in pf.relations:
         lines.append(f"relation {poly_text(r)};")
     for pt in pf.points:
@@ -519,7 +520,7 @@ def serialize_presentation(pf: PresentationFile) -> str:
         head = f"embed {name}({', '.join(sub.names)}){sub.laurent_suffix()}"
         body = []
         if embed.sub_bracket is not None:
-            body.append(_bracket_clause(embed.sub_bracket, embed.sub_varset, embed=True))
+            body.append(_bracket_clause(embed.sub_bracket, embed=True))
         for r in embed.sub_relations:
             body.append(f"relation {poly_text(r)};")
         for v in embed.sub_varset.names:

@@ -991,3 +991,102 @@ def test_recognize_points_refuses_a_point_that_is_not_poisson(torus_pres):
     assert next(recs).describe() == "sl2"
     with pytest.raises(NotPoissonMaximalError, match=r"\(1, 1, 1\) is not a Poisson-maximal"):
         next(recs)
+
+
+def _recognize_general(lie):
+    """`recognize` as it was before a 3-dimensional g was read off the rank of
+    its pair rows: the derived series for every g, and the Killing form for
+    one that is not solvable."""
+    spans = _derived_spans(lie)
+    dims = [len(span) for span in spans]
+    basis, derived = spans[0], spans[1]
+    k = lie.dim - len(derived)
+    if not spans[-1]:
+        if not derived:
+            return LieRecognition("abelian", dims, 0, k)
+        heisenberg = lie.dim == 3 and len(derived) == 1 and not _bracket_span(lie, basis, derived)
+        return LieRecognition("heisenberg" if heisenberg else "solvable", dims, 0, k)
+    killing = killing_matrix([lie.ad_matrix(u) for u in basis])
+    radical = list(row_space_basis(kernel_basis([list(killing.apply(w)) for w in derived])))
+    levi_dim = lie.dim - len(radical)
+    tag = "reductive" if (levi_dim, k) != (3, 0) else "sl2_semidirect" if radical else "sl2"
+    return LieRecognition(tag, dims, levi_dim, k, tuple(radical))
+
+
+def bianchi(n, a):
+    """The 3-dimensional Lie algebra c^k_ij = eps_ijl n^lk + delta^k_j a_i -
+    delta^k_i a_j (Ellis & MacCallum), n symmetric with n a = 0."""
+    eps = lambda i, j, l: (i - j) * (j - l) * (l - i) // 2
+    brackets = {
+        (i, j): [sum(eps(i, j, l) * n[l][k] for l in range(3)) + a[i] * (k == j) - a[j] * (k == i)
+                 for k in range(3)]
+        for i, j in ((0, 1), (0, 2), (1, 2))
+    }
+    return LieAlgebra(("e1", "e2", "e3"), brackets)
+
+
+@st.composite
+def _bianchi_algebras(draw, klass, rank_n):
+    """A Bianchi algebra of class A (a = 0) or B (a = (a1, 0, 0), a1 != 0), n
+    diagonal of rank `rank_n`, its zero entries first (in class B, n1 = 0)."""
+    nonzero = st.sampled_from((-2, -1, 1, 2))
+    diag = [0] * (3 - rank_n) + [draw(nonzero) for _ in range(rank_n)]
+    a1 = 0 if klass == "A" else draw(st.sampled_from((1, 2, Fraction(1, 2), -1)))
+    n = [[diag[i] if i == j else 0 for j in range(3)] for i in range(3)]
+    return bianchi(n, [a1, 0, 0])
+
+
+@pytest.mark.parametrize("discriminant", [0, -1], ids=["Q", "Q(sqrt(-1))"])
+@pytest.mark.parametrize("klass, rank_n", [("A", 0), ("A", 1), ("A", 2), ("A", 3),
+                                           ("B", 0), ("B", 1), ("B", 2)])
+@settings(max_examples=8, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_a_bianchi_algebra_is_recognized_as_the_general_path_does(klass, rank_n, discriminant,
+                                                                   data):
+    """Every field of a 3-dimensional recognition, read off the rank of the
+    pair rows, is the one the derived series and the Killing form give, in a
+    random basis over Q and over Q(sqrt(-1))."""
+    lie = data.draw(_bianchi_algebras(klass, rank_n))
+    conjugated = lie.change_basis(data.draw(_random_bases(3, (discriminant,))))
+    assert recognize(conjugated) == _recognize_general(conjugated)
+
+
+@pytest.mark.parametrize("table, tag, dims", [
+    ({("x", "y"): {"y": 1}}, "solvable", [3, 1, 0]),  # z central, [g,g] not central
+    ({("x", "y"): {"z": 1}}, "heisenberg", [3, 1, 0]),
+    ({}, "abelian", [3, 0]),
+    ({("x", "y"): {"y": 1}, ("x", "z"): {"z": 1}}, "solvable", [3, 2, 0]),
+    ({("x", "y"): {"z": 1}, ("y", "z"): {"x": 1}, ("z", "x"): {"y": 1}}, "sl2", [3, 3]),
+], ids=["x-y-y", "heisenberg", "abelian", "bianchi-v", "so3"])
+def test_each_rank_of_the_pair_rows_is_recognized_as_the_general_path_does(table, tag, dims):
+    lie = LieAlgebra.from_brackets(("x", "y", "z"), table)
+    rec = recognize(lie)
+    assert (rec.tag, rec.derived_dims) == (tag, dims)
+    assert rec == _recognize_general(lie)
+
+
+def test_every_three_generator_catalog_point_is_recognized_as_the_general_path_does():
+    algebras = [(label, lie) for label, lie in _catalog_algebras() if lie.dim == 3]
+    assert len(algebras) == 74
+    for label, lie in algebras:
+        assert recognize(lie) == _recognize_general(lie), label
+
+
+@pytest.mark.parametrize("lie, dims", [(SL2, [3, 3]), (whitney_lie(1), [3, 2, 0])],
+                         ids=["sl2", "whitney"])
+def test_a_three_dimensional_g_builds_no_ad_matrix_killing_form_or_derived_span(
+        monkeypatch, lie, dims):
+    import poisson_atlas.classify as classify
+
+    calls = {"ad_matrix": 0, "killing_matrix": 0, "_derived_spans": 0}
+    for owner, name in ((LieAlgebra, "ad_matrix"), (classify, "killing_matrix"),
+                        (classify, "_derived_spans")):
+        original = getattr(owner, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    assert recognize(lie).derived_dims == dims
+    assert calls == {"ad_matrix": 0, "killing_matrix": 0, "_derived_spans": 0}
