@@ -8,8 +8,8 @@ the rationals or a single quadratic extension.
 """
 
 from .scalars import Scalar, scalar_sqrt
-from .poly import LaurentPoly, PointP, VarSet, express_in_span, divides
-from .linalg import Matrix, eigen_small, kernel_basis, solve_linear
+from .poly import LaurentPoly, PointP, VarSet, divides
+from .linalg import Matrix, eigen_small, kernel_basis
 from .brackets import (
     Exact,
     PoissonPresentation,
@@ -17,9 +17,6 @@ from .brackets import (
     SubstitutionMap,
     Table,
     bracket,
-    bracket_via_jacobian,
-    hamiltonian,
-    is_poisson_central,
     verify_jacobi,
     verify_poisson_map,
 )
@@ -40,10 +37,8 @@ from .lie import (
 from .classify import (
     LieRecognition,
     Sl2Triple,
-    derived_series,
     find_sl2_triple,
     homogeneity_report,
-    is_solvable,
     recognize,
     recognize_points,
 )

@@ -1,4 +1,4 @@
-"""Poisson brackets on a presentation: evaluation, Jacobi, maps, centrality.
+"""Poisson brackets on a presentation: evaluation, Jacobi and Poisson maps.
 
 A bracket is specified on the generators and extended to arbitrary elements as
 a biderivation:
@@ -8,9 +8,9 @@ a biderivation:
 It is evaluated one pair of terms at a time: c*x^a in p and d*x^b in q add
 c*d*(a_i b_j - a_j b_i) * x^(a+b-e_i-e_j) * {x_i, x_j} for each i < j.
 
-Exact brackets on three variables admit a second, independent evaluation route
-through the Jacobian determinant of (f, p, q); both are exposed and the test
-suite cross-validates them.
+On three variables an exact bracket is also the Jacobian determinant
+det d(f, p, q)/d(x, y, z), a second route that the test suite checks this one
+against.
 """
 
 from __future__ import annotations
@@ -137,11 +137,22 @@ class PoissonPresentation:
         return self.bracket_spec.varset
 
     def __post_init__(self):
-        if isinstance(self.bracket_spec, (Exact, Scaled)) and len(self.varset) != 3:
+        """Refuse a potential off three variables, a relation over other
+        variables and a table that fails Jacobi.
+
+        An exact or scaled bracket needs no check.  On three variables the
+        bracket a*{-,-}_f is dual to the 1-form w = a*df, and its Jacobi
+        identity is w ^ dw = 0; here w ^ dw = a*df ^ (da ^ df) = 0 for every a
+        and f, Laurent ones included, as df appears twice.
+        """
+        potential = isinstance(self.bracket_spec, (Exact, Scaled))
+        if potential and len(self.varset) != 3:
             raise ValueError("exact/scaled brackets need exactly 3 variables")
         for r in self.relations:
             if r.varset != self.varset:
                 raise VarSetMismatchError("relation over a different variable set")
+        if potential:
+            return
         report = verify_jacobi(self.bracket_spec)
         if not report.ok:
             raise LieStructureError(
@@ -171,24 +182,6 @@ def bracket(spec: BracketSpec, p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
                         acc = out.get(exps)
                         out[exps] = k * e if acc is None else acc + k * e
     return LaurentPoly._raw(p.varset, {m: v for m, v in out.items() if not v.is_zero})
-
-
-def bracket_via_jacobian(spec, p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """Independent route for Exact/Scaled: det of the Jacobian of (f, p, q)."""
-    if isinstance(spec, Exact):
-        f, mult = spec.potential, None
-    elif isinstance(spec, Scaled):
-        f, mult = spec.potential, spec.multiplier
-    else:
-        raise TypeError("jacobian route applies to Exact/Scaled only")
-    names = p.varset.names
-    rows = [[g.partial(n) for n in names] for g in (f, p, q)]
-    det = (
-        rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-        - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-        + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
-    )
-    return det if mult is None else mult * det
 
 
 @dataclass
@@ -304,18 +297,3 @@ def verify_poisson_map(
         m._reports[key] = MapReport(not failures, failures)
     return m._reports[key]
 
-
-def is_poisson_central(spec: BracketSpec, p: LaurentPoly) -> bool:
-    varset = p.varset
-    return all(
-        bracket(spec, LaurentPoly.variable(varset, n), p).is_zero
-        for n in varset.names
-    )
-
-
-def hamiltonian(spec: BracketSpec, a: LaurentPoly) -> dict:
-    """The derivation {a, -} materialized on generators: name -> {a, x_k}."""
-    varset = a.varset
-    return {
-        n: bracket(spec, a, LaurentPoly.variable(varset, n)) for n in varset.names
-    }

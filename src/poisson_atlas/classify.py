@@ -31,14 +31,10 @@ from .linalg import (
 from .scalars import Scalar, ZERO, ONE, common_domain, sqrt_in_field
 
 
-def _bracket_span(lie: LieAlgebra, left, right=None):
-    """Basis of span{[u, v] : u in left, v in right}.  With no `right` it is
-    [left, left], read off each unordered pair once: [v, u] = -[u, v] and
-    [u, u] = 0 add nothing to the span."""
-    if right is None:
-        vectors = [lie.bracket(u, v) for a, u in enumerate(left) for v in left[a + 1 :]]
-    else:
-        vectors = [lie.bracket(u, v) for u in left for v in right]
+def _bracket_span(lie: LieAlgebra, span):
+    """Basis of [span, span], read off each unordered pair once: [v, u] = -[u, v]
+    and [u, u] = 0 add nothing to it."""
+    vectors = [lie.bracket(u, v) for a, u in enumerate(span) for v in span[a + 1 :]]
     return list(row_space_basis(vectors))
 
 
@@ -50,15 +46,6 @@ def _derived_spans(lie: LieAlgebra):
         spans.append(nxt)
         if len(nxt) == 0 or len(nxt) == len(spans[-2]):
             return spans
-
-
-def derived_series(lie: LieAlgebra):
-    """Dimensions L >= [L,L] >= ... until zero or stable."""
-    return [len(span) for span in _derived_spans(lie)]
-
-
-def is_solvable(lie: LieAlgebra) -> bool:
-    return derived_series(lie)[-1] == 0
 
 
 def derived_subalgebra(lie: LieAlgebra):

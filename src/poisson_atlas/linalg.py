@@ -5,11 +5,10 @@ Everything is exact over the scalar field (Q or one quadratic extension),
 and there is one elimination: `IncrementalSpan`, an echelon span on sparse
 rows of vectors and of polynomials (`LaurentPoly.terms` dicts).  It keeps
 coordinates only on the vectors added with a tag, which is how `lie` solves
-modulo J^2 and `poly.express_in_span` expresses a target, and its `basis` is
-the reduced row echelon form.  `rref`, `rank`, `row_space_basis`,
-`kernel_basis` (read off the reduced rows at the free columns), `coordinates`
-(basis vector k tagged k, so a dependent one gets 0), `solve_linear` and
-`relation_test` (coefficient vectors tested on the columns at the span's
+modulo J^2, and its `basis` is the reduced row echelon form.  `rref`, `rank`,
+`row_space_basis`, `kernel_basis` (read off the reduced rows at the free
+columns), `coordinates` (basis vector k tagged k, so a dependent one gets 0)
+and `relation_test` (coefficient vectors tested on the columns at the span's
 leads) are views of one span; `restrict_action` (matrices on an invariant
 subspace) and `closure` (the smallest span holding some seeds and stable
 under linear maps) are built on it.  eigen_small factors
@@ -68,10 +67,6 @@ class Matrix:
     @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix._raw(tuple(unit_vector(n, i) for i in range(n)))
-
-    @staticmethod
-    def zeros(r: int, c: int) -> "Matrix":
-        return Matrix([[ZERO] * c for _ in range(r)])
 
     @property
     def nrows(self):
@@ -207,13 +202,6 @@ def rank(rows) -> int:
     return IncrementalSpan(rows).rank
 
 
-def solve_linear(matrix, rhs):
-    """One exact solution of M x = b, its free coordinates 0, or None if
-    inconsistent: the coordinates of b on the columns of M."""
-    coords = coordinates(list(zip(*matrix)), [rhs])
-    return None if coords is None else coords[0]
-
-
 def kernel_basis(matrix):
     """Basis of the null space, one vector per free column, pivot-normalized."""
     span = IncrementalSpan(matrix)
@@ -237,8 +225,8 @@ def coordinates(basis, vectors):
     vectors, basis vector k tagged k.
 
     None when some vector lies outside the span.  For a dependent basis every
-    free coordinate is 0, as `solve_linear` gives: a basis vector that adds
-    nothing to the span gets no coordinate.
+    free coordinate is 0: a basis vector that adds nothing to the span gets no
+    coordinate.
     """
     span = IncrementalSpan()
     for k, v in enumerate(basis):
@@ -452,12 +440,6 @@ class EigenResult:
     def __init__(self, pairs, discriminant):
         self.pairs = pairs  # list of (eigenvalue, multiplicity, [eigenvectors])
         self.discriminant = discriminant  # 0 when everything stayed rational
-
-    def eigenvalues(self):
-        out = []
-        for value, mult, _ in self.pairs:
-            out.extend([value] * mult)
-        return out
 
 
 def _spectral_bound(m: Matrix) -> int:

@@ -152,20 +152,9 @@ class PoissonModule:
     def dim(self) -> int:
         return self.mats[0].nrows
 
-    def assoc_of(self, p: LaurentPoly) -> Scalar:
-        return p.evaluate(self.point)
-
     def action_of(self, p: LaurentPoly) -> Matrix:
         """The Lie action of p: rho of its gradient at the point."""
         return linear_combination(p.linear_part(self.point)[1], self.mats, self.dim, self.dim)
-
-    def perturbed(self, gen_index: int, row: int, col: int) -> "PoissonModule":
-        """Copy with +1 added to one action-matrix entry (for mutation tests)."""
-        mats = list(self.mats)
-        rows = [list(r) for r in mats[gen_index].rows]
-        rows[row][col] = rows[row][col] + ONE
-        mats[gen_index] = Matrix(rows)
-        return PoissonModule(self.pres, self.point, tuple(mats))
 
 
 def sl2_irrep(lie: LieAlgebra, d: int, triple: Sl2Triple, radical=()) -> LieRep:

@@ -4,8 +4,7 @@ Terms are stored as a dict from exponent tuples to nonzero Scalars, so equality
 is syntactic on canonical forms.  Negative exponents are admitted only at
 positions whose variable carries the Laurent flag.  The display order is
 graded-lexicographic (total degree first, then exponent tuple), fixed globally
-so report output is byte-stable.  Span solving is `linalg.IncrementalSpan` on
-the terms dicts; `express_in_span` tags each basis member with its index.
+so report output is byte-stable.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import LaurentViolationError, VarSetMismatchError
-from .linalg import IncrementalSpan
 from .scalars import Scalar, ZERO, ONE
 
 
@@ -461,24 +459,6 @@ class PointP:
 
     def __str__(self):
         return "(" + ", ".join(str(v) for v in self.values) + ")"
-
-
-def express_in_span(target: LaurentPoly, basis) -> tuple | None:
-    """Exact coefficients c with sum c_i * basis_i == target, or None.
-
-    Each basis member that is a combination of the ones before it, the zero
-    polynomial among them, gets the coefficient 0; the others are then
-    unique.
-    """
-    basis = list(basis)
-    for b in basis:
-        if b.varset != target.varset:
-            raise VarSetMismatchError("basis over a different variable set")
-    span = IncrementalSpan()
-    for i, b in enumerate(basis):
-        span.add(b.terms, i)
-    coords = span.coordinates(target.terms)
-    return None if coords is None else tuple(coords.get(i, ZERO) for i in range(len(basis)))
 
 
 def divides(divisor: LaurentPoly, p: LaurentPoly):

@@ -33,7 +33,7 @@ from .brackets import (
     SubstitutionMap,
     Table,
 )
-from .errors import LaurentViolationError, ParseError, VarSetMismatchError
+from .errors import AtlasError, LaurentViolationError, ParseError, VarSetMismatchError
 from .poly import LaurentPoly, PointP, VarSet, report_coeff, signed_sum, term_text
 from .scalars import Scalar, format_scalar, scalar_sqrt
 
@@ -111,8 +111,10 @@ class EmbedClause:
         return SubstitutionMap.from_dict(self.sub_varset, self.images)
 
     def sub_presentation(self) -> PoissonPresentation:
+        """AtlasError when the block has no bracket: the file parses, but the
+        embedding cannot be restricted along."""
         if self.sub_bracket is None:
-            raise ParseError(f"embed {self.name} carries no sub-presentation bracket")
+            raise AtlasError(f"embedding {self.name!r} carries no sub-presentation bracket")
         return PoissonPresentation(self.sub_bracket, self.sub_relations)
 
 

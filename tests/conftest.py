@@ -1,6 +1,18 @@
 import pytest
 
-from poisson_atlas import Exact, LaurentPoly, PoissonPresentation, VarSet
+from poisson_atlas import (
+    Exact,
+    LaurentPoly,
+    LieAlgebra,
+    Matrix,
+    PoissonModule,
+    PoissonPresentation,
+    Scaled,
+    VarSet,
+)
+from poisson_atlas.classify import _derived_spans
+from poisson_atlas.errors import VarSetMismatchError
+from poisson_atlas.linalg import IncrementalSpan, coordinates
 from poisson_atlas.modules import SplitMix
 from poisson_atlas.scalars import Scalar
 
@@ -111,3 +123,63 @@ def rref_coordinates(basis, vectors):
         for coords, x in zip(out, row[k:]):
             coords[c] = x
     return [tuple(coords) for coords in out]
+
+
+# -- independent routes and mutants that the tests compare src/ against --
+
+
+def bracket_via_jacobian(spec, p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """Independent route for Exact/Scaled: det of the Jacobian of (f, p, q)."""
+    if isinstance(spec, Exact):
+        f, mult = spec.potential, None
+    elif isinstance(spec, Scaled):
+        f, mult = spec.potential, spec.multiplier
+    else:
+        raise TypeError("jacobian route applies to Exact/Scaled only")
+    names = p.varset.names
+    rows = [[g.partial(n) for n in names] for g in (f, p, q)]
+    det = (
+        rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
+        - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
+        + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0])
+    )
+    return det if mult is None else mult * det
+
+
+def solve_linear(matrix, rhs):
+    """One exact solution of M x = b, its free coordinates 0, or None if
+    inconsistent: the coordinates of b on the columns of M."""
+    coords = coordinates(list(zip(*matrix)), [rhs])
+    return None if coords is None else coords[0]
+
+
+def express_in_span(target: LaurentPoly, basis) -> tuple | None:
+    """Exact coefficients c with sum c_i * basis_i == target, or None.
+
+    Each basis member that is a combination of the ones before it, the zero
+    polynomial among them, gets the coefficient 0; the others are then
+    unique.
+    """
+    basis = list(basis)
+    for b in basis:
+        if b.varset != target.varset:
+            raise VarSetMismatchError("basis over a different variable set")
+    span = IncrementalSpan()
+    for i, b in enumerate(basis):
+        span.add(b.terms, i)
+    coords = span.coordinates(target.terms)
+    return None if coords is None else tuple(coords.get(i, ZERO) for i in range(len(basis)))
+
+
+def derived_series(lie: LieAlgebra):
+    """Dimensions L >= [L,L] >= ... until zero or stable."""
+    return [len(span) for span in _derived_spans(lie)]
+
+
+def perturbed(module: PoissonModule, gen_index: int, row: int, col: int) -> PoissonModule:
+    """Copy with +1 added to one action-matrix entry (for mutation tests)."""
+    mats = list(module.mats)
+    rows = [list(r) for r in mats[gen_index].rows]
+    rows[row][col] = rows[row][col] + ONE
+    mats[gen_index] = Matrix(rows)
+    return PoissonModule(module.pres, module.point, tuple(mats))

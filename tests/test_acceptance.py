@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import perturbed
 from poisson_atlas import (
     Exact,
     LaurentPoly,
@@ -359,7 +360,7 @@ def test_criterion_10_mutation_robustness():
         g = rng.below(len(module.mats))
         r = rng.below(module.dim)
         c = rng.below(module.dim)
-        report = verify_poisson_axioms(module.perturbed(g, r, c), TRIALS, SEED)
+        report = verify_poisson_axioms(perturbed(module, g, r, c), TRIALS, SEED)
         ok = ok and (not report.ok) and bool(report.failures)
     announce(10, ok, "20 seeded +1 perturbations across 3 catalog modules all detected")
 

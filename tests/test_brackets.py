@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_poly
+from conftest import bracket_via_jacobian, random_poly
 from poisson_atlas import (
     Exact,
     LaurentPoly,
@@ -16,9 +16,6 @@ from poisson_atlas import (
     Table,
     VarSet,
     bracket,
-    bracket_via_jacobian,
-    hamiltonian,
-    is_poisson_central,
     lie_from_point,
     verify_jacobi,
     verify_poisson_map,
@@ -208,6 +205,46 @@ def test_verify_jacobi_pass(xyz, xyz_laurent):
     assert verify_jacobi(Scaled(2 * lz, lx * ly + lz + lz**-1)).ok
 
 
+@st.composite
+def _potential_brackets(draw):
+    """(a, f) on three variables, some of them Laurent, with coefficients in Q
+    or in Q(sqrt(-1)) and exponents down to -2 at a Laurent variable."""
+    d = draw(st.sampled_from([0, -1]))
+    scalar = st.builds(
+        lambda a, b, q: Scalar(Fraction(a, q), Fraction(b, q) if d else 0, d),
+        st.integers(-3, 3), st.integers(-2, 2), st.integers(1, 3),
+    )
+    names = ("x", "y", "z")
+    vs = VarSet(names, tuple(v for v in names if draw(st.booleans())))
+    exps = st.tuples(*(st.integers(-2 if flag else 0, 3) for flag in vs.laurent))
+
+    def poly(max_size):
+        return LaurentPoly(vs, draw(st.dictionaries(exps, scalar, max_size=max_size)))
+
+    return poly(3), poly(5)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_potential_brackets())
+def test_exact_and_scaled_brackets_satisfy_jacobi(case):
+    """A presentation runs no Jacobi check on an exact or scaled bracket, as
+    a*{-,-}_f is Poisson for every a and f on three variables: the check
+    passes on every drawn pair, constants and 0 among them."""
+    a, f = case
+    assert verify_jacobi(Exact(f)).ok
+    assert verify_jacobi(Scaled(a, f)).ok
+
+
+def test_only_a_table_presentation_runs_the_jacobi_check(xyz, monkeypatch):
+    vs, x, y, z = xyz
+    checked = []
+    monkeypatch.setattr(
+        brackets, "verify_jacobi", lambda spec: checked.append(spec) or JacobiReport(True))
+    for spec in _spec_of_each_kind(vs, x, y, z):
+        PoissonPresentation(spec)
+    assert [type(spec) for spec in checked] == [Table, Table]
+
+
 def test_verify_jacobi_fail_with_witness(xyz):
     vs, x, y, z = xyz
     bad = Table.from_dict(
@@ -388,23 +425,23 @@ def test_poisson_map_failure_reported(torus_pres):
 
 
 def test_poisson_central(xyz):
+    """p is Poisson-central when {x_k, p} = 0 for every generator x_k."""
     vs, x, y, z = xyz
     f = z * z - x * y
     spec = Exact(f)
-    assert is_poisson_central(spec, f)
-    assert is_poisson_central(spec, LaurentPoly.const(vs, 1))
-    assert not is_poisson_central(spec, x)
+    for p in (f, LaurentPoly.const(vs, 1)):
+        assert all(bracket(spec, g, p).is_zero for g in (x, y, z))
+    assert not bracket(spec, y, x).is_zero
 
 
 def test_hamiltonian(xyz):
     vs, x, y, z = xyz
     f = z * z - x * y
     spec = Exact(f)
-    # ham(a) = {a, -} per the definition; {z, x} = -x and {z, y} = y
-    ham_z = hamiltonian(spec, z)
-    assert ham_z == {"x": -x, "y": y, "z": LaurentPoly.zero(vs)}
-    assert all(v.is_zero for v in hamiltonian(spec, LaurentPoly.const(vs, 1)).values())
-    assert all(v.is_zero for v in hamiltonian(spec, f).values())
+    # ham(a) = {a, -} on the generators; {z, x} = -x and {z, y} = y
+    assert [bracket(spec, z, g) for g in (x, y, z)] == [-x, y, LaurentPoly.zero(vs)]
+    for a in (LaurentPoly.const(vs, 1), f):
+        assert all(bracket(spec, a, g).is_zero for g in (x, y, z))
 
 
 def _spec_of_each_kind(vs, x, y, z):
@@ -432,7 +469,7 @@ def test_pair_table_is_built_once_and_read_only(xyz, monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(type(spec), "_pair", counted)
-            pres = PoissonPresentation(spec)  # runs the Jacobi check
+            pres = PoissonPresentation(spec)  # a table's Jacobi check reads the pairs
             first = spec.pairs
             assert list(first) == [(0, 1), (0, 2), (1, 2)]
             assert first is spec.pairs is pres.bracket_spec.pairs

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import rref_coordinates
+from conftest import derived_series, rref_coordinates
 from poisson_atlas import (
     Exact,
     LaurentPoly,
@@ -16,12 +16,10 @@ from poisson_atlas import (
     Table,
     VarSet,
     catalog_names,
-    derived_series,
     find_poisson_maximal,
     find_sl2_triple,
     get_entry,
     homogeneity_report,
-    is_solvable,
     lie_from_point,
     recognize,
     recognize_points,
@@ -30,7 +28,6 @@ from poisson_atlas.classify import (
     HomogeneityReport,
     LieRecognition,
     Sl2Triple,
-    _bracket_span,
     _candidate_elements,
     _canonical_eigvec,
     _derived_spans,
@@ -88,12 +85,12 @@ def whitney_lie(alpha):
 
 def test_derived_series_whitney():
     assert derived_series(whitney_lie(1)) == [3, 2, 0]
-    assert is_solvable(whitney_lie(1))
+    assert recognize(whitney_lie(1)).is_solvable_type
 
 
 def test_derived_series_sl2():
     assert derived_series(SL2) == [3, 3]
-    assert not is_solvable(SL2)
+    assert not recognize(SL2).is_solvable_type
 
 
 def test_derived_series_abelian():
@@ -315,6 +312,11 @@ def test_homogeneity_continuum(xyz):
     formula = rep.count_formula()
     assert formula["d >= 2"] == 0
     assert "continuum" in formula["d = 1"]
+
+
+def _bracket_span(lie, left, right):
+    """Basis of span{[u, v] : u in left, v in right}."""
+    return list(row_space_basis([lie.bracket(u, v) for u in left for v in right]))
 
 
 def _lower_central_series(lie):

@@ -145,6 +145,18 @@ def test_bad_embed_head_exits_2(tmp_path, capsys):
     assert "parse error: line 1, col 48: duplicate variable names" in capsys.readouterr().err
 
 
+def test_restrict_along_an_embed_without_a_bracket_is_an_error(tmp_path, capsys):
+    """The file parses, so an embed block with no bracket clause is an error
+    (exit 1) that names the embedding, not a parse error without a line."""
+    path = tmp_path / "nobracket.pat"
+    path.write_text("vars x, y, z; bracket exact f = x*y*z; embed e(u) { u -> x; };")
+    code, out = run(["restrict", str(path), "--embed", "e", "--point", "(0,0,0)", "--dim", "1"])
+    err = capsys.readouterr().err
+    assert (code, out) == (1, "")
+    assert err == "error: embedding 'e' carries no sub-presentation bracket\n"
+    assert "Traceback" not in err
+
+
 def test_restrict_along_a_reserialized_table_embed(tmp_path):
     from poisson_atlas import parse_presentation, serialize_presentation
 

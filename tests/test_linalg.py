@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rref_coordinates, rref_kernel, rref_reference
+from conftest import rref_coordinates, rref_kernel, rref_reference, solve_linear
 from poisson_atlas import linalg
 from poisson_atlas.errors import ExtensionRequiredError
 from poisson_atlas.lie import LieAlgebra
@@ -20,7 +20,6 @@ from poisson_atlas.linalg import (
     rank,
     relation_test,
     rref,
-    solve_linear,
 )
 from poisson_atlas.modules import SplitMix
 from poisson_atlas.scalars import Scalar
@@ -160,7 +159,7 @@ def test_eigen_even_polynomial_same_extension():
     m = Matrix([[0, -4, 0, 0], [1, 0, 0, 0], [0, 0, 0, -16], [0, 0, 1, 0]])
     result = eigen_small(m)
     assert result.discriminant == -1
-    assert len(result.eigenvalues()) == 4
+    assert sum(mult for _, mult, _ in result.pairs) == 4
 
 
 def test_eigen_has_no_dimension_cap():
@@ -327,7 +326,7 @@ def _combinations(draw):
 @given(_combinations())
 def test_linear_combination_matches_the_scale_chain(case):
     coeffs, mats, nrows, ncols = case
-    want = Matrix.zeros(nrows, ncols)
+    want = Matrix([[0] * ncols for _ in range(nrows)])
     for c, m in zip(coeffs, mats):
         want = want + m.scale(c)
     got = linear_combination(coeffs, mats, nrows, ncols)

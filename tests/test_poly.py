@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_poly, rref_coordinates
-from poisson_atlas import LaurentPoly, PointP, VarSet, divides, express_in_span
+from conftest import express_in_span, random_poly, rref_coordinates
+from poisson_atlas import LaurentPoly, PointP, VarSet, divides
 from poisson_atlas.errors import LaurentViolationError, VarSetMismatchError
 from poisson_atlas.modules import SplitMix
 from poisson_atlas.poly import term_sort_key

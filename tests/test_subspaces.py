@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rref_coordinates, rref_kernel
+from conftest import rref_coordinates, rref_kernel, solve_linear
 from poisson_atlas.errors import AtlasError
 from poisson_atlas.lie import LieAlgebra
 from poisson_atlas import linalg, modules
@@ -24,7 +24,6 @@ from poisson_atlas.linalg import (
     rank,
     restrict_action,
     row_space_basis,
-    solve_linear,
     trace_product,
     unit_vector,
     weight_graph,
@@ -298,7 +297,7 @@ def _modules(draw):
         corner = [
             Matrix([_vector(draw, entry, q_dim) for _ in range(p_dim)])
             if shape == "extension"
-            else Matrix.zeros(p_dim, q_dim)
+            else Matrix([[0] * q_dim for _ in range(p_dim)])
             for _ in range(3)
         ]
         mats = [block(a, b, c) for a, b, c in zip(irrep(p_dim), irrep(q_dim), corner)]
@@ -695,7 +694,7 @@ def _weight_basis_modules(draw):
     corner = [
         Matrix([_vector(draw, entry, q_dim) for _ in range(p_dim)])
         if shape == "extension" and k != 1
-        else Matrix.zeros(p_dim, q_dim)
+        else Matrix([[0] * q_dim for _ in range(p_dim)])
         for k in range(3)
     ]
     mats = [block(a, b, c) for a, b, c in zip(irrep(p_dim), irrep(q_dim), corner)]
