@@ -60,7 +60,7 @@ from .modules import (
     twist,
     verify_poisson_axioms,
 )
-from .catalog import CatalogEntry, get_entry, run_entry, run_all, catalog_names
+from .catalog import CatalogEntry, get_entry, run_entry, catalog_names
 from .presfile import parse_presentation, serialize_presentation
 
 __version__ = "0.1.0"

@@ -213,9 +213,11 @@ class Context:
         return self.memo(("triple", pt), lambda: find_sl2_triple(self.lie(pt), self.rec(pt)))
 
     def irrep(self, at, d: int):
-        """The d-dimensional simple g(J)-module, built on the sl2-triple."""
+        """The d-dimensional simple g(J)-module, built on the sl2-triple; the
+        radical acts by zero."""
         pt = self.point(at)
-        return self.memo(("irrep", pt, d), lambda: sl2_irrep(self.lie(pt), d, self.triple(pt)))
+        return self.memo(("irrep", pt, d), lambda: sl2_irrep(
+            self.lie(pt), d, self.triple(pt), self.rec(pt).radical_basis))
 
     def lift(self, at, d: int):
         """The d-dimensional simple Poisson module annihilated by J."""
@@ -385,9 +387,9 @@ def _leaves(lambdas, per=None, detail=None):
     """The singular points lie on the leaves f = lam for exactly `lambdas`."""
 
     def fact(ctx, cfg):
-        rep = leaf_report(ctx.pres, ctx.entry.box)
-        lam = [str(s) for s in rep.singular_lambdas]
-        counts = {str(k): len(v) for k, v in rep.points_by_lambda.items()}
+        by_lambda = leaf_report(ctx.pres, ctx.ideals)
+        lam = [str(s) for s in by_lambda]
+        counts = {str(k): len(v) for k, v in by_lambda.items()}
         ok = lam == lambdas and (per is None or counts == per)
         return ok, detail or f"singular lambdas {lam}, points per lambda {counts}"
 
@@ -1365,8 +1367,3 @@ def get_entry(name: str) -> CatalogEntry:
     if n < least:
         raise AtlasError(f"{base} needs n >= {least}")
     return builder(n)
-
-
-def run_all(config: RunConfig | None = None):
-    """Run every catalog entry; returns the list of EntryReports."""
-    return [run_entry(get_entry(name), config) for name in catalog_names()]

@@ -3,8 +3,10 @@
 Reports are deterministic for fixed inputs and seed: text format for humans,
 machine format as greppable `key = value` lines under the version header
 `poisson-atlas-report v1`, with scalars rendered exactly (`p/q`,
-`a+b*sqrt(d)`).  Exit codes: 0 success, 1 failed verification, 2 parse error,
-3 unsupported computation (e.g. an extension beyond quadratic).
+`a+b*sqrt(d)`).  Each subcommand returns its report and `main` alone prints it.
+Exit codes: 0 success, 1 a report with status `fail` (a failed verification or
+catalog fact) or an error, 2 parse error, 3 unsupported computation (e.g. an
+extension beyond quadratic).
 """
 
 from __future__ import annotations
@@ -121,6 +123,12 @@ def _box_flags(parser):
     return parser
 
 
+def _box_points(pf, pres, args):
+    """The Poisson points of the search box `--box-num`/`--box-den` plus the
+    file's `point` clauses, in order."""
+    return find_poisson_maximal(pres, SearchBox(args.box_num, args.box_den, tuple(pf.points)))
+
+
 def _module_at(pf, pres, args):
     """(point, module, recognition): the canonical simple module of dimension
     `--dim` at `--point`, a `--character` for solvable g(J).  Where the Levi
@@ -149,40 +157,40 @@ def _module_at(pf, pres, args):
     return point, solvable_character_module(pres, point, beta), rec
 
 
-def cmd_ideals(args) -> int:
+def cmd_ideals(args) -> Report:
     pf, pres = _load_file(args.file)
     report = Report("ideals")
     report.add("file", args.file)
-    box = SearchBox(args.box_num, args.box_den, tuple(pf.points))
-    points = find_poisson_maximal(pres, box)
+    points = _box_points(pf, pres, args)
     potential = _potential_of(pres)
     report.add("ideal.count", len(points))
     for k, pt in enumerate(points, 1):
         report.add(f"ideal.{k}.point", pt)
         if potential is not None:
             report.add(f"ideal.{k}.lambda", potential.evaluate(pt))
-    print(report.render(args.format), end="")
-    return 0
+    return report
 
 
-def cmd_leaves(args) -> int:
+def cmd_leaves(args) -> Report:
     pf, pres = _load_file(args.file)
     if _potential_of(pres) is None:
         raise AtlasError("leaves needs an exact or scaled bracket (one with a potential)")
     report = Report("leaves")
     report.add("file", args.file)
-    rep = leaf_report(pres, SearchBox(args.box_num, args.box_den, tuple(pf.points)))
-    report.add("singular.lambdas", ", ".join(str(s) for s in rep.singular_lambdas))
-    for lam in rep.singular_lambdas:
-        pts = rep.points_by_lambda[lam]
+    by_lambda = leaf_report(pres, _box_points(pf, pres, args))
+    lambdas = ", ".join(str(lam) for lam in by_lambda)
+    report.add("singular.lambdas", lambdas)
+    for lam, pts in by_lambda.items():
         report.add(f"singular.{lam}.points", "; ".join(str(p) for p in pts))
-    for line in rep.strata_description():
-        report.add("stratum", line)
-    print(report.render(args.format), end="")
-    return 0
+    report.add("stratum", f"smooth surfaces: S_lambda for lambda outside {{{lambdas}}}")
+    for lam, pts in by_lambda.items():
+        listed = ", ".join(str(p) for p in pts)
+        report.add("stratum", f"punctured singular surface: S_{lam} minus {{{listed}}}")
+        report.add("stratum", f"singular points on S_{lam}: {listed}")
+    return report
 
 
-def cmd_lie(args) -> int:
+def cmd_lie(args) -> Report:
     pf, pres = _load_file(args.file)
     point = _flag_value(pf, "--point", args.point, _Parser.parse_point)
     lie = lie_from_point(pres, point)
@@ -194,16 +202,14 @@ def cmd_lie(args) -> int:
             f"bracket.[{lie.labels[i]},{lie.labels[j]}]",
             lincomb_text(lie.labels, row),
         )
-    print(report.render(args.format), end="")
-    return 0
+    return report
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> Report:
     pf, pres = _load_file(args.file)
     report = Report("classify")
     report.add("file", args.file)
-    box = SearchBox(args.box_num, args.box_den, tuple(pf.points))
-    points = find_poisson_maximal(pres, box)
+    points = _box_points(pf, pres, args)
     report.add("ideal.count", len(points))
     lines = {}  # id of a shared recognition -> its report records
     for k, (pt, rec) in enumerate(zip(points, recognize_points(pres, points)), 1):
@@ -217,11 +223,10 @@ def cmd_classify(args) -> int:
         report.add(f"ideal.{k}.point", pt)
         for key, value in records:
             report.add(f"ideal.{k}.{key}", value)
-    print(report.render(args.format), end="")
-    return 0
+    return report
 
 
-def cmd_module(args) -> int:
+def cmd_module(args) -> Report:
     pf, pres = _load_file(args.file)
     point, module, rec = _module_at(pf, pres, args)
     report = Report("module")
@@ -231,11 +236,10 @@ def cmd_module(args) -> int:
     for name, mat in zip(pres.varset.names, module.mats):
         report.add(f"action.{name}", _matrix_text(mat))
     report.add("simple", is_simple_module(module))
-    print(report.render(args.format), end="")
-    return 0
+    return report
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Report:
     pf, pres = _load_file(args.file)
     point, module, _ = _module_at(pf, pres, args)
     result = verify_poisson_axioms(module, args.trials, args.seed)
@@ -251,11 +255,10 @@ def cmd_verify(args) -> int:
         report.fail()
         for axiom, witness in result.failures:
             report.add("violation", f"{axiom}: {witness}")
-    print(report.render(args.format), end="")
-    return 0 if result.ok else 1
+    return report
 
 
-def cmd_twist(args) -> int:
+def cmd_twist(args) -> Report:
     pf, pres = _load_file(args.file)
     if args.auto not in pf.autos:
         raise AtlasError(f"no automorphism named {args.auto!r} in the file")
@@ -268,11 +271,10 @@ def cmd_twist(args) -> int:
     report.add("simple.preserved", is_simple_module(twisted) == is_simple_module(module))
     for name, mat in zip(pres.varset.names, twisted.mats):
         report.add(f"action.{name}", _matrix_text(mat))
-    print(report.render(args.format), end="")
-    return 0
+    return report
 
 
-def cmd_restrict(args) -> int:
+def cmd_restrict(args) -> Report:
     pf, pres = _load_file(args.file)
     if args.embed not in pf.embeds:
         raise AtlasError(f"no embedding named {args.embed!r} in the file")
@@ -295,16 +297,14 @@ def cmd_restrict(args) -> int:
         report.add("semisimple", "no")
     else:
         report.add("semisimple", "lattice not fully enumerated")
-    print(report.render(args.format), end="")
-    return 0
+    return report
 
 
-def cmd_homogeneity(args) -> int:
+def cmd_homogeneity(args) -> Report:
     pf, pres = _load_file(args.file)
     report = Report("homogeneity")
     report.add("file", args.file)
-    box = SearchBox(args.box_num, args.box_den, tuple(pf.points))
-    points = find_poisson_maximal(pres, box)
+    points = _box_points(pf, pres, args)
     relation = (_flag_value(pf, "--relation", args.relation, _Parser.parse_expr)
                 if args.relation else None)
     rep = homogeneity_report(pres, points, relation)
@@ -316,40 +316,28 @@ def cmd_homogeneity(args) -> int:
     for d, count in rep.count_formula().items():
         report.add(f"classes.{d}", count)
     report.add("verdict", rep.verdict)
-    print(report.render(args.format), end="")
-    return 0
+    return report
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args):
+    """The report of `list`, `run` or `run-all`; for `file`, the serialized text."""
     if args.action == "list":
         report = Report("catalog list")
         for name in catalog_names():
             report.add("entry", name)
-        print(report.render(args.format), end="")
-        return 0
+        return report
+    if args.action in ("file", "run") and not args.name:
+        raise AtlasError(f"catalog {args.action} needs an entry name")
     if args.action == "file":
-        if not args.name:
-            raise AtlasError("catalog file needs an entry name")
-        entry = get_entry(args.name)
-        pf = entry.presentation_file()
+        pf = get_entry(args.name).presentation_file()
         if pf is None:
             raise AtlasError(f"{args.name} has no ambient presentation to serialize")
-        print(serialize_presentation(pf), end="")
-        return 0
+        return serialize_presentation(pf)
     config = RunConfig(args.trials, args.seed)
-    if args.action == "run":
-        if not args.name:
-            raise AtlasError("catalog run needs an entry name")
-        names = [args.name]
-    elif args.action == "run-all":
-        names = catalog_names()
-    else:
-        raise AtlasError(f"unknown catalog action {args.action!r}")
     report = Report(f"catalog {args.action}")
     report.add("trials", config.trials)
     report.add("seed", config.seed)
-    all_ok = True
-    for name in names:
+    for name in [args.name] if args.action == "run" else catalog_names():
         entry_report = run_entry(get_entry(name), config)
         for result in entry_report.results:
             mark = "pass" if result.ok else "FAIL"
@@ -357,11 +345,9 @@ def cmd_catalog(args) -> int:
             report.add(f"{name}.{result.key}", f"{mark} [{result.cite}]{detail}")
         for note in entry_report.notes:
             report.add(f"{name}.note", note)
-        all_ok = all_ok and entry_report.ok
-    if not all_ok:
-        report.fail()
-    print(report.render(args.format), end="")
-    return 0 if all_ok else 1
+        if not entry_report.ok:
+            report.fail()
+    return report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,9 +398,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and print what it returns: a report, whose status
+    `fail` exits 1, or the text of `catalog file`."""
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        result = args.fn(args)
+        if isinstance(result, str):
+            print(result, end="")
+            return 0
+        print(result.render(args.format), end="")
+        return 1 if result.status == "fail" else 0
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

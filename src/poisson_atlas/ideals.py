@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -202,33 +202,14 @@ def relation_in_J_squared(pres: PoissonPresentation, r: LaurentPoly, pt: PointP)
     return value.is_zero and all(g.is_zero for g in grad)
 
 
-@dataclass
-class LeafReport:
-    """Symplectic-leaf partition data discovered inside the search box."""
-
-    singular_lambdas: list = field(default_factory=list)  # sorted Scalars
-    points_by_lambda: dict = field(default_factory=dict)  # Scalar -> [PointP]
-
-    def strata_description(self):
-        lines = []
-        lams = ", ".join(str(s) for s in self.singular_lambdas)
-        lines.append(f"smooth surfaces: S_lambda for lambda outside {{{lams}}}")
-        for lam in self.singular_lambdas:
-            pts = ", ".join(str(p) for p in self.points_by_lambda[lam])
-            lines.append(
-                f"punctured singular surface: S_{lam} minus {{{pts}}}"
-            )
-            lines.append(f"singular points on S_{lam}: {pts}")
-        return lines
-
-
-def leaf_report(pres: PoissonPresentation, box: SearchBox = SearchBox()) -> LeafReport:
-    """Partition report for a potential-based bracket (Exact or Scaled): the
-    found points grouped by lambda, the potential's value there."""
+def leaf_report(pres: PoissonPresentation, points) -> dict:
+    """The leaf partition of a potential-based bracket (Exact or Scaled):
+    `points` grouped by the potential's value there, {lambda: [points]} in
+    increasing lambda."""
     potential = _potential_of(pres)
     if potential is None:
         raise ValueError("leaf_report needs a potential-based bracket")
     by_lambda = {}
-    for pt in find_poisson_maximal(pres, box):
+    for pt in points:
         by_lambda.setdefault(potential.evaluate(pt), []).append(pt)
-    return LeafReport(sorted(by_lambda, key=Scalar.sort_key), by_lambda)
+    return {lam: by_lambda[lam] for lam in sorted(by_lambda, key=Scalar.sort_key)}

@@ -137,9 +137,6 @@ class LieAlgebra:
                     rows[k][j] = rows[k][j] + a * c
         return Matrix._raw(tuple(map(tuple, rows)))
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
     def change_basis(self, matrix: Matrix, labels=None) -> "LieAlgebra":
         """Structure constants in the basis whose vectors are the matrix columns.
 

@@ -146,7 +146,7 @@ def test_a_failing_derived_value_is_computed_once(monkeypatch):
     assert len(calls) == 1
     error = "error: RuntimeError: scan unavailable"
     for result in report.results:
-        if result.key in ("ideal_points", "recognition", "homogeneity"):
+        if result.key in ("ideal_points", "recognition", "homogeneity", "leaf_partition"):
             assert (result.ok, result.detail) == (False, error), result.key
         else:
             assert _fact_line("torus-so3", result) == GOLDEN[f"torus-so3.{result.key}"]
@@ -159,6 +159,21 @@ def test_a_context_keeps_one_point_per_coordinate_tuple():
     origin = ctx.point((0, 0, 0))
     assert ctx.point((0, 0, 0)) is origin and ctx.point(origin) is origin
     assert ctx.lift((0, 0, 0), 2).point is origin and ctx.lift(origin, 3).point is origin
+
+
+@pytest.mark.parametrize("name", ["weyl-a2", "weyl-b2", "weyl-g2"])
+def test_a_context_builds_irreps_of_an_sl2_semidirect_g(name):
+    """g of a Weyl-group quotient is sl2 semidirect an abelian radical: its
+    irreps are those of sl2, the radical acting by zero."""
+    from poisson_atlas.catalog import Context
+
+    ctx = Context(get_entry(name))
+    radical = ctx.rec().radical_basis
+    assert radical
+    for d in (1, 2, 3):
+        rep = ctx.irrep(None, d)  # LieRep checks every bracket
+        assert rep.dim == d
+        assert all(rep.rho(v).is_zero for v in radical)
 
 
 def test_lifted_modules_draws_one_set_of_trial_polynomials(monkeypatch):

@@ -22,6 +22,9 @@ INPUTS = ROOT / "perfbench" / "inputs"
 PINNED = json.loads((ROOT / "tests" / "pinned_reports.json").read_text(encoding="utf-8"))
 PINNED_CLASSIFY = [c for c in PINNED if c["argv"][0] == "classify"]
 PINNED_MODULE = [c for c in PINNED if c["argv"][0] == "module"]
+# `leaves` in both formats and one report of every other subcommand in the
+# default text format, on the committed catalog files
+PINNED_CLI = json.loads((ROOT / "tests" / "pinned_cli_reports.json").read_text(encoding="utf-8"))
 
 TORUS = """
 vars x, y, z;
@@ -532,6 +535,49 @@ def test_module_reports_are_pinned(case, monkeypatch):
     # weight-vector certificate
     monkeypatch.chdir(ROOT)
     assert run(case["argv"]) == (0, case["report"])
+
+
+@pytest.mark.parametrize(
+    "case", PINNED_CLI, ids=lambda c: "-".join(
+        [c["argv"][0], Path(c["argv"][1]).stem, "machine" if "machine" in c["argv"] else "text"]),
+)
+def test_cli_reports_are_pinned(case, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert run(case["argv"]) == (0, case["report"])
+    assert capsys.readouterr().err == ""
+
+
+def test_a_verify_violation_fails_the_report(monkeypatch, capsys):
+    """A failed axiom check is a report with its violations and status
+    `fail`, and `main` exits 1 for it."""
+    from poisson_atlas import cli
+    from poisson_atlas.modules import AxiomReport
+
+    failures = [("Leibniz", "a = x, b = y"), ("Jacobi", "a = y, b = z")]
+    monkeypatch.setattr(cli, "verify_poisson_axioms", lambda *args: AxiomReport(False, failures, 7))
+    code, out = run(["verify", str(INPUTS / "torus-so3.pa"), "--point", "(2, 2, 2)",
+                     "--dim", "2", "--format", "machine"])
+    assert code == 1
+    assert out.splitlines()[-4:] == [
+        "checks = 7",
+        "violation = Leibniz: a = x, b = y",
+        "violation = Jacobi: a = y, b = z",
+        "status = fail",
+    ]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["catalog", "run"], "catalog run needs an entry name"),
+    (["catalog", "file"], "catalog file needs an entry name"),
+    (["twist", str(INPUTS / "torus-so3.pa"), "--auto", "nosuch", "--point", "(2, 2, 2)",
+      "--dim", "2"], "no automorphism named 'nosuch' in the file"),
+    (["restrict", str(INPUTS / "kleinian-a1.pa"), "--embed", "nosuch", "--point", "(0,0,0)",
+      "--dim", "2"], "no embedding named 'nosuch' in the file"),
+], ids=["catalog-run", "catalog-file", "twist", "restrict"])
+def test_a_refused_request_prints_only_its_error(argv, message, capsys):
+    assert run(argv) == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # The sl2-type points of the catalog files: `classify` recognizes sl2 there.

@@ -1,7 +1,6 @@
 import dataclasses
 import itertools
 from fractions import Fraction
-from unittest.mock import patch
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -119,36 +118,33 @@ def test_relation_warns_off_poisson_point(torus_pres):
 
 
 def test_leaf_report_torus(torus_pres):
-    rep = leaf_report(torus_pres, SearchBox(3, 1))
-    assert [str(s) for s in rep.singular_lambdas] == ["0", "4"]
-    assert len(rep.points_by_lambda[Scalar(0)]) == 4
-    assert len(rep.points_by_lambda[Scalar(4)]) == 1
+    by_lambda = leaf_report(torus_pres, find_poisson_maximal(torus_pres, SearchBox(3, 1)))
+    assert [str(s) for s in by_lambda] == ["0", "4"]
+    assert len(by_lambda[Scalar(0)]) == 4
+    assert len(by_lambda[Scalar(4)]) == 1
 
 
 def test_leaf_report_a1(a1_pres):
-    rep = leaf_report(a1_pres, SearchBox(3, 1))
-    assert [str(s) for s in rep.singular_lambdas] == ["0"]
+    by_lambda = leaf_report(a1_pres, find_poisson_maximal(a1_pres, SearchBox(3, 1)))
+    assert [str(s) for s in by_lambda] == ["0"]
 
 
 def test_leaf_report_whitney(xyz):
     vs, x, y, z = xyz
     pres = PoissonPresentation(Exact(x * y * y - z * z))
     box = SearchBox(3, 1)
-    rep = leaf_report(pres, box)
-    assert [str(s) for s in rep.singular_lambdas] == ["0"]
+    by_lambda = leaf_report(pres, find_poisson_maximal(pres, box))
+    assert [str(s) for s in by_lambda] == ["0"]
     alphas = box.coordinate_values()
-    assert len(rep.points_by_lambda[Scalar(0)]) == len(alphas)
-    assert all(
-        p.values[1].is_zero and p.values[2].is_zero
-        for p in rep.points_by_lambda[Scalar(0)]
-    )
+    assert len(by_lambda[Scalar(0)]) == len(alphas)
+    assert all(p.values[1].is_zero and p.values[2].is_zero for p in by_lambda[Scalar(0)])
 
 
 def test_leaf_report_needs_potential():
     vs = VarSet(("x1", "x2"))
     pres = PoissonPresentation(Table(vs, ()))
     with pytest.raises(ValueError):
-        leaf_report(pres)
+        leaf_report(pres, [])
 
 
 def test_automorphism_preserves_poisson_points(torus_pres):
@@ -231,21 +227,19 @@ def _scan_reference(pres, box):
 
 def _assert_same_scan(pres, box):
     """The scan finds the reference's points, in order, and with a potential
-    `leaf_report` files each under the potential's value there; one scan."""
+    `leaf_report` files each under the potential's value there, in increasing
+    lambda."""
     want = _scan_reference(pres, box)
+    found = find_poisson_maximal(pres, box)
+    assert found == want
     if not isinstance(pres.bracket_spec, (Exact, Scaled)):
-        assert find_poisson_maximal(pres, box) == want
         return
-    scans, real = [], ideals_module.find_poisson_maximal
-    with patch.object(ideals_module, "find_poisson_maximal",
-                      lambda *args: scans.append(real(*args)) or scans[-1]):
-        rep = leaf_report(pres, box)
-    assert scans == [want]
     by_lambda = {}
     for pt in want:
         by_lambda.setdefault(pres.bracket_spec.potential.evaluate(pt), []).append(pt)
-    assert rep.points_by_lambda == by_lambda
-    assert rep.singular_lambdas == sorted(by_lambda, key=Scalar.sort_key)
+    got = leaf_report(pres, found)
+    assert got == by_lambda
+    assert list(got) == sorted(by_lambda, key=Scalar.sort_key)
 
 
 @pytest.mark.parametrize("name", catalog_names())
