@@ -72,7 +72,7 @@ from .modules import (
     verify_poisson_axioms,
 )
 from .poly import LaurentPoly, PointP, VarSet
-from .presfile import EmbedClause, PresentationFile, lincomb_text
+from .presfile import PresentationFile, lincomb_text
 from .scalars import Scalar, scalar_sqrt
 
 
@@ -132,25 +132,7 @@ class CatalogEntry:
         grading = None
         if self.grading_name and self.grading_name in pres.varset.names:
             grading = pres.gen(self.grading_name)
-        embeds = {
-            name: EmbedClause(
-                name,
-                sub.varset,
-                dict(zip(emb.source.names, emb.images)),
-                sub.bracket_spec,
-                sub.relations,
-            )
-            for name, (emb, sub) in self.embeds.items()
-        }
-        return PresentationFile(
-            pres.bracket_spec,
-            {},
-            list(pres.relations),
-            points,
-            autos,
-            embeds,
-            grading,
-        )
+        return PresentationFile(pres, {}, points, autos, self.embeds, grading)
 
 
 class Context:

@@ -66,9 +66,8 @@ class Report:
 
 def _load_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    pf = parse_presentation(text)
-    return pf, pf.presentation()
+        pf = parse_presentation(fh.read())
+    return pf, pf.presentation
 
 
 def _flag_value(pf, flag: str, text: str, read):
@@ -278,10 +277,11 @@ def cmd_restrict(args) -> Report:
     pf, pres = _load_file(args.file)
     if args.embed not in pf.embeds:
         raise AtlasError(f"no embedding named {args.embed!r} in the file")
-    clause = pf.embeds[args.embed]
-    sub_pres = clause.sub_presentation()
+    emb, sub_pres = pf.embeds[args.embed]
+    if sub_pres is None:
+        raise AtlasError(f"embedding {args.embed!r} carries no sub-presentation bracket")
     point, module, _ = _module_at(pf, pres, args)
-    restricted = restrict_to_subalgebra(module, clause.substitution(), sub_pres)
+    restricted = restrict_to_subalgebra(module, emb, sub_pres)
     report = Report("restrict")
     report.add("embed", args.embed)
     report.add("point", point)
@@ -321,13 +321,15 @@ def cmd_homogeneity(args) -> Report:
 
 def cmd_catalog(args):
     """The report of `list`, `run` or `run-all`; for `file`, the serialized text."""
+    if args.action in ("file", "run") and not args.name:
+        raise AtlasError(f"catalog {args.action} needs an entry name")
+    if args.action in ("list", "run-all") and args.name:
+        raise AtlasError(f"catalog {args.action} takes no entry name")
     if args.action == "list":
         report = Report("catalog list")
         for name in catalog_names():
             report.add("entry", name)
         return report
-    if args.action in ("file", "run") and not args.name:
-        raise AtlasError(f"catalog {args.action} needs an entry name")
     if args.action == "file":
         pf = get_entry(args.name).presentation_file()
         if pf is None:

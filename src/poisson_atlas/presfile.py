@@ -15,10 +15,10 @@ The grammar, one clause per statement, each ending in `;`:
 Comments run from `#` to end of line.  Scalars may be integers, rationals
 `p/q`, or `sqrt(d)` combinations.  Names bound in a bracket clause (f, a)
 are usable in later expressions.  A Kirillov-Kostant bracket is a table
-with linear entries.  An embed block may optionally carry its own `bracket`
-and `relation` clauses describing the sub-presentation.  A second bracket
-clause, in the file or in one embed block, and a second auto or embed under
-one name are ParseErrors there.
+with linear entries.  An embed block may carry its own `bracket` clause and,
+with it, `relation` clauses describing the sub-presentation.  A second bracket
+clause, in the file or in one embed block, a second auto or embed under one
+name and an embed relation with no bracket are ParseErrors there.
 Serialization is the file dialect of poly's writer (`LaurentPoly.text`).
 """
 
@@ -33,7 +33,7 @@ from .brackets import (
     SubstitutionMap,
     Table,
 )
-from .errors import AtlasError, LaurentViolationError, ParseError, VarSetMismatchError
+from .errors import LaurentViolationError, ParseError, VarSetMismatchError
 from .poly import LaurentPoly, PointP, VarSet, report_coeff, signed_sum, term_text
 from .scalars import Scalar, format_scalar, scalar_sqrt
 
@@ -98,33 +98,13 @@ def _tokenize(text: str):
 
 
 @dataclass
-class EmbedClause:
-    """An embedding of a named sub-presentation, generator by generator."""
-
-    name: str
-    sub_varset: VarSet
-    images: dict  # sub variable name -> LaurentPoly over the ambient varset
-    sub_bracket: object = None  # optional BracketSpec over the sub varset
-    sub_relations: tuple = ()
-
-    def substitution(self) -> SubstitutionMap:
-        return SubstitutionMap.from_dict(self.sub_varset, self.images)
-
-    def sub_presentation(self) -> PoissonPresentation:
-        """AtlasError when the block has no bracket: the file parses, but the
-        embedding cannot be restricted along."""
-        if self.sub_bracket is None:
-            raise AtlasError(f"embedding {self.name!r} carries no sub-presentation bracket")
-        return PoissonPresentation(self.sub_bracket, self.sub_relations)
-
-
-@dataclass
 class PresentationFile:
-    """Parsed form of one presentation file."""
+    """Parsed form of one presentation file: its presentation, a table checked
+    for Jacobi, and each embed as a (SubstitutionMap, sub-presentation or None)
+    pair, as in `CatalogEntry.embeds`."""
 
-    bracket_spec: object
+    presentation: PoissonPresentation
     bound: dict  # names bound in the bracket clause, e.g. f and a
-    relations: list = field(default_factory=list)
     points: list = field(default_factory=list)
     autos: dict = field(default_factory=dict)
     embeds: dict = field(default_factory=dict)
@@ -132,11 +112,7 @@ class PresentationFile:
 
     @property
     def varset(self) -> VarSet:
-        return self.bracket_spec.varset
-
-    def presentation(self) -> PoissonPresentation:
-        """Semantic validation (Jacobi) happens in the constructor."""
-        return PoissonPresentation(self.bracket_spec, tuple(self.relations))
+        return self.presentation.varset
 
 
 class _Parser:
@@ -396,7 +372,8 @@ class _Parser:
         if spec is None:
             tok = self.peek()
             raise ParseError("missing bracket clause", tok.line, tok.col)
-        return PresentationFile(spec, env, relations, points, autos, embeds, grading)
+        pres = PoissonPresentation(spec, tuple(relations))
+        return PresentationFile(pres, env, points, autos, embeds, grading)
 
     def parse_images(self, kind, name_tok, names, varset, env, other=None) -> dict:
         """The `{ name -> expr; ... }` block of the `kind` clause named at
@@ -425,27 +402,36 @@ class _Parser:
             )
         return images
 
-    def parse_embed(self, name_tok, varset, env) -> EmbedClause:
+    def parse_embed(self, name_tok, varset, env) -> tuple:
+        """The (SubstitutionMap, sub-presentation or None) pair of an embed block."""
         self.expect("(")
         sub_names = self.name_list()
         self.expect(")")
         sub_varset = self.parse_varset(sub_names, name_tok)
         sub_bracket, sub_relations, sub_env = None, [], {}
+        first_relation = None
 
         def sub_clause(tok):
-            nonlocal sub_bracket
+            nonlocal sub_bracket, first_relation
             if tok.text == "bracket":
                 if sub_bracket is not None:
                     raise ParseError("bracket clause given twice", tok.line, tok.col)
                 sub_bracket = self.parse_bracket(sub_varset, sub_env)
             elif tok.text == "relation":
+                first_relation = first_relation or tok
                 sub_relations.append(self.parse_expr(sub_varset, sub_env))
             else:
                 raise ParseError(f"unknown name {tok.text!r} in embed block", tok.line, tok.col)
             self.expect(";")
 
         images = self.parse_images("embed", name_tok, sub_names, varset, env, sub_clause)
-        return EmbedClause(name_tok.text, sub_varset, images, sub_bracket, tuple(sub_relations))
+        emb = SubstitutionMap.from_dict(sub_varset, images)
+        if sub_bracket is not None:
+            return emb, PoissonPresentation(sub_bracket, tuple(sub_relations))
+        if first_relation is not None:
+            raise ParseError(f"relation in embed {name_tok.text} needs a bracket clause",
+                             first_relation.line, first_relation.col)
+        return emb, None
 
 
 def parse_presentation(text: str) -> PresentationFile:
@@ -506,8 +492,8 @@ def serialize_presentation(pf: PresentationFile) -> str:
     """Render a PresentationFile back to clause text (round-trips by parse)."""
     lines = []
     lines.append(f"vars {', '.join(pf.varset.names)}{pf.varset.laurent_suffix()};")
-    lines.append(_bracket_clause(pf.bracket_spec))
-    for r in pf.relations:
+    lines.append(_bracket_clause(pf.presentation.bracket_spec))
+    for r in pf.presentation.relations:
         lines.append(f"relation {poly_text(r)};")
     for pt in pf.points:
         coords = ", ".join(_scalar_text(v) for v in pt.values)
@@ -517,16 +503,15 @@ def serialize_presentation(pf: PresentationFile) -> str:
             f"{v} -> {poly_text(img)};" for v, img in zip(auto.source.names, auto.images)
         )
         lines.append(f"auto {name} {{ {body} }};")
-    for name, embed in pf.embeds.items():
-        sub = embed.sub_varset
-        head = f"embed {name}({', '.join(sub.names)}){sub.laurent_suffix()}"
+    for name, (emb, sub) in pf.embeds.items():
+        head = f"embed {name}({', '.join(emb.source.names)}){emb.source.laurent_suffix()}"
         body = []
-        if embed.sub_bracket is not None:
-            body.append(_bracket_clause(embed.sub_bracket, embed=True))
-        for r in embed.sub_relations:
-            body.append(f"relation {poly_text(r)};")
-        for v in embed.sub_varset.names:
-            body.append(f"{v} -> {poly_text(embed.images[v])};")
+        if sub is not None:
+            body.append(_bracket_clause(sub.bracket_spec, embed=True))
+            for r in sub.relations:
+                body.append(f"relation {poly_text(r)};")
+        for v, img in zip(emb.source.names, emb.images):
+            body.append(f"{v} -> {poly_text(img)};")
         lines.append(head + " { " + " ".join(body) + " };")
     if pf.grading is not None:
         lines.append(f"grading {poly_text(pf.grading)};")

@@ -580,6 +580,29 @@ def test_a_refused_request_prints_only_its_error(argv, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("action", ["list", "run-all"])
+def test_a_catalog_action_over_every_entry_refuses_a_name(action, capsys):
+    assert run(["catalog", action, "whitney"]) == (1, "")
+    assert capsys.readouterr().err == f"error: catalog {action} takes no entry name\n"
+
+
+def test_an_embed_table_failing_jacobi_is_refused_by_every_command(tmp_path, capsys):
+    own = tmp_path / "own.pat"
+    own.write_text("vars u, v, w; bracket table { [u,v] = w; [v,w] = v^2; };")
+    assert run(["ideals", str(own)]) == (1, "")
+    message = capsys.readouterr().err
+    assert message.startswith("error: bracket fails Jacobi at ('u', 'v', 'w'): ")
+    path = tmp_path / "embed.pat"
+    path.write_text(
+        "vars x, y, z; bracket exact f = x*y*z;\n"
+        "embed e(u, v, w) { bracket table { [u,v] = w; [v,w] = v^2; }; u -> x; v -> y; w -> z; };"
+    )
+    for argv in (["ideals", str(path)], ["lie", str(path), "--point", "(0, 0, 0)"],
+                 ["module", str(path), "--point", "(0, 0, 0)", "--dim", "1"]):
+        assert run(argv) == (1, "")
+        assert capsys.readouterr().err == message
+
+
 # The sl2-type points of the catalog files: `classify` recognizes sl2 there.
 SL2_POINTS = (
     ("kirillov-kostant-sl2", "(0, 0, 0)"), ("kleinian-a1", "(0, 0, 0)"),
@@ -609,7 +632,7 @@ def test_weight_vectors_decide_simplicity_at_every_sl2_point(monkeypatch):
 def _classify_reference(path, num, den):
     """The machine report of `classify`, built point by point from lie_from_point."""
     pf = parse_presentation(Path(path).read_text(encoding="utf-8"))
-    pres = pf.presentation()
+    pres = pf.presentation
     ideals = find_poisson_maximal(pres, SearchBox(num, den, tuple(pf.points)))
     lines = [HEADER, "command = classify", f"file = {path}", f"ideal.count = {len(ideals)}"]
     for k, ideal in enumerate(ideals, 1):
@@ -966,7 +989,7 @@ def test_classify_linearizes_each_pair_bracket_once_per_point(monkeypatch):
     from poisson_atlas.poly import LaurentPoly
 
     path = INPUTS / "torus-so3.pa"
-    pres = parse_presentation(path.read_text(encoding="utf-8")).presentation()
+    pres = parse_presentation(path.read_text(encoding="utf-8")).presentation
     pairs = [poly for poly in pres.bracket_spec.pairs.values() if not poly.is_zero]
     calls = {"linear_part": 0, "evaluate": 0}
     for method in calls:

@@ -476,7 +476,7 @@ def test_resultants_past_the_box_are_skipped_and_the_axis_is_walked():
     from poisson_atlas import parse_presentation
 
     path = Path(__file__).resolve().parent / "eliminant-blowup.pa"
-    pres = parse_presentation(path.read_text(encoding="utf-8")).presentation()
+    pres = parse_presentation(path.read_text(encoding="utf-8")).presentation
     for num in (1, 3):
         proc = subprocess.run(
             [sys.executable, "-m", "poisson_atlas", "classify", str(path),

@@ -647,7 +647,7 @@ def test_a_presentation_read_back_from_its_file_is_the_same_presentation():
     from poisson_atlas import get_entry, parse_presentation
 
     path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "torus-so3.pa"
-    parsed = parse_presentation(path.read_text(encoding="utf-8")).presentation()
+    parsed = parse_presentation(path.read_text(encoding="utf-8")).presentation
     assert parsed == get_entry("torus-so3").presentation
     assert hash(parsed) == hash(get_entry("torus-so3").presentation)
     pt = PointP(parsed.varset, (2, 2, 2))

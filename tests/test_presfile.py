@@ -9,7 +9,7 @@ from poisson_atlas import (
     serialize_presentation,
 )
 from poisson_atlas.brackets import Exact
-from poisson_atlas.errors import ParseError
+from poisson_atlas.errors import LieStructureError, ParseError
 from poisson_atlas.scalars import Scalar
 
 UQSL2 = """
@@ -28,12 +28,11 @@ def test_parse_uqsl2():
     pf = parse_presentation(UQSL2)
     assert pf.varset.names == ("x", "y", "z")
     assert pf.varset.laurent == (False, False, True)
-    assert isinstance(pf.bracket_spec, Scaled)
+    assert isinstance(pf.presentation.bracket_spec, Scaled)
     assert len(pf.points) == 2
     assert "phi" in pf.autos
     assert pf.grading is not None
-    pres = pf.presentation()
-    assert len(pres.relations) == 1
+    assert len(pf.presentation.relations) == 1
 
 
 def test_exact_needs_three_variables():
@@ -65,7 +64,7 @@ def test_rationals_and_negative_exponents():
     pf = parse_presentation(
         "vars u, v, w; bracket exact F = w^4/4 - u*v; relation F - 1/2;"
     )
-    assert isinstance(pf.bracket_spec, Exact)
+    assert isinstance(pf.presentation.bracket_spec, Exact)
 
 
 def test_table_bracket():
@@ -73,8 +72,7 @@ def test_table_bracket():
         "vars x1, x2 laurent(x1, x2);"
         "bracket table { [x1,x2] = x1*x2; };"
     )
-    pres = pf.presentation()
-    pair = pres.bracket_spec.pairs[0, 1]
+    pair = pf.presentation.bracket_spec.pairs[0, 1]
     assert str(pair) == "x1*x2"
 
 
@@ -97,8 +95,7 @@ def test_embed_with_sub_presentation():
         " u -> x^2/8; v -> y^2/8; w -> z/2; };"
     )
     pf = parse_presentation(text)
-    clause = pf.embeds["sub"]
-    sp = clause.sub_presentation()
+    _, sp = pf.embeds["sub"]
     assert sp.varset.names == ("u", "v", "w")
     assert len(sp.relations) == 1
 
@@ -108,12 +105,9 @@ def test_serialize_round_trip():
     text = serialize_presentation(pf)
     pf2 = parse_presentation(text)
     assert pf2.varset == pf.varset
-    assert pf2.bracket_spec == pf.bracket_spec
-    assert pf2.relations == pf.relations
+    assert pf2.presentation == pf.presentation
     assert pf2.points == pf.points
-    assert pf2.autos.keys() == pf.autos.keys()
-    for name in pf.autos:
-        assert pf2.autos[name].images == pf.autos[name].images
+    assert pf2.autos == pf.autos
     assert pf2.grading == pf.grading
 
 
@@ -124,13 +118,10 @@ def test_catalog_entries_serialize_and_reparse():
         text = serialize_presentation(pf)
         pf2 = parse_presentation(text)
         assert pf2.varset == pf.varset
-        assert pf2.bracket_spec == pf.bracket_spec
+        assert pf2.presentation == pf.presentation
         assert pf2.points == pf.points
-        for auto in pf.autos:
-            assert pf2.autos[auto].images == pf.autos[auto].images
-        for emb in pf.embeds:
-            assert pf2.embeds[emb].images == pf.embeds[emb].images
-            assert pf2.embeds[emb].sub_bracket == pf.embeds[emb].sub_bracket
+        assert pf2.autos == pf.autos
+        assert pf2.embeds == pf.embeds
 
 
 WRONG_RING = pytest.mark.xfail(
@@ -151,14 +142,11 @@ def test_every_catalog_entry_round_trips(name):
     pf2 = parse_presentation(text)
     assert serialize_presentation(pf2) == text
     assert pf2.varset == pf.varset
-    assert pf2.bracket_spec == pf.bracket_spec
-    assert pf2.presentation().bracket_spec.pairs == pf.presentation().bracket_spec.pairs
+    assert pf2.presentation == pf.presentation
+    assert pf2.presentation.bracket_spec.pairs == pf.presentation.bracket_spec.pairs
     assert pf2.points == pf.points
-    for auto in pf.autos:
-        assert pf2.autos[auto].images == pf.autos[auto].images
-    for emb in pf.embeds:
-        assert pf2.embeds[emb].images == pf.embeds[emb].images
-        assert pf2.embeds[emb].sub_bracket == pf.embeds[emb].sub_bracket
+    assert pf2.autos == pf.autos
+    assert pf2.embeds == pf.embeds
 
 
 TABLE_EMBED = """vars x, y;
@@ -173,10 +161,44 @@ def test_embed_table_bracket_round_trip():
     text = serialize_presentation(pf)
     pf2 = parse_presentation(text)
     assert serialize_presentation(pf2) == text
-    assert pf2.embeds["e"].sub_bracket == pf.embeds["e"].sub_bracket
-    assert pf2.embeds["e"].sub_presentation().bracket_spec.pairs == {
-        (0, 1): LaurentPoly.variable(pf2.embeds["e"].sub_varset, "u")
-    }
+    assert pf2.embeds == pf.embeds
+    emb, sub = pf2.embeds["e"]
+    assert sub.bracket_spec.pairs == {(0, 1): LaurentPoly.variable(emb.source, "u")}
+
+
+@pytest.mark.parametrize("name", ["kleinian-a1", "torus-so3"])
+def test_a_parsed_catalog_file_holds_the_catalog_objects(name):
+    entry = get_entry(name)
+    pf = parse_presentation(serialize_presentation(entry.presentation_file()))
+    assert pf.presentation == entry.presentation
+    assert pf.embeds == entry.embeds
+    assert pf.autos == entry.automorphisms
+
+
+def test_an_embed_relation_needs_a_bracket_in_its_block():
+    text = "vars x, y;\nbracket table { [x,y] = x; };\nembed e(u, v) { relation u; u -> x; v -> y; };"
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert (err.value.line, err.value.column) == (3, 17)
+    assert err.value.message == "relation in embed e needs a bracket clause"
+
+
+def test_an_embed_relation_may_precede_the_bracket_of_its_block():
+    pf = parse_presentation(
+        "vars x, y; bracket table { [x,y] = x; };"
+        "embed e(u, v) { relation u; bracket table { [u,v] = u; }; u -> x; v -> y; };"
+    )
+    emb, sub = pf.embeds["e"]
+    assert sub.relations == (LaurentPoly.variable(emb.source, "u"),)
+
+
+def test_an_embed_table_is_checked_for_jacobi_when_parsed():
+    text = (
+        "vars x, y, z; bracket exact f = x*y*z;"
+        "embed e(u, v, w) { bracket table { [u,v] = w; [v,w] = v^2; }; u -> x; v -> y; w -> z; };"
+    )
+    with pytest.raises(LieStructureError, match="bracket fails Jacobi at"):
+        parse_presentation(text)
 
 
 @pytest.mark.parametrize(
@@ -293,8 +315,8 @@ def test_sqrt_takes_the_square_part_out():
         "relation sqrt(8)*x;\nrelation sqrt(-4)*x + sqrt(-1)*x;\nrelation sqrt(9) + sqrt(0);\n"
     )
     x = LaurentPoly.variable(pf.varset, "x")
-    assert pf.relations == [Scalar(0, 2, 2) * x, Scalar(0, 3, -1) * x,
-                            LaurentPoly.const(pf.varset, 3)]
+    assert pf.presentation.relations == (Scalar(0, 2, 2) * x, Scalar(0, 3, -1) * x,
+                                         LaurentPoly.const(pf.varset, 3))
 
 
 @pytest.mark.parametrize(
