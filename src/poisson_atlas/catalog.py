@@ -206,14 +206,12 @@ class Context:
         pt = self.point(at)
         return self.memo(("lift", pt, d), lambda: lift_module(self.pres, pt, self.irrep(pt, d)))
 
-    def tags(self, ideals=None) -> dict:
-        """Recognition of g(J) at each ideal (default: all of them), by point."""
-        ideals = self.ideals if ideals is None else ideals
-        return {pt: self.rec(pt) for pt in ideals}
+    def tags(self) -> dict:
+        """Recognition of g(J) at each ideal, by point."""
+        return {pt: self.rec(pt) for pt in self.ideals}
 
-    def homogeneity(self, relation=None, ideals=None):
-        ideals = self.ideals if ideals is None else ideals
-        return homogeneity_report(self.pres, ideals, relation, self.tags(ideals))
+    def homogeneity(self, relation=None):
+        return homogeneity_report(self.pres, self.ideals, relation, self.tags())
 
 
 def run_entry(entry: CatalogEntry, config: RunConfig | None = None) -> EntryReport:
@@ -321,12 +319,11 @@ def _sl2_everywhere(verdict=None, detail=None):
     return fact
 
 
-def _homogeneity(verdict, first_only=False):
-    """The homogeneity verdict (None: not t-homogeneous); `first_only` judges
-    the first ideal alone, for a family of alike ones."""
+def _homogeneity(verdict):
+    """The homogeneity verdict (None: not t-homogeneous)."""
 
     def fact(ctx, cfg):
-        rep = ctx.homogeneity(ideals=ctx.ideals[:1] if first_only else None)
+        rep = ctx.homogeneity()
         return _verdict_ok(rep, verdict), rep.verdict
 
     return fact
@@ -1277,7 +1274,7 @@ def _entry_abelian(n: int) -> CatalogEntry:
             ("ideal_points", ideals),
             ("recognition", abelian_tag),
             ("character_formula", character_formula),
-            ("homogeneity", _homogeneity(None, first_only=True)),
+            ("homogeneity", _homogeneity(None)),
         ],
     )
 

@@ -23,6 +23,7 @@ from .lie import LieAlgebra, pair_gradients
 from .linalg import (
     IncrementalSpan,
     Matrix,
+    coordinates,
     kernel_basis,
     rank,
     row_space_basis,
@@ -237,15 +238,15 @@ def find_sl2_triple(lie: LieAlgebra, recognition: LieRecognition | None = None) 
     """Deterministic explicit sl2-triple modulo rad g, for a Levi factor sl2.
 
     The search runs in s = g / rad g (g itself when rad g = 0), built on the
-    first basis vectors that are independent modulo rad g, and the triple
-    found there is lifted back along those vectors.  In s, ad x has the
-    eigenvalues 0 and +-lam with lam^2 = kappa(x, x) / 2, so a candidate x
-    of Killing square 0 is ad-nilpotent and skipped; otherwise lam is an
-    exact square root in the field of ad x (over Q it may lie in one
-    Q(sqrt m)), its sign made canonical, h = 2x / lam, and e and f are the
-    eigenvectors of ad x for lam and -lam, one kernel solve each.  A
-    candidate whose lam lies outside that field is skipped, and
-    ExtensionRequiredError is raised when no candidate gives a triple.
+    first basis vectors independent modulo rad g, its brackets the first three
+    `coordinates` in those vectors and rad g, and the triple found there is
+    lifted back along them.  In s, ad x has the eigenvalues 0 and +-lam with
+    lam^2 = kappa(x, x) / 2, so a candidate x of Killing square 0 is
+    ad-nilpotent and skipped; otherwise lam is an exact square root in the
+    field of ad x (over Q it may lie in one Q(sqrt m)), its sign made
+    canonical, h = 2x / lam, and e and f are the eigenvectors of ad x for
+    lam and -lam, one kernel solve each.  A candidate whose lam lies outside
+    that field is skipped; none giving a triple raises ExtensionRequiredError.
     """
     rec = recognition or recognize(lie)
     if rec.levi_dim != 3:
@@ -253,14 +254,13 @@ def find_sl2_triple(lie: LieAlgebra, recognition: LieRecognition | None = None) 
     quotient, lift = lie, tuple  # rad g = 0: s is g itself, and lifting is the identity
     if rec.radical_basis:
         rad = IncrementalSpan(rec.radical_basis)
-        section = []  # section vector k is tagged k, so coordinates read g / rad g
-        for i in range(lie.dim):
-            if rad.add(lie.basis_vector(i), tag=len(section)):
-                section.append(i)
+        section = [i for i in range(lie.dim) if rad.add(lie.basis_vector(i))]
         sec_vecs = [lie.basis_vector(i) for i in section]
-        brackets = {(a, b): rad.coordinates(lie.bracket(sec_vecs[a], sec_vecs[b]))
-                    for a, b in ((0, 1), (0, 2), (1, 2))}
-        quotient = LieAlgebra([lie.labels[i] for i in section], brackets)
+        pairs = ((0, 1), (0, 2), (1, 2))
+        coords = coordinates(sec_vecs + list(rec.radical_basis),
+                             [lie.bracket(sec_vecs[a], sec_vecs[b]) for a, b in pairs])
+        quotient = LieAlgebra([lie.labels[i] for i in section],
+                              {ab: c[:3] for ab, c in zip(pairs, coords)})
         lift = Matrix(list(zip(*sec_vecs))).apply
 
     last_error = None

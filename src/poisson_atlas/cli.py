@@ -66,8 +66,7 @@ class Report:
 
 def _load_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        pf = parse_presentation(fh.read())
-    return pf, pf.presentation
+        return parse_presentation(fh.read())
 
 
 def _flag_value(pf, flag: str, text: str, read):
@@ -122,25 +121,26 @@ def _box_flags(parser):
     return parser
 
 
-def _box_points(pf, pres, args):
+def _box_points(pf, args):
     """The Poisson points of the search box `--box-num`/`--box-den` plus the
     file's `point` clauses, in order."""
-    return find_poisson_maximal(pres, SearchBox(args.box_num, args.box_den, tuple(pf.points)))
+    box = SearchBox(args.box_num, args.box_den, tuple(pf.points))
+    return find_poisson_maximal(pf.presentation, box)
 
 
-def _module_at(pf, pres, args):
+def _module_at(pf, args):
     """(point, module, recognition): the canonical simple module of dimension
     `--dim` at `--point`, a `--character` for solvable g(J).  Where the Levi
     factor is sl2, the radical acts by zero, a simple module for every k, and
     a `--character` is refused."""
     point = _flag_value(pf, "--point", args.point, _Parser.parse_point)
-    lie = lie_from_point(pres, point)
+    lie = lie_from_point(pf.presentation, point)
     rec = recognize(lie)
     if rec.levi_dim and args.character is not None:
         raise ParseError(f"--character needs a solvable g(J), and g(J) is {rec.describe()}")
     if rec.levi_dim == 3:
         rep = sl2_irrep(lie, args.dim, find_sl2_triple(lie, rec), rec.radical_basis)
-        return point, lift_module(pres, point, rep), rec
+        return point, lift_module(pf.presentation, point, rep), rec
     if rec.levi_dim != 0:
         raise AtlasError(
             f"g(J) is {rec.describe()}: modules are built only for a Levi factor 0 or sl2"
@@ -150,18 +150,18 @@ def _module_at(pf, pres, args):
             f"g(J) is {rec.describe()}: only one-dimensional simple modules exist"
         )
     if args.character is None:
-        beta = [Scalar(0)] * len(pres.varset)
+        beta = [Scalar(0)] * len(pf.varset)
     else:
         beta = _flag_value(pf, "--character", args.character, _Parser.scalar_list)
-    return point, solvable_character_module(pres, point, beta), rec
+    return point, solvable_character_module(pf.presentation, point, beta), rec
 
 
 def cmd_ideals(args) -> Report:
-    pf, pres = _load_file(args.file)
+    pf = _load_file(args.file)
     report = Report("ideals")
     report.add("file", args.file)
-    points = _box_points(pf, pres, args)
-    potential = _potential_of(pres)
+    points = _box_points(pf, args)
+    potential = _potential_of(pf.presentation)
     report.add("ideal.count", len(points))
     for k, pt in enumerate(points, 1):
         report.add(f"ideal.{k}.point", pt)
@@ -171,12 +171,12 @@ def cmd_ideals(args) -> Report:
 
 
 def cmd_leaves(args) -> Report:
-    pf, pres = _load_file(args.file)
-    if _potential_of(pres) is None:
+    pf = _load_file(args.file)
+    if _potential_of(pf.presentation) is None:
         raise AtlasError("leaves needs an exact or scaled bracket (one with a potential)")
     report = Report("leaves")
     report.add("file", args.file)
-    by_lambda = leaf_report(pres, _box_points(pf, pres, args))
+    by_lambda = leaf_report(pf.presentation, _box_points(pf, args))
     lambdas = ", ".join(str(lam) for lam in by_lambda)
     report.add("singular.lambdas", lambdas)
     for lam, pts in by_lambda.items():
@@ -190,9 +190,9 @@ def cmd_leaves(args) -> Report:
 
 
 def cmd_lie(args) -> Report:
-    pf, pres = _load_file(args.file)
+    pf = _load_file(args.file)
     point = _flag_value(pf, "--point", args.point, _Parser.parse_point)
-    lie = lie_from_point(pres, point)
+    lie = lie_from_point(pf.presentation, point)
     report = Report("lie")
     report.add("point", point)
     report.add("basis", ", ".join(f"{n} - pt" for n in lie.labels))
@@ -205,13 +205,13 @@ def cmd_lie(args) -> Report:
 
 
 def cmd_classify(args) -> Report:
-    pf, pres = _load_file(args.file)
+    pf = _load_file(args.file)
     report = Report("classify")
     report.add("file", args.file)
-    points = _box_points(pf, pres, args)
+    points = _box_points(pf, args)
     report.add("ideal.count", len(points))
     lines = {}  # id of a shared recognition -> its report records
-    for k, (pt, rec) in enumerate(zip(points, recognize_points(pres, points)), 1):
+    for k, (pt, rec) in enumerate(zip(points, recognize_points(pf.presentation, points)), 1):
         records = lines.get(id(rec))
         if records is None:
             records = lines[id(rec)] = (
@@ -226,21 +226,21 @@ def cmd_classify(args) -> Report:
 
 
 def cmd_module(args) -> Report:
-    pf, pres = _load_file(args.file)
-    point, module, rec = _module_at(pf, pres, args)
+    pf = _load_file(args.file)
+    point, module, rec = _module_at(pf, args)
     report = Report("module")
     report.add("point", point)
     report.add("dim", args.dim)
     report.add("recognition", rec.describe())
-    for name, mat in zip(pres.varset.names, module.mats):
+    for name, mat in zip(pf.varset.names, module.mats):
         report.add(f"action.{name}", _matrix_text(mat))
     report.add("simple", is_simple_module(module))
     return report
 
 
 def cmd_verify(args) -> Report:
-    pf, pres = _load_file(args.file)
-    point, module, _ = _module_at(pf, pres, args)
+    pf = _load_file(args.file)
+    point, module, _ = _module_at(pf, args)
     result = verify_poisson_axioms(module, args.trials, args.seed)
     report = Report("verify")
     report.add("point", point)
@@ -258,29 +258,29 @@ def cmd_verify(args) -> Report:
 
 
 def cmd_twist(args) -> Report:
-    pf, pres = _load_file(args.file)
+    pf = _load_file(args.file)
     if args.auto not in pf.autos:
         raise AtlasError(f"no automorphism named {args.auto!r} in the file")
-    point, module, _ = _module_at(pf, pres, args)
+    point, module, _ = _module_at(pf, args)
     twisted = twist(module, pf.autos[args.auto])
     report = Report("twist")
     report.add("auto", args.auto)
     report.add("point", point)
     report.add("twisted.point", twisted.point)
     report.add("simple.preserved", is_simple_module(twisted) == is_simple_module(module))
-    for name, mat in zip(pres.varset.names, twisted.mats):
+    for name, mat in zip(pf.varset.names, twisted.mats):
         report.add(f"action.{name}", _matrix_text(mat))
     return report
 
 
 def cmd_restrict(args) -> Report:
-    pf, pres = _load_file(args.file)
+    pf = _load_file(args.file)
     if args.embed not in pf.embeds:
         raise AtlasError(f"no embedding named {args.embed!r} in the file")
     emb, sub_pres = pf.embeds[args.embed]
     if sub_pres is None:
         raise AtlasError(f"embedding {args.embed!r} carries no sub-presentation bracket")
-    point, module, _ = _module_at(pf, pres, args)
+    point, module, _ = _module_at(pf, args)
     restricted = restrict_to_subalgebra(module, emb, sub_pres)
     report = Report("restrict")
     report.add("embed", args.embed)
@@ -301,13 +301,13 @@ def cmd_restrict(args) -> Report:
 
 
 def cmd_homogeneity(args) -> Report:
-    pf, pres = _load_file(args.file)
+    pf = _load_file(args.file)
     report = Report("homogeneity")
     report.add("file", args.file)
-    points = _box_points(pf, pres, args)
+    points = _box_points(pf, args)
     relation = (_flag_value(pf, "--relation", args.relation, _Parser.parse_expr)
                 if args.relation else None)
-    rep = homogeneity_report(pres, points, relation)
+    rep = homogeneity_report(pf.presentation, points, relation)
     if args.relation:
         report.add("relation", args.relation)
     report.add("ideals.considered", len(rep.ideals))

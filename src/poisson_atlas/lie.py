@@ -19,7 +19,7 @@ from itertools import combinations
 
 from .brackets import PoissonPresentation, SubstitutionMap, bracket
 from .errors import LieStructureError, NotExpressibleError, NotPoissonMaximalError
-from .linalg import IncrementalSpan, Matrix, unit_vector
+from .linalg import IncrementalSpan, Matrix, coordinates, unit_vector
 from .poly import LaurentPoly, PointP, VarSet
 from .scalars import Scalar, ZERO
 
@@ -142,20 +142,18 @@ class LieAlgebra:
 
         With fewer columns than rows, the columns are the basis of a
         subalgebra and `labels` names them.  Only the pairs i < j are solved,
-        in one span of the columns.  ValueError when the labels are not one
-        per column, when the columns are dependent, or when a bracket of two
-        columns leaves their span.
+        by one `linalg.coordinates` in the columns.  ValueError when the
+        labels are not one per column, when the columns are dependent, or
+        when a bracket of two columns leaves their span.
         """
         cols = list(zip(*matrix.rows))
         labels = tuple(labels or self.labels)
         if len(labels) != len(cols):
             raise ValueError(f"{len(labels)} labels for {len(cols)} columns")
-        span = IncrementalSpan()
-        if not all(span.add(col, tag=k) for k, col in enumerate(cols)):
-            raise ValueError("the columns are linearly dependent")
         pairs = [(i, j) for i in range(len(cols)) for j in range(i + 1, len(cols))]
-        coords = [span.coordinates(self.bracket(cols[i], cols[j])) for i, j in pairs]
-        if None in coords:
+        brackets = (self.bracket(cols[i], cols[j]) for i, j in pairs)
+        coords = coordinates(cols, brackets, independent=True)
+        if coords is None:
             raise ValueError("the columns do not span a subalgebra")
         return LieAlgebra(labels, dict(zip(pairs, coords)))
 

@@ -7,11 +7,11 @@ rows of vectors and of polynomials (`LaurentPoly.terms` dicts).  It keeps
 coordinates only on the vectors added with a tag, which is how `lie` solves
 modulo J^2, and its `basis` is the reduced row echelon form.  `rref`, `rank`,
 `row_space_basis`, `kernel_basis` (read off the reduced rows at the free
-columns), `coordinates` (basis vector k tagged k, so a dependent one gets 0)
-and `relation_test` (coefficient vectors tested on the columns at the span's
-leads) are views of one span; `restrict_action` (matrices on an invariant
-subspace) and `closure` (the smallest span holding some seeds and stable
-under linear maps) are built on it.  eigen_small factors
+columns), `coordinates` (the one change of basis: basis vector k tagged k,
+so a dependent one gets 0) and `relation_test` (coefficient vectors tested
+on the columns at the span's leads) are views of one span; `restrict_action`
+(matrices on an invariant subspace) and `closure` (the smallest span holding
+some seeds and stable under linear maps) are built on it.  eigen_small factors
 characteristic polynomials over Q plus at most one quadratic extension,
 reporting the discriminant it had to introduce; it takes the rational roots
 and quadratic factors from `intpoly`, searched up to the matrix's row-sum
@@ -220,17 +220,17 @@ def _kernel(reduced, pivots, ncols):
     return kernel
 
 
-def coordinates(basis, vectors):
-    """Coordinates of every vector in `basis`, read in one span of the basis
-    vectors, basis vector k tagged k.
+def coordinates(basis, vectors, independent=False):
+    """Coordinates of every vector in `basis`, whose vectors are the columns
+    of the change of basis, read in one span of them, basis vector k tagged k.
 
-    None when some vector lies outside the span.  For a dependent basis every
-    free coordinate is 0: a basis vector that adds nothing to the span gets no
-    coordinate.
+    None when some vector lies outside the span.  A dependent basis raises
+    ValueError with `independent`, before any vector is read; without, every
+    free coordinate is 0: a basis vector that adds nothing gets no coordinate.
     """
     span = IncrementalSpan()
-    for k, v in enumerate(basis):
-        span.add(v, tag=k)
+    if not all([span.add(v, tag=k) for k, v in enumerate(basis)]) and independent:
+        raise ValueError("the columns are linearly dependent")
     coords = [span.coordinates(v) for v in vectors]
     if None in coords:
         return None

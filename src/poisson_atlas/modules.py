@@ -456,24 +456,17 @@ def analyze_submodules(mats, dim: int) -> SubmoduleAnalysis:
 
 
 def quotient_action(mats, sub_basis, dim):
-    """Action on the quotient by an invariant subspace: (matrices, dimension).
-
-    No grading is carried over: `analyze_submodules` finds the quotient's own,
-    so the quotient's minimal submodules, socle and verdict are exact whenever
-    one of its own matrices grades it.
+    """Action on the quotient by an invariant subspace: (matrices, dimension),
+    the lower-right block of `restrict_action` on the sub-basis and then the
+    unit vectors off the leads of its span.  No grading is carried over:
+    `analyze_submodules` finds the quotient's own, so its minimal submodules,
+    socle and verdict are exact whenever one of its own matrices grades it.
     """
     sub = IncrementalSpan(sub_basis)
     free = [i for i in range(dim) if i not in sub.rows]
-
-    def reduce_vec(v):
-        rem = sub.reduce(v)
-        return tuple(rem.get(i, ZERO) for i in free)
-
-    out = []
-    for m in mats:
-        new_cols = [reduce_vec(m.apply(unit_vector(dim, c))) for c in free]
-        out.append(Matrix(list(zip(*new_cols))))
-    return out, len(free)
+    k = len(sub_basis)
+    adapted = restrict_action(mats, [*sub_basis, *(unit_vector(dim, i) for i in free)])
+    return [Matrix._raw(tuple(row[k:] for row in m.rows[k:])) for m in adapted], len(free)
 
 
 def composition_series(mats, dim: int):

@@ -18,7 +18,8 @@ are usable in later expressions.  A Kirillov-Kostant bracket is a table
 with linear entries.  An embed block may carry its own `bracket` clause and,
 with it, `relation` clauses describing the sub-presentation.  A second bracket
 clause, in the file or in one embed block, a second auto or embed under one
-name and an embed relation with no bracket are ParseErrors there.
+name and an embed relation with no bracket are ParseErrors there, and win
+over a failing Jacobi check: presentations are built after the last clause.
 Serialization is the file dialect of poly's writer (`LaurentPoly.text`).
 """
 
@@ -373,6 +374,8 @@ class _Parser:
             tok = self.peek()
             raise ParseError("missing bracket clause", tok.line, tok.col)
         pres = PoissonPresentation(spec, tuple(relations))
+        embeds = {name: (emb, None if sub is None else PoissonPresentation(*sub))
+                  for name, (emb, sub) in embeds.items()}
         return PresentationFile(pres, env, points, autos, embeds, grading)
 
     def parse_images(self, kind, name_tok, names, varset, env, other=None) -> dict:
@@ -403,7 +406,7 @@ class _Parser:
         return images
 
     def parse_embed(self, name_tok, varset, env) -> tuple:
-        """The (SubstitutionMap, sub-presentation or None) pair of an embed block."""
+        """An embed block's SubstitutionMap and (bracket spec, relations), or None."""
         self.expect("(")
         sub_names = self.name_list()
         self.expect(")")
@@ -427,7 +430,7 @@ class _Parser:
         images = self.parse_images("embed", name_tok, sub_names, varset, env, sub_clause)
         emb = SubstitutionMap.from_dict(sub_varset, images)
         if sub_bracket is not None:
-            return emb, PoissonPresentation(sub_bracket, tuple(sub_relations))
+            return emb, (sub_bracket, tuple(sub_relations))
         if first_relation is not None:
             raise ParseError(f"relation in embed {name_tok.text} needs a bracket clause",
                              first_relation.line, first_relation.col)

@@ -152,6 +152,26 @@ def test_a_failing_derived_value_is_computed_once(monkeypatch):
             assert _fact_line("torus-so3", result) == GOLDEN[f"torus-so3.{result.key}"]
 
 
+@pytest.mark.parametrize("name", ["torus-so3", "whitney"])
+def test_an_entry_run_recognizes_each_ideal_once(name, monkeypatch):
+    """The recognition, homogeneity and per-point facts share one memo: a
+    run recognizes g(J) at most once per ideal."""
+    import poisson_atlas.catalog as catalog
+    import poisson_atlas.classify as classify
+
+    calls = []
+    real = classify.recognize
+
+    def counted(lie):
+        calls.append(lie)
+        return real(lie)
+
+    monkeypatch.setattr(catalog, "recognize", counted)
+    monkeypatch.setattr(classify, "recognize", counted)
+    assert run_entry(get_entry(name), FAST).ok
+    assert len(calls) <= len(catalog.Context(get_entry(name)).ideals)
+
+
 def test_a_context_keeps_one_point_per_coordinate_tuple():
     from poisson_atlas.catalog import Context
 

@@ -148,6 +148,18 @@ def test_bad_embed_head_exits_2(tmp_path, capsys):
     assert "parse error: line 1, col 48: duplicate variable names" in capsys.readouterr().err
 
 
+def test_a_syntax_error_after_an_embed_table_that_fails_jacobi_exits_2(tmp_path, capsys):
+    path = tmp_path / "embedjacobi.pat"
+    path.write_text(
+        "vars x, y;\nbracket table { [x,y] = x; };\n"
+        "embed e(u, v, w) { bracket table { [u,v] = w; [v,w] = u; [u,w] = u; }; "
+        "u -> x; v -> y; w -> x; };\npoint (1, 2, 3);\n"
+    )
+    code, out = run(["ideals", str(path)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "parse error: line 4, col 15: point arity mismatch\n"
+
+
 def test_restrict_along_an_embed_without_a_bracket_is_an_error(tmp_path, capsys):
     """The file parses, so an embed block with no bracket clause is an error
     (exit 1) that names the embedding, not a parse error without a line."""

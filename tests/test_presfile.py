@@ -201,6 +201,32 @@ def test_an_embed_table_is_checked_for_jacobi_when_parsed():
         parse_presentation(text)
 
 
+EMBED_FAILS_JACOBI_THEN_BAD_POINT = (
+    "vars x, y;\n"
+    "bracket table { [x,y] = x; };\n"
+    "embed e(u, v, w) { bracket table { [u,v] = w; [v,w] = u; [u,w] = u; }; "
+    "u -> x; v -> y; w -> x; };\n"
+    "point (1, 2, 3);\n"
+)
+
+
+def test_a_located_parse_error_wins_over_an_embed_table_that_fails_jacobi():
+    with pytest.raises(ParseError) as err:
+        parse_presentation(EMBED_FAILS_JACOBI_THEN_BAD_POINT)
+    assert (err.value.line, err.value.column) == (4, 15)
+    assert err.value.message == "point arity mismatch"
+
+
+def test_the_file_table_is_checked_for_jacobi_before_an_embed_table():
+    text = (
+        "vars x, y, z; bracket table { [x,y] = z; [y,z] = x; [x,z] = x; };"
+        "embed e(u, v, w) { bracket table { [u,v] = w; [v,w] = u; [u,w] = u; }; "
+        "u -> x; v -> y; w -> z; };"
+    )
+    with pytest.raises(LieStructureError, match=r"Jacobi at \('x', 'y', 'z'\)"):
+        parse_presentation(text)
+
+
 @pytest.mark.parametrize(
     "head, message",
     [("e(u, u)", "duplicate variable names"), ("e(u, v) laurent(w)", "unknown variables")],
