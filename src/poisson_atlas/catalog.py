@@ -35,7 +35,7 @@ from .brackets import (
     bracket,
     verify_poisson_map,
 )
-from .classify import find_sl2_triple, homogeneity_report, recognize
+from .classify import find_sl2_triple, homogeneity_report, recognition_key, recognize
 from .errors import AtlasError
 from .ideals import (
     SearchBox,
@@ -187,8 +187,11 @@ class Context:
         return lie_from_point(self.pres, pt)  # the point keeps its g(J)
 
     def rec(self, at=None):
+        """The recognition of g(J), one per `recognition_key`: points with
+        equal g(J) share it."""
         pt = self.point(at)
-        return self.memo(("rec", pt), lambda: recognize(self.lie(pt)))
+        key = None if pt is None else self.memo(("key", pt), lambda: recognition_key(self.pres, pt))
+        return self.memo(("rec", key), lambda: recognize(self.lie(pt)))
 
     def triple(self, at=None):
         pt = self.point(at)
@@ -273,11 +276,6 @@ def _entry(name, cite, presentation, facts, **data) -> CatalogEntry:
     return CatalogEntry(name, cite, presentation, checks=checks, **data)
 
 
-def _verdict_ok(report, verdict) -> bool:
-    """`verdict` None expects "not t-homogeneous"."""
-    return report.is_homogeneous is False if verdict is None else report.verdict == verdict
-
-
 # -- fact shapes: one function each, applied to an entry's expected values -------
 
 
@@ -320,11 +318,11 @@ def _sl2_everywhere(verdict=None, detail=None):
 
 
 def _homogeneity(verdict):
-    """The homogeneity verdict (None: not t-homogeneous)."""
+    """The homogeneity verdict is `verdict`."""
 
     def fact(ctx, cfg):
         rep = ctx.homogeneity()
-        return _verdict_ok(rep, verdict), rep.verdict
+        return rep.verdict == verdict, rep.verdict
 
     return fact
 
@@ -339,7 +337,7 @@ def _quotient_homogeneity(*quotients):
             (label, ctx.homogeneity(None if lam is None else potential - lam), verdict)
             for label, lam, verdict in quotients
         ]
-        ok = all(_verdict_ok(rep, verdict) for _, rep, verdict in reps)
+        ok = all(rep.verdict == verdict for _, rep, verdict in reps)
         return ok, "; ".join(f"{label}: {rep.verdict}" for label, rep, _ in reps)
 
     return fact
@@ -791,7 +789,7 @@ def _entry_whitney() -> CatalogEntry:
             ("recognition", tags),
             ("characters", characters),
             ("module_catalog", catalog_dims),
-            ("homogeneity", _homogeneity(None)),
+            ("homogeneity", _homogeneity("not t-homogeneous (continuum of 1-dimensional classes)")),
         ],
     )
 
@@ -838,7 +836,9 @@ def _entry_kleinian_an(n: int) -> CatalogEntry:
             ("invariant_consistency",
              _consistency("lie_from_invariants matches lie_from_point")),
             ("characters", characters),
-            ("homogeneity", _homogeneity("1-homogeneous" if n == 2 else None)),
+            ("homogeneity", _homogeneity(
+                "1-homogeneous" if n == 2
+                else "not t-homogeneous (continuum of 1-dimensional classes)")),
         ],
     )
 
@@ -1274,7 +1274,7 @@ def _entry_abelian(n: int) -> CatalogEntry:
             ("ideal_points", ideals),
             ("recognition", abelian_tag),
             ("character_formula", character_formula),
-            ("homogeneity", _homogeneity(None)),
+            ("homogeneity", _homogeneity("not t-homogeneous (continuum of 1-dimensional classes)")),
         ],
     )
 

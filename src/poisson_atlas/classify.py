@@ -63,8 +63,16 @@ def killing_matrix(ads) -> Matrix:
     return Matrix(rows)
 
 
-# the dimensions that name the semisimple Levi factor s: 0, sl2 and sl2 + sl2
-IDENTIFIED_LEVI_DIMS = (0, 3, 6)
+# The Levi factors that dim s names: N_s(d), the simple s-modules of dimension d,
+# as report text (None for s = 0: only the trivial module), then the simple
+# g-modules for k = 0 and for k > 0.  sl2 has one simple module V_d in each
+# dimension d, and sl2 + sl2 has the V_a (x) V_b with ab = d.
+LEVI_FACTORS = {
+    0: (None, "characters only ({k}-parameter family)", "characters only ({k}-parameter family)"),
+    3: ("1", "one class per dimension d >= 1", "one {k}-parameter family per dimension d >= 1"),
+    6: ("tau(d)", "tau(d) classes in dimension d >= 1",
+        "tau(d) {k}-parameter families in dimension d >= 1"),
+}
 
 
 @dataclass
@@ -101,29 +109,12 @@ class LieRecognition:
             return f"reductive(s={self.levi_dim}, k={self.k})"
         return self.tag
 
-    def count_in_dimension(self, d: int):
-        """N_s(d) classes, 'continuum' when k > 0, 'undetermined' for an unidentified s.
-
-        N_0(d) is 1 at d = 1 and 0 otherwise, N_sl2(d) = 1, and
-        N_{sl2+sl2}(d) = tau(d), from the modules V_a (x) V_b with ab = d."""
-        if self.levi_dim not in IDENTIFIED_LEVI_DIMS:
-            return "undetermined"
-        tau = sum(1 for a in range(1, d + 1) if d % a == 0)
-        count = {0: int(d == 1), 3: 1, 6: tau}[self.levi_dim]
-        return "continuum" if count and self.k else count
-
     def simple_modules(self) -> str:
         """The simple g-modules: those of s, each tensored with k-parameter characters."""
-        k = self.k
-        if self.levi_dim == 0:
-            return f"characters only ({k}-parameter family)"
-        if self.levi_dim == 3:
-            per_d = f"one {k}-parameter family" if k else "one class"
-            return f"{per_d} per dimension d >= 1"
-        if self.levi_dim == 6:
-            per_d = f"tau(d) {k}-parameter families" if k else "tau(d) classes"
-            return f"{per_d} in dimension d >= 1"
-        return f"undetermined (Levi factor of dimension {self.levi_dim})"
+        if self.levi_dim not in LEVI_FACTORS:
+            return f"undetermined (Levi factor of dimension {self.levi_dim})"
+        _, rigid, family = LEVI_FACTORS[self.levi_dim]
+        return (family if self.k else rigid).format(k=self.k)
 
 
 def recognize(lie: LieAlgebra) -> LieRecognition:
@@ -172,22 +163,23 @@ def recognize(lie: LieAlgebra) -> LieRecognition:
     return LieRecognition(tag, dims, levi_dim, k, tuple(radical))
 
 
+def recognition_key(pres, pt) -> tuple:
+    """The items of `pair_gradients` at pt, one `linear_part` per bracket,
+    whose value refuses a point that is not Poisson: the brackets `LieAlgebra`
+    takes, so two points of `pres` have equal keys iff their g(J) are equal."""
+    return tuple(pair_gradients(pres, pt).items())
+
+
 def recognize_points(pres, points):
-    """The recognition of g(J) at each point, in order.  Points are keyed by
-    the gradients of the nonzero pair brackets (`pair_gradients`), which are
-    exactly the brackets `LieAlgebra` takes, so two keys are equal iff the
-    two g(J) are; only a new key builds its algebra, from the gradients of
-    its key.  The one `linear_part` per bracket that gives a gradient also
-    gives the value, so that pass alone refuses a point that is not Poisson."""
+    """The recognition of g(J) at each point, in order: only a new
+    `recognition_key` builds its algebra, from the gradients in the key."""
     names = pres.varset.names
     by_key = {}
     for pt in points:
-        gradients = pair_gradients(pres, pt)
-        key = tuple(gradients.values())
+        key = recognition_key(pres, pt)
         rec = by_key.get(key)
         if rec is None:
-            lie = LieAlgebra(names, gradients)
-            rec = by_key[key] = recognize(lie)
+            rec = by_key[key] = recognize(LieAlgebra(names, dict(key)))
         yield rec
 
 
@@ -293,9 +285,8 @@ def find_sl2_triple(lie: LieAlgebra, recognition: LieRecognition | None = None) 
 def _root_vectors(ad: Matrix, lam: Scalar):
     """The eigenvectors of ad for lam and for -lam, each from one kernel solve
     and scaled to lead with 1."""
-    identity = Matrix.identity(ad.nrows)
     return tuple(
-        _canonical_eigvec(kernel_basis([list(r) for r in (ad - identity.scale(v)).rows])[0])
+        _canonical_eigvec(kernel_basis([list(r) for r in ad.shift(-v).rows])[0])
         for v in (lam, -lam)
     )
 
@@ -306,7 +297,7 @@ class HomogeneityReport:
 
     A point with pair (dim s, k) has N_s(d) classes in dimension d, each a
     k-parameter family; t-homogeneous (t classes in every dimension) needs
-    every point to be (3, 0).
+    every point to be of sl2 type.
     """
 
     ideals: list  # the Poisson points counted, each the maximal ideal J
@@ -314,19 +305,14 @@ class HomogeneityReport:
 
     @property
     def unidentified(self) -> list:
-        return sorted({t.levi_dim for t in self.tags} - set(IDENTIFIED_LEVI_DIMS))
-
-    @property
-    def is_homogeneous(self):
-        """True or False; None when some Levi factor is unidentified."""
-        return None if self.unidentified else all(t.is_sl2_type for t in self.tags)
+        return sorted({t.levi_dim for t in self.tags} - LEVI_FACTORS.keys())
 
     @property
     def verdict(self) -> str:
         if self.unidentified:
             dims = ", ".join(str(s) for s in self.unidentified)
             return f"undetermined (unidentified Levi factor of dimension {dims})"
-        if self.is_homogeneous:
+        if all(t.is_sl2_type for t in self.tags):
             return f"{len(self.tags)}-homogeneous"
         if any(t.k and t.levi_dim for t in self.tags):
             reason = "continuum of classes in every dimension"
@@ -337,16 +323,20 @@ class HomogeneityReport:
         return f"not t-homogeneous ({reason})"
 
     def count_formula(self):
+        """The classes in dimension d over the points: each Levi factor's N_s(d)
+        times its points with k = 0 (an int when each such N_s(d) is 1), then
+        the continuum from the points with k > 0, in dimension 1 alone for s = 0.
+        Each s counted has one class in dimension 1, the trivial module."""
         if self.unidentified:
             return {"d >= 1": "undetermined"}
-        pairs = [(t.levi_dim, t.k) for t in self.tags]
-        t, b = pairs.count((3, 0)), pairs.count((6, 0))  # sl2 and sl2 + sl2 points
-        tau = "tau(d)" if b == 1 else f"{b}*tau(d)"
-        finite = (f"{t} + {tau}" if t else tau) if b else t
-        if any(s and k for s, k in pairs):
+        rigid = [t.levi_dim for t in self.tags if not t.k]
+        counted = [(c, n) for s, (c, _, _) in LEVI_FACTORS.items() if c and (n := rigid.count(s))]
+        terms = [n if c == "1" else c if n == 1 else f"{n}*{c}" for c, n in counted]
+        finite = terms[0] if len(terms) == 1 else " + ".join(map(str, terms)) or 0
+        if any(t.k and t.levi_dim for t in self.tags):
             return {"d >= 1": f"{finite} + continuum"}
-        if any(k for _, k in pairs):
-            return {"d >= 2": finite, "d = 1": f"{t + b} + continuum"}
+        if any(t.k for t in self.tags):
+            return {"d >= 2": finite, "d = 1": f"{sum(n for _, n in counted)} + continuum"}
         return {"d >= 1": finite}
 
 

@@ -97,6 +97,11 @@ class Matrix:
         s = Scalar.coerce(s)
         return Matrix._raw(tuple(tuple(a * s for a in r) for r in self.rows))
 
+    def shift(self, c) -> "Matrix":
+        """M + c*I for a square M: c is added to the diagonal entries alone."""
+        c = Scalar.coerce(c)
+        return Matrix._raw(tuple(r[:i] + (r[i] + c,) + r[i + 1 :] for i, r in enumerate(self.rows)))
+
     def __mul__(self, other):
         """Matrix product, row by row: row i is sum_l self[i, l] * other.rows[l],
         with every product that has a zero factor skipped."""
@@ -430,7 +435,7 @@ def charpoly(m: Matrix):
         acc = m * acc
         c = -(acc.trace() / k)
         coeffs.append(c)
-        acc = acc + Matrix.identity(n).scale(c)
+        acc = acc.shift(c)
     return coeffs
 
 
@@ -500,8 +505,7 @@ def eigen_small(m: Matrix) -> EigenResult:
         raise ExtensionRequiredError("extension beyond quadratic required")
     pairs = []
     for value in sorted(grouped, key=Scalar.sort_key):
-        shifted = m - Matrix.identity(n).scale(value)
-        vectors = kernel_basis([list(row) for row in shifted.rows])
+        vectors = kernel_basis([list(row) for row in m.shift(-value).rows])
         pairs.append((value, grouped[value], vectors))
     disc = common_domain([v for v, _, _ in pairs])
     return EigenResult(pairs, disc)

@@ -176,6 +176,20 @@ def derived_series(lie: LieAlgebra):
     return [len(span) for span in _derived_spans(lie)]
 
 
+def count_in_dimension(rec, d: int):
+    """N_s(d) classes of simple g-modules of dimension d, 'continuum' when
+    k > 0, 'undetermined' for an unidentified s: the reference the report
+    text is checked against.
+
+    N_0(d) is 1 at d = 1 and 0 otherwise, N_sl2(d) = 1, and
+    N_{sl2+sl2}(d) = tau(d), from the modules V_a (x) V_b with ab = d."""
+    if rec.levi_dim not in (0, 3, 6):
+        return "undetermined"
+    tau = sum(1 for a in range(1, d + 1) if d % a == 0)
+    count = {0: int(d == 1), 3: 1, 6: tau}[rec.levi_dim]
+    return "continuum" if count and rec.k else count
+
+
 def perturbed(module: PoissonModule, gen_index: int, row: int, col: int) -> PoissonModule:
     """Copy with +1 added to one action-matrix entry (for mutation tests)."""
     mats = list(module.mats)

@@ -172,6 +172,26 @@ def test_an_entry_run_recognizes_each_ideal_once(name, monkeypatch):
     assert len(calls) <= len(catalog.Context(get_entry(name)).ideals)
 
 
+@pytest.mark.parametrize("name", catalog_names())
+def test_an_entry_run_recognizes_each_distinct_g_once(name, monkeypatch):
+    """Points with equal g(J) share one recognition: no two `recognize` calls
+    in one run receive equal algebras, through `catalog` or `classify`."""
+    import poisson_atlas.catalog as catalog
+    import poisson_atlas.classify as classify
+
+    calls = []
+    real = classify.recognize
+
+    def counted(lie):
+        calls.append(lie)
+        return real(lie)
+
+    monkeypatch.setattr(catalog, "recognize", counted)
+    monkeypatch.setattr(classify, "recognize", counted)
+    assert run_entry(get_entry(name), FAST).ok
+    assert not [(i, j) for j, b in enumerate(calls) for i, a in enumerate(calls[:j]) if a == b]
+
+
 def test_a_context_keeps_one_point_per_coordinate_tuple():
     from poisson_atlas.catalog import Context
 

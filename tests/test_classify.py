@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import derived_series, rref_coordinates
+from conftest import count_in_dimension, derived_series, rref_coordinates
 from poisson_atlas import (
     Exact,
     LaurentPoly,
@@ -25,6 +25,7 @@ from poisson_atlas import (
     recognize_points,
 )
 from poisson_atlas.classify import (
+    LEVI_FACTORS,
     HomogeneityReport,
     LieRecognition,
     Sl2Triple,
@@ -236,14 +237,14 @@ def test_triple_rejected_for_solvable():
 def test_classify_simple_modules():
     rec = recognize(SL2)
     assert rec.is_sl2_type
-    assert rec.count_in_dimension(1) == 1 and rec.count_in_dimension(9) == 1
+    assert count_in_dimension(rec, 1) == 1 and count_in_dimension(rec, 9) == 1
 
     rec1 = recognize(whitney_lie(1))
     assert rec1.is_solvable_type
     assert rec1.k == 1
     assert rec1.derived_dims[1] == 2
-    assert rec1.count_in_dimension(1) == "continuum"
-    assert rec1.count_in_dimension(2) == 0
+    assert count_in_dimension(rec1, 1) == "continuum"
+    assert count_in_dimension(rec1, 2) == 0
 
     rec0 = recognize(whitney_lie(0))
     assert rec0.k == 2
@@ -256,7 +257,7 @@ def test_classify_sl2_plus_sl2_counts_divisors():
     rec = recognize(double)
     assert (rec.levi_dim, rec.k) == (6, 0)
     assert rec.describe() == "reductive(s=6, k=0)"
-    assert [rec.count_in_dimension(d) for d in (1, 4, 6)] == [1, 3, 4]
+    assert [count_in_dimension(rec, d) for d in (1, 4, 6)] == [1, 3, 4]
     with pytest.raises(AtlasError):
         find_sl2_triple(double, rec)
 
@@ -265,9 +266,8 @@ def test_an_unidentified_levi_factor_is_undetermined():
     triple = sl2_sum(3)
     rec = recognize(triple)
     assert rec.describe() == "reductive(s=9, k=0)"
-    assert rec.count_in_dimension(2) == "undetermined"
+    assert count_in_dimension(rec, 2) == "undetermined"
     report = HomogeneityReport([None], [rec])
-    assert report.is_homogeneous is None
     assert report.verdict == "undetermined (unidentified Levi factor of dimension 9)"
     assert report.count_formula() == {"d >= 1": "undetermined"}
 
@@ -282,7 +282,23 @@ def test_counts_add_over_points():
     assert formula(sl2, gl2, solvable) == {"d >= 1": "1 + continuum"}
     report = HomogeneityReport([None, None], [sl2, gl2])
     assert report.verdict == "not t-homogeneous (continuum of classes in every dimension)"
-    assert report.is_homogeneous is False
+
+
+def test_each_levi_factor_counts_its_simple_modules_by_dimension():
+    """Each row's N_s(d), evaluated as the reports print it, equals the number
+    of simple s-modules of dimension d listed one by one for d <= 60: V_a, of
+    dimension a, for sl2, and V_a (x) V_b, of dimension ab, for sl2 + sl2.
+    s = 0 prints no count: its one simple module is the trivial one."""
+    listed = {
+        3: lambda d: [a for a in range(1, d + 1) if a == d],
+        6: lambda d: [(a, b) for a in range(1, d + 1) for b in range(1, d + 1) if a * b == d],
+    }
+    tau = lambda d: sum(1 for a in range(1, d + 1) if d % a == 0)
+    assert LEVI_FACTORS.keys() == {0, *listed} and LEVI_FACTORS[0][0] is None
+    for s, modules in listed.items():
+        text = LEVI_FACTORS[s][0]
+        for d in range(1, 61):
+            assert eval(text, {"__builtins__": {}, "tau": tau, "d": d}) == len(modules(d)), (s, d)
 
 
 def test_homogeneity_torus(torus_pres):
@@ -307,7 +323,7 @@ def test_homogeneity_continuum(xyz):
     pres = PoissonPresentation(Exact(z**3 - x * y))
     ideals = find_poisson_maximal(pres, SearchBox(2, 1))
     rep = homogeneity_report(pres, ideals)
-    assert not rep.is_homogeneous
+    assert rep.verdict == "not t-homogeneous (continuum of 1-dimensional classes)"
     assert "continuum" in rep.verdict
     formula = rep.count_formula()
     assert formula["d >= 2"] == 0
