@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from poisson_atlas import (
@@ -11,7 +13,7 @@ from poisson_atlas import (
     VarSet,
 )
 from poisson_atlas.classify import _derived_spans
-from poisson_atlas.errors import VarSetMismatchError
+from poisson_atlas.errors import ParseError, VarSetMismatchError
 from poisson_atlas.linalg import IncrementalSpan, coordinates
 from poisson_atlas.modules import SplitMix
 from poisson_atlas.scalars import Scalar
@@ -197,3 +199,107 @@ def perturbed(module: PoissonModule, gen_index: int, row: int, col: int) -> Pois
     rows[row][col] = rows[row][col] + ONE
     mats[gen_index] = Matrix(rows)
     return PoissonModule(module.pres, module.point, tuple(mats))
+
+
+# -- the presentation-file scanner's reference and mutants of the .pa files --
+
+REPO = Path(__file__).resolve().parent.parent
+PERFBENCH_FILES = sorted((REPO / "perfbench" / "inputs").glob("*.pa"))
+PA_FILES = PERFBENCH_FILES + sorted((REPO / "tests").glob("*.pa"))
+
+
+def tokenize_reference(text: str):
+    """The character-loop scanner that `presfile._tokenize` must match: its
+    (kind, text, line, col) tokens, the last one eof, or the ParseError at
+    the first character that starts no token.  A comment does not advance
+    the column."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if "0" <= c <= "9":  # ASCII digits only: int() reads others too
+            j = i
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            tokens.append(("int", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if text.startswith("->", i):
+            tokens.append(("sym", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        if c in "(){}[],;=+-*/^":
+            tokens.append(("sym", c, line, col))
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {c!r}", line, col)
+    tokens.append(("eof", "", line, col))
+    return tokens
+
+
+def _token_spans(text: str):
+    """(start, end) offsets of the reference tokens of `text`, eof left out."""
+    starts = [0] + [i + 1 for i, c in enumerate(text) if c == "\n"]
+    return [(starts[line - 1] + col - 1, starts[line - 1] + col - 1 + len(t))
+            for kind, t, line, col in tokenize_reference(text)[:-1]]
+
+
+def token_mutants(paths, seed: int, count: int):
+    """`count` texts, each one of `paths` with one token deleted, inserted,
+    replaced or copied; a new token is one of the same file's."""
+    rng, texts = SplitMix(seed), [p.read_text(encoding="utf-8") for p in paths]
+    for _ in range(count):
+        text = texts[rng.below(len(texts))]
+        spans = _token_spans(text)
+        a, b = spans[rng.below(len(spans))]
+        c, d = spans[rng.below(len(spans))]
+        new = text[c:d]
+        yield [text[:a] + text[b:],
+               text[:a] + new + " " + text[a:],
+               text[:a] + new + text[b:],
+               text[:b] + " " + text[a:b] + text[b:]][rng.below(4)]
+
+
+ODD_CHARACTERS = "²½٣Ⅷé_\r\t\n #-> ;,()x9"
+
+
+def character_mutants(paths, seed: int, count: int):
+    """`count` texts, each one of `paths` with one character deleted, inserted
+    or replaced, or cut at some point and then maybe ended in blanks with no
+    newline; new characters include non-ASCII letters and digits."""
+    rng, texts = SplitMix(seed), [p.read_text(encoding="utf-8") for p in paths]
+    for _ in range(count):
+        text = texts[rng.below(len(texts))]
+        i = rng.below(len(text) + 1)
+        c = ODD_CHARACTERS[rng.below(len(ODD_CHARACTERS))]
+        yield [text[:i] + text[i + 1:],
+               text[:i] + c + text[i:],
+               text[:i] + c + text[i + 1:],
+               text[:i],
+               text[:i] + " \t "[:1 + rng.below(3)]][rng.below(5)]

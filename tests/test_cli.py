@@ -6,11 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import PERFBENCH_FILES, token_mutants
 
 from poisson_atlas.catalog import catalog_names
 from poisson_atlas.classify import recognize
 from poisson_atlas.cli import HEADER, build_parser, main
-from poisson_atlas.errors import ParseError
+from poisson_atlas.errors import LieStructureError, ParseError
 from poisson_atlas.ideals import SearchBox, find_poisson_maximal
 from poisson_atlas.lie import lie_from_point
 from poisson_atlas.modules import DEFAULT_SEED, DEFAULT_TRIALS
@@ -1032,3 +1033,28 @@ def test_a_non_ascii_digit_exits_2(tmp_path, capsys):
     code, _ = run(["ideals", str(bad)])
     assert code == 2
     assert "line 2, col 21: unexpected character" in capsys.readouterr().err
+
+
+def test_token_mutants_of_the_perfbench_inputs_are_read_or_refused_cleanly(tmp_path, capsys):
+    """Each of 3,000 mutants, one token of a perfbench input deleted, inserted,
+    replaced or copied, parses, raises a located ParseError or fails Jacobi.
+    Each one that parses runs through classify, homogeneity and leaves at box
+    1/1 to exit 0 or 1, with at most one `error:` line on stderr."""
+    parsed = 0
+    for i, text in enumerate(token_mutants(PERFBENCH_FILES, 1, 3000)):
+        try:
+            parse_presentation(text)
+        except ParseError as exc:
+            assert exc.line is not None, text
+            continue
+        except LieStructureError:
+            continue
+        parsed += 1
+        path = tmp_path / f"mutant{i}.pa"
+        path.write_text(text, encoding="utf-8")
+        for command in ("classify", "homogeneity", "leaves"):
+            code = main([command, str(path), "--box-num", "1", "--box-den", "1"])
+            err = capsys.readouterr().err
+            assert code in (0, 1), (command, text)
+            assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
+    assert parsed > 100

@@ -1,4 +1,5 @@
 import pytest
+from conftest import PA_FILES, character_mutants, token_mutants, tokenize_reference
 
 from poisson_atlas import (
     LaurentPoly,
@@ -10,6 +11,7 @@ from poisson_atlas import (
 )
 from poisson_atlas.brackets import Exact
 from poisson_atlas.errors import LieStructureError, ParseError
+from poisson_atlas.presfile import _tokenize
 from poisson_atlas.scalars import Scalar
 
 UQSL2 = """
@@ -357,3 +359,67 @@ def test_only_ascii_digits_make_integers(text, message):
     with pytest.raises(ParseError) as err:
         parse_presentation(text)
     assert str(err.value) == message
+
+
+def _scanned(text):
+    """The (kind, text, line, col) tokens of `text`, or the ParseError text."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in _tokenize(text)]
+    except ParseError as exc:
+        return str(exc)
+
+
+def _scanned_by_reference(text):
+    try:
+        return tokenize_reference(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+EDGE_TEXTS = ["", "x", "x  \t", "x\r\n", "vars x; # c", "# c\n", "a#b\nc", "x²", "²x", "x½",
+              "½", "Ⅷ", "xⅧ", "x٣", "٣x", "3٣", "3x", "x3", "_1", "1_", "é9", "->-", "- >", "-\n>",
+              "x\n  \t", "\n\n y", "(a,b)->{c};", "x ^ 2 # c\r\n y"]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_the_scanner_matches_the_character_loop_reference(seed):
+    texts = [*character_mutants(PA_FILES, seed, 3000), *token_mutants(PA_FILES, seed, 1000),
+             *(p.read_text(encoding="utf-8") for p in PA_FILES), *EDGE_TEXTS]
+    for text in texts:
+        assert _scanned(text) == _scanned_by_reference(text), text
+
+
+@pytest.mark.parametrize("char", ["²", "½", "Ⅷ", "٣"])
+def test_a_name_starts_with_a_letter_or_an_underscore(char):
+    # each of these may go on a name, as str.isalnum() says, but may not start one
+    head = "vars x, y;\nbracket table { [x,y] = x; };\n"
+    with pytest.raises(ParseError) as err:
+        parse_presentation(f"{head}relation {char}x;\n")
+    assert str(err.value) == f"line 3, col 10: unexpected character {char!r}"
+    with pytest.raises(ParseError) as err:
+        parse_presentation(f"{head}relation x{char};\n")
+    assert str(err.value) == f"line 3, col 10: unknown variable 'x{char}'"
+    pf = parse_presentation(f"vars _{char}, y; bracket table {{ [_{char},y] = y; }};")
+    assert pf.varset.names == (f"_{char}", "y")
+
+
+@pytest.mark.parametrize("tail", [" ", "\t", "  \t ", "\r", "\n \t"])
+def test_a_text_may_end_in_blanks_with_no_newline(tail):
+    pf = parse_presentation("vars x, y; bracket table { [x,y] = x; };" + tail)
+    assert pf.varset.names == ("x", "y")
+    with pytest.raises(ParseError) as err:
+        parse_presentation("vars x, y;" + tail)
+    line = 1 + tail.count("\n")
+    col = len(tail.rsplit("\n", 1)[-1]) + (1 if "\n" in tail else 11)
+    assert (err.value.line, err.value.column, err.value.message) == (
+        line, col, "missing bracket clause")
+
+
+@pytest.mark.parametrize("text, where", [("vars x; # c", (1, 9)), ("vars x;  # c", (1, 10)),
+                                         ("vars x;\n# c", (2, 1)), ("vars x; # c\n", (2, 1))])
+def test_the_end_of_a_text_is_located_where_its_last_comment_starts(text, where):
+    # a comment does not advance the column, so the end of the text is at its `#`
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert (err.value.line, err.value.column, err.value.message) == (
+        *where, "missing bracket clause")
