@@ -12,19 +12,24 @@ The grammar, one clause per statement, each ending in `;`:
     embed sub(u, v, w) { u -> x^2/8; v -> y^2/8; w -> z/2; };
     grading z;
 
-Comments run from `#` to end of line.  Scalars may be integers, rationals
-`p/q`, or `sqrt(d)` combinations.  Names bound in a bracket clause (f, a)
-are usable in later expressions.  A Kirillov-Kostant bracket is a table
-with linear entries.  An embed block may carry its own `bracket` clause and,
-with it, `relation` clauses describing the sub-presentation.  A second bracket
-clause, in the file or in one embed block, a second auto or embed under one
-name and an embed relation with no bracket are ParseErrors there, and win
-over a failing Jacobi check: presentations are built after the last clause.
+Tokens are names (a letter or `_`, then letters, digits or `_`), integers of
+ASCII digits and the symbols `->` and `(){}[],;=+-*/^`; blanks (space, tab,
+carriage return) separate them, and comments run from `#` to end of line.
+Scalars may be integers, rationals `p/q`, or `sqrt(d)` combinations.  Names
+bound in a bracket clause (f, a) are usable in later expressions.  A
+Kirillov-Kostant bracket is a table with linear entries.  An embed block may
+carry its own `bracket` clause and, with it, `relation` clauses describing
+the sub-presentation.  A second bracket clause, in the file or in one embed
+block, a second auto or embed under one name and an embed relation with no
+bracket are ParseErrors there, and win over a failing Jacobi check:
+presentations are built after the last clause.
 Serialization is the file dialect of poly's writer (`LaurentPoly.text`).
 """
 
 from __future__ import annotations
 
+import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .brackets import (
@@ -39,63 +44,27 @@ from .poly import LaurentPoly, PointP, VarSet, report_coeff, signed_sum, term_te
 from .scalars import Scalar, format_scalar, scalar_sqrt
 
 
-@dataclass
-class _Token:
-    kind: str  # "name" | "int" | "sym" | "eof"
-    text: str
-    line: int
-    col: int
+_Token = namedtuple("_Token", "kind text line col")  # kind: name, int, sym or eof
+
+_TOKEN = re.compile(r"""[ \t\r]*(?P<at>)(?:\#[^\n]*)?
+    (?:(?P<newline>\n) | (?P<int>[0-9]+) | (?P<name>\w+) | (?P<sym>->|[(){}\[\],;=+\-*/^])
+     | (?P<bad>.) | (?P<eof>\Z))""", re.VERBOSE)
 
 
 def _tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if "0" <= c <= "9":  # ASCII digits only: int() reads others too
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Token("sym", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in "(){}[],;=+-*/^":
-            tokens.append(_Token("sym", c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+    """The tokens of `text`, the last one eof.  A comment does not advance the
+    column; a digit such as `²` may go on a name but not start one."""
+    tokens, line, line_start = [], 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, col = m.lastgroup, m.start("at") - line_start + 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad" or kind == "name" and not (m[kind][0].isalpha() or m[kind][0] == "_"):
+            raise ParseError(f"unexpected character {m[kind][0]!r}", line, col)
+        else:
+            tokens.append(_Token(kind, m[kind], line, col))
+            if kind == "eof":
+                return tokens
 
 
 @dataclass
@@ -243,12 +212,16 @@ class _Parser:
 
     # -- clauses -----------------------------------------------------------------
 
-    def name_list(self):
-        names = [self.expect_name().text]
+    def comma_list(self, read) -> list:
+        """`read()`, and again after each `,`."""
+        items = [read()]
         while self.at(","):
             self.next()
-            names.append(self.expect_name().text)
-        return names
+            items.append(read())
+        return items
+
+    def name_list(self):
+        return self.comma_list(lambda: self.expect_name().text)
 
     def parse_varset(self, names, tok) -> VarSet:
         """`names` with the optional `laurent(...)` list that follows them; a
@@ -264,6 +237,13 @@ class _Parser:
         except ValueError as exc:
             raise ParseError(str(exc), tok.line, tok.col) from None
 
+    def _bind(self, varset, env) -> LaurentPoly:
+        """`name = expr`: the expression, bound to the name in `env`."""
+        name = self.expect_name().text
+        self.expect("=")
+        env[name] = self.parse_expr(varset, env)
+        return env[name]
+
     def parse_bracket(self, varset, env):
         tok = self.peek()
         kind = self.expect_name().text
@@ -272,22 +252,11 @@ class _Parser:
                 f"{kind} brackets need exactly 3 variables", tok.line, tok.col
             )
         if kind == "exact":
-            name = self.expect_name().text
-            self.expect("=")
-            poly = self.parse_expr(varset, env)
-            env[name] = poly
-            return Exact(poly)
+            return Exact(self._bind(varset, env))
         if kind == "scaled":
-            name_a = self.expect_name().text
-            self.expect("=")
-            mult = self.parse_expr(varset, env)
-            env[name_a] = mult
+            mult = self._bind(varset, env)
             self.expect(";")
-            name_f = self.expect_name().text
-            self.expect("=")
-            poly = self.parse_expr(varset, env)
-            env[name_f] = poly
-            return Scaled(mult, poly)
+            return Scaled(mult, self._bind(varset, env))
         if kind == "table":
             self.expect("{")
             mapping = {}
@@ -312,11 +281,7 @@ class _Parser:
         raise ParseError(f"unknown bracket kind {kind!r}", tok.line, tok.col)
 
     def scalar_list(self, varset, env) -> list:
-        values = [self.scalar_expr(varset, env)]
-        while self.at(","):
-            self.next()
-            values.append(self.scalar_expr(varset, env))
-        return values
+        return self.comma_list(lambda: self.scalar_expr(varset, env))
 
     def parse_point(self, varset, env) -> PointP:
         self.expect("(")
@@ -346,13 +311,10 @@ class _Parser:
                 if spec is not None:
                     raise ParseError("bracket clause given twice", tok.line, tok.col)
                 spec = self.parse_bracket(varset, env)
-                self.expect(";")
             elif word == "relation":
                 relations.append(self.parse_expr(varset, env))
-                self.expect(";")
             elif word == "point":
                 points.append(self.parse_point(varset, env))
-                self.expect(";")
             elif word in ("auto", "embed"):
                 named = autos if word == "auto" else embeds
                 name_tok = self.expect_name()
@@ -364,12 +326,11 @@ class _Parser:
                     named[name_tok.text] = SubstitutionMap.from_dict(varset, images)
                 else:
                     named[name_tok.text] = self.parse_embed(name_tok, varset, env)
-                self.expect(";")
             elif word == "grading":
                 grading = self.parse_expr(varset, env)
-                self.expect(";")
             else:
                 raise ParseError(f"unknown clause {word!r}", tok.line, tok.col)
+            self.expect(";")
         if spec is None:
             tok = self.peek()
             raise ParseError("missing bracket clause", tok.line, tok.col)
