@@ -21,9 +21,10 @@ class VarSet:
     __slots__ = ("names", "laurent", "_index")
 
     def __init__(self, names, laurent=()):
-        names = tuple(names)
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate variable names in {names}")
+        names, laurent = tuple(names), tuple(laurent)
+        for what, given in (("variable names", names), ("Laurent flags", laurent)):
+            if len(set(given)) != len(given):
+                raise ValueError(f"duplicate {what} in {given}")
         lset = set(laurent)
         unknown = lset - set(names)
         if unknown:

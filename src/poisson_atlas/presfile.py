@@ -16,14 +16,14 @@ Tokens are names (a letter or `_`, then letters, digits or `_`), integers of
 ASCII digits and the symbols `->` and `(){}[],;=+-*/^`; blanks (space, tab,
 carriage return) separate them, and comments run from `#` to end of line.
 Scalars may be integers, rationals `p/q`, or `sqrt(d)` combinations.  Names
-bound in a bracket clause (f, a) are usable in later expressions.  A
-Kirillov-Kostant bracket is a table with linear entries.  An embed block may
-carry its own `bracket` clause and, with it, `relation` clauses describing
-the sub-presentation.  A second bracket clause, in the file or in one embed
-block, a second auto or embed under one name and an embed relation with no
-bracket are ParseErrors there, and win over a failing Jacobi check:
-presentations are built after the last clause.
-Serialization is the file dialect of poly's writer (`LaurentPoly.text`).
+bound in a bracket clause (f, a), which may not be variables, are usable in
+later expressions.  A Kirillov-Kostant bracket is a table with linear entries.
+An embed block may carry its own `bracket` clause and, with it, `relation`
+clauses describing the sub-presentation.  A second bracket clause, in the file
+or in one embed block, a second auto or embed under one name and an embed
+relation with no bracket are ParseErrors there, and win over a failing Jacobi
+check: presentations are built after the last clause.  Serialization is the
+file dialect of poly's writer (`LaurentPoly.text`).
 """
 
 from __future__ import annotations
@@ -238,11 +238,13 @@ class _Parser:
             raise ParseError(str(exc), tok.line, tok.col) from None
 
     def _bind(self, varset, env) -> LaurentPoly:
-        """`name = expr`: the expression, bound to the name in `env`."""
-        name = self.expect_name().text
+        """`name = expr`: the expression, bound in `env` to a new name, not a variable."""
+        tok = self.expect_name()
+        if tok.text in varset.names or tok.text in env:
+            raise ParseError(f"{tok.text!r} is a variable or bound already", tok.line, tok.col)
         self.expect("=")
-        env[name] = self.parse_expr(varset, env)
-        return env[name]
+        env[tok.text] = self.parse_expr(varset, env)
+        return env[tok.text]
 
     def parse_bracket(self, varset, env):
         tok = self.peek()
@@ -293,10 +295,9 @@ class _Parser:
             raise ParseError(str(exc), tok.line, tok.col) from None
 
     def parse_file(self) -> PresentationFile:
-        tok = self.peek()
+        tok = self.next()
         if tok.text != "vars":
             raise ParseError("file must start with a vars clause", tok.line, tok.col)
-        self.next()
         varset = self.parse_varset(self.name_list(), tok)
         self.expect(";")
         env: dict = {}
@@ -432,8 +433,13 @@ def _scalar_text(s: Scalar) -> str:
 
 def _bracket_clause(spec, embed=False) -> str:
     """The bracket clause of `spec`: in a file it binds f and a and writes a
-    table one row per line, in an embed it binds F and A on one line."""
+    table one row per line, in an embed it binds F and A on one line.  A name
+    that is a variable gets `_` added until it is not."""
     f, a = ("F", "A") if embed else ("f", "a")
+    while f in spec.varset.names:
+        f += "_"
+    while a in spec.varset.names:
+        a += "_"
     if isinstance(spec, Exact):
         return f"bracket exact {f} = {poly_text(spec.potential)};"
     if isinstance(spec, Scaled):

@@ -359,3 +359,8 @@ def test_linear_part_on_a_shared_point_matches_the_reference_model(case):
     fresh = PointP(pt.varset, pt.values)
     assert pt == fresh and hash(pt) == hash(fresh)
     assert (str(pt), repr(pt)) == (str(fresh), repr(fresh))
+
+
+def test_a_repeated_laurent_flag_is_refused():
+    with pytest.raises(ValueError, match=r"duplicate Laurent flags in \('x', 'x'\)"):
+        VarSet(("x", "y"), laurent=("x", "x"))

@@ -3,15 +3,17 @@ from conftest import PA_FILES, character_mutants, token_mutants, tokenize_refere
 
 from poisson_atlas import (
     LaurentPoly,
+    PoissonPresentation,
     Scaled,
+    VarSet,
     catalog_names,
     get_entry,
     parse_presentation,
     serialize_presentation,
 )
-from poisson_atlas.brackets import Exact
+from poisson_atlas.brackets import Exact, SubstitutionMap
 from poisson_atlas.errors import LieStructureError, ParseError
-from poisson_atlas.presfile import _tokenize
+from poisson_atlas.presfile import PresentationFile, _tokenize
 from poisson_atlas.scalars import Scalar
 
 UQSL2 = """
@@ -423,3 +425,63 @@ def test_the_end_of_a_text_is_located_where_its_last_comment_starts(text, where)
         parse_presentation(text)
     assert (err.value.line, err.value.column, err.value.message) == (
         *where, "missing bracket clause")
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [("vars x, y, z; bracket exact x = y*z + z^2; relation x - 1;", (1, 29)),
+     ("vars x, y, z;\nbracket scaled z = 2; f = x*y*z;", (2, 16)),
+     ("vars x, y, z;\nbracket scaled a = 2*z; a = x*y*z;", (2, 25)),
+     ("vars x, y;\nbracket table { [x,y] = x; };\n"
+      "embed e(u, v, w) { bracket exact w = u*v; u -> x; v -> y; w -> x; };", (3, 34))],
+    ids=["exact-variable", "scaled-variable", "scaled-twice", "embed-variable"],
+)
+def test_a_bound_name_may_not_shadow_a_variable_or_another_binding(text, where):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert (err.value.line, err.value.column) == where
+    assert err.value.message.endswith("is a variable or bound already")
+
+
+def _round_trip(pres):
+    pf = PresentationFile(pres, {})
+    return parse_presentation(serialize_presentation(pf)).presentation
+
+
+def test_a_scaled_bracket_over_a_variable_named_a_round_trips():
+    vs = VarSet(("a", "b", "c"))
+    a, b, c = (LaurentPoly.variable(vs, n) for n in vs.names)
+    pres = PoissonPresentation(Scaled(2 * c, a * b + c))
+    assert _round_trip(pres) == pres
+
+
+def test_an_exact_bracket_over_a_variable_named_f_round_trips():
+    vs = VarSet(("f", "x", "y"))
+    f, x, y = (LaurentPoly.variable(vs, n) for n in vs.names)
+    pres = PoissonPresentation(Exact(f * x * y + f * f), (f - 1,))
+    assert _round_trip(pres) == pres
+
+
+def test_an_embedded_bracket_binds_a_name_off_its_variables():
+    vs = VarSet(("x", "y", "z"))
+    sub_vs = VarSet(("F", "A", "A_"))
+    F, A, A_ = (LaurentPoly.variable(sub_vs, n) for n in sub_vs.names)
+    x, y, z = (LaurentPoly.variable(vs, n) for n in vs.names)
+    sub = PoissonPresentation(Scaled(2 * A_, F * A + A_), (F - A,))
+    pf = PresentationFile(PoissonPresentation(Exact(x * y * z)), {},
+                          embeds={"e": (SubstitutionMap(sub_vs, (x, y, z)), sub)})
+    assert parse_presentation(serialize_presentation(pf)).embeds == pf.embeds
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [("vars x, y laurent(x, x);", (1, 1)),
+     ("vars x, y;\nbracket table { [x,y] = x; };\nembed e(u, v) laurent(v, v) { u -> x; v -> y; };",
+      (3, 7))],
+    ids=["vars", "embed"],
+)
+def test_a_repeated_laurent_flag_is_refused_and_located(text, where):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert (err.value.line, err.value.column) == where
+    assert "duplicate Laurent flags" in err.value.message
