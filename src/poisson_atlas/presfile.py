@@ -46,9 +46,9 @@ from .scalars import Scalar, format_scalar, scalar_sqrt
 
 _Token = namedtuple("_Token", "kind text line col")  # kind: name, int, sym or eof
 
-_TOKEN = re.compile(r"""[ \t\r]*(?P<at>)(?:\#[^\n]*)?
-    (?:(?P<newline>\n) | (?P<int>[0-9]+) | (?P<name>\w+) | (?P<sym>->|[(){}\[\],;=+\-*/^])
-     | (?P<bad>.) | (?P<eof>\Z))""", re.VERBOSE)
+_TOKEN = re.compile(r"""[ \t\r]* (?P<at>) (?:\#[^\n]*)?
+    (?: (?P<newline>\n) | (?P<int>[0-9]+)  # ASCII digits only: int() reads others too
+      | (?P<name>\w+) | (?P<sym>->|[(){}\[\],;=+\-*/^]) | (?P<bad>.) | (?P<eof>\Z))""", re.VERBOSE)
 
 
 def _tokenize(text: str):
