@@ -7,11 +7,13 @@ simple module, and so the simple g-modules are those of the Levi factor
 s = g / rad g tensored with the characters of g, a family of dimension
 k = dim rad g - dim [g, rad g].  Recognition records (dim s, k); dim s names s
 only for 0, sl2 and sl2 + sl2, and any other s leaves the counts undetermined.
-A 3-dimensional g is read off the rank of its three pair rows alone, with no
-Killing form and no derived series.
+The Killing form is `LieAlgebra.killing_form`, read off the nonzero structure
+constants with no ad matrix.  A 3-dimensional g is read off the rank of its
+three pair rows alone, with no Killing form and no derived series.
 Explicit sl2-triples come from a deterministic candidate search in s, built on
 basis vectors, so results are reproducible byte for byte; each candidate's
-eigenvalues come from its Killing square, with no eigensolve.
+eigenvalues come from its Killing square, read off the Killing form of s, with
+no eigensolve.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .linalg import (
     kernel_basis,
     rank,
     row_space_basis,
-    trace_product,
 )
 from .scalars import Scalar, ZERO, ONE, common_domain, sqrt_in_field
 
@@ -51,16 +52,6 @@ def _derived_spans(lie: LieAlgebra):
 
 def derived_subalgebra(lie: LieAlgebra):
     return _bracket_span(lie, [lie.basis_vector(i) for i in range(lie.dim)])
-
-
-def killing_matrix(ads) -> Matrix:
-    """The Killing form tr(ad_i ad_j) from the ad matrices of a basis."""
-    n = len(ads)
-    rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            rows[i][j] = rows[j][i] = trace_product(ads[i], ads[j])
-    return Matrix(rows)
 
 
 # The Levi factors that dim s names: N_s(d), the simple s-modules of dimension d,
@@ -122,9 +113,10 @@ def recognize(lie: LieAlgebra) -> LieRecognition:
 
     rad g is the Killing-orthogonal of [g,g], s = g / rad g, and by the Levi
     decomposition [g,g] = s + [g, rad g], so k = dim rad g - dim [g, rad g]
-    = dim g - dim [g,g].  A solvable g is its own radical, so when the
-    derived series reaches 0 the series alone settles s = 0, and no Killing
-    form is built.
+    = dim g - dim [g,g].  The Killing form is `lie.killing_form()`, read off
+    the structure constants, so no ad matrix is built.  A solvable g is its
+    own radical, so when the derived series reaches 0 the series alone
+    settles s = 0, and no Killing form is built.
 
     A 3-dimensional g is read off r = dim [g,g], the rank of its pair rows
     [e0,e1], [e0,e2] and [e1,e2] (Jacobson, Lie Algebras I 4), with no
@@ -152,11 +144,11 @@ def recognize(lie: LieAlgebra) -> LieRecognition:
         return LieRecognition(tag, [3, r, 0], 0, 3 - r)
     spans = _derived_spans(lie)
     dims = [len(span) for span in spans]
-    basis, derived = spans[0], spans[1]
+    derived = spans[1]
     k = lie.dim - len(derived)
     if not spans[-1]:  # solvable: the derived series reaches 0
         return LieRecognition("solvable" if derived else "abelian", dims, 0, k)
-    killing = killing_matrix([lie.ad_matrix(u) for u in basis])
+    killing = lie.killing_form()
     radical = list(row_space_basis(kernel_basis([list(killing.apply(w)) for w in derived])))
     levi_dim = lie.dim - len(radical)
     tag = "reductive" if (levi_dim, k) != (3, 0) else "sl2_semidirect" if radical else "sl2"
@@ -233,8 +225,9 @@ def find_sl2_triple(lie: LieAlgebra, recognition: LieRecognition | None = None) 
     first basis vectors independent modulo rad g, its brackets the first three
     `coordinates` in those vectors and rad g, and the triple found there is
     lifted back along them.  In s, ad x has the eigenvalues 0 and +-lam with
-    lam^2 = kappa(x, x) / 2, so a candidate x of Killing square 0 is
-    ad-nilpotent and skipped; otherwise lam is an exact square root in the
+    lam^2 = kappa(x, x) / 2, kappa the Killing form of s, built once before
+    the search, so a candidate x of Killing square 0 is ad-nilpotent and
+    skipped with no ad matrix; otherwise lam is an exact square root in the
     field of ad x (over Q it may lie in one Q(sqrt m)), its sign made
     canonical, h = 2x / lam, and e and f are the eigenvectors of ad x for
     lam and -lam, one kernel solve each.  A candidate whose lam lies outside
@@ -255,13 +248,14 @@ def find_sl2_triple(lie: LieAlgebra, recognition: LieRecognition | None = None) 
                               {ab: c[:3] for ab, c in zip(pairs, coords)})
         lift = Matrix(list(zip(*sec_vecs))).apply
 
+    killing = quotient.killing_form()
     last_error = None
     for combo in _candidate_elements(3):
         cand = tuple(combo.get(k, ZERO) for k in range(3))
-        ad = quotient.ad_matrix(cand)
-        kappa = trace_product(ad, ad)
+        kappa = sum((c * w for c, w in zip(cand, killing.apply(cand))), ZERO)
         if kappa.is_zero:
             continue
+        ad = quotient.ad_matrix(cand)
         lam = sqrt_in_field(kappa / 2, common_domain(ad.flat()))
         if lam is None:
             last_error = ExtensionRequiredError("extension beyond quadratic required")

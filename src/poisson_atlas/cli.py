@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from .catalog import RunConfig, catalog_names, get_entry, run_entry
@@ -100,13 +101,11 @@ def _trial_flags(parser):
 
 def _at_least(low: int):
     """The argument type of an integer >= low: a box bound or a module
-    dimension (low 1), a trial count (low 0); anything else is a usage error."""
+    dimension (low 1), a trial count (low 0); anything else, ASCII digits
+    after an optional '-' aside, is a usage error."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
+        value = int(text) if re.fullmatch(r"-?[0-9]+", text) else low - 1
         if value < low:
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
         return value

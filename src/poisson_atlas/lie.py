@@ -137,6 +137,17 @@ class LieAlgebra:
                     rows[k][j] = rows[k][j] + a * c
         return Matrix._raw(tuple(map(tuple, rows)))
 
+    def killing_form(self) -> Matrix:
+        """kappa(e_a, e_b) = tr(ad e_a ad e_b) = sum over l, k of c^k_al c^l_bk,
+        the sum over the nonzero constants of a at (l, k) and of b at (k, l)."""
+        consts = [{(l, k): c for l, row in enumerate(rows) for k, c in row} for rows in self._pairs]
+        form = [[ZERO] * self.dim for _ in range(self.dim)]
+        for a, ca in enumerate(consts):
+            for b, cb in enumerate(consts[a:], a):
+                terms = (x * cb[k, l] for (l, k), x in ca.items() if (k, l) in cb)
+                form[a][b] = form[b][a] = sum(terms, ZERO)
+        return Matrix._raw(tuple(map(tuple, form)))
+
     def change_basis(self, matrix: Matrix, labels=None) -> "LieAlgebra":
         """Structure constants in the basis whose vectors are the matrix columns.
 

@@ -182,18 +182,6 @@ def _dot(u, v):
     return ZERO if total is None else total
 
 
-def trace_product(a: "Matrix", b: "Matrix") -> Scalar:
-    """trace(a @ b) without forming the product."""
-    total = ZERO
-    for i, row in enumerate(a.rows):
-        for k, x in enumerate(row):
-            if not x.is_zero:
-                y = b.rows[k][i]
-                if not y.is_zero:
-                    total = total + x * y
-    return total
-
-
 def rref(rows):
     """Reduced row echelon form; returns (rows, pivot column list): the
     canonical basis of the rows' span, then zero rows up to their number."""

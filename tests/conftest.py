@@ -178,6 +178,29 @@ def derived_series(lie: LieAlgebra):
     return [len(span) for span in _derived_spans(lie)]
 
 
+def trace_product(a: Matrix, b: Matrix) -> Scalar:
+    """trace(a @ b) without forming the product."""
+    total = ZERO
+    for i, row in enumerate(a.rows):
+        for k, x in enumerate(row):
+            if not x.is_zero:
+                y = b.rows[k][i]
+                if not y.is_zero:
+                    total = total + x * y
+    return total
+
+
+def killing_matrix(ads) -> Matrix:
+    """The Killing form tr(ad_i ad_j) from the ad matrices of a basis: the
+    reference `LieAlgebra.killing_form` is checked against."""
+    n = len(ads)
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = trace_product(ads[i], ads[j])
+    return Matrix(rows)
+
+
 def count_in_dimension(rec, d: int):
     """N_s(d) classes of simple g-modules of dimension d, 'continuum' when
     k > 0, 'undetermined' for an unidentified s: the reference the report

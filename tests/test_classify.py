@@ -1,11 +1,18 @@
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import count_in_dimension, derived_series, rref_coordinates
+from conftest import (
+    count_in_dimension,
+    derived_series,
+    killing_matrix,
+    rref_coordinates,
+    trace_product,
+)
 from poisson_atlas import (
     Exact,
     LaurentPoly,
@@ -33,7 +40,6 @@ from poisson_atlas.classify import (
     _canonical_eigvec,
     _derived_spans,
     derived_subalgebra,
-    killing_matrix,
 )
 from poisson_atlas.errors import AtlasError, ExtensionRequiredError, NotPoissonMaximalError
 from poisson_atlas.linalg import (
@@ -46,7 +52,6 @@ from poisson_atlas.linalg import (
     restrict_action,
     rank,
     row_space_basis,
-    trace_product,
 )
 from poisson_atlas.modules import SplitMix, is_simple, sl2_irrep
 from poisson_atlas.scalars import ZERO, common_domain
@@ -165,19 +170,27 @@ SL2_C2 = LieAlgebra.from_brackets(
 )
 
 
+def _weyl_g2_lie():
+    from poisson_atlas.catalog import Context
+
+    return Context(get_entry("weyl-g2")).lie()
+
+
 @pytest.mark.parametrize(
     "lie, tag",
-    [(SL2_C2, "sl2_semidirect(2)"), (P7, "sl2_semidirect(4)")],
-    ids=["sl2+C2", "P7"],
+    [(SL2_C2, "sl2_semidirect(2)"), (P7, "sl2_semidirect(4)"),
+     (_weyl_g2_lie(), "sl2_semidirect(7)")],
+    ids=["sl2+C2", "P7", "weyl-g2"],
 )
-def test_recognize_builds_each_ad_matrix_once(monkeypatch, lie, tag):
+def test_recognize_builds_no_ad_matrix(monkeypatch, lie, tag):
+    """The Killing form that finds rad g is read off the structure constants."""
     calls = []
     ad_matrix = LieAlgebra.ad_matrix
     monkeypatch.setattr(
         LieAlgebra, "ad_matrix", lambda self, u: calls.append(u) or ad_matrix(self, u)
     )
     assert recognize(lie).describe() == tag
-    assert len(calls) == lie.dim
+    assert calls == []
 
 
 def test_killing_radical_matches():
@@ -979,6 +992,58 @@ def test_recognize_matches_the_killing_form_route_in_any_basis(data):
         want.tag, want.derived_dims, want.levi_dim, want.k, want.radical_basis)
 
 
+def gl(n):
+    """gl_n on the matrix units e_ij: [e_ij, e_kl] = delta_jk e_il - delta_li e_kj."""
+    e = lambda i, j: f"e{i}{j}"
+    units = [(i, j) for i in range(n) for j in range(n)]
+    table = {}
+    for a, (i, j) in enumerate(units):
+        for k, l in units[a + 1 :]:
+            row = {e(i, l): 1} if j == k else {}
+            if l == i:
+                row[e(k, j)] = -1
+            if row:
+                table[e(i, j), e(k, l)] = row
+    return LieAlgebra.from_brackets([e(i, j) for i, j in units], table)
+
+
+def _assert_killing_form_by_ad_matrices(lie, label=""):
+    """`killing_form` is tr(ad e_a ad e_b) from the ad matrices, and on every
+    basis triple kappa([x, y], z) = kappa(x, [y, z])."""
+    form = lie.killing_form()
+    basis = [lie.basis_vector(i) for i in range(lie.dim)]
+    assert form == killing_matrix([lie.ad_matrix(u) for u in basis]), label
+    # kappa(w, e_c) is entry c of form w, as the form is symmetric
+    kappa = [[form.apply(lie.bracket(x, y)) for y in basis] for x in basis]
+    for a, b, c in itertools.product(range(lie.dim), repeat=3):
+        assert kappa[a][b][c] == kappa[b][c][a], (label, a, b, c)
+
+
+def test_the_killing_form_is_the_ad_matrix_form_on_every_catalog_algebra():
+    algebras = list(_catalog_algebras())
+    assert len(algebras) == 77
+    for label, lie in algebras:
+        _assert_killing_form_by_ad_matrices(lie, label)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_killing_form_of_gl_n_is_the_ad_matrix_form(n):
+    lie = gl(n)
+    _assert_killing_form_by_ad_matrices(lie)
+    # kappa(x, y) = 2n tr(xy) - 2 tr(x) tr(y) on gl_n
+    form = lie.killing_form().rows
+    assert form[0][0] == Scalar(2 * n - 2) and form[1][n] == Scalar(2 * n)
+
+
+@pytest.mark.parametrize("discriminant", [0, -1], ids=["Q", "Q(sqrt(-1))"])
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_the_killing_form_is_the_ad_matrix_form_in_any_basis(discriminant, data):
+    lie = data.draw(st.one_of(_every_recognition_shape(), st.builds(gl, st.integers(2, 3))))
+    conjugated = lie.change_basis(data.draw(_random_bases(lie.dim, (discriminant,))))
+    _assert_killing_form_by_ad_matrices(conjugated)
+
+
 def test_recognize_past_the_former_dimension_cap():
     lie = sl2_on([11])  # sl2 on its 11-dimensional simple module: dimension 14
     rec = recognize(lie)
@@ -1096,8 +1161,8 @@ def test_a_three_dimensional_g_builds_no_ad_matrix_killing_form_or_derived_span(
         monkeypatch, lie, dims):
     import poisson_atlas.classify as classify
 
-    calls = {"ad_matrix": 0, "killing_matrix": 0, "_derived_spans": 0}
-    for owner, name in ((LieAlgebra, "ad_matrix"), (classify, "killing_matrix"),
+    calls = {"ad_matrix": 0, "killing_form": 0, "_derived_spans": 0}
+    for owner, name in ((LieAlgebra, "ad_matrix"), (LieAlgebra, "killing_form"),
                         (classify, "_derived_spans")):
         original = getattr(owner, name)
 
@@ -1107,4 +1172,4 @@ def test_a_three_dimensional_g_builds_no_ad_matrix_killing_form_or_derived_span(
 
         monkeypatch.setattr(owner, name, counted)
     assert recognize(lie).derived_dims == dims
-    assert calls == {"ad_matrix": 0, "killing_matrix": 0, "_derived_spans": 0}
+    assert calls == {"ad_matrix": 0, "killing_form": 0, "_derived_spans": 0}

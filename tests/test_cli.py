@@ -454,6 +454,23 @@ def test_module_dims_below_1_are_usage_errors(command):
         assert f"argument --dim: expected an integer >= 1, got '{dim}'" in proc.stderr
 
 
+@pytest.mark.parametrize("flag, text", [
+    ("--dim", "٢"), ("--dim", "+2"), ("--box-num", "1_0"), ("--box-den", " 1 "),
+    ("--box-num", "１"),
+], ids=["arabic-indic", "plus", "underscore", "blanks", "fullwidth"])
+def test_an_integer_flag_reads_ascii_digits_only(flag, text, capsys):
+    """`int()` also reads other scripts' digits, '_' and surrounding blanks;
+    a count or a bound, like the file grammar, is ASCII digits after an
+    optional '-'."""
+    torus = str(INPUTS / "torus-so3.pa")
+    argv = ["module", torus, "--point", "(2, 2, 2)"] if flag == "--dim" else ["classify", torus]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, text])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "Traceback" not in err
+    assert f"argument {flag}: expected an integer >= 1, got {text!r}" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", str(INPUTS / "torus-so3.pa"), "--point", "(2, 2, 2)", "--dim", "2"],
     ["catalog", "run", "kleinian-a1"],
@@ -983,8 +1000,17 @@ def test_classify_takes_one_gradient_pass_per_point(monkeypatch):
 
 def test_a_solvable_g_builds_no_killing_matrix(monkeypatch):
     """Every point of whitney's line in the 6/3 box has a solvable g(J), which
-    its derived series recognizes, so no Killing matrix is built."""
-    counts = _count_calls(monkeypatch, "killing_matrix")
+    its derived series recognizes, so no Killing form is built."""
+    from poisson_atlas.lie import LieAlgebra
+
+    counts = {"killing_form": 0}
+    original = LieAlgebra.killing_form
+
+    def counted(self):
+        counts["killing_form"] += 1
+        return original(self)
+
+    monkeypatch.setattr(LieAlgebra, "killing_form", counted)
     monkeypatch.chdir(ROOT)
     code, out = run(["classify", "perfbench/inputs/whitney.pa", "--box-num", "6",
                      "--box-den", "3", "--format", "machine"])
@@ -992,7 +1018,7 @@ def test_a_solvable_g_builds_no_killing_matrix(monkeypatch):
     golden = json.loads((ROOT / "perfbench" / "golden.json").read_text(encoding="utf-8"))
     recorded = golden["scan"]["requests"]["classify whitney 6/3"]["sha256"]
     assert hashlib.sha256(f"rc=0\n{out}\0".encode("utf-8")).hexdigest() == recorded
-    assert counts == {"killing_matrix": 0}
+    assert counts == {"killing_form": 0}
 
 
 def test_classify_linearizes_each_pair_bracket_once_per_point(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rref_coordinates, rref_kernel, solve_linear
+from conftest import rref_coordinates, rref_kernel, solve_linear, trace_product
 from poisson_atlas.errors import AtlasError
 from poisson_atlas.lie import LieAlgebra
 from poisson_atlas import linalg, modules
@@ -24,7 +24,6 @@ from poisson_atlas.linalg import (
     rank,
     restrict_action,
     row_space_basis,
-    trace_product,
     unit_vector,
     weight_graph,
 )
