@@ -126,11 +126,13 @@ class PoissonPresentation:
     variable set; two presentations are equal when both are.
 
     Relations are carried for membership filters and map verification; no
-    normal-form rewriting happens in the ambient ring.
+    normal-form rewriting happens in the ambient ring.  `_recognitions`, outside
+    `==`, `hash` and `repr`, is `classify.recognize_points`' memo, one per g(J).
     """
 
     bracket_spec: BracketSpec
     relations: tuple = ()
+    _recognitions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def varset(self) -> VarSet:

@@ -35,7 +35,7 @@ from .brackets import (
     bracket,
     verify_poisson_map,
 )
-from .classify import find_sl2_triple, homogeneity_report, recognition_key, recognize
+from .classify import find_sl2_triple, homogeneity_report, recognize, recognize_points
 from .errors import AtlasError
 from .ideals import (
     SearchBox,
@@ -187,11 +187,12 @@ class Context:
         return lie_from_point(self.pres, pt)  # the point keeps its g(J)
 
     def rec(self, at=None):
-        """The recognition of g(J), one per `recognition_key`: points with
-        equal g(J) share it."""
+        """The recognition of g(J): at a point, the one `recognize_points`
+        keeps on the presentation, which points with equal g(J) share."""
         pt = self.point(at)
-        key = None if pt is None else self.memo(("key", pt), lambda: recognition_key(self.pres, pt))
-        return self.memo(("rec", key), lambda: recognize(self.lie(pt)))
+        if pt is None:
+            return self.memo("rec", lambda: recognize(self.lie()))
+        return self.memo(("rec", pt), lambda: next(recognize_points(self.pres, [pt])))
 
     def triple(self, at=None):
         pt = self.point(at)
@@ -214,7 +215,7 @@ class Context:
         return {pt: self.rec(pt) for pt in self.ideals}
 
     def homogeneity(self, relation=None):
-        return homogeneity_report(self.pres, self.ideals, relation, self.tags())
+        return homogeneity_report(self.pres, self.ideals, relation)
 
 
 def run_entry(entry: CatalogEntry, config: RunConfig | None = None) -> EntryReport:
@@ -1339,10 +1340,9 @@ def get_entry(name: str) -> CatalogEntry:
     if arg is None:
         return row()
     builder, _, least = row
-    try:
-        n = int(arg)
-    except ValueError:
-        raise AtlasError(f"bad parameter in {name!r}") from None
+    if not (arg.isascii() and arg.removeprefix("-").isdigit()):  # int() reads '_', '+', blanks
+        raise AtlasError(f"bad parameter in {name!r}")
+    n = int(arg)
     if n < least:
         raise AtlasError(f"{base} needs n >= {least}")
     return builder(n)

@@ -155,23 +155,19 @@ def recognize(lie: LieAlgebra) -> LieRecognition:
     return LieRecognition(tag, dims, levi_dim, k, tuple(radical))
 
 
-def recognition_key(pres, pt) -> tuple:
-    """The items of `pair_gradients` at pt, one `linear_part` per bracket,
-    whose value refuses a point that is not Poisson: the brackets `LieAlgebra`
-    takes, so two points of `pres` have equal keys iff their g(J) are equal."""
-    return tuple(pair_gradients(pres, pt).items())
-
-
 def recognize_points(pres, points):
-    """The recognition of g(J) at each point, in order: only a new
-    `recognition_key` builds its algebra, from the gradients in the key."""
-    names = pres.varset.names
-    by_key = {}
+    """The recognition of g(J) at each point, in order.  The items of
+    `pair_gradients` at a point, whose pass refuses a point that is not
+    Poisson, are the brackets `LieAlgebra` takes, so two points have equal
+    items iff their g(J) are equal: only new items build an algebra, and its
+    recognition is kept under them in `pres._recognitions` for every later
+    call on `pres`."""
+    names, kept = pres.varset.names, pres._recognitions
     for pt in points:
-        key = recognition_key(pres, pt)
-        rec = by_key.get(key)
+        key = tuple(pair_gradients(pres, pt).items())
+        rec = kept.get(key)
         if rec is None:
-            rec = by_key[key] = recognize(LieAlgebra(names, dict(key)))
+            rec = kept[key] = recognize(LieAlgebra(names, dict(key)))
         yield rec
 
 
@@ -334,7 +330,7 @@ class HomogeneityReport:
         return {"d >= 1": finite}
 
 
-def homogeneity_report(pres, points, relation=None, recognitions=None) -> HomogeneityReport:
+def homogeneity_report(pres, points, relation=None) -> HomogeneityReport:
     """Count simple Poisson module classes per dimension over the given points.
 
     With a relation r, only points where r vanishes (J contains r) are counted, which
@@ -345,8 +341,4 @@ def homogeneity_report(pres, points, relation=None, recognitions=None) -> Homoge
     undetermined when some Levi factor is not identified by its dimension.
     """
     kept = [pt for pt in points if relation is None or relation.evaluate(pt).is_zero]
-    if recognitions is None:
-        tags = list(recognize_points(pres, kept))
-    else:
-        tags = [recognitions[pt] for pt in kept]
-    return HomogeneityReport(kept, tags)
+    return HomogeneityReport(kept, list(recognize_points(pres, kept)))

@@ -12,6 +12,7 @@ extension beyond quadratic).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import re
 import sys
@@ -96,7 +97,16 @@ def _point_arg(parser):
 
 def _trial_flags(parser):
     parser.add_argument("--trials", type=_at_least(0), default=DEFAULT_TRIALS)
-    parser.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED)
+    parser.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+
+
+def _seed(text: str) -> int:
+    """The argument type of --seed: what `int(text, 0)` reads, a negative or
+    an `0x` seed too, from ASCII letters and digits after an optional '-'."""
+    if re.fullmatch(r"-?[0-9A-Za-z]+", text):
+        with contextlib.suppress(ValueError):
+            return int(text, 0)
+    raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
 
 
 def _at_least(low: int):

@@ -303,11 +303,12 @@ def lie_from_invariants(ip: InvariantPresentation) -> LieAlgebra:
     target or generator, in an `IncrementalSpan` of the products, untagged,
     and then the generators, generator k with tag k: a target escapes when it
     does not reduce to 0 there, and the c_k are its coordinates, read off the
-    tags.  The generators must stay
-    independent modulo those products (J^2), so the linear parts are unique.
+    tags.  The generators must stay independent modulo those products (J^2),
+    so the linear parts are unique: each must grow every span it is added to.
     When `_graded` finds every generator homogeneous in total degree, so is
     every product, and each check of a homogeneous polynomial needs only the
-    products of its degree.
+    products of its degree.  One span serves each distinct pruned product
+    basis; targets are read in pair order, and an escape comes first.
     """
     gens = list(ip.generators)
     names = list(ip.generator_names)
@@ -338,32 +339,22 @@ def lie_from_invariants(ip: InvariantPresentation) -> LieAlgebra:
         d = None if ones is None else poly.degree_wrt(ones)
         return tuple(k for k, deg in enumerate(degrees) if deg <= total and d in (None, deg))
 
-    classes = {}  # a dependency modulo J^2 holds among generators of equal degrees
+    spans = {}  # pruned product basis -> (its span, whether every generator grew it)
+
+    def span_for(basis):  # the products untagged, then generator k with tag k
+        if basis not in spans:
+            span = IncrementalSpan(products[k].terms for k in basis)
+            spans[basis] = span, all([span.add(g.terms, k) for k, g in enumerate(gens)])
+        return spans[basis][0]
+
     for g in gens:
-        classes.setdefault(pruned(g, bound), []).append(g)
-    spans = (IncrementalSpan(products[k].terms for k in basis) for basis in classes)
-    independent = all(all(span.add(g.terms) for g in members)
-                      for span, members in zip(spans, classes.values()))
-    groups = {}  # pruned product basis -> the pairs whose targets it serves
-    for pair, target in targets.items():
-        groups.setdefault(pruned(target, target.total_degree()), []).append(pair)
-    escapes = []
-    for basis, pairs in groups.items():
-        # a target escapes when it lies outside span(products, gens); the later
-        # ones of its group are read only if none does
-        span = IncrementalSpan(products[k].terms for k in basis)
-        for k, g in enumerate(gens):
-            span.add(g.terms, k)
-        for i, j in pairs:
-            coords = span.coordinates(targets[(i, j)].terms)
-            if coords is None:
-                escapes.append((i, j))
-                break
-            brackets[i, j] = coords
-    if escapes:  # the first escaping pair in pair order is the first of its group
-        i, j = min(escapes)
-        raise NotExpressibleError(f"bracket of ({names[i]}, {names[j]}) escapes the "
-                                  f"subalgebra up to the degree bound")
-    if not independent:
+        span_for(pruned(g, bound))
+    for (i, j), target in targets.items():
+        coords = span_for(pruned(target, target.total_degree())).coordinates(target.terms)
+        if coords is None:
+            raise NotExpressibleError(f"bracket of ({names[i]}, {names[j]}) escapes the "
+                                      f"subalgebra up to the degree bound")
+        brackets[i, j] = coords
+    if not all(grew for _, grew in spans.values()):
         raise NotExpressibleError("generators are dependent modulo J^2; linear part not unique")
     return LieAlgebra(names, brackets)

@@ -147,7 +147,7 @@ def test_criterion_3_uqsl2_family():
     ok = ok and len(ideals4) == 4 and all(t.tag == "sl2" for t in tags4.values())
     ok = (
         ok
-        and homogeneity_report(pres4, ideals4, recognitions=tags4).verdict
+        and homogeneity_report(pres4, ideals4).verdict
         == "4-homogeneous"
     )
     announce(3, ok, "4.5: both presentations 2-homogeneous, eta Poisson, variant 4-homogeneous")

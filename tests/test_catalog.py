@@ -11,6 +11,29 @@ from poisson_atlas.lie import LieAlgebra
 FAST = RunConfig(trials=4)
 
 
+@pytest.mark.parametrize("name", [
+    "kleinian-an(\u0663)", "kleinian-an(\uff13)", "abelian(0_3)", "kleinian-an( 3)",
+    "kleinian-an(+3)", "kleinian-an(3 )", "kleinian-an()",
+])
+def test_an_entry_parameter_is_ascii_digits(name, capsys):
+    """`int()` also reads other scripts' digits, '_', '+' and blanks; an entry
+    parameter is ASCII digits after an optional '-', and anything else is
+    the bad-parameter error, exit 1 from the CLI."""
+    from poisson_atlas.cli import main
+
+    with pytest.raises(AtlasError) as exc:
+        get_entry(name)
+    assert str(exc.value) == f"bad parameter in {name!r}"
+    assert main(["catalog", "run", name]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: bad parameter in {name!r}\n"
+
+
+def test_a_negative_entry_parameter_is_below_the_least_n():
+    with pytest.raises(AtlasError, match=r"^kleinian-an needs n >= 2$"):
+        get_entry("kleinian-an(-3)")
+
+
 def test_names_cover_the_worked_examples():
     names = catalog_names()
     for required in (

@@ -1076,6 +1076,63 @@ def test_recognize_points_refuses_a_point_that_is_not_poisson(torus_pres):
         next(recs)
 
 
+@pytest.mark.parametrize("name", ["torus-so3", "whitney", "abelian(3)", "uqsl2-4hom"])
+def test_a_presentation_recognizes_each_distinct_g_once_across_calls(name, monkeypatch):
+    """The recognitions are kept on the presentation: `recognize_points` and
+    then `homogeneity_report` on the same points recognize each distinct
+    g(J) once in all."""
+    import poisson_atlas.classify as classify
+
+    entry = get_entry(name)
+    pres = entry.presentation
+    points = find_poisson_maximal(pres, entry.box)
+    distinct = []
+    for pt in points:
+        lie = lie_from_point(pres, pt)
+        if lie not in distinct:
+            distinct.append(lie)
+    calls = []
+    real = classify.recognize
+    monkeypatch.setattr(classify, "recognize", lambda lie: calls.append(lie) or real(lie))
+    first = list(recognize_points(pres, points))
+    report = homogeneity_report(pres, points)
+    assert report.tags == first and len(calls) == len(distinct)
+    assert all(a is b for a, b in zip(report.tags, first))
+    assert list(recognize_points(pres, points)) == first and len(calls) == len(distinct)
+
+
+def test_kept_recognitions_leave_equality_hash_and_repr_alone():
+    """Two equal presentations stay equal, with equal hashes and reprs, after
+    one of them has kept recognitions."""
+    kept, fresh = (get_entry("torus-so3").presentation for _ in range(2))
+    before = repr(kept)
+    points = find_poisson_maximal(kept, get_entry("torus-so3").box)
+    assert len(list(recognize_points(kept, points))) == 5
+    assert len(kept._recognitions) == 5 and not fresh._recognitions
+    assert kept == fresh and hash(kept) == hash(fresh)
+    assert repr(kept) == repr(fresh) == before
+    assert {kept: 1}[fresh] == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_gl_table_script_parses_to_gl(n):
+    """`tests/gl_table.py N`, which writes the CI smokes' gl_N inputs, parses
+    to a table whose g(J) at the origin is `gl(n)`, so the two cannot drift."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from poisson_atlas.presfile import parse_presentation
+
+    script = Path(__file__).with_name("gl_table.py")
+    text = subprocess.run([sys.executable, str(script), str(n)], capture_output=True,
+                          text=True, check=True).stdout
+    pres = parse_presentation(text).presentation
+    assert pres.varset.names == tuple(f"e{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
+    origin = PointP(pres.varset, [0] * (n * n))
+    assert lie_from_point(pres, origin).structure_table() == gl(n).structure_table()
+
+
 def _recognize_general(lie):
     """`recognize` as it was before a 3-dimensional g was read off the rank of
     its pair rows: the derived series for every g, and the Killing form for

@@ -471,6 +471,28 @@ def test_an_integer_flag_reads_ascii_digits_only(flag, text, capsys):
     assert f"argument {flag}: expected an integer >= 1, got {text!r}" in err
 
 
+@pytest.mark.parametrize(
+    "text", ["\u0662", "\uff12", "1_0", " 7 ", "7 ", "+7", "07", "0x", "", "seven"])
+def test_a_seed_reads_ascii_int_literals_only(text, capsys):
+    """`int(s, 0)` also reads other scripts' digits, '_', '+' and blanks; a
+    seed is what it reads from ASCII letters and digits after an optional '-'."""
+    torus = str(INPUTS / "torus-so3.pa")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", torus, "--point", "(2, 2, 2)", "--dim", "2", "--seed", text])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "Traceback" not in err
+    assert f"argument --seed: expected an integer, got {text!r}" in err
+
+
+@pytest.mark.parametrize("text, seed", [("17", 17), ("-3", -3), ("0x11", 17), ("-0X1f", -31),
+                                        ("0o17", 15), ("0b101", 5), ("0", 0)])
+def test_a_seed_keeps_negative_and_prefixed_literals(text, seed):
+    torus = str(INPUTS / "torus-so3.pa")
+    code, out = run(["verify", torus, "--point", "(2, 2, 2)", "--dim", "2", "--trials", "1",
+                     f"--seed={text}", "--format", "machine"])  # '-0X1f' alone reads as a flag
+    assert code == 0 and f"seed = {seed}" in out.splitlines()
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", str(INPUTS / "torus-so3.pa"), "--point", "(2, 2, 2)", "--dim", "2"],
     ["catalog", "run", "kleinian-a1"],

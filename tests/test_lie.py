@@ -28,7 +28,7 @@ from poisson_atlas.errors import (
     NotExpressibleError,
     NotPoissonMaximalError,
 )
-from poisson_atlas.linalg import Matrix, coordinates, rank, unit_vector
+from poisson_atlas.linalg import IncrementalSpan, Matrix, coordinates, rank, unit_vector
 from poisson_atlas.poly import term_sort_key
 from poisson_atlas.scalars import ZERO, Scalar, scalar_sqrt
 
@@ -487,6 +487,38 @@ def test_a_generator_in_J_squared_is_caught_whatever_the_pruning():
     y1, y2, y3 = (LaurentPoly.variable(vs3, n) for n in vs3.names)
     amb3 = PoissonPresentation(Table.from_dict(vs3, {("x1", "x2"): y1}))
     ip = InvariantPresentation(amb3, ("a", "b", "c", "d"), (y1, y2, y3 * y3, y3))
+    with pytest.raises(NotExpressibleError, match="dependent modulo J"):
+        lie_from_invariants(ip)
+
+
+@pytest.mark.parametrize("name, count", [
+    ("weyl-a2", 2), ("weyl-b2", 3), ("weyl-g2", 3), ("kleinian-a1", 1)])
+def test_the_solve_builds_one_span_per_product_basis(name, count, monkeypatch):
+    """One span per distinct pruned product basis serves the independence
+    check and every target over that basis."""
+    built = []
+
+    class Counted(IncrementalSpan):
+        def __init__(self, vectors=()):
+            built.append(self)
+            super().__init__(vectors)
+
+    monkeypatch.setattr(lie, "IncrementalSpan", Counted)
+    lie_from_invariants(get_entry(name).invariants)
+    assert len(built) == count
+
+
+@pytest.mark.parametrize("graded", [True, False])
+def test_every_generator_enters_the_span_after_one_that_adds_nothing(graded, monkeypatch):
+    """q = p^2 adds nothing to the span of degree 2, and r, after it, still
+    enters it: {p, r} = 2r is expressed, so the dependency is what is
+    reported, not an escape."""
+    vs = VarSet(("x1", "x2"))
+    x1, x2 = (LaurentPoly.variable(vs, n) for n in vs.names)
+    amb = PoissonPresentation(Table.from_dict(vs, {("x1", "x2"): x2}))
+    ip = InvariantPresentation(amb, ("p", "q", "r"), (x1, x1 * x1, x2 * x2))
+    if not graded:
+        monkeypatch.setattr(lie, "_graded", lambda gens: False)
     with pytest.raises(NotExpressibleError, match="dependent modulo J"):
         lie_from_invariants(ip)
 
