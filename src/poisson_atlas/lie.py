@@ -5,17 +5,19 @@ the point (polynomial presentations), or express brackets of invariant
 generators in the generators modulo products of two or more of them
 (invariant presentations), in a `linalg.IncrementalSpan` of the products
 and the tagged generators.  The second route prunes its product basis by
-the total degree when that grades the generators.  Both give `LieAlgebra`
-its brackets on the pairs i < j, so antisymmetry holds by construction, and
-the constructor checks the Jacobi identity.  `lie_from_point` is the one
-place that certifies a point as Poisson-maximal; it keeps the g(J) it builds
-on the point, so every later request at that point reads the same algebra.
+the total degree when that grades the generators, and solves on their
+primitive integer multiples.  Both give `LieAlgebra` its brackets on the
+pairs i < j, so antisymmetry holds by construction, and the constructor
+checks the Jacobi identity.  `lie_from_point` is the one place that
+certifies a point as Poisson-maximal; it keeps the g(J) it builds on the
+point, so every later request at that point reads the same algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import gcd, lcm
 
 from .brackets import PoissonPresentation, SubstitutionMap, bracket
 from .errors import LieStructureError, NotExpressibleError, NotPoissonMaximalError
@@ -295,6 +297,13 @@ def _enumerate_products(gens, bound: int):
     return products, degrees
 
 
+def _primitive_scale(poly) -> Scalar:
+    """The lcm of the coefficient denominators over the gcd of their n and m
+    numerators: s*poly has coprime integer coefficients; 1 for 0."""
+    cs = poly.terms.values()
+    return Scalar(lcm(*(c.q for c in cs))) / (gcd(*(x for c in cs for x in (c.n, c.m))) or 1)
+
+
 def lie_from_invariants(ip: InvariantPresentation) -> LieAlgebra:
     """g(J) from an invariant presentation via the mod-J^2 membership solve.
 
@@ -309,8 +318,13 @@ def lie_from_invariants(ip: InvariantPresentation) -> LieAlgebra:
     every product, and each check of a homogeneous polynomial needs only the
     products of its degree.  One span serves each distinct pruned product
     basis; targets are read in pair order, and an escape comes first.
+    It runs on s_k G_k, s_k = `_primitive_scale(G_k)`, and returns c_ij^k =
+    c~_ij^k s_k / (s_i s_j): {s_i G_i, s_j G_j} = s_i s_j {G_i, G_j} and the
+    rescaled products span the same spaces, so membership and independence
+    modulo J^2, every constant and every error are unchanged.
     """
-    gens = list(ip.generators)
+    scales = [_primitive_scale(g) for g in ip.generators]
+    gens = [g * s for g, s in zip(ip.generators, scales)]
     names = list(ip.generator_names)
     m = len(gens)
     varset = ip.ambient.varset
@@ -354,7 +368,7 @@ def lie_from_invariants(ip: InvariantPresentation) -> LieAlgebra:
         if coords is None:
             raise NotExpressibleError(f"bracket of ({names[i]}, {names[j]}) escapes the "
                                       f"subalgebra up to the degree bound")
-        brackets[i, j] = coords
+        brackets[i, j] = {k: c * scales[k] / (scales[i] * scales[j]) for k, c in coords.items()}
     if not all(grew for _, grew in spans.values()):
         raise NotExpressibleError("generators are dependent modulo J^2; linear part not unique")
     return LieAlgebra(names, brackets)

@@ -215,6 +215,31 @@ def test_an_entry_run_recognizes_each_distinct_g_once(name, monkeypatch):
     assert not [(i, j) for j, b in enumerate(calls) for i, a in enumerate(calls[:j]) if a == b]
 
 
+@pytest.mark.parametrize("name", ["torus-so3", "kleinian-a1"])
+def test_an_entry_run_builds_g_once_per_point(name, monkeypatch):
+    """`recognize_points` keeps the g(J) it builds on the point, where
+    `lie_from_point` finds it, and takes the one a point keeps already: no
+    two builds of g(J) at a point, read off the caller of `LieAlgebra`, are at
+    one (presentation, point).  A point pulled back along an embedding is
+    another point object, with its own g(J)."""
+    import sys
+
+    builds = []
+    real = LieAlgebra.__init__
+
+    def spied(self, labels, brackets):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name in ("recognize_points", "lie_from_point"):
+            builds.append((caller.f_locals["pres"], caller.f_locals["pt"]))
+        real(self, labels, brackets)
+
+    monkeypatch.setattr(LieAlgebra, "__init__", spied)
+    assert run_entry(get_entry(name), FAST).ok
+    assert builds
+    assert not [b for k, b in enumerate(builds)
+                if any(a[0] == b[0] and a[1] is b[1] for a in builds[:k])]
+
+
 def test_a_context_keeps_one_point_per_coordinate_tuple():
     from poisson_atlas.catalog import Context
 

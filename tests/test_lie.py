@@ -558,6 +558,133 @@ def test_the_total_degree_does_not_filter_a_target_inhomogeneous_in_it():
     assert sc_table(lie_from_invariants(ip)) == {("p", "q"): {"p": Scalar(1)}}
 
 
+# -- the solve on primitive integer generators -------------------------------------
+
+
+def test_the_primitive_scale_clears_the_denominators_and_the_content():
+    """lcm(9, 3) = 9 over gcd(4, 2, -2) = 2: the n and m parts of a Q(sqrt -1)
+    coefficient both count."""
+    vs = VarSet(("x1", "x2"))
+    x1, x2 = (LaurentPoly.variable(vs, n) for n in vs.names)
+    g = x1 * Fraction(4, 9) + x2 * Scalar(Fraction(2, 3), Fraction(-2, 3), -1)
+    assert lie._primitive_scale(g) == Scalar(Fraction(9, 2))
+    assert (g * lie._primitive_scale(g)).terms == {(1, 0): Scalar(2), (0, 1): Scalar(3, -3, -1)}
+    assert lie._primitive_scale(x1 * 6 - x2 * 4) == Scalar(Fraction(1, 2))
+    assert lie._primitive_scale(LaurentPoly.zero(vs)) == Scalar(1)
+
+
+def _scaled(ip, scales):
+    """ip with generator k multiplied by scales[k]."""
+    gens = tuple(g * t for g, t in zip(ip.generators, scales))
+    return InvariantPresentation(ip.ambient, ip.generator_names, gens)
+
+
+def _rescaled_outcome(ip, scales):
+    """What the solve must give for `_scaled(ip, scales)`: with G_k scaled by
+    t_k, {t_i G_i, t_j G_j} = t_i t_j {G_i, G_j}, so c_ij^k becomes
+    c_ij^k t_i t_j / t_k; an escape or a dependency raises as before."""
+    out = _outcome(ip)
+    if isinstance(out, tuple):
+        return out
+    t = scales
+    return {(i, j): {k: c * t[i] * t[j] / t[k] for k, c in row.items()}
+            for (i, j), row in out.items()}
+
+
+def _rational_scales(rng, n):
+    return [Scalar(Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 12)))
+            for _ in range(n)]
+
+
+def _gaussian_scales(rng, n):
+    return [Scalar(Fraction(rng.randint(-6, 6), rng.randint(1, 6)),
+                   Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 6)), -1)
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in catalog_names() if get_entry(n).invariants is not None]
+)
+def test_rescaled_catalog_generators_rescale_the_structure_constants(name):
+    """A nonzero rational multiple of each generator, and a Q(sqrt -1) one where
+    the generators are rational, gives the structure constants
+    c_ij^k t_i t_j / t_k, or the same error."""
+    import random
+
+    rng = random.Random(name)
+    ip = get_entry(name).invariants
+    m = len(ip.generators)
+    draws = [_rational_scales(rng, m)]
+    if all(c.is_rational for g in ip.generators for c in g.terms.values()):
+        draws.append(_gaussian_scales(rng, m))
+    for scales in draws:
+        assert _outcome(_scaled(ip, scales)) == _rescaled_outcome(ip, scales)
+
+
+def _escape_and_dependency_presentations():
+    vs = VarSet(("x1", "x2"))
+    x1, x2 = (LaurentPoly.variable(vs, n) for n in vs.names)
+    escape = PoissonPresentation(Table.from_dict(vs, {("x1", "x2"): x1}))
+    dependent = PoissonPresentation(Table.from_dict(vs, {("x1", "x2"): x2}))
+    return [
+        InvariantPresentation(escape, ("p", "q", "r", "s"),
+                              (x2, x1 * x1, x1 * x2 * x2, x1 * x2 + x1)),
+        InvariantPresentation(dependent, ("p", "q", "r"), (x1, x1 * x1, x2 * x2)),
+        InvariantPresentation(dependent, ("p", "q", "r"), (x1 + x2 * x2, x2, x1)),
+    ]
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_rescaled_generators_escape_and_depend_with_the_same_messages(k):
+    import random
+
+    ip = _escape_and_dependency_presentations()[k]
+    expected = _outcome(ip)
+    assert expected[0] == "NotExpressibleError"
+    rng = random.Random(k)
+    for scales in (_rational_scales(rng, 3 + (k == 0)), _gaussian_scales(rng, 3 + (k == 0))):
+        assert _outcome(_scaled(ip, scales)) == expected
+
+
+_nonzero_rationals = st.fractions(min_value=-12, max_value=12, max_denominator=12).filter(bool)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_small_invariant_presentations(), st.data())
+def test_rescaled_drawn_generators_rescale_the_structure_constants(ip, data):
+    """Graded and ungraded drawn presentations, each generator times a nonzero
+    rational, then times a Q(sqrt -1) scalar, so the scale also reads the m
+    parts of its coefficients."""
+    m = len(ip.generators)
+    rational = st.lists(_nonzero_rationals.map(Scalar), min_size=m, max_size=m)
+    gaussian = st.lists(st.builds(lambda a, b: Scalar(a, b, -1), _nonzero_rationals,
+                                  _nonzero_rationals), min_size=m, max_size=m)
+    for scales in (data.draw(rational), data.draw(gaussian)):
+        assert _outcome(_scaled(ip, scales)) == _rescaled_outcome(ip, scales)
+
+
+def test_weyl_g2_solves_on_integer_coefficients(monkeypatch):
+    """weyl-g2's generators carry ninths, yet every product and generator
+    added to a span, and every target read in one, has integer coefficients:
+    the solve runs on the primitive integer multiples of the generators."""
+    entered = []
+
+    class Watched(IncrementalSpan):
+        def add(self, vec, tag=None):
+            entered.append(vec)
+            return super().add(vec, tag)
+
+        def coordinates(self, vec):
+            entered.append(vec)
+            return super().coordinates(vec)
+
+    monkeypatch.setattr(lie, "IncrementalSpan", Watched)
+    ip = get_entry("weyl-g2").invariants
+    assert any(c.q != 1 for g in ip.generators for c in g.terms.values())
+    lie_from_invariants(ip)
+    assert entered and all(c.q == 1 for vec in entered for c in vec.values())
+
+
 # -- the nonzero structure constants against the dense loops they replaced ------
 
 
