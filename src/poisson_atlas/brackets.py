@@ -222,13 +222,16 @@ class SubstitutionMap:
     """Per-variable image polynomials from a source varset into a target ring.
 
     `verify_poisson_map` keeps its report per (source, target) presentation
-    pair in `_reports`, a field outside `==`, `hash` and `repr`, so a map is
-    checked once however many modules are pulled back along it.
+    pair in `_reports`, and `pull_point` the points it makes, by value, in
+    `_points`; both fields are outside `==`, `hash` and `repr`, so a map is
+    checked once however many modules are pulled back along it, and pullbacks
+    to one value share one point with the g(J) that point keeps.
     """
 
     source: VarSet
     images: tuple  # LaurentPoly per source variable, all over the target varset
     _reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.images) != len(self.source):
@@ -249,7 +252,10 @@ class SubstitutionMap:
 
     def pull_point(self, pt: PointP) -> PointP:
         """The point p with a(p) = self(a)(pt): ideal(p) is self^-1(ideal(pt))."""
-        return PointP(self.source, [img.evaluate(pt) for img in self.images])
+        values = tuple(img.evaluate(pt) for img in self.images)
+        if values not in self._points:
+            self._points[values] = PointP(self.source, values)
+        return self._points[values]
 
     def compose(self, inner: "SubstitutionMap") -> "SubstitutionMap":
         """self o inner (apply inner first)."""

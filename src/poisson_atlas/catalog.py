@@ -17,8 +17,12 @@ the run's `Context`, which computes each value on first use and keeps it
 until `run_entry` returns.  A fact run alone therefore reports what it
 reports after the facts before it.  The citations make reports an audit trail.
 
-To add an example, write a builder that returns `_entry(name, cite, pres,
-facts=[...], **data)` and add a row to `_REGISTRY`.
+To add an example, write its presentation as file text (automorphisms,
+embeddings, points and grading included) and read it with
+`presfile.parse_presentation`; its builder returns `_entry(name, cite, file,
+facts=[...], **data)`, and a row in `_REGISTRY` names it.  Invariant
+generators, which the file format has no clause for, are polynomials over the
+parsed ambient's generators.
 """
 
 from __future__ import annotations
@@ -26,15 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .brackets import (
-    Exact,
-    PoissonPresentation,
-    Scaled,
-    SubstitutionMap,
-    Table,
-    bracket,
-    verify_poisson_map,
-)
+from .brackets import PoissonPresentation, bracket, verify_poisson_map
 from .classify import find_sl2_triple, homogeneity_report, recognize, recognize_points
 from .errors import AtlasError
 from .ideals import (
@@ -71,8 +67,8 @@ from .modules import (
     twist,
     verify_poisson_axioms,
 )
-from .poly import LaurentPoly, PointP, VarSet
-from .presfile import PresentationFile, lincomb_text
+from .poly import LaurentPoly, PointP
+from .presfile import PresentationFile, lincomb_text, parse_presentation
 from .scalars import Scalar, scalar_sqrt
 
 
@@ -112,7 +108,7 @@ class CatalogEntry:
     invariants: InvariantPresentation | None = None
     automorphisms: dict = field(default_factory=dict)
     embeds: dict = field(default_factory=dict)  # name -> (SubstitutionMap, sub pres)
-    grading_name: str | None = None
+    grading: LaurentPoly | None = None
     checks: list = field(default_factory=list)  # (key, cite, fn(ctx, cfg))
     notes: list = field(default_factory=list)
     containing: LaurentPoly | None = None  # kept ideals contain it
@@ -129,10 +125,7 @@ class CatalogEntry:
                 (f"w{k + 1}", auto) for k, auto in enumerate(self.invariants.automorphisms)
             )
         points = find_poisson_maximal(pres, self.box)
-        grading = None
-        if self.grading_name and self.grading_name in pres.varset.names:
-            grading = pres.gen(self.grading_name)
-        return PresentationFile(pres, {}, points, autos, self.embeds, grading)
+        return PresentationFile(pres, {}, points, autos, self.embeds, self.grading)
 
 
 class Context:
@@ -167,7 +160,7 @@ class Context:
     def point(self, at):
         if at is None:
             return None
-        pt = at if isinstance(at, PointP) else _pt(self.pres.varset, at)
+        pt = at if isinstance(at, PointP) else PointP(self.pres.varset, at)
         return self.memo(("point", pt), lambda: pt)
 
     @property
@@ -237,16 +230,8 @@ def run_entry(entry: CatalogEntry, config: RunConfig | None = None) -> EntryRepo
 ORIGIN = (0, 0, 0)
 
 
-def _vars(names, laurent=()):
-    return VarSet(tuple(names), tuple(laurent))
-
-
 def _gens(varset):
     return [LaurentPoly.variable(varset, n) for n in varset.names]
-
-
-def _pt(varset, coords):
-    return PointP(varset, [Scalar.coerce(c) for c in coords])
 
 
 def _sc_equal(lie: LieAlgebra, table: dict):
@@ -270,11 +255,16 @@ def _expect_eigs(values):
     return sorted((Scalar.coerce(v) for v in values), key=Scalar.sort_key)
 
 
-def _entry(name, cite, presentation, facts, **data) -> CatalogEntry:
-    """An entry whose facts are `(key, cite, fn)` triples or `(key, fn)` pairs,
-    the latter cited like the entry."""
+def _entry(name, cite, pf, facts, **data) -> CatalogEntry:
+    """An entry with the presentation, automorphisms, embeddings and grading
+    of the parsed file `pf` (None for a Lie-level entry) unless `data` gives
+    them; its facts are `(key, cite, fn)` triples or `(key, fn)` pairs, the
+    latter cited like the entry."""
+    if pf is not None:
+        data = {"presentation": pf.presentation, "automorphisms": pf.autos,
+                "embeds": pf.embeds, "grading": pf.grading, **data}
     checks = [fact if len(fact) == 3 else (fact[0], cite, fact[1]) for fact in facts]
-    return CatalogEntry(name, cite, presentation, checks=checks, **data)
+    return CatalogEntry(name, cite, checks=checks, **data)
 
 
 # -- fact shapes: one function each, applied to an entry's expected values -------
@@ -412,39 +402,26 @@ def _weyl_trio(cite, weights, weights_detail):
 # -- shared data -------------------------------------------------------------------
 
 
-def _exact(potential, names="xyz"):
-    """C[names]/(f) with the exact bracket of f = potential(*generators)."""
-    f = potential(*_gens(_vars(names)))
-    return PoissonPresentation(Exact(f), relations=(f,))
+def _surface(potential: str, names="x, y, z") -> str:
+    """The text of C[names]/(f) with the exact bracket of f = potential."""
+    return f"vars {names}; bracket exact f = {potential}; relation f;\n"
 
 
-def _scaled(potential):
-    """C[x, y, z^+-1] with 2z times the exact bracket of potential(x, y, z)."""
-    x, y, z = _gens(_vars("xyz", laurent=("z",)))
-    return PoissonPresentation(Scaled(2 * z, potential(x, y, z)))
+_TORUS = _surface("x*y*z - x^2 - y^2 - z^2 + 4")
+_C_THETA = "2*x*v*w - x^2*v - 2*v^2 - 2*w^2 + 4*v"  # over x, v, w
+_UQSL2 = "vars x, y, z laurent(z); bracket scaled a = 2*z; f = x*y + z + z^-1;\n"
+_PHI = "auto phi { x -> x; y -> -y; z -> -z; };"
+_WEYL_A2 = """vars a1, a2, b1, b2;
+bracket table { [a1,b1] = 6; [a2,b2] = 6; [a1,b2] = -3; [a2,b1] = -3; };
+auto swap { a1 -> a2; a2 -> a1; b1 -> b2; b2 -> b1; };
+auto cycle { a1 -> a2; a2 -> -a1 - a2; b1 -> b2; b2 -> -b1 - b2; };
+"""
 
 
-def _table_pres(varset, brackets):
-    """A presentation given by its generator brackets {(a, b): {a,b}}."""
-    return PoissonPresentation(Table.from_dict(varset, brackets))
-
-
-def _sign_flip(varset, signs):
-    """The automorphism scaling each generator by its sign (+1 or -1)."""
-    return SubstitutionMap(
-        varset, tuple(g if s > 0 else -g for g, s in zip(_gens(varset), signs))
-    )
-
-
-def _torus_presentation():
-    return _exact(lambda x, y, z: x * y * z - x * x - y * y - z * z + 4)
-
-
-def _c_theta_presentation():
-    return _exact(
-        lambda x, v, w: 2 * x * v * w - x * x * v - 2 * v * v - 2 * w * w + 4 * v,
-        ("x", "v", "w"),
-    )
+def _invariants(amb: PresentationFile, names, gens, relations=()) -> InvariantPresentation:
+    """The invariants `gens` of the file's ring under its automorphisms."""
+    return InvariantPresentation(amb.presentation, tuple(names), tuple(gens),
+                                 tuple(amb.autos.values()), tuple(relations))
 
 
 def _rejected(pres, at, betas) -> bool:
@@ -463,38 +440,28 @@ def _half_steps(d: int, denom: int):
 
 def _kleinian_invariants(n: int, f) -> InvariantPresentation:
     """x = x1^n/a, y = x2^n/a, z = x1 x2/n with a^2 = n^n in the Weyl bracket."""
-    avs = _vars(("x1", "x2"))
-    x1, x2 = _gens(avs)
-    amb = _table_pres(avs, {("x1", "x2"): LaurentPoly.const(avs, 1)})
+    pi = {2: "auto pi { x1 -> -x1; x2 -> -x2; };",
+          4: "auto pi { x1 -> sqrt(-1)*x1; x2 -> -sqrt(-1)*x2; };"}
+    amb = parse_presentation("vars x1, x2; bracket table { [x1,x2] = 1; };" + pi.get(n, ""))
+    x1, x2 = _gens(amb.varset)
     inv_a = scalar_sqrt(n**n).inverse()
     gens = (x1**n * inv_a, x2**n * inv_a, x1 * x2 * Fraction(1, n))
-    autos = ()
-    if n == 2:
-        autos = (_sign_flip(avs, (-1, -1)),)
-    elif n == 4:
-        i = Scalar(0, 1, -1)
-        autos = (SubstitutionMap.from_dict(avs, {"x1": x1 * i, "x2": x2 * (-i)}),)
-    return InvariantPresentation(amb, ("x", "y", "z"), gens, automorphisms=autos, relations=(f,))
+    return _invariants(amb, "xyz", gens, (f,))
 
 
 # -- entry builders ----------------------------------------------------------------
 
 
 def _entry_kleinian_a1() -> CatalogEntry:
-    pres = _exact(lambda x, y, z: z * z - x * y)
-    x, y, z = _gens(pres.varset)
+    pf = parse_presentation(_surface("z^2 - x*y") + """
+        embed pi4(u, v, w) { bracket exact F = w^4/4 - u*v; relation F;
+          u -> x^2/8; v -> y^2/8; w -> z/2; };
+        grading z;""")
+    pres = pf.presentation
     # z^2 - xy expands to the zero ambient polynomial
     ip = _kleinian_invariants(2, pres.relations[0])
-
     # B^{pi4} sub-presentation for the restriction scenario: uv = w^4/4
-    svs = _vars("uvw")
-    u, v, w = _gens(svs)
-    f4 = w**4 * Fraction(1, 4) - u * v
-    sub = PoissonPresentation(Exact(f4), relations=(f4,))
-    emb = SubstitutionMap.from_dict(
-        svs,
-        {"u": x * x * Fraction(1, 8), "v": y * y * Fraction(1, 8), "w": z * Fraction(1, 2)},
-    )
+    emb, sub = pf.embeds["pi4"]
 
     def triple(ctx, cfg):
         tri = ctx.triple(ORIGIN)
@@ -519,7 +486,7 @@ def _entry_kleinian_a1() -> CatalogEntry:
             return False, "embedding is not Poisson"
         for d in range(1, 5):
             restricted = restrict_to_subalgebra(ctx.lift(ORIGIN, d), emb, sub)
-            if restricted.point != _pt(svs, ORIGIN):
+            if restricted.point != PointP(sub.varset, ORIGIN):
                 return False, "sub-point is not the origin"
             analysis = analyze_submodules(restricted.mats, d)
             if analysis.semisimple is not True or [
@@ -531,8 +498,7 @@ def _entry_kleinian_a1() -> CatalogEntry:
         return True, "B^pi2 module splits into d characters, {w,-} = (2j+1-d)/4"
 
     return _entry(
-        "kleinian-a1", "section 4.2", pres, invariants=ip,
-        embeds={"pi4": (emb, sub)}, grading_name="z",
+        "kleinian-a1", "section 4.2", pf, invariants=ip,
         facts=[
             ("ideal_points", _ideal_points([ORIGIN])),
             ("recognition", _recognition("sl2", ORIGIN)),
@@ -553,28 +519,23 @@ def _entry_kleinian_a1() -> CatalogEntry:
 
 
 def _entry_torus() -> CatalogEntry:
-    pres = _torus_presentation()
-    vs = pres.varset
-    autos = {
-        "theta_x": _sign_flip(vs, (1, -1, -1)),
-        "theta_y": _sign_flip(vs, (-1, 1, -1)),
-        "theta_z": _sign_flip(vs, (-1, -1, 1)),
-    }
+    pf = parse_presentation(_TORUS + """
+        auto theta_x { x -> x; y -> -y; z -> -z; };
+        auto theta_y { x -> -x; y -> y; z -> -z; };
+        auto theta_z { x -> -x; y -> -y; z -> z; };""")
+    pres, autos = pf.presentation, pf.autos
     five = [ORIGIN, (2, 2, 2), (2, -2, -2), (-2, 2, -2), (-2, -2, 2)]
     j2 = five[1]
 
     # invariants of the 2-torus; z is the pi'-image of the displayed generator
-    tvs = _vars(("x1", "x2"), laurent=("x1", "x2"))
-    x1, x2 = _gens(tvs)
-    tor = _table_pres(tvs, {("x1", "x2"): x1 * x2})
-    pi = SubstitutionMap.from_dict(tvs, {"x1": x1**-1, "x2": x2**-1})
+    tor = parse_presentation("""vars x1, x2 laurent(x1, x2);
+        bracket table { [x1,x2] = x1*x2; };
+        auto pi { x1 -> x1^-1; x2 -> x2^-1; };""")
+    x1, x2 = _gens(tor.varset)
     inv_x = x1 + x1**-1
     inv_y = x2 + x2**-1
     inv_z = x1 * x2**-1 + x1**-1 * x2
-    ip = InvariantPresentation(
-        tor, ("x", "y", "z"), (inv_x, inv_y, inv_z), automorphisms=(pi,),
-        relations=pres.relations,
-    )
+    ip = _invariants(tor, "xyz", (inv_x, inv_y, inv_z), pres.relations)
 
     def triple_disc(ctx, cfg):
         tri = ctx.triple(ORIGIN)
@@ -601,7 +562,7 @@ def _entry_torus() -> CatalogEntry:
         return ok, "theta_x twist annihilated at J3, simplicity preserved"
 
     return _entry(
-        "torus-so3", "section 4.3", pres, invariants=ip, automorphisms=autos,
+        "torus-so3", "section 4.3", pf, invariants=ip,
         notes=[
             "invariant generator z is taken as x1*x2^-1 + x1^-1*x2; with the displayed "
             "x1*x2 + x1^-1*x2^-1 every bracket identity acquires a global sign flip",
@@ -633,25 +594,23 @@ def _entry_torus() -> CatalogEntry:
             ("twist", "remark 2.9 / section 4.3", twist_check),
             ("invariant_presentation", _invariance(
                 "pi fixes x, y, z; relation f = 0; {x,y} = xy - 2z in invariants",
-                lambda: bracket(tor.bracket_spec, inv_x, inv_y) == inv_x * inv_y - 2 * inv_z,
+                lambda: bracket(tor.presentation.bracket_spec, inv_x, inv_y)
+                == inv_x * inv_y - 2 * inv_z,
             )),
         ],
     )
 
 
 def _entry_laurent_inv() -> CatalogEntry:
-    pres = _exact(lambda x, y, z: x * (4 - z * z) + y * y)
-    bvs = _vars(("x1", "x2"), laurent=("x1",))
-    x1, x2 = _gens(bvs)
-    bpres = _table_pres(bvs, {("x1", "x2"): x1})
-    pi = SubstitutionMap.from_dict(bvs, {"x1": x1**-1, "x2": -x2})
+    pf = parse_presentation(_surface("x*(4 - z^2) + y^2") + _PHI)
+    amb = parse_presentation("""vars x1, x2 laurent(x1);
+        bracket table { [x1,x2] = x1; };
+        auto pi { x1 -> x1^-1; x2 -> -x2; };""")
+    x1, x2 = _gens(amb.varset)
     gens = (x2 * x2, x2 * (x1 - x1**-1), x1 + x1**-1)
-    ip = InvariantPresentation(
-        bpres, ("x", "y", "z"), gens, automorphisms=(pi,), relations=pres.relations
-    )
     return _entry(
-        "laurent-inv", "section 4.4", pres, invariants=ip,
-        automorphisms={"phi": _sign_flip(pres.varset, (1, -1, -1))},
+        "laurent-inv", "section 4.4", pf,
+        invariants=_invariants(amb, "xyz", gens, pf.presentation.relations),
         facts=[
             ("ideal_points", _ideal_points([(0, 0, 2), (0, 0, -2)])),
             ("g_J1_constants", _constants(
@@ -666,13 +625,9 @@ def _entry_laurent_inv() -> CatalogEntry:
     )
 
 
-def _uqsl2_presentation():
-    return _scaled(lambda x, y, z: x * y + z + z**-1)
-
-
 def _entry_uqsl2() -> CatalogEntry:
-    pres = _uqsl2_presentation()
-    z = _gens(pres.varset)[2]
+    pf = parse_presentation(_UQSL2 + _PHI)
+    z = pf.presentation.gen("z")
 
     def lift_spectrum(ctx, cfg):
         module = ctx.lift((0, 0, 1), 2)
@@ -682,8 +637,7 @@ def _entry_uqsl2() -> CatalogEntry:
         return got == _expect_eigs([1, -1]), "{z - 1, -} eigenvalues {1, -1} at d = 2"
 
     return _entry(
-        "uqsl2", "section 4.5", pres,
-        automorphisms={"phi": _sign_flip(pres.varset, (1, -1, -1))},
+        "uqsl2", "section 4.5", pf,
         facts=[
             ("ideal_points", _ideal_points([(0, 0, 1), (0, 0, -1)])),
             ("recognition_homogeneity", _sl2_everywhere("2-homogeneous")),
@@ -697,30 +651,27 @@ def _entry_uqsl2() -> CatalogEntry:
 
 
 def _entry_uqsl2_equitable() -> CatalogEntry:
-    scaled = _uqsl2_presentation()
-    vs = scaled.varset
-    x, y, z = _gens(vs)
-    pres = PoissonPresentation(Exact(2 * (x + y + z - x * y * z)))
-    eta = SubstitutionMap.from_dict(vs, {"x": 1 - z * y, "y": x - z**-1, "z": z})
-    eta_inv = SubstitutionMap.from_dict(
-        vs, {"x": y + z**-1, "y": z**-1 * (1 - x), "z": z}
-    )
+    scaled = parse_presentation(_UQSL2 + """
+        auto eta { x -> 1 - z*y; y -> x - z^-1; z -> z; };
+        auto eta_inv { x -> y + z^-1; y -> z^-1*(1 - x); z -> z; };""")
+    pf = parse_presentation("vars x, y, z laurent(z); bracket exact f = 2*(x + y + z - x*y*z);")
+    pres, eta, eta_inv = pf.presentation, scaled.autos["eta"], scaled.autos["eta_inv"]
 
     def eta_poisson(ctx, cfg):
-        fwd = verify_poisson_map(eta, scaled, pres)
-        bwd = verify_poisson_map(eta_inv, pres, scaled)
+        fwd = verify_poisson_map(eta, scaled.presentation, pres)
+        bwd = verify_poisson_map(eta_inv, pres, scaled.presentation)
         return fwd.ok and bwd.ok, "eta and eta^-1 verify as Poisson maps"
 
     def eta_inverse(ctx, cfg):
         ok = all(
             img == gen
             for comp in (eta.compose(eta_inv), eta_inv.compose(eta))
-            for img, gen in zip(comp.images, (x, y, z))
+            for img, gen in zip(comp.images, _gens(pres.varset))
         )
         return ok, "eta and eta^-1 compose to the identity"
 
     return _entry(
-        "uqsl2-equitable", "section 4.5", pres,
+        "uqsl2-equitable", "section 4.5", pf,
         notes=[
             "eta is Poisson from the scaled presentation to the equitable one (the "
             "stated direction is the reverse; on the (x, y) generator pair only "
@@ -736,21 +687,22 @@ def _entry_uqsl2_equitable() -> CatalogEntry:
 
 
 def _entry_uqsl2_4hom() -> CatalogEntry:
-    pres = _scaled(lambda x, y, z: x * y + z * z + z**-2)
-    i = Scalar(0, 1, -1)
-    points = [(0, 0, 1), (0, 0, -1), (0, 0, i), (0, 0, -i)]
+    pf = parse_presentation("""vars x, y, z laurent(z);
+        bracket scaled a = 2*z; f = x*y + z^2 + z^-2;
+        point (0, 0, sqrt(-1)); point (0, 0, -sqrt(-1));""")
     return _entry(
-        "uqsl2-4hom", "section 4.5", pres,
-        box=SearchBox(extra=tuple(_pt(pres.varset, c) for c in points[2:])),
+        "uqsl2-4hom", "section 4.5", pf, box=SearchBox(extra=tuple(pf.points)),
         facts=[
-            ("ideal_points", "section 4.5 (4-homogeneous variant)", _ideal_points(points)),
+            ("ideal_points", "section 4.5 (4-homogeneous variant)",
+             _ideal_points([(0, 0, 1), (0, 0, -1), *pf.points])),
             ("recognition_homogeneity", _sl2_everywhere("4-homogeneous")),
         ],
     )
 
 
 def _entry_whitney() -> CatalogEntry:
-    pres = _exact(lambda x, y, z: x * y * y - z * z)
+    pf = parse_presentation(_surface("x*y^2 - z^2"))
+    pres = pf.presentation
 
     def tags(ctx, cfg):
         for point, rec in ctx.tags().items():
@@ -781,7 +733,7 @@ def _entry_whitney() -> CatalogEntry:
         return True, "character space dim 2 at alpha = 0, else 1"
 
     return _entry(
-        "whitney", "example 4.3", pres,
+        "whitney", "example 4.3", pf,
         facts=[
             ("ideal_points", _ideal_points(
                 lambda box: [(a, 0, 0) for a in sorted(box.coordinate_values())]
@@ -796,7 +748,8 @@ def _entry_whitney() -> CatalogEntry:
 
 
 def _entry_kleinian_an(n: int) -> CatalogEntry:
-    pres = _exact(lambda x, y, z: z**n - x * y)
+    pf = parse_presentation(_surface(f"z^{n} - x*y") + "grading z;")
+    pres = pf.presentation
     notes = []
     if n > 2:
         notes.append(
@@ -827,8 +780,8 @@ def _entry_kleinian_an(n: int) -> CatalogEntry:
         return ok, "{z, v} = tau v family; characters supported on z only"
 
     return _entry(
-        f"kleinian-an({n})", "example 4.4", pres,
-        invariants=_kleinian_invariants(n, pres.relations[0]), grading_name="z", notes=notes,
+        f"kleinian-an({n})", "example 4.4", pf,
+        invariants=_kleinian_invariants(n, pres.relations[0]), notes=notes,
         facts=[
             ("ideal_points", _ideal_points([ORIGIN])),
             ("recognition", _recognition("sl2", ORIGIN) if n == 2 else solvable),
@@ -844,15 +797,14 @@ def _entry_kleinian_an(n: int) -> CatalogEntry:
     )
 
 
-def _entry_kleinian_de(name: str, potential_fn, note=None) -> CatalogEntry:
-    pres = _exact(potential_fn)
-
+def _entry_kleinian_de(name: str, potential: str, note=None) -> CatalogEntry:
     def solvable(ctx, cfg):
         rec = ctx.rec(ORIGIN)
         return rec.is_solvable_type, f"g(J) is {rec.describe()} (solvable)"
 
     return _entry(
-        name, "remark 4.5", pres, notes=[note] if note else [],
+        name, "remark 4.5", parse_presentation(_surface(potential)),
+        notes=[note] if note else [],
         facts=[
             ("ideal_points", _ideal_points([ORIGIN])),
             ("solvability", solvable),
@@ -861,17 +813,14 @@ def _entry_kleinian_de(name: str, potential_fn, note=None) -> CatalogEntry:
 
 
 def _entry_c_theta() -> CatalogEntry:
-    pres = _c_theta_presentation()
-    cvs = pres.varset
+    # C^theta and its embedding into the torus presentation C = B^pi
+    pf = parse_presentation(_TORUS + f"""
+        embed theta(x, v, w) {{ bracket exact F = {_C_THETA}; relation F;
+          x -> x; v -> y^2/2; w -> y*z/2; }};""")
+    cpres = pf.presentation
+    emb, pres = pf.embeds["theta"]
     (g,) = pres.relations
-
-    # ambient C = B^pi as the torus exact presentation
-    cpres = _torus_presentation()
-    vs = cpres.varset
-    x, y, z = _gens(vs)
-    emb = SubstitutionMap.from_dict(
-        cvs, {"x": x, "v": y * y * Fraction(1, 2), "w": y * z * Fraction(1, 2)}
-    )
+    y, z = cpres.gen("y"), cpres.gen("z")
 
     def g_in_j2(ctx, cfg):
         for pt in ctx.ideals:
@@ -882,7 +831,7 @@ def _entry_c_theta() -> CatalogEntry:
     def restriction(ctx, cfg):
         if not verify_poisson_map(emb, pres, cpres).ok:
             return False, "embedding C^theta -> C is not Poisson"
-        i1 = _pt(cvs, (2, 2, 2))
+        i1 = PointP(pres.varset, (2, 2, 2))
         torus = Context(CatalogEntry("torus-so3", "section 4.3", cpres))
         for d in range(1, 5):
             restricted = []
@@ -896,14 +845,14 @@ def _entry_c_theta() -> CatalogEntry:
         return True, "J2- and J3-modules restrict simple, isomorphic, killed by I1"
 
     def l_points_not_poisson(ctx, cfg):
-        pt = _pt(vs, (2, 0, 0))
+        pt = PointP(cpres.varset, (2, 0, 0))
         if is_poisson_maximal(cpres, pt):
             return False, "(2,0,0) unexpectedly Poisson in C"
         witness = bracket(cpres.bracket_spec, y, z).evaluate(pt)
         return witness == Scalar(-4), "{y,z}(2,0,0) = -4, so the ideal is not Poisson"
 
     return _entry(
-        "c-theta", "section 4.7", pres, embeds={"theta": (emb, pres)}, containing=g,
+        "c-theta", "section 4.7", pf, presentation=pres, containing=g,
         notes=[
             'the displayed claim reads "g^2 in J"; the verified fact is g in J^2 '
             "(value and gradient vanish at all four points)"
@@ -921,24 +870,12 @@ def _entry_c_theta() -> CatalogEntry:
 
 
 def _entry_d_phi() -> CatalogEntry:
-    dvs = _vars(("a", "u", "v"))
-    da, du, dv = _gens(dvs)
-    h = (
-        2 * da * du * dv
-        - 2 * da * da
-        - du * du * dv
-        - du * dv * dv
-        + 2 * du * dv
-    )
-    pres = PoissonPresentation(Exact(2 * h), relations=(h,))
-
-    ctheta = _c_theta_presentation()
-    cvs = ctheta.varset
-    cx, cv, cw = _gens(cvs)
-    emb = SubstitutionMap.from_dict(
-        dvs,
-        {"a": cx * cw * Fraction(1, 2), "u": cx * cx * Fraction(1, 2), "v": cv},
-    )
+    # D^phi, 2h for h = 2auv - 2a^2 - u^2 v - u v^2 + 2uv, and its embedding into C^theta
+    pf = parse_presentation(_surface(_C_THETA, "x, v, w") + """
+        embed phi(a, u, v) { bracket exact F = 2*(2*a*u*v - 2*a^2 - u^2*v - u*v^2 + 2*u*v);
+          relation F/2; a -> x*w/2; u -> x^2/2; v -> v; };""")
+    ctheta = pf.presentation
+    emb, pres = pf.embeds["phi"]
 
     def emb_poisson(ctx, cfg):
         rep = verify_poisson_map(emb, pres, ctheta)
@@ -952,11 +889,12 @@ def _entry_d_phi() -> CatalogEntry:
             (2, 0, 0): (0, 2, 0),
             (-2, 0, 0): (0, 2, 0),
         }
-        ok = all(emb.pull_point(_pt(cvs, c)) == _pt(dvs, want) for c, want in images.items())
+        ok = all(emb.pull_point(PointP(ctheta.varset, c)) == PointP(pres.varset, want)
+                 for c, want in images.items())
         return ok, "I-points project to the L4-point, L-points to the L3-point"
 
     return _entry(
-        "d-phi", "section 4.7", pres, embeds={"phi": (emb, pres)}, containing=h,
+        "d-phi", "section 4.7", pf, presentation=pres, containing=pres.relations[0],
         notes=[
             "computed projections send the L1-point (2,0,0) to the L3-point (0,2,0) "
             "and the I1-point (2,2,2) to the L4-point (2,2,2): the reverse of the "
@@ -973,28 +911,18 @@ def _entry_d_phi() -> CatalogEntry:
     )
 
 
-def _weyl_ambient():
-    vs = _vars(("a1", "a2", "b1", "b2"))
-    a1, a2, b1, b2 = _gens(vs)
-    six = LaurentPoly.const(vs, 6)
-    m3 = LaurentPoly.const(vs, -3)
-    amb = _table_pres(
-        vs,
-        {("a1", "b1"): six, ("a2", "b2"): six, ("a1", "b2"): m3, ("a2", "b1"): m3},
-    )
+def _a2_generators(a1, a2, b1, b2):
+    """g1, g2, g3, m1, m2, m3, m4 of example 5.1."""
     ninth = Fraction(1, 9)
-    g1 = (a1 * a1 + a2 * a2 + a1 * a2) * ninth
-    g2 = (b1 * b1 + b2 * b2 + b1 * b2) * ninth
-    g3 = (2 * a1 * b1 + a1 * b2 + a2 * b1 + 2 * a2 * b2) * Fraction(-1, 9)
-    m1 = (a1 * a2 * a2 + a2 * a1 * a1) * ninth
-    m2 = (b1 * b2 * b2 + b2 * b1 * b1) * ninth
-    m3p = (2 * a1 * b1 * b2 + 2 * a2 * b1 * b2 + a1 * b2 * b2 + a2 * b1 * b1) * ninth
-    m4 = (2 * b1 * a1 * a2 + 2 * b2 * a1 * a2 + b1 * a2 * a2 + b2 * a1 * a1) * ninth
-    swap = SubstitutionMap.from_dict(vs, {"a1": a2, "a2": a1, "b1": b2, "b2": b1})
-    cycle = SubstitutionMap.from_dict(
-        vs, {"a1": a2, "a2": -a1 - a2, "b1": b2, "b2": -b1 - b2}
+    return (
+        (a1 * a1 + a2 * a2 + a1 * a2) * ninth,
+        (b1 * b1 + b2 * b2 + b1 * b2) * ninth,
+        (2 * a1 * b1 + a1 * b2 + a2 * b1 + 2 * a2 * b2) * -ninth,
+        (a1 * a2 * a2 + a2 * a1 * a1) * ninth,
+        (b1 * b2 * b2 + b2 * b1 * b1) * ninth,
+        (2 * a1 * b1 * b2 + 2 * a2 * b1 * b2 + a1 * b2 * b2 + a2 * b1 * b1) * ninth,
+        (2 * b1 * a1 * a2 + 2 * b2 * a1 * a2 + b1 * a2 * a2 + b2 * a1 * a1) * ninth,
     )
-    return amb, (g1, g2, g3, m1, m2, m3p, m4), (swap, cycle)
 
 
 _P7_TABLE = {
@@ -1043,10 +971,9 @@ def _prop52_table():
 
 
 def _entry_weyl_a2() -> CatalogEntry:
-    amb, gens, autos = _weyl_ambient()
-    ip = InvariantPresentation(
-        amb, ("g1", "g2", "g3", "m1", "m2", "m3", "m4"), gens, automorphisms=autos
-    )
+    amb = parse_presentation(_WEYL_A2)
+    ip = _invariants(amb, ("g1", "g2", "g3", "m1", "m2", "m3", "m4"),
+                     _a2_generators(*_gens(amb.varset)))
 
     def m5(ctx):
         return ctx.memo("m5", lambda: module_from_table(ctx.lie(), _prop52_table()))
@@ -1083,7 +1010,6 @@ def _entry_weyl_a2() -> CatalogEntry:
 
     return _entry(
         "weyl-a2", "example 5.1 / proposition 5.2", None, invariants=ip,
-        grading_name="g3",
         notes=[
             "the displayed g1 reads a1*a3; the S3-invariant reading a1*a2 is used "
             "(the a1*a3 form breaks the displayed constants)"
@@ -1099,10 +1025,11 @@ def _entry_weyl_a2() -> CatalogEntry:
 
 
 def _entry_weyl_b2() -> CatalogEntry:
-    vs = _vars(("x1", "x2", "y1", "y2"))
-    x1, x2, y1, y2 = _gens(vs)
-    one = LaurentPoly.const(vs, 1)
-    amb = _table_pres(vs, {("x1", "y1"): one, ("x2", "y2"): one})
+    amb = parse_presentation("""vars x1, x2, y1, y2;
+        bracket table { [x1,y1] = 1; [x2,y2] = 1; };
+        auto s1 { x1 -> -x1; x2 -> x2; y1 -> -y1; y2 -> y2; };
+        auto s2 { x1 -> x2; x2 -> x1; y1 -> y2; y2 -> y1; };""")
+    x1, x2, y1, y2 = _gens(amb.varset)
     g1 = x1 * x1 + x2 * x2
     g2 = y1 * y1 + y2 * y2
     g3 = x1 * y1 + x2 * y2
@@ -1111,12 +1038,8 @@ def _entry_weyl_b2() -> CatalogEntry:
     m3 = x1 * x2 * y1 * y2  # derived; the displayed m3 duplicates g3
     m4 = x1 * y1**3 + x2 * y2**3
     m5 = x1**3 * y1 + x2**3 * y2
-    s1 = _sign_flip(vs, (-1, 1, -1, 1))
-    s2 = SubstitutionMap.from_dict(vs, {"x1": x2, "y1": y2, "x2": x1, "y2": y1})
     names = ("g1", "g2", "g3", "m1", "m2", "m3", "m4", "m5")
-    ip = InvariantPresentation(
-        amb, names, (g1, g2, g3, m1, m2, m3, m4, m5), automorphisms=(s1, s2)
-    )
+    ip = _invariants(amb, names, (g1, g2, g3, m1, m2, m3, m4, m5))
 
     table = {
         ("g1", "g2"): {"g3": 4},
@@ -1142,19 +1065,19 @@ def _entry_weyl_b2() -> CatalogEntry:
         B = x1 * x1 * y2 * y2 + x2 * x2 * y1 * y1
         C = m3
         for inv in (A, B, C):
-            if any(auto.apply(inv) != inv for auto in (s1, s2)):
+            if any(auto.apply(inv) != inv for auto in ip.automorphisms):
                 return False, "candidate space is not W-invariant"
         # mod J^2: g1 g2 = A + B and g3^2 = A + 2C, so B = -A and C = -A/2
         if g1 * g2 != A + B or g3 * g3 != A + 2 * C:
             return False, "reduction identities fail"
         # the bracket constraints pin the class of m3 = C
-        spec = amb.bracket_spec
+        spec = amb.presentation.bracket_spec
         ok = bracket(spec, g2, C) == 2 * m4 - 2 * g2 * g3
         ok = ok and bracket(spec, g1, C) == 2 * g1 * g3 - 2 * m5
         return ok, "{g2,m3} = 2m4 - 2 g2 g3 and {g1,m3} = -2m5 + 2 g1 g3 exactly"
 
     return _entry(
-        "weyl-b2", "example 5.5", None, invariants=ip, grading_name="g3",
+        "weyl-b2", "example 5.5", None, invariants=ip,
         notes=[
             "m3 derived by brute force over weight-0 bidegree-(2,2) W-invariants "
             "span{A = x1^2 y1^2 + x2^2 y2^2, B = x1^2 y2^2 + x2^2 y1^2, C = x1 x2 y1 y2}: "
@@ -1171,13 +1094,11 @@ def _entry_weyl_b2() -> CatalogEntry:
 
 
 def _entry_weyl_g2() -> CatalogEntry:
-    amb, a2_gens, autos = _weyl_ambient()
-    g1, g2, g3, m1, m2, m3, m4 = a2_gens
-    vs = amb.varset
-    neg = _sign_flip(vs, (-1,) * 4)
+    amb = parse_presentation(_WEYL_A2 + "auto neg { a1 -> -a1; a2 -> -a2; b1 -> -b1; b2 -> -b2; };")
+    g1, g2, g3, m1, m2, m3, m4 = _a2_generators(*_gens(amb.varset))
     names = ("g1", "g2", "g3", "n1", "n2", "n3", "n4", "n5", "n6", "n7")
     gens = (g1, g2, g3, m1 * m1, m2 * m2, m1 * m2, m1 * m3, m1 * m4, m2 * m3, m2 * m4)
-    ip = InvariantPresentation(amb, names, gens, automorphisms=autos + (neg,))
+    ip = _invariants(amb, names, gens)
 
     def constants(ctx, cfg):
         L = ctx.lie()
@@ -1187,7 +1108,7 @@ def _entry_weyl_g2() -> CatalogEntry:
         )
 
     return _entry(
-        "weyl-g2", "example 5.4", None, invariants=ip, grading_name="g3",
+        "weyl-g2", "example 5.4", None, invariants=ip,
         notes=[
             "n_j built programmatically as the stated products of the A2 m's; the "
             "sixteen relations are not displayed at the source, so derived "
@@ -1205,13 +1126,12 @@ def _entry_weyl_g2() -> CatalogEntry:
 
 
 def _entry_kirillov_kostant_sl2() -> CatalogEntry:
-    vs = _vars(("e", "h", "f"))
-    e, h, f = _gens(vs)
+    pf = parse_presentation(
+        "vars e, h, f; bracket table { [h,e] = 2*e; [h,f] = -2*f; [e,f] = h; };")
+    pres = pf.presentation
     sl2 = LieAlgebra.from_brackets(
-        vs.names, {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1}}
+        ("e", "h", "f"), {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1}}
     )
-    table = Table.from_dict(vs, {("h", "e"): 2 * e, ("h", "f"): -2 * f, ("e", "f"): h})
-    pres = PoissonPresentation(table)
 
     def lie_matches(ctx, cfg):
         return ctx.lie(ORIGIN) == sl2, "g(J) carries the input structure constants"
@@ -1228,7 +1148,7 @@ def _entry_kirillov_kostant_sl2() -> CatalogEntry:
         return True, "M*dagger = M and N dagger* = N matrix-exactly, d <= 4"
 
     return _entry(
-        "kirillov-kostant-sl2", "example 3.5", pres,
+        "kirillov-kostant-sl2", "example 3.5", pf,
         facts=[
             ("ideal_points", _ideal_points([ORIGIN])),
             ("lie_identification", lie_matches),
@@ -1239,9 +1159,9 @@ def _entry_kirillov_kostant_sl2() -> CatalogEntry:
 
 
 def _entry_abelian(n: int) -> CatalogEntry:
-    names = tuple(f"x{i+1}" for i in range(n))
-    vs = _vars(names)
-    pres = PoissonPresentation(Table(vs, ()))
+    names = [f"x{i + 1}" for i in range(n)]
+    pf = parse_presentation(f"vars {', '.join(names)}; bracket table {{ }};")
+    pres = pf.presentation
 
     def ideals(ctx, cfg):
         want = len(ctx.entry.box.coordinate_values()) ** n
@@ -1256,11 +1176,11 @@ def _entry_abelian(n: int) -> CatalogEntry:
     def character_formula(ctx, cfg):
         alphas = [Scalar(i + 1) for i in range(n)]
         betas = [Scalar(2 * i - 1) for i in range(n)]
-        pt = _pt(vs, alphas)
+        pt = PointP(pres.varset, alphas)
         module = solvable_character_module(pres, pt, betas)
         if not verify_poisson_axioms(module, cfg.trials, cfg.seed).ok:
             return False, "character module fails axioms"
-        gens = _gens(vs)
+        gens = _gens(pres.varset)
         sample = gens[0] * gens[0] * gens[n - 1] + 3 * gens[n - 1]
         action = module.action_of(sample)[0, 0]
         expected = sum(
@@ -1270,7 +1190,7 @@ def _entry_abelian(n: int) -> CatalogEntry:
         return action == expected, "{f, m} = sum beta_i df/dx_i(alpha) m"
 
     return _entry(
-        f"abelian({n})", "example 3.5", pres, box=SearchBox(1, 1),
+        f"abelian({n})", "example 3.5", pf, box=SearchBox(1, 1),
         facts=[
             ("ideal_points", ideals),
             ("recognition", abelian_tag),
@@ -1298,23 +1218,17 @@ _REGISTRY = {
     "weyl-b2": _entry_weyl_b2,
     "weyl-g2": _entry_weyl_g2,
     "kirillov-kostant-sl2": _entry_kirillov_kostant_sl2,
-    "kleinian-e6": lambda: _entry_kleinian_de(
-        "kleinian-e6", lambda x, y, z: x * x + y**3 + z**4
-    ),
+    "kleinian-e6": lambda: _entry_kleinian_de("kleinian-e6", "x^2 + y^3 + z^4"),
     "kleinian-e7": lambda: _entry_kleinian_de(
         "kleinian-e7",
-        lambda x, y, z: x * x + y * y + y * z**3,
+        "x^2 + y^2 + y*z^3",
         note="potential taken literally from the source display (x^2 + y^2 + "
         "y*z^3); likely a typo for x^2 + y^3 + y*z^3, solvability unaffected",
     ),
-    "kleinian-e8": lambda: _entry_kleinian_de(
-        "kleinian-e8", lambda x, y, z: x * x + y**3 + z**5
-    ),
+    "kleinian-e8": lambda: _entry_kleinian_de("kleinian-e8", "x^2 + y^3 + z^5"),
     "kleinian-an": (_entry_kleinian_an, (2, 3, 4, 5), 2),
     "kleinian-d": (
-        lambda n: _entry_kleinian_de(
-            f"kleinian-d({n})", lambda x, y, z: x * x + y * y * z + z ** (n - 1)
-        ),
+        lambda n: _entry_kleinian_de(f"kleinian-d({n})", f"x^2 + y^2*z + z^{n - 1}"),
         (4, 5),
         4,
     ),

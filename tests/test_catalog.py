@@ -240,6 +240,29 @@ def test_an_entry_run_builds_g_once_per_point(name, monkeypatch):
                 if any(a[0] == b[0] and a[1] is b[1] for a in builds[:k])]
 
 
+@pytest.mark.parametrize("name, count", [("kleinian-a1", 1), ("c-theta", 3)])
+def test_pullbacks_to_one_value_share_one_point_and_its_g(name, count, monkeypatch):
+    """`SubstitutionMap.pull_point` hands out one point per pulled value, so
+    the restrictions of the lifts at one point build g(J) at the pulled point
+    once: `lie_from_point` builds kleinian-a1's pi4 origin once for d = 1..4,
+    and c-theta's g(J) at I1 and at the two torus points once each."""
+    import sys
+
+    builds = []
+    real = LieAlgebra.__init__
+
+    def spied(self, labels, brackets):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "lie_from_point":
+            builds.append((caller.f_locals["pres"], caller.f_locals["pt"]))
+        real(self, labels, brackets)
+
+    monkeypatch.setattr(LieAlgebra, "__init__", spied)
+    assert run_entry(get_entry(name), FAST).ok
+    assert len(builds) == count
+    assert len(set(builds)) == count
+
+
 def test_a_context_keeps_one_point_per_coordinate_tuple():
     from poisson_atlas.catalog import Context
 

@@ -599,6 +599,25 @@ def test_cli_reports_are_pinned(case, monkeypatch, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("point", ["(2, 2, 2)", "(2, -2, -2)"])
+def test_c_theta_restricts_from_a_file(point, tmp_path):
+    """Section 4.7 from a file: the torus presentation with c-theta's `theta`
+    embedding, the text the catalog reads, restricts the 2-dimensional J2- and
+    J3-modules to simple C^theta-modules killed by I1 = (2, 2, 2)."""
+    from poisson_atlas.catalog import get_entry
+    from poisson_atlas.presfile import PresentationFile, serialize_presentation
+
+    pf = PresentationFile(get_entry("torus-so3").presentation, {},
+                          embeds=get_entry("c-theta").embeds)
+    path = tmp_path / "torus-theta.pa"
+    path.write_text(serialize_presentation(pf))
+    code, out = run(["restrict", str(path), "--embed", "theta", "--point", point,
+                     "--dim", "2", "--format", "machine"])
+    lines = out.splitlines()
+    assert code == 0
+    assert "sub.point = (2, 2, 2)" in lines and "simple = True" in lines
+
+
 def test_a_verify_violation_fails_the_report(monkeypatch, capsys):
     """A failed axiom check is a report with its violations and status
     `fail`, and `main` exits 1 for it."""
