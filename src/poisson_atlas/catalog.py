@@ -4,12 +4,16 @@ An entry is data plus cited facts.  The data: a presentation and search box
 (or, for a Lie-level entry, only invariants), the invariant presentation of a
 presented ring, named automorphisms and embeddings, and `containing`, a
 polynomial the example's ideals contain when the scan finds others too.  The
-facts: `(key, cite, fn(ctx, cfg))` triples, run in order by `run_entry`.  A
-fact of a shared shape comes from that shape's one function applied to its
-expected values (`_ideal_points`, `_recognition`, `_sl2_everywhere`,
-`_homogeneity`, `_quotient_homogeneity`, `_constants`, `_invariance`,
-`_consistency`, `_leaves`, `_phi_swap`, `_weyl_trio`); a fact found in one
-example only is a closure in that example's builder.
+facts: rows `(key, [cite,] fn, *expected)`, a row with no citation cited like
+the entry; `fn(ctx, cfg, *expected)` returns `(ok, detail)`.  `_entry` binds
+each row to the `(key, cite, fn(ctx, cfg))` triple that `run_entry` runs, in
+order.  A fact of a shared shape names that shape's one plain function and
+its expected values (`_ideal_points`, `_recognition`, `_at_ideals`,
+`_sl2_everywhere`, `_homogeneity`, `_quotient_homogeneity`, `_constants`,
+`_invariance`, `_consistency`, `_leaves`, `_characters`, `_lift_spectra`,
+`_poisson_maps`, `_phi_swap`, `_solvable`, and the three rows of
+`_weyl_trio`); a scenario found in one example only is a closure in that
+example's builder, in a row with no expected values.
 
 Facts hand nothing to each other: each reads the ideals, g(J) at a point or
 from the invariants, its recognition, sl2-triple and irreducible lifts from
@@ -20,9 +24,11 @@ reports after the facts before it.  The citations make reports an audit trail.
 To add an example, write its presentation as file text (automorphisms,
 embeddings, points and grading included) and read it with
 `presfile.parse_presentation`; its builder returns `_entry(name, cite, file,
-facts=[...], **data)`, and a row in `_REGISTRY` names it.  Invariant
-generators, which the file format has no clause for, are polynomials over the
-parsed ambient's generators.
+facts=[rows], **data)`, and a row in `_REGISTRY` names it.  Each fact is a row
+of a shared shape where one fits, e.g. `("homogeneity", _homogeneity,
+"1-homogeneous")`, and a closure `fn(ctx, cfg)` only where none does.
+Invariant generators, which the file format has no clause for, are
+polynomials over the parsed ambient's generators.
 """
 
 from __future__ import annotations
@@ -203,13 +209,6 @@ class Context:
         pt = self.point(at)
         return self.memo(("lift", pt, d), lambda: lift_module(self.pres, pt, self.irrep(pt, d)))
 
-    def tags(self) -> dict:
-        """Recognition of g(J) at each ideal, by point."""
-        return {pt: self.rec(pt) for pt in self.ideals}
-
-    def homogeneity(self, relation=None):
-        return homogeneity_report(self.pres, self.ideals, relation)
-
 
 def run_entry(entry: CatalogEntry, config: RunConfig | None = None) -> EntryReport:
     """Execute every expected fact; exact comparisons, one result per fact."""
@@ -234,7 +233,90 @@ def _gens(varset):
     return [LaurentPoly.variable(varset, n) for n in varset.names]
 
 
-def _sc_equal(lie: LieAlgebra, table: dict):
+def _eig_multiset(matrix):
+    return _expect_eigs(v for v, mult, _ in eigen_small(matrix).pairs for _ in range(mult))
+
+
+def _expect_eigs(values):
+    return sorted((Scalar.coerce(v) for v in values), key=Scalar.sort_key)
+
+
+def _entry(name, cite, pf, facts, **data) -> CatalogEntry:
+    """An entry with the presentation, automorphisms, embeddings and grading
+    of the parsed file `pf` (None for a Lie-level entry) unless `data` gives
+    them; each fact row `(key, [cite,] fn, *expected)` becomes the triple
+    `(key, cite, fact)` with fact(ctx, cfg) = fn(ctx, cfg, *expected), cited
+    like the entry when the row names no citation."""
+    if pf is not None:
+        data = {"presentation": pf.presentation, "automorphisms": pf.autos,
+                "embeds": pf.embeds, "grading": pf.grading, **data}
+    checks = []
+    for key, *row in facts:
+        fact_cite = row.pop(0) if isinstance(row[0], str) else cite
+        fn, *expected = row
+        checks.append((key, fact_cite, lambda ctx, cfg, fn=fn, args=expected: fn(ctx, cfg, *args)))
+    return CatalogEntry(name, cite, checks=checks, **data)
+
+
+# -- fact shapes: one plain function each, fn(ctx, cfg, *expected) -> (ok, detail) --
+
+
+def _ideal_points(ctx, cfg, want, note=None):
+    """The kept ideals sit exactly at `want`: coordinate tuples, or a function
+    of the search box giving them."""
+    coords = want(ctx.entry.box) if callable(want) else want
+    got = ctx.ideals
+    expected = sorted((ctx.point(c) for c in coords), key=PointP.sort_key)
+    detail = f"found {[str(p) for p in got]}"
+    return got == expected, detail if note is None else f"{detail} ({note})"
+
+
+def _recognition(ctx, cfg, tag, at=None, radical_dim=0):
+    """g(J) at `at` is recognized as `tag`, with a radical of that dimension."""
+    rec = ctx.rec(at)
+    return rec.tag == tag and rec.radical_dim == radical_dim, rec.describe()
+
+
+def _at_ideals(ctx, cfg, holds, detail):
+    """`holds(point, rec)` at every ideal, rec the recognition of g(J) there;
+    the first point where it fails is the witness."""
+    for point in ctx.ideals:
+        rec = ctx.rec(point)
+        if not holds(point, rec):
+            return False, f"at {point}: g(J) is {rec.describe()}, k = {rec.k}"
+    return True, detail
+
+
+def _sl2_everywhere(ctx, cfg, verdict):
+    """g(J) is sl2 at every ideal and the entry is `verdict` homogeneous; the
+    verdict is the detail."""
+    ok = all(ctx.rec(pt).tag == "sl2" for pt in ctx.ideals)
+    rep = homogeneity_report(ctx.pres, ctx.ideals)
+    return ok and rep.verdict == verdict, rep.verdict
+
+
+def _homogeneity(ctx, cfg, verdict):
+    """The homogeneity verdict is `verdict`."""
+    rep = homogeneity_report(ctx.pres, ctx.ideals)
+    return rep.verdict == verdict, rep.verdict
+
+
+def _quotient_homogeneity(ctx, cfg, *quotients):
+    """Verdicts on quotients A_lam = A / (f - lam) of the potential f: each
+    quotient is (label, lam, verdict), lam None for A itself."""
+    potential = ctx.pres.bracket_spec.potential
+    reps = [
+        (label, homogeneity_report(ctx.pres, ctx.ideals, None if lam is None else potential - lam),
+         verdict)
+        for label, lam, verdict in quotients
+    ]
+    ok = all(rep.verdict == verdict for _, rep, verdict in reps)
+    return ok, "; ".join(f"{label}: {rep.verdict}" for label, rep, _ in reps)
+
+
+def _constants(ctx, cfg, table, at=None):
+    """g(J) at `at` (or of a Lie-level entry) has the displayed brackets."""
+    lie = ctx.lie(at)
     got = lie.structure_table()
     expected = LieAlgebra.from_brackets(lie.labels, table).structure_table()
     if got == expected:
@@ -247,155 +329,102 @@ def _sc_equal(lie: LieAlgebra, table: dict):
     return False, "mismatch at " + ", ".join(diffs)
 
 
-def _eig_multiset(matrix):
-    return _expect_eigs(v for v, mult, _ in eigen_small(matrix).pairs for _ in range(mult))
+def _solvable(ctx, cfg):
+    """g(J) at the origin is of solvable type."""
+    rec = ctx.rec(ORIGIN)
+    return rec.is_solvable_type, f"g(J) is {rec.describe()} (solvable)"
 
 
-def _expect_eigs(values):
-    return sorted((Scalar.coerce(v) for v in values), key=Scalar.sort_key)
-
-
-def _entry(name, cite, pf, facts, **data) -> CatalogEntry:
-    """An entry with the presentation, automorphisms, embeddings and grading
-    of the parsed file `pf` (None for a Lie-level entry) unless `data` gives
-    them; its facts are `(key, cite, fn)` triples or `(key, fn)` pairs, the
-    latter cited like the entry."""
-    if pf is not None:
-        data = {"presentation": pf.presentation, "automorphisms": pf.autos,
-                "embeds": pf.embeds, "grading": pf.grading, **data}
-    checks = [fact if len(fact) == 3 else (fact[0], cite, fact[1]) for fact in facts]
-    return CatalogEntry(name, cite, checks=checks, **data)
-
-
-# -- fact shapes: one function each, applied to an entry's expected values -------
-
-
-def _ideal_points(want, note=None):
-    """The kept ideals sit exactly at `want`: coordinate tuples, or a function
-    of the search box giving them."""
-
-    def fact(ctx, cfg):
-        coords = want(ctx.entry.box) if callable(want) else want
-        got = ctx.ideals
-        expected = sorted((ctx.point(c) for c in coords), key=PointP.sort_key)
-        detail = f"found {[str(p) for p in got]}"
-        return got == expected, detail if note is None else f"{detail} ({note})"
-
-    return fact
-
-
-def _recognition(tag, at=None, radical_dim=0):
-    """g(J) at `at` is recognized as `tag`, with a radical of that dimension."""
-
-    def fact(ctx, cfg):
-        rec = ctx.rec(at)
-        return rec.tag == tag and rec.radical_dim == radical_dim, rec.describe()
-
-    return fact
-
-
-def _sl2_everywhere(verdict=None, detail=None):
-    """g(J) is sl2 at every ideal; with a verdict, the entry is that homogeneous
-    and the verdict is the detail."""
-
-    def fact(ctx, cfg):
-        ok = all(t.tag == "sl2" for t in ctx.tags().values())
-        if verdict is None:
-            return ok, detail
-        rep = ctx.homogeneity()
-        return ok and rep.verdict == verdict, rep.verdict
-
-    return fact
-
-
-def _homogeneity(verdict):
-    """The homogeneity verdict is `verdict`."""
-
-    def fact(ctx, cfg):
-        rep = ctx.homogeneity()
-        return rep.verdict == verdict, rep.verdict
-
-    return fact
-
-
-def _quotient_homogeneity(*quotients):
-    """Verdicts on quotients A_lam = A / (f - lam) of the potential f: each
-    quotient is (label, lam, verdict), lam None for A itself."""
-
-    def fact(ctx, cfg):
-        potential = ctx.pres.bracket_spec.potential
-        reps = [
-            (label, ctx.homogeneity(None if lam is None else potential - lam), verdict)
-            for label, lam, verdict in quotients
-        ]
-        ok = all(rep.verdict == verdict for _, rep, verdict in reps)
-        return ok, "; ".join(f"{label}: {rep.verdict}" for label, rep, _ in reps)
-
-    return fact
-
-
-def _constants(table, at=None):
-    """g(J) at `at` (or of a Lie-level entry) has the displayed brackets."""
-    return lambda ctx, cfg: _sc_equal(ctx.lie(at), table)
-
-
-def _invariance(detail, identity=lambda: True):
+def _invariance(ctx, cfg, detail, identity=None):
     """The group fixes the invariant generators, the relations hold, and so
-    does the bracket `identity` when one is given."""
-    return lambda ctx, cfg: (verify_invariance(ctx.entry.invariants).ok and identity(), detail)
+    does the bracket `identity()` when one is given."""
+    ok = verify_invariance(ctx.entry.invariants).ok
+    return ok and (identity is None or identity()), detail
 
 
-def _consistency(detail):
+def _consistency(ctx, cfg, detail):
     """lie_from_invariants and lie_from_point at the origin agree."""
-    return lambda ctx, cfg: (
-        ctx.lie().structure_table() == ctx.lie(ORIGIN).structure_table(), detail)
+    return ctx.lie().structure_table() == ctx.lie(ORIGIN).structure_table(), detail
 
 
-def _leaves(lambdas, per=None, detail=None):
+def _leaves(ctx, cfg, lambdas, per=None, detail=None):
     """The singular points lie on the leaves f = lam for exactly `lambdas`."""
-
-    def fact(ctx, cfg):
-        by_lambda = leaf_report(ctx.pres, ctx.ideals)
-        lam = [str(s) for s in by_lambda]
-        counts = {str(k): len(v) for k, v in by_lambda.items()}
-        ok = lam == lambdas and (per is None or counts == per)
-        return ok, detail or f"singular lambdas {lam}, points per lambda {counts}"
-
-    return fact
+    by_lambda = leaf_report(ctx.pres, ctx.ideals)
+    lam = [str(s) for s in by_lambda]
+    counts = {str(k): len(v) for k, v in by_lambda.items()}
+    ok = lam == lambdas and (per is None or counts == per)
+    return ok, detail or f"singular lambdas {lam}, points per lambda {counts}"
 
 
-def _phi_swap(src, dst, detail):
+def _characters(ctx, cfg, cases, detail):
+    """Each case (at, beta, valid): the one-dimensional module of the
+    character beta at `at` is built and passes the axioms when valid, and is
+    refused when not."""
+    for at, beta, valid in cases:
+        pt = ctx.point(at)
+        try:
+            module = solvable_character_module(ctx.pres, pt, beta)
+        except AtlasError as exc:
+            if valid:
+                return False, f"beta = {beta} at {pt} refused: {exc}"
+            continue
+        if not valid:
+            return False, f"beta = {beta} at {pt} accepted"
+        ax = verify_poisson_axioms(module, cfg.trials, cfg.seed)
+        if not ax.ok:
+            return False, f"beta = {beta} at {pt} fails the axioms: {ax.failures[:1]}"
+    return True, detail
+
+
+def _lift_spectra(ctx, cfg, at, element, spectra, detail):
+    """For each d in `spectra`, the d-dimensional lift at `at` passes the
+    axioms and `element` acts on it with the eigenvalues spectra[d]."""
+    for d, weights in spectra.items():
+        module = ctx.lift(at, d)
+        ax = verify_poisson_axioms(module, cfg.trials, cfg.seed)
+        if not ax.ok:
+            return False, f"axioms fail at d={d}: {ax.failures[:1]}"
+        if _eig_multiset(module.action_of(element)) != _expect_eigs(weights):
+            return False, f"{{{element}, -}} spectrum off at d={d}"
+    return True, detail
+
+
+def _poisson_maps(ctx, cfg, maps, detail):
+    """Each (name, map, source, target) is a Poisson map."""
+    for name, smap, source, target in maps:
+        if not verify_poisson_map(smap, source, target).ok:
+            return False, f"{name} is not Poisson"
+    return True, detail
+
+
+def _phi_swap(ctx, cfg, src, dst, detail):
     """phi is Poisson and twists the 2-dimensional lift at `src` to `dst`."""
+    phi = ctx.entry.automorphisms["phi"]
+    if not verify_poisson_map(phi, ctx.pres, ctx.pres).ok:
+        return False, "phi is not Poisson"
+    return twist(ctx.lift(src, 2), phi).point == ctx.point(dst), detail
 
-    def fact(ctx, cfg):
-        phi = ctx.entry.automorphisms["phi"]
-        if not verify_poisson_map(phi, ctx.pres, ctx.pres).ok:
-            return False, "phi is not Poisson"
-        return twist(ctx.lift(src, 2), phi).point == ctx.point(dst), detail
 
-    return fact
+def _radical_weights(ctx, cfg, weights, detail):
+    """h of g's sl2-triple acts on the radical with the eigenvalues `weights`."""
+    adh = ctx.lie().ad_matrix(ctx.triple().h)
+    got = _eig_multiset(restrict_action([adh], ctx.rec().radical_basis)[0])
+    return got == _expect_eigs(weights), detail
+
+
+def _sl2_type(ctx, cfg):
+    """1-homogeneous: a unique Poisson maximal ideal (V <= {V, V}) with an
+    sl2-type g(J)."""
+    return ctx.rec().is_sl2_type, "1-homogeneous (unique Poisson maximal ideal, sl2-type g(J))"
 
 
 def _weyl_trio(cite, weights, weights_detail):
-    """recognition, radical_weights and homogeneity of a Weyl-group quotient:
-    g = sl2 semidirect an abelian radical with the given h-weights."""
-
-    def radical_weights(ctx, cfg):
-        adh = ctx.lie().ad_matrix(ctx.triple().h)
-        got = _eig_multiset(restrict_action([adh], ctx.rec().radical_basis)[0])
-        return got == _expect_eigs(weights), weights_detail
-
-    def homogeneity(ctx, cfg):
-        # unique Poisson maximal ideal (V <= {V, V}), sl2-type g(J)
-        return (
-            ctx.rec().is_sl2_type,
-            "1-homogeneous (unique Poisson maximal ideal, sl2-type g(J))",
-        )
-
+    """The recognition, radical_weights and homogeneity rows of a Weyl-group
+    quotient: g = sl2 semidirect an abelian radical with the given h-weights."""
     return [
-        ("recognition", cite, _recognition("sl2_semidirect", radical_dim=len(weights))),
-        ("radical_weights", cite, radical_weights),
-        ("homogeneity", cite, homogeneity),
+        ("recognition", cite, _recognition, "sl2_semidirect", None, len(weights)),
+        ("radical_weights", cite, _radical_weights, weights, weights_detail),
+        ("homogeneity", cite, _sl2_type),
     ]
 
 
@@ -411,6 +440,7 @@ _TORUS = _surface("x*y*z - x^2 - y^2 - z^2 + 4")
 _C_THETA = "2*x*v*w - x^2*v - 2*v^2 - 2*w^2 + 4*v"  # over x, v, w
 _UQSL2 = "vars x, y, z laurent(z); bracket scaled a = 2*z; f = x*y + z + z^-1;\n"
 _PHI = "auto phi { x -> x; y -> -y; z -> -z; };"
+_CONTINUUM = "not t-homogeneous (continuum of 1-dimensional classes)"
 _WEYL_A2 = """vars a1, a2, b1, b2;
 bracket table { [a1,b1] = 6; [a2,b2] = 6; [a1,b2] = -3; [a2,b1] = -3; };
 auto swap { a1 -> a2; a2 -> a1; b1 -> b2; b2 -> b1; };
@@ -422,15 +452,6 @@ def _invariants(amb: PresentationFile, names, gens, relations=()) -> InvariantPr
     """The invariants `gens` of the file's ring under its automorphisms."""
     return InvariantPresentation(amb.presentation, tuple(names), tuple(gens),
                                  tuple(amb.autos.values()), tuple(relations))
-
-
-def _rejected(pres, at, betas) -> bool:
-    """solvable_character_module refuses the character `betas` at `at`."""
-    try:
-        solvable_character_module(pres, at, betas)
-    except AtlasError:
-        return True
-    return False
 
 
 def _half_steps(d: int, denom: int):
@@ -471,16 +492,6 @@ def _entry_kleinian_a1() -> CatalogEntry:
         ok = tri.verify(ctx.lie(ORIGIN)) and (tri.e, tri.h, tri.f) == expected
         return ok, "triple (e, h, f) = (y, 2z, -x)"
 
-    def lifts(ctx, cfg):
-        for d in range(1, 7):
-            module = ctx.lift(ORIGIN, d)
-            ax = verify_poisson_axioms(module, cfg.trials, cfg.seed)
-            if not ax.ok:
-                return False, f"axioms fail at d={d}: {ax.failures[:1]}"
-            if _eig_multiset(module.mats[2]) != _half_steps(d, 2):
-                return False, f"{{z,-}} spectrum off at d={d}"
-        return True, "d = 1..6 lift axioms and {z,-} spectra (2j+1-d)/2"
-
     def restriction(ctx, cfg):
         if not verify_poisson_map(emb, sub, pres).ok:
             return False, "embedding is not Poisson"
@@ -500,19 +511,18 @@ def _entry_kleinian_a1() -> CatalogEntry:
     return _entry(
         "kleinian-a1", "section 4.2", pf, invariants=ip,
         facts=[
-            ("ideal_points", _ideal_points([ORIGIN])),
-            ("recognition", _recognition("sl2", ORIGIN)),
-            ("structure_constants", _constants(
-                {("x", "y"): {"z": 2}, ("y", "z"): {"y": -1}, ("z", "x"): {"x": -1}},
-                ORIGIN,
-            )),
+            ("ideal_points", _ideal_points, [ORIGIN]),
+            ("recognition", _recognition, "sl2", ORIGIN),
+            ("structure_constants", _constants,
+             {("x", "y"): {"z": 2}, ("y", "z"): {"y": -1}, ("z", "x"): {"x": -1}}, ORIGIN),
             ("sl2_triple", "section 4.2 (derived)", triple),
-            ("homogeneity", _homogeneity("1-homogeneous")),
-            ("invariant_presentation",
-             _invariance("pi fixes generators; xy = z^2 identically")),
-            ("invariant_consistency",
-             _consistency("lie_from_invariants agrees with lie_from_point")),
-            ("lifted_modules", "example 4.4 display / theorem 3.4", lifts),
+            ("homogeneity", _homogeneity, "1-homogeneous"),
+            ("invariant_presentation", _invariance, "pi fixes generators; xy = z^2 identically"),
+            ("invariant_consistency", _consistency,
+             "lie_from_invariants agrees with lie_from_point"),
+            ("lifted_modules", "example 4.4 display / theorem 3.4", _lift_spectra, ORIGIN,
+             pres.gen("z"), {d: _half_steps(d, 2) for d in range(1, 7)},
+             "d = 1..6 lift axioms and {z,-} spectra (2j+1-d)/2"),
             ("pi4_restriction", "example 4.4", restriction),
         ],
     )
@@ -569,34 +579,24 @@ def _entry_torus() -> CatalogEntry:
             "theta twists realize J3 = theta_x(J2), J4 = theta_y(J2), J5 = theta_z(J2)",
         ],
         facts=[
-            ("ideal_points", _ideal_points(five)),
-            ("leaf_partition", _leaves(["0", "4"], {"0": 4, "4": 1})),
-            ("recognition", _sl2_everywhere(detail="all five g(J_i) recognized sl2")),
-            ("g_J1_constants", _constants(
-                {("y", "x"): {"z": 2}, ("z", "y"): {"x": 2}, ("x", "z"): {"y": 2}},
-                ORIGIN,
-            )),
-            ("g_J2_constants", _constants(
-                {
-                    ("x", "y"): {"x": 2, "y": 2, "z": -2},
-                    ("y", "z"): {"x": -2, "y": 2, "z": 2},
-                    ("z", "x"): {"x": 2, "y": -2, "z": 2},
-                },
-                j2,
-            )),
+            ("ideal_points", _ideal_points, five),
+            ("leaf_partition", _leaves, ["0", "4"], {"0": 4, "4": 1}),
+            ("recognition", _at_ideals, lambda pt, rec: rec.tag == "sl2",
+             "all five g(J_i) recognized sl2"),
+            ("g_J1_constants", _constants,
+             {("y", "x"): {"z": 2}, ("z", "y"): {"x": 2}, ("x", "z"): {"y": 2}}, ORIGIN),
+            ("g_J2_constants", _constants, {("x", "y"): {"x": 2, "y": 2, "z": -2},
+                                            ("y", "z"): {"x": -2, "y": 2, "z": 2},
+                                            ("z", "x"): {"x": 2, "y": -2, "z": 2}}, j2),
             ("sl2_triple_extension", "section 4.3 (derived)", triple_disc),
-            ("homogeneity", _quotient_homogeneity(
-                ("A", None, "5-homogeneous"),
-                ("A_0", 0, "4-homogeneous"),
-                ("A_4", 4, "1-homogeneous"),
-            )),
+            ("homogeneity", _quotient_homogeneity, ("A", None, "5-homogeneous"),
+             ("A_0", 0, "4-homogeneous"), ("A_4", 4, "1-homogeneous")),
             ("theta_automorphisms", autos_permute),
             ("twist", "remark 2.9 / section 4.3", twist_check),
-            ("invariant_presentation", _invariance(
-                "pi fixes x, y, z; relation f = 0; {x,y} = xy - 2z in invariants",
-                lambda: bracket(tor.presentation.bracket_spec, inv_x, inv_y)
-                == inv_x * inv_y - 2 * inv_z,
-            )),
+            ("invariant_presentation", _invariance,
+             "pi fixes x, y, z; relation f = 0; {x,y} = xy - 2z in invariants",
+             lambda: bracket(tor.presentation.bracket_spec, inv_x, inv_y)
+             == inv_x * inv_y - 2 * inv_z),
         ],
     )
 
@@ -612,40 +612,30 @@ def _entry_laurent_inv() -> CatalogEntry:
         "laurent-inv", "section 4.4", pf,
         invariants=_invariants(amb, "xyz", gens, pf.presentation.relations),
         facts=[
-            ("ideal_points", _ideal_points([(0, 0, 2), (0, 0, -2)])),
-            ("g_J1_constants", _constants(
-                {("x", "y"): {"x": -4}, ("y", "z"): {"z": -4}, ("z", "x"): {"y": 2}},
-                (0, 0, 2),
-            )),
-            ("recognition_homogeneity", _sl2_everywhere("2-homogeneous")),
-            ("phi_swap", _phi_swap((0, 0, 2), (0, 0, -2), "phi swaps the J1- and J2-modules")),
-            ("invariant_presentation",
-             _invariance("pi fixes x, y, z; relation x(4 - z^2) + y^2 = 0")),
+            ("ideal_points", _ideal_points, [(0, 0, 2), (0, 0, -2)]),
+            ("g_J1_constants", _constants,
+             {("x", "y"): {"x": -4}, ("y", "z"): {"z": -4}, ("z", "x"): {"y": 2}}, (0, 0, 2)),
+            ("recognition_homogeneity", _sl2_everywhere, "2-homogeneous"),
+            ("phi_swap", _phi_swap, (0, 0, 2), (0, 0, -2), "phi swaps the J1- and J2-modules"),
+            ("invariant_presentation", _invariance,
+             "pi fixes x, y, z; relation x(4 - z^2) + y^2 = 0"),
         ],
     )
 
 
 def _entry_uqsl2() -> CatalogEntry:
     pf = parse_presentation(_UQSL2 + _PHI)
-    z = pf.presentation.gen("z")
-
-    def lift_spectrum(ctx, cfg):
-        module = ctx.lift((0, 0, 1), 2)
-        if not verify_poisson_axioms(module, cfg.trials, cfg.seed).ok:
-            return False, "axioms fail"
-        got = _eig_multiset(module.action_of(z - 1))
-        return got == _expect_eigs([1, -1]), "{z - 1, -} eigenvalues {1, -1} at d = 2"
-
     return _entry(
         "uqsl2", "section 4.5", pf,
         facts=[
-            ("ideal_points", _ideal_points([(0, 0, 1), (0, 0, -1)])),
-            ("recognition_homogeneity", _sl2_everywhere("2-homogeneous")),
-            ("quotient_homogeneity", _quotient_homogeneity(
-                ("A'_2", 2, "1-homogeneous"), ("A'_-2", -2, "1-homogeneous")
-            )),
-            ("lift_spectrum", "section 4.5 (derived)", lift_spectrum),
-            ("phi_swap", _phi_swap((0, 0, 1), (0, 0, -1), "phi transposes J1 and J2")),
+            ("ideal_points", _ideal_points, [(0, 0, 1), (0, 0, -1)]),
+            ("recognition_homogeneity", _sl2_everywhere, "2-homogeneous"),
+            ("quotient_homogeneity", _quotient_homogeneity,
+             ("A'_2", 2, "1-homogeneous"), ("A'_-2", -2, "1-homogeneous")),
+            ("lift_spectrum", "section 4.5 (derived)", _lift_spectra, (0, 0, 1),
+             pf.presentation.gen("z") - 1, {2: [1, -1]},
+             "{z - 1, -} eigenvalues {1, -1} at d = 2"),
+            ("phi_swap", _phi_swap, (0, 0, 1), (0, 0, -1), "phi transposes J1 and J2"),
         ],
     )
 
@@ -656,11 +646,6 @@ def _entry_uqsl2_equitable() -> CatalogEntry:
         auto eta_inv { x -> y + z^-1; y -> z^-1*(1 - x); z -> z; };""")
     pf = parse_presentation("vars x, y, z laurent(z); bracket exact f = 2*(x + y + z - x*y*z);")
     pres, eta, eta_inv = pf.presentation, scaled.autos["eta"], scaled.autos["eta_inv"]
-
-    def eta_poisson(ctx, cfg):
-        fwd = verify_poisson_map(eta, scaled.presentation, pres)
-        bwd = verify_poisson_map(eta_inv, pres, scaled.presentation)
-        return fwd.ok and bwd.ok, "eta and eta^-1 verify as Poisson maps"
 
     def eta_inverse(ctx, cfg):
         ok = all(
@@ -678,9 +663,12 @@ def _entry_uqsl2_equitable() -> CatalogEntry:
             "this orientation verifies)"
         ],
         facts=[
-            ("ideal_points", _ideal_points([(1, 1, 1), (-1, -1, -1)])),
-            ("recognition_homogeneity", _sl2_everywhere("2-homogeneous")),
-            ("eta_poisson_map", eta_poisson),
+            ("ideal_points", _ideal_points, [(1, 1, 1), (-1, -1, -1)]),
+            ("recognition_homogeneity", _sl2_everywhere, "2-homogeneous"),
+            ("eta_poisson_map", _poisson_maps,
+             [("eta", eta, scaled.presentation, pres),
+              ("eta^-1", eta_inv, pres, scaled.presentation)],
+             "eta and eta^-1 verify as Poisson maps"),
             ("eta_round_trip", eta_inverse),
         ],
     )
@@ -693,63 +681,37 @@ def _entry_uqsl2_4hom() -> CatalogEntry:
     return _entry(
         "uqsl2-4hom", "section 4.5", pf, box=SearchBox(extra=tuple(pf.points)),
         facts=[
-            ("ideal_points", "section 4.5 (4-homogeneous variant)",
-             _ideal_points([(0, 0, 1), (0, 0, -1), *pf.points])),
-            ("recognition_homogeneity", _sl2_everywhere("4-homogeneous")),
+            ("ideal_points", "section 4.5 (4-homogeneous variant)", _ideal_points,
+             [(0, 0, 1), (0, 0, -1), *pf.points]),
+            ("recognition_homogeneity", _sl2_everywhere, "4-homogeneous"),
         ],
     )
 
 
 def _entry_whitney() -> CatalogEntry:
-    pf = parse_presentation(_surface("x*y^2 - z^2"))
-    pres = pf.presentation
-
-    def tags(ctx, cfg):
-        for point, rec in ctx.tags().items():
-            alpha = point.values[0]
-            want = "heisenberg" if alpha.is_zero else "solvable"
-            if rec.tag != want:
-                return False, f"alpha = {alpha}: got {rec.tag}"
-        return True, "Heisenberg at alpha = 0, solvable non-nilpotent otherwise"
-
-    def characters(ctx, cfg):
-        at1 = ctx.point((1, 0, 0))
-        module = solvable_character_module(pres, at1, (Scalar(5), 0, 0))
-        if not verify_poisson_axioms(module, cfg.trials, cfg.seed).ok:
-            return False, "valid character fails axioms"
-        if not _rejected(pres, at1, (0, Scalar(1), 0)):
-            return False, "rho != 0 accepted at alpha = 1"
-        at0 = ctx.point(ORIGIN)
-        solvable_character_module(pres, at0, (Scalar(2), Scalar(3), 0))
-        if not _rejected(pres, at0, (0, 0, Scalar(1))):
-            return False, "beta_z != 0 accepted at alpha = 0"
-        return True, "alpha*rho = 0 constraint enforced on 1-dim characters"
-
-    def catalog_dims(ctx, cfg):
-        for point, rec in ctx.tags().items():
-            want = 2 if point.values[0].is_zero else 1
-            if rec.k != want:
-                return False, f"character space at {point} is {rec.k}"
-        return True, "character space dim 2 at alpha = 0, else 1"
-
     return _entry(
-        "whitney", "example 4.3", pf,
+        "whitney", "example 4.3", parse_presentation(_surface("x*y^2 - z^2")),
         facts=[
-            ("ideal_points", _ideal_points(
-                lambda box: [(a, 0, 0) for a in sorted(box.coordinate_values())]
-            )),
-            ("leaf_partition", _leaves(["0"], detail="all singular points lie on S_0")),
-            ("recognition", tags),
-            ("characters", characters),
-            ("module_catalog", catalog_dims),
-            ("homogeneity", _homogeneity("not t-homogeneous (continuum of 1-dimensional classes)")),
+            ("ideal_points", _ideal_points,
+             lambda box: [(a, 0, 0) for a in sorted(box.coordinate_values())]),
+            ("leaf_partition", _leaves, ["0"], None, "all singular points lie on S_0"),
+            ("recognition", _at_ideals,
+             lambda pt, rec: rec.tag == ("heisenberg" if pt.values[0].is_zero else "solvable"),
+             "Heisenberg at alpha = 0, solvable non-nilpotent otherwise"),
+            ("characters", _characters,
+             [((1, 0, 0), (5, 0, 0), True), ((1, 0, 0), (0, 1, 0), False),
+              (ORIGIN, (2, 3, 0), True), (ORIGIN, (0, 0, 1), False)],
+             "alpha*rho = 0 constraint enforced on 1-dim characters"),
+            ("module_catalog", _at_ideals,
+             lambda pt, rec: rec.k == (2 if pt.values[0].is_zero else 1),
+             "character space dim 2 at alpha = 0, else 1"),
+            ("homogeneity", _homogeneity, _CONTINUUM),
         ],
     )
 
 
 def _entry_kleinian_an(n: int) -> CatalogEntry:
     pf = parse_presentation(_surface(f"z^{n} - x*y") + "grading z;")
-    pres = pf.presentation
     notes = []
     if n > 2:
         notes.append(
@@ -766,49 +728,32 @@ def _entry_kleinian_an(n: int) -> CatalogEntry:
     def solvable(ctx, cfg):
         rec = ctx.rec(ORIGIN)
         expected = {("x", "y"): {}, ("y", "z"): {"y": -1}, ("z", "x"): {"x": -1}}
-        ok = rec.tag == "solvable" and _sc_equal(ctx.lie(ORIGIN), expected)[0]
+        ok = rec.tag == "solvable" and _constants(ctx, cfg, expected, ORIGIN)[0]
         return ok, f"{rec.describe()}; [x,y] = 0, [y,z] = -y, [z,x] = -x"
-
-    def characters(ctx, cfg):
-        if n == 2:
-            return True, "n = 2 is the sl2 case; no character family"
-        origin = ctx.point(ORIGIN)
-        module = solvable_character_module(pres, origin, (0, 0, Scalar(7)))
-        ok = verify_poisson_axioms(module, cfg.trials, cfg.seed).ok
-        if not _rejected(pres, origin, (Scalar(1), 0, 0)):
-            return False, "beta_x != 0 accepted"
-        return ok, "{z, v} = tau v family; characters supported on z only"
 
     return _entry(
         f"kleinian-an({n})", "example 4.4", pf,
-        invariants=_kleinian_invariants(n, pres.relations[0]), notes=notes,
+        invariants=_kleinian_invariants(n, pf.presentation.relations[0]), notes=notes,
         facts=[
-            ("ideal_points", _ideal_points([ORIGIN])),
-            ("recognition", _recognition("sl2", ORIGIN) if n == 2 else solvable),
-            ("invariant_presentation",
-             _invariance("generators fixed (where checkable); xy = z^n identically")),
-            ("invariant_consistency",
-             _consistency("lie_from_invariants matches lie_from_point")),
-            ("characters", characters),
-            ("homogeneity", _homogeneity(
-                "1-homogeneous" if n == 2
-                else "not t-homogeneous (continuum of 1-dimensional classes)")),
+            ("ideal_points", _ideal_points, [ORIGIN]),
+            ("recognition", _recognition, "sl2", ORIGIN) if n == 2 else ("recognition", solvable),
+            ("invariant_presentation", _invariance,
+             "generators fixed (where checkable); xy = z^n identically"),
+            ("invariant_consistency", _consistency, "lie_from_invariants matches lie_from_point"),
+            ("characters", _characters, [], "n = 2 is the sl2 case; no character family")
+            if n == 2 else
+            ("characters", _characters, [(ORIGIN, (0, 0, 7), True), (ORIGIN, (1, 0, 0), False)],
+             "{z, v} = tau v family; characters supported on z only"),
+            ("homogeneity", _homogeneity, "1-homogeneous" if n == 2 else _CONTINUUM),
         ],
     )
 
 
 def _entry_kleinian_de(name: str, potential: str, note=None) -> CatalogEntry:
-    def solvable(ctx, cfg):
-        rec = ctx.rec(ORIGIN)
-        return rec.is_solvable_type, f"g(J) is {rec.describe()} (solvable)"
-
     return _entry(
         name, "remark 4.5", parse_presentation(_surface(potential)),
         notes=[note] if note else [],
-        facts=[
-            ("ideal_points", _ideal_points([ORIGIN])),
-            ("solvability", solvable),
-        ],
+        facts=[("ideal_points", _ideal_points, [ORIGIN]), ("solvability", _solvable)],
     )
 
 
@@ -858,11 +803,10 @@ def _entry_c_theta() -> CatalogEntry:
             "(value and gradient vanish at all four points)"
         ],
         facts=[
-            ("ideal_points", _ideal_points(
-                [(2, 2, 2), (-2, 2, -2), (2, 0, 0), (-2, 0, 0)], "ideals containing g"
-            )),
+            ("ideal_points", _ideal_points,
+             [(2, 2, 2), (-2, 2, -2), (2, 0, 0), (-2, 0, 0)], "ideals containing g"),
             ("g_in_J_squared", "section 4.7 (flagged)", g_in_j2),
-            ("recognition_homogeneity", _sl2_everywhere("4-homogeneous")),
+            ("recognition_homogeneity", _sl2_everywhere, "4-homogeneous"),
             ("restriction_scenario", restriction),
             ("L_overpoint_not_poisson", "section 4.7 (derived)", l_points_not_poisson),
         ],
@@ -876,10 +820,6 @@ def _entry_d_phi() -> CatalogEntry:
           relation F/2; a -> x*w/2; u -> x^2/2; v -> v; };""")
     ctheta = pf.presentation
     emb, pres = pf.embeds["phi"]
-
-    def emb_poisson(ctx, cfg):
-        rep = verify_poisson_map(emb, pres, ctheta)
-        return rep.ok, "u = x^2/2, a = xw/2, v = v is a Poisson map into C^theta"
 
     def projections(ctx, cfg):
         # C^theta point -> its image: I1, I2 -> L4-point, L1, L2 -> L3-point
@@ -901,11 +841,11 @@ def _entry_d_phi() -> CatalogEntry:
             "stated correspondence; recorded as an apparent label swap"
         ],
         facts=[
-            ("ideal_points", _ideal_points(
-                [ORIGIN, (0, 0, 2), (0, 2, 0), (2, 2, 2)], "ideals containing 2h"
-            )),
-            ("recognition_homogeneity", _sl2_everywhere("4-homogeneous")),
-            ("embedding", emb_poisson),
+            ("ideal_points", _ideal_points,
+             [ORIGIN, (0, 0, 2), (0, 2, 0), (2, 2, 2)], "ideals containing 2h"),
+            ("recognition_homogeneity", _sl2_everywhere, "4-homogeneous"),
+            ("embedding", _poisson_maps, [("the embedding into C^theta", emb, pres, ctheta)],
+             "u = x^2/2, a = xw/2, v = v is a Poisson map into C^theta"),
             ("projections", "section 4.7 (flagged)", projections),
         ],
     )
@@ -1015,8 +955,8 @@ def _entry_weyl_a2() -> CatalogEntry:
             "(the a1*a3 form breaks the displayed constants)"
         ],
         facts=[
-            ("invariance", "example 5.1", _invariance("W = S3 fixes all seven generators")),
-            ("structure_constants", "example 5.1", _constants(_P7_TABLE)),
+            ("invariance", "example 5.1", _invariance, "W = S3 fixes all seven generators"),
+            ("structure_constants", "example 5.1", _constants, _P7_TABLE),
             *_weyl_trio("example 5.1", [3, 1, -1, -3], "radical h-weights {3,1,-1,-3}"),
             ("prop52_module", "proposition 5.2", prop52),
             ("sl2_restriction", "remark 5.3", remark53),
@@ -1085,9 +1025,9 @@ def _entry_weyl_b2() -> CatalogEntry:
             "representative m3 = x1 x2 y1 y2"
         ],
         facts=[
-            ("invariance", _invariance("W (dihedral of order 8) fixes the generators")),
+            ("invariance", _invariance, "W (dihedral of order 8) fixes the generators"),
             ("m3_derivation", "example 5.5 (derived)", m3_derivation),
-            ("structure_constants", _constants(table)),
+            ("structure_constants", _constants, table),
             *_weyl_trio("example 5.5", [4, 2, 0, -2, -4], "radical weights {4,2,0,-2,-4}"),
         ],
     )
@@ -1115,7 +1055,7 @@ def _entry_weyl_g2() -> CatalogEntry:
             "constants are recorded without display comparison"
         ],
         facts=[
-            ("invariance", _invariance("W' = W x <pi> fixes all ten generators")),
+            ("invariance", _invariance, "W' = W x <pi> fixes all ten generators"),
             ("derived_constants", "example 5.4 (recorded)", constants),
             *_weyl_trio(
                 "example 5.4", [6, 4, 2, 0, -2, -4, -6],
@@ -1150,9 +1090,9 @@ def _entry_kirillov_kostant_sl2() -> CatalogEntry:
     return _entry(
         "kirillov-kostant-sl2", "example 3.5", pf,
         facts=[
-            ("ideal_points", _ideal_points([ORIGIN])),
+            ("ideal_points", _ideal_points, [ORIGIN]),
             ("lie_identification", lie_matches),
-            ("recognition_homogeneity", _sl2_everywhere("1-homogeneous")),
+            ("recognition_homogeneity", _sl2_everywhere, "1-homogeneous"),
             ("round_trips", "theorem 3.4(iii)", round_trips),
         ],
     )
@@ -1166,12 +1106,6 @@ def _entry_abelian(n: int) -> CatalogEntry:
     def ideals(ctx, cfg):
         want = len(ctx.entry.box.coordinate_values()) ** n
         return len(ctx.ideals) == want, f"every box point is Poisson ({want})"
-
-    def abelian_tag(ctx, cfg):
-        pt = ctx.ideals[0]
-        rec = ctx.rec(pt)
-        ok = rec.tag == "abelian" and rec.k == n
-        return ok, f"abelian; {n}-parameter family of characters"
 
     def character_formula(ctx, cfg):
         alphas = [Scalar(i + 1) for i in range(n)]
@@ -1193,9 +1127,10 @@ def _entry_abelian(n: int) -> CatalogEntry:
         f"abelian({n})", "example 3.5", pf, box=SearchBox(1, 1),
         facts=[
             ("ideal_points", ideals),
-            ("recognition", abelian_tag),
+            ("recognition", _at_ideals, lambda pt, rec: rec.tag == "abelian" and rec.k == n,
+             f"abelian; {n}-parameter family of characters"),
             ("character_formula", character_formula),
-            ("homogeneity", _homogeneity("not t-homogeneous (continuum of 1-dimensional classes)")),
+            ("homogeneity", _homogeneity, _CONTINUUM),
         ],
     )
 
@@ -1249,11 +1184,15 @@ def get_entry(name: str) -> CatalogEntry:
     if name.endswith(")") and "(" in name:
         base, arg = name[:-1].split("(", 1)
     row = _REGISTRY.get(base)
-    if row is None or (arg is None) == isinstance(row, tuple):
+    if row is None:
         raise AtlasError(f"unknown catalog entry {name!r}")
-    if arg is None:
+    if not isinstance(row, tuple):
+        if arg is not None:
+            raise AtlasError(f"{base} takes no parameter")
         return row()
     builder, _, least = row
+    if arg is None:
+        raise AtlasError(f"{base} takes a parameter: {base}(n), n >= {least}")
     if not (arg.isascii() and arg.removeprefix("-").isdigit()):  # int() reads '_', '+', blanks
         raise AtlasError(f"bad parameter in {name!r}")
     n = int(arg)

@@ -70,6 +70,24 @@ def test_unknown_entry_rejected():
         get_entry("kleinian-an(1)")
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["catalog", "run", "abelian"], "abelian takes a parameter: abelian(n), n >= 1"),
+    (["catalog", "file", "kleinian-d"], "kleinian-d takes a parameter: kleinian-d(n), n >= 4"),
+    (["catalog", "run", "whitney(3)"], "whitney takes no parameter"),
+])
+def test_a_misused_entry_name_names_the_mistake(argv, error, capsys):
+    """A family named without its parameter, or a single entry given one, is
+    not an unknown entry: the error says which mistake it is, exit 1."""
+    from poisson_atlas.cli import main
+
+    with pytest.raises(AtlasError) as exc:
+        get_entry(argv[2])
+    assert str(exc.value) == error
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {error}\n"
+
+
 def test_e8_potential():
     entry = get_entry("kleinian-e8")
     # graded-lex puts the highest-degree term first
@@ -299,3 +317,61 @@ def test_lifted_modules_draws_one_set_of_trial_polynomials(monkeypatch):
     ok, _ = fact(Context(entry), RunConfig())
     # six lifts at the origin, 32 trial pairs: 64 draws, not 6 * 64 = 384
     assert ok and len(draws) == 2 * RunConfig().trials == 64
+
+
+# The torus with the shear z -> z + 1, which is not a Poisson map.
+SHEAR = """vars x, y, z;
+bracket exact f = x*y*z - x^2 - y^2 - z^2 + 4;
+relation x*y*z - x^2 - y^2 - z^2 + 4;
+auto shear { x -> x; y -> y; z -> z + 1; };
+"""
+
+
+def _shear_maps():
+    from poisson_atlas import parse_presentation
+
+    pf = parse_presentation(SHEAR)
+    return [("shear", pf.autos["shear"], pf.presentation, pf.presentation)]
+
+
+def _not_whitney(pt, rec):
+    return rec.tag != ("heisenberg" if pt.values[0].is_zero else "solvable")
+
+
+# (shape, entry, expected values from the entry) with one value wrong
+SHAPE_FAILURES = {
+    "ideal_points": ("_ideal_points", "torus-so3",
+                     lambda e: ([(0, 0, 0), (2, 2, 2), (2, -2, -2), (-2, 2, -2)],)),
+    "recognition": ("_recognition", "kleinian-a1", lambda e: ("solvable", (0, 0, 0))),
+    "at_ideals": ("_at_ideals", "whitney", lambda e: (_not_whitney, "negated")),
+    "homogeneity": ("_homogeneity", "kleinian-a1", lambda e: ("2-homogeneous",)),
+    "sl2_everywhere": ("_sl2_everywhere", "uqsl2", lambda e: ("1-homogeneous",)),
+    "quotient_homogeneity": ("_quotient_homogeneity", "uqsl2",
+                             lambda e: (("A'_2", 2, "2-homogeneous"),)),
+    "constants": ("_constants", "kleinian-a1", lambda e: (
+        {("x", "y"): {"z": 3}, ("y", "z"): {"y": -1}, ("z", "x"): {"x": -1}}, (0, 0, 0))),
+    "invariance": ("_invariance", "kleinian-a1", lambda e: ("identity", lambda: False)),
+    "leaves": ("_leaves", "torus-so3", lambda e: (["0"],)),
+    "poisson_maps": ("_poisson_maps", "torus-so3", lambda e: (_shear_maps(), "shear")),
+    "characters_valid_refused": ("_characters", "whitney",
+                                 lambda e: ([((1, 0, 0), (5, 0, 0), False)], "wrong")),
+    "characters_invalid_accepted": ("_characters", "whitney",
+                                    lambda e: ([((1, 0, 0), (0, 1, 0), True)], "wrong")),
+    "lift_spectra": ("_lift_spectra", "uqsl2", lambda e: (
+        (0, 0, 1), e.presentation.gen("z") - 1, {2: [2, 0]}, "shifted")),
+    "radical_weights": ("_radical_weights", "weyl-a2", lambda e: ([3, 1, -1, -1], "wrong")),
+    "phi_swap": ("_phi_swap", "laurent-inv", lambda e: ((0, 0, 2), (0, 0, 2), "wrong")),
+}
+
+
+@pytest.mark.parametrize("case", SHAPE_FAILURES)
+def test_every_shared_shape_can_fail(case):
+    """Each fact shape, run on a real entry's context with one expected value
+    wrong, reports (False, detail) and raises nothing."""
+    import poisson_atlas.catalog as catalog
+
+    shape, name, expected = SHAPE_FAILURES[case]
+    entry = get_entry(name)
+    ok, detail = getattr(catalog, shape)(catalog.Context(entry), FAST, *expected(entry))
+    assert ok is False
+    assert isinstance(detail, str) and detail
