@@ -17,11 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import add
 from types import MappingProxyType
 
 from .errors import LieStructureError, VarSetMismatchError
 from .poly import LaurentPoly, PointP, VarSet, divides
-from .scalars import Scalar
+from .scalars import muladd
 
 
 class BracketSpec:
@@ -171,18 +172,18 @@ def bracket(spec: BracketSpec, p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     x^(a+b-e_i-e_j) * {x_i, x_j} for each i < j.  No derivative or product is built."""
     if not p.varset == q.varset == spec.varset:
         raise VarSetMismatchError("bracket operands over a variable set other than the spec's")
-    shifted, coerce, out = spec.shifted, Scalar.coerce, {}
+    shifted, out, pairs = spec.shifted, {}, q.terms.items()
     for a, c in p.terms.items():
-        for b, d in q.terms.items():
-            cd, ab = c * d, tuple(map(int.__add__, a, b))
+        for b, d in pairs:
+            cd, ab = c * d, tuple(map(add, a, b))
             for i, j, entry in shifted:
                 w = a[i] * b[j] - a[j] * b[i]
                 if w:
-                    k = cd * coerce(w)
+                    k = cd * w
                     for s, e in entry:
-                        exps = tuple(map(int.__add__, ab, s))
+                        exps = tuple(map(add, ab, s))
                         acc = out.get(exps)
-                        out[exps] = k * e if acc is None else acc + k * e
+                        out[exps] = k * e if acc is None else muladd(acc, k, e)
     return LaurentPoly._raw(p.varset, {m: v for m, v in out.items() if not v.is_zero})
 
 

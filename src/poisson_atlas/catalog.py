@@ -241,6 +241,11 @@ def _expect_eigs(values):
     return sorted((Scalar.coerce(v) for v in values), key=Scalar.sort_key)
 
 
+def _text(values) -> str:
+    """Values, or tuples of them, as `[a, b, ...]`."""
+    return "[" + ", ".join(_text(v) if isinstance(v, tuple) else str(v) for v in values) + "]"
+
+
 def _entry(name, cite, pf, facts, **data) -> CatalogEntry:
     """An entry with the presentation, automorphisms, embeddings and grading
     of the parsed file `pf` (None for a Lie-level entry) unless `data` gives
@@ -289,10 +294,12 @@ def _at_ideals(ctx, cfg, holds, detail):
 
 def _sl2_everywhere(ctx, cfg, verdict):
     """g(J) is sl2 at every ideal and the entry is `verdict` homogeneous; the
-    verdict is the detail."""
-    ok = all(ctx.rec(pt).tag == "sl2" for pt in ctx.ideals)
+    verdict is the detail, or the first point where g(J) is not sl2."""
+    for pt in ctx.ideals:
+        if ctx.rec(pt).tag != "sl2":
+            return False, f"at {pt}: g(J) is {ctx.rec(pt).describe()}"
     rep = homogeneity_report(ctx.pres, ctx.ideals)
-    return ok and rep.verdict == verdict, rep.verdict
+    return rep.verdict == verdict, rep.verdict
 
 
 def _homogeneity(ctx, cfg, verdict):
@@ -317,16 +324,17 @@ def _quotient_homogeneity(ctx, cfg, *quotients):
 def _constants(ctx, cfg, table, at=None):
     """g(J) at `at` (or of a Lie-level entry) has the displayed brackets."""
     lie = ctx.lie(at)
-    got = lie.structure_table()
-    expected = LieAlgebra.from_brackets(lie.labels, table).structure_table()
-    if got == expected:
-        return True, "all displayed structure constants reproduced"
-    diffs = [
-        f"[{lie.labels[i]},{lie.labels[j]}]"
-        for i, j in sorted(got.keys() | expected.keys())
-        if got.get((i, j)) != expected.get((i, j))
-    ]
-    return False, "mismatch at " + ", ".join(diffs)
+    expected = LieAlgebra.from_brackets(lie.labels, table)
+    return _same_table(lie, expected, "all displayed structure constants reproduced")
+
+
+def _same_table(lie, other, detail):
+    """(True, detail) when the structure tables of two algebras on the same
+    labels agree, else (False, the brackets where they differ, in pair order)."""
+    got, expected = lie.structure_table(), other.structure_table()
+    return (True, detail) if got == expected else (False, "mismatch at " + ", ".join(
+        f"[{lie.labels[i]},{lie.labels[j]}]" for i, j in sorted(got.keys() | expected.keys())
+        if got.get((i, j)) != expected.get((i, j))))
 
 
 def _solvable(ctx, cfg):
@@ -337,14 +345,20 @@ def _solvable(ctx, cfg):
 
 def _invariance(ctx, cfg, detail, identity=None):
     """The group fixes the invariant generators, the relations hold, and so
-    does the bracket `identity()` when one is given."""
-    ok = verify_invariance(ctx.entry.invariants).ok
-    return ok and (identity is None or identity()), detail
+    does the bracket `identity()` when one is given; else the first failure."""
+    ip = ctx.entry.invariants
+    for kind, *what in verify_invariance(ip).failures:
+        if kind == "relation":
+            return False, f"relation {what[0]} is not 0 on the generators"
+        return False, f"the automorphism {_text(ip.automorphisms[what[0]].images)} moves {what[1]}"
+    if identity is not None and not identity():
+        return False, "the bracket identity fails"
+    return True, detail
 
 
 def _consistency(ctx, cfg, detail):
     """lie_from_invariants and lie_from_point at the origin agree."""
-    return ctx.lie().structure_table() == ctx.lie(ORIGIN).structure_table(), detail
+    return _same_table(ctx.lie(), ctx.lie(ORIGIN), detail)
 
 
 def _leaves(ctx, cfg, lambdas, per=None, detail=None):
@@ -402,14 +416,15 @@ def _phi_swap(ctx, cfg, src, dst, detail):
     phi = ctx.entry.automorphisms["phi"]
     if not verify_poisson_map(phi, ctx.pres, ctx.pres).ok:
         return False, "phi is not Poisson"
-    return twist(ctx.lift(src, 2), phi).point == ctx.point(dst), detail
+    got = twist(ctx.lift(src, 2), phi).point
+    return (True, detail) if got == ctx.point(dst) else (False, f"phi twists the lift to {got}")
 
 
 def _radical_weights(ctx, cfg, weights, detail):
     """h of g's sl2-triple acts on the radical with the eigenvalues `weights`."""
     adh = ctx.lie().ad_matrix(ctx.triple().h)
     got = _eig_multiset(restrict_action([adh], ctx.rec().radical_basis)[0])
-    return got == _expect_eigs(weights), detail
+    return (True, detail) if got == _expect_eigs(weights) else (False, f"weights {_text(got)}")
 
 
 def _sl2_type(ctx, cfg):
@@ -490,7 +505,8 @@ def _entry_kleinian_a1() -> CatalogEntry:
             tuple(Scalar.coerce(c) for c in vec) for vec in ((0, 1, 0), (0, 0, 2), (-1, 0, 0))
         )
         ok = tri.verify(ctx.lie(ORIGIN)) and (tri.e, tri.h, tri.f) == expected
-        return ok, "triple (e, h, f) = (y, 2z, -x)"
+        found = f"found (e, h, f) = {_text((tri.e, tri.h, tri.f))}"
+        return ok, "triple (e, h, f) = (y, 2z, -x)" if ok else found
 
     def restriction(ctx, cfg):
         if not verify_poisson_map(emb, sub, pres).ok:
@@ -549,10 +565,9 @@ def _entry_torus() -> CatalogEntry:
 
     def triple_disc(ctx, cfg):
         tri = ctx.triple(ORIGIN)
-        return (
-            tri.verify(ctx.lie(ORIGIN)) and tri.discriminant == -1,
-            "g(J1) triple lives in Q(sqrt(-1))",
-        )
+        ok = tri.verify(ctx.lie(ORIGIN)) and tri.discriminant == -1
+        found = f"found (e, h, f) = {_text((tri.e, tri.h, tri.f))}, discriminant {tri.discriminant}"
+        return ok, "g(J1) triple lives in Q(sqrt(-1))" if ok else found
 
     def autos_permute(ctx, cfg):
         # theta_x, theta_y, theta_z send J2 to J3, J4, J5
@@ -566,10 +581,10 @@ def _entry_torus() -> CatalogEntry:
     def twist_check(ctx, cfg):
         module = ctx.lift(j2, 2)
         twisted = twist(module, autos["theta_x"])
-        ok = twisted.point == ctx.point(five[2]) and is_simple_module(
-            twisted
-        ) == is_simple_module(module)
-        return ok, "theta_x twist annihilated at J3, simplicity preserved"
+        simple = is_simple_module(module), is_simple_module(twisted)
+        ok = twisted.point == ctx.point(five[2]) and simple[0] == simple[1]
+        found = f"twist annihilated at {twisted.point}, simple {simple[0]} -> {simple[1]}"
+        return ok, "theta_x twist annihilated at J3, simplicity preserved" if ok else found
 
     return _entry(
         "torus-so3", "section 4.3", pf, invariants=ip,

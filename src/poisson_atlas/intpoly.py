@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import add, sub
 
 
 def evaluate(f, x):
@@ -114,7 +115,7 @@ def _cross(a, x, b, y):
     for f, g, s in ((a, x, 1), (b, y, -1)):
         for e1, c1 in f.items():
             for e2, c2 in g.items():
-                e = tuple(map(int.__add__, e1, e2))
+                e = tuple(map(add, e1, e2))
                 out[e] = out.get(e, 0) + s * c1 * c2
     return {e: c for e, c in out.items() if c}
 
@@ -126,10 +127,10 @@ def _exact_quotient(f, g):
     f, out = dict(f), {}
     while f:
         e = max(f)
-        m = tuple(map(int.__sub__, e, lead))
+        m = tuple(map(sub, e, lead))
         c = out[m] = f[e] // g[lead]
         for b, d in g.items():
-            k = tuple(map(int.__add__, m, b))
+            k = tuple(map(add, m, b))
             f[k] = f.get(k, 0) - c * d
             if not f[k]:
                 del f[k]

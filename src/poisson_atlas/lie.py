@@ -23,7 +23,7 @@ from .brackets import PoissonPresentation, SubstitutionMap, bracket
 from .errors import LieStructureError, NotExpressibleError, NotPoissonMaximalError
 from .linalg import IncrementalSpan, Matrix, coordinates, unit_vector
 from .poly import LaurentPoly, PointP, VarSet
-from .scalars import Scalar, ZERO
+from .scalars import Scalar, ZERO, muladd
 
 
 class LieAlgebra:
@@ -124,7 +124,7 @@ class LieAlgebra:
                 if row[j]:
                     coeff = a * b
                     for k, c in row[j]:
-                        out[k] = out[k] + coeff * c
+                        out[k] = muladd(out[k], coeff, c)
         return tuple(out)
 
     def ad_matrix(self, u) -> Matrix:

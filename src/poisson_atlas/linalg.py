@@ -35,7 +35,7 @@ from .errors import AtlasError, ExtensionRequiredError, ScalarDomainError
 from .intpoly import (
     divide, evaluate, mul, quadratic_factors, rational_roots, root_bound, root_scale,
 )
-from .scalars import Scalar, ZERO, ONE, scalar_sqrt, common_domain
+from .scalars import Scalar, ZERO, ONE, muladd, mulsub, scalar_sqrt, common_domain
 
 
 class Matrix:
@@ -115,7 +115,7 @@ class Matrix:
                     continue
                 for j, b in enumerate(other_row):
                     if not b.is_zero:
-                        acc[j] = acc[j] + a * b
+                        acc[j] = muladd(acc[j], a, b)
             rows.append(tuple(acc))
         return Matrix._raw(tuple(rows))
 
@@ -169,7 +169,7 @@ def linear_combination(coeffs, mats, nrows: int, ncols: int) -> Matrix:
         for out, row in zip(acc, m.rows):
             for j, x in enumerate(row):
                 if not x.is_zero:
-                    out[j] = out[j] + c * x
+                    out[j] = muladd(out[j], c, x)
     return Matrix._raw(tuple(map(tuple, acc)))
 
 
@@ -178,7 +178,7 @@ def _dot(u, v):
     for a, b in zip(u, v):
         if a.is_zero or b.is_zero:
             continue
-        total = a * b if total is None else total + a * b
+        total = a * b if total is None else muladd(total, a, b)
     return ZERO if total is None else total
 
 
@@ -261,7 +261,7 @@ def relation_test(vectors):
 def _subtract(acc: dict, f: Scalar, row: dict):
     """acc -= f * row on {key: Scalar} dicts; an entry that cancels stays, as 0."""
     for key, c in row.items():
-        acc[key] = acc[key] - f * c if key in acc else -(f * c)
+        acc[key] = mulsub(acc[key], f, c) if key in acc else -(f * c)
 
 
 def _nonzero(vec: dict) -> dict:

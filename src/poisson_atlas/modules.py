@@ -48,7 +48,7 @@ from .linalg import (
     weight_graph,
 )
 from .poly import LaurentPoly, PointP
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ZERO, ONE, muladd, mulsub
 
 DEFAULT_SEED = 0x9E3779B9
 DEFAULT_TRIALS = 32
@@ -85,13 +85,13 @@ def _commutator_is(a, b, coeffs, mats) -> bool:
         acc = {}
         for mid, x in a[r]:
             for col, y in b[mid]:
-                acc[col] = acc.get(col, ZERO) + x * y
+                acc[col] = muladd(acc.get(col, ZERO), x, y)
         for mid, x in b[r]:
             for col, y in a[mid]:
-                acc[col] = acc.get(col, ZERO) - x * y
+                acc[col] = mulsub(acc.get(col, ZERO), x, y)
         for c, m in terms:
             for col, y in m[r]:
-                acc[col] = acc.get(col, ZERO) - c * y
+                acc[col] = mulsub(acc.get(col, ZERO), c, y)
         if not all(v.is_zero for v in acc.values()):
             return False
     return True
@@ -252,14 +252,14 @@ def _pair_obligations(spec, pt, pairs, p, q, label):
     p_value, p_grad = p.linear_part(pt)
     q_value, q_grad = q.linear_part(pt)
     br_value, br_grad = br.linear_part(pt)
-    commutator = [p_grad[j] * q_grad[i] - p_grad[i] * q_grad[j] for i, j in pairs]
+    commutator = [mulsub(p_grad[j] * q_grad[i], p_grad[i], q_grad[j]) for i, j in pairs]
     pq_grad = (p * q).linear_part(pt)[1]
     return [
         ("axiom (i)", list(br_grad) + commutator, lambda: f"(a, b) = {label()}"),
         ("axiom (ii)", br_value.is_zero,
          lambda: f"{{a, b}}(pt) != 0 for (a, b) = {label()}"),
         ("axiom (iii)",
-         [c - p_value * b - q_value * a for a, b, c in zip(p_grad, q_grad, pq_grad)],
+         [mulsub(mulsub(c, p_value, b), q_value, a) for a, b, c in zip(p_grad, q_grad, pq_grad)],
          lambda: f"(a, b) = {label()}"),
     ]
 

@@ -10,9 +10,10 @@ so report output is byte-stable.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .errors import LaurentViolationError, VarSetMismatchError
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ZERO, ONE, muladd
 
 
 class VarSet:
@@ -193,17 +194,13 @@ class LaurentPoly:
                 self.varset, {e: c * s for e, c in self.terms.items()}
             )
         self._same_varset(other)
-        out = {}
+        out, pairs = {}, other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(map(int.__add__, e1, e2))
+            for e2, c2 in pairs:
+                exps = tuple(map(add, e1, e2))
                 acc = out.get(exps)
-                acc = c1 * c2 if acc is None else acc + c1 * c2
-                if acc.is_zero:
-                    out.pop(exps, None)
-                else:
-                    out[exps] = acc
-        return LaurentPoly._raw(self.varset, out)
+                out[exps] = c1 * c2 if acc is None else muladd(acc, c1, c2)
+        return LaurentPoly._raw(self.varset, {e: c for e, c in out.items() if not c.is_zero})
 
     __rmul__ = __mul__
 
@@ -269,14 +266,14 @@ class LaurentPoly:
         """
         if point.varset != self.varset:
             raise VarSetMismatchError("point over a different variable set")
-        value = ZERO
+        value, jets = ZERO, point._jets
         grad = [ZERO] * len(self.varset)
         for exps, coeff in self.terms.items():
-            power, slopes = point.jet(exps)
+            power, slopes = jets.get(exps) or point.jet(exps)
             if power is not None:
-                value = value + coeff * power
+                value = muladd(value, coeff, power)
             for k, slope in slopes:
-                grad[k] = grad[k] + coeff * slope
+                grad[k] = muladd(grad[k], coeff, slope)
         return value, tuple(grad)
 
     def substitute(self, images: dict) -> "LaurentPoly":

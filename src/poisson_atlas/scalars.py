@@ -218,7 +218,7 @@ class Scalar:
         if type(other) is not Scalar:
             if not isinstance(other, _RationalLike):
                 return NotImplemented
-            other = Scalar(other)
+            other = _int(other) if type(other) is int else Scalar(other)
         q1, q2 = self.q, other.q
         d1, d2 = self.d, other.d
         if not (d1 or d2):
@@ -313,6 +313,22 @@ _SMALL = tuple(_raw(i if i <= _SMALL_MAX else i - 2 * _SMALL_MAX - 1, 0, 1, 0)
                for i in range(2 * _SMALL_MAX + 1))
 ZERO = _SMALL[0]
 ONE = _SMALL[1]
+
+
+def muladd(acc: Scalar, a: Scalar, b: Scalar) -> Scalar:
+    """acc + a * b in one call, building one Scalar at most when all three are integers."""
+    if acc.q == a.q == b.q == 1 and not (acc.d or a.d or b.d):
+        n = acc.n + a.n * b.n
+        return _SMALL[n] if -_SMALL_MAX <= n <= _SMALL_MAX else _raw(n, 0, 1, 0)
+    return acc + a * b
+
+
+def mulsub(acc: Scalar, a: Scalar, b: Scalar) -> Scalar:
+    """acc - a * b in one call, as `muladd`."""
+    if acc.q == a.q == b.q == 1 and not (acc.d or a.d or b.d):
+        n = acc.n - a.n * b.n
+        return _SMALL[n] if -_SMALL_MAX <= n <= _SMALL_MAX else _raw(n, 0, 1, 0)
+    return acc - a * b
 
 
 def scalar_sqrt(value) -> Scalar:

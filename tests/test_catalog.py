@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from poisson_atlas import catalog_names, get_entry, run_entry
+from poisson_atlas import LaurentPoly, catalog_names, get_entry, run_entry
 from poisson_atlas.catalog import RunConfig
 from poisson_atlas.errors import AtlasError
 from poisson_atlas.lie import LieAlgebra
@@ -361,6 +362,7 @@ SHAPE_FAILURES = {
         (0, 0, 1), e.presentation.gen("z") - 1, {2: [2, 0]}, "shifted")),
     "radical_weights": ("_radical_weights", "weyl-a2", lambda e: ([3, 1, -1, -1], "wrong")),
     "phi_swap": ("_phi_swap", "laurent-inv", lambda e: ((0, 0, 2), (0, 0, 2), "wrong")),
+    "sl2_everywhere_not_sl2": ("_sl2_everywhere", "whitney", lambda e: ("1-homogeneous",)),
 }
 
 
@@ -375,3 +377,74 @@ def test_every_shared_shape_can_fail(case):
     ok, detail = getattr(catalog, shape)(catalog.Context(entry), FAST, *expected(entry))
     assert ok is False
     assert isinstance(detail, str) and detail
+
+
+def _swapped(t):
+    """The sl2-triple (f, -h, e) of a triple (e, h, f)."""
+    return replace(t, e=t.f, h=tuple(-c for c in t.h), f=t.e)
+
+
+def _moved_generator(ctx):
+    """kleinian-a1's invariants with x1, which pi moves, as the generator x."""
+    ip = ctx.entry.invariants
+    x1 = LaurentPoly.variable(ip.ambient.varset, "x1")
+    return replace(ctx.entry, invariants=replace(ip, generators=(x1,) + ip.generators[1:]))
+
+
+# (entry, fact, context attribute, its wrong value from the context) for the
+# facts whose wrong value comes from the context: a closure's expected value
+# is its own, so the context hands it a wrong triple, lift, algebra or
+# invariant generator instead
+CONTEXT_FAILURES = {
+    "triple": ("kleinian-a1", "sl2_triple", "triple",
+               lambda ctx, real: lambda at=None: _swapped(real(at))),
+    "triple_disc": ("torus-so3", "sl2_triple_extension", "triple",
+                    lambda ctx, real: lambda at=None: replace(real(at), discriminant=0)),
+    "twist_check": ("torus-so3", "twist", "lift",
+                    lambda ctx, real: lambda at, d: real((2, -2, -2), d)),
+    "consistency": ("kleinian-a1", "invariant_consistency", "lie",
+                    lambda ctx, real: lambda at=None: real(at) if at else LieAlgebra("xyz", {})),
+    "invariance_generator": ("kleinian-a1", "invariant_presentation", "entry",
+                             lambda ctx, real: _moved_generator(ctx)),
+}
+
+# the witness each failing fact names
+WITNESSES = {
+    "phi_swap": "phi twists the lift to (0, 0, -2)",
+    "radical_weights": "weights [-3, -1, 1, 3]",
+    "invariance": "the bracket identity fails",
+    "sl2_everywhere": "2-homogeneous",
+    "sl2_everywhere_not_sl2": "at (-4, 0, 0): g(J) is solvable",
+    "triple": "found (e, h, f) = [[-1, 0, 0], [0, 0, -2], [0, 1, 0]]",
+    "triple_disc": "found (e, h, f) = [[0, 1, sqrt(-1)], [-sqrt(-1), 0, 0], "
+                   "[0, -1/4, 1/4*sqrt(-1)]], discriminant 0",
+    "twist_check": "twist annihilated at (2, 2, 2), simple True -> True",
+    "consistency": "mismatch at [x,y], [x,z], [y,z]",
+    "invariance_generator": "the automorphism [-x1, -x2] moves x",
+}
+
+
+@pytest.mark.parametrize("case", WITNESSES)
+def test_a_failing_fact_names_what_it_found(case):
+    """A fact that fails, on a wrong expected value (SHAPE_FAILURES) or on a
+    context patched to hold a wrong value, reports what it found, never its
+    passing text; the same fact on an unpatched context passes."""
+    import poisson_atlas.catalog as catalog
+
+    if case in SHAPE_FAILURES:
+        shape, name, expected = SHAPE_FAILURES[case]
+        args = expected(get_entry(name))
+        passing = next(a for a in args if isinstance(a, str))
+        ok, detail = getattr(catalog, shape)(catalog.Context(get_entry(name)), FAST, *args)
+    else:
+        name, key, attr, wrong = CONTEXT_FAILURES[case]
+        entry = get_entry(name)
+        (fact,) = [fn for k, _, fn in entry.checks if k == key]
+        ok, passing = fact(catalog.Context(entry), FAST)
+        assert ok is True
+        ctx = catalog.Context(entry)
+        setattr(ctx, attr, wrong(ctx, getattr(ctx, attr)))
+        ok, detail = fact(ctx, FAST)
+    assert ok is False
+    assert detail != passing
+    assert detail == WITNESSES[case]
