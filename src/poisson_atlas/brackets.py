@@ -127,12 +127,18 @@ class PoissonPresentation:
     variable set; two presentations are equal when both are.
 
     Relations are carried for membership filters and map verification; no
-    normal-form rewriting happens in the ambient ring.  `_recognitions`, outside
-    `==`, `hash` and `repr`, is `classify.recognize_points`' memo, one per g(J).
+    normal-form rewriting happens in the ambient ring.  What is decided once
+    per point or per g(J) is kept here, outside `==`, `hash` and `repr`, and
+    filled on first use: g(J) by point value in `_lies`
+    (`lie.lie_from_point`), the axiom obligations by (point, trials, seed) in
+    `_obligations` (`modules._point_obligations`), and one recognition per
+    g(J) in `_recognitions` (`classify.recognize_points`).
     """
 
     bracket_spec: BracketSpec
     relations: tuple = ()
+    _lies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _obligations: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _recognitions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -223,16 +229,13 @@ class SubstitutionMap:
     """Per-variable image polynomials from a source varset into a target ring.
 
     `verify_poisson_map` keeps its report per (source, target) presentation
-    pair in `_reports`, and `pull_point` the points it makes, by value, in
-    `_points`; both fields are outside `==`, `hash` and `repr`, so a map is
-    checked once however many modules are pulled back along it, and pullbacks
-    to one value share one point with the g(J) that point keeps.
+    pair in `_reports`, outside `==`, `hash` and `repr`, so a map is checked
+    once however many modules are pulled back along it.
     """
 
     source: VarSet
     images: tuple  # LaurentPoly per source variable, all over the target varset
     _reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _points: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.images) != len(self.source):
@@ -253,10 +256,7 @@ class SubstitutionMap:
 
     def pull_point(self, pt: PointP) -> PointP:
         """The point p with a(p) = self(a)(pt): ideal(p) is self^-1(ideal(pt))."""
-        values = tuple(img.evaluate(pt) for img in self.images)
-        if values not in self._points:
-            self._points[values] = PointP(self.source, values)
-        return self._points[values]
+        return PointP(self.source, tuple(img.evaluate(pt) for img in self.images))
 
     def compose(self, inner: "SubstitutionMap") -> "SubstitutionMap":
         """self o inner (apply inner first)."""

@@ -140,9 +140,9 @@ class Context:
 
     A point `at` is a coordinate tuple or a `PointP` of the presentation; no
     point means the algebra of a Lie-level entry, read off its invariants.
-    `point` returns one `PointP` per point, the first one it was given or
-    built, so every lift and fact at a point shares the jets, g(J) and the
-    axiom obligations that the point keeps.
+    The memos here are keyed by point value, and g(J), its recognition and
+    the axiom obligations at a point are kept on the presentation by value,
+    so every lift and fact at equal points shares them.
     """
 
     def __init__(self, entry: CatalogEntry):
@@ -166,8 +166,7 @@ class Context:
     def point(self, at):
         if at is None:
             return None
-        pt = at if isinstance(at, PointP) else PointP(self.pres.varset, at)
-        return self.memo(("point", pt), lambda: pt)
+        return at if isinstance(at, PointP) else PointP(self.pres.varset, at)
 
     @property
     def ideals(self):
@@ -183,7 +182,7 @@ class Context:
         pt = self.point(at)
         if pt is None:
             return self.memo("lie", lambda: lie_from_invariants(self.entry.invariants))
-        return lie_from_point(self.pres, pt)  # the point keeps its g(J)
+        return lie_from_point(self.pres, pt)  # the presentation keeps g(J)
 
     def rec(self, at=None):
         """The recognition of g(J): at a point, the one `recognize_points`
@@ -191,7 +190,7 @@ class Context:
         pt = self.point(at)
         if pt is None:
             return self.memo("rec", lambda: recognize(self.lie()))
-        return self.memo(("rec", pt), lambda: next(recognize_points(self.pres, [pt])))
+        return next(recognize_points(self.pres, [pt]))
 
     def triple(self, at=None):
         pt = self.point(at)

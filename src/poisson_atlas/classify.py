@@ -159,16 +159,15 @@ def recognize_points(pres, points):
     """The recognition of g(J) at each point, in order.  The items of
     `pair_gradients` at a point, whose pass refuses a point that is not
     Poisson, are the brackets `LieAlgebra` takes, so two points have equal
-    items iff their g(J) are equal: only new items need g(J), kept on the
-    point, and its recognition is kept under them in `pres._recognitions`
-    for every later call on `pres`."""
+    items iff their g(J) are equal: only new items build g(J), which is
+    recognized and dropped, and its recognition is kept under them in
+    `pres._recognitions` for every later call on `pres`.  No g(J) is kept."""
     names, kept = pres.varset.names, pres._recognitions
     for pt in points:
         key = tuple(pair_gradients(pres, pt).items())
         rec = kept.get(key)
         if rec is None:
-            lie = pt._obligations.get(pres) or LieAlgebra(names, dict(key))
-            rec = kept[key] = recognize(pt._obligations.setdefault(pres, lie))
+            rec = kept[key] = recognize(LieAlgebra(names, dict(key)))
         yield rec
 
 

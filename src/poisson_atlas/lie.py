@@ -10,7 +10,8 @@ primitive integer multiples.  Both give `LieAlgebra` its brackets on the
 pairs i < j, so antisymmetry holds by construction, and the constructor
 checks the Jacobi identity.  `lie_from_point` is the one place that
 certifies a point as Poisson-maximal; it keeps the g(J) it builds on the
-point, so every later request at that point reads the same algebra.
+presentation under the point's value, so every later request at an equal
+point reads the same algebra.
 """
 
 from __future__ import annotations
@@ -212,13 +213,12 @@ def lie_from_point(pres: PoissonPresentation, pt: PointP) -> LieAlgebra:
     {x_i, x_j} at pt (the bracket vanishes there, so its class mod J^2 is its
     linear part): one `pair_gradients` pass, which also refuses a point that
     is not Poisson-maximal, and whose gradients are the brackets `LieAlgebra`
-    takes.  The algebra is kept in the point's `_obligations` under `pres`,
-    so later calls at that point return the same object; a point that fails
+    takes.  The algebra is kept in `pres._lies` under the point's value, so
+    later calls at an equal point return the same object; a point that fails
     is never kept, so it raises on every call."""
-    lie = pt._obligations.get(pres)
+    lie = pres._lies.get(pt)
     if lie is None:
-        lie = LieAlgebra(pres.varset.names, pair_gradients(pres, pt))
-        pt._obligations[pres] = lie
+        lie = pres._lies[pt] = LieAlgebra(pres.varset.names, pair_gradients(pres, pt))
     return lie
 
 

@@ -6,11 +6,12 @@ a polynomial depends only on its constant-and-linear data at the point; the
 restriction construction reads the matrices straight back.  Restriction to a
 subalgebra and twisting by an automorphism are one pullback along a verified
 Poisson map.  Every module checks its point through `lie_from_point`, which
-keeps g(J) on the point, so a lift and its module share one check.  One
-function, `analyze_submodules`, decides simplicity and the minimal
-submodules, and the composition series reads it.  It applies one rule to
-seeds and their reaches (the seeds in the submodule each one generates):
-the minimal submodules are the sinks, the reaches every seed in them shares.  The seeds are the unit vectors, reaching
+keeps g(J) on the presentation by point value, so a lift and its module share
+one check.  One function, `analyze_submodules`, decides simplicity and the
+minimal submodules, and the composition series reads it.  It applies one rule
+to seeds and their reaches (the seeds in the submodule each one generates):
+the minimal submodules are the sinks, the reaches every seed in them shares.
+The seeds are the unit vectors, reaching
 along the weight graph, when some combination of the action matrices is
 diagonal with distinct entries, as in every sl2 lift; otherwise the
 eigenvectors of an action matrix with one-dimensional eigenspaces, or
@@ -19,7 +20,7 @@ grading the sinks are the simple submodules and their sum is direct; only
 without one does the density hull decide simplicity.
 The axiom checker compares its matrix identities in coordinates on the action
 matrices and their commutators; the coefficients and verdicts that do not read
-the module are built once per point and kept on it.
+the module are built once per point value and kept on the presentation.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ class PoissonModule:
     The associative action of a is the scalar a(pt); the Lie action of a is
     rho(grad a at pt), so C + J^2 kills the module (Pann contains it).  The
     point is checked to be Poisson-maximal by `lie_from_point`, which builds
-    g(J) there once and keeps it on the point.
+    g(J) there once and keeps it on the presentation.
     """
 
     pres: PoissonPresentation
@@ -269,10 +270,10 @@ def _point_obligations(pres: PoissonPresentation, pt: PointP, trials: int, seed:
     order, as (axiom, check, witness).  A check is a coefficient vector on the
     action matrices and their commutators that must combine to 0, or a verdict
     already decided; a witness is formatted only for a failing check.  Built
-    once per (presentation, trials, seed) and kept in the point's
-    `_obligations`."""
-    key = (pres, trials, seed)
-    kept = pt._obligations.get(key)
+    once per (point, trials, seed) and kept in `pres._obligations`, so equal
+    points share them."""
+    key = (pt, trials, seed)
+    kept = pres._obligations.get(key)
     if kept is not None:
         return kept
     varset, spec, names = pres.varset, pres.bracket_spec, pres.varset.names
@@ -304,7 +305,7 @@ def _point_obligations(pres: PoissonPresentation, pt: PointP, trials: int, seed:
         q = _random_poly(rng, varset, candidates)
         label = partial("trial {}: ({}, {})".format, t, p, q)
         out += _pair_obligations(spec, pt, pairs, p, q, label)
-    kept = pt._obligations[key] = tuple(out)
+    kept = pres._obligations[key] = tuple(out)
     return kept
 
 
@@ -328,9 +329,9 @@ def verify_poisson_axioms(
     coefficient vector combines the stack of the M_k and their commutators to
     zero.  Only that last step reads the module: the coefficient vectors, and
     the verdicts of (ii) and "J is a Poisson ideal", are the point's
-    obligations, built once per point, presentation, trials and seed by
-    `_point_obligations` and kept on the point, so modules at one point share
-    them.  The module builds its commutators and its one `relation_test`,
+    obligations, built once per presentation, point value, trials and seed
+    by `_point_obligations` and kept on the presentation, so modules at equal
+    points share them.  The module builds its commutators and its one `relation_test`,
     which reads each combination on a column basis of the stack, the leads
     of one span, and records the obligations in order.
 

@@ -377,15 +377,13 @@ def report_coeff(c: Scalar, alone=False) -> str:
 class PointP:
     """An assignment of one scalar per variable (a maximal ideal).
 
-    A point keeps the jets of the monomials evaluated at it in `_jets`, and
-    in `_obligations` what is decided once per point: g(J) under its
-    presentation (`lie.lie_from_point`) and the module-independent axiom
-    checks under (presentation, trials, seed) (`modules._point_obligations`).
-    Both tables are outside `==`, `hash`, `repr` and `str`, and filled on
-    first use.
+    A point keeps the jets of the monomials evaluated at it in `_jets`,
+    outside `==`, `hash`, `repr` and `str` and filled on first use.  What is
+    decided once per point, g(J) and the axiom obligations, is kept on the
+    presentation under the point's value, so equal points share it.
     """
 
-    __slots__ = ("varset", "values", "_jets", "_obligations")
+    __slots__ = ("varset", "values", "_jets")
 
     def __init__(self, varset: VarSet, values):
         values = tuple(Scalar.coerce(v) for v in values)
@@ -399,7 +397,6 @@ class PointP:
         object.__setattr__(self, "varset", varset)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_jets", {})
-        object.__setattr__(self, "_obligations", {})
 
     def jet(self, exps):
         """(pt^a, or None when it is 0; the pairs (k, d/dx_k x^a at pt) that

@@ -111,10 +111,11 @@ class Scalar:
 
     def __new__(cls, a, b=0, d=0):
         """The scalar a + b*sqrt(d) for rational a and b (ints, Fractions or
-        anything Fraction accepts); d is ignored when b == 0."""
+        anything Fraction accepts) and a square-free d other than 0 and 1;
+        d is ignored when b == 0."""
         if b == 0:
             return _int(a) if type(a) is int else _rational(*Fraction(a).as_integer_ratio())
-        if d == 0 or d == 1:
+        if d == 1 or squarefree_decompose(d) != (1, d):
             raise ScalarDomainError(f"invalid extension discriminant {d}")
         an, aq = Fraction(a).as_integer_ratio()
         bn, bq = Fraction(b).as_integer_ratio()

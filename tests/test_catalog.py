@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from poisson_atlas import LaurentPoly, catalog_names, get_entry, run_entry
+from poisson_atlas import (
+    LaurentPoly, PointP, catalog_names, get_entry, lie_from_point, restrict_to_lie, run_entry,
+)
 from poisson_atlas.catalog import RunConfig
 from poisson_atlas.errors import AtlasError
 from poisson_atlas.lie import LieAlgebra
@@ -236,35 +238,10 @@ def test_an_entry_run_recognizes_each_distinct_g_once(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["torus-so3", "kleinian-a1"])
 def test_an_entry_run_builds_g_once_per_point(name, monkeypatch):
-    """`recognize_points` keeps the g(J) it builds on the point, where
-    `lie_from_point` finds it, and takes the one a point keeps already: no
-    two builds of g(J) at a point, read off the caller of `LieAlgebra`, are at
-    one (presentation, point).  A point pulled back along an embedding is
-    another point object, with its own g(J)."""
-    import sys
-
-    builds = []
-    real = LieAlgebra.__init__
-
-    def spied(self, labels, brackets):
-        caller = sys._getframe(1)
-        if caller.f_code.co_name in ("recognize_points", "lie_from_point"):
-            builds.append((caller.f_locals["pres"], caller.f_locals["pt"]))
-        real(self, labels, brackets)
-
-    monkeypatch.setattr(LieAlgebra, "__init__", spied)
-    assert run_entry(get_entry(name), FAST).ok
-    assert builds
-    assert not [b for k, b in enumerate(builds)
-                if any(a[0] == b[0] and a[1] is b[1] for a in builds[:k])]
-
-
-@pytest.mark.parametrize("name, count", [("kleinian-a1", 1), ("c-theta", 3)])
-def test_pullbacks_to_one_value_share_one_point_and_its_g(name, count, monkeypatch):
-    """`SubstitutionMap.pull_point` hands out one point per pulled value, so
-    the restrictions of the lifts at one point build g(J) at the pulled point
-    once: `lie_from_point` builds kleinian-a1's pi4 origin once for d = 1..4,
-    and c-theta's g(J) at I1 and at the two torus points once each."""
+    """`lie_from_point` keeps g(J) on the presentation by point value, so no
+    two of its builds, read off the caller of `LieAlgebra`, share one
+    presentation and one point value, however many point objects the run
+    makes at that value."""
     import sys
 
     builds = []
@@ -278,17 +255,50 @@ def test_pullbacks_to_one_value_share_one_point_and_its_g(name, count, monkeypat
 
     monkeypatch.setattr(LieAlgebra, "__init__", spied)
     assert run_entry(get_entry(name), FAST).ok
-    assert len(builds) == count
-    assert len(set(builds)) == count
+    assert builds
+    assert not [b for k, b in enumerate(builds)
+                if any(a[0] is b[0] and a[1] == b[1] for a in builds[:k])]
 
 
-def test_a_context_keeps_one_point_per_coordinate_tuple():
+@pytest.mark.parametrize("name, count", [("kleinian-a1", 2), ("c-theta", 3)])
+def test_pullbacks_to_one_value_share_one_g(name, count, monkeypatch):
+    """The restrictions of the lifts at one point pull back to one value,
+    and the sub-presentation keeps g(J) by that value, so `lie_from_point`
+    builds it there once: kleinian-a1's pi4 origin once for d = 1..4, and
+    c-theta's I1 once for both torus points and d = 1..4.  In all,
+    kleinian-a1 builds g(J) at its origin and the pi4 origin, and c-theta at
+    I1 and the two torus points, once each."""
+    import sys
+
+    entry = get_entry(name)
+    (sub,) = [sub for _, sub in entry.embeds.values() if sub is not None]
+    builds = []
+    real = LieAlgebra.__init__
+
+    def spied(self, labels, brackets):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "lie_from_point":
+            builds.append((caller.f_locals["pres"], caller.f_locals["pt"]))
+        real(self, labels, brackets)
+
+    monkeypatch.setattr(LieAlgebra, "__init__", spied)
+    assert run_entry(entry, FAST).ok
+    assert len(builds) == len(set(builds)) == count
+    assert len([pres for pres, _ in builds if pres is sub]) == 1
+
+
+def test_a_context_reads_one_g_per_point_value():
+    """A lift at `(0, 0, 0)` and one at an equal `PointP` read one g(J)."""
     from poisson_atlas.catalog import Context
 
     ctx = Context(get_entry("kleinian-a1"))
-    origin = ctx.point((0, 0, 0))
-    assert ctx.point((0, 0, 0)) is origin and ctx.point(origin) is origin
-    assert ctx.lift((0, 0, 0), 2).point is origin and ctx.lift(origin, 3).point is origin
+    origin = PointP(ctx.pres.varset, (0, 0, 0))
+    assert ctx.point((0, 0, 0)) == origin and ctx.point(origin) is origin
+    two, three = ctx.lift((0, 0, 0), 2), ctx.lift(origin, 3)
+    assert two.point == three.point == origin
+    lie = lie_from_point(ctx.pres, origin)
+    assert ctx.lie((0, 0, 0)) is lie and ctx.lie(origin) is lie
+    assert restrict_to_lie(two).lie is lie and restrict_to_lie(three).lie is lie
 
 
 @pytest.mark.parametrize("name", ["weyl-a2", "weyl-b2", "weyl-g2"])

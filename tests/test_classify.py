@@ -1103,15 +1103,43 @@ def test_a_presentation_recognizes_each_distinct_g_once_across_calls(name, monke
 
 def test_kept_recognitions_leave_equality_hash_and_repr_alone():
     """Two equal presentations stay equal, with equal hashes and reprs, after
-    one of them has kept recognitions."""
+    one of them has filled its three memos: recognitions, g(J) at each point
+    and the axiom obligations of one lift."""
+    from poisson_atlas import lift_module, verify_poisson_axioms
+
     kept, fresh = (get_entry("torus-so3").presentation for _ in range(2))
     before = repr(kept)
     points = find_poisson_maximal(kept, get_entry("torus-so3").box)
     assert len(list(recognize_points(kept, points))) == 5
-    assert len(kept._recognitions) == 5 and not fresh._recognitions
+    lies = [lie_from_point(kept, pt) for pt in points]
+    pt = PointP(kept.varset, (2, 2, 2))
+    lie = lie_from_point(kept, pt)
+    assert verify_poisson_axioms(lift_module(kept, pt, sl2_irrep(lie, 2, find_sl2_triple(lie)))).ok
+    assert len(kept._recognitions) == len(kept._lies) == len(lies) == 5
+    assert len(kept._obligations) == 1
+    assert not (fresh._recognitions or fresh._lies or fresh._obligations)
     assert kept == fresh and hash(kept) == hash(fresh)
     assert repr(kept) == repr(fresh) == before
     assert {kept: 1}[fresh] == 1
+
+
+def test_recognize_points_keeps_no_g():
+    """`recognize_points` keeps its recognitions only: once it has run over
+    whitney's 27 points of the 6/3 box, no g(J) it built is alive and the
+    presentation keeps none."""
+    import gc
+
+    entry = get_entry("whitney")
+    pres = entry.presentation
+    points = find_poisson_maximal(pres, dataclasses.replace(entry.box, num=6, den=3))
+    assert len(points) == 27
+    gc.collect()
+    before = {id(o) for o in gc.get_objects() if isinstance(o, LieAlgebra)}
+    recs = list(recognize_points(pres, points))
+    gc.collect()
+    alive = [o for o in gc.get_objects() if isinstance(o, LieAlgebra) and id(o) not in before]
+    assert len(recs) == 27 and pres._recognitions
+    assert not alive and not pres._lies
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

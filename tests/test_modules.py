@@ -794,9 +794,10 @@ def test_coordinate_checks_match_matrix_comparison(point, d):
 
 
 def _cold_copy(module):
-    """The module on a fresh point equal to its own, with no kept obligations."""
-    pt = PointP(module.pres.varset, module.point.values)
-    return PoissonModule(module.pres, pt, module.mats)
+    """The module on a fresh presentation and point equal to its own, with no
+    kept obligations."""
+    pres = PoissonPresentation(module.pres.bracket_spec, module.pres.relations)
+    return PoissonModule(pres, PointP(pres.varset, module.point.values), module.mats)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -839,7 +840,9 @@ def test_a_second_verify_at_a_point_reuses_its_obligations(monkeypatch):
     origin = PointP(pres.varset, (0, 0, 0))
     lie = lie_from_point(pres, origin)
     triple = find_sl2_triple(lie)
-    first, second = (lift_module(pres, origin, sl2_irrep(lie, d, triple)) for d in (2, 3))
+    # the second lift sits at an equal point, not this one: obligations are kept by value
+    first, second = (lift_module(pres, pt, sl2_irrep(lie, d, triple))
+                     for pt, d in ((origin, 2), (PointP(pres.varset, (0, 0, 0)), 3)))
     assert verify_poisson_axioms(first).ok
 
     def refuse(*args):

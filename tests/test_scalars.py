@@ -271,6 +271,16 @@ def test_invalid_discriminant_rejected():
     assert Scalar(2, 0, 1) == 2 and Scalar(2, 0, 1).d == 0
 
 
+@pytest.mark.parametrize("d", [4, 8, -4, 12, 18, -27])
+def test_a_discriminant_with_a_square_factor_is_refused(d):
+    """sqrt(s^2 d') is s sqrt(d'), so a d with a square factor has no canonical
+    form of its own: it is refused, and `scalar_sqrt` gives s sqrt(d')."""
+    with pytest.raises(ScalarDomainError, match=rf"^invalid extension discriminant {d}$"):
+        Scalar(0, 1, d)
+    s, reduced = squarefree_decompose(d)
+    assert s > 1 and scalar_sqrt(d) == (Scalar(s) if reduced == 1 else Scalar(0, s, reduced))
+
+
 def test_division_by_zero():
     for zero in (Scalar(0), Scalar(0, 0, -1)):
         with pytest.raises(ZeroDivisionError):
