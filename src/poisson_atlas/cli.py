@@ -17,7 +17,6 @@ import functools
 import re
 import sys
 
-from .catalog import RunConfig, catalog_names, get_entry, run_entry
 from .classify import find_sl2_triple, homogeneity_report, recognize, recognize_points
 from .errors import AtlasError, ExtensionRequiredError, ParseError
 from .ideals import SearchBox, _potential_of, find_poisson_maximal, leaf_report
@@ -329,7 +328,10 @@ def cmd_homogeneity(args) -> Report:
 
 
 def cmd_catalog(args):
-    """The report of `list`, `run` or `run-all`; for `file`, the serialized text."""
+    """The report of `list`, `run` or `run-all`; for `file`, the serialized text.
+    Only this subcommand reads the catalog, so only it loads the module."""
+    from .catalog import RunConfig, catalog_names, get_entry, run_entry
+
     if args.action in ("file", "run") and not args.name:
         raise AtlasError(f"catalog {args.action} needs an entry name")
     if args.action in ("list", "run-all") and args.name:

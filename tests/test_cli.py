@@ -374,13 +374,13 @@ def test_extension_error_maps_to_exit_3(monkeypatch, torus_file):
 
 
 def test_run_all_failure_propagates(monkeypatch):
-    import poisson_atlas.cli as cli
-    from poisson_atlas.catalog import CatalogEntry
+    import poisson_atlas.catalog as catalog
 
-    broken = CatalogEntry("broken", "nowhere")
+    broken = catalog.CatalogEntry("broken", "nowhere")
     broken.checks = [("always", "nowhere", lambda ctx, cfg: (False, "by design"))]
-    monkeypatch.setattr(cli, "catalog_names", lambda: ["broken"])
-    monkeypatch.setattr(cli, "get_entry", lambda name: broken)
+    # `cmd_catalog` imports these from the catalog module when it runs
+    monkeypatch.setattr(catalog, "catalog_names", lambda: ["broken"])
+    monkeypatch.setattr(catalog, "get_entry", lambda name: broken)
     code, out = run(["catalog", "run-all", "--format", "machine"])
     assert code == 1
     assert "status = fail" in out
