@@ -3,12 +3,13 @@
 Two routes, mirroring the worked examples: linearize the generator brackets at
 the point (polynomial presentations), or express brackets of invariant
 generators in the generators modulo products of two or more of them
-(invariant presentations), in a `linalg.IncrementalSpan` of the products
-and the tagged generators.  The second route prunes its product basis by
-the total degree when that grades the generators, and solves on their
-primitive integer multiples.  Both give `LieAlgebra` its brackets on the
-pairs i < j, so antisymmetry holds by construction, and the constructor
-checks the Jacobi identity.  `lie_from_point` is the one place that
+(invariant presentations), in one `linalg.IncrementalSpan` of the products
+and the tagged generators.  The span's sparse rows of different total degree
+never meet, so the second route needs no degree pruning; it solves on the
+primitive integer multiples of the generators and always checks their
+independence modulo J^2.  Both give `LieAlgebra` its brackets on the pairs
+i < j, so antisymmetry holds by construction, and the constructor checks the
+Jacobi identity.  `lie_from_point` is the one place that
 certifies a point as Poisson-maximal; it keeps the g(J) it builds on the
 presentation under the point's value, so every later request at an equal
 point reads the same algebra.
@@ -226,8 +227,8 @@ def lie_from_point(pres: PoissonPresentation, pt: PointP) -> LieAlgebra:
 class InvariantPresentation:
     """Named invariant generators inside an ambient Poisson presentation.
 
-    `lie_from_invariants` reads from the generators whether the total degree
-    prunes its product basis, so the presentation carries no grading hints.
+    `lie_from_invariants` solves in one span of every product up to its
+    degree bound, so the presentation carries no grading hints.
     """
 
     ambient: PoissonPresentation
@@ -269,32 +270,21 @@ def verify_invariance(ip: InvariantPresentation) -> InvarianceReport:
     return InvarianceReport(not failures, failures)
 
 
-def _graded(gens) -> bool:
-    """Whether every generator is homogeneous in total degree, so that the
-    total degree prunes the product basis."""
-    return all(g.degree_wrt((1,) * len(g.varset)) is not None for g in gens)
-
-
-def _enumerate_products(gens, bound: int):
-    """All products of >= 2 generators with total degree <= bound.
-
-    Returns (products, degrees): a product's degree is the sum of its factors'
-    total degrees.
-    """
+def _enumerate_products(gens, bound: int, varset) -> list:
+    """All products of >= 2 generators with total degree <= bound."""
     degs = [g.total_degree() for g in gens]
-    products, degrees = [], []
+    products = []
 
     def extend(start, count, poly, deg):
         if count >= 2:
             products.append(poly)
-            degrees.append(deg)
         for idx in range(start, len(gens)):
             d = degs[idx]
             if d is not None and deg + d <= bound:
                 extend(idx, count + 1, poly * gens[idx], deg + d)
 
-    extend(0, 0, LaurentPoly.const(gens[0].varset, 1), 0)
-    return products, degrees
+    extend(0, 0, LaurentPoly.const(varset, 1), 0)
+    return products
 
 
 def _primitive_scale(poly) -> Scalar:
@@ -309,15 +299,15 @@ def lie_from_invariants(ip: InvariantPresentation) -> LieAlgebra:
 
     Solves {G_i, G_j} = sum_k c_k G_k + (combination of products of >= 2
     generators) exactly, with products of total degree up to the largest
-    target or generator, in an `IncrementalSpan` of the products, untagged,
+    target or generator, in one `IncrementalSpan` of the products, untagged,
     and then the generators, generator k with tag k: a target escapes when it
     does not reduce to 0 there, and the c_k are its coordinates, read off the
-    tags.  The generators must stay independent modulo those products (J^2),
-    so the linear parts are unique: each must grow every span it is added to.
-    When `_graded` finds every generator homogeneous in total degree, so is
-    every product, and each check of a homogeneous polynomial needs only the
-    products of its degree.  One span serves each distinct pruned product
-    basis; targets are read in pair order, and an escape comes first.
+    tags.  The span's rows are sparse, so rows of different total degree
+    never meet and no degree pruning is needed.  The generators must stay
+    independent modulo those products (J^2), so the linear parts are unique:
+    each must grow the span.  That check runs whether or not any bracket is
+    nonzero; with no generators the algebra is 0.  Targets are read in pair
+    order, the first escape raises, and an escape comes before a dependency.
     It runs on s_k G_k, s_k = `_primitive_scale(G_k)`, and returns c_ij^k =
     c~_ij^k s_k / (s_i s_j): {s_i G_i, s_j G_j} = s_i s_j {G_i, G_j} and the
     rescaled products span the same spaces, so membership and independence
@@ -342,33 +332,16 @@ def lie_from_invariants(ip: InvariantPresentation) -> LieAlgebra:
             t = bracket(spec, gens[i], gens[j])
             if not t.is_zero:
                 targets[(i, j)] = t
+    bound = max((p.total_degree() or 0 for p in [*targets.values(), *gens]), default=0)
+    span = IncrementalSpan(p.terms for p in _enumerate_products(gens, bound, varset))
+    independent = all([span.add(g.terms, k) for k, g in enumerate(gens)])
     brackets = {}
-    if not targets:
-        return LieAlgebra(names, brackets)
-    bound = max(p.total_degree() or 0 for p in list(targets.values()) + gens)
-    ones = (1,) * len(varset) if _graded(gens) else None
-    products, degrees = _enumerate_products(gens, bound)
-
-    def pruned(poly, total):  # the products up to total, of poly's degree if it has one
-        d = None if ones is None else poly.degree_wrt(ones)
-        return tuple(k for k, deg in enumerate(degrees) if deg <= total and d in (None, deg))
-
-    spans = {}  # pruned product basis -> (its span, whether every generator grew it)
-
-    def span_for(basis):  # the products untagged, then generator k with tag k
-        if basis not in spans:
-            span = IncrementalSpan(products[k].terms for k in basis)
-            spans[basis] = span, all([span.add(g.terms, k) for k, g in enumerate(gens)])
-        return spans[basis][0]
-
-    for g in gens:
-        span_for(pruned(g, bound))
     for (i, j), target in targets.items():
-        coords = span_for(pruned(target, target.total_degree())).coordinates(target.terms)
+        coords = span.coordinates(target.terms)
         if coords is None:
             raise NotExpressibleError(f"bracket of ({names[i]}, {names[j]}) escapes the "
-                                      f"subalgebra up to the degree bound")
+                                      f"subalgebra up to total degree {bound}")
         brackets[i, j] = {k: c * scales[k] / (scales[i] * scales[j]) for k, c in coords.items()}
-    if not all(grew for _, grew in spans.values()):
+    if not independent:
         raise NotExpressibleError("generators are dependent modulo J^2; linear part not unique")
     return LieAlgebra(names, brackets)

@@ -350,9 +350,10 @@ def test_not_expressible_names_the_first_failing_pair():
     amb = PoissonPresentation(
         Table.from_dict(bvs, {("x1", "x2"): LaurentPoly.const(bvs, 1)})
     )
-    # {p, q} = 2 x1 and {p, r} = 4 x1 x2 both escape, over two product bases
+    # {p, q} = 2 x1 and {p, r} = 4 x1 x2 both escape; the bound is deg r = 2
     ip = InvariantPresentation(amb, ("p", "q", "r"), (x1 * x1, x2, x2 * x2))
-    with pytest.raises(NotExpressibleError, match=r"bracket of \(p, q\) escapes"):
+    with pytest.raises(NotExpressibleError, match=r"^bracket of \(p, q\) escapes the "
+                                                  r"subalgebra up to total degree 2$"):
         lie_from_invariants(ip)
 
 
@@ -412,26 +413,16 @@ def test_identity_automorphism_always_passes():
     assert verify_invariance(ip).ok
 
 
-# -- the pruning lie_from_invariants reads from its generators --------------------
+# -- the one span lie_from_invariants solves in ------------------------------------
 
 
 def _outcome(ip):
     """The structure constants, or the error's type and text (a Laurent
-    ambient is refused, pruned or not)."""
+    ambient is refused before any span is built)."""
     try:
         return lie_from_invariants(ip).structure_table()
     except (AtlasError, ValueError) as exc:
         return type(exc).__name__, str(exc)
-
-
-@pytest.mark.parametrize(
-    "name", [n for n in catalog_names() if get_entry(n).invariants is not None]
-)
-def test_the_pruned_solve_equals_the_unpruned_one(name, monkeypatch):
-    ip = get_entry(name).invariants
-    pruned = _outcome(ip)
-    monkeypatch.setattr(lie, "_graded", lambda gens: False)
-    assert _outcome(ip) == pruned
 
 
 @st.composite
@@ -458,29 +449,20 @@ def _small_invariant_presentations(draw):
     return InvariantPresentation(amb, tuple(f"g{i}" for i in range(len(gens))), tuple(gens))
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(_small_invariant_presentations())
-def test_the_pruned_solve_equals_the_unpruned_one_on_drawn_presentations(ip):
-    pruned = _outcome(ip)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lie, "_graded", lambda gens: False)
-        assert _outcome(ip) == pruned
-
-
 def test_a_generator_in_J_squared_is_caught_whatever_the_pruning():
     """x1^2 is a product of the generator x1 with itself, so it is no new
-    generator, although no bracket target has the degree of x1^3."""
+    generator, although no bracket target has the degree of x1^3; the span
+    holds every product up to the degree bound, whether or not the generators
+    are homogeneous."""
     vs = VarSet(("x1", "x2"))
     x1, x2 = (LaurentPoly.variable(vs, n) for n in vs.names)
     amb = PoissonPresentation(Table.from_dict(vs, {("x1", "x2"): x1 * x2}))
     for c in (x1 * x1, x1**3):
         ip = InvariantPresentation(amb, ("a", "b", "c"), (x1, x2, c))
-        assert lie._graded(ip.generators)
         with pytest.raises(NotExpressibleError, match="dependent modulo J"):
             lie_from_invariants(ip)
     # a - c = b^2: the product b^2 has a larger total degree than c
     ip = InvariantPresentation(amb, ("a", "b", "c"), (x1 + x2 * x2, x2, x1))
-    assert not lie._graded(ip.generators)
     with pytest.raises(NotExpressibleError, match="dependent modulo J"):
         lie_from_invariants(ip)
     # c = d^2 has a larger degree than the only bracket target, {a, b} = a
@@ -492,11 +474,12 @@ def test_a_generator_in_J_squared_is_caught_whatever_the_pruning():
         lie_from_invariants(ip)
 
 
-@pytest.mark.parametrize("name, count", [
-    ("weyl-a2", 2), ("weyl-b2", 3), ("weyl-g2", 3), ("kleinian-a1", 1)])
-def test_the_solve_builds_one_span_per_product_basis(name, count, monkeypatch):
-    """One span per distinct pruned product basis serves the independence
-    check and every target over that basis."""
+@pytest.mark.parametrize("name", [
+    "weyl-a2", "weyl-b2", "weyl-g2", "kleinian-a1", "kleinian-an(2)", "kleinian-an(3)",
+    "kleinian-an(4)", "kleinian-an(5)"])
+def test_the_solve_builds_one_span(name, monkeypatch):
+    """One span of every product up to the degree bound, then the tagged
+    generators, serves the independence check and every target."""
     built = []
 
     class Counted(IncrementalSpan):
@@ -506,27 +489,26 @@ def test_the_solve_builds_one_span_per_product_basis(name, count, monkeypatch):
 
     monkeypatch.setattr(lie, "IncrementalSpan", Counted)
     lie_from_invariants(get_entry(name).invariants)
-    assert len(built) == count
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("graded", [True, False])
-def test_every_generator_enters_the_span_after_one_that_adds_nothing(graded, monkeypatch):
-    """q = p^2 adds nothing to the span of degree 2, and r, after it, still
-    enters it: {p, r} = 2r is expressed, so the dependency is what is
-    reported, not an escape."""
+def test_every_generator_enters_the_span_after_one_that_adds_nothing(graded):
+    """q = p^2 adds nothing to the span, and r, after it, still enters it:
+    {p, r} = 2r is expressed, so the dependency is what is reported, not an
+    escape.  Ungraded, p = x1 + x2^2 is not homogeneous in total degree."""
     vs = VarSet(("x1", "x2"))
     x1, x2 = (LaurentPoly.variable(vs, n) for n in vs.names)
     amb = PoissonPresentation(Table.from_dict(vs, {("x1", "x2"): x2}))
-    ip = InvariantPresentation(amb, ("p", "q", "r"), (x1, x1 * x1, x2 * x2))
-    if not graded:
-        monkeypatch.setattr(lie, "_graded", lambda gens: False)
+    p = x1 if graded else x1 + x2 * x2
+    ip = InvariantPresentation(amb, ("p", "q", "r"), (p, p * p, x2 * x2))
     with pytest.raises(NotExpressibleError, match="dependent modulo J"):
         lie_from_invariants(ip)
 
 
 def test_the_first_escaping_pair_is_named_across_product_bases():
-    """{q, r} and {q, s} escape, over different product bases; {q, s} shares
-    its (empty) basis with {p, q}, the first pair, so its group comes first."""
+    """{q, r} and {q, s} escape; targets are read in pair order, so the first
+    of them is named."""
     vs = VarSet(("x1", "x2"))
     x1, x2 = (LaurentPoly.variable(vs, n) for n in vs.names)
     amb = PoissonPresentation(Table.from_dict(vs, {("x1", "x2"): x1}))
@@ -537,11 +519,10 @@ def test_the_first_escaping_pair_is_named_across_product_bases():
 
 
 def test_the_total_degree_prunes_only_when_it_grades_every_generator():
+    """Nothing is pruned, graded or not: a zero generator is a dependency."""
     vs = VarSet(("x1", "x2", "x3"))
     x1, x2, x3 = (LaurentPoly.variable(vs, n) for n in vs.names)
     zero = LaurentPoly.zero(vs)
-    assert lie._graded([x1 * x1, x2 * x3 + x1 * x1, zero])
-    assert not lie._graded([x1 * x1 + x2**3, x3])
     # a zero generator is no crash but a dependency: 0 lies in J^2
     amb = PoissonPresentation(Table.from_dict(vs, {("x1", "x2"): x3}))
     ip = InvariantPresentation(amb, ("p", "q", "r", "s"), (x1, x2, x3, zero))
@@ -555,8 +536,34 @@ def test_the_total_degree_does_not_filter_a_target_inhomogeneous_in_it():
     # {p, q} = x1 + x2^2 = p + q^2 is not homogeneous in total degree
     amb = PoissonPresentation(Table.from_dict(bvs, {("x1", "x2"): x1 + x2 * x2}))
     ip = InvariantPresentation(amb, ("p", "q"), (x1, x2))
-    assert lie._graded(ip.generators)
     assert sc_table(lie_from_invariants(ip)) == {("p", "q"): {"p": Scalar(1)}}
+
+
+def test_a_target_of_inhomogeneous_generators_is_read_up_to_the_bound():
+    """{p, r} = -2p - r^3/4 has total degree 3, the products up to the bound
+    3 hold r^3, so [p, r] = -2p; cut off at its own degree 1 it would escape.
+    {q, r} = -12x2^3 = -6q + 3r^2."""
+    vs = VarSet(("x1", "x2"))
+    x1, x2 = (LaurentPoly.variable(vs, n) for n in vs.names)
+    amb = PoissonPresentation(Table.from_dict(vs, {("x1", "x2"): x2}))
+    gens = (2 * x2 - x1**3, 2 * x1 * x1 + 2 * x2**3, 2 * x1)
+    ip = InvariantPresentation(amb, ("p", "q", "r"), gens)
+    assert sc_table(lie_from_invariants(ip)) == {
+        ("p", "r"): {"p": Scalar(-2)}, ("q", "r"): {"q": Scalar(-6)}}
+
+
+@pytest.mark.parametrize("bracket_x1_x2", ["zero", "x1"])
+def test_generators_are_checked_for_independence_when_every_bracket_vanishes(bracket_x1_x2):
+    """q = p^2 lies in J^2, so J/J^2 has dimension 1: the check runs although
+    every generator bracket is 0 (with {x1, x2} = x1, {x1, x1^2} = 0)."""
+    vs = VarSet(("x1", "x2"))
+    x1 = LaurentPoly.variable(vs, "x1")
+    table = {("x1", "x2"): x1} if bracket_x1_x2 == "x1" else {}
+    amb = PoissonPresentation(Table.from_dict(vs, table))
+    ip = InvariantPresentation(amb, ("p", "q"), (x1, x1 * x1))
+    with pytest.raises(NotExpressibleError, match="^generators are dependent modulo J"):
+        lie_from_invariants(ip)
+    assert lie_from_invariants(InvariantPresentation(amb, (), ())).dim == 0
 
 
 # -- the solve on primitive integer generators -------------------------------------
@@ -839,9 +846,10 @@ def _support_matrix(polys):
 
 
 def _rref_lie_from_invariants(ip):
-    """`lie_from_invariants` as it solved on one dense rref of the support
-    matrix per product basis, kept as the reference; the rref is the dense
-    `rref_reference`, independent of the span under test."""
+    """`lie_from_invariants` as one dense rref of the support matrix
+    [every product up to the bound | generators | targets], kept as the
+    reference; the rref is the dense `rref_reference`, independent of the span
+    under test."""
     gens = list(ip.generators)
     names = list(ip.generator_names)
     m = len(gens)
@@ -860,46 +868,23 @@ def _rref_lie_from_invariants(ip):
             t = bracket(spec, gens[i], gens[j])
             if not t.is_zero:
                 targets[(i, j)] = t
-    brackets = {}
-    if not targets:
-        return LieAlgebra(names, brackets)
-    bound = max(p.total_degree() or 0 for p in list(targets.values()) + gens)
-    ones = (1,) * len(varset) if lie._graded(gens) else None
-    products, degrees = lie._enumerate_products(gens, bound)
-
-    def pruned(poly, total):  # the products up to total, of poly's degree if it has one
-        d = None if ones is None else poly.degree_wrt(ones)
-        return tuple(k for k, deg in enumerate(degrees) if deg <= total and d in (None, deg))
-
-    classes = {}  # a dependency modulo J^2 holds among generators of equal degrees
-    for g in gens:
-        classes.setdefault(pruned(g, bound), []).append(g)
-    independent = True
-    for basis, members in classes.items():
-        pivots = rref_reference(_support_matrix([products[k] for k in basis] + members))[1]
-        independent &= all(len(basis) + c in pivots for c in range(len(members)))
-    groups = {}  # pruned product basis -> the pairs whose targets it serves
-    for pair, target in targets.items():
-        groups.setdefault(pruned(target, target.total_degree()), []).append(pair)
-    escapes = []
-    for basis, pairs in groups.items():
-        # One rref of [products | gens | targets]: a target whose column holds a
-        # pivot escapes, and the later ones of its group are read only if none does.
-        columns = [products[k] for k in basis] + gens
-        support = _support_matrix(columns + [targets[pair] for pair in pairs])
-        reduced, pivots = rref_reference(support)
-        rows = dict(zip(pivots, reduced))
-        for col, (i, j) in enumerate(pairs, len(columns)):
-            if col in rows:
-                escapes.append((i, j))
-            elif independent:
-                brackets[i, j] = [rows[c][col] for c in range(len(basis), len(columns))]
-    if escapes:  # the first escaping pair in pair order is the first of its group
-        i, j = min(escapes)
-        raise NotExpressibleError(f"bracket of ({names[i]}, {names[j]}) escapes the "
-                                  f"subalgebra up to the degree bound")
-    if not independent:
+    bound = max((p.total_degree() or 0 for p in [*targets.values(), *gens]), default=0)
+    columns = lie._enumerate_products(gens, bound, varset) + gens
+    reduced, pivots = rref_reference(_support_matrix(columns + list(targets.values())))
+    rows = dict(zip(pivots, reduced))
+    first = len(columns) - m
+    # A target whose column holds a pivot escapes; the first escaping pair in
+    # pair order always does, since every earlier target lies in the span.
+    for col, (i, j) in enumerate(targets, len(columns)):
+        if col in rows:
+            raise NotExpressibleError(f"bracket of ({names[i]}, {names[j]}) escapes the "
+                                      f"subalgebra up to total degree {bound}")
+    if not all(c in rows for c in range(first, len(columns))):
         raise NotExpressibleError("generators are dependent modulo J^2; linear part not unique")
+    brackets = {
+        pair: [rows[c][col] for c in range(first, len(columns))]
+        for col, pair in enumerate(targets, len(columns))
+    }
     return LieAlgebra(names, brackets)
 
 
