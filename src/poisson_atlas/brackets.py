@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from operator import add
 from types import MappingProxyType
 
@@ -208,19 +209,16 @@ def verify_jacobi(spec: BracketSpec) -> JacobiReport:
     inner brackets are read from the spec's table, {x_k, x_i} as -{x_i, x_k}.
     """
     varset, pair = spec.varset, spec.pairs
-    n = len(varset)
     gens = [LaurentPoly.variable(varset, name) for name in varset.names]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                jac = (
-                    bracket(spec, pair[i, j], gens[k])
-                    + bracket(spec, pair[j, k], gens[i])
-                    - bracket(spec, pair[i, k], gens[j])
-                )
-                if not jac.is_zero:
-                    names = varset.names
-                    return JacobiReport(False, (names[i], names[j], names[k]), jac)
+    for i, j, k in combinations(range(len(varset)), 3):
+        jac = (
+            bracket(spec, pair[i, j], gens[k])
+            + bracket(spec, pair[j, k], gens[i])
+            - bracket(spec, pair[i, k], gens[j])
+        )
+        if not jac.is_zero:
+            names = varset.names
+            return JacobiReport(False, (names[i], names[j], names[k]), jac)
     return JacobiReport(True)
 
 
@@ -264,7 +262,9 @@ class SubstitutionMap:
 
 
 @dataclass
-class MapReport:
+class CheckReport:
+    """The verdict of a check and its failures, the first failure first."""
+
     ok: bool
     failures: list = field(default_factory=list)
 
@@ -280,7 +280,7 @@ def _zero_modulo(p: LaurentPoly, relations) -> bool:
 
 def verify_poisson_map(
     m: SubstitutionMap, source: PoissonPresentation, target: PoissonPresentation
-) -> MapReport:
+) -> CheckReport:
     """m({x_i,x_j}_src) == {m(x_i), m(x_j)}_tgt, modulo a single target relation.
 
     Source relations must also map to zero modulo the target relations.  The
@@ -303,6 +303,6 @@ def verify_poisson_map(
             image = m.apply(r)
             if not _zero_modulo(image, target.relations):
                 failures.append(("relation", r, image))
-        m._reports[key] = MapReport(not failures, failures)
+        m._reports[key] = CheckReport(not failures, failures)
     return m._reports[key]
 

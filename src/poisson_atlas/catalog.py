@@ -320,11 +320,10 @@ def _quotient_homogeneity(ctx, cfg, *quotients):
     return ok, "; ".join(f"{label}: {rep.verdict}" for label, rep, _ in reps)
 
 
-def _constants(ctx, cfg, table, at=None):
+def _constants(ctx, cfg, table, at=None, detail="all displayed structure constants reproduced"):
     """g(J) at `at` (or of a Lie-level entry) has the displayed brackets."""
     lie = ctx.lie(at)
-    expected = LieAlgebra.from_brackets(lie.labels, table)
-    return _same_table(lie, expected, "all displayed structure constants reproduced")
+    return _same_table(lie, LieAlgebra.from_brackets(lie.labels, table), detail)
 
 
 def _same_table(lie, other, detail):
@@ -411,11 +410,9 @@ def _poisson_maps(ctx, cfg, maps, detail):
 
 
 def _phi_swap(ctx, cfg, src, dst, detail):
-    """phi is Poisson and twists the 2-dimensional lift at `src` to `dst`."""
-    phi = ctx.entry.automorphisms["phi"]
-    if not verify_poisson_map(phi, ctx.pres, ctx.pres).ok:
-        return False, "phi is not Poisson"
-    got = twist(ctx.lift(src, 2), phi).point
+    """phi twists the 2-dimensional lift at `src` to `dst`; `twist` refuses a
+    phi that is not Poisson."""
+    got = twist(ctx.lift(src, 2), ctx.entry.automorphisms["phi"]).point
     return (True, detail) if got == ctx.point(dst) else (False, f"phi twists the lift to {got}")
 
 
@@ -508,8 +505,6 @@ def _entry_kleinian_a1() -> CatalogEntry:
         return ok, "triple (e, h, f) = (y, 2z, -x)" if ok else found
 
     def restriction(ctx, cfg):
-        if not verify_poisson_map(emb, sub, pres).ok:
-            return False, "embedding is not Poisson"
         for d in range(1, 5):
             restricted = restrict_to_subalgebra(ctx.lift(ORIGIN, d), emb, sub)
             if restricted.point != PointP(sub.varset, ORIGIN):
@@ -788,8 +783,6 @@ def _entry_c_theta() -> CatalogEntry:
         return True, "g in J^2 at I1, I2, L1, L2"
 
     def restriction(ctx, cfg):
-        if not verify_poisson_map(emb, pres, cpres).ok:
-            return False, "embedding C^theta -> C is not Poisson"
         i1 = PointP(pres.varset, (2, 2, 2))
         torus = Context(CatalogEntry("torus-so3", "section 4.3", cpres))
         for d in range(1, 5):
@@ -1083,12 +1076,6 @@ def _entry_kirillov_kostant_sl2() -> CatalogEntry:
     pf = parse_presentation(
         "vars e, h, f; bracket table { [h,e] = 2*e; [h,f] = -2*f; [e,f] = h; };")
     pres = pf.presentation
-    sl2 = LieAlgebra.from_brackets(
-        ("e", "h", "f"), {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1}}
-    )
-
-    def lie_matches(ctx, cfg):
-        return ctx.lie(ORIGIN) == sl2, "g(J) carries the input structure constants"
 
     def round_trips(ctx, cfg):
         origin = ctx.point(ORIGIN)
@@ -1105,7 +1092,9 @@ def _entry_kirillov_kostant_sl2() -> CatalogEntry:
         "kirillov-kostant-sl2", "example 3.5", pf,
         facts=[
             ("ideal_points", _ideal_points, [ORIGIN]),
-            ("lie_identification", lie_matches),
+            ("lie_identification", _constants,
+             {("h", "e"): {"e": 2}, ("h", "f"): {"f": -2}, ("e", "f"): {"h": 1}}, ORIGIN,
+             "g(J) carries the input structure constants"),
             ("recognition_homogeneity", _sl2_everywhere, "1-homogeneous"),
             ("round_trips", "theorem 3.4(iii)", round_trips),
         ],

@@ -84,10 +84,11 @@ def _flag_value(pf, flag: str, text: str, read):
     return value
 
 
-def _matrix_text(m) -> str:
-    return "[" + "; ".join(
-        "(" + ", ".join(str(x) for x in row) + ")" for row in m.rows
-    ) + "]"
+def _add_actions(report, names, mats):
+    """One `action.{name}` record per generator, its matrix as `[(row); ...]`."""
+    for name, m in zip(names, mats):
+        report.add(f"action.{name}", "[" + "; ".join(
+            "(" + ", ".join(str(x) for x in row) + ")" for row in m.rows) + "]")
 
 
 def _point_arg(parser):
@@ -240,8 +241,7 @@ def cmd_module(args) -> Report:
     report.add("point", point)
     report.add("dim", args.dim)
     report.add("recognition", rec.describe())
-    for name, mat in zip(pf.varset.names, module.mats):
-        report.add(f"action.{name}", _matrix_text(mat))
+    _add_actions(report, pf.varset.names, module.mats)
     report.add("simple", is_simple_module(module))
     return report
 
@@ -276,8 +276,7 @@ def cmd_twist(args) -> Report:
     report.add("point", point)
     report.add("twisted.point", twisted.point)
     report.add("simple.preserved", is_simple_module(twisted) == is_simple_module(module))
-    for name, mat in zip(pf.varset.names, twisted.mats):
-        report.add(f"action.{name}", _matrix_text(mat))
+    _add_actions(report, pf.varset.names, twisted.mats)
     return report
 
 
@@ -294,8 +293,7 @@ def cmd_restrict(args) -> Report:
     report.add("embed", args.embed)
     report.add("point", point)
     report.add("sub.point", restricted.point)
-    for name, mat in zip(sub_pres.varset.names, restricted.mats):
-        report.add(f"action.{name}", _matrix_text(mat))
+    _add_actions(report, sub_pres.varset.names, restricted.mats)
     analysis = analyze_submodules(restricted.mats, restricted.dim)
     report.add("simple", analysis.simple)
     if analysis.semisimple is True:

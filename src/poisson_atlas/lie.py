@@ -17,11 +17,11 @@ point reads the same algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm
 
-from .brackets import PoissonPresentation, SubstitutionMap, bracket
+from .brackets import CheckReport, PoissonPresentation, SubstitutionMap, bracket
 from .errors import LieStructureError, NotExpressibleError, NotPoissonMaximalError
 from .linalg import IncrementalSpan, Matrix, coordinates, unit_vector
 from .poly import LaurentPoly, PointP, VarSet
@@ -250,13 +250,7 @@ class InvariantPresentation:
         return SubstitutionMap(self.generator_varset, self.generators)
 
 
-@dataclass
-class InvarianceReport:
-    ok: bool
-    failures: list = field(default_factory=list)
-
-
-def verify_invariance(ip: InvariantPresentation) -> InvarianceReport:
+def verify_invariance(ip: InvariantPresentation) -> CheckReport:
     """Every generator is fixed by every automorphism; relations expand to zero."""
     failures = []
     for a_idx, auto in enumerate(ip.automorphisms):
@@ -267,7 +261,7 @@ def verify_invariance(ip: InvariantPresentation) -> InvarianceReport:
     for r in ip.relations:
         if not sub.apply(r).is_zero:
             failures.append(("relation", r))
-    return InvarianceReport(not failures, failures)
+    return CheckReport(not failures, failures)
 
 
 def _enumerate_products(gens, bound: int, varset) -> list:
@@ -327,11 +321,10 @@ def lie_from_invariants(ip: InvariantPresentation) -> LieAlgebra:
             raise ValueError(f"generator {name} does not vanish at the base point")
     spec = ip.ambient.bracket_spec
     targets = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            t = bracket(spec, gens[i], gens[j])
-            if not t.is_zero:
-                targets[(i, j)] = t
+    for i, j in combinations(range(m), 2):
+        t = bracket(spec, gens[i], gens[j])
+        if not t.is_zero:
+            targets[(i, j)] = t
     bound = max((p.total_degree() or 0 for p in [*targets.values(), *gens]), default=0)
     span = IncrementalSpan(p.terms for p in _enumerate_products(gens, bound, varset))
     independent = all([span.add(g.terms, k) for k, g in enumerate(gens)])

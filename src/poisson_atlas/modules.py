@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import combinations, combinations_with_replacement, product
 
 from .brackets import PoissonPresentation, SubstitutionMap, bracket, verify_poisson_map
 from .classify import Sl2Triple, derived_subalgebra
@@ -113,14 +114,13 @@ class LieRep:
         if len(self.mats) != self.lie.dim:
             raise ValueError("one matrix per Lie basis element required")
         rows = [_nonzero_rows(m) for m in self.mats]
-        for i in range(self.lie.dim):
-            for j in range(i + 1, self.lie.dim):
-                coeffs = self.lie.bracket(self.lie.basis_vector(i), self.lie.basis_vector(j))
-                if not _commutator_is(rows[i], rows[j], coeffs, rows):
-                    raise IncompatibleTableError(
-                        f"not a representation on "
-                        f"({self.lie.labels[i]}, {self.lie.labels[j]})"
-                    )
+        for i, j in combinations(range(self.lie.dim), 2):
+            coeffs = self.lie.bracket(self.lie.basis_vector(i), self.lie.basis_vector(j))
+            if not _commutator_is(rows[i], rows[j], coeffs, rows):
+                raise IncompatibleTableError(
+                    f"not a representation on "
+                    f"({self.lie.labels[i]}, {self.lie.labels[j]})"
+                )
 
     @property
     def dim(self) -> int:
@@ -232,18 +232,10 @@ def _random_poly(rng: SplitMix, varset, candidates) -> LaurentPoly:
 
 
 def _exponent_candidates(varset):
-    out = []
-
-    def build(i, acc, budget):
-        if i == len(varset):
-            out.append(tuple(acc))
-            return
-        lo = -1 if varset.laurent[i] else 0
-        for e in range(lo, budget + 1):
-            build(i + 1, acc + [e], budget - max(e, 0))
-
-    build(0, [], 3)
-    return out
+    """The exponent tuples whose positive entries sum to at most 3, each entry
+    from -1 on a Laurent variable and from 0 elsewhere, in lexicographic order."""
+    ranges = [range(-1 if laurent else 0, 4) for laurent in varset.laurent]
+    return [e for e in product(*ranges) if sum(x for x in e if x > 0) <= 3]
 
 
 def _pair_obligations(spec, pt, pairs, p, q, label):
@@ -278,7 +270,7 @@ def _point_obligations(pres: PoissonPresentation, pt: PointP, trials: int, seed:
         return kept
     varset, spec, names = pres.varset, pres.bracket_spec, pres.varset.names
     gens = [LaurentPoly.variable(varset, n) for n in names]
-    pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
+    pairs = list(combinations(range(len(gens)), 2))
     out = []
     for i, j in pairs:
         label = partial("({}, {})".format, names[i], names[j])
@@ -288,15 +280,13 @@ def _point_obligations(pres: PoissonPresentation, pt: PointP, trials: int, seed:
     out.append(("Pann contains constants",
                 LaurentPoly.const(varset, 1).linear_part(pt)[1], "{1, -} != 0"))
     shifted = [g - pt.values[i] for i, g in enumerate(gens)]
-    for i in range(len(gens)):
-        for j in range(i, len(gens)):
-            out.append(("Pann contains J^2", (shifted[i] * shifted[j]).linear_part(pt)[1],
-                        f"generators ({names[i]}, {names[j]})"))
-    for k in range(len(gens)):
-        for l in range(len(gens)):
-            out.append(("J is a Poisson ideal",
-                        bracket(spec, gens[k], shifted[l]).evaluate(pt).is_zero,
-                        f"{{{names[k]}, {names[l]} - pt}} escapes J"))
+    for i, j in combinations_with_replacement(range(len(gens)), 2):
+        out.append(("Pann contains J^2", (shifted[i] * shifted[j]).linear_part(pt)[1],
+                    f"generators ({names[i]}, {names[j]})"))
+    for k, l in product(range(len(gens)), repeat=2):
+        out.append(("J is a Poisson ideal",
+                    bracket(spec, gens[k], shifted[l]).evaluate(pt).is_zero,
+                    f"{{{names[k]}, {names[l]} - pt}} escapes J"))
 
     rng = SplitMix(seed)
     candidates = _exponent_candidates(varset)

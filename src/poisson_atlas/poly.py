@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import add
 
 from .errors import LaurentViolationError, VarSetMismatchError
-from .scalars import Scalar, ZERO, ONE, muladd
+from .scalars import Scalar, ZERO, ONE, muladd, power
 
 
 class VarSet:
@@ -146,13 +146,6 @@ class LaurentPoly:
             return None
         return max(sum(e) for e in self.terms)
 
-    def degree_wrt(self, weights):
-        """Degree under a weight vector if homogeneous, else None."""
-        if self.is_zero:
-            return 0
-        degs = {sum(w * e for w, e in zip(weights, exps)) for exps in self.terms}
-        return degs.pop() if len(degs) == 1 else None
-
     # -- arithmetic ------------------------------------------------------------
 
     def _same_varset(self, other: "LaurentPoly"):
@@ -207,16 +200,7 @@ class LaurentPoly:
     def __pow__(self, n: int):
         if n < 0:
             return self._unit_inverse() ** (-n)
-        if n == 0:
-            return LaurentPoly.const(self.varset, 1)
-        out, base = None, self
-        while True:  # no product with the constant 1, no square past the last bit
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if not n:
-                return out
-            base = base * base
+        return power(self, n) if n else LaurentPoly.const(self.varset, 1)
 
     def _unit_inverse(self) -> "LaurentPoly":
         """Inverse of a unit (single term on Laurent-invertible variables)."""

@@ -46,6 +46,10 @@ from .scalars import Scalar, format_scalar, scalar_sqrt
 
 _Token = namedtuple("_Token", "kind text line col")  # kind: name, int, sym or eof
 
+# The expression reader spends four frames per parenthesis, so a bound far
+# inside the interpreter's recursion limit turns deep nesting into a ParseError.
+MAX_NESTING = 100
+
 _TOKEN = re.compile(r"""[ \t\r]* (?P<at>) (?:\#[^\n]*)?
     (?: (?P<newline>\n) | (?P<int>[0-9]+)  # ASCII digits only: int() reads others too
       | (?P<name>\w+) | (?P<sym>->|[(){}\[\],;=+\-*/^]) | (?P<bad>.) | (?P<eof>\Z))""", re.VERBOSE)
@@ -89,6 +93,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # parentheses open in the expression being read
 
     # -- token helpers ---------------------------------------------------------
 
@@ -186,7 +191,11 @@ class _Parser:
         if tok.kind == "int":
             return LaurentPoly.const(varset, int(tok.text))
         if tok.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.col)
+            self.depth += 1
             out = self.parse_expr(varset, env)
+            self.depth -= 1
             self.expect(")")
             return out
         if tok.kind == "name":

@@ -258,20 +258,7 @@ class Scalar:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        if n == 0:
-            return ONE
-        base = self
-        while not n & 1:
-            base = base * base
-            n >>= 1
-        out = base
-        n >>= 1
-        while n:
-            base = base * base
-            if n & 1:
-                out = out * base
-            n >>= 1
-        return out
+        return power(self, n) if n else ONE
 
     # -- comparison / hashing --------------------------------------------------
 
@@ -330,6 +317,20 @@ def mulsub(acc: Scalar, a: Scalar, b: Scalar) -> Scalar:
         n = acc.n - a.n * b.n
         return _SMALL[n] if -_SMALL_MAX <= n <= _SMALL_MAX else _raw(n, 0, 1, 0)
     return acc - a * b
+
+
+def power(base, n: int):
+    """base ** n for n >= 1 by repeated squaring, for Scalars and polynomials:
+    one product per set bit of n past the first and one square per bit past
+    the last, none with the constant 1."""
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if not n:
+            return out
+        base = base * base
 
 
 def scalar_sqrt(value) -> Scalar:

@@ -424,6 +424,22 @@ def test_box_bounds_below_1_are_usage_errors(command, torus_file):
         assert f"argument {flag}: expected an integer >= 1, got '0'" in proc.stderr
 
 
+def test_a_deeply_nested_file_exits_2_at_one_location(tmp_path, capsys):
+    """Nesting past the reader's bound is a located parse error, not a
+    RecursionError: exit 2 with the same message in process, under the test
+    runner's deeper stack, and from a fresh interpreter."""
+    import subprocess
+
+    path = _write(tmp_path, "deep.pa",
+                  "vars x, y, z;\nbracket exact f = " + "(" * 400 + "x" + ")" * 400 + ";\n")
+    message = "parse error: line 2, col 119: parentheses nested deeper than 100\n"
+    assert run(["ideals", path]) == (2, "")
+    assert capsys.readouterr().err == message
+    proc = subprocess.run([sys.executable, "-m", "poisson_atlas", "ideals", path],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
+
 @pytest.mark.parametrize(
     "name", ["abelian(3)", "kirillov-kostant-sl2", "weyl-a2", "weyl-b2", "weyl-g2"])
 def test_leaves_refuses_a_bracket_without_a_potential(name, capsys):
@@ -535,8 +551,10 @@ def test_a_character_of_the_wrong_length_is_an_error(capsys):
     (["module", "whitney", "--point", "(1, 0, 0)", "--dim", "1", "--character", "1, x, 3"],
      "parse error: --character, col 4: expected a scalar value"),
     (["lie", "torus-so3", "--point", "(1,2)"], "parse error: --point, col 5: point arity mismatch"),
+    (["lie", "torus-so3", "--point", "(" + "(" * 250 + "2" + ")" * 250 + ", 2, 2)"],
+     "parse error: --point, col 102: parentheses nested deeper than 100"),
 ], ids=["relation", "relation-trailing", "point", "point-unclosed", "character",
-        "character-not-scalar", "point-arity"])
+        "character-not-scalar", "point-arity", "point-nested"])
 def test_a_flag_value_error_names_the_flag(argv, message, capsys):
     """A flag's text is parsed with the file's parser, but its errors name the
     flag and a column of the flag's text, not a line of the file."""

@@ -7,8 +7,11 @@ The loops below are the earlier ones, kept as references: each sums
 `acc + a * b` with Scalar `+` and `*`, adds exponents with `int.__add__`, and
 the product drops a term the moment it cancels.  The kernels must give the
 same polynomials (no zero coefficient kept) and the same Taylor data.
+`Scalar.__pow__` and `LaurentPoly.__pow__` share `scalars.power`; their two
+earlier loops are kept below too, and the one power must make their products.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -205,3 +208,72 @@ def test_a_scalar_times_a_plain_int_is_the_scalar_product():
         for n in (0, 5, -_SMALL_MAX - 1, 10**20):
             assert s * n == s * Scalar(n) == n * s
     assert Scalar(4) * 2 is Scalar(8)
+
+
+def _scalar_pow_reference(x, n):
+    if n < 0:
+        return _scalar_pow_reference(x.inverse(), -n)
+    if n == 0:
+        return ONE
+    base = x
+    while not n & 1:
+        base = base * base
+        n >>= 1
+    out = base
+    n >>= 1
+    while n:
+        base = base * base
+        if n & 1:
+            out = out * base
+        n >>= 1
+    return out
+
+
+def _poly_pow_reference(p, n):
+    if n < 0:
+        return _poly_pow_reference(p._unit_inverse(), -n)
+    if n == 0:
+        return LaurentPoly.const(p.varset, 1)
+    out, base = None, p
+    while True:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if not n:
+            return out
+        base = base * base
+
+
+_LAURENT = VarSet(("x", "z"), ("z",))
+
+
+@pytest.mark.parametrize("x, sign, reference", [
+    (Scalar(Fraction(-3, 2)), 1, _scalar_pow_reference),
+    (Scalar(Fraction(1, 2), -1, -1), 1, _scalar_pow_reference),
+    (LaurentPoly(_LAURENT, {(0, 2): Scalar(3)}), -1, _poly_pow_reference),
+], ids=["Q", "Q(sqrt(-1))", "laurent-unit"])
+def test_the_one_power_makes_the_products_of_the_loops_it_replaced(x, sign, reference,
+                                                                   monkeypatch):
+    """For n = 0..40 (negated for the unit monomial), x ** n equals the naive
+    product of |n| factors and makes as many Scalar and polynomial products
+    as the earlier loop of its type."""
+    counts = Counter()
+    for cls in (Scalar, LaurentPoly):
+        def counted(a, b, mul=cls.__mul__, name=cls.__name__):
+            counts[name] += 1
+            return mul(a, b)
+        monkeypatch.setattr(cls, "__mul__", counted)
+    one = ONE if isinstance(x, Scalar) else LaurentPoly.const(_LAURENT, 1)
+    factor = x if sign > 0 else x._unit_inverse()
+    for k in range(41):
+        n = sign * k
+        naive = one
+        for _ in range(k):
+            naive = naive * factor
+        counts.clear()
+        got = x ** n
+        made = dict(counts)
+        counts.clear()
+        assert got == reference(x, n) == naive
+        assert made == dict(counts), n
+        assert bool(made) == (k > 1)  # the products are counted, and 1 is never a factor

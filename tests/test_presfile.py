@@ -13,7 +13,7 @@ from poisson_atlas import (
 )
 from poisson_atlas.brackets import Exact, SubstitutionMap
 from poisson_atlas.errors import LieStructureError, ParseError
-from poisson_atlas.presfile import PresentationFile, _tokenize
+from poisson_atlas.presfile import MAX_NESTING, PresentationFile, _tokenize
 from poisson_atlas.scalars import Scalar
 
 UQSL2 = """
@@ -337,6 +337,27 @@ def test_signed_integer_errors_are_located(expr, message):
     with pytest.raises(ParseError) as err:
         parse_presentation(f"vars x, y;\nbracket table {{ [x,y] = x; }};\nrelation {expr};\n")
     assert str(err.value) == message
+
+
+def _nested(depth):
+    return "(" * depth + "x" + ")" * depth
+
+
+def test_nesting_past_the_bound_is_a_located_parse_error():
+    """The reader spends four frames per parenthesis, so nesting past
+    MAX_NESTING stops at the `(` that crosses the bound instead of in a
+    RecursionError; nesting up to the bound, and any number of parentheses
+    side by side, still parse."""
+    head = "vars x, y, z;\nbracket exact f = "
+    x = LaurentPoly.variable(VarSet(("x", "y", "z")), "x")
+    for text, power in ((_nested(MAX_NESTING), 1), ("*".join([_nested(MAX_NESTING)] * 3), 3)):
+        assert parse_presentation(head + text + ";\n").presentation.bracket_spec.potential == (
+            x**power)
+    where = f"line 2, col {19 + MAX_NESTING}"  # the first "(" is at col 19
+    for depth in (MAX_NESTING + 1, 250):
+        with pytest.raises(ParseError) as err:
+            parse_presentation(head + _nested(depth) + ";\n")
+        assert str(err.value) == f"{where}: parentheses nested deeper than {MAX_NESTING}"
 
 
 def test_sqrt_takes_the_square_part_out():
