@@ -108,19 +108,14 @@ class LieRecognition:
         return (family if self.k else rigid).format(k=self.k)
 
 
-def recognize(lie: LieAlgebra) -> LieRecognition:
-    """The pair (dim s, k) of g = `lie`, with its tag and witnesses.
+_PAIRS = ((0, 1), (0, 2), (1, 2))  # the pairs i < j of a 3-dimensional g
 
-    rad g is the Killing-orthogonal of [g,g], s = g / rad g, and by the Levi
-    decomposition [g,g] = s + [g, rad g], so k = dim rad g - dim [g, rad g]
-    = dim g - dim [g,g].  The Killing form is `lie.killing_form()`, read off
-    the structure constants, so no ad matrix is built.  A solvable g is its
-    own radical, so when the derived series reaches 0 the series alone
-    settles s = 0, and no Killing form is built.
 
-    A 3-dimensional g is read off r = dim [g,g], the rank of its pair rows
-    [e0,e1], [e0,e2] and [e1,e2] (Jacobson, Lie Algebras I 4), with no
-    Killing form and no derived series:
+def _recognize_rows(rows) -> LieRecognition:
+    """The recognition of a 3-dimensional g from its pair rows alone: `rows`
+    maps (i, j), i < j, to [e_i, e_j] as a sequence of three scalars, and a
+    pair left out is 0.  r = dim [g,g] is the rank of the rows (Jacobson, Lie
+    Algebras I 4), with no Killing form and no derived series:
     - r = 3: g is perfect, so not solvable, and its Levi factor, nonzero
       semisimple and so of dimension 3 or more, is all of g: g is simple,
       sl2 over the closure, with [3, 3], dim s = 3, k = 0 and rad g = 0.
@@ -129,19 +124,38 @@ def recognize(lie: LieAlgebra) -> LieRecognition:
       when r = 0, and k = 3 - r.  r = 0 is abelian and r = 2 solvable;
       r = 1 is heisenberg when [g,[g,g]] = 0 and solvable otherwise.
     """
+    nonzero = [row for row in rows.values() if not all(c.is_zero for c in row)]
+    r = rank(nonzero)
+    if r == 3:
+        return LieRecognition("sl2", [3, 3], 3, 0)
+    if r == 0:
+        return LieRecognition("abelian", [3, 0], 0, 3)
+    tag = "solvable"
+    if r == 1:  # [g,g] is spanned by a nonzero row d, and [g,[g,g]] = 0 when d is central
+        d = nonzero[0]
+        r01, r02, r12 = (rows.get(ij, (ZERO,) * 3) for ij in _PAIRS)
+        # [e_i, d] = sum over k of d_k [e_i, e_k], for i = 0, 1, 2
+        ads = ((d[1], r01, d[2], r02), (-d[0], r01, d[2], r12), (-d[0], r02, -d[1], r12))
+        if all((a * u + b * v).is_zero for a, us, b, vs in ads for u, v in zip(us, vs)):
+            tag = "heisenberg"
+    return LieRecognition(tag, [3, r, 0], 0, 3 - r)
+
+
+def recognize(lie: LieAlgebra) -> LieRecognition:
+    """The pair (dim s, k) of g = `lie`, with its tag and witnesses.
+
+    rad g is the Killing-orthogonal of [g,g], s = g / rad g, and by the Levi
+    decomposition [g,g] = s + [g, rad g], so k = dim rad g - dim [g, rad g]
+    = dim g - dim [g,g].  The Killing form is `lie.killing_form()`, read off
+    the structure constants, so no ad matrix is built.  A solvable g is its
+    own radical, so when the derived series reaches 0 the series alone
+    settles s = 0, and no Killing form is built.  A 3-dimensional g is read
+    off its pair rows by `_recognize_rows`, the one rule for dimension 3,
+    which `recognize_points` applies to gradients alone (J/J^2 is Lie).
+    """
     if lie.dim == 3:
-        rows = list(lie.structure_table().values())
-        r = rank(rows)
-        if r == 3:
-            return LieRecognition("sl2", [3, 3], 3, 0)
-        if r == 0:
-            return LieRecognition("abelian", [3, 0], 0, 3)
-        tag = "solvable"
-        if r == 1:  # [g,g] is spanned by d, and [g,[g,g]] = 0 when d is central
-            d = tuple(rows[0].get(k, ZERO) for k in range(3))
-            if all(c.is_zero for i in range(3) for c in lie.bracket(lie.basis_vector(i), d)):
-                tag = "heisenberg"
-        return LieRecognition(tag, [3, r, 0], 0, 3 - r)
+        rows = lie.structure_table().items()
+        return _recognize_rows({ij: tuple(row.get(k, ZERO) for k in range(3)) for ij, row in rows})
     spans = _derived_spans(lie)
     dims = [len(span) for span in spans]
     derived = spans[1]
@@ -157,17 +171,21 @@ def recognize(lie: LieAlgebra) -> LieRecognition:
 
 def recognize_points(pres, points):
     """The recognition of g(J) at each point, in order.  The items of
-    `pair_gradients` at a point, whose pass refuses a point that is not
-    Poisson, are the brackets `LieAlgebra` takes, so two points have equal
-    items iff their g(J) are equal: only new items build g(J), which is
-    recognized and dropped, and its recognition is kept under them in
-    `pres._recognitions` for every later call on `pres`.  No g(J) is kept."""
+    `pair_gradients` at a point (whose pass refuses a non-Poisson point) are
+    the brackets of g(J), so equal items mean equal g(J): only new items are
+    recognized, and the recognition is kept under them in `pres._recognitions`
+    for later calls.  J/J^2 is a Lie algebra for every Poisson ideal J, Jacobi
+    as the bracket is (`PoissonPresentation`), so on three variables
+    `_recognize_rows` reads the items and no g(J) is built or Jacobi-checked;
+    else g(J) is built, recognized and dropped."""
     names, kept = pres.varset.names, pres._recognitions
     for pt in points:
         key = tuple(pair_gradients(pres, pt).items())
         rec = kept.get(key)
         if rec is None:
-            rec = kept[key] = recognize(LieAlgebra(names, dict(key)))
+            rows = dict(key)
+            rec = kept[key] = (_recognize_rows(rows) if len(names) == 3
+                               else recognize(LieAlgebra(names, rows)))
         yield rec
 
 
@@ -237,11 +255,10 @@ def find_sl2_triple(lie: LieAlgebra, recognition: LieRecognition | None = None) 
         rad = IncrementalSpan(rec.radical_basis)
         section = [i for i in range(lie.dim) if rad.add(lie.basis_vector(i))]
         sec_vecs = [lie.basis_vector(i) for i in section]
-        pairs = ((0, 1), (0, 2), (1, 2))
         coords = coordinates(sec_vecs + list(rec.radical_basis),
-                             [lie.bracket(sec_vecs[a], sec_vecs[b]) for a, b in pairs])
+                             [lie.bracket(sec_vecs[a], sec_vecs[b]) for a, b in _PAIRS])
         quotient = LieAlgebra([lie.labels[i] for i in section],
-                              {ab: c[:3] for ab, c in zip(pairs, coords)})
+                              {ab: c[:3] for ab, c in zip(_PAIRS, coords)})
         lift = Matrix(list(zip(*sec_vecs))).apply
 
     killing = quotient.killing_form()

@@ -219,18 +219,14 @@ def cmd_classify(args) -> Report:
     report.add("file", args.file)
     points = _box_points(pf, args)
     report.add("ideal.count", len(points))
-    lines = {}  # id of a shared recognition -> its report records
+    lines = {}  # id of a shared recognition -> the text of its three records
     for k, (pt, rec) in enumerate(zip(points, recognize_points(pf.presentation, points)), 1):
-        records = lines.get(id(rec))
-        if records is None:
-            records = lines[id(rec)] = (
-                ("recognition", rec.describe()),
-                ("derived_dims", str(rec.derived_dims)),
-                ("simple_modules", rec.simple_modules()),
-            )
-        report.add(f"ideal.{k}.point", pt)
-        for key, value in records:
-            report.add(f"ideal.{k}.{key}", value)
+        text = lines.get(id(rec))
+        if text is None:
+            text = lines[id(rec)] = (rec.describe(), str(rec.derived_dims), rec.simple_modules())
+        report.records += ((f"ideal.{k}.point", str(pt)), (f"ideal.{k}.recognition", text[0]),
+                           (f"ideal.{k}.derived_dims", text[1]),
+                           (f"ideal.{k}.simple_modules", text[2]))
     return report
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import add
 
 from .errors import LaurentViolationError, VarSetMismatchError
-from .scalars import Scalar, ZERO, ONE, muladd, power
+from .scalars import Scalar, ZERO, ONE, format_scalar, muladd, power
 
 
 class VarSet:
@@ -370,14 +370,13 @@ class PointP:
     __slots__ = ("varset", "values", "_jets")
 
     def __init__(self, varset: VarSet, values):
-        values = tuple(Scalar.coerce(v) for v in values)
+        values = tuple(map(Scalar.coerce, values))
         if len(values) != len(varset):
             raise VarSetMismatchError("point arity mismatch")
-        for v, flag, name in zip(values, varset.laurent, varset.names):
-            if flag and v.is_zero:
-                raise LaurentViolationError(
-                    f"zero assigned to Laurent variable {name}"
-                )
+        if True in varset.laurent:
+            for v, flag, name in zip(values, varset.laurent, varset.names):
+                if flag and v.is_zero:
+                    raise LaurentViolationError(f"zero assigned to Laurent variable {name}")
         object.__setattr__(self, "varset", varset)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "_jets", {})
@@ -437,7 +436,7 @@ class PointP:
         return f"PointP({self})"
 
     def __str__(self):
-        return "(" + ", ".join(str(v) for v in self.values) + ")"
+        return "(" + ", ".join(map(format_scalar, self.values)) + ")"
 
 
 def divides(divisor: LaurentPoly, p: LaurentPoly):

@@ -31,6 +31,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
+from math import comb
 
 from .brackets import (
     Exact,
@@ -49,6 +50,10 @@ _Token = namedtuple("_Token", "kind text line col")  # kind: name, int, sym or e
 # The expression reader spends four frames per parenthesis, so a bound far
 # inside the interpreter's recursion limit turns deep nesting into a ParseError.
 MAX_NESTING = 100
+
+# A power of a t-term base has at most C(e + t - 1, t - 1) terms, and its time
+# grows with them: a power whose bound passes this one is not expanded.
+MAX_POWER_TERMS = 1000
 
 _TOKEN = re.compile(r"""[ \t\r]* (?P<at>) (?:\#[^\n]*)?
     (?: (?P<newline>\n) | (?P<int>[0-9]+)  # ASCII digits only: int() reads others too
@@ -157,8 +162,11 @@ class _Parser:
             sign = -sign
         out = self._atom(varset, env)
         if self.at("^"):
-            self.next()
-            e = self._exponent()
+            caret, e, t = self.next(), self._exponent(), len(out.terms)
+            # for t > 1 the bound is at least e + 1, so a huge e is refused uncomputed
+            if t > 1 and e > 1 and (e >= MAX_POWER_TERMS or comb(e + t - 1, e) > MAX_POWER_TERMS):
+                raise ParseError(f"power may expand past {MAX_POWER_TERMS} terms",
+                                 caret.line, caret.col)
             try:
                 out = out**e
             except LaurentViolationError as exc:

@@ -39,6 +39,7 @@ from poisson_atlas.classify import (
     _candidate_elements,
     _canonical_eigvec,
     _derived_spans,
+    _recognize_rows,
     derived_subalgebra,
 )
 from poisson_atlas.errors import AtlasError, ExtensionRequiredError, NotPoissonMaximalError
@@ -1092,8 +1093,8 @@ def test_a_presentation_recognizes_each_distinct_g_once_across_calls(name, monke
         if lie not in distinct:
             distinct.append(lie)
     calls = []
-    real = classify.recognize
-    monkeypatch.setattr(classify, "recognize", lambda lie: calls.append(lie) or real(lie))
+    real = classify._recognize_rows
+    monkeypatch.setattr(classify, "_recognize_rows", lambda rows: calls.append(rows) or real(rows))
     first = list(recognize_points(pres, points))
     report = homogeneity_report(pres, points)
     assert report.tags == first and len(calls) == len(distinct)
@@ -1217,6 +1218,54 @@ def test_a_bianchi_algebra_is_recognized_as_the_general_path_does(klass, rank_n,
     lie = data.draw(_bianchi_algebras(klass, rank_n))
     conjugated = lie.change_basis(data.draw(_random_bases(3, (discriminant,))))
     assert recognize(conjugated) == _recognize_general(conjugated)
+
+
+def _recognized_rows(lie, data):
+    """`_recognize_rows` on the pair rows of a 3-dimensional `lie`, given as
+    `pair_gradients` gives them, {(i, j): [e_i, e_j]} with each row three
+    scalars, less some zero rows that `data` draws; asserts that it is the
+    recognition that `recognize` and the derived series and Killing form give
+    on the algebra those rows build."""
+    e = [lie.basis_vector(i) for i in range(3)]
+    rows = {(i, j): lie.bracket(e[i], e[j]) for i, j in ((0, 1), (0, 2), (1, 2))}
+    dropped = data.draw(st.sets(st.sampled_from(sorted(rows))))
+    rows = {ij: row for ij, row in rows.items()
+            if not (ij in dropped and all(c.is_zero for c in row))}
+    built = LieAlgebra(lie.labels, rows)
+    got = _recognize_rows(rows)
+    assert got == recognize(built) == _recognize_general(built)
+    return got
+
+
+@pytest.mark.parametrize("discriminant", [0, -1], ids=["Q", "Q(sqrt(-1))"])
+@pytest.mark.parametrize("klass, rank_n", [("A", 0), ("A", 1), ("A", 2), ("A", 3),
+                                           ("B", 0), ("B", 1), ("B", 2)])
+@settings(max_examples=8, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_the_pair_rows_of_a_bianchi_algebra_are_recognized_as_the_general_path_does(
+        klass, rank_n, discriminant, data):
+    lie = data.draw(_bianchi_algebras(klass, rank_n))
+    _recognized_rows(lie.change_basis(data.draw(_random_bases(3, (discriminant,)))), data)
+
+
+@pytest.mark.parametrize("discriminant", [0, -1], ids=["Q", "Q(sqrt(-1))"])
+@pytest.mark.parametrize("table, tag, dims", [
+    ({}, "abelian", [3, 0]),
+    ({("x", "y"): {"z": 1}}, "heisenberg", [3, 1, 0]),  # [g,g] = <z>, central
+    ({("x", "y"): {"y": 1}}, "solvable", [3, 1, 0]),  # [g,g] = <y>, not central
+    ({("x", "y"): {"y": 1}, ("x", "z"): {"z": 1}}, "solvable", [3, 2, 0]),
+    ({("x", "y"): {"z": 1}, ("y", "z"): {"x": 1}, ("z", "x"): {"y": 1}}, "sl2", [3, 3]),
+    ({("x", "y"): {"y": 2}, ("x", "z"): {"z": -2}, ("y", "z"): {"x": 1}}, "sl2", [3, 3]),
+], ids=["abelian", "heisenberg", "x-y-y", "bianchi-v", "so3", "sl2"])
+@settings(max_examples=8, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_the_pair_rows_are_recognized_as_the_general_path_does(table, tag, dims, discriminant,
+                                                                 data):
+    """Each rank r of the pair rows, and at r = 1 a central [g,g] and one
+    that is not, in a random basis."""
+    lie = LieAlgebra.from_brackets(("x", "y", "z"), table)
+    got = _recognized_rows(lie.change_basis(data.draw(_random_bases(3, (discriminant,)))), data)
+    assert (got.tag, got.derived_dims) == (tag, dims)
 
 
 @pytest.mark.parametrize("table, tag, dims", [

@@ -1026,24 +1026,40 @@ def test_module_requests_at_every_sl2_point_solve_no_eigenproblem(monkeypatch):
 def test_a_box_with_one_g_recognizes_it_once(monkeypatch):
     """g(J) is abelian at all 2,197 points of abelian(3) in the 4/2 box: one
     recognition serves every point, and the report keeps its recorded bytes."""
-    counts = _count_calls(monkeypatch, "recognize")
+    counts = _count_calls(monkeypatch, "_recognize_rows")
     monkeypatch.chdir(ROOT)
     code, out = run(["homogeneity", "perfbench/inputs/abelian(3).pa", "--box-num", "4",
                      "--box-den", "2", "--format", "machine"])
     assert code == 0 and "ideals.considered = 2197" in out.splitlines()
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "968e84aee716a42aab9fed084a2c587248efa1d8bf05d4da603e3580b63a9140")
-    assert counts == {"recognize": 1}
+    assert counts == {"_recognize_rows": 1}
 
 
 @pytest.mark.parametrize("command", ["classify", "homogeneity"])
 def test_distinct_g_are_each_recognized(command, monkeypatch):
     """The five sl2 points of torus-so3 have five different linearizations,
     so each is recognized on its own."""
-    counts = _count_calls(monkeypatch, "recognize")
+    counts = _count_calls(monkeypatch, "_recognize_rows")
     code, out = run([command, str(INPUTS / "torus-so3.pa"), "--format", "machine"])
     assert code == 0 and out.count("sl2") == 5
-    assert counts == {"recognize": 5}
+    assert counts == {"_recognize_rows": 5}
+
+
+def test_classify_on_three_generators_builds_no_lie_algebra(monkeypatch):
+    """On three generators `recognize_points` reads each g(J) off its pair
+    rows, so `classify` on whitney at box 4/2 recognizes its 13 points and
+    builds no `LieAlgebra`."""
+    from poisson_atlas.lie import LieAlgebra
+
+    real, builds = LieAlgebra.__init__, []
+    monkeypatch.setattr(LieAlgebra, "__init__",
+                        lambda self, *args: builds.append(args) or real(self, *args))
+    code, out = run(["classify", str(INPUTS / "whitney.pa"), "--box-num", "4", "--box-den", "2",
+                     "--format", "machine"])
+    assert code == 0 and "ideal.count = 13" in out.splitlines()
+    assert out.count("recognition = ") == 13
+    assert builds == []
 
 
 def test_classify_takes_one_gradient_pass_per_point(monkeypatch):

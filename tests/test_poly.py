@@ -52,6 +52,34 @@ def test_evaluate_rejects_zero_laurent(xyz_laurent):
         PointP(vs, [1, 1, 0])
 
 
+@pytest.mark.parametrize("laurent", [(), ("x",), ("z",), ("x", "z")],
+                         ids=["none", "first", "last", "first-and-last"])
+def test_a_point_coerces_its_values_and_refuses_a_wrong_arity_or_a_laurent_zero(laurent):
+    """`PointP` coerces int and Fraction values to Scalars and refuses any
+    other type, a wrong number of values, and 0 on a Laurent variable
+    wherever it stands; with no Laurent variable, 0 stands anywhere."""
+    vs = VarSet(("x", "y", "z"), laurent)
+    pt = PointP(vs, iter([1, Fraction(-3, 4), Scalar(2, 1, -1)]))
+    assert pt.values == (Scalar(1), Scalar(Fraction(-3, 4)), Scalar(2, 1, -1))
+    assert [type(v) for v in pt.values] == [Scalar] * 3
+    assert str(pt) == "(1, -3/4, 2+sqrt(-1))"
+    with pytest.raises(TypeError):
+        PointP(vs, [1, 0.5, 1])
+    for values in ([], [1, 1], [1, 1, 1, 1]):
+        with pytest.raises(VarSetMismatchError, match="point arity mismatch"):
+            PointP(vs, values)
+    for k, name in enumerate(vs.names):
+        for zero in (0, Fraction(0), ZERO):
+            values = [1, 1, 1]
+            values[k] = zero
+            if name in laurent:
+                with pytest.raises(LaurentViolationError,
+                                   match=f"zero assigned to Laurent variable {name}"):
+                    PointP(vs, values)
+            else:
+                assert PointP(vs, values).values[k] == ZERO
+
+
 def test_linear_part_examples():
     vs = VarSet(("u", "v", "w"))
     u, v, w = (LaurentPoly.variable(vs, n) for n in vs.names)

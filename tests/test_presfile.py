@@ -13,7 +13,8 @@ from poisson_atlas import (
 )
 from poisson_atlas.brackets import Exact, SubstitutionMap
 from poisson_atlas.errors import LieStructureError, ParseError
-from poisson_atlas.presfile import MAX_NESTING, PresentationFile, _tokenize
+from poisson_atlas.cli import main
+from poisson_atlas.presfile import MAX_NESTING, MAX_POWER_TERMS, PresentationFile, _tokenize
 from poisson_atlas.scalars import Scalar
 
 UQSL2 = """
@@ -358,6 +359,37 @@ def test_nesting_past_the_bound_is_a_located_parse_error():
         with pytest.raises(ParseError) as err:
             parse_presentation(head + _nested(depth) + ";\n")
         assert str(err.value) == f"{where}: parentheses nested deeper than {MAX_NESTING}"
+
+
+def test_a_power_past_the_term_bound_is_a_located_parse_error(monkeypatch, tmp_path, capsys):
+    """A power of a t-term base may have C(e + t - 1, t - 1) terms.  Past
+    MAX_POWER_TERMS it is a ParseError at its `^`, before any power is
+    expanded: a file exits 2, and a flag's error names the flag.  A power
+    within the bound, and any power of one term, still parse."""
+    head = "vars x, y, z;\nbracket exact f = "
+    potential = lambda text: parse_presentation(head + text + ";\n").presentation.bracket_spec.potential
+    assert MAX_POWER_TERMS == 1000
+    assert len(potential("(x + y + z + 1)^16").terms) == 969  # C(19, 3)
+    assert len(potential("(x + 1)^999").terms) == 1000
+    assert potential("(2*x*y)^1500") == LaurentPoly(VarSet(("x", "y", "z")), {(1500, 1500, 0): Scalar(2**1500)})
+    assert potential("(x^2 + y^2 + z^2 + x*y + y*z + 1)^1") == potential("x^2 + y^2 + z^2 + x*y + y*z + 1")
+    real, powers = LaurentPoly.__pow__, []
+    monkeypatch.setattr(LaurentPoly, "__pow__", lambda p, e: powers.append(e) or real(p, e))
+    for text, col in (("(x + y + z + 1)^17", 34), ("(x + y + z + 1)^45", 34),
+                      ("(x + 1)^1000", 26), ("x*(y - z)^(10000000000000000000000)", 28)):
+        with pytest.raises(ParseError) as err:
+            potential(text)
+        assert str(err.value) == f"line 2, col {col}: power may expand past 1000 terms"
+    assert powers == []
+    path = tmp_path / "power.pa"
+    path.write_text(head + "(x + y + z + 1)^45;\n", encoding="utf-8")
+    assert main(["ideals", str(path)]) == 2
+    assert capsys.readouterr().err == "parse error: line 2, col 34: power may expand past 1000 terms\n"
+    path.write_text(head + "x*y*z;\n", encoding="utf-8")
+    assert main(["homogeneity", str(path), "--box-num", "1", "--box-den", "1",
+                 "--relation", "(x + y + z + 1)^45"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "parse error: --relation, col 16: power may expand past 1000 terms\n")
 
 
 def test_sqrt_takes_the_square_part_out():
