@@ -66,7 +66,7 @@ class Report:
 
 
 def _load_file(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_presentation(fh.read())
 
 
@@ -76,9 +76,8 @@ def _flag_value(pf, flag: str, text: str, read):
     try:
         parser = _Parser(text)
         value = read(parser, pf.varset, pf.bound)
-        tok = parser.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+        if not parser.at(""):
+            raise parser.error(f"unexpected token {parser.peek()!r}", parser.pos)
     except ParseError as exc:
         raise ParseError(f"{flag}, col {exc.column}: {exc.message}") from None
     return value

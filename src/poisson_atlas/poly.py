@@ -116,13 +116,14 @@ class LaurentPoly:
 
     @staticmethod
     def const(varset: VarSet, value) -> "LaurentPoly":
-        return LaurentPoly(varset, {(0,) * len(varset): Scalar.coerce(value)})
+        value = Scalar.coerce(value)
+        return LaurentPoly._raw(varset, {} if value.is_zero else {(0,) * len(varset): value})
 
     @staticmethod
     def variable(varset: VarSet, name: str) -> "LaurentPoly":
         exps = [0] * len(varset)
-        exps[varset.index(name)] = 1
-        return LaurentPoly(varset, {tuple(exps): ONE})
+        exps[varset.index(name)] = 1  # an exponent of 1 needs no Laurent flag
+        return LaurentPoly._raw(varset, {tuple(exps): ONE})
 
     # -- predicates ------------------------------------------------------------
 

@@ -15,6 +15,8 @@ The grammar, one clause per statement, each ending in `;`:
 Tokens are names (a letter or `_`, then letters, digits or `_`), integers of
 ASCII digits and the symbols `->` and `(){}[],;=+-*/^`; blanks (space, tab,
 carriage return) separate them, and comments run from `#` to end of line.
+The parser reads the token texts from one `findall` of one pattern and keeps
+token indices: a token's line and column are computed only for an error.
 Scalars may be integers, rationals `p/q`, or `sqrt(d)` combinations.  Names
 bound in a bracket clause (f, a), which may not be variables, are usable in
 later expressions.  A Kirillov-Kostant bracket is a table with linear entries.
@@ -31,6 +33,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import islice
 from math import comb
 
 from .brackets import (
@@ -55,25 +58,33 @@ MAX_NESTING = 100
 # grows with them: a power whose bound passes this one is not expanded.
 MAX_POWER_TERMS = 1000
 
-_TOKEN = re.compile(r"""[ \t\r]* (?P<at>) (?:\#[^\n]*)?
-    (?: (?P<newline>\n) | (?P<int>[0-9]+)  # ASCII digits only: int() reads others too
-      | (?P<name>\w+) | (?P<sym>->|[(){}\[\],;=+\-*/^]) | (?P<bad>.) | (?P<eof>\Z))""", re.VERBOSE)
+# One token text per match, after blanks, newlines and comments: an integer of
+# ASCII digits (int() reads others too), a word, `->`, any other character or
+# "" at the end.  The skip always reaches a token or the end, so no match
+# starts inside a comment, and after the first "" every text is "".
+_TOKEN = re.compile(r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*([0-9]+|\w+|->|.|\Z)")
+
+
+def _is_name(text: str) -> bool:
+    return text[:1].isalpha() or text[:1] == "_"
+
+
+def _location(text: str, at: int):
+    """The line and column of offset `at` in `text`.  A comment does not
+    advance the column, so the end of a text that ends in one is at its `#`."""
+    start = text.rfind("\n", 0, at) + 1
+    comment = text.find("#", start, at)
+    return text.count("\n", 0, at) + 1, (at if comment < 0 else comment) - start + 1
 
 
 def _tokenize(text: str):
-    """The tokens of `text`, the last one eof.  A comment does not advance the
-    column; a digit such as `²` may go on a name but not start one."""
-    tokens, line, line_start = [], 1, 0
-    for m in _TOKEN.finditer(text):
-        kind, col = m.lastgroup, m.start("at") - line_start + 1
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-        elif kind == "bad" or kind == "name" and not (m[kind][0].isalpha() or m[kind][0] == "_"):
-            raise ParseError(f"unexpected character {m[kind][0]!r}", line, col)
-        else:
-            tokens.append(_Token(kind, m[kind], line, col))
-            if kind == "eof":
-                return tokens
+    """The parser's tokens of `text`, the last one eof, with kind, line and
+    column: each location scans the text up to its token, so this view, unlike
+    the parser, is quadratic in the text."""
+    tokens = _Parser(text).tokens  # raises at the first character that starts no token
+    return [_Token("eof" if not t else "int" if t.isdigit() else "name" if _is_name(t) else "sym",
+                   t, *_location(text, m.start(1)))
+            for t, m in zip(tokens[:tokens.index("") + 1], _TOKEN.finditer(text))]
 
 
 @dataclass
@@ -95,83 +106,94 @@ class PresentationFile:
 
 
 class _Parser:
+    """A reader over the token texts of `text`, the first "" its end.  An error
+    names a token by its index, and only then is its line and column found."""
+
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _TOKEN.findall(text)
         self.pos = 0
         self.depth = 0  # parentheses open in the expression being read
+        # `.` reads a character that starts no token, `\w+` a word such as `²x`
+        bad = [t for t in set(self.tokens)
+               if not (_is_name(t) or t[:1] in "0123456789(){}[],;=+-*/^")]
+        if bad:
+            i = min(map(self.tokens.index, bad))
+            raise self.error(f"unexpected character {self.tokens[i][0]!r}", i)
+
+    def error(self, message: str, index: int) -> ParseError:
+        """A ParseError at token `index`, located by scanning the text up to it."""
+        m = next(islice(_TOKEN.finditer(self.text), index, None))
+        return ParseError(message, *_location(self.text, m.start(1)))
 
     # -- token helpers ---------------------------------------------------------
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def next(self) -> str:
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> int:
+        """The index of the next token, which must be `text`."""
         tok = self.next()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
-        return tok
+        if tok != text:
+            raise self.error(f"expected {text!r}, found {tok!r}", self.pos - 1)
+        return self.pos - 1
 
-    def expect_name(self, names=None) -> _Token:
+    def expect_name(self, names=None) -> str:
         """The next token, a name, and one of `names` when they are given."""
         tok = self.next()
-        if tok.kind != "name":
-            raise ParseError(f"expected a name, found {tok.text!r}", tok.line, tok.col)
-        if names is not None and tok.text not in names:
-            raise ParseError(f"unknown variable {tok.text!r}", tok.line, tok.col)
+        if not _is_name(tok):
+            raise self.error(f"expected a name, found {tok!r}", self.pos - 1)
+        if names is not None and tok not in names:
+            raise self.error(f"unknown variable {tok!r}", self.pos - 1)
         return tok
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text
+        return self.tokens[self.pos] == text
 
     # -- expressions -----------------------------------------------------------
 
     def parse_expr(self, varset: VarSet, env: dict) -> LaurentPoly:
         out = self._term(varset, env)
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
+        while self.peek() in ("+", "-"):
+            op = self.next()
             rhs = self._term(varset, env)
             out = out + rhs if op == "+" else out - rhs
         return out
 
     def _term(self, varset, env):
         out = self._factor(varset, env)
-        while self.peek().text in ("*", "/"):
-            op = self.next().text
+        while self.peek() in ("*", "/"):
+            op = self.next()
             rhs = self._factor(varset, env)
             if op == "*":
                 out = out * rhs
             else:
-                tok = self.peek()
                 try:
                     out = out * rhs._unit_inverse()
                 except LaurentViolationError:
-                    raise ParseError(
-                        "division only by scalars or unit monomials", tok.line, tok.col
-                    ) from None
+                    raise self.error("division only by scalars or unit monomials",
+                                     self.pos) from None
         return out
 
     def _factor(self, varset, env):
         sign = 1
-        while self.peek().text == "-":
+        while self.at("-"):
             self.next()
             sign = -sign
         out = self._atom(varset, env)
         if self.at("^"):
-            caret, e, t = self.next(), self._exponent(), len(out.terms)
+            caret, e, t = self.expect("^"), self._exponent(), len(out.terms)
             # for t > 1 the bound is at least e + 1, so a huge e is refused uncomputed
             if t > 1 and e > 1 and (e >= MAX_POWER_TERMS or comb(e + t - 1, e) > MAX_POWER_TERMS):
-                raise ParseError(f"power may expand past {MAX_POWER_TERMS} terms",
-                                 caret.line, caret.col)
+                raise self.error(f"power may expand past {MAX_POWER_TERMS} terms", caret)
             try:
                 out = out**e
             except LaurentViolationError as exc:
-                tok = self.peek()
-                raise ParseError(str(exc), tok.line, tok.col) from None
+                raise self.error(str(exc), self.pos) from None
         return out if sign == 1 else -out
 
     def _signed_int(self, message) -> int:
@@ -179,11 +201,11 @@ class _Parser:
         where the integer should be."""
         tok = self.next()
         sign = 1
-        if tok.text == "-":
+        if tok == "-":
             sign, tok = -1, self.next()
-        if tok.kind != "int":
-            raise ParseError(message, tok.line, tok.col)
-        return sign * int(tok.text)
+        if not tok.isdigit():
+            raise self.error(message, self.pos - 1)
+        return sign * int(tok)
 
     def _exponent(self) -> int:
         """`n`, `-n`, `(n)` or `(-n)`."""
@@ -196,36 +218,36 @@ class _Parser:
 
     def _atom(self, varset, env):
         tok = self.next()
-        if tok.kind == "int":
-            return LaurentPoly.const(varset, int(tok.text))
-        if tok.text == "(":
+        if tok.isdigit():
+            return LaurentPoly.const(varset, int(tok))
+        if tok == "(":
             if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", tok.line, tok.col)
+                raise self.error(f"parentheses nested deeper than {MAX_NESTING}", self.pos - 1)
             self.depth += 1
             out = self.parse_expr(varset, env)
             self.depth -= 1
             self.expect(")")
             return out
-        if tok.kind == "name":
-            if tok.text == "sqrt":
+        if _is_name(tok):
+            if tok == "sqrt":
                 self.expect("(")
                 d = self._signed_int("expected sqrt of an integer")
                 self.expect(")")
                 return LaurentPoly.const(varset, scalar_sqrt(d))
-            if tok.text in env:
-                return env[tok.text]
-            if tok.text in varset.names:
-                return LaurentPoly.variable(varset, tok.text)
-            raise ParseError(f"unknown variable {tok.text!r}", tok.line, tok.col)
-        raise ParseError(f"unexpected token {tok.text!r}", tok.line, tok.col)
+            if tok in env:
+                return env[tok]
+            if tok in varset.names:
+                return LaurentPoly.variable(varset, tok)
+            raise self.error(f"unknown variable {tok!r}", self.pos - 1)
+        raise self.error(f"unexpected token {tok!r}", self.pos - 1)
 
     def scalar_expr(self, varset, env) -> Scalar:
-        tok = self.peek()
+        start = self.pos
         poly = self.parse_expr(varset, env)
         try:
             return poly.constant_value()
         except ValueError:
-            raise ParseError("expected a scalar value", tok.line, tok.col) from None
+            raise self.error("expected a scalar value", start) from None
 
     # -- clauses -----------------------------------------------------------------
 
@@ -238,11 +260,11 @@ class _Parser:
         return items
 
     def name_list(self):
-        return self.comma_list(lambda: self.expect_name().text)
+        return self.comma_list(self.expect_name)
 
-    def parse_varset(self, names, tok) -> VarSet:
+    def parse_varset(self, names, where) -> VarSet:
         """`names` with the optional `laurent(...)` list that follows them; a
-        repeated or unknown name is reported at `tok`."""
+        repeated or unknown name is reported at token `where`."""
         laurent = []
         if self.at("laurent"):
             self.next()
@@ -252,24 +274,21 @@ class _Parser:
         try:
             return VarSet(tuple(names), tuple(laurent))
         except ValueError as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from None
+            raise self.error(str(exc), where) from None
 
     def _bind(self, varset, env) -> LaurentPoly:
         """`name = expr`: the expression, bound in `env` to a new name, not a variable."""
-        tok = self.expect_name()
-        if tok.text in varset.names or tok.text in env:
-            raise ParseError(f"{tok.text!r} is a variable or bound already", tok.line, tok.col)
+        name = self.expect_name()
+        if name in varset.names or name in env:
+            raise self.error(f"{name!r} is a variable or bound already", self.pos - 1)
         self.expect("=")
-        env[tok.text] = self.parse_expr(varset, env)
-        return env[tok.text]
+        env[name] = self.parse_expr(varset, env)
+        return env[name]
 
     def parse_bracket(self, varset, env):
-        tok = self.peek()
-        kind = self.expect_name().text
+        kind = self.expect_name()
         if kind in ("exact", "scaled") and len(varset) != 3:
-            raise ParseError(
-                f"{kind} brackets need exactly 3 variables", tok.line, tok.col
-            )
+            raise self.error(f"{kind} brackets need exactly 3 variables", self.pos - 1)
         if kind == "exact":
             return Exact(self._bind(varset, env))
         if kind == "scaled":
@@ -280,24 +299,21 @@ class _Parser:
             self.expect("{")
             mapping = {}
             while not self.at("}"):
-                tok = self.expect("[")
-                a = self.expect_name(varset.names).text
+                where = self.expect("[")
+                a = self.expect_name(varset.names)
                 self.expect(",")
-                b = self.expect_name(varset.names).text
+                b = self.expect_name(varset.names)
                 self.expect("]")
                 if a == b:
-                    raise ParseError(f"diagonal bracket [{a},{b}]", tok.line, tok.col)
+                    raise self.error(f"diagonal bracket [{a},{b}]", where)
                 if (a, b) in mapping or (b, a) in mapping:
-                    raise ParseError(
-                        f"bracket [{a},{b}] given twice", tok.line, tok.col
-                    )
+                    raise self.error(f"bracket [{a},{b}] given twice", where)
                 self.expect("=")
                 mapping[(a, b)] = self.parse_expr(varset, env)
                 self.expect(";")
             self.expect("}")
             return Table.from_dict(varset, mapping)
-        tok = self.peek()
-        raise ParseError(f"unknown bracket kind {kind!r}", tok.line, tok.col)
+        raise self.error(f"unknown bracket kind {kind!r}", self.pos)
 
     def scalar_list(self, varset, env) -> list:
         return self.comma_list(lambda: self.scalar_expr(varset, env))
@@ -305,17 +321,16 @@ class _Parser:
     def parse_point(self, varset, env) -> PointP:
         self.expect("(")
         values = self.scalar_list(varset, env)
-        tok = self.expect(")")
+        where = self.expect(")")
         try:
             return PointP(varset, values)
         except (LaurentViolationError, VarSetMismatchError) as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from None
+            raise self.error(str(exc), where) from None
 
     def parse_file(self) -> PresentationFile:
-        tok = self.next()
-        if tok.text != "vars":
-            raise ParseError("file must start with a vars clause", tok.line, tok.col)
-        varset = self.parse_varset(self.name_list(), tok)
+        if self.next() != "vars":
+            raise self.error("file must start with a vars clause", 0)
+        varset = self.parse_varset(self.name_list(), 0)
         self.expect(";")
         env: dict = {}
         spec = None
@@ -323,11 +338,11 @@ class _Parser:
         autos, embeds = {}, {}
         grading = None
         while not self.at(""):
-            tok = self.peek()
-            word = self.expect_name().text
+            where = self.pos
+            word = self.expect_name()
             if word == "bracket":
                 if spec is not None:
-                    raise ParseError("bracket clause given twice", tok.line, tok.col)
+                    raise self.error("bracket clause given twice", where)
                 spec = self.parse_bracket(varset, env)
             elif word == "relation":
                 relations.append(self.parse_expr(varset, env))
@@ -335,84 +350,80 @@ class _Parser:
                 points.append(self.parse_point(varset, env))
             elif word in ("auto", "embed"):
                 named = autos if word == "auto" else embeds
-                name_tok = self.expect_name()
-                if name_tok.text in named:
-                    raise ParseError(f"{word} {name_tok.text} given twice",
-                                     name_tok.line, name_tok.col)
+                name_at = self.pos
+                name = self.expect_name()
+                if name in named:
+                    raise self.error(f"{word} {name} given twice", name_at)
                 if word == "auto":
-                    images = self.parse_images("auto", name_tok, varset.names, varset, env)
-                    named[name_tok.text] = SubstitutionMap.from_dict(varset, images)
+                    images = self.parse_images("auto", name_at, varset.names, varset, env)
+                    named[name] = SubstitutionMap.from_dict(varset, images)
                 else:
-                    named[name_tok.text] = self.parse_embed(name_tok, varset, env)
+                    named[name] = self.parse_embed(name_at, varset, env)
             elif word == "grading":
                 grading = self.parse_expr(varset, env)
             else:
-                raise ParseError(f"unknown clause {word!r}", tok.line, tok.col)
+                raise self.error(f"unknown clause {word!r}", where)
             self.expect(";")
         if spec is None:
-            tok = self.peek()
-            raise ParseError("missing bracket clause", tok.line, tok.col)
+            raise self.error("missing bracket clause", self.pos)
         pres = PoissonPresentation(spec, tuple(relations))
         embeds = {name: (emb, None if sub is None else PoissonPresentation(*sub))
                   for name, (emb, sub) in embeds.items()}
         return PresentationFile(pres, env, points, autos, embeds, grading)
 
-    def parse_images(self, kind, name_tok, names, varset, env, other=None) -> dict:
-        """The `{ name -> expr; ... }` block of the `kind` clause named at
-        `name_tok`: one image over `varset` per name in `names`.  Another word
-        goes to `other(tok)` when given.  An unknown or repeated name is a
-        ParseError at that name, a missing one at `name_tok`."""
+    def parse_images(self, kind, name_at, names, varset, env, other=None) -> dict:
+        """The `{ name -> expr; ... }` block of the `kind` clause whose name is
+        token `name_at`: one image over `varset` per name in `names`.  Another
+        word goes to `other(index)` when given.  An unknown or repeated name
+        is a ParseError at that name, a missing one at `name_at`."""
         self.expect("{")
         images = {}
         while not self.at("}"):
             tok = self.expect_name(None if other else names)
-            if tok.text not in names:
-                other(tok)
+            if tok not in names:
+                other(self.pos - 1)
                 continue
-            if tok.text in images:
-                raise ParseError(f"image of {tok.text!r} given twice", tok.line, tok.col)
+            if tok in images:
+                raise self.error(f"image of {tok!r} given twice", self.pos - 1)
             self.expect("->")
-            images[tok.text] = self.parse_expr(varset, env)
+            images[tok] = self.parse_expr(varset, env)
             self.expect(";")
         self.expect("}")
         missing = [n for n in names if n not in images]
         if missing:
-            raise ParseError(
-                f"{kind} {name_tok.text} misses images for {missing}",
-                name_tok.line,
-                name_tok.col,
-            )
+            raise self.error(f"{kind} {self.tokens[name_at]} misses images for {missing}", name_at)
         return images
 
-    def parse_embed(self, name_tok, varset, env) -> tuple:
+    def parse_embed(self, name_at, varset, env) -> tuple:
         """An embed block's SubstitutionMap and (bracket spec, relations), or None."""
         self.expect("(")
         sub_names = self.name_list()
         self.expect(")")
-        sub_varset = self.parse_varset(sub_names, name_tok)
+        sub_varset = self.parse_varset(sub_names, name_at)
         sub_bracket, sub_relations, sub_env = None, [], {}
         first_relation = None
 
-        def sub_clause(tok):
+        def sub_clause(where):
             nonlocal sub_bracket, first_relation
-            if tok.text == "bracket":
+            word = self.tokens[where]
+            if word == "bracket":
                 if sub_bracket is not None:
-                    raise ParseError("bracket clause given twice", tok.line, tok.col)
+                    raise self.error("bracket clause given twice", where)
                 sub_bracket = self.parse_bracket(sub_varset, sub_env)
-            elif tok.text == "relation":
-                first_relation = first_relation or tok
+            elif word == "relation":
+                first_relation = where if first_relation is None else first_relation
                 sub_relations.append(self.parse_expr(sub_varset, sub_env))
             else:
-                raise ParseError(f"unknown name {tok.text!r} in embed block", tok.line, tok.col)
+                raise self.error(f"unknown name {word!r} in embed block", where)
             self.expect(";")
 
-        images = self.parse_images("embed", name_tok, sub_names, varset, env, sub_clause)
+        images = self.parse_images("embed", name_at, sub_names, varset, env, sub_clause)
         emb = SubstitutionMap.from_dict(sub_varset, images)
         if sub_bracket is not None:
             return emb, (sub_bracket, tuple(sub_relations))
         if first_relation is not None:
-            raise ParseError(f"relation in embed {name_tok.text} needs a bracket clause",
-                             first_relation.line, first_relation.col)
+            raise self.error(f"relation in embed {self.tokens[name_at]} needs a bracket clause",
+                             first_relation)
         return emb, None
 
 

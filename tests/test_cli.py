@@ -1159,3 +1159,23 @@ def test_token_mutants_of_the_perfbench_inputs_are_read_or_refused_cleanly(tmp_p
             assert code in (0, 1), (command, text)
             assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
     assert parsed > 100
+
+
+def test_a_file_saved_with_a_byte_order_mark_reads_as_without_it(tmp_path, capsys):
+    # editors may save UTF-8 with a leading U+FEFF; it is no part of the text
+    text = (INPUTS / "kleinian-e8.pa").read_text(encoding="utf-8")
+    path = tmp_path / "e8.pa"
+    outputs = []
+    for mark in ("", "\ufeff"):
+        path.write_text(mark + text, encoding="utf-8")
+        argv = ["classify", str(path), "--box-num", "5", "--box-den", "2", "--format", "machine"]
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    # anywhere else, and a second one at the start, it is a located error
+    for marked, where in ((f"\ufeff\ufeff{text}", "line 1, col 1"),
+                          (text.replace("\n", "\n\ufeff", 1), "line 2, col 1")):
+        path.write_text(marked, encoding="utf-8")
+        code, _ = run(["classify", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"parse error: {where}: unexpected character '\\ufeff'\n"

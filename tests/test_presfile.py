@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
-from conftest import PA_FILES, character_mutants, token_mutants, tokenize_reference
+from conftest import PA_FILES, REPO, character_mutants, token_mutants, tokenize_reference
+from many_points import many_points
 
 from poisson_atlas import (
     LaurentPoly,
@@ -13,8 +16,15 @@ from poisson_atlas import (
 )
 from poisson_atlas.brackets import Exact, SubstitutionMap
 from poisson_atlas.errors import LieStructureError, ParseError
-from poisson_atlas.cli import main
-from poisson_atlas.presfile import MAX_NESTING, MAX_POWER_TERMS, PresentationFile, _tokenize
+from poisson_atlas import presfile
+from poisson_atlas.cli import _flag_value, main
+from poisson_atlas.presfile import (
+    MAX_NESTING,
+    MAX_POWER_TERMS,
+    PresentationFile,
+    _Parser,
+    _tokenize,
+)
 from poisson_atlas.scalars import Scalar
 
 UQSL2 = """
@@ -538,3 +548,89 @@ def test_a_repeated_laurent_flag_is_refused_and_located(text, where):
         parse_presentation(text)
     assert (err.value.line, err.value.column) == where
     assert "duplicate Laurent flags" in err.value.message
+
+
+FLAG_TEXTS = [
+    ("--point", _Parser.parse_point, text)
+    for text in ["(2, 2, 2)", "(-2, -2, 2)", "(sqrt(4), sqrt(4), sqrt(4))", "(1/2, 0, -3/4)",
+                 "(sqrt(-1), 0, 0)", "(2, 2)", "(2, 2, 2, 2)", "(2, 2, 2) x", "2, 2, 2", "(2, 2, 2",
+                 "(x, 0, 0)", "(f - 4, 0, 0)", "(2; 2, 2)", "(2, 2, 2²)", "(2,2,2) # c", "",
+                 "(1/0, 0, 0)", "(2, 2, 2))"]
+] + [
+    ("--character", _Parser.scalar_list, text)
+    for text in ["1, 2, 3", "1/2", "sqrt(2), -1", "1,", ",1", "x", "1 2", "", "f - 4", "(1)"]
+] + [
+    ("--relation", _Parser.parse_expr, text)
+    for text in ["x", "x*y*z - x^2 - y^2 - z^2 + 4", "f - 4", "x +", "y^(-1)", "x ->", "(x",
+                 "w", "2*x # c", "x^2/2 ٣"]
+]
+
+
+def _outcome(run) -> str:
+    """What `run()` gives as text, or its error's class name and message."""
+    try:
+        return run()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _value_text(value) -> str:
+    return ", ".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+PARSE_OUTCOMES_SHA256 = "663def00ba6ef8a43100c3d6693486f10d99c510e7801abcb4fe3397a7958178"
+
+
+def test_parse_outcomes_are_pinned():
+    # one outcome per text: the serialized presentation, or the error; any
+    # change to what the parser accepts, builds or reports moves the digest
+    texts = [text for seed in (1, 2) for text in (*character_mutants(PA_FILES, seed, 3000),
+                                                  *token_mutants(PA_FILES, seed, 2000))]
+    torus = REPO / "perfbench" / "inputs" / "torus-so3.pa"
+    pf = parse_presentation(torus.read_text(encoding="utf-8"))
+    digest = hashlib.sha256()
+    for text in texts:
+        digest.update(_outcome(lambda: serialize_presentation(parse_presentation(text))).encode())
+        digest.update(b"\0")
+    for flag, read, text in FLAG_TEXTS:
+        digest.update(_outcome(lambda: _value_text(_flag_value(pf, flag, text, read))).encode())
+        digest.update(b"\0")
+    assert digest.hexdigest() == PARSE_OUTCOMES_SHA256
+
+
+def _parses(text) -> bool:
+    try:
+        parse_presentation(text)
+    except ParseError:
+        return False
+    return True
+
+
+def test_a_location_is_computed_only_for_an_error(monkeypatch):
+    texts = [text for text in (p.read_text(encoding="utf-8") for p in PA_FILES) if _parses(text)]
+    assert len(texts) == len(PA_FILES) - 2  # c-theta and d-phi fail to parse (known defect)
+
+    def located(text, at):
+        raise AssertionError(f"located offset {at} of a text with no error")
+
+    monkeypatch.setattr(presfile, "_location", located)
+    for text in texts:
+        parse_presentation(text)
+    for name in catalog_names():
+        get_entry(name)
+    with pytest.raises(AssertionError, match="located offset 8"):
+        parse_presentation("vars x; !")
+
+
+def test_a_syntax_error_at_the_end_of_a_long_file_is_located_once(monkeypatch):
+    located, locate = [], presfile._location
+
+    def counted(text, at):
+        located.append(at)
+        return locate(text, at)
+
+    monkeypatch.setattr(presfile, "_location", counted)
+    with pytest.raises(ParseError) as err:
+        parse_presentation(many_points(20000, bad_last=True))
+    assert str(err.value) == "line 20004, col 16: expected ')', found '4'"
+    assert len(located) == 1
