@@ -165,9 +165,8 @@ class PoissonPresentation:
             return
         report = verify_jacobi(self.bracket_spec)
         if not report.ok:
-            raise LieStructureError(
-                f"bracket fails Jacobi at {report.witness}: {report.jacobiator}"
-            )
+            triple, jacobiator = report.failures[0]
+            raise LieStructureError(f"bracket fails Jacobi at {triple}: {jacobiator}")
 
     def gen(self, name: str) -> LaurentPoly:
         return LaurentPoly.variable(self.varset, name)
@@ -195,14 +194,29 @@ def bracket(spec: BracketSpec, p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 
 
 @dataclass
-class JacobiReport:
+class CheckReport:
+    """The verdict of a check, its failures, the first failure first, and the
+    number of checks made."""
+
     ok: bool
-    witness: tuple | None = None
-    jacobiator: LaurentPoly | None = None
+    failures: list = field(default_factory=list)
+    checks: int = 0
+
+    def record(self, condition: bool, name: str, witness):
+        """Count one check; a failure keeps (name, witness text).
+
+        `witness` is the text or a function returning it, called only when
+        the check fails.
+        """
+        self.checks += 1
+        if not condition:
+            self.ok = False
+            self.failures.append((name, witness() if callable(witness) else witness))
 
 
-def verify_jacobi(spec: BracketSpec) -> JacobiReport:
-    """Check the Jacobiator on generator triples.
+def verify_jacobi(spec: BracketSpec) -> CheckReport:
+    """Check the Jacobiator on generator triples; a failing report holds
+    one failure, the first triple and its Jacobiator.
 
     The Jacobiator of a biderivation-extended bracket is a triderivation, so
     vanishing on generator triples implies the full Jacobi identity.  The
@@ -218,8 +232,8 @@ def verify_jacobi(spec: BracketSpec) -> JacobiReport:
         )
         if not jac.is_zero:
             names = varset.names
-            return JacobiReport(False, (names[i], names[j], names[k]), jac)
-    return JacobiReport(True)
+            return CheckReport(False, [((names[i], names[j], names[k]), jac)])
+    return CheckReport(True)
 
 
 @dataclass(frozen=True)
@@ -259,14 +273,6 @@ class SubstitutionMap:
     def compose(self, inner: "SubstitutionMap") -> "SubstitutionMap":
         """self o inner (apply inner first)."""
         return SubstitutionMap(inner.source, tuple(self.apply(img) for img in inner.images))
-
-
-@dataclass
-class CheckReport:
-    """The verdict of a check and its failures, the first failure first."""
-
-    ok: bool
-    failures: list = field(default_factory=list)
 
 
 def _zero_modulo(p: LaurentPoly, relations) -> bool:

@@ -776,12 +776,6 @@ def _entry_c_theta() -> CatalogEntry:
     (g,) = pres.relations
     y, z = cpres.gen("y"), cpres.gen("z")
 
-    def g_in_j2(ctx, cfg):
-        for pt in ctx.ideals:
-            if not relation_in_J_squared(pres, g, pt):
-                return False, f"g not in J^2 at {pt}"
-        return True, "g in J^2 at I1, I2, L1, L2"
-
     def restriction(ctx, cfg):
         i1 = PointP(pres.varset, (2, 2, 2))
         torus = Context(CatalogEntry("torus-so3", "section 4.3", cpres))
@@ -812,7 +806,8 @@ def _entry_c_theta() -> CatalogEntry:
         facts=[
             ("ideal_points", _ideal_points,
              [(2, 2, 2), (-2, 2, -2), (2, 0, 0), (-2, 0, 0)], "ideals containing g"),
-            ("g_in_J_squared", "section 4.7 (flagged)", g_in_j2),
+            ("g_in_J_squared", "section 4.7 (flagged)", _at_ideals,
+             lambda pt, rec: relation_in_J_squared(pres, g, pt), "g in J^2 at I1, I2, L1, L2"),
             ("recognition_homogeneity", _sl2_everywhere, "4-homogeneous"),
             ("restriction_scenario", restriction),
             ("L_overpoint_not_poisson", "section 4.7 (derived)", l_points_not_poisson),

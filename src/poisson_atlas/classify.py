@@ -50,10 +50,6 @@ def _derived_spans(lie: LieAlgebra):
             return spans
 
 
-def derived_subalgebra(lie: LieAlgebra):
-    return _bracket_span(lie, [lie.basis_vector(i) for i in range(lie.dim)])
-
-
 # The Levi factors that dim s names: N_s(d), the simple s-modules of dimension d,
 # as report text (None for s = 0: only the trivial module), then the simple
 # g-modules for k = 0 and for k > 0.  sl2 has one simple module V_d in each

@@ -124,8 +124,10 @@ def _at_least(low: int):
 
 def _box_flags(parser):
     """The search box of a subcommand that scans for Poisson-maximal points."""
-    parser.add_argument("--box-num", type=_at_least(1), default=4, help="box numerator bound")
-    parser.add_argument("--box-den", type=_at_least(1), default=2, help="box denominator bound")
+    parser.add_argument("--box-num", type=_at_least(1), default=SearchBox.num,
+                        help="box numerator bound")
+    parser.add_argument("--box-den", type=_at_least(1), default=SearchBox.den,
+                        help="box denominator bound")
     return parser
 
 

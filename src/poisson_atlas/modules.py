@@ -25,12 +25,12 @@ the module are built once per point value and kept on the presentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, combinations_with_replacement, product
 
-from .brackets import PoissonPresentation, SubstitutionMap, bracket, verify_poisson_map
-from .classify import Sl2Triple, derived_subalgebra
+from .brackets import CheckReport, PoissonPresentation, SubstitutionMap, bracket, verify_poisson_map
+from .classify import Sl2Triple
 from .errors import AtlasError, IncompatibleTableError
 from . import linalg  # the hull is read off linalg, so replacing it there reaches every call
 from .lie import LieAlgebra, lie_from_point
@@ -204,24 +204,6 @@ def restrict_to_lie(module: PoissonModule) -> LieRep:
     return LieRep(lie, module.mats)
 
 
-@dataclass
-class AxiomReport:
-    ok: bool
-    failures: list = field(default_factory=list)
-    checks: int = 0
-
-    def record(self, condition: bool, axiom: str, witness):
-        """Count one check; a failure keeps (axiom, witness text).
-
-        `witness` is the text or a function returning it, called only when
-        the check fails.
-        """
-        self.checks += 1
-        if not condition:
-            self.ok = False
-            self.failures.append((axiom, witness() if callable(witness) else witness))
-
-
 def _random_poly(rng: SplitMix, varset, candidates) -> LaurentPoly:
     terms = {}
     for _ in range(1 + rng.below(4)):
@@ -301,7 +283,7 @@ def _point_obligations(pres: PoissonPresentation, pt: PointP, trials: int, seed:
 
 def verify_poisson_axioms(
     module: PoissonModule, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED
-) -> AxiomReport:
+) -> CheckReport:
     """Exact check of the three Poisson-module axioms plus the annihilator facts.
 
     Axioms run on all generator pairs and on seeded pseudo-random polynomial
@@ -340,7 +322,7 @@ def verify_poisson_axioms(
         [m.flat() for m in mats]
         + [mats[i].commutator(mats[j]).flat() for i in range(n) for j in range(i + 1, n)]
     )
-    report = AxiomReport(True)
+    report = CheckReport(True)
     for axiom, check, witness in _point_obligations(module.pres, module.point, trials, seed):
         report.record(check if isinstance(check, bool) else combines_to_zero(check),
                       axiom, witness)
@@ -508,8 +490,6 @@ def restrict_to_subalgebra(
     on the map, so pulling several modules back along it checks it once; a
     map that is not Poisson is refused on every call.
     """
-    if emb.source != sub_pres.varset or emb.target != module.pres.varset:
-        raise AtlasError("substitution map endpoints do not match the presentations")
     report = verify_poisson_map(emb, sub_pres, module.pres)
     if not report.ok:
         raise AtlasError(f"substitution map is not a Poisson map: {report.failures}")
@@ -527,19 +507,19 @@ def solvable_character_module(
 ) -> PoissonModule:
     """One-dimensional module {p, v} = (sum beta_k dp/dx_k(pt)) v, p.v = p(pt) v.
 
-    beta must vanish on [g(J), g(J)]; that is exactly the character condition.
+    beta must vanish on [g(J), g(J)]; that is exactly the character condition,
+    and `LieRep` checks it: on 1x1 matrices [rho_i, rho_j] = 0 must equal
+    sum_k c^k_ij beta_k for every pair i, j.
     """
     beta = tuple(Scalar.coerce(b) for b in beta)
     if len(beta) != len(pres.varset):
         raise AtlasError(f"a character takes {len(pres.varset)} values, one per generator, "
                          f"not {len(beta)}")
-    lie = lie_from_point(pres, pt)
-    for w in derived_subalgebra(lie):
-        value = sum((b * c for b, c in zip(beta, w)), ZERO)
-        if not value.is_zero:
-            raise AtlasError("beta does not vanish on [g(J), g(J)]")
-    mats = tuple(Matrix([[b]]) for b in beta)
-    return PoissonModule(pres, pt, mats)
+    try:
+        rep = LieRep(lie_from_point(pres, pt), tuple(Matrix([[b]]) for b in beta))
+    except IncompatibleTableError:
+        raise AtlasError("beta does not vanish on [g(J), g(J)]") from None
+    return lift_module(pres, pt, rep)
 
 
 @dataclass(frozen=True)

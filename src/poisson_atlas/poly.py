@@ -172,8 +172,6 @@ class LaurentPoly:
         return LaurentPoly._raw(self.varset, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = LaurentPoly.const(self.varset, other)
         return self + (-other)
 
     def __rsub__(self, other):

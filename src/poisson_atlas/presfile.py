@@ -31,7 +31,6 @@ file dialect of poly's writer (`LaurentPoly.text`).
 from __future__ import annotations
 
 import re
-from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import islice
 from math import comb
@@ -43,12 +42,10 @@ from .brackets import (
     SubstitutionMap,
     Table,
 )
-from .errors import LaurentViolationError, ParseError, VarSetMismatchError
+from .errors import LaurentViolationError, ParseError, ScalarDomainError, VarSetMismatchError
 from .poly import LaurentPoly, PointP, VarSet, report_coeff, signed_sum, term_text
 from .scalars import Scalar, format_scalar, scalar_sqrt
 
-
-_Token = namedtuple("_Token", "kind text line col")  # kind: name, int, sym or eof
 
 # The expression reader spends four frames per parenthesis, so a bound far
 # inside the interpreter's recursion limit turns deep nesting into a ParseError.
@@ -75,16 +72,6 @@ def _location(text: str, at: int):
     start = text.rfind("\n", 0, at) + 1
     comment = text.find("#", start, at)
     return text.count("\n", 0, at) + 1, (at if comment < 0 else comment) - start + 1
-
-
-def _tokenize(text: str):
-    """The parser's tokens of `text`, the last one eof, with kind, line and
-    column: each location scans the text up to its token, so this view, unlike
-    the parser, is quadratic in the text."""
-    tokens = _Parser(text).tokens  # raises at the first character that starts no token
-    return [_Token("eof" if not t else "int" if t.isdigit() else "name" if _is_name(t) else "sym",
-                   t, *_location(text, m.start(1)))
-            for t, m in zip(tokens[:tokens.index("") + 1], _TOKEN.finditer(text))]
 
 
 @dataclass
@@ -157,26 +144,29 @@ class _Parser:
     # -- expressions -----------------------------------------------------------
 
     def parse_expr(self, varset: VarSet, env: dict) -> LaurentPoly:
+        """A sum of terms.  The scalars an operator combines must lie in one
+        quadratic field; where they do not, the error names the operator."""
         out = self._term(varset, env)
         while self.peek() in ("+", "-"):
-            op = self.next()
+            at, op = self.pos, self.next()
             rhs = self._term(varset, env)
-            out = out + rhs if op == "+" else out - rhs
+            try:
+                out = out + rhs if op == "+" else out - rhs
+            except ScalarDomainError as exc:
+                raise self.error(str(exc), at) from None
         return out
 
     def _term(self, varset, env):
         out = self._factor(varset, env)
         while self.peek() in ("*", "/"):
-            op = self.next()
+            at, op = self.pos, self.next()
             rhs = self._factor(varset, env)
-            if op == "*":
-                out = out * rhs
-            else:
-                try:
-                    out = out * rhs._unit_inverse()
-                except LaurentViolationError:
-                    raise self.error("division only by scalars or unit monomials",
-                                     self.pos) from None
+            try:
+                out = out * (rhs if op == "*" else rhs._unit_inverse())
+            except LaurentViolationError:
+                raise self.error("division only by scalars or unit monomials", self.pos) from None
+            except ScalarDomainError as exc:
+                raise self.error(str(exc), at) from None
         return out
 
     def _factor(self, varset, env):

@@ -232,7 +232,7 @@ PA_FILES = PERFBENCH_FILES + sorted((REPO / "tests").glob("*.pa"))
 
 
 def tokenize_reference(text: str):
-    """The character-loop scanner that `presfile._tokenize` must match: its
+    """The character-loop scanner that the parser's tokens must match: its
     (kind, text, line, col) tokens, the last one eof, or the ParseError at
     the first character that starts no token.  A comment does not advance
     the column."""

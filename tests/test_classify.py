@@ -40,7 +40,6 @@ from poisson_atlas.classify import (
     _canonical_eigvec,
     _derived_spans,
     _recognize_rows,
-    derived_subalgebra,
 )
 from poisson_atlas.errors import AtlasError, ExtensionRequiredError, NotPoissonMaximalError
 from poisson_atlas.linalg import (
@@ -371,7 +370,7 @@ def _recognize_reference(lie):
     the density hull: (describe(), derived_dims, radical basis), the radical
     set only for sl2_semidirect."""
     dims = derived_series(lie)
-    derived = derived_subalgebra(lie)
+    derived = _derived_spans(lie)[1]
     if not derived:
         return "abelian", dims, ()
     ads = [lie.ad_matrix(lie.basis_vector(i)) for i in range(lie.dim)]

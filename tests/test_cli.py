@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import PERFBENCH_FILES, token_mutants
+from conftest import PA_FILES, PERFBENCH_FILES, token_mutants
 
 from poisson_atlas.catalog import catalog_names
 from poisson_atlas.classify import recognize
@@ -640,10 +640,10 @@ def test_a_verify_violation_fails_the_report(monkeypatch, capsys):
     """A failed axiom check is a report with its violations and status
     `fail`, and `main` exits 1 for it."""
     from poisson_atlas import cli
-    from poisson_atlas.modules import AxiomReport
+    from poisson_atlas.brackets import CheckReport
 
     failures = [("Leibniz", "a = x, b = y"), ("Jacobi", "a = y, b = z")]
-    monkeypatch.setattr(cli, "verify_poisson_axioms", lambda *args: AxiomReport(False, failures, 7))
+    monkeypatch.setattr(cli, "verify_poisson_axioms", lambda *args: CheckReport(False, failures, 7))
     code, out = run(["verify", str(INPUTS / "torus-so3.pa"), "--point", "(2, 2, 2)",
                      "--dim", "2", "--format", "machine"])
     assert code == 1
@@ -1136,6 +1136,23 @@ def test_a_non_ascii_digit_exits_2(tmp_path, capsys):
     assert "line 2, col 21: unexpected character" in capsys.readouterr().err
 
 
+def test_a_file_mixing_two_quadratic_fields_exits_2_at_the_operator(tmp_path, capsys):
+    path = tmp_path / "mixed.pa"
+    path.write_text("vars x, y, z;\nbracket exact f = x*y*z - x^2 - y^2 - z^2 + 4;\n"
+                    "relation sqrt(2) + sqrt(3);\n", encoding="utf-8")
+    code, out = run(["classify", str(path)])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "parse error: line 3, col 18: cannot mix sqrt(2) with sqrt(3)\n")
+
+
+def test_a_flag_mixing_two_quadratic_fields_exits_2_at_the_operator(capsys):
+    code, out = run(["lie", str(INPUTS / "torus-so3.pa"), "--point", "(sqrt(2)+sqrt(3), 0, 0)"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "parse error: --point, col 9: cannot mix sqrt(2) with sqrt(3)\n")
+
+
 def test_token_mutants_of_the_perfbench_inputs_are_read_or_refused_cleanly(tmp_path, capsys):
     """Each of 3,000 mutants, one token of a perfbench input deleted, inserted,
     replaced or copied, parses, raises a located ParseError or fails Jacobi.
@@ -1179,3 +1196,55 @@ def test_a_file_saved_with_a_byte_order_mark_reads_as_without_it(tmp_path, capsy
         code, _ = run(["classify", str(path)])
         assert code == 2
         assert capsys.readouterr().err == f"parse error: {where}: unexpected character '\\ufeff'\n"
+
+
+def _unbenchmarked_requests():
+    """The argv of each CLI path that no benchmark request runs, in machine
+    format, on every perfbench and test input that parses: `ideals`, `leaves`
+    and `homogeneity` at the default box; `lie` at the first four found
+    points; at the first two points whose Levi factor is sl2, `twist` along
+    each auto at d = 2 and `restrict` along each embed at d = 2 and d = 3; at
+    the first two solvable points, `module` and `verify` with `--dim 1` and
+    each unit vector as `--character`."""
+    for path in PA_FILES:
+        try:
+            pf = parse_presentation(path.read_text(encoding="utf-8"))
+        except ParseError:
+            continue
+        file, machine = str(path.relative_to(ROOT)), ["--format", "machine"]
+        for command in ("ideals", "leaves", "homogeneity"):
+            yield [command, file, *machine]
+        points = find_poisson_maximal(pf.presentation, SearchBox(extra=tuple(pf.points)))
+        levi = [(pt, recognize(lie_from_point(pf.presentation, pt)).levi_dim) for pt in points]
+        for pt in points[:4]:
+            yield ["lie", file, "--point", str(pt), *machine]
+        for pt in [pt for pt, s in levi if s == 3][:2]:
+            at = ["--point", str(pt), *machine]
+            for name in pf.autos:
+                yield ["twist", file, "--dim", "2", "--auto", name, *at]
+            for name in pf.embeds:
+                for d in ("2", "3"):
+                    yield ["restrict", file, "--dim", d, "--embed", name, *at]
+        n = len(pf.varset)
+        for pt in [pt for pt, s in levi if s == 0][:2]:
+            for k in range(n):
+                unit = ", ".join("1" if i == k else "0" for i in range(n))
+                for command in ("module", "verify"):
+                    yield [command, file, "--point", str(pt), "--dim", "1",
+                           "--character", unit, *machine]
+
+
+def test_the_cli_paths_no_benchmark_runs_keep_their_bytes(monkeypatch, capsys):
+    """One digest over (argv, exit code, stdout, stderr) of every request of
+    `_unbenchmarked_requests`, recorded before `CheckReport` became the one
+    report of a check and the character check a `LieRep`."""
+    monkeypatch.chdir(ROOT)
+    digest, count = hashlib.sha256(), 0
+    for argv in _unbenchmarked_requests():
+        code = main(argv)
+        out, err = capsys.readouterr()
+        digest.update(json.dumps([argv, code, out, err]).encode("utf-8"))
+        count += 1
+    assert count == 191
+    assert digest.hexdigest() == (
+        "00f415f8fd277312bb73bc456efd8b2d68f1935abd909c3020c9598189efdfd1")

@@ -1,10 +1,12 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import perturbed, solve_linear
+from conftest import REPO, perturbed, solve_linear
 from poisson_atlas import (
     ActionTable,
     Exact,
@@ -13,19 +15,24 @@ from poisson_atlas import (
     LieRep,
     PointP,
     PoissonPresentation,
+    SearchBox,
     SubstitutionMap,
+    Table,
     VarSet,
     analyze_submodules,
     bracket,
     composition_series,
+    find_poisson_maximal,
     find_sl2_triple,
     is_simple_module,
     lie_from_point,
     lie_reps_isomorphic,
     lift_module,
     module_from_table,
+    parse_presentation,
     poisson_modules_isomorphic,
     recognize,
+    recognize_points,
     restrict_to_lie,
     restrict_to_subalgebra,
     sl2_irrep,
@@ -33,12 +40,13 @@ from poisson_atlas import (
     twist,
     verify_poisson_axioms,
 )
+from poisson_atlas.brackets import CheckReport
+from poisson_atlas.classify import _derived_spans
 from poisson_atlas.errors import AtlasError, IncompatibleTableError, NotPoissonMaximalError
 from poisson_atlas.linalg import Matrix, associative_hull_is_full, eigen_small, rank
 from poisson_atlas.modules import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
-    AxiomReport,
     PoissonModule,
     SplitMix,
     _exponent_candidates,
@@ -487,6 +495,67 @@ def test_solvable_characters(xyz):
         solvable_character_module(kl, origin, (Scalar(1), 0, 0))
 
 
+# the files whose solvable points the character test reads, at the default box
+CHARACTER_FILES = ("whitney", "kleinian-an(3)", "kleinian-an(4)", "kleinian-an(5)",
+                   "kleinian-d(4)", "kleinian-d(5)", "kleinian-e6", "kleinian-e7",
+                   "kleinian-e8", "abelian(3)")
+
+
+def _solvable_points(name, count):
+    """The first `count` points of the file's box scan where g(J) is solvable."""
+    path = REPO / "perfbench" / "inputs" / f"{name}.pa"
+    pf = parse_presentation(path.read_text(encoding="utf-8"))
+    pres = pf.presentation
+    points = find_poisson_maximal(pres, SearchBox(extra=tuple(pf.points)))
+    return [(pres, pt) for pt, rec in zip(points, recognize_points(pres, points))
+            if rec.levi_dim == 0][:count]
+
+
+def _drawn_solvable_table(rng):
+    """The Kirillov-Kostant presentation of C^2 extended by t acting as a
+    drawn 2 x 2 matrix, in the drawn unimodular integer basis L L^T: g(J) at the
+    origin is a 3-dimensional solvable Lie algebra."""
+    m = [[rng.randint(-1, 1) for _ in range(2)] for _ in range(2)]
+    table = {("t", f"v{i}"): {f"v{j}": m[j][i] for j in range(2) if m[j][i]} for i in range(2)}
+    lie = LieAlgebra.from_brackets(("t", "v0", "v1"), {k: r for k, r in table.items() if r})
+    low = [[1, 0, 0], [rng.randint(-2, 2), 1, 0], [rng.randint(-2, 2), rng.randint(-2, 2), 1]]
+    lie = lie.change_basis(Matrix(low) * Matrix(list(zip(*low))))
+    vs = VarSet(lie.labels)
+    gens = [LaurentPoly.variable(vs, n) for n in vs.names]
+    mapping = {(lie.labels[i], lie.labels[j]): sum((gens[k] * c for k, c in row.items()),
+                                                   LaurentPoly.zero(vs))
+               for (i, j), row in lie.structure_table().items()}
+    return PoissonPresentation(Table.from_dict(vs, mapping)), PointP(vs, (0, 0, 0))
+
+
+def test_a_character_is_accepted_exactly_where_the_old_rule_accepts_it():
+    """At the solvable points of ten catalog files and at the origin of 60
+    drawn solvable tables, a drawn integer beta builds the one-dimensional
+    module exactly when beta . w = 0 for every w in the canonical basis of
+    [g(J), g(J)], the rule the check read before `LieRep` made it; a refused
+    beta raises AtlasError with the same message."""
+    rng = random.Random(20071)
+    cases = [case for name in CHARACTER_FILES for case in _solvable_points(name, 4)]
+    cases += [_drawn_solvable_table(rng) for _ in range(60)]
+    outcomes = Counter()
+    for pres, pt in cases:
+        derived = _derived_spans(lie_from_point(pres, pt))[1]
+        for _ in range(6):
+            beta = [0 if rng.random() < 0.5 else rng.randint(-2, 2) for _ in pres.varset.names]
+            accepted = all(sum((b * c for b, c in zip(beta, w)), Scalar(0)).is_zero
+                           for w in derived)
+            if accepted:
+                module = solvable_character_module(pres, pt, beta)
+                assert module.mats == tuple(Matrix([[b]]) for b in beta)
+            else:
+                with pytest.raises(AtlasError) as err:
+                    solvable_character_module(pres, pt, beta)
+                assert str(err.value) == "beta does not vanish on [g(J), g(J)]"
+            outcomes[accepted, len(derived)] += 1
+    assert {key for key, n in outcomes.items() if n} >= {
+        (True, 0), (True, 1), (True, 2), (False, 1), (False, 2)}
+
+
 def test_restrict_to_lie_rejects_zero_dim(a1_pres):
     # modules are nonzero by definition; a 0-dim "module" cannot be built
     origin = PointP(a1_pres.varset, [0, 0, 0])
@@ -738,7 +807,7 @@ def _verify_reference(module, trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
     coordinates.  Same checks, same order, same labels."""
     pres, pt, dim = module.pres, module.point, module.dim
     varset, spec = pres.varset, pres.bracket_spec
-    report = AxiomReport(True)
+    report = CheckReport(True)
     gens = [LaurentPoly.variable(varset, n) for n in varset.names]
 
     def check_pair(p, q, label):

@@ -23,7 +23,7 @@ from poisson_atlas.presfile import (
     MAX_POWER_TERMS,
     PresentationFile,
     _Parser,
-    _tokenize,
+    _is_name,
 )
 from poisson_atlas.scalars import Scalar
 
@@ -426,12 +426,29 @@ def test_only_ascii_digits_make_integers(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_arithmetic_across_two_quadratic_fields_is_located_at_its_operator(op):
+    head = "vars x, y;\nbracket table { [x,y] = x; };\n"
+    for relation, fields in ((f"x + (sqrt(2) {op} sqrt(-3))", "sqrt(2) with sqrt(-3)"),
+                             (f"sqrt(-1) * x {op} sqrt(5) * x", "sqrt(-1) with sqrt(5)")):
+        with pytest.raises(ParseError) as err:
+            parse_presentation(f"{head}relation {relation};\n")
+        assert str(err.value) == f"line 3, col 23: cannot mix {fields}"
+
+
 def _scanned(text):
-    """The (kind, text, line, col) tokens of `text`, or the ParseError text."""
+    """The (kind, text, line, col) tokens of `text`, the last one eof, each
+    located by the parser's own `error`, or the ParseError text."""
     try:
-        return [(t.kind, t.text, t.line, t.col) for t in _tokenize(text)]
+        parser = _Parser(text)
     except ParseError as exc:
         return str(exc)
+    located = []
+    for i, t in enumerate(parser.tokens[:parser.tokens.index("") + 1]):
+        kind = "eof" if not t else "int" if t.isdigit() else "name" if _is_name(t) else "sym"
+        at = parser.error("", i)
+        located.append((kind, t, at.line, at.column))
+    return located
 
 
 def _scanned_by_reference(text):
