@@ -133,7 +133,8 @@ class PoissonPresentation:
     filled on first use: g(J) by point value in `_lies`
     (`lie.lie_from_point`), the axiom obligations by (point, trials, seed) in
     `_obligations` (`modules._point_obligations`), and one recognition per
-    g(J) in `_recognitions` (`classify.recognize_points`).
+    g(J) in `_recognitions` under a flat int key of its pair rows, on three
+    variables one of five shared values (`classify.recognize_points`).
     """
 
     bracket_spec: BracketSpec

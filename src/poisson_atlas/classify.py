@@ -106,12 +106,22 @@ class LieRecognition:
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))  # the pairs i < j of a 3-dimensional g
 
+# The five recognitions a 3-dimensional g can have, by tag and r = dim [g,g]:
+# `_recognize_rows` returns these values themselves, so no caller changes one.
+_RECOGNITIONS_3 = {
+    ("sl2", 3): LieRecognition("sl2", [3, 3], 3, 0),
+    ("abelian", 0): LieRecognition("abelian", [3, 0], 0, 3),
+    ("heisenberg", 1): LieRecognition("heisenberg", [3, 1, 0], 0, 2),
+    ("solvable", 1): LieRecognition("solvable", [3, 1, 0], 0, 2),
+    ("solvable", 2): LieRecognition("solvable", [3, 2, 0], 0, 1),
+}
+
 
 def _recognize_rows(rows) -> LieRecognition:
-    """The recognition of a 3-dimensional g from its pair rows alone: `rows`
-    maps (i, j), i < j, to [e_i, e_j] as a sequence of three scalars, and a
-    pair left out is 0.  r = dim [g,g] is the rank of the rows (Jacobson, Lie
-    Algebras I 4), with no Killing form and no derived series:
+    """The recognition of a 3-dimensional g from its pair rows alone, one of the
+    five shared `_RECOGNITIONS_3`: `rows` maps (i, j), i < j, to [e_i, e_j] as
+    three scalars, and a pair left out is 0.  r = dim [g,g] is the rank of the
+    rows (Jacobson, Lie Algebras I 4), with no Killing form or derived series:
     - r = 3: g is perfect, so not solvable, and its Levi factor, nonzero
       semisimple and so of dimension 3 or more, is all of g: g is simple,
       sl2 over the closure, with [3, 3], dim s = 3, k = 0 and rad g = 0.
@@ -122,11 +132,7 @@ def _recognize_rows(rows) -> LieRecognition:
     """
     nonzero = [row for row in rows.values() if not all(c.is_zero for c in row)]
     r = rank(nonzero)
-    if r == 3:
-        return LieRecognition("sl2", [3, 3], 3, 0)
-    if r == 0:
-        return LieRecognition("abelian", [3, 0], 0, 3)
-    tag = "solvable"
+    tag = "sl2" if r == 3 else "abelian" if r == 0 else "solvable"
     if r == 1:  # [g,g] is spanned by a nonzero row d, and [g,[g,g]] = 0 when d is central
         d = nonzero[0]
         r01, r02, r12 = (rows.get(ij, (ZERO,) * 3) for ij in _PAIRS)
@@ -134,7 +140,7 @@ def _recognize_rows(rows) -> LieRecognition:
         ads = ((d[1], r01, d[2], r02), (-d[0], r01, d[2], r12), (-d[0], r02, -d[1], r12))
         if all((a * u + b * v).is_zero for a, us, b, vs in ads for u, v in zip(us, vs)):
             tag = "heisenberg"
-    return LieRecognition(tag, [3, r, 0], 0, 3 - r)
+    return _RECOGNITIONS_3[tag, r]
 
 
 def recognize(lie: LieAlgebra) -> LieRecognition:
@@ -165,21 +171,33 @@ def recognize(lie: LieAlgebra) -> LieRecognition:
     return LieRecognition(tag, dims, levi_dim, k, tuple(radical))
 
 
+def _rows_key(rows) -> tuple:
+    """The pair rows `rows` as one flat tuple of ints, in order: each pair (i, j),
+    then the (n, m, q, d) of each scalar.  Scalars are canonical and rows of one
+    length, so keys are equal exactly when rows are, and hash as ints alone."""
+    key = []
+    for ij, row in rows.items():
+        key += ij
+        for c in row:
+            key += c.n, c.m, c.q, c.d
+    return tuple(key)
+
+
 def recognize_points(pres, points):
-    """The recognition of g(J) at each point, in order.  The items of
+    """The recognition of g(J) at each point, in order.  The rows of
     `pair_gradients` at a point (whose pass refuses a non-Poisson point) are
-    the brackets of g(J), so equal items mean equal g(J): only new items are
-    recognized, and the recognition is kept under them in `pres._recognitions`
-    for later calls.  J/J^2 is a Lie algebra for every Poisson ideal J, Jacobi
-    as the bracket is (`PoissonPresentation`), so on three variables
-    `_recognize_rows` reads the items and no g(J) is built or Jacobi-checked;
-    else g(J) is built, recognized and dropped."""
+    the brackets of g(J), so equal rows mean equal g(J): only new rows are
+    recognized, each kept in `pres._recognitions` under the rows' int key
+    (`_rows_key`) for later calls.  J/J^2 is a Lie algebra for every Poisson
+    ideal J, Jacobi as the bracket is (`PoissonPresentation`), so on three
+    variables `_recognize_rows` reads the rows into one of its five shared
+    recognitions, with no g(J) built; else g(J) is built, recognized, dropped."""
     names, kept = pres.varset.names, pres._recognitions
     for pt in points:
-        key = tuple(pair_gradients(pres, pt).items())
+        rows = pair_gradients(pres, pt)
+        key = _rows_key(rows)
         rec = kept.get(key)
         if rec is None:
-            rows = dict(key)
             rec = kept[key] = (_recognize_rows(rows) if len(names) == 3
                                else recognize(LieAlgebra(names, rows)))
         yield rec

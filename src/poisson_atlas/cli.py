@@ -40,29 +40,26 @@ HEADER = "poisson-atlas-report v1"
 
 
 class Report:
-    """Ordered (key, value) records rendered as text or machine lines."""
+    """Ordered key-value records rendered as text or machine lines.  A record
+    is kept as its line with NUL for the separator, which no argument or
+    parsed name holds, so `render` writes each format's separator in one
+    replace over the joined lines."""
 
     def __init__(self, command: str):
         self.command = command
-        self.records = []
+        self.lines = []
         self.status = "ok"
 
     def add(self, key: str, value):
-        self.records.append((key, str(value)))
+        self.lines.append(f"{key}\0{value}")
 
     def fail(self):
         self.status = "fail"
 
     def render(self, fmt: str) -> str:
-        if fmt == "machine":
-            lines = [HEADER, f"command = {self.command}"]
-            lines += [f"{k} = {v}" for k, v in self.records]
-            lines.append(f"status = {self.status}")
-            return "\n".join(lines) + "\n"
-        lines = [f"# {self.command}"]
-        lines += [f"{k}: {v}" for k, v in self.records]
-        lines.append(f"status: {self.status}")
-        return "\n".join(lines) + "\n"
+        head, sep = ((f"{HEADER}\ncommand = {self.command}", " = ") if fmt == "machine"
+                     else (f"# {self.command}", ": "))
+        return "\n".join([head, *self.lines, f"status\0{self.status}\n"]).replace("\0", sep)
 
 
 def _load_file(path: str):
@@ -220,14 +217,14 @@ def cmd_classify(args) -> Report:
     report.add("file", args.file)
     points = _box_points(pf, args)
     report.add("ideal.count", len(points))
-    lines = {}  # id of a shared recognition -> the text of its three records
+    texts = {}  # id of a shared recognition -> the values of its three records
     for k, (pt, rec) in enumerate(zip(points, recognize_points(pf.presentation, points)), 1):
-        text = lines.get(id(rec))
+        text = texts.get(id(rec))
         if text is None:
-            text = lines[id(rec)] = (rec.describe(), str(rec.derived_dims), rec.simple_modules())
-        report.records += ((f"ideal.{k}.point", str(pt)), (f"ideal.{k}.recognition", text[0]),
-                           (f"ideal.{k}.derived_dims", text[1]),
-                           (f"ideal.{k}.simple_modules", text[2]))
+            text = texts[id(rec)] = (rec.describe(), str(rec.derived_dims), rec.simple_modules())
+        report.lines.append(f"ideal.{k}.point\0{pt}\nideal.{k}.recognition\0{text[0]}\n"
+                            f"ideal.{k}.derived_dims\0{text[1]}\n"
+                            f"ideal.{k}.simple_modules\0{text[2]}")
     return report
 
 

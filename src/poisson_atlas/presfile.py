@@ -44,7 +44,7 @@ from .brackets import (
 )
 from .errors import LaurentViolationError, ParseError, ScalarDomainError, VarSetMismatchError
 from .poly import LaurentPoly, PointP, VarSet, report_coeff, signed_sum, term_text
-from .scalars import Scalar, format_scalar, scalar_sqrt
+from .scalars import Scalar, _mixed, format_scalar, scalar_sqrt
 
 
 # The expression reader spends four frames per parenthesis, so a bound far
@@ -101,6 +101,7 @@ class _Parser:
         self.tokens = _TOKEN.findall(text)
         self.pos = 0
         self.depth = 0  # parentheses open in the expression being read
+        self.fields = {}  # each quadratic field's d -> the first `sqrt` token that brings it in
         # `.` reads a character that starts no token, `\w+` a word such as `²x`
         bad = [t for t in set(self.tokens)
                if not (_is_name(t) or t[:1] in "0123456789(){}[],;=+-*/^")]
@@ -161,6 +162,8 @@ class _Parser:
         while self.peek() in ("*", "/"):
             at, op = self.pos, self.next()
             rhs = self._factor(varset, env)
+            if op == "/" and rhs.is_zero:
+                raise self.error("division by zero", at)
             try:
                 out = out * (rhs if op == "*" else rhs._unit_inverse())
             except LaurentViolationError:
@@ -220,10 +223,13 @@ class _Parser:
             return out
         if _is_name(tok):
             if tok == "sqrt":
+                at = self.pos - 1
                 self.expect("(")
-                d = self._signed_int("expected sqrt of an integer")
+                root = scalar_sqrt(self._signed_int("expected sqrt of an integer"))
                 self.expect(")")
-                return LaurentPoly.const(varset, scalar_sqrt(d))
+                if root.d:
+                    self.fields.setdefault(root.d, at)
+                return LaurentPoly.const(varset, root)
             if tok in env:
                 return env[tok]
             if tok in varset.names:
@@ -359,6 +365,9 @@ class _Parser:
         pres = PoissonPresentation(spec, tuple(relations))
         embeds = {name: (emb, None if sub is None else PoissonPresentation(*sub))
                   for name, (emb, sub) in embeds.items()}
+        if len(self.fields) > 1:  # one quadratic field per file
+            (d1, _), (d2, at) = islice(self.fields.items(), 2)
+            raise self.error(str(_mixed(d1, d2)), at)
         return PresentationFile(pres, env, points, autos, embeds, grading)
 
     def parse_images(self, kind, name_at, names, varset, env, other=None) -> dict:

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    PERFBENCH_FILES,
     count_in_dimension,
     derived_series,
     killing_matrix,
@@ -39,9 +40,17 @@ from poisson_atlas.classify import (
     _candidate_elements,
     _canonical_eigvec,
     _derived_spans,
+    _RECOGNITIONS_3,
     _recognize_rows,
+    _rows_key,
 )
-from poisson_atlas.errors import AtlasError, ExtensionRequiredError, NotPoissonMaximalError
+from poisson_atlas.errors import (
+    AtlasError,
+    ExtensionRequiredError,
+    NotPoissonMaximalError,
+    ParseError,
+)
+from poisson_atlas.lie import pair_gradients
 from poisson_atlas.linalg import (
     IncrementalSpan,
     Matrix,
@@ -54,8 +63,11 @@ from poisson_atlas.linalg import (
     row_space_basis,
 )
 from poisson_atlas.modules import SplitMix, is_simple, sl2_irrep
+from poisson_atlas.presfile import parse_presentation
 from poisson_atlas.scalars import ZERO, common_domain
 from poisson_atlas.scalars import Scalar
+
+INPUTS = PERFBENCH_FILES[0].parent
 
 SL2 = LieAlgebra.from_brackets(
     ("e", "h", "f"),
@@ -1140,6 +1152,94 @@ def test_recognize_points_keeps_no_g():
     alive = [o for o in gc.get_objects() if isinstance(o, LieAlgebra) and id(o) not in before]
     assert len(recs) == 27 and pres._recognitions
     assert not alive and not pres._lies
+
+
+def _three_variable_inputs():
+    """(name, box) for each perfbench input on three variables that parses:
+    box 6/3, and 4/2 for abelian(3), whose every point of 6/3 is Poisson."""
+    for path in PERFBENCH_FILES:
+        try:
+            pf = parse_presentation(path.read_text(encoding="utf-8"))
+        except ParseError:
+            continue  # c-theta and d-phi: the known serializer defect
+        if len(pf.varset) == 3:
+            yield path.stem, (4, 2) if path.stem == "abelian(3)" else (6, 3)
+
+
+@pytest.mark.parametrize("name, box", [pytest.param(*case, id=case[0])
+                                       for case in _three_variable_inputs()])
+def test_the_memo_keeps_one_shared_recognition_per_distinct_rows(name, box):
+    """On three variables the memo holds one entry per distinct pair rows,
+    under their flat int key; points with equal rows share it, and each
+    entry is one of the five shared recognitions."""
+    pf = parse_presentation((INPUTS / f"{name}.pa").read_text(encoding="utf-8"))
+    pres = pf.presentation
+    points = find_poisson_maximal(pres, SearchBox(*box, tuple(pf.points)))
+    recs = list(recognize_points(pres, points))
+    rows = [pair_gradients(pres, pt) for pt in points]
+    distinct = {}
+    for row, rec in zip(rows, recs):
+        assert distinct.setdefault(tuple(row.items()), rec) is rec
+    kept = pres._recognitions
+    assert len(kept) == len(distinct)
+    assert all(kept[_rows_key(dict(items))] is rec for items, rec in distinct.items())
+    assert all(type(v) is int for key in kept for v in key)
+    assert all(any(rec is s for s in _RECOGNITIONS_3.values()) for rec in kept.values())
+
+
+_ENTRY = st.sampled_from([ZERO, Scalar(1), Scalar(-2), Scalar(Fraction(1, 2)), Scalar(0, 1, -1),
+                          Scalar(Fraction(1, 2), -1, -1), Scalar(0, 1, 2)])
+
+
+@st.composite
+def _pair_rows(draw):
+    """Rows as `pair_gradients` gives them: some pairs (i, j) in order, each
+    with three scalars, a zero row among them now and then."""
+    zero_row = st.just((ZERO,) * 3)
+    row = st.one_of(zero_row, st.tuples(_ENTRY, _ENTRY, _ENTRY))
+    return {ij: draw(row) for ij in ((0, 1), (0, 2), (1, 2)) if draw(st.booleans())}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_pair_rows(), st.data())
+def test_two_row_keys_are_equal_exactly_when_the_rows_are(a, data):
+    """Equal rows built apart give equal keys of ints, and unequal rows, in
+    their pairs or in any scalar (sqrt(2) against sqrt(-1) too), give
+    unequal keys.  The second rows are drawn anew, or are the first with one
+    scalar drawn again."""
+    b = data.draw(_pair_rows())
+    if a and data.draw(st.booleans()):
+        ij, k = data.draw(st.sampled_from(sorted(a))), data.draw(st.integers(0, 2))
+        b = {**a, ij: a[ij][:k] + (data.draw(_ENTRY),) + a[ij][k + 1:]}
+    rebuilt = {ij: tuple(Scalar(c.a, c.b, c.d) for c in row) for ij, row in a.items()}
+    assert _rows_key(rebuilt) == _rows_key(a) and hash(_rows_key(rebuilt)) == hash(_rows_key(a))
+    assert all(type(v) is int for v in _rows_key(a))
+    assert (_rows_key(a) == _rows_key(b)) == (list(a.items()) == list(b.items()))
+
+
+def test_no_caller_changes_a_shared_recognition():
+    """The five shared recognitions, `derived_dims` lists and all, are as they
+    were after every report that reads recognitions has run: classify and
+    homogeneity on each three-variable input, module and verify at an sl2 and
+    a heisenberg point, and the whole catalog."""
+    import contextlib
+    import copy
+    import io
+
+    from poisson_atlas.cli import main
+
+    before = copy.deepcopy(_RECOGNITIONS_3)
+    requests = [[cmd, str(INPUTS / f"{name}.pa"), "--box-num", "2", "--box-den", "1"]
+                for name, _ in _three_variable_inputs() for cmd in ("classify", "homogeneity")]
+    requests += [[cmd, str(INPUTS / f"{name}.pa"), "--point", point, "--dim", "1"]
+                 for cmd in ("module", "verify")
+                 for name, point in (("torus-so3", "(2, 2, 2)"), ("whitney", "(0, 0, 0)"))]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert [main(argv) for argv in requests] == [0] * len(requests)
+        assert main(["catalog", "run-all"]) == 0
+    assert _RECOGNITIONS_3 == before
+    assert [rec.derived_dims for rec in _RECOGNITIONS_3.values()] == [
+        [3, 3], [3, 0], [3, 1, 0], [3, 1, 0], [3, 2, 0]]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -11,7 +11,7 @@ from conftest import PA_FILES, PERFBENCH_FILES, token_mutants
 from poisson_atlas.catalog import catalog_names
 from poisson_atlas.classify import recognize
 from poisson_atlas.cli import HEADER, build_parser, main
-from poisson_atlas.errors import LieStructureError, ParseError
+from poisson_atlas.errors import AtlasError, LieStructureError, ParseError
 from poisson_atlas.ideals import SearchBox, find_poisson_maximal
 from poisson_atlas.lie import lie_from_point
 from poisson_atlas.modules import DEFAULT_SEED, DEFAULT_TRIALS
@@ -1144,6 +1144,70 @@ def test_a_file_mixing_two_quadratic_fields_exits_2_at_the_operator(tmp_path, ca
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == (
         "parse error: line 3, col 18: cannot mix sqrt(2) with sqrt(3)\n")
+
+
+@pytest.mark.parametrize("name, box, fmt, digest", [
+    ("abelian(3)", (4, 2), "text", "32ab6b31afe12fe4a4f81f48b7b2d20306a57cfe2cf4055d53bf15637759b00c"),
+    ("abelian(3)", (4, 2), "machine",
+     "ba5265045216b2c02e491e2a10be02e7ea1959a2b6d4e71bdd588069852fb38f"),
+    ("whitney", (6, 3), "text", "25a593e2bcb7ad58ad0f25ffd148007fdac640408b45f48a8dcf675d4a4bd420"),
+    ("whitney", (6, 3), "machine", "da6e2c1bc3104433a344e76bdd85bb047f6a386d90453a141c31cbdbfec9d509"),
+], ids=["abelian(3)-text", "abelian(3)-machine", "whitney-text", "whitney-machine"])
+def test_classify_reports_on_many_points_keep_their_bytes(name, box, fmt, digest, monkeypatch):
+    """classify on abelian(3) (2,197 points) and whitney (27 points, a singular
+    line) in both formats, run from the repository root as `file` records it."""
+    monkeypatch.chdir(ROOT)
+    code, out = run(["classify", f"perfbench/inputs/{name}.pa", "--box-num", str(box[0]),
+                     "--box-den", str(box[1]), "--format", fmt])
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_a_classify_that_raises_after_its_first_point_prints_no_report(monkeypatch, capsys):
+    """The report is printed only once its command has returned: an error at
+    the second point leaves stdout empty, with the usual error line and exit."""
+    import poisson_atlas.cli as cli
+
+    real = cli.recognize_points
+
+    def failing(pres, points):
+        yield next(real(pres, points))
+        raise AtlasError("refused at the second point")
+
+    monkeypatch.setattr(cli, "recognize_points", failing)
+    code, out = run(["classify", str(INPUTS / "whitney.pa")])
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == "error: refused at the second point\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["ideals"], ["leaves"], ["lie", "--point", "(0, 0)"], ["classify"], ["homogeneity"],
+    ["module", "--point", "(0, 0)", "--dim", "1"], ["verify", "--point", "(0, 0)", "--dim", "1"],
+    ["twist", "--point", "(0, 0)", "--dim", "1", "--auto", "a"],
+    ["restrict", "--point", "(0, 0)", "--dim", "1", "--embed", "e"],
+], ids=lambda argv: argv[0])
+def test_a_file_over_two_quadratic_fields_exits_2_at_its_sqrt(argv, tmp_path, capsys):
+    """No operator combines sqrt(2) with sqrt(3) here, and every subcommand
+    refuses the file at the `sqrt` that brings in the second field."""
+    path = tmp_path / "two-fields.pa"
+    path.write_text("vars x, y;\nbracket table { [x,y] = sqrt(2)*x + sqrt(3)*y; };\n",
+                    encoding="utf-8")
+    code, out = run([argv[0], str(path), *argv[1:]])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "parse error: line 2, col 37: cannot mix sqrt(2) with sqrt(3)\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ideals", "FILE"], "parse error: line 3, col 11: division by zero"),
+    (["lie", str(INPUTS / "torus-so3.pa"), "--point", "(1/0, 0, 0)"],
+     "parse error: --point, col 3: division by zero"),
+], ids=["relation", "point"])
+def test_a_division_by_zero_exits_2_at_its_slash(argv, message, tmp_path, capsys):
+    path = tmp_path / "divide.pa"
+    path.write_text("vars x, y, z;\nbracket exact f = x*y*z;\nrelation 1/0;\n", encoding="utf-8")
+    code, out = run([str(path) if a == "FILE" else a for a in argv])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == message + "\n"
 
 
 def test_a_flag_mixing_two_quadratic_fields_exits_2_at_the_operator(capsys):

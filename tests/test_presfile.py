@@ -403,13 +403,12 @@ def test_a_power_past_the_term_bound_is_a_located_parse_error(monkeypatch, tmp_p
 
 
 def test_sqrt_takes_the_square_part_out():
-    pf = parse_presentation(
-        "vars x, y;\nbracket table { [x,y] = x; };\n"
-        "relation sqrt(8)*x;\nrelation sqrt(-4)*x + sqrt(-1)*x;\nrelation sqrt(9) + sqrt(0);\n"
-    )
-    x = LaurentPoly.variable(pf.varset, "x")
-    assert pf.presentation.relations == (Scalar(0, 2, 2) * x, Scalar(0, 3, -1) * x,
-                                         LaurentPoly.const(pf.varset, 3))
+    head = "vars x, y;\nbracket table { [x,y] = x; };\n"  # one quadratic field per file
+    real = parse_presentation(head + "relation sqrt(8)*x;\nrelation sqrt(9) + sqrt(0);\n")
+    gaussian = parse_presentation(head + "relation sqrt(-4)*x + sqrt(-1)*x;\n")
+    x = LaurentPoly.variable(real.varset, "x")
+    assert real.presentation.relations + gaussian.presentation.relations == (
+        Scalar(0, 2, 2) * x, LaurentPoly.const(real.varset, 3), Scalar(0, 3, -1) * x)
 
 
 @pytest.mark.parametrize(
@@ -434,6 +433,39 @@ def test_arithmetic_across_two_quadratic_fields_is_located_at_its_operator(op):
         with pytest.raises(ParseError) as err:
             parse_presentation(f"{head}relation {relation};\n")
         assert str(err.value) == f"line 3, col 23: cannot mix {fields}"
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [("bracket table { [x,y] = sqrt(2)*x + sqrt(3)*y; };\n",
+      "line 2, col 37: cannot mix sqrt(2) with sqrt(3)"),
+     ("bracket table { [x,y] = x; };\nrelation sqrt(8)*x;\nrelation sqrt(-1)*y;\n"
+      "relation sqrt(2)*y;\n", "line 4, col 10: cannot mix sqrt(2) with sqrt(-1)"),
+     ("bracket table { [x,y] = sqrt(-4)*x; };\npoint (sqrt(4), sqrt(-1));\n"
+      "embed e(u) { u -> sqrt(5)*x; };\n", "line 4, col 19: cannot mix sqrt(-1) with sqrt(5)")],
+    ids=["table", "relations", "embed"],
+)
+def test_a_second_quadratic_field_is_located_at_its_first_sqrt(body, message):
+    """A file's scalars lie in one quadratic field, even where no operator
+    combines two of them: the second field is refused at the `sqrt` that first
+    brings it in.  sqrt(8) lies in Q(sqrt(2)) and sqrt(4) in Q."""
+    with pytest.raises(ParseError) as err:
+        parse_presentation(f"vars x, y;\n{body}")
+    assert str(err.value) == message
+
+
+def test_one_field_in_several_sqrt_forms_parses():
+    pf = parse_presentation("vars x, y;\nbracket table { [x,y] = sqrt(8)*x - sqrt(2)*y; };\n"
+                            "relation sqrt(4)*x + sqrt(18);\n")
+    x = LaurentPoly.variable(pf.varset, "x")
+    assert pf.presentation.relations == (Scalar(2) * x + LaurentPoly.const(pf.varset, Scalar(0, 3, 2)),)
+
+
+@pytest.mark.parametrize("expr, col", [("1/0", 11), ("x/(y - y)", 11), ("(1 + 1/0)*x", 16)])
+def test_a_division_by_zero_is_named_at_its_slash(expr, col):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(f"vars x, y;\nbracket table {{ [x,y] = x; }};\nrelation {expr};\n")
+    assert str(err.value) == f"line 3, col {col}: division by zero"
 
 
 def _scanned(text):
@@ -595,7 +627,7 @@ def _value_text(value) -> str:
     return ", ".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
-PARSE_OUTCOMES_SHA256 = "663def00ba6ef8a43100c3d6693486f10d99c510e7801abcb4fe3397a7958178"
+PARSE_OUTCOMES_SHA256 = "df596bb1cadbc9a31f09015d68e0861a854746ae664c45b1b9fc30354d97e40b"
 
 
 def test_parse_outcomes_are_pinned():
